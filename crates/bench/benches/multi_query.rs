@@ -64,7 +64,9 @@ fn bench_bank_sizes(c: &mut Criterion) {
             b.iter(|| {
                 let mut delivered = 0usize;
                 for e in &events {
-                    session.push_to(e, &mut |_m: fx_engine::Match| delivered += 1);
+                    session.push_spanned_to(e, fx_xml::Span::EMPTY, &mut |_m: fx_engine::Match| {
+                        delivered += 1
+                    });
                 }
                 session.finish().unwrap();
                 delivered

@@ -2,8 +2,8 @@
 //! Theorem 8.8, the engine comparison on linear and twig queries, and
 //! the **byte-throughput (MB/s) series** over the full parse→filter
 //! pipeline: parse-only, parse + one filter, and parse + a 1024-query
-//! indexed bank, each on the owned-`Event` surface vs the
-//! symbol-interned zero-copy surface (`feed_interned` → `SymEvent`),
+//! indexed bank, each on the symbol-interned zero-copy surface
+//! (`feed_interned` → `SymEvent`) per event and per `EventBatch`,
 //! plus `html/*` and `json/*` MB/s series for the non-XML frontends.
 //! The measured numbers live in `BENCH_throughput.json` at the repo
 //! root, the perf trajectory later PRs measure against.
@@ -146,30 +146,19 @@ fn xmark_xml(scale: usize) -> String {
     .to_xml()
 }
 
-/// MB/s over the full pipeline, owned vs interned surfaces.
+/// MB/s over the full pipeline on the interned zero-copy path (names
+/// interned to `Sym`s, payloads borrowed from parser scratch — no
+/// per-event allocation in steady state), fused per event and through
+/// the batch boundary.
 ///
 /// * `parse-only` — tokenize + event assembly, events dropped.
 /// * `parse+filter` — one `//item[price > 300]` frontier filter.
 /// * `parse+indexed-1024` — a 1024-query shared-prefix bank.
-///
-/// The owned rows materialize an `Event` per token (name `String`,
-/// attribute `Vec`); the interned rows run the zero-copy path (names
-/// interned to `Sym`s, payloads borrowed from parser scratch — no
-/// per-event allocation in steady state).
 fn bench_byte_throughput(c: &mut Criterion) {
     let xml = xmark_xml(4);
     let mut group = c.benchmark_group("bytes");
     group.throughput(Throughput::Bytes(xml.len() as u64));
 
-    group.bench_with_input(BenchmarkId::new("parse-only", "owned"), &xml, |b, xml| {
-        b.iter(|| {
-            let mut p = StreamingParser::new();
-            let mut n = 0usize;
-            p.feed(xml, &mut |_e| n += 1).unwrap();
-            p.finish(&mut |_e| n += 1).unwrap();
-            n
-        });
-    });
     group.bench_with_input(
         BenchmarkId::new("parse-only", "interned"),
         &xml,
@@ -209,15 +198,6 @@ fn bench_byte_throughput(c: &mut Criterion) {
     );
 
     let q = parse_query("//item[price > 300]").unwrap();
-    group.bench_with_input(BenchmarkId::new("parse+filter", "owned"), &xml, |b, xml| {
-        let mut f = StreamFilter::new(&q).unwrap();
-        b.iter(|| {
-            let mut p = StreamingParser::new();
-            p.feed(xml, &mut |e| f.process(&e)).unwrap();
-            p.finish(&mut |e| f.process(&e)).unwrap();
-            f.result()
-        });
-    });
     group.bench_with_input(
         BenchmarkId::new("parse+filter", "interned"),
         &xml,
@@ -272,19 +252,6 @@ fn bench_byte_throughput(c: &mut Criterion) {
     );
     let bank_xml = bank_queries.document_repeated(&[0, 1], 4, 8, 8);
     group.throughput(Throughput::Bytes(bank_xml.len() as u64));
-    group.bench_with_input(
-        BenchmarkId::new("parse+indexed-1024", "owned"),
-        &bank_xml,
-        |b, xml| {
-            let mut ib = IndexedBank::new(&bank_queries.queries).unwrap();
-            b.iter(|| {
-                let mut p = StreamingParser::new();
-                p.feed(xml, &mut |e| ib.process(&e)).unwrap();
-                p.finish(&mut |e| ib.process(&e)).unwrap();
-                ib.matching().count()
-            });
-        },
-    );
     group.bench_with_input(
         BenchmarkId::new("parse+indexed-1024", "interned"),
         &bank_xml,

@@ -25,10 +25,7 @@
 use crate::reporter::{Frame, Match, MatchSink, Reporter};
 use crate::space::SpaceStats;
 use fx_eval::truth::{constraining_predicate, TruthError};
-use fx_xml::{
-    AttrBuf, Event, EventBatch, EventRef, SaxHandler, Span, Sym, SymAttr, SymCache, SymEvent,
-    Symbols,
-};
+use fx_xml::{AttrBuf, Event, EventBatch, Span, Sym, SymAttr, SymCache, SymEvent, Symbols};
 use fx_xpath::{Axis, Expr, NodeTest, Query, QueryNodeId};
 use std::fmt;
 use std::sync::Arc;
@@ -502,57 +499,18 @@ impl StreamFilter {
     /// mode can stamp each confirmed match with the element's full
     /// source range (start tag through end tag).
     ///
-    /// This is the owned-event conversion layer: the name is resolved
-    /// to a [`Sym`] through the compiled query's table (a read-only
-    /// lookup) and dispatch proceeds on integers. Sources that already
-    /// hold interned events (`fx_xml::StreamingParser::feed_interned`)
-    /// should call [`StreamFilter::process_sym`] directly and skip the
-    /// lookup.
+    /// This is the owned-event conversion layer: names are resolved to
+    /// [`Sym`]s through the compiled query's table (a memoized read-only
+    /// lookup; unknown names become [`Sym::UNKNOWN`] and fail every
+    /// named node test) and dispatch proceeds on integers. Sources that
+    /// already hold interned events
+    /// (`fx_xml::StreamingParser::feed_interned`) should call
+    /// [`StreamFilter::process_sym`] directly and skip the lookup.
     pub fn process_spanned(&mut self, event: &Event, span: Span) {
-        self.process_ref(event.as_ref(), span);
-    }
-
-    /// [`StreamFilter::process_spanned`] over a borrowed
-    /// [`EventRef`] — no owned `Event` needs to exist. Names are
-    /// resolved through a per-filter lock-free [`SymCache`]; unknown
-    /// names become [`Sym::UNKNOWN`] and fail every named node test.
-    pub fn process_ref(&mut self, event: EventRef<'_>, span: Span) {
-        match event {
-            EventRef::StartDocument => self.process_sym(SymEvent::StartDocument, span),
-            EventRef::EndDocument => self.process_sym(SymEvent::EndDocument, span),
-            EventRef::StartElement { name, attributes } => {
-                let sym = self.name_cache.lookup(self.query.symbols(), name);
-                if attributes.is_empty() {
-                    self.process_sym(
-                        SymEvent::StartElement {
-                            name: sym,
-                            attributes: &[],
-                        },
-                        span,
-                    );
-                } else {
-                    let mut scratch = std::mem::take(&mut self.attr_scratch);
-                    let attrs = scratch.fill_from_cached(
-                        &mut self.name_cache,
-                        self.query.symbols(),
-                        attributes,
-                    );
-                    self.process_sym(
-                        SymEvent::StartElement {
-                            name: sym,
-                            attributes: attrs,
-                        },
-                        span,
-                    );
-                    self.attr_scratch = scratch;
-                }
-            }
-            EventRef::EndElement { name } => {
-                let sym = self.name_cache.lookup(self.query.symbols(), name);
-                self.process_sym(SymEvent::EndElement { name: sym }, span);
-            }
-            EventRef::Text { content } => self.process_sym(SymEvent::Text { content }, span),
-        }
+        let mut scratch = std::mem::take(&mut self.attr_scratch);
+        let ev = scratch.sym_event(&mut self.name_cache, self.query.symbols(), event);
+        self.process_sym(ev, span);
+        self.attr_scratch = scratch;
     }
 
     /// Feeds one *interned* event: the allocation-free hot path. The
@@ -707,21 +665,9 @@ impl StreamFilter {
         }
     }
 
-    /// Resets the cumulative space/pending statistics to a fresh-filter
-    /// state, so a *pooled* filter (the indexed bank recycles retired
-    /// residual instances) reports exactly what a newly-spawned one
-    /// would. Frontier state is reset by the next `StartDocument` as
-    /// usual; only the monotone counters need explicit clearing.
-    pub(crate) fn reset_metrics(&mut self) {
-        self.st.stats = SpaceStats::new(self.query.size());
-        self.st.observe_snap = (0, 0, 0, 0);
-        if let Some(rep) = &mut self.st.reporter {
-            rep.reset();
-            rep.max_pendings = 0;
-        }
-    }
-
-    /// The space statistics gathered so far.
+    /// The space statistics of the current document (they restart at
+    /// every `StartDocument`, so a reused filter reports exactly what a
+    /// fresh one would).
     pub fn stats(&self) -> &SpaceStats {
         &self.st.stats
     }
@@ -782,6 +728,11 @@ impl FilterState {
         self.element_ordinal = 0;
         self.removed_matched.clear();
         self.match_progress = 0;
+        // Statistics are per document: the peaks restart here, so a
+        // reused (session) or pooled (indexed bank) filter reports
+        // exactly what a freshly built one would.
+        self.stats = SpaceStats::new(q.size());
+        self.observe_snap = (0, 0, 0, 0);
         if let Some(rep) = &mut self.reporter {
             rep.reset();
         }
@@ -1079,24 +1030,6 @@ impl FilterState {
             .iter()
             .all(|&v| self.frontier.iter().any(|r| r.node == v && r.matched));
         self.result = Some(verdict);
-    }
-}
-
-impl SaxHandler for StreamFilter {
-    fn start_document(&mut self) {
-        self.process_ref(EventRef::StartDocument, Span::EMPTY);
-    }
-    fn end_document(&mut self) {
-        self.process_ref(EventRef::EndDocument, Span::EMPTY);
-    }
-    fn start_element(&mut self, name: &str, attributes: &[fx_xml::Attribute]) {
-        self.process_ref(EventRef::StartElement { name, attributes }, Span::EMPTY);
-    }
-    fn end_element(&mut self, name: &str) {
-        self.process_ref(EventRef::EndElement { name }, Span::EMPTY);
-    }
-    fn text(&mut self, content: &str) {
-        self.process_ref(EventRef::Text { content }, Span::EMPTY);
     }
 }
 

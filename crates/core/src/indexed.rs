@@ -87,7 +87,7 @@ use crate::filter::{CompiledQuery, StreamFilter, UnsupportedQuery};
 use crate::reporter::{Match, MatchSink};
 use crate::space::bits_for;
 use fx_analysis::CanonicalForm;
-use fx_xml::{AttrBuf, Event, EventBatch, EventRef, Span, Sym, SymCache, SymEvent, Symbols};
+use fx_xml::{AttrBuf, Event, EventBatch, Span, Sym, SymCache, SymEvent, Symbols};
 use fx_xpath::{Axis, Expr, NodeTest, Query, QueryNodeId};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -500,7 +500,9 @@ pub struct IndexedBank {
 /// activation behaviour, in the Theorem 8.8 units of
 /// [`crate::SpaceStats`] — read it from [`IndexedBank::space_stats`] (or
 /// `Session::index_stats` at the engine layer) after a document to
-/// compare indexed-vs-naive space, not just time.
+/// compare indexed-vs-naive space, not just time. The peaks are those of
+/// the current document (they restart at `StartDocument`); `activations`
+/// and `events` count since the bank was built.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexSpaceStats {
     /// Peak bits of the shared trie's frontier segment (rows shared by
@@ -1373,57 +1375,11 @@ impl IndexedBank {
     /// query that selected it. Filtering-mode banks never call the sink.
     pub fn process_to(&mut self, event: &Event, span: Span, sink: &mut dyn MatchSink) {
         // One conversion to the interned form serves the shared trie
-        // walk and every live residual instance — and it is lazy about
-        // what it converts: only start tags need their name resolved
-        // for the trie, attributes and end-tag names are consumed by
-        // residual instances alone, so with no instance live they are
-        // not even looked up.
-        match event.as_ref() {
-            EventRef::StartElement { name, attributes } => {
-                let sym = self.name_cache.lookup(&self.symbols, name);
-                if attributes.is_empty() || (self.instances.is_empty() && self.dormant.is_empty()) {
-                    // No instance will see this start tag's attributes
-                    // (instances spawned *at* it never receive it, and
-                    // only a live or woken instance ever reads them).
-                    self.process_sym_to(
-                        SymEvent::StartElement {
-                            name: sym,
-                            attributes: &[],
-                        },
-                        span,
-                        sink,
-                    );
-                } else {
-                    let mut scratch = std::mem::take(&mut self.attr_scratch);
-                    let attrs =
-                        scratch.fill_from_cached(&mut self.name_cache, &self.symbols, attributes);
-                    self.process_sym_to(
-                        SymEvent::StartElement {
-                            name: sym,
-                            attributes: attrs,
-                        },
-                        span,
-                        sink,
-                    );
-                    self.attr_scratch = scratch;
-                }
-            }
-            EventRef::EndElement { name } => {
-                // The trie drops records by level, not by name; only
-                // live instances compare the end tag's name.
-                let sym = if self.instances.is_empty() {
-                    Sym::UNKNOWN
-                } else {
-                    self.name_cache.lookup(&self.symbols, name)
-                };
-                self.process_sym_to(SymEvent::EndElement { name: sym }, span, sink);
-            }
-            EventRef::StartDocument => self.process_sym_to(SymEvent::StartDocument, span, sink),
-            EventRef::EndDocument => self.process_sym_to(SymEvent::EndDocument, span, sink),
-            EventRef::Text { content } => {
-                self.process_sym_to(SymEvent::Text { content }, span, sink)
-            }
-        }
+        // walk and every live residual instance.
+        let mut scratch = std::mem::take(&mut self.attr_scratch);
+        let ev = scratch.sym_event(&mut self.name_cache, &self.symbols, event);
+        self.process_sym_to(ev, span, sink);
+        self.attr_scratch = scratch;
     }
 
     /// [`IndexedBank::process_to`] over an already-interned event (syms
@@ -1588,6 +1544,13 @@ impl IndexedBank {
         }
         self.live_bits.fill(0);
         self.live_pending.fill(0);
+        // Peaks are per document (`activations`/`events` stay cumulative
+        // counters): a reused bank reports what a fresh one would.
+        self.peak_bits.fill(0);
+        self.peak_pending.fill(0);
+        self.peak_records = 0;
+        self.peak_trie_bits = 0;
+        self.peak_instances = 0;
         self.open_terminals.clear();
         self.current_level = 0;
         self.element_ordinal = 0;
@@ -1856,21 +1819,17 @@ impl IndexedBank {
         let rid = self.groups[g as usize]
             .residual
             .expect("only residual groups spawn instances");
-        let mut filter = match self.free_filters[rid as usize].pop() {
-            Some(mut pooled) => {
-                pooled.reset_metrics();
-                pooled
+        // A pooled filter needs no scrubbing: the `StartDocument` below
+        // restarts its statistics along with its frontier.
+        let mut filter = self.free_filters[rid as usize].pop().unwrap_or_else(|| {
+            let compiled = Arc::clone(&self.residuals[rid as usize].compiled);
+            if self.reporting {
+                StreamFilter::from_shared_reporting(compiled)
+                    .expect("reporting support validated at build")
+            } else {
+                StreamFilter::from_shared(compiled)
             }
-            None => {
-                let compiled = Arc::clone(&self.residuals[rid as usize].compiled);
-                if self.reporting {
-                    StreamFilter::from_shared_reporting(compiled)
-                        .expect("reporting support validated at build")
-                } else {
-                    StreamFilter::from_shared(compiled)
-                }
-            }
-        };
+        });
         filter.process_sym(SymEvent::StartDocument, Span::EMPTY);
         if fast_forward > 0 {
             filter.fast_forward(fast_forward);

@@ -42,7 +42,7 @@
 use crate::filter::{CompiledQuery, StreamFilter, UnsupportedQuery};
 use crate::reporter::{Match, MatchSink};
 use crate::space::SpaceStats;
-use fx_xml::{AttrBuf, Event, EventBatch, EventRef, Span, SymCache, SymEvent, Symbols};
+use fx_xml::{AttrBuf, Event, EventBatch, Span, SymCache, SymEvent, Symbols};
 use fx_xpath::Query;
 use std::sync::Arc;
 
@@ -196,32 +196,10 @@ impl MultiFilter {
         }
         // Convert to the interned form once, here at the bank level:
         // every filter then dispatches on integer syms.
-        match event.as_ref() {
-            EventRef::StartElement { name, attributes } => {
-                let sym = self.name_cache.lookup(&self.symbols, name);
-                let mut scratch = std::mem::take(&mut self.attr_scratch);
-                let attrs =
-                    scratch.fill_from_cached(&mut self.name_cache, &self.symbols, attributes);
-                self.process_sym_to(
-                    SymEvent::StartElement {
-                        name: sym,
-                        attributes: attrs,
-                    },
-                    span,
-                    sink,
-                );
-                self.attr_scratch = scratch;
-            }
-            EventRef::EndElement { name } => {
-                let sym = self.name_cache.lookup(&self.symbols, name);
-                self.process_sym_to(SymEvent::EndElement { name: sym }, span, sink);
-            }
-            EventRef::StartDocument => self.process_sym_to(SymEvent::StartDocument, span, sink),
-            EventRef::EndDocument => self.process_sym_to(SymEvent::EndDocument, span, sink),
-            EventRef::Text { content } => {
-                self.process_sym_to(SymEvent::Text { content }, span, sink)
-            }
-        }
+        let mut scratch = std::mem::take(&mut self.attr_scratch);
+        let ev = scratch.sym_event(&mut self.name_cache, &self.symbols, event);
+        self.process_sym_to(ev, span, sink);
+        self.attr_scratch = scratch;
     }
 
     /// [`MultiFilter::process_to`] over an already-interned event (syms

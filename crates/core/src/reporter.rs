@@ -40,7 +40,8 @@ pub struct Match {
 }
 
 /// A push-style consumer of confirmed matches: the output half of
-/// full-fledged evaluation, mirroring how `SaxHandler` is the input half.
+/// full-fledged evaluation, mirroring how the event stream is the input
+/// half.
 ///
 /// Implemented by `Vec<Match>` (collect everything) and by any
 /// `FnMut(Match)` closure, so ad-hoc sinks need no newtype.
@@ -113,9 +114,11 @@ pub(crate) struct Reporter {
 }
 
 impl Reporter {
+    /// Per-document reset (the owning filter's `StartDocument`).
     pub(crate) fn reset(&mut self) {
         self.frames.clear();
         self.outbox.clear();
+        self.max_pendings = 0;
     }
 
     pub(crate) fn open_element(&mut self, frame: Frame) {

@@ -332,10 +332,12 @@ impl Engine {
     }
 
     /// The engine-wide symbol table: every compiled node test is a sym
-    /// from it, and every session's reader path interns document names
-    /// into it. Hand it to `fx_xml::StreamingParser::with_symbols` when
-    /// driving a session with hand-built parsers, so events arrive
-    /// pre-interned and the banks skip per-event name lookups.
+    /// from it, and every session's reader path resolves document names
+    /// against it (lookup-only — it holds the query vocabulary and never
+    /// grows with document content). Hand it to a frontend's
+    /// `with_symbols(..).lookup_only()` when driving a session through
+    /// [`Session::run_source`], so events arrive pre-interned and the
+    /// evaluators skip per-event name lookups.
     pub fn symbols(&self) -> &Arc<Symbols> {
         &self.symbols
     }
@@ -431,7 +433,7 @@ impl Engine {
     }
 
     /// One-shot convenience over an in-memory XML string. The string is
-    /// still *streamed* (via [`fx_xml::EventIter`] over its bytes), not
+    /// still *streamed* ([`Engine::run_reader`] over its bytes), not
     /// materialized into events.
     pub fn run_str(&self, xml: &str) -> Result<Verdicts, EngineError> {
         self.run_reader(xml.as_bytes())
@@ -763,10 +765,11 @@ mod tests {
 
     #[test]
     fn each_sessions_take_the_owned_fallback_for_frontends() {
-        // The automata backends have no interned surface: run_source
-        // materializes owned events, collapsing names a lookup-only
-        // source could not resolve to a sentinel outside any query
-        // vocabulary. Verdicts must agree with the frontier backend.
+        // The automata backends have no interned surface: they take
+        // each batch through `Evaluator::process_batch`'s owned replay,
+        // which collapses names a lookup-only source could not resolve
+        // to a sentinel outside any query vocabulary. Verdicts must
+        // agree with the frontier backend.
         let html = "<div><ul><li>x</li></ul></div>";
         for backend in [Backend::Frontier, Backend::Nfa, Backend::LazyDfa] {
             let e = Engine::builder()
@@ -790,7 +793,8 @@ mod tests {
     fn a_source_with_a_foreign_table_still_evaluates() {
         let e = Engine::builder().query_str("/json/a").build().unwrap();
         // An interning parser over its own table: syms are meaningless
-        // to the engine, so the session re-resolves per event.
+        // to the engine, so the session replays each batch to owned
+        // events through the source's table and re-resolves per event.
         let mut source = fx_json::JsonParser::new();
         let v = e
             .session()

@@ -8,7 +8,7 @@
 //! [`crate::Session`] drives `Box<dyn Evaluator>` instances, and the
 //! benchmark harness compares implementations through the same lens.
 
-use fx_xml::Event;
+use fx_xml::{AttrBuf, Event, EventBatch, Symbols};
 
 /// A streaming algorithm computing `BOOLEVAL_Q` over SAX events.
 ///
@@ -24,6 +24,20 @@ pub trait Evaluator: Send {
     /// A short label for reports.
     fn label(&self) -> &'static str;
 
+    /// Feeds a run of interned events — what a [`crate::Session`]'s
+    /// drive loop hands every evaluator. `names` is the table that
+    /// issued the batch's syms, and must be the table the evaluator's
+    /// query was compiled against (the engine's): the default replays
+    /// the batch through [`fx_xml::SymEvent::to_owned`] into
+    /// [`Evaluator::process`], which is how the automata and buffering
+    /// baselines consume it, while evaluators that dispatch on syms
+    /// override it and compare the batch's syms with their node tests
+    /// directly. `scratch` is the caller's reusable attribute buffer
+    /// for the replay.
+    fn process_batch(&mut self, batch: &EventBatch, names: &Symbols, scratch: &mut AttrBuf) {
+        batch.replay(scratch, |ev, _| self.process(&ev.to_owned(names)));
+    }
+
     /// Feeds a whole stream and returns the verdict.
     fn run_stream(&mut self, events: &[Event]) -> Option<bool> {
         for e in events {
@@ -36,6 +50,10 @@ pub trait Evaluator: Send {
 impl Evaluator for fx_core::StreamFilter {
     fn process(&mut self, event: &Event) {
         fx_core::StreamFilter::process(self, event);
+    }
+    /// Native: the batch's syms are the compiled node tests' own.
+    fn process_batch(&mut self, batch: &EventBatch, _names: &Symbols, scratch: &mut AttrBuf) {
+        fx_core::StreamFilter::process_batch(self, batch, scratch);
     }
     fn verdict(&self) -> Option<bool> {
         self.result()

@@ -5,10 +5,7 @@ use crate::builder::Mode;
 use crate::error::EngineError;
 use crate::evaluator::Evaluator;
 use fx_core::{IndexedBank, Match, MatchSink};
-use fx_xml::{
-    Attribute, Event, EventBatch, EventIter, EventSource, Span, StreamingParser, Sym, SymEvent,
-    Symbols,
-};
+use fx_xml::{AttrBuf, Event, EventBatch, EventSource, Span, StreamingParser, Symbols};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -16,12 +13,13 @@ use std::sync::Arc;
 ///
 /// A session is fed incrementally — [`Session::push`] one event at a
 /// time, or [`Session::run_reader`] to drive a whole document from any
-/// byte source through the pull-based [`EventIter`] without ever
-/// materializing it. After `EndDocument` (or `finish()`), the same
-/// session can be reused for the next document: the next
-/// `StartDocument` resets every filter's per-document state while
-/// keeping amortizable state (such as the lazy DFA's memoized
-/// transition table) warm.
+/// byte source without ever materializing it: the session's tokenizer
+/// hands the evaluators one recycled [`EventBatch`] at a time. After
+/// `EndDocument` (or `finish()`), the same session can be reused for
+/// the next document: the next `StartDocument` resets every filter's
+/// per-document state — space statistics included — while keeping
+/// amortizable state (such as the lazy DFA's memoized transition
+/// table) warm.
 ///
 /// On a [`Mode::Select`] engine the session additionally *streams
 /// matches*: every confirmed output node is delivered to a
@@ -43,16 +41,19 @@ pub struct Session {
     events: u64,
     mode: Mode,
     /// The engine's symbol table: the reader entry points parse with it
-    /// so events reach the banks pre-interned (zero per-event name
+    /// so events reach the evaluators pre-interned (zero per-event name
     /// lookups, zero per-event allocation on the tag-dispatch path).
     symbols: Arc<Symbols>,
-    /// The session's reusable lookup-only parser for the interned
-    /// reader path: reset per document, its scratch buffers, name memo
-    /// and read buffer stay warm across a reused session's documents.
-    parser: Option<StreamingParser>,
+    /// The session's reusable lookup-only parser for the reader entry
+    /// points: reset per document, its scratch buffers, name memo and
+    /// read buffer stay warm across a reused session's documents.
+    parser: StreamingParser,
     /// Matches confirmed through the sink-less entry points, held for
     /// [`Session::finish_outcome`]; cleared at each `StartDocument`.
     collected: Vec<Match>,
+    /// Attribute scratch for replaying batches to [`Evaluator`]s and
+    /// foreign-table sources (the banks carry their own).
+    scratch: AttrBuf,
 }
 
 pub(crate) enum SessionInner {
@@ -81,22 +82,27 @@ impl SessionInner {
         }
     }
 
-    /// Whether this session can consume interned events natively (the
-    /// frontier banks); `Each` evaluators (automata baselines, bare
-    /// single filters) keep the owned-event surface.
-    fn supports_interned(&self) -> bool {
-        matches!(self, SessionInner::Bank(_) | SessionInner::Indexed(_))
-    }
-
-    /// Whole-batch dispatch: one virtual call hands a run of events to
-    /// the bank, which walks it with per-event scratch hoisted out of
-    /// the loop (and, for the multi-filter bank, skips the rest of a
-    /// batch once every filter is decided).
-    fn push_batch(&mut self, batch: &EventBatch, sink: &mut dyn MatchSink) {
+    /// Whole-batch dispatch — what the drive loop hands every variant:
+    /// one call walks a run of events whose syms `names` (the engine's
+    /// table) issued. The banks replay it with their own hoisted scratch
+    /// (and, for the multi-filter bank, skip the rest of a batch once
+    /// every filter is decided); plain evaluators take it through
+    /// [`Evaluator::process_batch`].
+    fn push_batch(
+        &mut self,
+        batch: &EventBatch,
+        names: &Symbols,
+        scratch: &mut AttrBuf,
+        sink: &mut dyn MatchSink,
+    ) {
         match self {
+            SessionInner::Each(evs) => {
+                for ev in evs {
+                    ev.process_batch(batch, names, scratch);
+                }
+            }
             SessionInner::Bank(bank) => bank.process_batch_to(batch, sink),
             SessionInner::Indexed(bank) => bank.process_batch_to(batch, sink),
-            SessionInner::Each(_) => unreachable!("interned path gated by supports_interned"),
         }
     }
 }
@@ -107,9 +113,10 @@ impl Session {
             inner,
             events: 0,
             mode,
+            parser: StreamingParser::with_symbols(Arc::clone(&symbols)).lookup_only(),
             symbols,
-            parser: None,
             collected: Vec::new(),
+            scratch: AttrBuf::new(),
         }
     }
 
@@ -157,7 +164,7 @@ impl Session {
     /// ([`Session::indexed_bank_mut`] + `IndexedBank::subscribe`): the
     /// lookup-only reader path memoizes unknown-name verdicts, and a new
     /// subscription can intern names an earlier document already
-    /// memoized as unknown. No-op when no reader has run yet.
+    /// memoized as unknown.
     ///
     /// On a [`Session::freeze_parser`] session this additionally
     /// re-takes the frozen symbol snapshot, so names the churn interned
@@ -166,9 +173,7 @@ impl Session {
     /// a churn command — another worker's refresh does nothing for this
     /// one (see the multi-worker caveat on `fx_xml::SymCache`).
     pub fn refresh_symbol_memo(&mut self) {
-        if let Some(parser) = &mut self.parser {
-            parser.invalidate_name_memo();
-        }
+        self.parser.invalidate_name_memo();
     }
 
     /// Switches the session's warm reader onto a **frozen snapshot** of
@@ -179,17 +184,15 @@ impl Session {
     /// ([`crate::Engine::run_sharded`] and the sharded dissemination
     /// server), where N sessions parse concurrently against one engine
     /// — the engine-owned mutable table stays single-writer while
-    /// worker reads touch no lock at all.
+    /// worker reads touch no lock at all. Call it before the first
+    /// document: the reader is rebuilt, not converted in place.
     ///
     /// The snapshot is a point-in-time view: after subscribing queries
     /// on a live bank, call [`Session::refresh_symbol_memo`] to re-take
     /// it (churn is the only event that grows the table, since frozen
     /// readers run lookup-only).
     pub fn freeze_parser(&mut self) {
-        let parser = self.parser.take().unwrap_or_else(|| {
-            StreamingParser::with_symbols(Arc::clone(&self.symbols)).lookup_only()
-        });
-        self.parser = Some(parser.frozen());
+        self.parser = StreamingParser::with_symbols(Arc::clone(&self.symbols)).frozen();
     }
 
     /// Number of registered queries.
@@ -234,38 +237,31 @@ impl Session {
     /// Use [`Session::push_spanned_to`] to stream matches to a sink with
     /// real spans.
     pub fn push(&mut self, event: &Event) {
-        self.push_spanned(event, Span::EMPTY);
+        self.push_event(event, Span::EMPTY, None);
     }
 
     /// [`Session::push`] with the event's source byte span (from
-    /// [`fx_xml::SpannedEvents`] or [`fx_xml::parse_spanned`]), so
-    /// collected matches carry real source ranges.
-    pub fn push_spanned(&mut self, event: &Event, span: Span) {
-        if matches!(event, Event::StartDocument) {
-            self.collected.clear();
-        }
-        self.events += 1;
-        let Session {
-            inner, collected, ..
-        } = self;
-        inner.push(event, span, collected);
-    }
-
-    /// Feeds one event, routing any matches it confirms to `sink`
-    /// (selection sessions; filtering sessions never call the sink).
-    pub fn push_to(&mut self, event: &Event, sink: &mut dyn MatchSink) {
-        self.push_spanned_to(event, Span::EMPTY, sink);
-    }
-
-    /// [`Session::push_to`] with the event's source byte span: the full
-    /// incremental-selection entry point. Matches reach `sink` the
-    /// moment the frontier resolves their ancestor chains — possibly
-    /// many events before `EndDocument`.
+    /// [`fx_xml::SpannedEvents`] or [`fx_xml::parse_spanned`]), routing
+    /// any matches it confirms to `sink` (selection sessions; filtering
+    /// sessions never call the sink): the incremental-selection entry
+    /// point. Matches reach `sink` the moment the frontier resolves
+    /// their ancestor chains — possibly many events before
+    /// `EndDocument`.
     pub fn push_spanned_to(&mut self, event: &Event, span: Span, sink: &mut dyn MatchSink) {
+        self.push_event(event, span, Some(sink));
+    }
+
+    /// One owned event into the evaluators; `None` sinks into the
+    /// session's own outbox.
+    fn push_event(&mut self, event: &Event, span: Span, sink: Option<&mut dyn MatchSink>) {
         if matches!(event, Event::StartDocument) {
             self.collected.clear();
         }
         self.events += 1;
+        let sink: &mut dyn MatchSink = match sink {
+            Some(sink) => sink,
+            None => &mut self.collected,
+        };
         self.inner.push(event, span, sink);
     }
 
@@ -332,8 +328,15 @@ impl Session {
     /// by document size. (On selection sessions, prefer
     /// [`Session::run_reader_to`] or [`Session::run_reader_outcome`],
     /// which do not discard the matches.)
-    pub fn run_reader<R: Read>(&mut self, reader: R) -> Result<Verdicts, EngineError> {
-        self.drive_collected(reader)?;
+    ///
+    /// The `run_reader*` entry points are the `run_source*` ones over
+    /// the session's own warm XML tokenizer, which resolves names
+    /// lookup-only: document names outside the compiled query
+    /// vocabulary collapse to `Sym::UNKNOWN` instead of growing the
+    /// engine-wide table, so a long-lived engine's memory stays bounded
+    /// by its queries, never by document content.
+    pub fn run_reader<R: Read>(&mut self, mut reader: R) -> Result<Verdicts, EngineError> {
+        self.drive(None, &mut reader, None)?;
         self.finish()
     }
 
@@ -343,25 +346,17 @@ impl Session {
     /// the document is still streaming, with byte spans to act on.
     pub fn run_reader_to<R: Read>(
         &mut self,
-        reader: R,
+        mut reader: R,
         sink: &mut dyn MatchSink,
     ) -> Result<Verdicts, EngineError> {
-        if self.inner.supports_interned() {
-            self.drive_interned(reader, sink)?;
-        } else {
-            let mut events = EventIter::new(reader);
-            while let Some(item) = events.next_spanned() {
-                let (event, span) = item?;
-                self.push_spanned_to(&event, span, sink);
-            }
-        }
+        self.drive(None, &mut reader, Some(sink))?;
         self.finish()
     }
 
     /// Streams one whole document from `reader` and returns the full
     /// [`Outcome`] — verdicts plus the collected per-query matches.
-    pub fn run_reader_outcome<R: Read>(&mut self, reader: R) -> Result<Outcome, EngineError> {
-        self.drive_collected(reader)?;
+    pub fn run_reader_outcome<R: Read>(&mut self, mut reader: R) -> Result<Outcome, EngineError> {
+        self.drive(None, &mut reader, None)?;
         self.finish_outcome()
     }
 
@@ -373,17 +368,17 @@ impl Session {
     ///
     /// The source should share the engine's symbol table (build it with
     /// `with_symbols(engine.symbols().clone()).lookup_only()`, or use
-    /// `Engine::html_source` / `Engine::json_source`): then interned
-    /// events flow straight into the frontier banks with no per-event
-    /// allocation, exactly like the XML reader path. A source carrying
-    /// a *different* table still evaluates correctly — its events are
+    /// `Engine::html_source` / `Engine::json_source`): then its batches
+    /// flow straight into the evaluators with no per-event allocation,
+    /// exactly like the XML reader path. A source carrying a
+    /// *different* table still evaluates correctly — its events are
     /// materialized and re-resolved per event, at owned-event cost.
     pub fn run_source<R: Read>(
         &mut self,
         source: &mut dyn EventSource,
         mut reader: R,
     ) -> Result<Verdicts, EngineError> {
-        self.drive_source_collected(source, &mut reader)?;
+        self.drive(Some(source), &mut reader, None)?;
         self.finish()
     }
 
@@ -395,7 +390,7 @@ impl Session {
         mut reader: R,
         sink: &mut dyn MatchSink,
     ) -> Result<Verdicts, EngineError> {
-        self.drive_source(source, &mut reader, sink)?;
+        self.drive(Some(source), &mut reader, Some(sink))?;
         self.finish()
     }
 
@@ -406,183 +401,61 @@ impl Session {
         source: &mut dyn EventSource,
         mut reader: R,
     ) -> Result<Outcome, EngineError> {
-        self.drive_source_collected(source, &mut reader)?;
+        self.drive(Some(source), &mut reader, None)?;
         self.finish_outcome()
     }
 
-    fn drive_source_collected(
+    /// The one drive loop: streams one document from `reader` through
+    /// `source` (`None`: the session's own warm XML tokenizer) and hands
+    /// every [`EventBatch`] to the evaluators, matches going to `sink`
+    /// (`None`: the session's own outbox). No owned `Event` is
+    /// materialized, and in steady state nothing on the path allocates
+    /// per element event; the callback boundary is paid once per batch.
+    ///
+    /// The one exception is a source whose symbol table is not the
+    /// engine's: its syms mean nothing to the compiled node tests, so
+    /// each batch is replayed to owned events through the *source's*
+    /// table and re-resolved per event, like hand-pushed ones.
+    fn drive(
         &mut self,
-        source: &mut dyn EventSource,
+        source: Option<&mut dyn EventSource>,
         reader: &mut dyn Read,
+        sink: Option<&mut dyn MatchSink>,
     ) -> Result<(), EngineError> {
-        // Same outbox dance as `drive_collected`: one drive is one
-        // document, so clearing up front equals clearing at its
-        // `StartDocument`.
-        self.collected.clear();
-        let mut collected = std::mem::take(&mut self.collected);
-        let result = self.drive_source(source, reader, &mut collected);
-        self.collected = collected;
-        result
-    }
-
-    /// The frontend-generic drive loop. Interned-capable sessions fed
-    /// by a source sharing the engine's table take the same zero-copy
-    /// path as [`Session::drive_interned`]; everything else (automata
-    /// baselines, foreign tables) converts each event to its owned form
-    /// through the *source's* table, mapping [`Sym::UNKNOWN`] — a name
-    /// a lookup-only source saw but never interned — to a sentinel that
-    /// cannot collide with any query's vocabulary (if it could, the
-    /// name would have been interned at compile time and would not be
-    /// unknown).
-    fn drive_source(
-        &mut self,
-        source: &mut dyn EventSource,
-        reader: &mut dyn Read,
-        sink: &mut dyn MatchSink,
-    ) -> Result<(), EngineError> {
-        source.reset();
-        let shares_table = Arc::ptr_eq(source.symbols(), &self.symbols);
         let Session {
             inner,
-            collected,
             events,
+            symbols,
+            parser,
+            collected,
+            scratch,
             ..
         } = self;
-        if inner.supports_interned() && shares_table {
-            // A drive is exactly one document, so clearing the outbox up
-            // front equals clearing at its `StartDocument` — which lets
-            // the hot loop take whole batches with no per-event check.
-            collected.clear();
-            return source
-                .drive_batched(reader, &mut |batch| {
-                    *events += batch.len() as u64;
-                    inner.push_batch(batch, sink);
-                })
-                .map_err(EngineError::from);
-        }
-        let symbols = Arc::clone(source.symbols());
+        let source: &mut dyn EventSource = match source {
+            Some(source) => source,
+            None => parser,
+        };
+        // A drive is exactly one document, so clearing the outbox up
+        // front equals clearing at its `StartDocument`.
+        collected.clear();
+        let sink: &mut dyn MatchSink = match sink {
+            Some(sink) => sink,
+            None => collected,
+        };
+        source.reset();
+        let foreign =
+            (!Arc::ptr_eq(source.symbols(), symbols)).then(|| Arc::clone(source.symbols()));
         source
-            .drive(reader, &mut |ev, span| {
-                if matches!(ev, SymEvent::StartDocument) {
-                    collected.clear();
+            .drive_batched(reader, &mut |batch| {
+                *events += batch.len() as u64;
+                match &foreign {
+                    None => inner.push_batch(batch, symbols, scratch, sink),
+                    Some(table) => batch.replay(scratch, |ev, span| {
+                        inner.push(&ev.to_owned(table), span, sink)
+                    }),
                 }
-                *events += 1;
-                let event = owned_from_sym(&symbols, &ev);
-                inner.push(&event, span, sink);
             })
             .map_err(EngineError::from)
-    }
-
-    fn drive_collected<R: Read>(&mut self, reader: R) -> Result<(), EngineError> {
-        if self.inner.supports_interned() {
-            // Collect into the session's own outbox: drop the previous
-            // document's matches (a drive is exactly one document, so
-            // clearing up front equals clearing at its `StartDocument`)
-            // and run the shared interned loop with the outbox as sink.
-            self.collected.clear();
-            let mut collected = std::mem::take(&mut self.collected);
-            let result = self.drive_interned(reader, &mut collected);
-            self.collected = collected;
-            return result;
-        }
-        let mut events = EventIter::new(reader);
-        while let Some(item) = events.next_spanned() {
-            let (event, span) = item?;
-            self.push_spanned(&event, span);
-        }
-        Ok(())
-    }
-
-    /// The zero-copy reader loop: parse with the engine's shared symbol
-    /// table and dispatch interned events straight into the bank — no
-    /// owned `Event` is ever materialized, and in steady state no
-    /// allocation happens per element event anywhere on the path.
-    ///
-    /// Events move in **batches**: the parser fills a reusable
-    /// arena-backed [`EventBatch`] per structural-index pass and the
-    /// bank walks each run in one call
-    /// ([`fx_core::MultiFilter::process_batch_to`] /
-    /// [`fx_core::IndexedBank::process_batch_to`]), so the callback
-    /// boundary is paid once per batch instead of once per event. The
-    /// single-filter bank skips the batch buffer entirely: its filter is
-    /// fused into the tokenizer's monomorphized emit chain, with no
-    /// dynamic call anywhere on the per-event path.
-    fn drive_interned<R: Read>(
-        &mut self,
-        reader: R,
-        sink: &mut dyn MatchSink,
-    ) -> Result<(), EngineError> {
-        // Lookup-only: document names outside the compiled query
-        // vocabulary collapse to `Sym::UNKNOWN` instead of growing
-        // the engine-wide table, so a long-lived engine's memory
-        // stays bounded by its queries, never by document content.
-        // The parser itself is kept across documents (reset per drive)
-        // so its scratch buffers and name memo stay warm.
-        let mut parser = self.parser.take().unwrap_or_else(|| {
-            StreamingParser::with_symbols(Arc::clone(&self.symbols)).lookup_only()
-        });
-        parser.reset();
-        // A drive is exactly one document: clearing the outbox up front
-        // equals clearing at its `StartDocument`.
-        self.collected.clear();
-        let Session { inner, events, .. } = self;
-        let result = match inner {
-            SessionInner::Bank(bank) if bank.len() == 1 => parser
-                .drive_reader(reader, &mut |ev, span| {
-                    *events += 1;
-                    bank.process_sym_to(ev, span, sink);
-                })
-                .map_err(EngineError::from),
-            _ => parser
-                .drive_batched(reader, &mut |batch| {
-                    *events += batch.len() as u64;
-                    inner.push_batch(batch, sink);
-                })
-                .map_err(EngineError::from),
-        };
-        self.parser = Some(parser);
-        result
-    }
-}
-
-/// What [`Sym::UNKNOWN`] resolves to on the owned-event fallback path:
-/// a name a lookup-only source could not resolve is by construction
-/// outside every query's vocabulary, and U+FFFD is not a name-start
-/// character in any frontend, so this sentinel can never equal a node
-/// test — the evaluators reject it exactly as they would the real name.
-const UNKNOWN_NAME: &str = "\u{fffd}unknown";
-
-/// Materializes an interned event through `symbols` (the table the
-/// source issued its syms from), collapsing unresolvable names to
-/// [`UNKNOWN_NAME`]. This is [`SymEvent::to_owned`] made total over
-/// lookup-only streams.
-fn owned_from_sym(symbols: &Symbols, ev: &SymEvent<'_>) -> Event {
-    let resolve = |sym: Sym| {
-        if sym == Sym::UNKNOWN {
-            UNKNOWN_NAME.to_string()
-        } else {
-            symbols.resolve(sym)
-        }
-    };
-    match *ev {
-        SymEvent::StartDocument => Event::StartDocument,
-        SymEvent::EndDocument => Event::EndDocument,
-        SymEvent::StartElement { name, attributes } => Event::StartElement {
-            name: resolve(name),
-            attributes: attributes
-                .iter()
-                .map(|a| Attribute {
-                    name: resolve(a.name),
-                    value: a.value.clone(),
-                })
-                .collect(),
-        },
-        SymEvent::EndElement { name } => Event::EndElement {
-            name: resolve(name),
-        },
-        SymEvent::Text { content } => Event::Text {
-            content: content.to_string(),
-        },
     }
 }
 
@@ -940,7 +813,7 @@ mod tests {
         let mut session = engine.session();
         let mut got: Vec<crate::Match> = Vec::new();
         for e in &fx_xml::parse("<a><b/></a>").unwrap() {
-            session.push_to(e, &mut got);
+            session.push_spanned_to(e, fx_xml::Span::EMPTY, &mut got);
         }
         session.finish().unwrap();
         assert_eq!(got.len(), 1);

@@ -179,9 +179,7 @@ impl HtmlParser {
     /// resolve against the shared table read-only, unknown ones
     /// collapse to [`Sym::UNKNOWN`], and the table stays bounded by the
     /// compiled query vocabulary on unbounded inputs — exactly like
-    /// `fx_xml::StreamingParser::lookup_only`. The owned-event helpers
-    /// ([`HtmlParser::feed`], [`parse_html`]) must not be used in this
-    /// mode.
+    /// `fx_xml::StreamingParser::lookup_only`.
     pub fn lookup_only(mut self) -> HtmlParser {
         self.intern_names = false;
         self
@@ -296,30 +294,6 @@ impl HtmlParser {
         self.finished = true;
         emit(SymEvent::EndDocument, Span::point(self.consumed as u64));
         Ok(())
-    }
-
-    /// [`HtmlParser::feed_interned`] on the owned-event surface
-    /// (interning mode only; panics in lookup-only mode, where unknown
-    /// names cannot be resolved back to strings).
-    pub fn feed(&mut self, chunk: &str, emit: &mut dyn FnMut(Event)) {
-        assert!(
-            self.intern_names,
-            "the owned-event surface requires interning mode"
-        );
-        let symbols = Arc::clone(&self.symbols);
-        self.feed_interned(chunk, &mut |ev, _| emit(ev.to_owned(&symbols)))
-            .expect("html feed never fails");
-    }
-
-    /// [`HtmlParser::finish_interned`] on the owned-event surface.
-    pub fn finish(&mut self, emit: &mut dyn FnMut(Event)) {
-        assert!(
-            self.intern_names,
-            "the owned-event surface requires interning mode"
-        );
-        let symbols = Arc::clone(&self.symbols);
-        self.finish_interned(&mut |ev, _| emit(ev.to_owned(&symbols)))
-            .expect("html finish never fails on first call");
     }
 
     /// Streams a whole document from `reader` through the interned
@@ -845,10 +819,24 @@ impl EventSource for HtmlParser {
 /// `StartDocument … EndDocument` framed stream under the crate's
 /// recovery rules.
 pub fn parse_html(html: &str) -> Vec<Event> {
+    parse_html_chunked(html, html.len().max(1))
+}
+
+/// [`parse_html`], feeding `html` in `chunk`-byte steps (cut at
+/// arbitrary bytes — the parser carries split scalars).
+fn parse_html_chunked(html: &str, chunk: usize) -> Vec<Event> {
     let mut parser = HtmlParser::new();
+    let symbols = Arc::clone(parser.symbols());
     let mut events = Vec::new();
-    parser.feed(html, &mut |e| events.push(e));
-    parser.finish(&mut |e| events.push(e));
+    let mut emit = |ev: SymEvent<'_>, _: Span| events.push(ev.to_owned(&symbols));
+    for piece in html.as_bytes().chunks(chunk) {
+        parser
+            .feed_interned_bytes(piece, &mut emit)
+            .expect("a `&str` is valid UTF-8");
+    }
+    parser
+        .finish_interned(&mut emit)
+        .expect("html finish never fails on first call");
     events
 }
 
@@ -1077,18 +1065,11 @@ mod tests {
         for doc in docs {
             let batch = parse_html(doc);
             for chunk_size in 1..=doc.len().min(7) {
-                let mut parser = HtmlParser::new();
-                let mut events = Vec::new();
-                let mut emit = |e: Event| events.push(e);
-                let bytes = doc.as_bytes();
-                let mut i = 0;
-                while i < bytes.len() {
-                    let end = (i + chunk_size).min(bytes.len());
-                    parser.feed(std::str::from_utf8(&bytes[i..end]).unwrap(), &mut emit);
-                    i = end;
-                }
-                parser.finish(&mut emit);
-                assert_eq!(events, batch, "chunk size {chunk_size} on {doc}");
+                assert_eq!(
+                    parse_html_chunked(doc, chunk_size),
+                    batch,
+                    "chunk size {chunk_size} on {doc}"
+                );
             }
         }
     }
@@ -1130,13 +1111,14 @@ mod tests {
     #[test]
     fn reset_allows_reuse() {
         let mut parser = HtmlParser::new();
-        let mut n = 0;
-        parser.feed("<a>x</a>", &mut |_| n += 1);
-        parser.finish(&mut |_| n += 1);
+        let symbols = Arc::clone(parser.symbols());
+        parser.feed_interned("<a>x</a>", &mut |_, _| {}).unwrap();
+        parser.finish_interned(&mut |_, _| {}).unwrap();
         parser.reset();
         let mut events = Vec::new();
-        parser.feed("<b>y</b>", &mut |e| events.push(e));
-        parser.finish(&mut |e| events.push(e));
+        let mut emit = |ev: SymEvent<'_>, _: Span| events.push(ev.to_owned(&symbols));
+        parser.feed_interned("<b>y</b>", &mut emit).unwrap();
+        parser.finish_interned(&mut emit).unwrap();
         assert_eq!(events, parse_html("<b>y</b>"));
     }
 }

@@ -141,128 +141,6 @@ pub fn notation(events: &[Event]) -> String {
     out
 }
 
-/// A borrowed SAX event: the zero-copy view of an [`Event`], with name
-/// and payload `&str` slices pointing into whatever buffer produced
-/// them (an owned event, a parser scratch buffer, a document string).
-///
-/// Use it to hand events to consumers without materializing owned
-/// `String`s — `fx-core`'s `StreamFilter::process_ref` accepts it
-/// directly. [`Event::as_ref`] borrows an owned event;
-/// [`EventRef::to_owned`] materializes one back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventRef<'a> {
-    /// `startDocument()`.
-    StartDocument,
-    /// `endDocument()`.
-    EndDocument,
-    /// `startElement(n)` with its attributes.
-    StartElement {
-        /// The element name.
-        name: &'a str,
-        /// The attributes, in document order.
-        attributes: &'a [Attribute],
-    },
-    /// `endElement(n)`.
-    EndElement {
-        /// The element name.
-        name: &'a str,
-    },
-    /// `text(α)`.
-    Text {
-        /// The entity-decoded character content.
-        content: &'a str,
-    },
-}
-
-impl EventRef<'_> {
-    /// Materializes an owned [`Event`] (allocating; the conversion the
-    /// borrowed representation exists to avoid on hot paths).
-    pub fn to_owned(&self) -> Event {
-        match *self {
-            EventRef::StartDocument => Event::StartDocument,
-            EventRef::EndDocument => Event::EndDocument,
-            EventRef::StartElement { name, attributes } => Event::StartElement {
-                name: name.to_string(),
-                attributes: attributes.to_vec(),
-            },
-            EventRef::EndElement { name } => Event::end(name),
-            EventRef::Text { content } => Event::text(content),
-        }
-    }
-}
-
-impl Event {
-    /// Borrows this event as a zero-copy [`EventRef`].
-    pub fn as_ref(&self) -> EventRef<'_> {
-        match self {
-            Event::StartDocument => EventRef::StartDocument,
-            Event::EndDocument => EventRef::EndDocument,
-            Event::StartElement { name, attributes } => EventRef::StartElement { name, attributes },
-            Event::EndElement { name } => EventRef::EndElement { name },
-            Event::Text { content } => EventRef::Text { content },
-        }
-    }
-}
-
-/// A push-style consumer of SAX events (the event-handler interface of §8.1).
-///
-/// All methods have empty default bodies so implementors only override the
-/// events they care about.
-pub trait SaxHandler {
-    /// Called once before any other event.
-    fn start_document(&mut self) {}
-    /// Called once after all other events.
-    fn end_document(&mut self) {}
-    /// Called at each element start tag.
-    fn start_element(&mut self, _name: &str, _attributes: &[Attribute]) {}
-    /// Called at each element end tag.
-    fn end_element(&mut self, _name: &str) {}
-    /// Called for each text node.
-    fn text(&mut self, _content: &str) {}
-}
-
-/// Drives a [`SaxHandler`] with a pre-materialized event sequence.
-pub fn drive<H: SaxHandler>(events: &[Event], handler: &mut H) {
-    for e in events {
-        match e {
-            Event::StartDocument => handler.start_document(),
-            Event::EndDocument => handler.end_document(),
-            Event::StartElement { name, attributes } => handler.start_element(name, attributes),
-            Event::EndElement { name } => handler.end_element(name),
-            Event::Text { content } => handler.text(content),
-        }
-    }
-}
-
-/// A [`SaxHandler`] that records the events it receives. Useful in tests and
-/// for adapting push-style producers to pull-style consumers.
-#[derive(Debug, Default, Clone)]
-pub struct EventCollector {
-    /// The recorded events, in arrival order.
-    pub events: Vec<Event>,
-}
-
-impl SaxHandler for EventCollector {
-    fn start_document(&mut self) {
-        self.events.push(Event::StartDocument);
-    }
-    fn end_document(&mut self) {
-        self.events.push(Event::EndDocument);
-    }
-    fn start_element(&mut self, name: &str, attributes: &[Attribute]) {
-        self.events.push(Event::StartElement {
-            name: name.to_string(),
-            attributes: attributes.to_vec(),
-        });
-    }
-    fn end_element(&mut self, name: &str) {
-        self.events.push(Event::end(name));
-    }
-    fn text(&mut self, content: &str) {
-        self.events.push(Event::text(content));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,20 +168,6 @@ mod tests {
         assert_eq!(Event::end("x").element_name(), Some("x"));
         assert_eq!(Event::text("x").element_name(), None);
         assert_eq!(Event::StartDocument.element_name(), None);
-    }
-
-    #[test]
-    fn drive_round_trips_through_collector() {
-        let events = vec![
-            Event::StartDocument,
-            Event::start_with_attrs("a", vec![Attribute::new("k", "v")]),
-            Event::text("hi"),
-            Event::end("a"),
-            Event::EndDocument,
-        ];
-        let mut c = EventCollector::default();
-        drive(&events, &mut c);
-        assert_eq!(c.events, events);
     }
 
     #[test]

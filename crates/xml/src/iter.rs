@@ -2,12 +2,14 @@
 //! into an `Iterator<Item = Result<Event, ParseError>>`, driving the
 //! incremental [`StreamingParser`] one fixed-size chunk at a time.
 //!
-//! This is the inversion of [`crate::parse_reader`]'s push model: instead
-//! of handing events to a callback, the consumer *pulls* them, which is
-//! what lets the engine layer compose filters, sessions, and event
-//! sources without ever materializing a `Vec<Event>`. Memory is bounded
-//! by the read buffer plus the largest single XML token, independent of
-//! document size — the setting the paper's space bounds are about.
+//! This is the inversion of the parser's push model: instead of handing
+//! interned events to a callback, the consumer *pulls* owned ones, each
+//! materialized through [`crate::SymEvent::to_owned`] as its chunk is
+//! parsed. Memory is bounded by the read buffer plus the largest single
+//! XML token, independent of document size — the setting the paper's
+//! space bounds are about. It is a convenience surface (examples,
+//! fixtures): the engine consumes [`crate::EventBatch`]es and never
+//! allocates per event.
 //!
 //! ```
 //! use fx_xml::{Event, EventIter};
@@ -23,8 +25,10 @@ use crate::event::Event;
 use crate::parser::ParseError;
 use crate::reader::StreamingParser;
 use crate::span::Span;
+use crate::symbols::SymEvent;
 use std::collections::VecDeque;
 use std::io::Read;
+use std::sync::Arc;
 
 /// Default read-chunk size in bytes.
 const DEFAULT_CHUNK: usize = 8 * 1024;
@@ -39,8 +43,6 @@ pub struct EventIter<R: Read> {
     reader: R,
     parser: StreamingParser,
     pending: VecDeque<(Event, Span)>,
-    /// Incomplete UTF-8 tail carried between reads.
-    carry: Vec<u8>,
     /// Reused read buffer (allocated once, not per refill).
     chunk: Vec<u8>,
     /// A parse/read error waiting to be yielded once `pending` drains:
@@ -64,7 +66,6 @@ impl<R: Read> EventIter<R> {
             reader,
             parser: StreamingParser::new(),
             pending: VecDeque::new(),
-            carry: Vec::new(),
             chunk: vec![0u8; chunk_size.max(4)],
             error: None,
             eof: false,
@@ -109,42 +110,21 @@ impl<R: Read> EventIter<R> {
         SpannedEvents(self)
     }
 
-    /// Feeds `buf` (arbitrary byte boundary) to the parser, queuing every
-    /// completed event.
-    fn feed_bytes(&mut self, buf: &[u8], at_eof: bool) -> Result<(), ParseError> {
-        let mut data = std::mem::take(&mut self.carry);
-        data.extend_from_slice(buf);
-        let valid_len = match std::str::from_utf8(&data) {
-            Ok(_) => data.len(),
-            Err(e) if e.error_len().is_none() && !at_eof => e.valid_up_to(),
-            Err(e) => {
-                return Err(ParseError {
-                    message: format!("invalid UTF-8 in input: {e}"),
-                    line: 0,
-                    column: 0,
-                })
-            }
-        };
-        let text = std::str::from_utf8(&data[..valid_len]).expect("validated prefix");
-        let pending = &mut self.pending;
-        self.parser
-            .feed_spanned(text, &mut |e, s| pending.push_back((e, s)))?;
-        self.carry = data[valid_len..].to_vec();
-        Ok(())
-    }
-
+    /// Reads until at least one event is queued (or the stream ends).
+    /// A read boundary inside a UTF-8 scalar is the parser's business
+    /// ([`StreamingParser::feed_interned_bytes`] carries it).
     fn pump(&mut self) -> Result<(), ParseError> {
-        // Move the buffer out for the duration of the loop so `read` and
-        // `feed_bytes` can borrow `self` independently; no allocation.
-        let mut buf = std::mem::take(&mut self.chunk);
-        let result = self.pump_into(&mut buf);
-        self.chunk = buf;
-        result
-    }
-
-    fn pump_into(&mut self, buf: &mut [u8]) -> Result<(), ParseError> {
-        while self.pending.is_empty() && !self.eof {
-            let n = match self.reader.read(buf) {
+        let EventIter {
+            reader,
+            parser,
+            pending,
+            chunk,
+            eof,
+            ..
+        } = self;
+        let symbols = Arc::clone(parser.symbols());
+        while pending.is_empty() && !*eof {
+            let n = match reader.read(chunk) {
                 Ok(n) => n,
                 // Retriable by std::io convention (cf. read_to_end):
                 // a signal interrupted the read, not ended the stream.
@@ -157,14 +137,14 @@ impl<R: Read> EventIter<R> {
                     })
                 }
             };
+            let mut queue = |ev: SymEvent<'_>, span: Span| {
+                pending.push_back((ev.to_owned(&symbols), span));
+            };
             if n == 0 {
-                self.eof = true;
-                self.feed_bytes(&[], true)?;
-                let pending = &mut self.pending;
-                self.parser
-                    .finish_spanned(&mut |e, s| pending.push_back((e, s)))?;
+                *eof = true;
+                parser.finish_interned(&mut queue)?;
             } else {
-                self.feed_bytes(&buf[..n], false)?;
+                parser.feed_interned_bytes(&chunk[..n], &mut queue)?;
             }
         }
         Ok(())

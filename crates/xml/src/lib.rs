@@ -33,10 +33,10 @@ pub mod writer;
 
 pub use batch::{EventBatch, BATCH_BYTES, BATCH_EVENTS};
 pub use escape::{decode_entities, decode_entities_into, escape_attr, escape_text};
-pub use event::{drive, notation, Attribute, Event, EventCollector, EventRef, SaxHandler};
+pub use event::{notation, Attribute, Event};
 pub use iter::{EventIter, SpannedEvents};
 pub use parser::{parse, parse_spanned, parse_spanned_with, parse_with, ParseError, ParseOptions};
-pub use reader::{parse_reader, StreamingParser};
+pub use reader::StreamingParser;
 pub use source::{drive_byte_chunks, drive_utf8_chunks, EventSource, Utf8Carry};
 pub use span::Span;
 pub use split::{
@@ -87,10 +87,7 @@ mod proptests {
             events.push(Event::EndDocument);
             prop_assert!(is_well_formed(&events));
             let xml = to_xml(&events).unwrap();
-            let reparsed = parse_with(
-                &xml,
-                ParseOptions { keep_whitespace_text: true, coalesce_text: true },
-            ).unwrap();
+            let reparsed = parse_with(&xml, ParseOptions { keep_whitespace_text: true }).unwrap();
             prop_assert_eq!(reparsed, events);
         }
 

@@ -1,4 +1,16 @@
-//! A streaming XML parser producing SAX events.
+//! The whole-string XML parser behind [`parse`] — the workspace's
+//! **reference tokenizer**.
+//!
+//! `Document::from_xml`, every differential suite and `fxbench`'s
+//! per-document oracle obtain their ground truth through this parser,
+//! and the product path through [`crate::StreamingParser`]: two
+//! independent implementations, so a tokenizer bug in either shows up
+//! as a disagreement. That is why `parse` is *not* "stream one chunk
+//! and collect", however tempting the deduplication: it would route
+//! oracle and product through the same code. The two differ observably
+//! only in text segmentation — this parser coalesces text across
+//! comments and CDATA sections into one `text` event where the streaming
+//! one emits a run of them — which no query can tell apart.
 //!
 //! The parser is a single pass over the input string. It supports the subset
 //! of XML needed by the paper's data model (§3.1.1): elements, attributes,
@@ -13,45 +25,40 @@ use crate::span::Span;
 use std::fmt;
 
 /// Options controlling parsing behavior.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ParseOptions {
     /// If false (the default), text nodes consisting entirely of whitespace
     /// are dropped. Documents in the paper never contain ignorable
     /// whitespace; dropping it makes pretty-printed fixtures equivalent to
     /// their compact forms.
     pub keep_whitespace_text: bool,
-    /// If true (the default), adjacent text runs (e.g. text split by a
-    /// comment or CDATA section) are merged into a single `text` event.
-    pub coalesce_text: bool,
 }
 
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions {
-            keep_whitespace_text: false,
-            coalesce_text: true,
-        }
-    }
-}
-
-/// A parse error with 1-based line/column position information.
+/// A parse error with its position in the input.
+///
+/// [`parse`] and friends, which see the whole input, report a 1-based
+/// `line:column`. The streaming tokenizers (XML, HTML, JSON) keep no line
+/// bookkeeping: they set `line` to 0 and `column` to the 1-based *byte*
+/// position in the stream. Both fields 0 means the position is unknown
+/// (an I/O error, or invalid UTF-8 caught before tokenizing).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Human-readable description of the problem.
     pub message: String,
-    /// 1-based line of the error.
+    /// 1-based line of the error; 0 when `column` is a byte position.
     pub line: usize,
-    /// 1-based column of the error.
+    /// 1-based column of the error (a stream byte position when `line`
+    /// is 0).
     pub column: usize,
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "XML parse error at {}:{}: {}",
-            self.line, self.column, self.message
-        )
+        match (self.line, self.column) {
+            (0, 0) => write!(f, "XML parse error: {}", self.message),
+            (0, byte) => write!(f, "XML parse error at byte {byte}: {}", self.message),
+            (line, column) => write!(f, "XML parse error at {line}:{column}: {}", self.message),
+        }
     }
 }
 
@@ -267,9 +274,6 @@ impl<'a> Parser<'a> {
         }
         let raw = &self.input[start..self.pos];
         let decoded = decode_entities(raw).map_err(|e| self.err(e.to_string()))?;
-        if !self.options.coalesce_text && !self.pending_text.is_empty() {
-            self.flush_text()?;
-        }
         self.pending_text.push_str(&decoded);
         self.note_text_region(start, self.pos);
         Ok(())
@@ -283,9 +287,6 @@ impl<'a> Parser<'a> {
             .find("]]>")
             .ok_or_else(|| self.err("unterminated CDATA section"))?;
         let content = rest[..end].to_string();
-        if !self.options.coalesce_text && !self.pending_text.is_empty() {
-            self.flush_text()?;
-        }
         self.pending_text.push_str(&content);
         self.bump(end + 3);
         self.note_text_region(tag_start, self.pos);
@@ -486,7 +487,6 @@ mod tests {
             "<a> <b/></a>",
             ParseOptions {
                 keep_whitespace_text: true,
-                coalesce_text: true,
             },
         )
         .unwrap();
@@ -581,6 +581,15 @@ mod tests {
         let err = parse("<a>\n<b x=1/></a>").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.column > 1);
+        let at = format!("XML parse error at 2:{}: ", err.column);
+        assert!(err.to_string().starts_with(&at), "{err}");
+        // No position at all (I/O, early UTF-8 validation): none printed.
+        let unknown = ParseError {
+            message: "read error".to_string(),
+            line: 0,
+            column: 0,
+        };
+        assert_eq!(unknown.to_string(), "XML parse error: read error");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! [`EventSource`]: the format-agnostic input seam of the pipeline.
 //!
 //! The frontier core is already format-agnostic — it consumes interned
-//! [`SymEvent`]s, never XML text — so the only XML-specific piece of the
+//! [`crate::SymEvent`]s, never XML text — so the only XML-specific piece of the
 //! whole system is the tokenizer at the front. `EventSource` names that
 //! seam: *anything* that can stream one document's worth of interned
 //! events from an [`std::io::Read`] can drive an engine session, with the
@@ -23,8 +23,7 @@
 
 use crate::batch::EventBatch;
 use crate::parser::ParseError;
-use crate::span::Span;
-use crate::symbols::{AttrBuf, SymEvent, Symbols};
+use crate::symbols::Symbols;
 use std::io::Read;
 use std::sync::Arc;
 
@@ -68,21 +67,6 @@ pub trait EventSource {
         reader: &mut dyn Read,
         consume: &mut dyn FnMut(&EventBatch),
     ) -> Result<(), ParseError>;
-
-    /// Per-event [`EventSource::drive_batched`]: streams the document
-    /// one event at a time by replaying each batch into `emit`. This is
-    /// the compatibility surface — same events, same spans — for
-    /// consumers that need a callback per event; throughput-sensitive
-    /// consumers should take whole batches via
-    /// [`EventSource::drive_batched`] instead.
-    fn drive(
-        &mut self,
-        reader: &mut dyn Read,
-        emit: &mut dyn FnMut(SymEvent<'_>, Span),
-    ) -> Result<(), ParseError> {
-        let mut scratch = AttrBuf::new();
-        self.drive_batched(reader, &mut |batch| batch.replay(&mut scratch, &mut *emit))
-    }
 }
 
 /// Length of the longest valid-UTF-8 prefix of `data`, or an error when
@@ -114,10 +98,10 @@ fn scalar_width(lead: u8) -> usize {
 ///
 /// This is the structural fix for the chunk-boundary UTF-8 bug: every
 /// byte-feeding surface (`feed_interned_bytes` on the three parsers,
-/// [`drive_utf8_chunks`], `parse_reader`) validates UTF-8 **once per
-/// chunk** and parks a split trailing scalar here instead of failing —
-/// or worse, slicing a `&str` mid-scalar — when a read boundary lands
-/// inside a multibyte character.
+/// [`drive_utf8_chunks`]) validates UTF-8 **once per chunk** and parks
+/// a split trailing scalar here instead of failing — or worse, slicing
+/// a `&str` mid-scalar — when a read boundary lands inside a multibyte
+/// character.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Utf8Carry {
     tail: [u8; 4],
@@ -247,30 +231,33 @@ pub fn drive_utf8_chunks(
 mod tests {
     use super::*;
     use crate::reader::StreamingParser;
+    use crate::symbols::AttrBuf;
     use crate::Event;
+
+    /// One document through the trait object, each batch replayed to
+    /// owned events.
+    fn drive_owned(source: &mut dyn EventSource, xml: &str) -> Vec<Event> {
+        let symbols = Arc::clone(source.symbols());
+        let (mut got, mut scratch) = (Vec::new(), AttrBuf::new());
+        source
+            .drive_batched(&mut xml.as_bytes(), &mut |batch| {
+                batch.replay(&mut scratch, |ev, _| got.push(ev.to_owned(&symbols)))
+            })
+            .unwrap();
+        got
+    }
 
     #[test]
     fn streaming_parser_is_an_event_source() {
         let mut parser = StreamingParser::new();
-        let symbols = Arc::clone(parser.symbols());
-        let source: &mut dyn EventSource = &mut parser;
-        let mut got = Vec::new();
-        source
-            .drive(&mut "<a><b>6</b></a>".as_bytes(), &mut |ev, _| {
-                got.push(ev.to_owned(&symbols))
-            })
-            .unwrap();
-        assert_eq!(got, crate::parse("<a><b>6</b></a>").unwrap());
-
+        let xml = "<a><b>6</b></a>";
+        assert_eq!(drive_owned(&mut parser, xml), crate::parse(xml).unwrap());
         // Reusable: reset, then stream a second document.
-        source.reset();
-        let mut got2 = Vec::new();
-        source
-            .drive(&mut "<x/>".as_bytes(), &mut |ev, _| {
-                got2.push(ev.to_owned(&symbols))
-            })
-            .unwrap();
-        assert_eq!(got2, crate::parse("<x/>").unwrap());
+        EventSource::reset(&mut parser);
+        assert_eq!(
+            drive_owned(&mut parser, "<x/>"),
+            crate::parse("<x/>").unwrap()
+        );
     }
 
     #[test]
@@ -313,14 +300,6 @@ mod tests {
             via_reader.push(ev.to_owned(&s1));
         })
         .unwrap();
-
-        let mut p2 = StreamingParser::new();
-        let s2 = Arc::clone(p2.symbols());
-        let mut via_source: Vec<Event> = Vec::new();
-        EventSource::drive(&mut p2, &mut xml.as_bytes(), &mut |ev, _| {
-            via_source.push(ev.to_owned(&s2));
-        })
-        .unwrap();
-        assert_eq!(via_reader, via_source);
+        assert_eq!(drive_owned(&mut StreamingParser::new(), xml), via_reader);
     }
 }

@@ -190,12 +190,6 @@ impl Symbols {
         self.inner.read().expect("symbols lock").names[sym.index()].clone()
     }
 
-    /// Appends the name behind `sym` to `out` without allocating a
-    /// fresh `String`.
-    pub fn resolve_into(&self, sym: Sym, out: &mut String) {
-        out.push_str(&self.inner.read().expect("symbols lock").names[sym.index()]);
-    }
-
     /// Number of interned names.
     pub fn len(&self) -> usize {
         self.inner.read().expect("symbols lock").names.len()
@@ -543,25 +537,44 @@ pub enum SymEvent<'a> {
     },
 }
 
+/// What [`Sym::UNKNOWN`] resolves to in [`SymEvent::to_owned`]: a name
+/// a lookup-only source could not resolve is by construction outside
+/// every compiled query's vocabulary (if a query mentioned it, compiling
+/// the query would have interned it), and U+FFFD is not a name-start
+/// character in any frontend, so this sentinel can never equal a node
+/// test — evaluators reject it exactly as they would the real name.
+const UNKNOWN_NAME: &str = "\u{fffd}unknown";
+
 impl SymEvent<'_> {
     /// Converts to an owned [`crate::Event`], resolving names through
-    /// `symbols` (the table the syms were issued by).
+    /// `symbols` (the table the syms were issued by). This is the one
+    /// interned → owned conversion in the workspace, and it is total:
+    /// [`Sym::UNKNOWN`] (what a lookup-only source stamps on a name its
+    /// table has never seen) becomes a sentinel name that no node test
+    /// can equal.
     pub fn to_owned(&self, symbols: &Symbols) -> crate::Event {
+        let resolve = |sym: Sym| {
+            if sym == Sym::UNKNOWN {
+                UNKNOWN_NAME.to_string()
+            } else {
+                symbols.resolve(sym)
+            }
+        };
         match *self {
             SymEvent::StartDocument => crate::Event::StartDocument,
             SymEvent::EndDocument => crate::Event::EndDocument,
             SymEvent::StartElement { name, attributes } => crate::Event::StartElement {
-                name: symbols.resolve(name),
+                name: resolve(name),
                 attributes: attributes
                     .iter()
                     .map(|a| crate::Attribute {
-                        name: symbols.resolve(a.name),
+                        name: resolve(a.name),
                         value: a.value.clone(),
                     })
                     .collect(),
             },
             SymEvent::EndElement { name } => crate::Event::EndElement {
-                name: symbols.resolve(name),
+                name: resolve(name),
             },
             SymEvent::Text { content } => crate::Event::Text {
                 content: content.to_string(),
@@ -652,38 +665,38 @@ impl AttrBuf {
         self.names[..self.len].iter().any(|n| n == name)
     }
 
-    /// Fills the buffer from owned [`crate::Attribute`]s, converting
-    /// names through `symbols` *without* interning (unknown names become
-    /// [`Sym::UNKNOWN`]), and returns the filled slice. This is the
-    /// owned-event → interned-event conversion used by filters and
-    /// banks when fed pre-materialized [`crate::Event`]s.
-    pub fn fill_from<'s>(
-        &'s mut self,
-        symbols: &Symbols,
-        attributes: &[crate::Attribute],
-    ) -> &'s [SymAttr] {
-        self.clear();
-        for a in attributes {
-            self.push_name(symbols.lookup_or_unknown(&a.name))
-                .push_str(&a.value);
-        }
-        self.as_slice()
-    }
-
-    /// [`AttrBuf::fill_from`] with name lookups memoized through a
-    /// [`SymCache`] — the lock-free hot form.
-    pub fn fill_from_cached<'s>(
+    /// The one owned → interned conversion in the workspace: borrows
+    /// `event` as a [`SymEvent`], looking element and attribute names
+    /// up through `cache` *without* interning (names `symbols` has never
+    /// seen become [`Sym::UNKNOWN`], which fails every named node test)
+    /// and staging attributes in this buffer. Filters and banks call it
+    /// when fed pre-materialized [`crate::Event`]s — fixtures and
+    /// hand-pushed events; parsers emit [`SymEvent`]s natively.
+    pub fn sym_event<'s>(
         &'s mut self,
         cache: &mut SymCache,
         symbols: &Symbols,
-        attributes: &[crate::Attribute],
-    ) -> &'s [SymAttr] {
-        self.clear();
-        for a in attributes {
-            self.push_name(cache.lookup(symbols, &a.name))
-                .push_str(&a.value);
+        event: &'s crate::Event,
+    ) -> SymEvent<'s> {
+        match event {
+            crate::Event::StartDocument => SymEvent::StartDocument,
+            crate::Event::EndDocument => SymEvent::EndDocument,
+            crate::Event::StartElement { name, attributes } => {
+                self.clear();
+                for a in attributes {
+                    self.push_name(cache.lookup(symbols, &a.name))
+                        .push_str(&a.value);
+                }
+                SymEvent::StartElement {
+                    name: cache.lookup(symbols, name),
+                    attributes: self.as_slice(),
+                }
+            }
+            crate::Event::EndElement { name } => SymEvent::EndElement {
+                name: cache.lookup(symbols, name),
+            },
+            crate::Event::Text { content } => SymEvent::Text { content },
         }
-        self.as_slice()
     }
 }
 
@@ -754,6 +767,17 @@ mod tests {
             SymEvent::Text { content: "x" }.to_owned(&t),
             crate::Event::text("x")
         );
+        // …and back: the owned → interned helper inverts it.
+        let owned = ev.to_owned(&t);
+        let (mut cache, mut back) = (SymCache::new(), AttrBuf::new());
+        assert_eq!(back.sym_event(&mut cache, &t, &owned), ev);
+        // Total over lookup-only streams: UNKNOWN becomes a sentinel
+        // name that is itself outside the table, so it converts back
+        // to UNKNOWN instead of panicking in `resolve`.
+        let unknown = SymEvent::EndElement { name: Sym::UNKNOWN };
+        let owned = unknown.to_owned(&t);
+        assert_eq!(owned.element_name(), Some(UNKNOWN_NAME));
+        assert_eq!(back.sym_event(&mut cache, &t, &owned), unknown);
     }
 
     #[test]

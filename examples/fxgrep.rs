@@ -109,9 +109,9 @@ fn main() -> ExitCode {
         Format::Json => Some(Box::new(engine.json_source())),
         Format::Ndjson => Some(Box::new(engine.ndjson_source())),
     };
-    // One session per file: the session's event counter and peak
-    // statistics are cumulative across the documents it processes, and
-    // `-v` should report each file on its own.
+    // One session per file: the session's event counter is cumulative
+    // across the documents it processes, and `-v` should report each
+    // file on its own.
     let mut run = |label: &str, reader: &mut dyn Read| {
         let mut session = engine.session();
         // Matches print as the engine confirms them, mid-stream.

@@ -141,6 +141,6 @@ pub mod prelude {
         Delivery, DisseminationServer, ServerConfig, ServerHandle, ShardedHandle, ShardedServer,
         Subscription,
     };
-    pub use fx_xml::{parse as parse_xml, Event, EventIter, EventSource, SaxHandler, Span};
+    pub use fx_xml::{parse as parse_xml, Event, EventIter, EventSource, Span};
     pub use fx_xpath::{parse_query, Query};
 }

@@ -8,11 +8,15 @@
 //! Measured with a counting `#[global_allocator]`; this file holds a
 //! single test so no sibling test thread can pollute the counter.
 
+use frontier_xpath::engine::{Backend, Engine, Mode};
 use frontier_xpath::filter::{CompiledQuery, IndexedBank, StreamFilter};
 use frontier_xpath::html::HtmlParser;
 use frontier_xpath::json::JsonParser;
+use frontier_xpath::workloads::{auction_site, XmarkConfig};
 use frontier_xpath::xml::{Span, StreamingParser, SymEvent, Symbols};
 use frontier_xpath::xpath::parse_query;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -392,4 +396,63 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
         after - before
     );
     assert_eq!(bank.results(), vec![Some(true), Some(true)]);
+
+    // --- Product path: a one-query engine's reader entry points. -----
+    // What `fxgrep` and `Engine::run_str` take. A document costs a
+    // fixed handful of allocations (the `Verdicts` it returns, the
+    // reporter's per-candidate buffers) however many element events it
+    // holds: the session's one drive loop hands the filter recycled
+    // batches, never owned events. The query's candidates — the
+    // category chain — are the one part of an XMark-lite document that
+    // does not grow with the scale, so the filter's own per-candidate
+    // buffers are held fixed while the event count grows 8×.
+    let xmark = |scale: usize| {
+        let mut rng = SmallRng::seed_from_u64(42);
+        let cfg = XmarkConfig {
+            items: 10 * scale,
+            auctions: 6 * scale,
+            people: 5 * scale,
+            category_depth: 4,
+        };
+        auction_site(&mut rng, &cfg).to_xml()
+    };
+    let (small, large) = (xmark(1), xmark(8));
+    assert!(large.len() > 4 * small.len());
+    for mode in [Mode::Filter, Mode::Select] {
+        let builder = Engine::builder().query_str("//category[@id]/name");
+        let engine = builder
+            .backend(Backend::Frontier)
+            .mode(mode)
+            .build()
+            .unwrap();
+        let mut session = engine.session();
+        let mut delivered = 0u64;
+        let mut per_doc = |xml: &str| {
+            let before = allocations();
+            for _ in 0..4 {
+                if mode == Mode::Select {
+                    let sink = &mut |_: frontier_xpath::filter::Match| delivered += 1;
+                    session.run_reader_to(xml.as_bytes(), sink).unwrap();
+                } else {
+                    session.run_reader(xml.as_bytes()).unwrap();
+                }
+            }
+            (allocations() - before) / 4
+        };
+        per_doc(&large); // warm-up grows every buffer
+        let (on_small, on_large) = (per_doc(&small), per_doc(&large));
+        assert_eq!(
+            on_small, on_large,
+            "{mode:?}: allocations grew with the document"
+        );
+        assert!(
+            on_large < 32,
+            "{mode:?}: {on_large} allocations per document"
+        );
+        assert_eq!(
+            delivered > 0,
+            mode == Mode::Select,
+            "matches reached the sink"
+        );
+    }
 }

@@ -51,8 +51,10 @@ fn snapshot_readers_survive_concurrent_interning() {
             let baseline = baseline.clone();
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                // Do-while: a reader first scheduled after the writer
+                // has already finished still completes one round.
                 let mut rounds = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     for (name, sym) in &baseline {
                         assert_eq!(snapshot.lookup(name), Some(*sym), "reader {r}");
                         assert_eq!(snapshot.resolve(*sym), Some(name.as_str()));
@@ -60,8 +62,10 @@ fn snapshot_readers_survive_concurrent_interning() {
                     // Names interned after the freeze must never leak in.
                     assert_eq!(snapshot.lookup(&format!("late-{rounds}")), None);
                     rounds += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break rounds;
+                    }
                 }
-                rounds
             })
         })
         .collect();

@@ -1,7 +1,8 @@
 //! Engine-vs-filter differential testing: the `Engine`/`Session`
 //! surface must reproduce the bare algorithm layer exactly — same
-//! verdicts *and* same peak-bit space statistics — and its pull-based
-//! event source must filter large documents without buffering them.
+//! verdicts *and* same peak-bit space statistics — its reader path must
+//! filter large documents without buffering them, and a reused session
+//! (after a good document or a failed one) must behave like a fresh one.
 
 use frontier_xpath::prelude::*;
 use frontier_xpath::workloads::{random_document, RandomDocConfig};
@@ -296,4 +297,141 @@ fn event_iter_filters_large_document_without_buffering() {
         buffered.total_peak_bits(),
         large.total_peak_bits()
     );
+}
+
+/// Every shape of session the engine builds, by label: the three
+/// `SessionInner` variants × filter/select on the frontier backend,
+/// then the automata and buffering baselines.
+fn session_shapes() -> Vec<(&'static str, Engine)> {
+    use {Backend::*, IndexPolicy::SharedPrefix, Mode::*};
+    let (one, two, linear) = (["//a[b > 5]"], ["//a[b > 5]", "//x//b"], ["//a/b"]);
+    let flat = IndexPolicy::None;
+    let shapes: [(&str, &[&str], Mode, IndexPolicy, Backend); 9] = [
+        ("single filter", &one, Filter, flat, Frontier),
+        ("single select", &one, Select, flat, Frontier),
+        ("bank", &two, Filter, flat, Frontier),
+        ("bank select", &two, Select, flat, Frontier),
+        ("indexed", &two, Filter, SharedPrefix, Frontier),
+        ("indexed select", &two, Select, SharedPrefix, Frontier),
+        ("nfa", &linear, Filter, flat, Nfa),
+        ("lazy dfa", &linear, Filter, flat, LazyDfa),
+        ("buffering", &one, Filter, flat, Buffering),
+    ];
+    let build = |(label, srcs, mode, index, backend): (_, &[&str], _, _, _)| {
+        let queries = srcs.iter().map(|s| parse_query(s).unwrap());
+        let builder = Engine::builder().queries(queries).mode(mode);
+        (
+            label,
+            builder.index(index).backend(backend).build().unwrap(),
+        )
+    };
+    shapes.into_iter().map(build).collect()
+}
+
+/// `Verdicts` are "per-query outcomes of one document": the peak
+/// statistics of a reused session must be the document's own, not the
+/// maximum since the session was created.
+#[test]
+fn reused_sessions_report_per_document_peaks() {
+    let deep = "<r><a><b>1</b><a><b>2</b><a><b>9</b></a></a></a><x><b/></x></r>";
+    let docs = [deep, "<r><a/></r>", "<r><a><b>7</b></a></r>", deep];
+    // What a document reads: verdicts, peak bits, peak pending
+    // positions, and the indexed bank's exact total.
+    let reading = |session: &mut Session, doc: &str| {
+        let (v, _) = session
+            .run_reader_outcome(doc.as_bytes())
+            .unwrap()
+            .into_parts();
+        let total = session.index_stats().map(|s| s.total_bits);
+        let (bits, pending) = (
+            v.peak_memory_bits().to_vec(),
+            v.peak_pending_positions().to_vec(),
+        );
+        (v.matched().to_vec(), bits, pending, total)
+    };
+    // The frontier shapes; the baselines keep amortized state (the lazy
+    // DFA's table) in their figure by design.
+    for (label, engine) in session_shapes().into_iter().take(6) {
+        let mut reused = engine.session();
+        let mut totals = Vec::new();
+        for doc in docs {
+            let got = reading(&mut reused, doc);
+            assert_eq!(got, reading(&mut engine.session(), doc), "{label} on {doc}");
+            totals.push(got.1.iter().sum::<u64>());
+        }
+        // Not vacuous: the small document really costs less.
+        assert!(totals[1] < totals[0], "{label}: {totals:?}");
+    }
+}
+
+/// ROADMAP hardening (c): whatever ends a document early — a parse
+/// error in any frontend, mid-batch, after the evaluators have already
+/// seen (and, selecting, reported) part of it — the next document on the
+/// same session reads like one on a fresh session.
+#[test]
+fn error_exits_leave_every_session_shape_reusable() {
+    // Long enough that whole batches reach the evaluators before the
+    // fault: the failed document leaves them mid-stream.
+    let prefix = "<a><b>9</b></a>".repeat(600);
+    let json_prefix = r#""a":{"b":9},"#.repeat(600);
+    let bad_utf8 = [format!("<r>{prefix}<a>").as_bytes(), b"\xFF</a></r>"].concat();
+    let faults: [(&str, bool, Vec<u8>); 6] = [
+        (
+            "mismatched end tag",
+            false,
+            format!("<r>{prefix}<a></r>").into(),
+        ),
+        ("truncated input", false, format!("<r>{prefix}<a>").into()),
+        ("second root", false, format!("<r>{prefix}</r><r/>").into()),
+        (
+            "unknown entity",
+            false,
+            format!("<r>{prefix}<a>&nope;</a></r>").into(),
+        ),
+        ("invalid UTF-8", false, bad_utf8),
+        (
+            "malformed JSON",
+            true,
+            format!("{{{json_prefix}\"a\":{{\"b\":}}}}").into(),
+        ),
+    ];
+    // Per frontend: a document that selects (ordinal 4) and one that
+    // does not.
+    let good_xml = [
+        "<r><a><b>1</b></a><x><a><b>7</b></a></x></r>",
+        "<r><a><b>1</b></a></r>",
+    ];
+    let good_json = [r#"{"a":{"b":1},"x":{"a":{"b":7}}}"#, r#"{"a":{"b":1}}"#];
+
+    for (label, engine) in session_shapes() {
+        let outcome_of = |o: Outcome| {
+            let ordinals: Vec<_> = (0..engine.len()).map(|q| o.ordinals(q)).collect();
+            (o.verdicts().matched().to_vec(), ordinals)
+        };
+        for (fault, json, bad) in &faults {
+            let (mut session, mut source) = (engine.session(), engine.json_source());
+            let mut run = |doc: &[u8]| match json {
+                true => session.run_source_outcome(&mut source, doc),
+                false => session.run_reader_outcome(doc),
+            };
+            let err = run(bad).unwrap_err();
+            assert!(
+                matches!(err, EngineError::Parse(_)),
+                "{label}/{fault}: {err}"
+            );
+            for good in if *json { good_json } else { good_xml } {
+                let got = run(good.as_bytes()).unwrap();
+                let fresh = match json {
+                    true => engine.select_json_reader(good.as_bytes()),
+                    false => engine.select_str(good),
+                };
+                let want = outcome_of(fresh.unwrap());
+                assert_eq!(outcome_of(got), want, "{label} after {fault}, on {good}");
+            }
+        }
+        // Not vacuous: the first good document does select something.
+        if engine.mode() == Mode::Select {
+            assert_eq!(engine.select_str(good_xml[0]).unwrap().ordinals(0), [4]);
+        }
+    }
 }

@@ -16,6 +16,7 @@ use frontier_xpath::workloads::{
     html_soup_corpus, html_soup_document, json_queries, json_record, json_records, soup_queries,
     HtmlSoupConfig, JsonRecordsConfig,
 };
+use frontier_xpath::xml::SymEvent;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -66,19 +67,13 @@ fn assert_html_dom_parity(html: &str, xml: &str) {
     // and tags straddling boundaries) and must agree with the batch.
     for chunk in [1usize, 3, 7] {
         let mut parser = HtmlParser::new();
+        let symbols = std::sync::Arc::clone(parser.symbols());
         let mut chunked = Vec::new();
-        let mut push = |e: frontier_xpath::xml::Event| chunked.push(e);
-        let mut rest = html;
-        while !rest.is_empty() {
-            let mut cut = chunk.min(rest.len());
-            while !rest.is_char_boundary(cut) {
-                cut += 1;
-            }
-            let (head, tail) = rest.split_at(cut);
-            parser.feed(head, &mut push);
-            rest = tail;
+        let mut push = |ev: SymEvent<'_>, _: Span| chunked.push(ev.to_owned(&symbols));
+        for piece in html.as_bytes().chunks(chunk) {
+            parser.feed_interned_bytes(piece, &mut push).unwrap();
         }
-        parser.finish(&mut push);
+        parser.finish_interned(&mut push).unwrap();
         assert_eq!(chunked, events, "chunk size {chunk} diverged on {html}");
     }
 }
@@ -203,8 +198,9 @@ fn json_engine_matches_reference_eval_on_record_corpus() {
 }
 
 /// The filtering mode too: one reused session per backend coverage of
-/// the owned-event fallback (automata backends have no interned path,
-/// so `run_source` materializes events through the sentinel mapping).
+/// `Evaluator::process_batch`'s owned replay (automata backends have no
+/// interned path, so each batch is materialized through the sentinel
+/// mapping).
 #[test]
 fn nfa_backend_agrees_with_frontier_on_soup() {
     let mut rng = SmallRng::seed_from_u64(0xBAC0);
