@@ -494,41 +494,6 @@ impl Engine {
     pub fn ndjson_source(&self) -> fx_json::NdjsonParser {
         fx_json::NdjsonParser::with_symbols(Arc::clone(&self.symbols)).lookup_only()
     }
-
-    /// One-shot convenience: stream an HTML document from a reader
-    /// through a fresh session and the lenient soup tokenizer. HTML
-    /// never fails structurally, so the only errors are I/O and
-    /// invalid UTF-8.
-    pub fn filter_html_reader<R: Read>(&self, reader: R) -> Result<Verdicts, EngineError> {
-        self.session().run_source(&mut self.html_source(), reader)
-    }
-
-    /// One-shot HTML selection: [`Engine::select_reader`] through the
-    /// soup tokenizer, returning verdicts plus per-query matches whose
-    /// spans index the HTML source bytes.
-    pub fn select_html_reader<R: Read>(&self, reader: R) -> Result<Outcome, EngineError> {
-        self.session()
-            .run_source_outcome(&mut self.html_source(), reader)
-    }
-
-    /// One-shot convenience: stream a JSON document from a reader
-    /// through a fresh session and the JSON→element mapping (objects as
-    /// elements, keys as QNames, array items as repeated children —
-    /// see `fx_json`). Malformed JSON is a [`ParseError`] wrapped in
-    /// [`EngineError::Parse`].
-    ///
-    /// [`ParseError`]: fx_xml::ParseError
-    pub fn filter_json_reader<R: Read>(&self, reader: R) -> Result<Verdicts, EngineError> {
-        self.session().run_source(&mut self.json_source(), reader)
-    }
-
-    /// One-shot JSON selection: verdicts plus per-query matches whose
-    /// spans index the JSON source bytes (an element match spans its
-    /// originating value token onward — see `fx_json`'s span rules).
-    pub fn select_json_reader<R: Read>(&self, reader: R) -> Result<Outcome, EngineError> {
-        self.session()
-            .run_source_outcome(&mut self.json_source(), reader)
-    }
 }
 
 #[cfg(test)]
@@ -702,12 +667,15 @@ mod tests {
     fn html_and_json_frontends_share_the_engine() {
         let e = Engine::builder().query_str("//li").build().unwrap();
         let before = e.symbols().len();
+        let mut html = e.html_source();
         let v = e
-            .filter_html_reader("<UL><li>a<li>b</ul>".as_bytes())
+            .session()
+            .run_source(&mut html, "<UL><li>a<li>b</ul>".as_bytes())
             .unwrap();
         assert!(v.any());
         assert!(!e
-            .filter_html_reader("<p>no lists</p>".as_bytes())
+            .session()
+            .run_source(&mut html, "<p>no lists</p>".as_bytes())
             .unwrap()
             .any());
         // Lookup-only sources never grow the engine table, even over
@@ -718,17 +686,18 @@ mod tests {
             .query_str("/json/user/name")
             .build()
             .unwrap();
-        assert!(e
-            .filter_json_reader(r#"{"user":{"name":"ada"}}"#.as_bytes())
+        let (mut session, mut json) = (e.session(), e.json_source());
+        assert!(session
+            .run_source(&mut json, r#"{"user":{"name":"ada"}}"#.as_bytes())
             .unwrap()
             .any());
-        assert!(!e
-            .filter_json_reader(r#"{"user":{"id":7}}"#.as_bytes())
+        assert!(!session
+            .run_source(&mut json, r#"{"user":{"id":7}}"#.as_bytes())
             .unwrap()
             .any());
         // Malformed JSON is a parse error, not soup.
         assert!(matches!(
-            e.filter_json_reader("{broken".as_bytes()),
+            session.run_source(&mut json, "{broken".as_bytes()),
             Err(EngineError::Parse(_))
         ));
     }
@@ -741,7 +710,10 @@ mod tests {
             .build()
             .unwrap();
         let html = "<ul><li>a<li>b</ul>";
-        let out = e.select_html_reader(html.as_bytes()).unwrap();
+        let out = e
+            .session()
+            .run_source_outcome(&mut e.html_source(), html.as_bytes())
+            .unwrap();
         assert!(out.verdicts().matched()[0]);
         let spans: Vec<_> = out
             .matches(0)
@@ -758,7 +730,8 @@ mod tests {
             .build()
             .unwrap();
         let out = e
-            .select_json_reader(r#"{"tags":[1,2,3]}"#.as_bytes())
+            .session()
+            .run_source_outcome(&mut e.json_source(), r#"{"tags":[1,2,3]}"#.as_bytes())
             .unwrap();
         assert_eq!(out.matches(0).len(), 3);
     }

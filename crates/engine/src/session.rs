@@ -411,6 +411,9 @@ impl Session {
     /// (`None`: the session's own outbox). No owned `Event` is
     /// materialized, and in steady state nothing on the path allocates
     /// per element event; the callback boundary is paid once per batch.
+    /// A parse error ends the drive only after the events completed
+    /// before it were evaluated, so the matches a `sink` sees of a
+    /// malformed document do not depend on where a batch was cut.
     ///
     /// The one exception is a source whose symbol table is not the
     /// engine's: its syms mean nothing to the compiled node tests, so

@@ -27,7 +27,7 @@ use crate::builder::Engine;
 use crate::error::EngineError;
 use crate::session::{Outcome, Session, Verdicts};
 use fx_core::{IndexSpaceStats, Match};
-use fx_xml::{EventBatch, StreamingParser, BATCH_BYTES, BATCH_EVENTS};
+use fx_xml::{EventBatch, StreamingParser, SymEvent, BATCH_BYTES, BATCH_EVENTS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
@@ -346,7 +346,7 @@ impl Engine {
         let banks = proto.partition(shards);
         let slots = proto.len();
         let ring = BatchRing::new(8, shards);
-        let reader = doc.as_ref();
+        let bytes = doc.as_ref();
 
         type ShardOut = (Vec<Option<bool>>, Vec<bool>, Vec<Match>, IndexSpaceStats);
         let mut shard_outputs: Vec<Option<ShardOut>> = (0..shards).map(|_| None).collect();
@@ -370,22 +370,25 @@ impl Engine {
 
             // The producer runs on the calling thread: one parse, K
             // replays. The parser freezes its own snapshot of the
-            // engine table, so this thread needs no lock either. It
-            // fills its batch inline (same `BATCH_EVENTS`/`BATCH_BYTES`
-            // cut as `drive_batched`) rather than through the parser's
-            // own batch, because the ring recycles batches by swapping
-            // owned buffers — `publish` needs `&mut EventBatch`, not
-            // the borrow `drive_batched` hands out.
-            let mut parser = StreamingParser::with_symbols(Arc::clone(self.symbols()))
-                .lookup_only()
-                .frozen();
+            // engine table, so this thread needs no lock either. The
+            // whole document is in hand, so it is one feed (parsed in
+            // place) plus finish, filling the batch inline (same
+            // `BATCH_EVENTS`/`BATCH_BYTES` cut as `drive_batched`)
+            // rather than through the parser's own batch, because the
+            // ring recycles batches by swapping owned buffers —
+            // `publish` needs `&mut EventBatch`, not the borrow
+            // `drive_batched` hands out.
+            let mut parser = StreamingParser::with_symbols(Arc::clone(self.symbols())).frozen();
             let mut batch = EventBatch::new();
-            let drive = parser.drive_reader(reader, &mut |ev, span| {
+            let mut fill = |ev: SymEvent<'_>, span| {
                 batch.push(&ev, span);
                 if batch.len() >= BATCH_EVENTS || batch.payload_bytes() >= BATCH_BYTES {
                     ring.publish(&mut batch);
                 }
-            });
+            };
+            let drive = parser
+                .feed_interned_bytes(bytes, &mut fill)
+                .and_then(|()| parser.finish_interned(&mut fill));
             if !batch.is_empty() {
                 ring.publish(&mut batch);
             }
@@ -425,7 +428,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::IndexPolicy;
-    use fx_xml::{AttrBuf, Span, SymEvent, Symbols};
+    use fx_xml::{AttrBuf, Span, Symbols};
 
     /// Every consumer must see every batch, in publish order, with
     /// backpressure never deadlocking a slow consumer.

@@ -5,7 +5,11 @@
 //! Josifovski; PODS 2004) is stated over event streams of nesting
 //! depth `d` — so any tokenizer that emits the same event surface
 //! inherits the space guarantee. This crate is that tokenizer for
-//! real-world HTML: [`HtmlParser`] implements `fx_xml::EventSource`,
+//! real-world HTML, and all of it is grammar: [`HtmlParser`] is
+//! `fx_xml::Frontend<HtmlGrammar>` — input buffering, UTF-8 carrying,
+//! name resolution, the batched reader driver and the
+//! `fx_xml::EventSource` impl are the shared chassis (see
+//! `fx_xml::source`); [`HtmlGrammar`] holds only the soup rules. It
 //! **never reports a structural error**, and recovers from tag soup by
 //! the rules below, so scraped pages can be queried with the same
 //! engine, sessions, and memory bounds as well-formed XML.
@@ -43,8 +47,8 @@
 //!   elements stream as siblings and top-level text outside any
 //!   element is dropped.
 //!
-//! The only errors [`HtmlParser`] can surface are I/O and invalid
-//! UTF-8 from `drive_reader`.
+//! The only errors [`HtmlParser`] can surface are invalid UTF-8 and,
+//! from `drive_batched`, a failed read — both positioned (`at byte N`).
 //!
 //! ```
 //! use fx_html::parse_html;
@@ -62,4 +66,4 @@ pub mod entities;
 pub mod parser;
 
 pub use entities::decode_html_entities_into;
-pub use parser::{parse_html, HtmlParser};
+pub use parser::{parse_html, HtmlGrammar, HtmlParser};

@@ -1,19 +1,17 @@
-//! The lenient streaming HTML-soup tokenizer.
+//! The lenient HTML-soup grammar.
 //!
-//! [`HtmlParser`] mirrors `fx_xml::StreamingParser`'s shape — feed
-//! string chunks at arbitrary boundaries, interned [`SymEvent`]s come
-//! out, scratch buffers make the steady state allocation-free — but
-//! where the XML parser *rejects* malformed input, this one follows
-//! the recovery rules listed in the crate docs and never reports a
-//! structural error. The only failures it can surface are I/O and
-//! invalid UTF-8 from [`HtmlParser::drive_reader`].
+//! [`HtmlParser`] is `fx_xml::StreamingParser`'s sibling on the same
+//! [`Frontend`] chassis — feed chunks at arbitrary boundaries, interned
+//! [`SymEvent`]s come out, scratch buffers make the steady state
+//! allocation-free — but where the XML grammar *rejects* malformed
+//! input, this one follows the recovery rules listed in the crate docs
+//! and never reports a structural error.
 
 use fx_xml::scan;
 use fx_xml::{
-    AttrBuf, Event, EventBatch, EventSource, ParseError, Span, Sym, SymCache, SymEvent, Symbols,
-    Utf8Carry, BATCH_BYTES, BATCH_EVENTS,
+    AttrBuf, Cursor, Event, Frontend, Grammar, Names, ParseError, Span, Sym, SymEvent,
+    WhitespaceText,
 };
-use std::io::Read;
 use std::sync::Arc;
 
 use crate::entities::decode_html_entities_into;
@@ -82,295 +80,66 @@ fn start_tag_closes(incoming: &str, open: &str) -> bool {
     }
 }
 
-/// A resumable, never-failing push parser for HTML soup. See the crate
-/// docs for the exact recovery rules. Feed it string chunks; interned
-/// events come out the moment they are complete, with cumulative byte
-/// [`Span`]s. Memory is bounded by the largest single token (a tag, a
-/// text run, or one raw-text element's content), never by document
-/// size.
-#[derive(Debug, Clone)]
-pub struct HtmlParser {
-    buf: String,
-    /// Consumed prefix of `buf` (compacted once per feed).
-    pos: usize,
-    symbols: Arc<Symbols>,
-    /// False in [`HtmlParser::lookup_only`] mode: document names
-    /// resolve read-only and unknown ones collapse to [`Sym::UNKNOWN`].
-    intern_names: bool,
-    name_cache: SymCache,
+/// The lenient streaming HTML-soup tokenizer: [`HtmlGrammar`] on the
+/// shared [`Frontend`] chassis. See the crate docs for the exact
+/// recovery rules. Feed it chunks; interned events come out the moment
+/// they are complete, with cumulative byte [`Span`]s. Memory is bounded
+/// by the largest single token (a tag, a text run, or one raw-text
+/// element's content), never by document size. It never reports a
+/// structural error: the only failure a feed can surface is invalid
+/// UTF-8 (and `drive_batched`, a read error).
+pub type HtmlParser = Frontend<HtmlGrammar>;
+
+/// HTML-soup token state. Whitespace-only text is dropped by default,
+/// matching `fx_xml::parse` (see [`Frontend::keep_whitespace`]).
+#[derive(Debug, Clone, Default)]
+pub struct HtmlGrammar {
     /// Open elements: `(sym, folded name)`, name strings pooled.
     stack: Vec<(Sym, String)>,
     depth: usize,
     started: bool,
-    finished: bool,
-    consumed: usize,
     keep_whitespace: bool,
     /// `Some` while inside a raw-text element (`<script>`, `<title>`, …).
     raw: Option<RawKind>,
     /// The folded name whose `</name` closes the current raw-text run.
     raw_closer: String,
-    /// Reused copy of the tag being handled.
-    tag_scratch: String,
     /// Reused case-folded tag-name buffer.
     name_scratch: String,
     /// Reused case-folded attribute-name buffer.
     attr_scratch: String,
-    /// Reused entity-decoded text buffer; `Text` events borrow it.
+    /// Reused entity-decoded text buffer; decoded `Text` events borrow it.
     text_scratch: String,
     /// Reused attribute slots; `StartElement` events borrow them.
     attrs: AttrBuf,
-    /// Incomplete UTF-8 scalar split across byte-chunk feeds
-    /// ([`HtmlParser::feed_interned_bytes`]).
-    utf8_carry: Utf8Carry,
-    /// Reused read buffer for [`HtmlParser::drive_reader`].
-    io_chunk: Vec<u8>,
-    /// Reused event batch for [`HtmlParser::drive_batched`].
-    ev_batch: EventBatch,
 }
 
-impl Default for HtmlParser {
-    fn default() -> Self {
-        HtmlParser::new()
-    }
-}
-
-impl HtmlParser {
-    /// A parser with a fresh private [`Symbols`] table, dropping
-    /// whitespace-only text (matching `fx_xml::parse`).
-    pub fn new() -> HtmlParser {
-        HtmlParser::with_symbols(Arc::new(Symbols::new()))
-    }
-
-    /// A parser interning names into `symbols` — the table downstream
-    /// compiled queries resolve their node tests in.
-    pub fn with_symbols(symbols: Arc<Symbols>) -> HtmlParser {
-        HtmlParser {
-            buf: String::new(),
-            pos: 0,
-            symbols,
-            intern_names: true,
-            name_cache: SymCache::new(),
-            stack: Vec::new(),
-            depth: 0,
-            started: false,
-            finished: false,
-            consumed: 0,
-            keep_whitespace: false,
-            raw: None,
-            raw_closer: String::new(),
-            tag_scratch: String::new(),
-            name_scratch: String::new(),
-            attr_scratch: String::new(),
-            text_scratch: String::new(),
-            attrs: AttrBuf::new(),
-            utf8_carry: Utf8Carry::new(),
-            io_chunk: Vec::new(),
-            ev_batch: EventBatch::new(),
-        }
-    }
-
-    /// Keeps whitespace-only text nodes.
-    pub fn keep_whitespace(mut self) -> HtmlParser {
+impl WhitespaceText for HtmlGrammar {
+    fn keep_whitespace(&mut self) {
         self.keep_whitespace = true;
-        self
     }
+}
 
-    /// Switches to *lookup-only* name resolution: document names
-    /// resolve against the shared table read-only, unknown ones
-    /// collapse to [`Sym::UNKNOWN`], and the table stays bounded by the
-    /// compiled query vocabulary on unbounded inputs — exactly like
-    /// `fx_xml::StreamingParser::lookup_only`.
-    pub fn lookup_only(mut self) -> HtmlParser {
-        self.intern_names = false;
-        self
-    }
-
-    /// The symbol table this parser resolves names against.
-    pub fn symbols(&self) -> &Arc<Symbols> {
-        &self.symbols
-    }
-
-    /// Resets per-document state, keeping the table handle, the name
-    /// memo, and every scratch buffer's capacity warm.
-    pub fn reset(&mut self) {
-        self.buf.clear();
-        self.pos = 0;
-        self.depth = 0;
-        self.started = false;
-        self.finished = false;
-        self.consumed = 0;
-        self.raw = None;
-        self.utf8_carry.clear();
-    }
-
-    /// Drops memoized name verdicts (see
-    /// `fx_xml::StreamingParser::invalidate_name_memo`).
-    pub fn invalidate_name_memo(&mut self) {
-        self.name_cache.clear();
-    }
-
-    fn resolve_name(cache: &mut SymCache, symbols: &Symbols, intern: bool, name: &str) -> Sym {
-        cache.lookup_or_intern(symbols, name, intern)
-    }
-
-    /// Pushes an open element, reusing a retired slot's name capacity.
-    fn stack_push(&mut self, sym: Sym, name: &str) {
-        if self.depth == self.stack.len() {
-            self.stack.push((sym, name.to_string()));
-        } else {
-            let slot = &mut self.stack[self.depth];
-            slot.0 = sym;
-            slot.1.clear();
-            slot.1.push_str(name);
-        }
-        self.depth += 1;
-    }
-
-    /// Feeds a chunk, emitting every event that becomes complete, in
-    /// interned zero-copy form. Structural oddities recover silently;
-    /// the `Result` exists for [`EventSource`] parity and is always
-    /// `Ok` here.
-    pub fn feed_interned<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+impl Grammar for HtmlGrammar {
+    /// Structural oddities recover silently; the `Result` exists for
+    /// [`Grammar`] parity and is always `Ok` here.
+    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
-        chunk: &str,
+        names: &mut Names,
+        input: &str,
+        cur: &mut Cursor,
+        at_eof: bool,
         emit: &mut F,
     ) -> Result<(), ParseError> {
-        self.compact();
-        self.buf.push_str(chunk);
-        self.drain(false, emit);
-        Ok(())
-    }
-
-    /// [`HtmlParser::feed_interned`] on raw bytes: validates UTF-8 once
-    /// per chunk and carries a scalar split across chunk boundaries, so
-    /// any read boundary — including mid-multibyte-character — is safe.
-    /// The only possible error is invalid UTF-8.
-    pub fn feed_interned_bytes<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
-        &mut self,
-        chunk: &[u8],
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        self.compact();
-        let HtmlParser {
-            buf, utf8_carry, ..
-        } = self;
-        utf8_carry.feed(chunk, &mut |text| {
-            buf.push_str(text);
-            Ok(())
-        })?;
-        self.drain(false, emit);
-        Ok(())
-    }
-
-    /// Signals end of input: emits trailing text, closes every open
-    /// element (implied end tags at EOF), and frames the stream with
-    /// `StartDocument`/`EndDocument` even when the input held no
-    /// elements at all.
-    pub fn finish_interned<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
-        &mut self,
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        if self.finished {
-            return Err(ParseError {
-                message: "finish called twice".to_string(),
-                line: 0,
-                column: self.consumed + 1,
-            });
-        }
-        self.utf8_carry.finish()?;
-        self.drain(true, emit);
-        if !self.started {
-            self.started = true;
-            emit(SymEvent::StartDocument, Span::point(0));
-        }
-        while self.depth > 0 {
-            let sym = self.stack[self.depth - 1].0;
-            self.depth -= 1;
-            emit(
-                SymEvent::EndElement { name: sym },
-                Span::point(self.consumed as u64),
-            );
-        }
-        self.finished = true;
-        emit(SymEvent::EndDocument, Span::point(self.consumed as u64));
-        Ok(())
-    }
-
-    /// Streams a whole document from `reader` through the interned
-    /// surface: fixed-size chunks, split UTF-8 scalars carried across
-    /// boundaries. The only possible errors are I/O and invalid UTF-8.
-    pub fn drive_reader<R: Read, F: FnMut(SymEvent<'_>, Span) + ?Sized>(
-        &mut self,
-        mut reader: R,
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        let mut chunk = std::mem::take(&mut self.io_chunk);
-        let result = fx_xml::drive_byte_chunks(&mut reader, &mut chunk, &mut |bytes| {
-            self.feed_interned_bytes(bytes, emit)
-        })
-        .and_then(|()| self.finish_interned(emit));
-        self.io_chunk = chunk;
-        result
-    }
-
-    /// Streams a whole document from `reader` as recycled
-    /// [`EventBatch`]es — the soup frontend's native
-    /// [`EventSource::drive_batched`]: batches cut on
-    /// [`BATCH_EVENTS`] events or [`BATCH_BYTES`] payload bytes, the
-    /// batch borrow valid only for the `consume` call.
-    pub fn drive_batched<R: Read>(
-        &mut self,
-        mut reader: R,
-        consume: &mut dyn FnMut(&EventBatch),
-    ) -> Result<(), ParseError> {
-        let mut batch = std::mem::take(&mut self.ev_batch);
-        batch.clear();
-        let mut chunk = std::mem::take(&mut self.io_chunk);
-        let result = fx_xml::drive_byte_chunks(&mut reader, &mut chunk, &mut |bytes| {
-            self.feed_interned_bytes(bytes, &mut |ev, span| batch.push(&ev, span))?;
-            if batch.len() >= BATCH_EVENTS || batch.payload_bytes() >= BATCH_BYTES {
-                consume(&batch);
-                batch.clear();
-            }
-            Ok(())
-        })
-        .and_then(|()| self.finish_interned(&mut |ev, span| batch.push(&ev, span)));
-        if result.is_ok() && !batch.is_empty() {
-            consume(&batch);
-        }
-        batch.clear();
-        self.io_chunk = chunk;
-        self.ev_batch = batch;
-        result
-    }
-
-    fn pending(&self) -> &str {
-        &self.buf[self.pos..]
-    }
-
-    fn compact(&mut self) {
-        if self.pos == 0 {
-            return;
-        }
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-        } else {
-            self.buf.drain(..self.pos);
-        }
-        self.pos = 0;
-    }
-
-    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(&mut self, at_eof: bool, emit: &mut F) {
         loop {
             if self.raw.is_some() {
-                if !self.drain_raw(at_eof, emit) {
-                    return; // waiting for more input
+                if !self.drain_raw(input, cur, at_eof, emit) {
+                    return Ok(()); // waiting for more input
                 }
                 continue;
             }
             // Text up to the next real tag opener. A `<` not followed
             // by an ASCII letter, `!`, `/`, or `?` is literal text.
-            let b = self.pending().as_bytes();
+            let b = &input.as_bytes()[cur.pos..];
             let mut i = 0;
             let tag_at = loop {
                 match scan::memchr(b'<', &b[i..]) {
@@ -381,7 +150,7 @@ impl HtmlParser {
                             None if at_eof => break None, // trailing literal `<`
                             // Undecidable `<` at the buffer end: keep the
                             // whole text run buffered (never split it).
-                            None => return,
+                            None => return Ok(()),
                             Some(&c)
                                 if c.is_ascii_alphabetic() || matches!(c, b'!' | b'/' | b'?') =>
                             {
@@ -396,112 +165,106 @@ impl HtmlParser {
                 None => {
                     // All pending input is text; it is complete only at
                     // EOF (text nodes are never split mid-run).
-                    if at_eof && !self.pending().is_empty() {
-                        let len = self.pending().len();
-                        self.take_text(len, true, emit);
+                    if at_eof && !b.is_empty() {
+                        self.take_text(input, cur, b.len(), true, emit);
                     }
-                    return;
+                    return Ok(());
                 }
                 Some(at) => {
                     if at > 0 {
-                        self.take_text(at, true, emit);
+                        self.take_text(input, cur, at, true, emit);
                     }
                 }
             }
             // A tag begins at the cursor.
-            let Some(tag_len) = self.tag_length() else {
+            let Some(tag_len) = tag_length(&input[cur.pos..]) else {
                 if at_eof {
                     // EOF inside a tag: HTML drops the partial token.
-                    let len = self.pending().len();
-                    self.pos += len;
-                    self.consumed += len;
+                    cur.advance(input.len() - cur.pos);
                 }
-                return;
+                return Ok(());
             };
-            let mut tag = std::mem::take(&mut self.tag_scratch);
-            tag.clear();
-            tag.push_str(&self.buf[self.pos..self.pos + tag_len]);
-            self.pos += tag_len;
-            self.consumed += tag_len;
-            let span = Span::new((self.consumed - tag_len) as u64, self.consumed as u64);
-            self.handle_tag(&tag, span, emit);
-            self.tag_scratch = tag;
+            let tag = &input[cur.pos..cur.pos + tag_len];
+            let span = cur.advance(tag_len);
+            self.handle_tag(names, tag, span, emit);
         }
     }
 
-    /// Emits the next `len` bytes of pending input as one text node
+    /// Closes every open element (implied end tags at EOF) and frames
+    /// the stream with `StartDocument`/`EndDocument` even when the
+    /// input held no elements at all.
+    fn finish<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        _input: &str,
+        cur: &mut Cursor,
+        emit: &mut F,
+    ) -> Result<(), ParseError> {
+        if !self.started {
+            self.started = true;
+            emit(SymEvent::StartDocument, Span::point(0));
+        }
+        let end = Span::point(cur.offset() as u64);
+        while self.depth > 0 {
+            let sym = self.stack[self.depth - 1].0;
+            self.depth -= 1;
+            emit(SymEvent::EndElement { name: sym }, end);
+        }
+        emit(SymEvent::EndDocument, end);
+        Ok(())
+    }
+
+    fn reset(&mut self) {
+        self.depth = 0;
+        self.started = false;
+        self.raw = None;
+    }
+}
+
+impl HtmlGrammar {
+    /// Pushes an open element, reusing a retired slot's name capacity.
+    fn stack_push(&mut self, sym: Sym, name: &str) {
+        if self.depth == self.stack.len() {
+            self.stack.push((sym, name.to_string()));
+        } else {
+            let slot = &mut self.stack[self.depth];
+            slot.0 = sym;
+            slot.1.clear();
+            slot.1.push_str(name);
+        }
+        self.depth += 1;
+    }
+
+    /// Emits the next `len` bytes of input as one text node
     /// (entity-decoded when `decode`), dropping it when whitespace-only
-    /// (unless [`HtmlParser::keep_whitespace`]) or outside any element.
+    /// (unless [`Frontend::keep_whitespace`]) or outside any element.
     fn take_text<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
+        input: &str,
+        cur: &mut Cursor,
         len: usize,
         decode: bool,
         emit: &mut F,
     ) {
-        self.text_scratch.clear();
-        let raw = &self.buf[self.pos..self.pos + len];
-        if decode {
-            decode_html_entities_into(raw, &mut self.text_scratch);
-        } else {
-            self.text_scratch.push_str(raw);
-        }
-        self.pos += len;
-        self.consumed += len;
-        let span = Span::new((self.consumed - len) as u64, self.consumed as u64);
+        let raw = &input[cur.pos..cur.pos + len];
+        let span = cur.advance(len);
         if self.depth == 0 {
             return; // top-level text outside any element: dropped
         }
-        if self.keep_whitespace || !self.text_scratch.chars().all(char::is_whitespace) {
-            emit(
-                SymEvent::Text {
-                    content: &self.text_scratch,
-                },
-                span,
-            );
+        let content = if decode {
+            self.text_scratch.clear();
+            decode_html_entities_into(raw, &mut self.text_scratch);
+            self.text_scratch.as_str()
+        } else {
+            raw
+        };
+        if self.keep_whitespace || !content.chars().all(char::is_whitespace) {
+            emit(SymEvent::Text { content }, span);
         }
-    }
-
-    /// Length of the complete tag at the cursor, or `None` while more
-    /// input could still complete it.
-    fn tag_length(&self) -> Option<usize> {
-        let b = self.pending();
-        debug_assert!(b.starts_with('<'));
-        if b.len() < 4 && "<!--".starts_with(b) {
-            return None; // could still become a comment opener
-        }
-        if let Some(rest) = b.strip_prefix("<!--") {
-            return rest.find("-->").map(|i| 4 + i + 3);
-        }
-        if b.starts_with("<!") || b.starts_with("<?") || b.starts_with("</") {
-            // Doctype, bogus comment, or end tag: plain scan to `>`.
-            return b.find('>').map(|i| i + 1);
-        }
-        // A start tag: `>` ends it, except inside a quoted attribute
-        // value (a quote counts as opening one only right after `=`,
-        // matching the HTML attribute-value states).
-        let mut quote: Option<u8> = None;
-        let mut after_eq = false;
-        for (i, c) in b.bytes().enumerate().skip(1) {
-            match quote {
-                Some(q) => {
-                    if c == q {
-                        quote = None;
-                    }
-                }
-                None => match c {
-                    b'>' => return Some(i + 1),
-                    b'"' | b'\'' if after_eq => quote = Some(c),
-                    b'=' => after_eq = true,
-                    c if c.is_ascii_whitespace() => {}
-                    _ => after_eq = false,
-                },
-            }
-        }
-        None
     }
 
     fn handle_tag<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
+        names: &mut Names,
         tag: &str,
         span: Span,
         emit: &mut F,
@@ -512,7 +275,7 @@ impl HtmlParser {
         if let Some(rest) = tag.strip_prefix("</") {
             self.handle_end_tag(rest, span, emit);
         } else {
-            self.handle_start_tag(tag, span, emit);
+            self.handle_start_tag(names, tag, span, emit);
         }
     }
 
@@ -553,6 +316,7 @@ impl HtmlParser {
 
     fn handle_start_tag<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
+        names: &mut Names,
         tag: &str,
         span: Span,
         emit: &mut F,
@@ -588,23 +352,14 @@ impl HtmlParser {
             self.depth -= 1;
             emit(SymEvent::EndElement { name: sym }, Span::point(span.start));
         }
-        let mut fold = std::mem::take(&mut self.attr_scratch);
         parse_attrs_lenient(
             &inner[name_end..],
-            &self.symbols,
-            &mut self.name_cache,
-            self.intern_names,
-            &mut fold,
+            names,
+            &mut self.attr_scratch,
             &mut self.attrs,
         );
-        self.attr_scratch = fold;
         let name = std::mem::take(&mut self.name_scratch);
-        let sym = Self::resolve_name(
-            &mut self.name_cache,
-            &self.symbols,
-            self.intern_names,
-            &name,
-        );
+        let sym = names.resolve(&name);
         if !self.started {
             self.started = true;
             emit(SymEvent::StartDocument, Span::point(0));
@@ -635,12 +390,14 @@ impl HtmlParser {
     /// Returns false when waiting for more input.
     fn drain_raw<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
+        input: &str,
+        cur: &mut Cursor,
         at_eof: bool,
         emit: &mut F,
     ) -> bool {
         let kind = self.raw.expect("drain_raw called in raw mode");
         let decode = kind == RawKind::Escapable;
-        let b = self.pending().as_bytes();
+        let b = &input.as_bytes()[cur.pos..];
         // The closer pattern: `<`, `/`, then the (folded) element name.
         let closer_len = 2 + self.raw_closer.len();
         let mut i = 0;
@@ -690,10 +447,9 @@ impl HtmlParser {
             None => {
                 if at_eof {
                     // EOF inside raw text: the content is text and
-                    // `finish_interned` emits the implied end tags.
-                    let len = self.pending().len();
-                    if len > 0 {
-                        self.take_text(len, decode, emit);
+                    // `finish` emits the implied end tags.
+                    if !b.is_empty() {
+                        self.take_text(input, cur, b.len(), decode, emit);
                     }
                     self.raw = None;
                     return true;
@@ -706,23 +462,18 @@ impl HtmlParser {
                     if at_eof {
                         // Partial end tag at EOF: drop it.
                         if at > 0 {
-                            self.take_text(at, decode, emit);
+                            self.take_text(input, cur, at, decode, emit);
                         }
-                        let rest = self.pending().len() - at;
-                        self.pos += rest;
-                        self.consumed += rest;
+                        cur.advance(b.len() - at);
                         self.raw = None;
                         return true;
                     }
                     return false;
                 };
                 if at > 0 {
-                    self.take_text(at, decode, emit);
+                    self.take_text(input, cur, at, decode, emit);
                 }
-                let tag_len = closer_len + gt + 1;
-                self.pos += tag_len;
-                self.consumed += tag_len;
-                let span = Span::new((self.consumed - tag_len) as u64, self.consumed as u64);
+                let span = cur.advance(closer_len + gt + 1);
                 let sym = self.stack[self.depth - 1].0;
                 self.depth -= 1;
                 emit(SymEvent::EndElement { name: sym }, span);
@@ -733,18 +484,49 @@ impl HtmlParser {
     }
 }
 
+/// Length of the complete tag at the start of `b`, or `None` while
+/// more input could still complete it.
+fn tag_length(b: &str) -> Option<usize> {
+    debug_assert!(b.starts_with('<'));
+    if b.len() < 4 && "<!--".starts_with(b) {
+        return None; // could still become a comment opener
+    }
+    if let Some(rest) = b.strip_prefix("<!--") {
+        return rest.find("-->").map(|i| 4 + i + 3);
+    }
+    if b.starts_with("<!") || b.starts_with("<?") || b.starts_with("</") {
+        // Doctype, bogus comment, or end tag: plain scan to `>`.
+        return b.find('>').map(|i| i + 1);
+    }
+    // A start tag: `>` ends it, except inside a quoted attribute
+    // value (a quote counts as opening one only right after `=`,
+    // matching the HTML attribute-value states).
+    let mut quote: Option<u8> = None;
+    let mut after_eq = false;
+    for (i, c) in b.bytes().enumerate().skip(1) {
+        match quote {
+            Some(q) => {
+                if c == q {
+                    quote = None;
+                }
+            }
+            None => match c {
+                b'>' => return Some(i + 1),
+                b'"' | b'\'' if after_eq => quote = Some(c),
+                b'=' => after_eq = true,
+                c if c.is_ascii_whitespace() => {}
+                _ => after_eq = false,
+            },
+        }
+    }
+    None
+}
+
 /// Lenient attribute parsing: names case-fold, values may be
 /// double-quoted, single-quoted, unquoted, or absent (empty string),
 /// duplicates keep the first occurrence, character references decode
 /// leniently. Allocation-free in steady state.
-fn parse_attrs_lenient(
-    s: &str,
-    symbols: &Symbols,
-    cache: &mut SymCache,
-    intern: bool,
-    fold: &mut String,
-    out: &mut AttrBuf,
-) {
+fn parse_attrs_lenient(s: &str, names: &mut Names, fold: &mut String, out: &mut AttrBuf) {
     out.clear();
     let mut rest = s.trim_start_matches(|c: char| c.is_ascii_whitespace() || c == '/');
     while !rest.is_empty() {
@@ -784,33 +566,11 @@ fn parse_attrs_lenient(
         if out.has_name_str(fold) {
             continue; // duplicate attribute: first wins
         }
-        let sym = cache.lookup_or_intern(symbols, fold, intern);
+        let sym = names.resolve(fold);
         let slot = out.push_named(sym, fold);
         if let Some(raw) = value {
             decode_html_entities_into(raw, slot);
         }
-    }
-}
-
-impl EventSource for HtmlParser {
-    fn symbols(&self) -> &Arc<Symbols> {
-        HtmlParser::symbols(self)
-    }
-
-    fn reset(&mut self) {
-        HtmlParser::reset(self);
-    }
-
-    fn invalidate_name_memo(&mut self) {
-        HtmlParser::invalidate_name_memo(self);
-    }
-
-    fn drive_batched(
-        &mut self,
-        reader: &mut dyn Read,
-        consume: &mut dyn FnMut(&EventBatch),
-    ) -> Result<(), ParseError> {
-        HtmlParser::drive_batched(self, reader, consume)
     }
 }
 
@@ -843,7 +603,7 @@ fn parse_html_chunked(html: &str, chunk: usize) -> Vec<Event> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_xml::Attribute;
+    use fx_xml::{Attribute, Symbols};
 
     fn ev_start(name: &str) -> Event {
         Event::start(name)

@@ -7,8 +7,12 @@
 //! onto that event surface, so JSONPath-style queries (`/json/user/name`,
 //! `//order[total]`, …) run with the same engine, sessions, and
 //! frontier-bounded memory as XML, over record streams far larger than
-//! RAM. [`JsonParser`] implements `fx_xml::EventSource` and tokenizes
-//! incrementally at arbitrary chunk boundaries.
+//! RAM. All of it is grammar: [`JsonParser`] is
+//! `fx_xml::Frontend<JsonGrammar>` and [`NdjsonParser`] is
+//! `fx_xml::Frontend<NdjsonGrammar>` (one JSON grammar run per line) —
+//! input buffering at arbitrary chunk boundaries, UTF-8 carrying, name
+//! resolution, the batched reader driver and the `fx_xml::EventSource`
+//! impl are the shared chassis (see `fx_xml::source`).
 //!
 //! # The JSON → element mapping
 //!
@@ -51,5 +55,5 @@
 pub mod ndjson;
 pub mod parser;
 
-pub use ndjson::NdjsonParser;
-pub use parser::{parse_json, JsonParser};
+pub use ndjson::{NdjsonGrammar, NdjsonParser};
+pub use parser::{parse_json, JsonGrammar, JsonParser};

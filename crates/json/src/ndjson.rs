@@ -6,7 +6,7 @@
 //! **document sequence**: each non-blank line becomes one framed
 //! document (`StartDocument` … `EndDocument`) under the crate's JSON →
 //! element mapping, exactly as if each record had been streamed through
-//! [`JsonParser`] on its own — but through one reusable parser, one
+//! [`crate::JsonParser`] on its own — but through one reusable parser, one
 //! symbol table, and one pass over the input.
 //!
 //! Segmentation is sound because a *raw* newline byte can never occur
@@ -22,210 +22,69 @@
 //! `StartDocument` — which is how `fxgrep --format ndjson` answers
 //! "does any record match".
 
-use crate::parser::JsonParser;
-use fx_xml::{
-    EventBatch, EventSource, ParseError, Span, SymEvent, Symbols, BATCH_BYTES, BATCH_EVENTS,
-};
-use std::io::Read;
-use std::sync::Arc;
+use crate::parser::JsonGrammar;
+use fx_xml::scan;
+use fx_xml::{Cursor, Frontend, Grammar, Names, ParseError, Span, SymEvent};
 
-/// A streaming NDJSON frontend: one [`JsonParser`] recycled across the
+/// A streaming NDJSON frontend: [`NdjsonGrammar`] on the shared
+/// [`Frontend`] chassis — one [`JsonGrammar`] recycled across the
 /// stream's records, each non-blank line framed as its own document.
-/// Implements [`EventSource`], so it drives engine sessions exactly
-/// like the single-document frontends.
-#[derive(Debug, Clone)]
-pub struct NdjsonParser {
-    inner: JsonParser,
-    /// Stream-global byte offset of the current record's first byte:
-    /// the inner parser's record-local spans shift by this much.
-    base: u64,
-    /// Total stream bytes consumed so far (records plus newlines).
-    stream_pos: u64,
-    /// Whether the current record has seen a non-whitespace byte —
-    /// blank lines produce no document.
-    dirty: bool,
-    /// Reused read buffer for the reader drivers.
-    io_chunk: Vec<u8>,
-    /// Reused event batch for [`NdjsonParser::drive_batched`].
-    ev_batch: EventBatch,
+/// It drives engine sessions exactly like the single-document
+/// frontends.
+pub type NdjsonParser = Frontend<NdjsonGrammar>;
+
+/// NDJSON token state: the current record's.
+#[derive(Debug, Clone, Default)]
+pub struct NdjsonGrammar {
+    record: JsonGrammar,
 }
 
-impl Default for NdjsonParser {
-    fn default() -> Self {
-        NdjsonParser::new()
-    }
-}
-
-impl NdjsonParser {
-    /// A parser with a fresh private [`Symbols`] table.
-    pub fn new() -> NdjsonParser {
-        NdjsonParser::from_inner(JsonParser::new())
-    }
-
-    /// A parser interning keys into `symbols` — the table downstream
-    /// compiled queries resolve their node tests in.
-    pub fn with_symbols(symbols: Arc<Symbols>) -> NdjsonParser {
-        NdjsonParser::from_inner(JsonParser::with_symbols(symbols))
-    }
-
-    fn from_inner(inner: JsonParser) -> NdjsonParser {
-        NdjsonParser {
-            inner,
-            base: 0,
-            stream_pos: 0,
-            dirty: false,
-            io_chunk: Vec::new(),
-            ev_batch: EventBatch::new(),
-        }
-    }
-
-    /// Switches the inner parser to *lookup-only* name resolution (see
-    /// [`JsonParser::lookup_only`]): unbounded key vocabularies never
-    /// grow the shared table.
-    pub fn lookup_only(mut self) -> NdjsonParser {
-        self.inner = self.inner.lookup_only();
-        self
-    }
-
-    /// The symbol table this parser resolves keys against.
-    pub fn symbols(&self) -> &Arc<Symbols> {
-        self.inner.symbols()
-    }
-
-    /// Resets per-stream state, keeping the table handle, the name
-    /// memo, and every scratch buffer's capacity warm.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-        self.base = 0;
-        self.stream_pos = 0;
-        self.dirty = false;
-    }
-
-    /// Drops memoized name verdicts (see
-    /// `fx_xml::StreamingParser::invalidate_name_memo`).
-    pub fn invalidate_name_memo(&mut self) {
-        self.inner.invalidate_name_memo();
-    }
-
-    /// Feeds one newline-free segment of the current record to the
-    /// inner parser, shifting its record-local spans to stream-global
-    /// offsets.
-    fn feed_segment(&mut self, segment: &[u8], batch: &mut EventBatch) -> Result<(), ParseError> {
-        if segment.is_empty() {
-            return Ok(());
-        }
-        if !self.dirty
-            && segment
-                .iter()
-                .any(|&b| !matches!(b, b' ' | b'\t' | b'\r' | 0xEF | 0xBB | 0xBF))
-        {
-            self.dirty = true;
-        }
-        let base = self.base;
-        self.inner.feed_interned_bytes(segment, &mut |ev, span| {
-            batch.push(&ev, Span::new(span.start + base, span.end + base))
-        })?;
-        self.stream_pos += segment.len() as u64;
-        Ok(())
-    }
-
-    /// Ends the current record: a record that saw content finishes
-    /// (emitting its `EndDocument`) and the inner parser resets for the
-    /// next line; a blank record just resets the offset bookkeeping.
-    fn end_record(&mut self, batch: &mut EventBatch) -> Result<(), ParseError> {
-        if self.dirty {
-            let base = self.base;
-            self.inner.finish_interned(&mut |ev, span| {
-                batch.push(&ev, Span::new(span.start + base, span.end + base))
-            })?;
-            self.dirty = false;
-        }
-        self.inner.reset();
-        self.base = self.stream_pos;
-        Ok(())
-    }
-
-    /// Streams the whole record sequence from `reader` as recycled
-    /// [`EventBatch`]es — the NDJSON frontend's native
-    /// [`EventSource::drive_batched`]. Batches cut on [`BATCH_EVENTS`]
-    /// events or [`BATCH_BYTES`] payload bytes and freely span record
-    /// boundaries; each record contributes its own
-    /// `StartDocument` … `EndDocument` framing.
-    pub fn drive_batched<R: Read>(
+impl Grammar for NdjsonGrammar {
+    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
-        mut reader: R,
-        consume: &mut dyn FnMut(&EventBatch),
-    ) -> Result<(), ParseError> {
-        let mut batch = std::mem::take(&mut self.ev_batch);
-        batch.clear();
-        let mut chunk = std::mem::take(&mut self.io_chunk);
-        let result = fx_xml::drive_byte_chunks(&mut reader, &mut chunk, &mut |bytes| {
-            let mut rest = bytes;
-            // Splitting at raw 0x0A is UTF-8-safe (never a continuation
-            // byte) and JSON-safe (never inside an unescaped string).
-            while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-                let (line, after) = rest.split_at(nl);
-                self.feed_segment(line, &mut batch)?;
-                self.end_record(&mut batch)?;
-                self.stream_pos += 1; // the newline itself
-                self.base = self.stream_pos;
-                rest = &after[1..];
-                if batch.len() >= BATCH_EVENTS || batch.payload_bytes() >= BATCH_BYTES {
-                    consume(&batch);
-                    batch.clear();
-                }
-            }
-            self.feed_segment(rest, &mut batch)?;
-            if batch.len() >= BATCH_EVENTS || batch.payload_bytes() >= BATCH_BYTES {
-                consume(&batch);
-                batch.clear();
-            }
-            Ok(())
-        })
-        // A trailing record without a final newline still counts.
-        .and_then(|()| self.end_record(&mut batch));
-        if result.is_ok() && !batch.is_empty() {
-            consume(&batch);
-        }
-        batch.clear();
-        self.io_chunk = chunk;
-        self.ev_batch = batch;
-        result
-    }
-
-    /// Per-event [`NdjsonParser::drive_batched`]: streams the record
-    /// sequence one event at a time.
-    pub fn drive_reader<R: Read, F: FnMut(SymEvent<'_>, Span) + ?Sized>(
-        &mut self,
-        mut reader: R,
+        names: &mut Names,
+        input: &str,
+        cur: &mut Cursor,
+        at_eof: bool,
         emit: &mut F,
     ) -> Result<(), ParseError> {
-        let mut scratch = fx_xml::AttrBuf::new();
-        self.drive_batched(&mut reader, &mut |batch| {
-            batch.replay(&mut scratch, &mut *emit)
-        })
+        loop {
+            // Splitting at raw 0x0A is JSON-safe (never inside an
+            // unescaped string). A trailing record without a final
+            // newline still counts.
+            let newline = scan::memchr(b'\n', &input.as_bytes()[cur.pos..]).map(|i| cur.pos + i);
+            let Some(end) = newline.or(at_eof.then_some(input.len())) else {
+                // Mid-record: its complete tokens stream out already.
+                return self.record.drain(names, input, cur, false, emit);
+            };
+            // A whole line is a whole document; a line of whitespace
+            // (which the record drain skips) is none.
+            let line = &input[..end];
+            self.record.drain(names, line, cur, true, emit)?;
+            if self.record.started {
+                self.record.finish(line, cur, emit)?;
+            }
+            self.record.reset();
+            if newline.is_none() {
+                return Ok(());
+            }
+            cur.advance(1);
+            self.record.origin = cur.offset() as u64;
+        }
     }
-}
 
-impl EventSource for NdjsonParser {
-    fn symbols(&self) -> &Arc<Symbols> {
-        NdjsonParser::symbols(self)
+    /// Every record was finished at its line end.
+    fn finish<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        _input: &str,
+        _cur: &mut Cursor,
+        _emit: &mut F,
+    ) -> Result<(), ParseError> {
+        Ok(())
     }
 
     fn reset(&mut self) {
-        NdjsonParser::reset(self);
-    }
-
-    fn invalidate_name_memo(&mut self) {
-        NdjsonParser::invalidate_name_memo(self);
-    }
-
-    fn drive_batched(
-        &mut self,
-        reader: &mut dyn Read,
-        consume: &mut dyn FnMut(&EventBatch),
-    ) -> Result<(), ParseError> {
-        NdjsonParser::drive_batched(self, reader, consume)
+        self.record.reset();
     }
 }
 
@@ -233,15 +92,23 @@ impl EventSource for NdjsonParser {
 mod tests {
     use super::*;
     use fx_xml::Event;
+    use std::sync::Arc;
+
+    /// One whole stream through feed + finish.
+    fn stream(
+        p: &mut NdjsonParser,
+        ndjson: &str,
+        emit: &mut dyn FnMut(SymEvent<'_>, Span),
+    ) -> Result<(), ParseError> {
+        p.feed_interned(ndjson, emit)?;
+        p.finish_interned(emit)
+    }
 
     fn events_of(ndjson: &str) -> Vec<Event> {
         let mut p = NdjsonParser::new();
         let symbols = Arc::clone(p.symbols());
         let mut out = Vec::new();
-        p.drive_reader(ndjson.as_bytes(), &mut |ev, _| {
-            out.push(ev.to_owned(&symbols));
-        })
-        .unwrap();
+        stream(&mut p, ndjson, &mut |ev, _| out.push(ev.to_owned(&symbols))).unwrap();
         out
     }
 
@@ -273,13 +140,13 @@ mod tests {
         let ndjson = "{\"a\":1}\n{\"bb\":22}\n";
         let mut p = NdjsonParser::new();
         let symbols = Arc::clone(p.symbols());
-        let mut spans = Vec::new();
-        p.drive_reader(ndjson.as_bytes(), &mut |ev, span| {
-            if let SymEvent::StartElement { name, .. } = ev {
-                if symbols.resolve(name) == "bb" {
-                    spans.push(span);
-                }
+        let (mut spans, mut doc_starts) = (Vec::new(), Vec::new());
+        stream(&mut p, ndjson, &mut |ev, span| match ev {
+            SymEvent::StartDocument => doc_starts.push(span.start),
+            SymEvent::StartElement { name, .. } if symbols.resolve(name) == "bb" => {
+                spans.push(span)
             }
+            _ => {}
         })
         .unwrap();
         assert_eq!(spans.len(), 1);
@@ -288,14 +155,16 @@ mod tests {
         // the *stream*, not the record.
         assert!(spans[0].start >= 8, "{:?}", spans[0]);
         assert_eq!(spans[0].slice(ndjson), Some("22"));
+        // Each record's framing starts at its line.
+        assert_eq!(doc_starts, [0, 8]);
     }
 
     #[test]
     fn malformed_record_is_an_error() {
         let mut p = NdjsonParser::new();
-        assert!(p
-            .drive_reader("{\"a\":1}\n{broken\n".as_bytes(), &mut |_, _| {})
-            .is_err());
+        let err = stream(&mut p, "{\"a\":1}\n{broken\n", &mut |_, _| {}).unwrap_err();
+        // Positioned in the stream, not in the record.
+        assert_eq!((err.line, err.column), (0, 10), "{err}");
     }
 
     #[test]
@@ -304,14 +173,14 @@ mod tests {
         let symbols = Arc::clone(p.symbols());
         for _ in 0..2 {
             let mut docs = 0;
-            p.drive_reader("{\"a\":1}\n{\"a\":2}\n".as_bytes(), &mut |ev, _| {
+            stream(&mut p, "{\"a\":1}\n{\"a\":2}\n", &mut |ev, _| {
                 if ev.to_owned(&symbols) == Event::StartDocument {
                     docs += 1;
                 }
             })
             .unwrap();
             assert_eq!(docs, 2);
-            EventSource::reset(&mut p);
+            p.reset();
         }
     }
 }

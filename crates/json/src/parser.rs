@@ -1,17 +1,14 @@
-//! The streaming JSON tokenizer and its event mapping.
+//! The JSON grammar and its event mapping.
 //!
-//! [`JsonParser`] mirrors `fx_xml::StreamingParser`'s shape: feed
-//! string chunks at arbitrary boundaries, interned [`SymEvent`]s come
-//! out the moment a token completes, scratch buffers keep the steady
-//! state allocation-free, and `reset` makes one parser serve many
-//! documents. See the crate docs for the JSON → element mapping.
+//! [`JsonParser`] is `fx_xml::StreamingParser`'s sibling on the same
+//! [`Frontend`] chassis: feed chunks at arbitrary boundaries, interned
+//! [`SymEvent`]s come out the moment a token completes, scratch buffers
+//! keep the steady state allocation-free, and `reset` makes one parser
+//! serve many documents. See the crate docs for the JSON → element
+//! mapping.
 
 use fx_xml::scan;
-use fx_xml::{
-    EventBatch, EventSource, ParseError, Span, Sym, SymCache, SymEvent, Symbols, Utf8Carry,
-    BATCH_BYTES, BATCH_EVENTS,
-};
-use std::io::Read;
+use fx_xml::{Cursor, Frontend, Grammar, Names, ParseError, Span, Sym, SymEvent};
 use std::sync::Arc;
 
 /// A container the parser is inside of, on the explicit nesting stack.
@@ -26,8 +23,9 @@ enum Frame {
 }
 
 /// What the grammar allows next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Expect {
+    #[default]
     Value,
     MemberName,
     Colon,
@@ -36,277 +34,43 @@ enum Expect {
     Done,
 }
 
-/// A resumable push parser mapping JSON onto interned SAX events. Feed
-/// it string chunks; events come out with cumulative byte [`Span`]s
-/// (a scalar's element start/text/end all carry the scalar token's
-/// span). Memory is bounded by the largest single token and the
-/// nesting depth, never by document size.
-#[derive(Debug, Clone)]
-pub struct JsonParser {
-    buf: String,
-    /// Consumed prefix of `buf` (compacted once per feed).
-    pos: usize,
-    symbols: Arc<Symbols>,
-    /// False in [`JsonParser::lookup_only`] mode: keys resolve
-    /// read-only and unknown ones collapse to [`Sym::UNKNOWN`].
-    intern_names: bool,
-    name_cache: SymCache,
+/// The streaming JSON → element-event adapter: [`JsonGrammar`] on the
+/// shared [`Frontend`] chassis. Feed it chunks; events come out with
+/// cumulative byte [`Span`]s (a scalar's element start/text/end all
+/// carry the scalar token's span). Memory is bounded by the largest
+/// single token and the nesting depth, never by document size.
+pub type JsonParser = Frontend<JsonGrammar>;
+
+/// JSON token state. See the crate docs for the JSON → element mapping.
+#[derive(Debug, Clone, Default)]
+pub struct JsonGrammar {
     stack: Vec<Frame>,
     expect: Expect,
     /// The element name (and array-wrap flag) the next value opens;
     /// `None` only before the root value, which resolves `json`.
     pending: Option<(Sym, bool)>,
-    started: bool,
-    finished: bool,
-    consumed: usize,
+    pub(crate) started: bool,
+    /// Stream offset this document starts at: 0, except for the records
+    /// of an NDJSON stream.
+    pub(crate) origin: u64,
     /// Reused escape-decoded string buffer; `Text` events borrow it.
     text_scratch: String,
-    /// Incomplete UTF-8 scalar split across byte-chunk feeds
-    /// ([`JsonParser::feed_interned_bytes`]).
-    utf8_carry: Utf8Carry,
-    /// Reused read buffer for [`JsonParser::drive_reader`].
-    io_chunk: Vec<u8>,
-    /// Reused event batch for [`JsonParser::drive_batched`].
-    ev_batch: EventBatch,
 }
 
-impl Default for JsonParser {
-    fn default() -> Self {
-        JsonParser::new()
-    }
-}
-
-impl JsonParser {
-    /// A parser with a fresh private [`Symbols`] table.
-    pub fn new() -> JsonParser {
-        JsonParser::with_symbols(Arc::new(Symbols::new()))
-    }
-
-    /// A parser interning keys into `symbols` — the table downstream
-    /// compiled queries resolve their node tests in.
-    pub fn with_symbols(symbols: Arc<Symbols>) -> JsonParser {
-        JsonParser {
-            buf: String::new(),
-            pos: 0,
-            symbols,
-            intern_names: true,
-            name_cache: SymCache::new(),
-            stack: Vec::new(),
-            expect: Expect::Value,
-            pending: None,
-            started: false,
-            finished: false,
-            consumed: 0,
-            text_scratch: String::new(),
-            utf8_carry: Utf8Carry::new(),
-            io_chunk: Vec::new(),
-            ev_batch: EventBatch::new(),
-        }
-    }
-
-    /// Switches to *lookup-only* name resolution: keys resolve against
-    /// the shared table read-only, unknown ones collapse to
-    /// [`Sym::UNKNOWN`], and the table stays bounded by the compiled
-    /// query vocabulary on streams with unbounded key cardinality —
-    /// exactly like `fx_xml::StreamingParser::lookup_only`.
-    pub fn lookup_only(mut self) -> JsonParser {
-        self.intern_names = false;
-        self
-    }
-
-    /// The symbol table this parser resolves keys against.
-    pub fn symbols(&self) -> &Arc<Symbols> {
-        &self.symbols
-    }
-
-    /// Resets per-document state, keeping the table handle, the name
-    /// memo, and every scratch buffer's capacity warm.
-    pub fn reset(&mut self) {
-        self.buf.clear();
-        self.pos = 0;
-        self.stack.clear();
-        self.expect = Expect::Value;
-        self.pending = None;
-        self.started = false;
-        self.finished = false;
-        self.consumed = 0;
-        self.utf8_carry.clear();
-    }
-
-    /// Drops memoized name verdicts (see
-    /// `fx_xml::StreamingParser::invalidate_name_memo`).
-    pub fn invalidate_name_memo(&mut self) {
-        self.name_cache.clear();
-    }
-
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
-            line: 0,
-            column: self.consumed + 1,
-        }
-    }
-
-    fn resolve(cache: &mut SymCache, symbols: &Symbols, intern: bool, name: &str) -> Sym {
-        cache.lookup_or_intern(symbols, name, intern)
-    }
-
-    /// Feeds a chunk, emitting every event whose token is complete, in
-    /// interned zero-copy form.
-    pub fn feed_interned<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
-        &mut self,
-        chunk: &str,
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        self.compact();
-        self.buf.push_str(chunk);
-        self.drain(false, emit)
-    }
-
-    /// [`JsonParser::feed_interned`] on raw bytes: validates UTF-8 once
-    /// per chunk and carries a scalar split across chunk boundaries, so
-    /// any read boundary — including mid-multibyte-character — is safe.
-    pub fn feed_interned_bytes<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
-        &mut self,
-        chunk: &[u8],
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        self.compact();
-        let JsonParser {
-            buf, utf8_carry, ..
-        } = self;
-        utf8_carry.feed(chunk, &mut |text| {
-            buf.push_str(text);
-            Ok(())
-        })?;
-        self.drain(false, emit)
-    }
-
-    /// Signals end of input: completes a trailing number token, then
-    /// verifies the document held exactly one root value and emits
-    /// `EndDocument`.
-    pub fn finish_interned<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
-        &mut self,
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        if self.finished {
-            return Err(self.err("finish called twice"));
-        }
-        self.utf8_carry.finish()?;
-        self.drain(true, emit)?;
-        if !self.started {
-            return Err(self.err("empty document"));
-        }
-        if self.expect != Expect::Done {
-            return Err(self.err("unexpected end of JSON input"));
-        }
-        self.finished = true;
-        emit(SymEvent::EndDocument, Span::point(self.consumed as u64));
-        Ok(())
-    }
-
-    /// Streams a whole document from `reader` through the interned
-    /// surface: fixed-size chunks, split UTF-8 scalars carried across
-    /// boundaries.
-    pub fn drive_reader<R: Read, F: FnMut(SymEvent<'_>, Span) + ?Sized>(
-        &mut self,
-        mut reader: R,
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        let mut chunk = std::mem::take(&mut self.io_chunk);
-        let result = fx_xml::drive_byte_chunks(&mut reader, &mut chunk, &mut |bytes| {
-            self.feed_interned_bytes(bytes, emit)
-        })
-        .and_then(|()| self.finish_interned(emit));
-        self.io_chunk = chunk;
-        result
-    }
-
-    /// Streams a whole document from `reader` as recycled
-    /// [`EventBatch`]es — the JSON frontend's native
-    /// [`EventSource::drive_batched`]: batches cut on
-    /// [`BATCH_EVENTS`] events or [`BATCH_BYTES`] payload bytes, the
-    /// batch borrow valid only for the `consume` call.
-    pub fn drive_batched<R: Read>(
-        &mut self,
-        mut reader: R,
-        consume: &mut dyn FnMut(&EventBatch),
-    ) -> Result<(), ParseError> {
-        let mut batch = std::mem::take(&mut self.ev_batch);
-        batch.clear();
-        let mut chunk = std::mem::take(&mut self.io_chunk);
-        let result = fx_xml::drive_byte_chunks(&mut reader, &mut chunk, &mut |bytes| {
-            self.feed_interned_bytes(bytes, &mut |ev, span| batch.push(&ev, span))?;
-            if batch.len() >= BATCH_EVENTS || batch.payload_bytes() >= BATCH_BYTES {
-                consume(&batch);
-                batch.clear();
-            }
-            Ok(())
-        })
-        .and_then(|()| self.finish_interned(&mut |ev, span| batch.push(&ev, span)));
-        if result.is_ok() && !batch.is_empty() {
-            consume(&batch);
-        }
-        batch.clear();
-        self.io_chunk = chunk;
-        self.ev_batch = batch;
-        result
-    }
-
-    fn pending_input(&self) -> &str {
-        &self.buf[self.pos..]
-    }
-
-    fn compact(&mut self) {
-        if self.pos == 0 {
-            return;
-        }
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-        } else {
-            self.buf.drain(..self.pos);
-        }
-        self.pos = 0;
-    }
-
-    /// Consumes `n` bytes and returns their cumulative span.
-    fn consume(&mut self, n: usize) -> Span {
-        self.pos += n;
-        self.consumed += n;
-        Span::new((self.consumed - n) as u64, self.consumed as u64)
-    }
-
-    fn skip_ws(&mut self) {
-        let b = self.pending_input();
-        let skip = b.len()
-            - b.trim_start_matches(|c: char| c.is_ascii_whitespace() || c == '\u{feff}')
-                .len();
-        if skip > 0 {
-            self.consume(skip);
-        }
-    }
-
+impl JsonGrammar {
     /// The name/wrap slot the next value fills (resolving the `json`
     /// root on first use).
-    fn take_pending(&mut self) -> (Sym, bool) {
+    fn take_pending(&mut self, names: &mut Names) -> (Sym, bool) {
         match self.pending.take() {
             Some(p) => p,
-            None => (
-                Self::resolve(
-                    &mut self.name_cache,
-                    &self.symbols,
-                    self.intern_names,
-                    "json",
-                ),
-                true,
-            ),
+            None => (names.resolve("json"), true),
         }
     }
 
     fn ensure_started<F: FnMut(SymEvent<'_>, Span) + ?Sized>(&mut self, emit: &mut F) {
         if !self.started {
             self.started = true;
-            emit(SymEvent::StartDocument, Span::point(0));
+            emit(SymEvent::StartDocument, Span::point(self.origin));
         }
     }
 
@@ -332,23 +96,78 @@ impl JsonParser {
         self.after_value();
     }
 
+    /// Emits the element/text/element triple of a scalar — `literal`,
+    /// or the string decoded into `text_scratch` — with no text event
+    /// for empty content.
+    fn emit_scalar<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        name: Sym,
+        literal: Option<&str>,
+        span: Span,
+        emit: &mut F,
+    ) {
+        self.ensure_started(emit);
+        self.after_value();
+        let content = literal.unwrap_or(&self.text_scratch);
+        emit(
+            SymEvent::StartElement {
+                name,
+                attributes: &[],
+            },
+            span,
+        );
+        if !content.is_empty() {
+            emit(SymEvent::Text { content }, span);
+        }
+        emit(SymEvent::EndElement { name }, span);
+    }
+
+    /// The complete string token at the cursor, escape-decoded into
+    /// `text_scratch`: its length, or `None` while the closing quote is
+    /// still missing.
+    fn string_token(
+        &mut self,
+        b: &str,
+        cur: &Cursor,
+        at_eof: bool,
+    ) -> Result<Option<usize>, ParseError> {
+        let Some(len) = string_token_len(b) else {
+            if at_eof {
+                return Err(cur.error("unterminated string"));
+            }
+            return Ok(None);
+        };
+        self.text_scratch.clear();
+        decode_json_string(&b[1..len - 1], &mut self.text_scratch).map_err(|m| cur.error(m))?;
+        Ok(Some(len))
+    }
+}
+
+impl Grammar for JsonGrammar {
     fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
+        names: &mut Names,
+        input: &str,
+        cur: &mut Cursor,
         at_eof: bool,
         emit: &mut F,
     ) -> Result<(), ParseError> {
         loop {
-            self.skip_ws();
-            let b = self.pending_input();
+            let b = &input[cur.pos..];
+            let skip = b.len()
+                - b.trim_start_matches(|c: char| c.is_ascii_whitespace() || c == '\u{feff}')
+                    .len();
+            cur.advance(skip);
+            let b = &b[skip..];
             let Some(c) = b.bytes().next() else {
                 return Ok(());
             };
             match self.expect {
-                Expect::Done => return Err(self.err("trailing content after JSON value")),
+                Expect::Done => return Err(cur.error("trailing content after JSON value")),
                 Expect::Value => match c {
                     b'{' => {
-                        let (name, _) = self.take_pending();
-                        let span = self.consume(1);
+                        let (name, _) = self.take_pending(names);
+                        let span = cur.advance(1);
                         self.ensure_started(emit);
                         emit(
                             SymEvent::StartElement {
@@ -361,8 +180,8 @@ impl JsonParser {
                         self.expect = Expect::MemberName;
                     }
                     b'[' => {
-                        let (name, wrap) = self.take_pending();
-                        let span = self.consume(1);
+                        let (name, wrap) = self.take_pending(names);
+                        let span = cur.advance(1);
                         self.ensure_started(emit);
                         let item = if wrap {
                             emit(
@@ -372,12 +191,7 @@ impl JsonParser {
                                 },
                                 span,
                             );
-                            Self::resolve(
-                                &mut self.name_cache,
-                                &self.symbols,
-                                self.intern_names,
-                                "item",
-                            )
+                            names.resolve("item")
                         } else {
                             name
                         };
@@ -391,49 +205,24 @@ impl JsonParser {
                     b']' if matches!(self.stack.last(), Some(Frame::Array { .. })) => {
                         // Empty array (or lenient trailing comma).
                         self.pending = None;
-                        let span = self.consume(1);
+                        let span = cur.advance(1);
                         self.close_container(span, emit);
                     }
                     b'"' => {
-                        let Some(len) = string_token_len(b) else {
-                            if at_eof {
-                                return Err(self.err("unterminated string"));
-                            }
+                        let Some(len) = self.string_token(b, cur, at_eof)? else {
                             return Ok(());
                         };
-                        self.text_scratch.clear();
-                        decode_json_string(
-                            &self.buf[self.pos + 1..self.pos + len - 1],
-                            &mut self.text_scratch,
-                        )
-                        .map_err(|m| self.err(m))?;
-                        let (name, _) = self.take_pending();
-                        let span = self.consume(len);
-                        self.emit_scalar(name, span, emit);
+                        let (name, _) = self.take_pending(names);
+                        let span = cur.advance(len);
+                        self.emit_scalar(name, None, span, emit);
                     }
                     b'-' | b'0'..=b'9' => {
                         let Some(len) = number_token_len(b, at_eof) else {
                             return Ok(());
                         };
-                        let (start, end) = (self.pos, self.pos + len);
-                        let (name, _) = self.take_pending();
-                        let span = self.consume(len);
-                        self.ensure_started(emit);
-                        emit(
-                            SymEvent::StartElement {
-                                name,
-                                attributes: &[],
-                            },
-                            span,
-                        );
-                        emit(
-                            SymEvent::Text {
-                                content: &self.buf[start..end],
-                            },
-                            span,
-                        );
-                        emit(SymEvent::EndElement { name }, span);
-                        self.after_value();
+                        let (name, _) = self.take_pending(names);
+                        let span = cur.advance(len);
+                        self.emit_scalar(name, Some(&b[..len]), span, emit);
                     }
                     b't' | b'f' | b'n' => {
                         let word = match c {
@@ -445,84 +234,59 @@ impl JsonParser {
                             if word.as_bytes().starts_with(b.as_bytes()) && !at_eof {
                                 return Ok(()); // literal split across chunks
                             }
-                            return Err(self.err(format!("invalid JSON value `{b}`")));
+                            return Err(cur.error(format!("invalid JSON value `{b}`")));
                         }
                         if !b.starts_with(word) {
-                            return Err(self.err("invalid JSON value"));
+                            return Err(cur.error("invalid JSON value"));
                         }
-                        let (name, _) = self.take_pending();
-                        let span = self.consume(word.len());
-                        self.ensure_started(emit);
-                        emit(
-                            SymEvent::StartElement {
-                                name,
-                                attributes: &[],
-                            },
-                            span,
-                        );
-                        if c != b'n' {
-                            emit(SymEvent::Text { content: word }, span);
-                        }
-                        emit(SymEvent::EndElement { name }, span);
-                        self.after_value();
+                        let (name, _) = self.take_pending(names);
+                        let span = cur.advance(word.len());
+                        let content = if c == b'n' { "" } else { word };
+                        self.emit_scalar(name, Some(content), span, emit);
                     }
                     _ => {
                         return Err(
-                            self.err(format!("expected a JSON value, found `{}`", c as char))
+                            cur.error(format!("expected a JSON value, found `{}`", c as char))
                         )
                     }
                 },
                 Expect::MemberName => match c {
                     b'}' => {
-                        let span = self.consume(1);
+                        let span = cur.advance(1);
                         self.close_container(span, emit);
                     }
                     b'"' => {
-                        let Some(len) = string_token_len(b) else {
-                            if at_eof {
-                                return Err(self.err("unterminated string"));
-                            }
+                        let Some(len) = self.string_token(b, cur, at_eof)? else {
                             return Ok(());
                         };
-                        self.text_scratch.clear();
-                        decode_json_string(
-                            &self.buf[self.pos + 1..self.pos + len - 1],
-                            &mut self.text_scratch,
-                        )
-                        .map_err(|m| self.err(m))?;
-                        let sym = Self::resolve(
-                            &mut self.name_cache,
-                            &self.symbols,
-                            self.intern_names,
-                            &self.text_scratch,
-                        );
-                        self.consume(len);
+                        let sym = names.resolve(&self.text_scratch);
+                        cur.advance(len);
                         self.pending = Some((sym, false));
                         self.expect = Expect::Colon;
                     }
-                    _ => return Err(self.err("expected object key or `}`")),
+                    _ => return Err(cur.error("expected object key or `}`")),
                 },
                 Expect::Colon => {
                     if c != b':' {
-                        return Err(self.err("expected `:` after object key"));
+                        return Err(cur.error("expected `:` after object key"));
                     }
-                    self.consume(1);
+                    cur.advance(1);
                     self.expect = Expect::Value;
                 }
                 Expect::CommaOrEndObject => match c {
                     b',' => {
-                        self.consume(1);
+                        cur.advance(1);
                         self.expect = Expect::MemberName;
                     }
                     b'}' => {
-                        let span = self.consume(1);
+                        let span = cur.advance(1);
                         self.close_container(span, emit);
                     }
-                    _ => return Err(self.err("expected `,` or `}` in object")),
+                    _ => return Err(cur.error("expected `,` or `}` in object")),
                 },
                 Expect::CommaOrEndArray => match c {
                     b',' => {
-                        self.consume(1);
+                        cur.advance(1);
                         let item = match self.stack.last() {
                             Some(Frame::Array { item, .. }) => *item,
                             _ => unreachable!("array position without array frame"),
@@ -531,41 +295,39 @@ impl JsonParser {
                         self.expect = Expect::Value;
                     }
                     b']' => {
-                        let span = self.consume(1);
+                        let span = cur.advance(1);
                         self.close_container(span, emit);
                     }
-                    _ => return Err(self.err("expected `,` or `]` in array")),
+                    _ => return Err(cur.error("expected `,` or `]` in array")),
                 },
             }
         }
     }
 
-    /// Emits the element/text/element triple of a string scalar whose
-    /// decoded text sits in `text_scratch`.
-    fn emit_scalar<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+    /// Verifies the document held exactly one root value and emits
+    /// `EndDocument`.
+    fn finish<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
-        name: Sym,
-        span: Span,
+        _input: &str,
+        cur: &mut Cursor,
         emit: &mut F,
-    ) {
-        self.ensure_started(emit);
-        emit(
-            SymEvent::StartElement {
-                name,
-                attributes: &[],
-            },
-            span,
-        );
-        if !self.text_scratch.is_empty() {
-            emit(
-                SymEvent::Text {
-                    content: &self.text_scratch,
-                },
-                span,
-            );
+    ) -> Result<(), ParseError> {
+        if !self.started {
+            return Err(cur.error("empty document"));
         }
-        emit(SymEvent::EndElement { name }, span);
-        self.after_value();
+        if self.expect != Expect::Done {
+            return Err(cur.error("unexpected end of JSON input"));
+        }
+        emit(SymEvent::EndDocument, Span::point(cur.offset() as u64));
+        Ok(())
+    }
+
+    fn reset(&mut self) {
+        self.stack.clear();
+        self.expect = Expect::Value;
+        self.pending = None;
+        self.started = false;
+        self.origin = 0;
     }
 }
 
@@ -656,28 +418,6 @@ fn decode_json_string(inner: &str, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
-impl EventSource for JsonParser {
-    fn symbols(&self) -> &Arc<Symbols> {
-        JsonParser::symbols(self)
-    }
-
-    fn reset(&mut self) {
-        JsonParser::reset(self);
-    }
-
-    fn invalidate_name_memo(&mut self) {
-        JsonParser::invalidate_name_memo(self);
-    }
-
-    fn drive_batched(
-        &mut self,
-        reader: &mut dyn Read,
-        consume: &mut dyn FnMut(&EventBatch),
-    ) -> Result<(), ParseError> {
-        JsonParser::drive_batched(self, reader, consume)
-    }
-}
-
 /// Parses a whole JSON string into owned events under the crate's
 /// mapping — the convenience form for tests and DOM building
 /// (interning mode, fresh table).
@@ -693,7 +433,7 @@ pub fn parse_json(json: &str) -> Result<Vec<fx_xml::Event>, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_xml::{to_xml, Event};
+    use fx_xml::{to_xml, Event, Symbols};
 
     fn as_xml(json: &str) -> String {
         to_xml(&parse_json(json).unwrap()).unwrap()

@@ -124,19 +124,7 @@ impl<R: Read> EventIter<R> {
         } = self;
         let symbols = Arc::clone(parser.symbols());
         while pending.is_empty() && !*eof {
-            let n = match reader.read(chunk) {
-                Ok(n) => n,
-                // Retriable by std::io convention (cf. read_to_end):
-                // a signal interrupted the read, not ended the stream.
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    return Err(ParseError {
-                        message: format!("read error: {e}"),
-                        line: 0,
-                        column: 0,
-                    })
-                }
-            };
+            let n = crate::source::read_some(reader, chunk, parser.fed())?;
             let mut queue = |ev: SymEvent<'_>, span: Span| {
                 pending.push_back((ev.to_owned(&symbols), span));
             };

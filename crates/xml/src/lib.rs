@@ -36,8 +36,8 @@ pub use escape::{decode_entities, decode_entities_into, escape_attr, escape_text
 pub use event::{notation, Attribute, Event};
 pub use iter::{EventIter, SpannedEvents};
 pub use parser::{parse, parse_spanned, parse_spanned_with, parse_with, ParseError, ParseOptions};
-pub use reader::StreamingParser;
-pub use source::{drive_byte_chunks, drive_utf8_chunks, EventSource, Utf8Carry};
+pub use reader::{StreamingParser, XmlGrammar};
+pub use source::{Cursor, EventSource, Frontend, Grammar, Names, WhitespaceText};
 pub use span::Span;
 pub use split::{
     element_range, find_nth, first_end, first_start, matching_end, splice, Segmentation,

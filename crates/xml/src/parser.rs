@@ -37,10 +37,13 @@ pub struct ParseOptions {
 /// A parse error with its position in the input.
 ///
 /// [`parse`] and friends, which see the whole input, report a 1-based
-/// `line:column`. The streaming tokenizers (XML, HTML, JSON) keep no line
-/// bookkeeping: they set `line` to 0 and `column` to the 1-based *byte*
-/// position in the stream. Both fields 0 means the position is unknown
-/// (an I/O error, or invalid UTF-8 caught before tokenizing).
+/// `line:column`. The streaming frontends ([`crate::Frontend`]: XML,
+/// HTML, JSON, NDJSON) keep no line bookkeeping: they set `line` to 0
+/// and `column` to the 1-based *byte* position in the stream — of the
+/// byte just past the offending token, of the first offending byte for
+/// invalid UTF-8, of the byte that could not be read for an I/O error.
+/// Both fields 0 means the position is unknown; no frontend reports
+/// that.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Human-readable description of the problem.

@@ -1,63 +1,40 @@
-//! Incremental (chunk-at-a-time) XML parsing: the true streaming entry
-//! point. [`crate::parse`] needs the whole document in memory;
-//! [`StreamingParser`] accepts arbitrary byte-chunk boundaries and emits
-//! events as soon as they are complete, so a filter can run over documents
-//! far larger than RAM — the setting the paper's space bounds are about.
+//! The XML grammar: the token state machine behind
+//! [`StreamingParser`], the true streaming entry point. [`crate::parse`]
+//! needs the whole document in memory; the streaming parser accepts
+//! arbitrary byte-chunk boundaries and emits events as soon as they are
+//! complete, so a filter can run over documents far larger than RAM —
+//! the setting the paper's space bounds are about.
 //!
-//! The parser's native output is the *interned* event surface
-//! ([`StreamingParser::feed_interned`] → [`SymEvent`]): element and
-//! attribute names are interned into the parser's shared [`Symbols`]
-//! table and payloads borrow reusable scratch buffers, so steady-state
-//! parsing performs **zero heap allocations per element event**. Owned
-//! [`crate::Event`]s are one [`SymEvent::to_owned`] away, for callers
-//! that want them (fixtures, the pull-based [`crate::EventIter`]).
+//! Everything format-agnostic — input buffering and the in-place fast
+//! path, UTF-8 carrying, name resolution, the batched reader driver —
+//! is the [`Frontend`] chassis (see [`crate::source`]); this module
+//! holds only what is XML: tag and text tokenizing, entity decoding,
+//! the open-element stack, and the well-formedness rules.
 //!
 //! The inner byte scan is built on [`crate::scan`] — SWAR word-at-a-time
 //! structural search for `<`, `>`, `&`, and quote delimiters — and text
 //! spans containing no `&` are emitted as borrowed slices of the input
-//! buffer with no entity decoding and no copy. Raw byte chunks enter
-//! through [`StreamingParser::feed_interned_bytes`], which validates
-//! UTF-8 once per chunk and carries a scalar split across chunk
-//! boundaries (see [`crate::source::Utf8Carry`]).
+//! with no entity decoding and no copy.
 
-use crate::batch::{EventBatch, BATCH_BYTES, BATCH_EVENTS};
 use crate::escape::decode_entities_into;
 use crate::parser::ParseError;
 use crate::scan;
-use crate::source::Utf8Carry;
+use crate::source::{error_at, Cursor, Frontend, Grammar, Names, WhitespaceText};
 use crate::span::Span;
-use crate::symbols::{AttrBuf, Sym, SymCache, SymEvent, Symbols, SymbolsSnapshot};
-use std::io::Read;
-use std::sync::Arc;
+use crate::symbols::{AttrBuf, Sym, SymEvent};
 
-/// A resumable push parser. Feed it string chunks; it emits events through
-/// a callback and buffers only the current incomplete token.
-#[derive(Debug, Clone)]
-pub struct StreamingParser {
-    buf: String,
-    /// Consumed prefix of `buf`: tokens advance this cursor instead of
-    /// draining the buffer (an O(remaining) memmove per token — on a
-    /// batch feed that is quadratic in document size). The buffer
-    /// compacts once per `feed`, amortizing the move to O(1) per byte.
-    pos: usize,
-    symbols: Arc<Symbols>,
-    /// When false (see [`StreamingParser::lookup_only`]), document
-    /// names are *resolved* against the table read-only instead of
-    /// interned: names outside the compiled vocabulary collapse to
-    /// [`Sym::UNKNOWN`] and the shared table never grows with document
-    /// content — the bounded-memory mode the engine's reader path uses.
-    intern_names: bool,
-    /// A frozen view of the table (see [`StreamingParser::frozen`]):
-    /// when set, name resolution goes through this immutable snapshot
-    /// instead of the live table — no lock even on memo misses, the
-    /// worker-thread mode. Implies lookup-only resolution.
-    snapshot: Option<std::sync::Arc<SymbolsSnapshot>>,
-    /// Per-parser lock-free memo over the table.
-    name_cache: SymCache,
+/// The streaming XML tokenizer: [`XmlGrammar`] on the shared
+/// [`Frontend`] chassis.
+pub type StreamingParser = Frontend<XmlGrammar>;
+
+/// XML token state. Whitespace-only text is dropped by default,
+/// matching [`crate::parse`] (see [`Frontend::keep_whitespace`]).
+#[derive(Debug, Clone, Default)]
+pub struct XmlGrammar {
     /// Open elements: `(sym, name start)` where the second field is
     /// the byte offset of this element's name in
-    /// [`StreamingParser::name_arena`]. End tags are matched by
-    /// *string*, which stays exact when unknown names share a sym.
+    /// [`XmlGrammar::name_arena`]. End tags are matched by *string*,
+    /// which stays exact when unknown names share a sym.
     stack: Vec<(Sym, u32)>,
     /// The names of all open elements, concatenated in stack order —
     /// the top element's name is always the arena's suffix, so a pop
@@ -69,162 +46,78 @@ pub struct StreamingParser {
     /// for reuse).
     depth: usize,
     started: bool,
-    finished: bool,
-    consumed: usize,
     keep_whitespace: bool,
-    /// Incomplete UTF-8 scalar split across byte-chunk feeds
-    /// ([`StreamingParser::feed_interned_bytes`]).
-    utf8_carry: Utf8Carry,
     /// Reused entity-decoded text buffer; `Text` events with entities
-    /// borrow it (entity-free text borrows `buf` directly).
+    /// borrow it (entity-free text borrows the input directly).
     text_scratch: String,
     /// Reused attribute slots; `StartElement` events borrow them.
     attrs: AttrBuf,
     /// Reused structural index: positions of `<` `>` `"` `'` `&` in the
-    /// unconsumed buffer, rebuilt by one SWAR pass per drain.
+    /// unconsumed input, rebuilt by one SWAR pass per drain.
     struct_idx: Vec<u32>,
-    /// Reused read buffer for [`StreamingParser::drive_reader`].
-    io_chunk: Vec<u8>,
-    /// Reused event batch for [`StreamingParser::drive_batched`]:
-    /// recycled (`clear` keeps arena capacity) so the batched drive
-    /// allocates nothing per event in steady state.
-    ev_batch: EventBatch,
 }
 
-impl Default for StreamingParser {
-    fn default() -> Self {
-        StreamingParser::new()
+impl WhitespaceText for XmlGrammar {
+    fn keep_whitespace(&mut self) {
+        self.keep_whitespace = true;
     }
 }
 
-impl StreamingParser {
-    /// Creates a parser with default options (whitespace-only text
-    /// dropped, matching [`crate::parse`]) and a fresh private
-    /// [`Symbols`] table.
-    pub fn new() -> StreamingParser {
-        StreamingParser::with_symbols(Arc::new(Symbols::new()))
+impl Grammar for XmlGrammar {
+    /// One SWAR pass builds the structural index; the token loop then
+    /// walks delimiter *positions* instead of re-scanning bytes.
+    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        names: &mut Names,
+        buf: &str,
+        cur: &mut Cursor,
+        at_eof: bool,
+        emit: &mut F,
+    ) -> Result<(), ParseError> {
+        let mut idx = std::mem::take(&mut self.struct_idx);
+        idx.clear();
+        assert!(
+            buf.len() <= u32::MAX as usize,
+            "single buffered token exceeds 4 GiB"
+        );
+        // Pre-size to the worst typical density (~1 delimiter per 4
+        // bytes) so a cold index reaches capacity in one reallocation
+        // instead of a doubling cascade.
+        idx.reserve((buf.len() - cur.pos) / 4);
+        scan::positions_xml(buf.as_bytes(), cur.pos, &mut idx);
+        let result = self.drain_indexed(names, buf, &idx, cur, at_eof, emit);
+        self.struct_idx = idx;
+        result
     }
 
-    /// Creates a parser interning names into `symbols` — the table the
-    /// downstream filters' compiled node tests live in, so interned
-    /// events and compiled queries meet as equal integers.
-    pub fn with_symbols(symbols: Arc<Symbols>) -> StreamingParser {
-        StreamingParser {
-            buf: String::new(),
-            pos: 0,
-            symbols,
-            intern_names: true,
-            snapshot: None,
-            name_cache: SymCache::new(),
-            stack: Vec::new(),
-            name_arena: String::new(),
-            depth: 0,
-            started: false,
-            finished: false,
-            consumed: 0,
-            keep_whitespace: false,
-            utf8_carry: Utf8Carry::new(),
-            text_scratch: String::new(),
-            attrs: AttrBuf::new(),
-            struct_idx: Vec::new(),
-            io_chunk: Vec::new(),
-            ev_batch: EventBatch::new(),
+    /// Verifies completeness and emits `EndDocument`.
+    fn finish<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        buf: &str,
+        cur: &mut Cursor,
+        emit: &mut F,
+    ) -> Result<(), ParseError> {
+        if !buf[cur.pos..].trim().is_empty() {
+            return Err(cur.error("unexpected trailing content at end of input"));
         }
+        if self.depth > 0 {
+            return Err(cur.error(format!("unclosed element `{}`", self.top_name().2)));
+        }
+        if !self.started {
+            return Err(cur.error("empty document"));
+        }
+        emit(SymEvent::EndDocument, Span::point(cur.offset() as u64));
+        Ok(())
     }
 
-    /// Resets per-document state so the parser can stream another
-    /// document, keeping everything amortizable warm: the symbol table
-    /// handle, the name memo, and every scratch buffer's capacity.
-    /// Sessions reuse one parser across documents this way instead of
-    /// rebuilding scratch per document.
-    pub fn reset(&mut self) {
-        self.buf.clear();
-        self.pos = 0;
+    fn reset(&mut self) {
         self.depth = 0;
         self.name_arena.clear();
         self.started = false;
-        self.finished = false;
-        self.consumed = 0;
-        self.utf8_carry.clear();
     }
+}
 
-    /// The symbol table this parser interns names into.
-    pub fn symbols(&self) -> &Arc<Symbols> {
-        &self.symbols
-    }
-
-    /// Drops every memoized name verdict. A lookup-only parser memoizes
-    /// [`Sym::UNKNOWN`] for names outside the table; if the shared table
-    /// later gains such a name (a dissemination server compiling a new
-    /// subscription), the stale memo would keep collapsing it to
-    /// `UNKNOWN`. Call this after interning new names behind a live
-    /// parser; [`StreamingParser::reset`] deliberately keeps the memo
-    /// warm.
-    ///
-    /// In a worker pool, *every* worker must invalidate its own parser
-    /// when churn grows the shared table — see the multi-worker caveat
-    /// on [`SymCache`]. A [`StreamingParser::frozen`] parser re-freezes
-    /// its snapshot here too, so the new vocabulary becomes visible to
-    /// its lock-free path.
-    pub fn invalidate_name_memo(&mut self) {
-        self.name_cache.clear();
-        if self.snapshot.is_some() {
-            self.snapshot = Some(std::sync::Arc::new(self.symbols.freeze()));
-        }
-    }
-
-    /// Keeps whitespace-only text nodes.
-    pub fn keep_whitespace(mut self) -> StreamingParser {
-        self.keep_whitespace = true;
-        self
-    }
-
-    /// Switches to *lookup-only* name resolution: document names are
-    /// resolved against the (shared) table without interning — names
-    /// the table has never seen collapse to [`Sym::UNKNOWN`], exactly
-    /// as the filters' owned-event conversion treats them (they fail
-    /// every named node test and pass every wildcard), and the table
-    /// never grows with document content. This is how a long-lived
-    /// engine keeps bounded memory on streams with unbounded
-    /// distinct-name cardinality; the default interning mode instead
-    /// guarantees distinct syms per distinct name (what
-    /// [`SymEvent::to_owned`] needs to give every name back — on a
-    /// lookup-only stream it renders unknown names as one sentinel).
-    ///
-    /// Compile every query against the table *before* parsing: the
-    /// per-parser memo caches "unknown" verdicts (see
-    /// [`crate::SymCache`]).
-    pub fn lookup_only(mut self) -> StreamingParser {
-        self.intern_names = false;
-        self
-    }
-
-    /// [`StreamingParser::lookup_only`] resolution against a **frozen
-    /// snapshot** of the parser's table, taken now: name resolution
-    /// never touches the live table's lock again — not even on memo
-    /// misses — which is what lets N worker parsers share one
-    /// engine-owned table with zero read contention. The snapshot
-    /// carries exactly the vocabulary interned so far (compile every
-    /// query first); if the table later grows behind this parser, call
-    /// [`StreamingParser::invalidate_name_memo`], which re-freezes.
-    pub fn frozen(mut self) -> StreamingParser {
-        self.intern_names = false;
-        self.snapshot = Some(std::sync::Arc::new(self.symbols.freeze()));
-        self
-    }
-
-    /// Resolves a name per the parser's mode: memoized lookup against
-    /// the frozen snapshot (lock-free) or the live table, plus
-    /// interning (and memo refresh) on a miss in the default mode.
-    fn resolve_name(&mut self, name: &str) -> Sym {
-        match &self.snapshot {
-            Some(snap) => self.name_cache.lookup_frozen(snap, name),
-            None => self
-                .name_cache
-                .lookup_or_intern(&self.symbols, name, self.intern_names),
-        }
-    }
-
+impl XmlGrammar {
     /// Pushes an open element, appending its name to the arena, so the
     /// end-tag hot path is one name memcmp against the tag's interior
     /// — no trimming, no extraction.
@@ -246,230 +139,12 @@ impl StreamingParser {
         (sym, start as usize, &self.name_arena[start as usize..])
     }
 
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
-            line: 0,
-            column: self.consumed + 1,
-        }
-    }
-
-    /// Feeds a chunk, emitting every completed event in *interned*,
-    /// zero-copy form: names are [`Sym`]s from the parser's table,
-    /// attribute and text payloads borrow the parser's reusable scratch
-    /// buffers (valid for the duration of the callback). In steady
-    /// state — names already interned, scratch capacities warm — a
-    /// start/end element event allocates nothing.
-    pub fn feed_interned<F: FnMut(SymEvent<'_>, Span)>(
+    fn drain_indexed<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
-        chunk: &str,
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        self.compact();
-        if self.buf.is_empty() {
-            // Zero-copy fast path: no partial token is buffered, so the
-            // chunk itself is the input — parse in place and buffer only
-            // the incomplete tail for the next feed.
-            let result = self.drain_slice(chunk, false, emit);
-            self.buf.push_str(&chunk[self.pos..]);
-            self.pos = 0;
-            return result;
-        }
-        self.buf.push_str(chunk);
-        self.drain(false, emit)
-    }
-
-    /// [`StreamingParser::feed_interned`] over raw bytes with arbitrary
-    /// chunk boundaries: validates UTF-8 **once per chunk** and carries
-    /// a trailing scalar split across the boundary to the next feed —
-    /// any split point, including mid-character, is safe. This is the
-    /// surface reader drivers use; don't interleave it mid-scalar with
-    /// the `&str` feeds (a pending carry would reorder bytes).
-    pub fn feed_interned_bytes<F: FnMut(SymEvent<'_>, Span)>(
-        &mut self,
-        chunk: &[u8],
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        self.compact();
-        if self.buf.is_empty() && self.utf8_carry.is_empty() {
-            // Zero-copy fast path: nothing carried, so if the chunk is
-            // wholly valid UTF-8 it can be parsed in place like
-            // [`StreamingParser::feed_interned`] does. A chunk that
-            // fails whole-validation (split trailing scalar, or truly
-            // invalid bytes) takes the carry path below, which
-            // distinguishes the two.
-            if let Ok(s) = std::str::from_utf8(chunk) {
-                let result = self.drain_slice(s, false, emit);
-                self.buf.push_str(&s[self.pos..]);
-                self.pos = 0;
-                return result;
-            }
-        }
-        let mut carry = self.utf8_carry;
-        let fed = carry.feed(chunk, &mut |s| {
-            self.buf.push_str(s);
-            Ok(())
-        });
-        self.utf8_carry = carry;
-        fed?;
-        self.drain(false, emit)
-    }
-
-    /// Drops the consumed prefix of the buffer (cheap when it was fully
-    /// consumed, one move of the unconsumed tail otherwise).
-    fn compact(&mut self) {
-        if self.pos == 0 {
-            return;
-        }
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-        } else {
-            self.buf.drain(..self.pos);
-        }
-        self.pos = 0;
-    }
-
-    /// The unconsumed input.
-    fn pending(&self) -> &str {
-        &self.buf[self.pos..]
-    }
-
-    /// Signals end of input; emits any trailing events (including
-    /// `EndDocument`) and verifies completeness.
-    pub fn finish_interned<F: FnMut(SymEvent<'_>, Span)>(
-        &mut self,
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        self.utf8_carry.finish()?;
-        self.drain(true, emit)?;
-        if !self.pending().trim().is_empty() {
-            return Err(self.err("unexpected trailing content at end of input"));
-        }
-        if self.depth > 0 {
-            return Err(self.err(format!("unclosed element `{}`", self.top_name().2)));
-        }
-        if !self.started {
-            return Err(self.err("empty document"));
-        }
-        if self.finished {
-            return Err(self.err("finish called twice"));
-        }
-        self.finished = true;
-        emit(SymEvent::EndDocument, Span::point(self.consumed as u64));
-        Ok(())
-    }
-
-    /// Streams a whole document from `reader` through the interned
-    /// surface: the engine's zero-copy hot path. Reads fixed-size
-    /// chunks, carries split UTF-8 scalars across boundaries, feeds and
-    /// finishes. Parser memory is bounded by the chunk plus the largest
-    /// single XML token, never by document size — and in
-    /// [`StreamingParser::lookup_only`] mode (how the engine drives
-    /// this) the shared symbol table stays bounded by the compiled
-    /// query vocabulary too; the default interning mode instead grows
-    /// the table with the document's *distinct* names.
-    pub fn drive_reader<R: Read, F: FnMut(SymEvent<'_>, Span)>(
-        &mut self,
-        mut reader: R,
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        // Take the reused read buffer out for the loop (so reads and
-        // the feed can borrow `self` independently) and restore it on
-        // every exit path.
-        let mut chunk = std::mem::take(&mut self.io_chunk);
-        let result = crate::source::drive_byte_chunks(&mut reader, &mut chunk, &mut |bytes| {
-            self.feed_interned_bytes(bytes, emit)
-        })
-        .and_then(|()| self.finish_interned(emit));
-        self.io_chunk = chunk;
-        result
-    }
-
-    /// Streams a whole document from `reader` as *batches*: the parser
-    /// fills its own recycled [`EventBatch`] (events plus spans, arenas
-    /// reused — zero allocation per event in steady state) and hands
-    /// each full batch to `consume`, cutting on [`BATCH_EVENTS`] events
-    /// or [`BATCH_BYTES`] payload bytes. One virtual call per batch
-    /// replaces one per event — the dispatch-amortized hot path
-    /// `Session::run_reader*` rides. The batch borrow handed to
-    /// `consume` is only valid for that call; the producer clears and
-    /// refills it afterwards.
-    pub fn drive_batched<R: Read>(
-        &mut self,
-        mut reader: R,
-        consume: &mut dyn FnMut(&EventBatch),
-    ) -> Result<(), ParseError> {
-        let mut batch = std::mem::take(&mut self.ev_batch);
-        batch.clear();
-        let mut chunk = std::mem::take(&mut self.io_chunk);
-        let result = crate::source::drive_byte_chunks(&mut reader, &mut chunk, &mut |bytes| {
-            self.feed_interned_bytes(bytes, &mut |ev, span| batch.push(&ev, span))?;
-            if batch.len() >= BATCH_EVENTS || batch.payload_bytes() >= BATCH_BYTES {
-                consume(&batch);
-                batch.clear();
-            }
-            Ok(())
-        })
-        .and_then(|()| self.finish_interned(&mut |ev, span| batch.push(&ev, span)));
-        if result.is_ok() && !batch.is_empty() {
-            consume(&batch);
-        }
-        batch.clear();
-        self.io_chunk = chunk;
-        self.ev_batch = batch;
-        result
-    }
-
-    // The whole internal drain chain is generic over the emit closure
-    // (`?Sized` keeps `&mut dyn FnMut` callers working): a concrete
-    // closure handed to the public generic surface monomorphizes all
-    // the way into the token loop — the filter inlines into the
-    // tokenizer, with no virtual call per event.
-    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
-        &mut self,
-        at_eof: bool,
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        // Take the buffer out so tags and text can be handled as plain
-        // slices of it while `&mut self` stays free for state updates —
-        // this is what lets a tag be parsed in place, with no scratch
-        // copy, and entity-free text be emitted borrowed.
-        let buf = std::mem::take(&mut self.buf);
-        let result = self.drain_slice(&buf, at_eof, emit);
-        self.buf = buf;
-        result
-    }
-
-    /// [`StreamingParser::drain`] over any input slice (the internal
-    /// buffer, or — the zero-copy fast path — the caller's own chunk).
-    /// One SWAR pass builds the structural index; the token loop then
-    /// walks delimiter *positions* instead of re-scanning bytes.
-    fn drain_slice<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
-        &mut self,
-        buf: &str,
-        at_eof: bool,
-        emit: &mut F,
-    ) -> Result<(), ParseError> {
-        let mut idx = std::mem::take(&mut self.struct_idx);
-        idx.clear();
-        assert!(
-            buf.len() <= u32::MAX as usize,
-            "single buffered token exceeds 4 GiB"
-        );
-        // Pre-size to the worst typical density (~1 delimiter per 4
-        // bytes) so a cold index reaches capacity in one reallocation
-        // instead of a doubling cascade.
-        idx.reserve((buf.len() - self.pos) / 4);
-        scan::positions_xml(buf.as_bytes(), self.pos, &mut idx);
-        let result = self.drain_buf(buf, &idx, at_eof, emit);
-        self.struct_idx = idx;
-        result
-    }
-
-    fn drain_buf<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
-        &mut self,
+        names: &mut Names,
         buf: &str,
         idx: &[u32],
+        cur: &mut Cursor,
         at_eof: bool,
         emit: &mut F,
     ) -> Result<(), ParseError> {
@@ -482,7 +157,7 @@ impl StreamingParser {
             let mut lt = None;
             while k < idx.len() {
                 let p = idx[k] as usize;
-                if p >= self.pos {
+                if p >= cur.pos {
                     match bytes[p] {
                         b'<' => {
                             lt = Some(p);
@@ -495,21 +170,21 @@ impl StreamingParser {
                 k += 1;
             }
             match lt {
-                Some(p) if p == self.pos => {}
+                Some(p) if p == cur.pos => {}
                 Some(p) => {
-                    self.take_text(buf, p - self.pos, last_amp, emit)?;
-                    if self.pos < p {
+                    self.take_text(buf, cur, p - cur.pos, last_amp, emit)?;
+                    if cur.pos < p {
                         // The text directly before the tag ends in a
                         // held-back entity fragment ("&am…" with no
                         // `;`); a tag can never complete it.
-                        return Err(self.err("unterminated entity reference before tag"));
+                        return Err(cur.error("unterminated entity reference before tag"));
                     }
                     continue;
                 }
                 None => {
-                    let len = buf.len() - self.pos;
+                    let len = buf.len() - cur.pos;
                     if at_eof && len > 0 {
-                        self.take_text(buf, len, last_amp, emit)?;
+                        self.take_text(buf, cur, len, last_amp, emit)?;
                     }
                     return Ok(());
                 }
@@ -517,26 +192,25 @@ impl StreamingParser {
             // A tag begins at the cursor; find its end, respecting the
             // multi-character terminators of comments/CDATA/PIs and
             // quoted attribute values (which may contain `>`).
-            let Some((tag_len, k_next)) = self.tag_region(bytes, idx, k)? else {
+            let Some((tag_len, k_next)) = tag_region(bytes, idx, k, cur)? else {
                 return Ok(()); // incomplete: wait for more input
             };
             k = k_next;
-            let tag = &buf[self.pos..self.pos + tag_len];
-            self.pos += tag_len;
-            self.consumed += tag_len;
-            let span = Span::new((self.consumed - tag_len) as u64, self.consumed as u64);
-            self.handle_tag(tag, span, emit)?;
+            let tag = &buf[cur.pos..cur.pos + tag_len];
+            let span = cur.advance(tag_len);
+            self.handle_tag(names, tag, span, emit)?;
         }
     }
 
     fn take_text<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
         buf: &str,
+        cur: &mut Cursor,
         len: usize,
         last_amp: usize, // absolute position of the last `&`, or usize::MAX
         emit: &mut F,
     ) -> Result<(), ParseError> {
-        let text = &buf[self.pos..self.pos + len];
+        let text = &buf[cur.pos..cur.pos + len];
         // Entity-free text (the overwhelmingly common case) needs no
         // decoding and no hold-back: the raw slice is the payload.
         let (end, decoded) = if last_amp == usize::MAX {
@@ -544,7 +218,7 @@ impl StreamingParser {
         } else {
             // Hold back a trailing fragment that may be a split entity
             // reference ("&am" + "p;").
-            let amp = last_amp - self.pos;
+            let amp = last_amp - cur.pos;
             let end = if scan::memchr(b';', &text.as_bytes()[amp..]).is_none() {
                 amp
             } else {
@@ -555,13 +229,11 @@ impl StreamingParser {
             }
             self.text_scratch.clear();
             if let Err(e) = decode_entities_into(&text[..end], &mut self.text_scratch) {
-                return Err(self.err(e.to_string()));
+                return Err(cur.error(e.to_string()));
             }
             (end, true)
         };
-        self.pos += end;
-        self.consumed += end;
-        let span = Span::new((self.consumed - end) as u64, self.consumed as u64);
+        let span = cur.advance(end);
         let content: &str = if decoded {
             &self.text_scratch
         } else {
@@ -569,95 +241,18 @@ impl StreamingParser {
         };
         if self.keep_whitespace || !is_all_whitespace(content) {
             if self.depth == 0 {
-                return Err(self.err("text content outside the root element"));
+                return Err(cur.error("text content outside the root element"));
             }
             emit(SymEvent::Text { content }, span);
         }
         Ok(())
     }
 
-    /// Extent of the complete tag whose `<` sits at `idx[k]` (== the
-    /// cursor): `(byte length, index entry just past the tag)`, or
-    /// `None` if more input is needed. Pure index walk — no byte
-    /// re-scanning except the short prefix dispatch and the rare
-    /// DOCTYPE form.
-    fn tag_region(
-        &self,
-        bytes: &[u8],
-        idx: &[u32],
-        k: usize,
-    ) -> Result<Option<(usize, usize)>, ParseError> {
-        let lt = idx[k] as usize;
-        debug_assert_eq!(bytes[lt], b'<');
-        let b = &bytes[lt..];
-        if matches!(b.get(1), Some(b'!') | Some(b'?')) {
-            // Comment / CDATA / PI: a `>` directly preceded by the
-            // construct's suffix ends it, quotes notwithstanding.
-            let (from, suffix): (usize, &[u8]) = if b.starts_with(b"<!--") {
-                (4, b"--")
-            } else if b.starts_with(b"<![CDATA[") {
-                (9, b"]]")
-            } else if b.starts_with(b"<?") {
-                (2, b"?")
-            } else {
-                // DOCTYPE with optional internal subset: bracket-aware
-                // byte scan (rare; brackets are not indexed).
-                let mut depth = 0usize;
-                for (i, &c) in b.iter().enumerate().skip(2) {
-                    match c {
-                        b'[' => depth += 1,
-                        b']' => depth = depth.saturating_sub(1),
-                        b'>' if depth == 0 => {
-                            let end = lt + i + 1;
-                            let mut j = k + 1;
-                            while j < idx.len() && (idx[j] as usize) < end {
-                                j += 1;
-                            }
-                            return Ok(Some((i + 1, j)));
-                        }
-                        _ => {}
-                    }
-                }
-                return Ok(None);
-            };
-            let min = lt + from + suffix.len();
-            let mut j = k + 1;
-            while j < idx.len() {
-                let p = idx[j] as usize;
-                if bytes[p] == b'>' && p >= min && &bytes[p - suffix.len()..p] == suffix {
-                    return Ok(Some((p + 1 - lt, j + 1)));
-                }
-                j += 1;
-            }
-            return Ok(None);
-        }
-        // A start or end tag: walk delimiter positions, skipping quoted
-        // attribute values (which may contain `>` or `<`).
-        let mut j = k + 1;
-        while j < idx.len() {
-            let p = idx[j] as usize;
-            match bytes[p] {
-                b'>' => return Ok(Some((p + 1 - lt, j + 1))),
-                b'<' => return Err(self.err("`<` inside a tag")),
-                b'"' | b'\'' => {
-                    let quote = bytes[p];
-                    j += 1;
-                    while j < idx.len() && bytes[idx[j] as usize] != quote {
-                        j += 1;
-                    }
-                    if j >= idx.len() {
-                        return Ok(None); // unclosed quote: wait
-                    }
-                    j += 1;
-                }
-                _ => j += 1, // `&` inside a tag: nothing structural
-            }
-        }
-        Ok(None)
-    }
-
+    // The tag handlers run after the cursor has passed the tag, so
+    // their errors sit at `span.end`.
     fn handle_tag<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
+        names: &mut Names,
         tag: &str,
         span: Span,
         emit: &mut F,
@@ -665,7 +260,7 @@ impl StreamingParser {
         // One byte decides the tag kind; the `<!…`/`<?…` markup forms
         // take the cold path.
         match tag.as_bytes()[1] {
-            b'!' | b'?' => self.handle_markup_tag(tag, span, emit),
+            b'!' | b'?' => self.handle_markup_tag(names, tag, span, emit),
             b'/' => {
                 // Hot path: a well-formed end tag is byte-identical to
                 // the expected closer stored at push time — one memcmp,
@@ -684,21 +279,22 @@ impl StreamingParser {
                 // Cold path: whitespace inside the closer (`</a >`),
                 // a mismatch, or an unopened end tag.
                 let name = trim_ws(&tag[2..tag.len() - 1]);
+                let err = |m: String| error_at(span.end as usize, m);
                 if self.depth == 0 {
-                    return Err(self.err(format!("`</{name}>` without matching start tag")));
+                    return Err(err(format!("`</{name}>` without matching start tag")));
                 }
                 let (open_sym, start, open_name) = self.top_name();
                 if open_name != name {
-                    return Err(
-                        self.err(format!("mismatched `</{name}>`; expected `</{open_name}>`"))
-                    );
+                    return Err(err(format!(
+                        "mismatched `</{name}>`; expected `</{open_name}>`"
+                    )));
                 }
                 self.depth -= 1;
                 self.name_arena.truncate(start);
                 emit(SymEvent::EndElement { name: open_sym }, span);
                 Ok(())
             }
-            _ => self.handle_element_tag(tag, span, emit),
+            _ => self.handle_element_tag(names, tag, span, emit),
         }
     }
 
@@ -708,6 +304,7 @@ impl StreamingParser {
     /// sees it).
     fn handle_markup_tag<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
+        names: &mut Names,
         tag: &str,
         span: Span,
         emit: &mut F,
@@ -720,23 +317,28 @@ impl StreamingParser {
             .and_then(|t| t.strip_suffix("]]>"))
         {
             if self.depth == 0 {
-                return Err(self.err("CDATA outside the root element"));
+                return Err(error_at(
+                    span.end as usize,
+                    "CDATA outside the root element",
+                ));
             }
             if !cdata.is_empty() {
                 emit(SymEvent::Text { content: cdata }, span);
             }
             return Ok(());
         }
-        self.handle_element_tag(tag, span, emit)
+        self.handle_element_tag(names, tag, span, emit)
     }
 
     /// A start (or self-closing) tag: `<name attr="v"…>` / `<name…/>`.
     fn handle_element_tag<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
+        names: &mut Names,
         tag: &str,
         span: Span,
         emit: &mut F,
     ) -> Result<(), ParseError> {
+        let err = |m: &str| error_at(span.end as usize, m);
         let inner = &tag.as_bytes()[1..tag.len() - 1];
         let (inner, self_closing) = match inner.split_last() {
             Some((&b'/', rest)) => (rest, true),
@@ -762,25 +364,18 @@ impl StreamingParser {
             _ => trim_ws(name_raw),
         };
         if name.is_empty() {
-            return Err(self.err("empty tag name"));
+            return Err(err("empty tag name"));
         }
         if self.depth == 0 && self.started {
-            return Err(self.err("multiple root elements"));
+            return Err(err("multiple root elements"));
         }
         if ne < inner.len() {
-            parse_attrs_into(
-                &tag[1 + ne + 1..1 + inner.len()],
-                &self.symbols,
-                self.snapshot.as_deref(),
-                &mut self.name_cache,
-                self.intern_names,
-                &mut self.attrs,
-            )
-            .map_err(|m| self.err(m))?;
+            parse_attrs_into(&tag[1 + ne + 1..1 + inner.len()], names, &mut self.attrs)
+                .map_err(|m| err(&m))?;
         } else {
             self.attrs.clear();
         }
-        let sym = self.resolve_name(name);
+        let sym = names.resolve(name);
         if !self.started {
             self.started = true;
             emit(SymEvent::StartDocument, Span::point(0));
@@ -802,26 +397,84 @@ impl StreamingParser {
     }
 }
 
-impl crate::source::EventSource for StreamingParser {
-    fn symbols(&self) -> &Arc<Symbols> {
-        StreamingParser::symbols(self)
+/// Extent of the complete tag whose `<` sits at `idx[k]` (== the
+/// cursor): `(byte length, index entry just past the tag)`, or
+/// `None` if more input is needed. Pure index walk — no byte
+/// re-scanning except the short prefix dispatch and the rare
+/// DOCTYPE form.
+fn tag_region(
+    bytes: &[u8],
+    idx: &[u32],
+    k: usize,
+    cur: &Cursor,
+) -> Result<Option<(usize, usize)>, ParseError> {
+    let lt = idx[k] as usize;
+    debug_assert_eq!(bytes[lt], b'<');
+    let b = &bytes[lt..];
+    if matches!(b.get(1), Some(b'!') | Some(b'?')) {
+        // Comment / CDATA / PI: a `>` directly preceded by the
+        // construct's suffix ends it, quotes notwithstanding.
+        let (from, suffix): (usize, &[u8]) = if b.starts_with(b"<!--") {
+            (4, b"--")
+        } else if b.starts_with(b"<![CDATA[") {
+            (9, b"]]")
+        } else if b.starts_with(b"<?") {
+            (2, b"?")
+        } else {
+            // DOCTYPE with optional internal subset: bracket-aware
+            // byte scan (rare; brackets are not indexed).
+            let mut depth = 0usize;
+            for (i, &c) in b.iter().enumerate().skip(2) {
+                match c {
+                    b'[' => depth += 1,
+                    b']' => depth = depth.saturating_sub(1),
+                    b'>' if depth == 0 => {
+                        let end = lt + i + 1;
+                        let mut j = k + 1;
+                        while j < idx.len() && (idx[j] as usize) < end {
+                            j += 1;
+                        }
+                        return Ok(Some((i + 1, j)));
+                    }
+                    _ => {}
+                }
+            }
+            return Ok(None);
+        };
+        let min = lt + from + suffix.len();
+        let mut j = k + 1;
+        while j < idx.len() {
+            let p = idx[j] as usize;
+            if bytes[p] == b'>' && p >= min && &bytes[p - suffix.len()..p] == suffix {
+                return Ok(Some((p + 1 - lt, j + 1)));
+            }
+            j += 1;
+        }
+        return Ok(None);
     }
-
-    fn reset(&mut self) {
-        StreamingParser::reset(self);
+    // A start or end tag: walk delimiter positions, skipping quoted
+    // attribute values (which may contain `>` or `<`).
+    let mut j = k + 1;
+    while j < idx.len() {
+        let p = idx[j] as usize;
+        match bytes[p] {
+            b'>' => return Ok(Some((p + 1 - lt, j + 1))),
+            b'<' => return Err(cur.error("`<` inside a tag")),
+            b'"' | b'\'' => {
+                let quote = bytes[p];
+                j += 1;
+                while j < idx.len() && bytes[idx[j] as usize] != quote {
+                    j += 1;
+                }
+                if j >= idx.len() {
+                    return Ok(None); // unclosed quote: wait
+                }
+                j += 1;
+            }
+            _ => j += 1, // `&` inside a tag: nothing structural
+        }
     }
-
-    fn invalidate_name_memo(&mut self) {
-        StreamingParser::invalidate_name_memo(self);
-    }
-
-    fn drive_batched(
-        &mut self,
-        reader: &mut dyn Read,
-        consume: &mut dyn FnMut(&EventBatch),
-    ) -> Result<(), ParseError> {
-        StreamingParser::drive_batched(self, reader, consume)
-    }
+    Ok(None)
 }
 
 /// `s.trim()` with a byte-wise fast path: trims the ASCII whitespace
@@ -898,14 +551,7 @@ fn is_all_whitespace(s: &str) -> bool {
 /// collapsing to [`Sym::UNKNOWN`]). Duplicates are detected by name
 /// *string*, which stays exact under the collapse. Allocation-free in
 /// steady state (slot strings and known names are reused).
-fn parse_attrs_into(
-    s: &str,
-    symbols: &Symbols,
-    snapshot: Option<&SymbolsSnapshot>,
-    cache: &mut SymCache,
-    intern_names: bool,
-    out: &mut AttrBuf,
-) -> Result<(), String> {
+fn parse_attrs_into(s: &str, names: &mut Names, out: &mut AttrBuf) -> Result<(), String> {
     out.clear();
     let s = s.trim_end();
     let b = s.as_bytes();
@@ -926,15 +572,12 @@ fn parse_attrs_into(
             None => return Err("unterminated attribute value".to_string()),
         };
         let raw = &s[j + 1..close];
-        let sym = match snapshot {
-            Some(snap) => cache.lookup_frozen(snap, name),
-            None => cache.lookup_or_intern(symbols, name, intern_names),
-        };
+        let sym = names.resolve(name);
         // In interning mode distinct names have distinct syms, so the
         // duplicate check is an integer scan and the name string need
         // not be copied at all. Only the lookup-only collapse (unknown
         // names sharing `Sym::UNKNOWN`) requires comparing by text.
-        let value = if intern_names {
+        let value = if names.interning() {
             if out.contains_name(sym) {
                 return Err(format!("duplicate attribute `{name}`"));
             }
@@ -960,6 +603,8 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::parser::{parse, parse_spanned};
+    use crate::symbols::Symbols;
+    use std::sync::Arc;
 
     /// Feeds `xml` to a fresh parser in `chunk`-byte steps and finishes,
     /// collecting owned `(event, span)` pairs through the one interned →
@@ -1225,32 +870,33 @@ mod tests {
     }
 
     #[test]
-    fn drive_reader_equals_batch_with_multibyte_splits() {
+    fn batched_drive_equals_batch_with_multibyte_splits() {
         let xml = "<a attr=\"v\">héllo • wörld<b/></a>";
         let expected = parse(xml).unwrap();
+        // Two reads, cut inside the 2-byte `é`.
+        let (head, tail) = xml.as_bytes().split_at(xml.find('é').unwrap() + 1);
         let mut parser = StreamingParser::new();
         let symbols = Arc::clone(parser.symbols());
-        let mut got = Vec::new();
+        let (mut got, mut scratch) = (Vec::new(), AttrBuf::new());
         parser
-            .drive_reader(std::io::Cursor::new(xml.as_bytes()), &mut |ev, _| {
-                got.push(ev.to_owned(&symbols))
+            .drive_batched(std::io::Read::chain(head, tail), &mut |batch| {
+                batch.replay(&mut scratch, |ev, _| got.push(ev.to_owned(&symbols)))
             })
             .unwrap();
         assert_eq!(got, expected);
     }
 
     #[test]
-    fn drive_reader_reports_truncation_and_bad_utf8() {
+    fn batched_drive_reports_truncation_and_bad_utf8() {
         let mut p = StreamingParser::new();
-        assert!(p
-            .drive_reader(std::io::Cursor::new(b"<a><b>".as_ref()), &mut |_, _| {})
-            .is_err());
+        assert!(p.drive_batched(b"<a><b>".as_ref(), &mut |_| {}).is_err());
         let mut p2 = StreamingParser::new();
-        assert!(p2
-            .drive_reader(
-                std::io::Cursor::new(b"<a>\xFF</a>".as_ref()),
-                &mut |_, _| {}
-            )
-            .is_err());
+        let err = p2
+            .drive_batched(b"<a>\xFF</a>".as_ref(), &mut |_| {})
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("at byte 4: invalid UTF-8"),
+            "{err}"
+        );
     }
 }

@@ -1,38 +1,62 @@
-//! [`EventSource`]: the format-agnostic input seam of the pipeline.
+//! The frontend chassis: **a frontend = a [`Grammar`]**.
 //!
-//! The frontier core is already format-agnostic — it consumes interned
-//! [`crate::SymEvent`]s, never XML text — so the only XML-specific piece of the
-//! whole system is the tokenizer at the front. `EventSource` names that
-//! seam: *anything* that can stream one document's worth of interned
-//! events from an [`std::io::Read`] can drive an engine session, with the
-//! paper's `O(FS(Q)·log d)` frontier-space bound intact (the bound is
-//! stated over event streams of nesting depth `d`, not over XML).
+//! The frontier core is format-agnostic — it consumes interned
+//! [`SymEvent`]s, never XML text — and the paper's `O(FS(Q)·log d)`
+//! frontier-space bound is stated over event streams of nesting depth
+//! `d`, not over XML. So the only format-specific code in the whole
+//! system is a tokenizer's grammar; everything else a streaming
+//! tokenizer needs is the same for every format and lives here, once,
+//! in [`Frontend`]:
 //!
-//! Implementors today:
+//! * the **input buffer**: bytes in, validated as UTF-8 once per chunk
+//!   (a scalar split across a chunk boundary is carried to the next
+//!   feed), parsed *in place* when no partial token is pending, and
+//!   otherwise buffered — only the incomplete tail of each feed is ever
+//!   copied, and the buffer compacts once per feed;
+//! * **name resolution** ([`Names`]) in its three modes: interning,
+//!   [`Frontend::lookup_only`], and [`Frontend::frozen`];
+//! * the **batched driver** ([`Frontend::drive_batched`]): one read
+//!   loop over a recycled I/O chunk, filling a recycled [`EventBatch`]
+//!   and cutting it on [`BATCH_EVENTS`] / [`BATCH_BYTES`];
+//! * the one [`EventSource`] implementation the engine drives.
 //!
-//! * [`crate::StreamingParser`] — the XML tokenizer in this crate;
-//! * `fx_html::HtmlParser` — a lenient streaming HTML-soup tokenizer;
-//! * `fx_json::JsonParser` — a streaming JSON → element-event adapter.
+//! The frontends are aliases: [`crate::StreamingParser`] is
+//! `Frontend<XmlGrammar>`, `fx_html::HtmlParser` is
+//! `Frontend<HtmlGrammar>`, `fx_json::JsonParser` and
+//! `fx_json::NdjsonParser` are `Frontend<JsonGrammar>` and
+//! `Frontend<NdjsonGrammar>`.
 //!
-//! All three share the same contract: events are emitted the moment
-//! they are complete, names are resolved through the source's
-//! [`Symbols`] table (interned, or — the engine's long-lived mode —
-//! looked up read-only so unbounded input vocabularies never grow the
-//! table), and per-document state resets without dropping warm scratch
-//! capacity.
+//! # Adding a format
+//!
+//! 1. Define a `struct FooGrammar` holding only token state (open
+//!    containers, a "document started" flag, decode scratch); derive
+//!    `Default`.
+//! 2. Implement [`Grammar::drain`]: walk `input[cur.pos..]`, and for
+//!    each *complete* token call [`Cursor::advance`] (it returns the
+//!    token's stream [`Span`]) and `emit` its events, resolving names
+//!    through [`Names::resolve`]. Stop — leaving the cursor before it —
+//!    at a token that more input could still complete, unless `at_eof`.
+//! 3. Implement [`Grammar::finish`]: check completeness (or close what
+//!    is open, for a lenient format) and emit `EndDocument`.
+//! 4. Implement [`Grammar::reset`]: clear per-document state, keep
+//!    scratch capacity.
+//! 5. `pub type FooParser = Frontend<FooGrammar>;` — feeds, finish,
+//!    `drive_batched`, the name modes and `EventSource` come with it.
+//! 6. Add the alias to `tests/chunk_split.rs`: one line proves the
+//!    grammar is chunk-boundary transparent.
 
-use crate::batch::EventBatch;
+use crate::batch::{EventBatch, BATCH_BYTES, BATCH_EVENTS};
 use crate::parser::ParseError;
-use crate::symbols::Symbols;
+use crate::span::Span;
+use crate::symbols::{Sym, SymCache, SymEvent, Symbols, SymbolsSnapshot};
 use std::io::Read;
 use std::sync::Arc;
 
-/// A streaming producer of one document's interned SAX events.
-///
-/// The engine drives sources through `Session::run_source`; a source is
-/// reusable across documents ([`EventSource::reset`] is called before
-/// each drive, and implementations keep scratch buffers warm across
-/// resets, exactly like [`crate::StreamingParser::reset`]).
+/// A streaming producer of one document's interned SAX events — what
+/// an engine session drives (`Session::run_source`). Every [`Frontend`]
+/// is one; a source is reusable across documents
+/// ([`EventSource::reset`] is called before each drive and keeps
+/// scratch buffers warm).
 pub trait EventSource {
     /// The symbol table this source resolves names against. Syms in the
     /// emitted events are only meaningful to consumers compiled against
@@ -61,7 +85,9 @@ pub trait EventSource {
     /// [`crate::BATCH_BYTES`]), and the largest single input token —
     /// never by document size. Batching is pure control-transfer
     /// amortization: event order, spans, and the paper's frontier-space
-    /// bounds are exactly those of the per-event stream.
+    /// bounds are exactly those of the per-event stream — and so is the
+    /// error contract: every event completed before an error reaches
+    /// `consume` before the error is returned, wherever the cut fell.
     fn drive_batched(
         &mut self,
         reader: &mut dyn Read,
@@ -69,18 +95,124 @@ pub trait EventSource {
     ) -> Result<(), ParseError>;
 }
 
-/// Length of the longest valid-UTF-8 prefix of `data`, or an error when
-/// the invalid bytes cannot be a scalar split across a chunk boundary.
-fn utf8_prefix_len(data: &[u8]) -> Result<usize, ParseError> {
-    match std::str::from_utf8(data) {
-        Ok(_) => Ok(data.len()),
-        Err(e) if e.error_len().is_none() => Ok(e.valid_up_to()),
-        Err(e) => Err(ParseError {
-            message: format!("invalid UTF-8 in input: {e}"),
-            line: 0,
-            column: 0,
-        }),
+/// A streaming error positioned at stream byte `offset` (0-based):
+/// `line` is 0 and `column` the 1-based byte, which `Display` prints as
+/// `at byte N`.
+pub(crate) fn error_at(offset: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
+        message: message.into(),
+        line: 0,
+        column: offset + 1,
     }
+}
+
+/// A grammar's position in its input: `pos` indexes the `input` slice
+/// handed to [`Grammar::drain`], and the chassis knows which stream
+/// byte `input[0]` is, so positions turn into stream offsets without
+/// the grammar keeping a second counter.
+#[derive(Debug, Clone, Copy)]
+pub struct Cursor {
+    /// Index of the first unconsumed byte of the input slice.
+    pub pos: usize,
+    /// Stream offset of `input[0]`.
+    base: usize,
+}
+
+impl Cursor {
+    /// Stream offset of the first unconsumed byte.
+    #[inline]
+    pub fn offset(&self) -> usize {
+        self.base + self.pos
+    }
+
+    /// Consumes `n` bytes and returns the stream span they covered.
+    #[inline]
+    pub fn advance(&mut self, n: usize) -> Span {
+        let start = self.offset() as u64;
+        self.pos += n;
+        Span::new(start, start + n as u64)
+    }
+
+    /// An error positioned at the cursor.
+    pub fn error(&self, message: impl Into<String>) -> ParseError {
+        error_at(self.offset(), message)
+    }
+}
+
+/// Name resolution in its three modes, with the per-frontend lock-free
+/// memo in front of the table.
+#[derive(Debug, Clone)]
+pub struct Names {
+    symbols: Arc<Symbols>,
+    /// False in [`Frontend::lookup_only`] mode.
+    intern: bool,
+    /// Set in [`Frontend::frozen`] mode: resolution goes through this
+    /// immutable snapshot instead of the live table — no lock even on
+    /// memo misses. Implies lookup-only.
+    snapshot: Option<Arc<SymbolsSnapshot>>,
+    cache: SymCache,
+}
+
+impl Names {
+    /// Resolves a name per the mode: memoized lookup against the frozen
+    /// snapshot (lock-free) or the live table, plus interning (and memo
+    /// refresh) on a miss in the default mode. Names the table does not
+    /// hold collapse to [`Sym::UNKNOWN`] in the other two.
+    pub fn resolve(&mut self, name: &str) -> Sym {
+        match &self.snapshot {
+            Some(snap) => self.cache.lookup_frozen(snap, name),
+            None => self
+                .cache
+                .lookup_or_intern(&self.symbols, name, self.intern),
+        }
+    }
+
+    /// True in the default mode, where distinct names get distinct
+    /// syms — so a grammar may compare names by sym. Under the
+    /// lookup-only collapse it must compare by string.
+    pub(crate) fn interning(&self) -> bool {
+        self.intern
+    }
+}
+
+/// The format-specific part of a frontend: a token state machine, an
+/// end-of-input rule, and a per-document reset. See the module docs
+/// for the recipe.
+pub trait Grammar: Default {
+    /// Emits every event completed by `input[cur.pos..]`, advancing the
+    /// cursor past each consumed token and leaving it at the first
+    /// incomplete one (the chassis re-presents that tail, extended, on
+    /// the next call). With `at_eof` no more input will come: tokens
+    /// that only end-of-input can complete (trailing text, a bare
+    /// number) are emitted too.
+    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        names: &mut Names,
+        input: &str,
+        cur: &mut Cursor,
+        at_eof: bool,
+        emit: &mut F,
+    ) -> Result<(), ParseError>;
+
+    /// The end-of-input rule, called once after the final
+    /// `drain(.., at_eof = true)`: verifies the document is complete
+    /// (or recovers) and emits the closing `EndDocument`.
+    fn finish<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        input: &str,
+        cur: &mut Cursor,
+        emit: &mut F,
+    ) -> Result<(), ParseError>;
+
+    /// Clears per-document state, keeping scratch capacity.
+    fn reset(&mut self);
+}
+
+/// A grammar with ignorable whitespace-only text nodes (XML, HTML),
+/// dropped unless [`Frontend::keep_whitespace`] is set.
+pub trait WhitespaceText {
+    /// Keeps whitespace-only text nodes from now on.
+    fn keep_whitespace(&mut self);
 }
 
 /// Total byte width of the UTF-8 sequence introduced by `lead`.
@@ -95,49 +227,31 @@ fn scalar_width(lead: u8) -> usize {
 
 /// An incomplete UTF-8 scalar carried across byte-chunk boundaries: at
 /// most 3 bytes of a 2–4-byte sequence, held inline (no allocation).
-///
-/// This is the structural fix for the chunk-boundary UTF-8 bug: every
-/// byte-feeding surface (`feed_interned_bytes` on the three parsers,
-/// [`drive_utf8_chunks`]) validates UTF-8 **once per chunk** and parks
-/// a split trailing scalar here instead of failing — or worse, slicing
-/// a `&str` mid-scalar — when a read boundary lands inside a multibyte
-/// character.
+/// A read boundary inside a multibyte character parks the split scalar
+/// here instead of failing — or worse, slicing a `&str` mid-scalar.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Utf8Carry {
+struct Utf8Carry {
     tail: [u8; 4],
     len: u8,
 }
 
 impl Utf8Carry {
-    /// An empty carry.
-    pub const fn new() -> Utf8Carry {
-        Utf8Carry {
-            tail: [0; 4],
-            len: 0,
-        }
-    }
-
-    /// True when no partial scalar is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drops any pending partial scalar (per-document reset).
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Feeds `chunk`: first completes (and emits) the carried scalar if
-    /// one is pending, then hands the chunk's maximal valid-UTF-8 run
-    /// to `sink`, carrying any new incomplete trailing scalar. Errors
-    /// only on bytes that cannot be part of any valid scalar.
-    pub fn feed(
+    /// Appends `chunk`'s text to `out`: first the carried scalar, once
+    /// `chunk` completes it, then the chunk's maximal valid-UTF-8 run;
+    /// a new incomplete trailing scalar is carried. `at` is the stream
+    /// offset of `chunk[0]`. Errors — after appending the valid text
+    /// before them — only on bytes that cannot be part of any scalar.
+    fn feed(
         &mut self,
         mut chunk: &[u8],
-        sink: &mut dyn FnMut(&str) -> Result<(), ParseError>,
+        mut at: usize,
+        out: &mut String,
     ) -> Result<(), ParseError> {
+        let invalid = |at: usize, e: std::str::Utf8Error| {
+            error_at(at + e.valid_up_to(), format!("invalid UTF-8 in input: {e}"))
+        };
         if self.len > 0 {
-            let width = scalar_width(self.tail[0]);
+            let (carried, width) = (self.len as usize, scalar_width(self.tail[0]));
             while (self.len as usize) < width {
                 let Some((&b, rest)) = chunk.split_first() else {
                     return Ok(());
@@ -146,85 +260,396 @@ impl Utf8Carry {
                 self.len += 1;
                 chunk = rest;
             }
-            let scalar = self.tail;
             self.len = 0;
-            let scalar = std::str::from_utf8(&scalar[..width]).map_err(|e| ParseError {
-                message: format!("invalid UTF-8 in input: {e}"),
-                line: 0,
-                column: 0,
-            })?;
-            sink(scalar)?;
+            match std::str::from_utf8(&self.tail[..width]) {
+                Ok(scalar) => out.push_str(scalar),
+                Err(e) => return Err(invalid(at - carried, e)),
+            }
+            at += width - carried;
         }
-        let valid = utf8_prefix_len(chunk)?;
-        if valid > 0 {
-            sink(std::str::from_utf8(&chunk[..valid]).expect("validated prefix"))?;
+        let (text, result) = match std::str::from_utf8(chunk) {
+            Ok(text) => (text, Ok(())),
+            Err(e) => {
+                let valid = std::str::from_utf8(&chunk[..e.valid_up_to()]);
+                let incomplete = e.error_len().is_none();
+                (
+                    valid.expect("validated prefix"),
+                    if incomplete {
+                        Ok(())
+                    } else {
+                        Err(invalid(at, e))
+                    },
+                )
+            }
+        };
+        out.push_str(text);
+        if result.is_ok() {
+            let tail = &chunk[text.len()..];
+            self.tail[..tail.len()].copy_from_slice(tail);
+            self.len = tail.len() as u8;
         }
-        let tail = &chunk[valid..];
-        self.tail[..tail.len()].copy_from_slice(tail);
-        self.len = tail.len() as u8;
+        result
+    }
+}
+
+/// One `read` into `chunk`, retried on `Interrupted` (by `std::io`
+/// convention a signal, not the end of the stream). `at` — the stream
+/// offset the read would have filled — positions the error.
+pub(crate) fn read_some(
+    reader: &mut dyn Read,
+    chunk: &mut [u8],
+    at: usize,
+) -> Result<usize, ParseError> {
+    loop {
+        match reader.read(chunk) {
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(error_at(at, format!("read error: {e}"))),
+        }
+    }
+}
+
+/// A resumable push tokenizer for the format of grammar `G`: feed it
+/// byte chunks cut anywhere; it emits interned events through a
+/// callback the moment they are complete and buffers only the current
+/// incomplete token. See the module docs for what lives here and what
+/// lives in the grammar.
+///
+/// Names are interned into the frontend's shared [`Symbols`] table and
+/// payloads borrow the input or reusable scratch, so steady-state
+/// tokenizing performs **zero heap allocations per element event**.
+/// Owned [`crate::Event`]s are one [`SymEvent::to_owned`] away.
+#[derive(Debug, Clone)]
+pub struct Frontend<G> {
+    grammar: G,
+    names: Names,
+    /// Input not yet consumed: after a feed, the incomplete trailing
+    /// token.
+    buf: String,
+    /// Consumed prefix of `buf`: tokens advance this cursor instead of
+    /// draining the buffer (an O(remaining) memmove per token — on a
+    /// whole-document feed that is quadratic in document size). The
+    /// buffer compacts once per feed, amortizing the move to O(1) per
+    /// byte.
+    pos: usize,
+    /// Stream offset of `buf[0]`.
+    base: usize,
+    carry: Utf8Carry,
+    finished: bool,
+    /// Reused read buffer for [`Frontend::drive_batched`].
+    io_chunk: Vec<u8>,
+    /// Reused event batch for [`Frontend::drive_batched`]: recycled
+    /// (`clear` keeps arena capacity) so the batched drive allocates
+    /// nothing per event in steady state.
+    ev_batch: EventBatch,
+}
+
+impl<G: Grammar> Default for Frontend<G> {
+    fn default() -> Self {
+        Frontend::new()
+    }
+}
+
+impl<G: Grammar> Frontend<G> {
+    /// A frontend with default options and a fresh private [`Symbols`]
+    /// table.
+    pub fn new() -> Self {
+        Frontend::with_symbols(Arc::new(Symbols::new()))
+    }
+
+    /// A frontend interning names into `symbols` — the table the
+    /// downstream filters' compiled node tests live in, so interned
+    /// events and compiled queries meet as equal integers.
+    pub fn with_symbols(symbols: Arc<Symbols>) -> Self {
+        Frontend {
+            grammar: G::default(),
+            names: Names {
+                symbols,
+                intern: true,
+                snapshot: None,
+                cache: SymCache::new(),
+            },
+            buf: String::new(),
+            pos: 0,
+            base: 0,
+            carry: Utf8Carry::default(),
+            finished: false,
+            io_chunk: Vec::new(),
+            ev_batch: EventBatch::new(),
+        }
+    }
+
+    /// Switches to *lookup-only* name resolution: document names are
+    /// resolved against the (shared) table without interning — names
+    /// the table has never seen collapse to [`Sym::UNKNOWN`], exactly
+    /// as the filters' owned-event conversion treats them (they fail
+    /// every named node test and pass every wildcard), and the table
+    /// never grows with document content. This is how a long-lived
+    /// engine keeps bounded memory on streams with unbounded
+    /// distinct-name cardinality; the default interning mode instead
+    /// guarantees distinct syms per distinct name (what
+    /// [`SymEvent::to_owned`] needs to give every name back — on a
+    /// lookup-only stream it renders unknown names as one sentinel).
+    ///
+    /// Compile every query against the table *before* parsing: the
+    /// per-frontend memo caches "unknown" verdicts (see
+    /// [`crate::SymCache`]).
+    pub fn lookup_only(mut self) -> Self {
+        self.names.intern = false;
+        self
+    }
+
+    /// [`Frontend::lookup_only`] resolution against a **frozen
+    /// snapshot** of the table, taken now: name resolution never
+    /// touches the live table's lock again — not even on memo misses —
+    /// which is what lets N worker frontends share one engine-owned
+    /// table with zero read contention. The snapshot carries exactly
+    /// the vocabulary interned so far (compile every query first); if
+    /// the table later grows behind this frontend, call
+    /// [`Frontend::invalidate_name_memo`], which re-freezes.
+    pub fn frozen(mut self) -> Self {
+        self.names.intern = false;
+        self.names.snapshot = Some(Arc::new(self.names.symbols.freeze()));
+        self
+    }
+
+    /// Keeps whitespace-only text nodes (dropped by default, matching
+    /// [`crate::parse`]).
+    pub fn keep_whitespace(mut self) -> Self
+    where
+        G: WhitespaceText,
+    {
+        self.grammar.keep_whitespace();
+        self
+    }
+
+    /// The symbol table this frontend resolves names against.
+    pub fn symbols(&self) -> &Arc<Symbols> {
+        &self.names.symbols
+    }
+
+    /// Resets per-document state so the frontend can stream another
+    /// document, keeping everything amortizable warm: the symbol table
+    /// handle, the name memo, and every scratch buffer's capacity.
+    /// Sessions reuse one frontend across documents this way.
+    pub fn reset(&mut self) {
+        self.grammar.reset();
+        self.buf.clear();
+        self.pos = 0;
+        self.base = 0;
+        self.carry.len = 0;
+        self.finished = false;
+    }
+
+    /// Drops every memoized name verdict. A lookup-only frontend
+    /// memoizes [`Sym::UNKNOWN`] for names outside the table; if the
+    /// shared table later gains such a name (a dissemination server
+    /// compiling a new subscription), the stale memo would keep
+    /// collapsing it to `UNKNOWN`. Call this after interning new names
+    /// behind a live frontend; [`Frontend::reset`] deliberately keeps
+    /// the memo warm.
+    ///
+    /// In a worker pool, *every* worker must invalidate its own
+    /// frontend when churn grows the shared table — see the
+    /// multi-worker caveat on [`SymCache`]. A [`Frontend::frozen`]
+    /// frontend re-freezes its snapshot here too, so the new vocabulary
+    /// becomes visible to its lock-free path.
+    pub fn invalidate_name_memo(&mut self) {
+        self.names.cache.clear();
+        if self.names.snapshot.is_some() {
+            self.names.snapshot = Some(Arc::new(self.names.symbols.freeze()));
+        }
+    }
+
+    /// Stream offset of the next byte a feed will bring.
+    pub(crate) fn fed(&self) -> usize {
+        self.base + self.buf.len() + self.carry.len as usize
+    }
+
+    /// [`Frontend::feed_interned_bytes`] for text in hand. A `&str` fed
+    /// while a split scalar is pending is invalid UTF-8 at that scalar,
+    /// as the same bytes would be.
+    pub fn feed_interned<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        chunk: &str,
+        emit: &mut F,
+    ) -> Result<(), ParseError> {
+        self.feed_interned_bytes(chunk.as_bytes(), emit)
+    }
+
+    /// Feeds a chunk of raw bytes cut at **any** boundary — including
+    /// mid-character — emitting every completed event in *interned*,
+    /// zero-copy form: names are [`Sym`]s from the frontend's table,
+    /// attribute and text payloads borrow the input or the grammar's
+    /// reusable scratch (valid for the duration of the callback).
+    /// UTF-8 is validated once per chunk. Events completed before an
+    /// error are emitted before it is returned.
+    pub fn feed_interned_bytes<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        chunk: &[u8],
+        emit: &mut F,
+    ) -> Result<(), ParseError> {
+        // Drop the consumed prefix (cheap when it was fully consumed,
+        // one move of the unconsumed tail otherwise).
+        if self.pos > 0 {
+            if self.pos == self.buf.len() {
+                self.buf.clear();
+            } else {
+                self.buf.drain(..self.pos);
+            }
+            self.base += self.pos;
+            self.pos = 0;
+        }
+        if self.buf.is_empty() && self.carry.len == 0 {
+            // Zero-copy fast path: no partial token or scalar is
+            // pending, so a wholly valid chunk is itself the input —
+            // parse in place and buffer only the incomplete tail. A
+            // chunk that fails whole-validation (split trailing scalar,
+            // or truly invalid bytes) takes the carry path below, which
+            // distinguishes the two.
+            if let Ok(text) = std::str::from_utf8(chunk) {
+                let mut cur = Cursor {
+                    pos: 0,
+                    base: self.base,
+                };
+                let result = self
+                    .grammar
+                    .drain(&mut self.names, text, &mut cur, false, emit);
+                self.buf.push_str(&text[cur.pos..]);
+                self.base += cur.pos;
+                return result;
+            }
+        }
+        let at = self.fed();
+        let fed = self.carry.feed(chunk, at, &mut self.buf);
+        // A tokenizer error lies earlier in the stream than a UTF-8
+        // error of the same chunk.
+        self.drain(false, emit).and(fed)
+    }
+
+    // The whole drain chain is generic over the emit closure (`?Sized`
+    // keeps `&mut dyn FnMut` callers working): a concrete closure
+    // handed to the public generic surface monomorphizes all the way
+    // into the grammar's token loop — the filter inlines into the
+    // tokenizer, with no virtual call per event.
+    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        at_eof: bool,
+        emit: &mut F,
+    ) -> Result<(), ParseError> {
+        let mut cur = Cursor {
+            pos: self.pos,
+            base: self.base,
+        };
+        let mut result = self
+            .grammar
+            .drain(&mut self.names, &self.buf, &mut cur, at_eof, emit);
+        if at_eof && result.is_ok() {
+            result = self.grammar.finish(&self.buf, &mut cur, emit);
+        }
+        self.pos = cur.pos;
+        result
+    }
+
+    /// Signals end of input: emits any trailing events (including
+    /// `EndDocument`) and applies the grammar's completeness rule.
+    pub fn finish_interned<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        emit: &mut F,
+    ) -> Result<(), ParseError> {
+        if self.finished {
+            return Err(error_at(self.base + self.pos, "finish called twice"));
+        }
+        if self.carry.len > 0 {
+            return Err(error_at(
+                self.base + self.buf.len(),
+                "invalid UTF-8: truncated scalar at end of input",
+            ));
+        }
+        self.drain(true, emit)?;
+        self.finished = true;
         Ok(())
     }
 
-    /// Ends the stream: a carried scalar that never completed is a
-    /// truncation error.
-    pub fn finish(&self) -> Result<(), ParseError> {
-        if self.len == 0 {
-            Ok(())
-        } else {
-            Err(ParseError {
-                message: "invalid UTF-8: truncated scalar at end of input".to_string(),
-                line: 0,
-                column: 0,
-            })
-        }
+    /// Streams a whole document from `reader` as *batches*: reads
+    /// fixed-size chunks, feeds them, finishes, and hands the recycled
+    /// [`EventBatch`] (events plus spans, arenas reused — zero
+    /// allocation per event in steady state) to `consume` whenever it
+    /// reaches [`BATCH_EVENTS`] events or [`BATCH_BYTES`] payload
+    /// bytes. One virtual call per batch replaces one per event — the
+    /// dispatch-amortized hot path `Session::run_reader*` rides. The
+    /// batch borrow handed to `consume` is only valid for that call.
+    ///
+    /// Memory is bounded by the chunk plus the largest single token,
+    /// never by document size — and in [`Frontend::lookup_only`] mode
+    /// (how the engine drives this) the shared symbol table stays
+    /// bounded by the compiled query vocabulary too.
+    pub fn drive_batched<R: Read>(
+        &mut self,
+        mut reader: R,
+        consume: &mut dyn FnMut(&EventBatch),
+    ) -> Result<(), ParseError> {
+        EventSource::drive_batched(self, &mut reader, consume)
     }
 }
 
-/// The shared fixed-size read loop every [`EventSource`] driver uses:
-/// reads chunks into `io_chunk` (grown to 8 KiB on first use, reused
-/// afterwards) and hands each raw byte run to `feed` — UTF-8 handling
-/// is the consumer's business (the parsers' `feed_interned_bytes`
-/// carry split scalars via [`Utf8Carry`]). Returns after EOF; the
-/// caller then finishes its own token state.
-pub fn drive_byte_chunks(
-    reader: &mut dyn Read,
-    io_chunk: &mut Vec<u8>,
-    feed: &mut dyn FnMut(&[u8]) -> Result<(), ParseError>,
-) -> Result<(), ParseError> {
-    if io_chunk.is_empty() {
-        io_chunk.resize(8 * 1024, 0);
+impl<G: Grammar> EventSource for Frontend<G> {
+    fn symbols(&self) -> &Arc<Symbols> {
+        Frontend::symbols(self)
     }
-    loop {
-        let n = match reader.read(io_chunk) {
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                return Err(ParseError {
-                    message: format!("read error: {e}"),
-                    line: 0,
-                    column: 0,
-                })
+
+    fn reset(&mut self) {
+        Frontend::reset(self);
+    }
+
+    fn invalidate_name_memo(&mut self) {
+        Frontend::invalidate_name_memo(self);
+    }
+
+    // The one read loop (not generic over the reader, so the feed it
+    // monomorphizes over the batch-filling closure exists once).
+    fn drive_batched(
+        &mut self,
+        reader: &mut dyn Read,
+        consume: &mut dyn FnMut(&EventBatch),
+    ) -> Result<(), ParseError> {
+        // Take the recycled buffers out for the loop (so filling them
+        // and feeding `self` borrow independently) and restore them on
+        // the one exit path.
+        let mut batch = std::mem::take(&mut self.ev_batch);
+        batch.clear();
+        let mut chunk = std::mem::take(&mut self.io_chunk);
+        if chunk.is_empty() {
+            chunk.resize(8 * 1024, 0);
+        }
+        let result = loop {
+            let n = match read_some(reader, &mut chunk, self.fed()) {
+                Ok(n) => n,
+                Err(e) => break Err(e),
+            };
+            if n == 0 {
+                break self.finish_interned(&mut |ev, span| batch.push(&ev, span));
+            }
+            if let Err(e) =
+                self.feed_interned_bytes(&chunk[..n], &mut |ev, span| batch.push(&ev, span))
+            {
+                break Err(e);
+            }
+            if batch.len() >= BATCH_EVENTS || batch.payload_bytes() >= BATCH_BYTES {
+                consume(&batch);
+                batch.clear();
             }
         };
-        if n == 0 {
-            return Ok(());
+        // On an error too: the events completed before it are the
+        // consumer's wherever the cut happened to fall.
+        if !batch.is_empty() {
+            consume(&batch);
         }
-        feed(&io_chunk[..n])?;
+        batch.clear();
+        self.io_chunk = chunk;
+        self.ev_batch = batch;
+        result
     }
-}
-
-/// [`drive_byte_chunks`] decoded to `&str` runs: carries UTF-8 scalars
-/// split across read boundaries (at most 3 bytes) and hands each
-/// maximal valid-UTF-8 run to `feed`. Kept for callers that want text
-/// chunks; the parsers' own drivers feed bytes and carry internally.
-pub fn drive_utf8_chunks(
-    reader: &mut dyn Read,
-    io_chunk: &mut Vec<u8>,
-    feed: &mut dyn FnMut(&str) -> Result<(), ParseError>,
-) -> Result<(), ParseError> {
-    let mut carry = Utf8Carry::new();
-    drive_byte_chunks(reader, io_chunk, &mut |bytes| carry.feed(bytes, feed))?;
-    carry.finish()
 }
 
 #[cfg(test)]
@@ -261,45 +686,41 @@ mod tests {
     }
 
     #[test]
-    fn drive_utf8_chunks_carries_split_scalars() {
-        // A 1-byte reader splits every multi-byte scalar.
-        struct OneByte<'a>(&'a [u8], usize);
-        impl Read for OneByte<'_> {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.1 >= self.0.len() {
-                    return Ok(0);
+    fn read_errors_carry_the_stream_position() {
+        /// Yields its bytes, then fails.
+        struct Broken<'a>(&'a [u8]);
+        impl Read for Broken<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::Error::other("cable cut"));
                 }
-                buf[0] = self.0[self.1];
-                self.1 += 1;
-                Ok(1)
+                self.0.read(out)
             }
         }
-        let text = "héllo • wörld";
-        let mut out = String::new();
-        let mut chunk = Vec::new();
-        drive_utf8_chunks(&mut OneByte(text.as_bytes(), 0), &mut chunk, &mut |s| {
-            out.push_str(s);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(out, text);
-
-        // A truncated scalar at EOF is a proper error.
-        let bad = &"é".as_bytes()[..1];
-        let mut chunk = Vec::new();
-        assert!(drive_utf8_chunks(&mut OneByte(bad, 0), &mut chunk, &mut |_| Ok(())).is_err());
+        let mut events = 0;
+        let err = StreamingParser::new()
+            .drive_batched(Broken(b"<a><b/>"), &mut |batch| events += batch.len())
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "XML parse error at byte 8: read error: cable cut"
+        );
+        // StartDocument, <a>, <b>, </b> were complete before the fault.
+        assert_eq!(events, 4);
+        let last = crate::EventIter::new(Broken(b"<a><b/>")).last().unwrap();
+        assert_eq!(last.unwrap_err(), err);
     }
 
     #[test]
-    fn event_source_drive_matches_drive_reader() {
+    fn event_source_drive_matches_feed_and_finish() {
         let xml = "<a attr=\"v\">x &amp; y<b/></a>";
         let mut p1 = StreamingParser::new();
         let s1 = Arc::clone(p1.symbols());
-        let mut via_reader: Vec<Event> = Vec::new();
-        p1.drive_reader(xml.as_bytes(), &mut |ev, _| {
-            via_reader.push(ev.to_owned(&s1));
-        })
-        .unwrap();
-        assert_eq!(drive_owned(&mut StreamingParser::new(), xml), via_reader);
+        let mut fed: Vec<Event> = Vec::new();
+        p1.feed_interned(xml, &mut |ev, _| fed.push(ev.to_owned(&s1)))
+            .unwrap();
+        p1.finish_interned(&mut |ev, _| fed.push(ev.to_owned(&s1)))
+            .unwrap();
+        assert_eq!(drive_owned(&mut StreamingParser::new(), xml), fed);
     }
 }

@@ -77,9 +77,9 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`engine`] | **The canonical API**: `Engine` builder, per-document `Session`s, the `Evaluator` trait, unified `EngineError` |
-//! | [`xml`] | SAX events, streaming parser/writer, pull-based [`xml::EventIter`], the [`xml::EventSource`] frontend trait, stream splicing (§3.1.4) |
-//! | [`html`] | Lenient streaming HTML-soup frontend: tag soup in, the same interned events out |
-//! | [`json`] | Streaming JSON frontend: objects as elements, keys as QNames, array items as repeated children |
+//! | [`xml`] | SAX events, the [`xml::Frontend`] chassis every streaming tokenizer is a [`xml::Grammar`] on (and the [`xml::EventSource`] trait it implements), the XML grammar, writer, pull-based [`xml::EventIter`], stream splicing (§3.1.4) |
+//! | [`html`] | The lenient HTML-soup grammar: tag soup in, the same interned events out |
+//! | [`json`] | The JSON and NDJSON grammars: objects as elements, keys as QNames, array items as repeated children |
 //! | [`dom`] | The XPath data model: trees, `STRVAL`, depth (§3.1.1) |
 //! | [`xpath`] | Forward XPath parser, query trees, predicate semantics (§3.1.2–3) |
 //! | [`eval`] | Reference `SELECT`/`FULLEVAL`/`BOOLEVAL`, matchings (§3.1.3, §5.5) |

@@ -1,8 +1,8 @@
 //! Batch ≡ per-event differential: `drive_batched` is pure
 //! control-transfer amortization, so across every frontend (XML, HTML,
 //! JSON, NDJSON) and every read-chunk geometry it must yield the
-//! identical event stream — same events, same spans — as the per-event
-//! drivers, and the banks' batch walkers
+//! identical event stream — same events, same spans — as per-event
+//! feed + finish, and the banks' batch walkers
 //! (`MultiFilter::process_batch_to`, `IndexedBank::process_batch_to`,
 //! `StreamFilter::process_batch_to`) must produce identical verdicts,
 //! match streams, and space statistics to per-event dispatch —
@@ -19,7 +19,10 @@ use frontier_xpath::workloads::{
     html_soup_document, json_record, random_document, HtmlSoupConfig, JsonRecordsConfig,
     RandomDocConfig,
 };
-use frontier_xpath::xml::{AttrBuf, EventBatch, Span as XSpan, StreamingParser, SymEvent, Symbols};
+use frontier_xpath::xml::{
+    AttrBuf, EventBatch, Frontend, Grammar, ParseError, Span as XSpan, StreamingParser, SymEvent,
+    Symbols,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -66,6 +69,36 @@ impl Read for ChunkyReader<'_> {
     }
 }
 
+/// The per-event reference leg: `reader`'s chunks fed one by one, then
+/// finish — no batch anywhere on the path.
+fn feed_and_finish<G: Grammar>(
+    parser: &mut Frontend<G>,
+    mut reader: impl Read,
+    emit: &mut dyn FnMut(SymEvent<'_>, XSpan),
+) -> Result<(), ParseError> {
+    let mut chunk = [0u8; 64];
+    loop {
+        match reader.read(&mut chunk).unwrap() {
+            0 => return parser.finish_interned(emit),
+            n => parser.feed_interned_bytes(&chunk[..n], emit)?,
+        }
+    }
+}
+
+/// The owned `(event, span)` stream of [`feed_and_finish`].
+fn per_event_stream<G: Grammar>(
+    parser: &mut Frontend<G>,
+    reader: impl Read,
+) -> Vec<(Event, XSpan)> {
+    let symbols = Arc::clone(parser.symbols());
+    let mut out = Vec::new();
+    feed_and_finish(parser, reader, &mut |ev, span| {
+        out.push((ev.to_owned(&symbols), span))
+    })
+    .unwrap();
+    out
+}
+
 /// Owned `(event, span)` stream of a batched drive, via replay.
 fn batched_stream(
     source: &mut dyn EventSource,
@@ -98,15 +131,7 @@ fn xml_batched_drive_matches_per_event_drive() {
         let xml = random_document(&mut rng, &cfg).to_xml();
         let mut parser = StreamingParser::new();
         let symbols = Arc::clone(parser.symbols());
-        let mut reference = Vec::new();
-        parser
-            .drive_reader(
-                ChunkyReader::new(xml.as_bytes(), case, 7),
-                &mut |ev: SymEvent<'_>, span| {
-                    reference.push((ev.to_owned(&symbols), span));
-                },
-            )
-            .unwrap();
+        let reference = per_event_stream(&mut parser, ChunkyReader::new(xml.as_bytes(), case, 7));
         for chunk_seed in [case, case + 1000] {
             let got = batched_stream(&mut parser, &symbols, xml.as_bytes(), chunk_seed);
             assert_eq!(got, reference, "xml case {case}, chunk seed {chunk_seed}");
@@ -114,7 +139,7 @@ fn xml_batched_drive_matches_per_event_drive() {
     }
 }
 
-/// HTML and JSON frontends: per-event `drive_reader` vs `drive_batched`.
+/// HTML and JSON frontends: per-event feed + finish vs `drive_batched`.
 #[test]
 fn html_and_json_batched_drives_match_per_event() {
     let mut rng = SmallRng::seed_from_u64(0x50FA);
@@ -122,30 +147,14 @@ fn html_and_json_batched_drives_match_per_event() {
         let html = html_soup_document(&mut rng, &HtmlSoupConfig::default()).html;
         let mut hp = HtmlParser::new();
         let hsyms = Arc::clone(hp.symbols());
-        let mut reference = Vec::new();
-        hp.drive_reader(
-            ChunkyReader::new(html.as_bytes(), case, 5),
-            &mut |ev: SymEvent<'_>, span| {
-                reference.push((ev.to_owned(&hsyms), span));
-            },
-        )
-        .unwrap();
-        hp.reset();
+        let reference = per_event_stream(&mut hp, ChunkyReader::new(html.as_bytes(), case, 5));
         let got = batched_stream(&mut hp, &hsyms, html.as_bytes(), case + 7);
         assert_eq!(got, reference, "html case {case}");
 
         let json = json_record(&mut rng, &JsonRecordsConfig::default()).json;
         let mut jp = JsonParser::new();
         let jsyms = Arc::clone(jp.symbols());
-        let mut reference = Vec::new();
-        jp.drive_reader(
-            ChunkyReader::new(json.as_bytes(), case, 5),
-            &mut |ev: SymEvent<'_>, span| {
-                reference.push((ev.to_owned(&jsyms), span));
-            },
-        )
-        .unwrap();
-        jp.reset();
+        let reference = per_event_stream(&mut jp, ChunkyReader::new(json.as_bytes(), case, 5));
         let got = batched_stream(&mut jp, &jsyms, json.as_bytes(), case + 7);
         assert_eq!(got, reference, "json case {case}");
     }
@@ -220,14 +229,14 @@ fn assert_bank_parity(xml: &str, reporting: bool, chunk_seed: u64) {
 
     let mut parser = StreamingParser::with_symbols(Arc::clone(per_event.symbols())).lookup_only();
     let mut ref_matches: Vec<Match> = Vec::new();
-    parser
-        .drive_reader(
-            ChunkyReader::new(xml.as_bytes(), chunk_seed, 11),
-            &mut |ev: SymEvent<'_>, span| {
-                per_event.process_sym_to(ev, span, &mut |m: Match| ref_matches.push(m));
-            },
-        )
-        .unwrap();
+    feed_and_finish(
+        &mut parser,
+        ChunkyReader::new(xml.as_bytes(), chunk_seed, 11),
+        &mut |ev, span| {
+            per_event.process_sym_to(ev, span, &mut |m: Match| ref_matches.push(m));
+        },
+    )
+    .unwrap();
 
     parser.reset();
     let mut got_matches: Vec<Match> = Vec::new();
@@ -268,14 +277,14 @@ fn assert_indexed_parity(xml: &str, chunk_seed: u64) {
 
     let mut parser = StreamingParser::with_symbols(Arc::clone(per_event.symbols())).lookup_only();
     let mut ref_matches: Vec<Match> = Vec::new();
-    parser
-        .drive_reader(
-            ChunkyReader::new(xml.as_bytes(), chunk_seed, 9),
-            &mut |ev: SymEvent<'_>, span| {
-                per_event.process_sym_to(ev, span, &mut |m: Match| ref_matches.push(m));
-            },
-        )
-        .unwrap();
+    feed_and_finish(
+        &mut parser,
+        ChunkyReader::new(xml.as_bytes(), chunk_seed, 9),
+        &mut |ev, span| {
+            per_event.process_sym_to(ev, span, &mut |m: Match| ref_matches.push(m));
+        },
+    )
+    .unwrap();
 
     parser.reset();
     let mut got_matches: Vec<Match> = Vec::new();
@@ -316,11 +325,10 @@ fn decided_bank_short_circuits_mid_batch_with_identical_results() {
     let xml = format!("<r><a/><b/>{tail}</r>");
 
     let mut parser = StreamingParser::with_symbols(Arc::clone(per_event.symbols())).lookup_only();
-    parser
-        .drive_reader(xml.as_bytes(), &mut |ev: SymEvent<'_>, span| {
-            per_event.process_sym_to(ev, span, &mut |_: Match| {});
-        })
-        .unwrap();
+    feed_and_finish(&mut parser, xml.as_bytes(), &mut |ev, span| {
+        per_event.process_sym_to(ev, span, &mut |_: Match| {});
+    })
+    .unwrap();
     parser.reset();
     parser
         .drive_batched(xml.as_bytes(), &mut |batch| {
@@ -335,6 +343,43 @@ fn decided_bank_short_circuits_mid_batch_with_identical_results() {
     // The short circuit actually bit: filters saw far fewer events than
     // the document carries.
     assert!(events.iter().all(|&e| e < 100), "{events:?}");
+}
+
+/// A tokenizer error must not drop the events completed before it: a
+/// document that goes malformed after `n` elements delivers the same
+/// match prefix through the batched session drive as through per-event
+/// feed + finish — wherever the fault falls relative to the read chunk
+/// (2048 of these elements) and the `BATCH_EVENTS` cut.
+#[test]
+fn matches_before_a_parse_error_do_not_depend_on_the_batch_cut() {
+    let query = parse_query("//b").unwrap();
+    let engine = Engine::builder()
+        .query(query.clone())
+        .mode(Mode::Select)
+        .build()
+        .unwrap();
+    let compiled = frontier_xpath::filter::CompiledQuery::compile(&query).unwrap();
+    let bank = MultiFilter::from_compiled_reporting(vec![compiled]).unwrap();
+    for n in [0usize, 1, 510, 511, 512, 2047, 2048, 2049, 2600, 5000] {
+        let xml = format!("<r>{}</x></r>", "<b/>".repeat(n));
+
+        let mut per_event = bank.clone();
+        let mut parser =
+            StreamingParser::with_symbols(Arc::clone(per_event.symbols())).lookup_only();
+        let mut ref_matches: Vec<Match> = Vec::new();
+        feed_and_finish(&mut parser, xml.as_bytes(), &mut |ev, span| {
+            per_event.process_sym_to(ev, span, &mut |m: Match| ref_matches.push(m));
+        })
+        .unwrap_err();
+        assert_eq!(ref_matches.len(), n);
+
+        let mut sink = MatchCollector::new();
+        engine
+            .session()
+            .run_reader_to(xml.as_bytes(), &mut sink)
+            .unwrap_err();
+        assert_eq!(sink.matches(), &ref_matches[..], "fault after {n} elements");
+    }
 }
 
 /// The single-filter fused surface: `StreamFilter::process_batch_to`
@@ -352,12 +397,11 @@ fn single_filter_batch_drain_matches_per_event() {
     let xml = format!("<a>{}</a>", "<b>6</b>".repeat(50));
     let mut parser = StreamingParser::with_symbols(symbols).lookup_only();
     let mut ref_matches: Vec<Match> = Vec::new();
-    parser
-        .drive_reader(xml.as_bytes(), &mut |ev: SymEvent<'_>, span| {
-            per_event.process_sym(ev, span);
-            per_event.drain_matches(0, &mut |m: Match| ref_matches.push(m));
-        })
-        .unwrap();
+    feed_and_finish(&mut parser, xml.as_bytes(), &mut |ev, span| {
+        per_event.process_sym(ev, span);
+        per_event.drain_matches(0, &mut |m: Match| ref_matches.push(m));
+    })
+    .unwrap();
 
     parser.reset();
     let mut got_matches: Vec<Match> = Vec::new();
@@ -419,11 +463,10 @@ proptest! {
         let mut bank = MultiFilter::from_compiled_reporting(compiled).unwrap();
         let mut parser = StreamingParser::with_symbols(Arc::clone(bank.symbols())).lookup_only();
         let mut ref_matches: Vec<Match> = Vec::new();
-        parser
-            .drive_reader(xml.as_bytes(), &mut |ev: SymEvent<'_>, span| {
-                bank.process_sym_to(ev, span, &mut |m: Match| ref_matches.push(m));
-            })
-            .unwrap();
+        feed_and_finish(&mut parser, xml.as_bytes(), &mut |ev, span| {
+            bank.process_sym_to(ev, span, &mut |m: Match| ref_matches.push(m));
+        })
+        .unwrap();
 
         let ref_verdicts: Vec<bool> = bank.results().iter().map(|r| r.unwrap()).collect();
         prop_assert_eq!(verdicts.matched(), &ref_verdicts[..]);

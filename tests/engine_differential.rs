@@ -422,7 +422,9 @@ fn error_exits_leave_every_session_shape_reusable() {
             for good in if *json { good_json } else { good_xml } {
                 let got = run(good.as_bytes()).unwrap();
                 let fresh = match json {
-                    true => engine.select_json_reader(good.as_bytes()),
+                    true => engine
+                        .session()
+                        .run_source_outcome(&mut engine.json_source(), good.as_bytes()),
                     false => engine.select_str(good),
                 };
                 let want = outcome_of(fresh.unwrap());
