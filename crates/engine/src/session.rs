@@ -181,7 +181,7 @@ impl Session {
     /// next document on, the reader path resolves names lock-free
     /// against the snapshot instead of read-locking the shared table.
     /// This is the per-worker mode of the sharded runners
-    /// ([`crate::Engine::run_sharded`] and the sharded dissemination
+    /// ([`crate::Engine::run_sharded`] and the multi-worker dissemination
     /// server), where N sessions parse concurrently against one engine
     /// — the engine-owned mutable table stays single-writer while
     /// worker reads touch no lock at all. Call it before the first

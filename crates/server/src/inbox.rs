@@ -1,20 +1,22 @@
-//! The shared mailbox between handles and a worker thread: an unbounded
+//! The mailbox between handles and one worker thread: an unbounded
 //! command queue plus a *bounded* document queue whose fullness blocks
-//! publishers. Generic over the command and document types so the
-//! single-worker [`crate::DisseminationServer`] and the per-worker
-//! queues of [`crate::ShardedServer`] share one tested implementation.
+//! publishers.
 
+use crate::server::{Command, Doc};
 use crate::ServerError;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
+
+/// Worker side only: handle-side callers get [`ServerError::Closed`].
+const POISONED: &str = "a thread panicked while holding this inbox's lock";
 
 /// One unit of worker work: all pending commands, or one document —
 /// never both (commands apply before documents, and the stats barrier
 /// depends on draining the document queue itself).
-pub(crate) type WorkBatch<C, D> = (Vec<C>, Option<D>);
+pub(crate) type WorkBatch = (Vec<Command>, Option<Doc>);
 
-pub(crate) struct Inbox<C, D> {
-    state: Mutex<InboxState<C, D>>,
+pub(crate) struct Inbox {
+    state: Mutex<InboxState>,
     /// Worker-side: signalled when work (commands, documents, shutdown)
     /// arrives.
     work: Condvar,
@@ -22,15 +24,15 @@ pub(crate) struct Inbox<C, D> {
     space: Condvar,
 }
 
-struct InboxState<C, D> {
-    cmds: VecDeque<C>,
-    docs: VecDeque<D>,
+struct InboxState {
+    cmds: VecDeque<Command>,
+    docs: VecDeque<Doc>,
     doc_cap: usize,
     shutdown: bool,
 }
 
-impl<C, D> Inbox<C, D> {
-    pub(crate) fn new(doc_cap: usize) -> Inbox<C, D> {
+impl Inbox {
+    pub(crate) fn new(doc_cap: usize) -> Inbox {
         Inbox {
             state: Mutex::new(InboxState {
                 cmds: VecDeque::new(),
@@ -44,8 +46,8 @@ impl<C, D> Inbox<C, D> {
     }
 
     /// Queues a command unless the server is shutting down.
-    pub(crate) fn command(&self, cmd: C) -> Result<(), ServerError> {
-        let mut st = self.state.lock().unwrap();
+    pub(crate) fn command(&self, cmd: Command) -> Result<(), ServerError> {
+        let mut st = self.state.lock().map_err(|_| ServerError::Closed)?;
         if st.shutdown {
             return Err(ServerError::Closed);
         }
@@ -55,10 +57,10 @@ impl<C, D> Inbox<C, D> {
     }
 
     /// Queues a document, blocking while the queue is at capacity.
-    pub(crate) fn publish(&self, doc: D) -> Result<(), ServerError> {
-        let mut st = self.state.lock().unwrap();
+    pub(crate) fn publish(&self, doc: Doc) -> Result<(), ServerError> {
+        let mut st = self.state.lock().map_err(|_| ServerError::Closed)?;
         while st.docs.len() >= st.doc_cap && !st.shutdown {
-            st = self.space.wait(st).unwrap();
+            st = self.space.wait(st).map_err(|_| ServerError::Closed)?;
         }
         if st.shutdown {
             return Err(ServerError::Closed);
@@ -74,8 +76,8 @@ impl<C, D> Inbox<C, D> {
     /// queue itself, so it must still hold whatever was published before
     /// it. Returns `None` when the server is shut down and fully
     /// drained.
-    pub(crate) fn take_work(&self) -> Option<WorkBatch<C, D>> {
-        let mut st = self.state.lock().unwrap();
+    pub(crate) fn take_work(&self) -> Option<WorkBatch> {
+        let mut st = self.state.lock().expect(POISONED);
         loop {
             if !st.cmds.is_empty() {
                 return Some((st.cmds.drain(..).collect(), None));
@@ -87,14 +89,14 @@ impl<C, D> Inbox<C, D> {
             if st.shutdown {
                 return None;
             }
-            st = self.work.wait(st).unwrap();
+            st = self.work.wait(st).expect(POISONED);
         }
     }
 
     /// Non-blocking: pops one pending document if there is one (used by
     /// the stats barrier to drain the queue).
-    pub(crate) fn take_doc(&self) -> Option<D> {
-        let mut st = self.state.lock().unwrap();
+    pub(crate) fn take_doc(&self) -> Option<Doc> {
+        let mut st = self.state.lock().expect(POISONED);
         let doc = st.docs.pop_front();
         if doc.is_some() {
             self.space.notify_one();
@@ -102,8 +104,13 @@ impl<C, D> Inbox<C, D> {
         doc
     }
 
+    /// Callers close a server *because* a lock was poisoned, so this one
+    /// recovers the guard: a flag store cannot leave the queues invalid.
     pub(crate) fn close(&self) {
-        self.state.lock().unwrap().shutdown = true;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
         self.work.notify_all();
         self.space.notify_all();
     }

@@ -4,13 +4,17 @@
 //! dissemination of information** (XML SDI, §1) — a long-lived process
 //! holding thousands of standing profile queries, matching every
 //! document of an unbounded stream against all of them in one pass, and
-//! fanning confirmed matches out to the subscribers they belong to while
-//! the document is still streaming.
+//! fanning confirmed matches out to the subscribers they belong to.
 //!
-//! [`DisseminationServer`] owns one engine session (shared-prefix
-//! [`fx_core::IndexedBank`] + symbol table + a warm, reusable parser) on
-//! a dedicated worker thread. Any number of [`ServerHandle`] clones feed
-//! it concurrently from other threads:
+//! [`DisseminationServer`] runs [`ServerConfig::workers`] worker threads
+//! (one by default), each owning an engine session — its own
+//! shared-prefix [`fx_core::IndexedBank`] over one shared symbol table
+//! and a warm, reusable parser. Documents are dealt to the workers
+//! round-robin in publish order; a document's deliveries are released
+//! together when it finishes, and documents are released in publish
+//! order, so every subscriber reads an ascending `doc_seq` whatever the
+//! worker count. Any number of [`ServerHandle`] clones feed the server
+//! concurrently from other threads:
 //!
 //! ```
 //! use fx_server::{DisseminationServer, ServerConfig};
@@ -39,9 +43,11 @@
 //! remainder is already compiled; a withdrawal tombstones one slot.
 //! Neither ever recompiles the bank — `residual_builds()` stays flat
 //! under churn over known query shapes — so subscriptions stay cheap at
-//! any bank size. Churn commands are queued and applied by the worker
+//! any bank size. Churn commands are queued and applied by each worker
 //! **at document boundaries**: a subscription is guaranteed to see every
-//! document published after `subscribe` returned, and none before.
+//! document published after `subscribe` returned. Worker 0's bank
+//! decides each command (accept or reject, which id); the other workers
+//! apply the same commands in the same order, so all banks agree.
 //!
 //! ## Backpressure
 //!
@@ -52,12 +58,13 @@
 //!   dissemination is lossless upstream, the stream source slows down.
 //! - **Deliveries** (per subscriber): each subscription has a bounded
 //!   mailbox ([`ServerConfig::mailbox_capacity`]). A stalled subscriber
-//!   never blocks the worker or its peers: matches that do not fit are
+//!   never blocks a worker or its peers: matches that do not fit are
 //!   *dropped for that subscriber only* and counted on its lag counter
 //!   ([`Subscription::dropped`]), the paper-appropriate policy for live
 //!   dissemination (a slow consumer falls behind; the stream does not).
 //!   A subscriber that went away entirely (receiver dropped) is detected
-//!   on delivery and auto-unsubscribed at the next document boundary.
+//!   on delivery, skipped from then on, and auto-unsubscribed by the next
+//!   churn or [`ServerHandle::stats`] call.
 //!
 //! ## Compaction policy
 //!
@@ -72,14 +79,15 @@
 #![warn(missing_docs)]
 
 mod inbox;
-mod service;
-mod sharded;
+mod server;
 mod sub;
 
 pub use fx_core::{CompactionPolicy, SubscriptionId, UnsupportedQuery};
-pub use service::{DisseminationServer, ServerHandle, ServerStats};
-pub use sharded::{ShardedHandle, ShardedServer};
+pub use server::{DisseminationServer, ServerHandle, ServerStats};
 pub use sub::{Delivery, Subscription};
+
+use fx_xpath::Query;
+use std::sync::Arc;
 
 /// Construction-time knobs for [`DisseminationServer::start`].
 #[derive(Debug, Clone)]
@@ -94,6 +102,12 @@ pub struct ServerConfig {
     /// When unsubscribe tombstones fold into a rebuilt bank; see
     /// [`fx_core::CompactionPolicy`].
     pub compaction: CompactionPolicy,
+    /// Worker threads (at least one). Each owns a full engine session
+    /// and a document queue of [`ServerConfig::doc_queue_capacity`];
+    /// documents go round-robin in publish order and deliveries come
+    /// back in that order. More than one pays off when evaluating a
+    /// document costs more than handing it over.
+    pub workers: usize,
 }
 
 impl Default for ServerConfig {
@@ -102,6 +116,7 @@ impl Default for ServerConfig {
             doc_queue_capacity: 64,
             mailbox_capacity: 256,
             compaction: CompactionPolicy::default(),
+            workers: 1,
         }
     }
 }
@@ -109,7 +124,8 @@ impl Default for ServerConfig {
 /// Why a [`ServerHandle`] operation could not be carried out.
 #[derive(Debug)]
 pub enum ServerError {
-    /// The worker loop has shut down (or is shutting down); no further
+    /// The server has shut down (or is shutting down, or closed itself
+    /// after a thread panicked holding one of its locks); no further
     /// commands or documents are accepted.
     Closed,
     /// The query is outside the engine's supported fragment (or not
@@ -132,5 +148,43 @@ impl std::error::Error for ServerError {
             ServerError::Unsupported(e) => Some(e),
             ServerError::Closed => None,
         }
+    }
+}
+
+// `fxbench/` names a second server and implements its `Ingress` trait
+// for both handle types, so these cannot be aliases; they forward what
+// it calls and nothing else. They go when its `Server::ShardedW1` does.
+#[doc(hidden)]
+pub struct ShardedServer(DisseminationServer);
+#[doc(hidden)]
+pub struct ShardedHandle(ServerHandle);
+
+#[doc(hidden)]
+impl ShardedServer {
+    pub fn start(config: ServerConfig, workers: usize) -> ShardedServer {
+        let config = ServerConfig { workers, ..config };
+        ShardedServer(DisseminationServer::start(config))
+    }
+    pub fn handle(&self) -> ShardedHandle {
+        ShardedHandle(self.0.handle())
+    }
+    pub fn shutdown(self) -> ServerStats {
+        self.0.shutdown()
+    }
+}
+
+#[doc(hidden)]
+impl ShardedHandle {
+    pub fn publish(&self, doc: impl Into<Arc<[u8]>>) -> Result<(), ServerError> {
+        self.0.publish(doc)
+    }
+    pub fn stats(&self) -> Result<ServerStats, ServerError> {
+        self.0.stats()
+    }
+    pub fn subscribe(&self, query: Query) -> Result<Subscription, ServerError> {
+        self.0.subscribe(query)
+    }
+    pub fn unsubscribe(&self, id: SubscriptionId) -> Result<bool, ServerError> {
+        self.0.unsubscribe(id)
     }
 }

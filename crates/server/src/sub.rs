@@ -1,15 +1,17 @@
 //! The subscriber-facing half: [`Subscription`] mailboxes and the
-//! [`Delivery`] records the worker fans out.
+//! [`Delivery`] records the workers fan out.
 
 use fx_core::SubscriptionId;
 use fx_xml::Span;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One confirmed match, delivered to the subscriber it belongs to while
-/// the document is still streaming.
+/// One confirmed match, delivered to the subscriber it belongs to. A
+/// document's deliveries are released together when the document
+/// finishes, documents in [`crate::ServerHandle::publish`] order — so a
+/// subscriber reads an ascending `doc_seq`, however many workers ran.
 #[derive(Debug, Clone)]
 pub struct Delivery {
     /// The subscription this match belongs to.
@@ -37,25 +39,26 @@ impl Delivery {
     }
 }
 
-/// The lag accounting shared between the worker and one
+/// The lag accounting shared between the server and one
 /// [`Subscription`]. Deliberately *without* the delivery sender: the
-/// worker is the sender's only owner, so withdrawing a subscription
+/// server is the sender's only owner, so withdrawing a subscription
 /// disconnects its mailbox and a blocked [`Subscription::recv`] wakes
 /// with `None` instead of waiting forever.
 #[derive(Default)]
 pub(crate) struct SubShared {
     pub(crate) delivered: AtomicU64,
     pub(crate) dropped: AtomicU64,
-    pub(crate) disconnected: AtomicBool,
 }
 
 /// A live standing query: the receiving end of a bounded delivery
 /// mailbox, plus its identity and lag counters.
 ///
-/// Dropping a `Subscription` without unsubscribing is safe: the worker
-/// notices the dead mailbox on the next delivery attempt and withdraws
-/// the query at the following document boundary. Explicit
-/// [`crate::ServerHandle::unsubscribe`] frees the slot immediately.
+/// Dropping a `Subscription` without unsubscribing is safe: the server
+/// notices the dead mailbox on the next delivery attempt, stops
+/// delivering to it at once, and withdraws the query from the banks at
+/// the next churn or [`crate::ServerHandle::stats`] call (or closes the
+/// books at shutdown). Explicit [`crate::ServerHandle::unsubscribe`]
+/// frees the slot immediately.
 pub struct Subscription {
     pub(crate) id: SubscriptionId,
     pub(crate) rx: Receiver<Delivery>,

@@ -315,7 +315,7 @@ impl SymbolsSnapshot {
 /// (and re-freeze its own [`SymbolsSnapshot`], if it parses against
 /// one) when it applies the churn command — invalidating only the
 /// worker that performed the interning is a correctness bug. The
-/// sharded server does this by broadcasting churn to every worker,
+/// dissemination server does this by broadcasting churn to every worker,
 /// each of which refreshes its own session's memo; the regression is
 /// pinned by `tests/concurrency_stress.rs`.
 #[derive(Debug, Clone, Default)]

@@ -137,10 +137,7 @@ pub mod prelude {
     pub use fx_html::{parse_html, HtmlParser};
     pub use fx_json::{parse_json, JsonParser, NdjsonParser};
     pub use fx_lowerbounds::{depth_bound, disj_segments, frontier_bound, probe_fooling_set};
-    pub use fx_server::{
-        Delivery, DisseminationServer, ServerConfig, ServerHandle, ShardedHandle, ShardedServer,
-        Subscription,
-    };
+    pub use fx_server::{Delivery, DisseminationServer, ServerConfig, ServerHandle, Subscription};
     pub use fx_xml::{parse as parse_xml, Event, EventIter, EventSource, Span};
     pub use fx_xpath::{parse_query, Query};
 }

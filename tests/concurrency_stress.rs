@@ -6,8 +6,8 @@
 //!    table guarantees every frozen answer stays correct forever
 //!    (prefix stability), staleness is detectable via `is_current`, and
 //!    a re-freeze picks up the new names.
-//! 2. **ShardedServer churn under publish load** — subscriptions come
-//!    and go while publishers flood all workers; pinned subscriptions
+//! 2. **Multi-worker server churn under publish load** — subscriptions
+//!    come and go while publishers flood all workers; pinned subscriptions
 //!    must see *exactly* their documents (no loss, no duplication,
 //!    ordered by `doc_seq`), and every drop must be accounted twice
 //!    over: per-subscription counters sum to the server's
@@ -15,13 +15,13 @@
 //! 3. **Cross-worker stale-memo regression** — a late subscription's
 //!    names were interned *after* other workers' documents memoized
 //!    them UNKNOWN in their frozen parsers; every worker must still
-//!    match post-subscribe documents (the snapshot refresh on
+//!    match post-subscribe documents (the snapshot refresh after a
 //!    subscribe).
 //!
 //! Runs in CI's checked-arithmetic job with `RUST_TEST_THREADS`
 //! unpinned, so test-level parallelism adds scheduling noise for free.
 
-use frontier_xpath::server::{ServerConfig, ShardedServer};
+use frontier_xpath::server::{DisseminationServer, ServerConfig};
 use frontier_xpath::xml::{Sym, Symbols};
 use frontier_xpath::xpath::parse_query;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -91,21 +91,19 @@ fn snapshot_readers_survive_concurrent_interning() {
 }
 
 /// Churn (subscribe/unsubscribe bursts) races a publish flood on a
-/// 4-worker sharded server. Two pinned subscriptions must see exactly
+/// 4-worker server. Two pinned subscriptions must see exactly
 /// the published documents — delivered + dropped per subscription sums
 /// to the total published, nothing lost, nothing duplicated — and the
 /// server-wide drop counter must equal the sum over every subscriber
 /// that ever existed.
 #[test]
 fn sharded_churn_under_publish_load_accounts_every_delivery() {
-    let server = ShardedServer::start(
-        ServerConfig {
-            doc_queue_capacity: 8,
-            mailbox_capacity: 4096,
-            ..ServerConfig::default()
-        },
-        4,
-    );
+    let server = DisseminationServer::start(ServerConfig {
+        doc_queue_capacity: 8,
+        mailbox_capacity: 4096,
+        workers: 4,
+        ..ServerConfig::default()
+    });
     let handle = server.handle();
     // Pinned: big-enough mailboxes that nothing is ever dropped.
     let pin_a = handle.subscribe(parse_query("//ping").unwrap()).unwrap();
@@ -200,11 +198,14 @@ fn sharded_churn_under_publish_load_accounts_every_delivery() {
 /// behavior): documents containing `<X>` flow through *every* worker
 /// before any query mentions `X`, so each worker's frozen parser
 /// memoizes `X` as unknown. A late `//X` subscription must still match
-/// on all workers — subscribing re-freezes every worker's snapshot.
+/// on all workers — each re-freezes its snapshot before its next document.
 #[test]
 fn late_subscription_names_unstick_every_workers_memo() {
     for workers in [2usize, 4] {
-        let server = ShardedServer::start(ServerConfig::default(), workers);
+        let server = DisseminationServer::start(ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        });
         let handle = server.handle();
         // Warm every worker's name memo with X-bearing documents that
         // nobody subscribes to (round-robin covers all workers).
