@@ -16,8 +16,11 @@
 //! close. Queries whose whole chain is predicate-free live entirely in
 //! the trie and need no instance at all.
 //!
-//! Per-event cost is therefore `O(shared trie records + live residual
-//! instances)` instead of `O(bank size)`: queries whose prefix the
+//! Open records and dormant activations are chained by the name that
+//! can fire them, so per-event cost is `O(open records whose node test
+//! is this tag's name or a wildcard + dormant activations this name can
+//! wake + live residual instances)` — not `O(bank size)`, and not even
+//! `O(shared frontier)`: queries whose prefix the
 //! document never exhibits cost **zero** per event, and equivalent
 //! queries (equal `fx_analysis::canonical_key`, e.g. commutative
 //! predicate reorderings) are evaluated once and fanned out. On
@@ -95,8 +98,8 @@ use std::sync::Arc;
 
 /// The record/node code standing for a wildcard node test. Interned
 /// sym ids never reach it (the table asserts well below `u32::MAX - 1`)
-/// and [`Sym::UNKNOWN`] is `u32::MAX`, so the three-way name check is
-/// two integer compares with no `Option` unwrapping.
+/// and [`Sym::UNKNOWN`] is `u32::MAX`, so every name — known, unknown
+/// or wildcard — is one `u32` chain key with no `Option` unwrapping.
 const WILDCARD_CODE: u32 = u32::MAX - 1;
 
 /// The dense dispatch code of a node test: its interned sym id, or
@@ -161,9 +164,9 @@ struct TrieNode {
     axis: Axis,
     ntest: NodeTest,
     /// The node test's dense dispatch code ([`sym_code`]): the open
-    /// frontier records inline it, so the per-event shared-segment scan
-    /// touches a flat record array only — no trie chasing, no string
-    /// hashing or comparison.
+    /// frontier records inline it and are chained under it, so a start
+    /// tag's walk touches its own name's records only — no trie
+    /// chasing, no string hashing or comparison.
     code: u32,
     children: Vec<u32>,
     /// Groups whose entire chain ends here: a predicate-free linear
@@ -282,11 +285,67 @@ struct Instance {
     noted_pending: usize,
 }
 
+/// "No entry": an empty chain, and the `prev` of a chain's oldest member.
+const NIL: u32 = u32::MAX;
+
+/// Heads of the per-dispatch-code chains threaded through a stack
+/// (`records` or `wake_links`): one `u32` per symbol the bank uses as a
+/// node test, sized when a code is *added* (subscribe), never per
+/// document. Slot 0 is the wildcard's, slot 1 [`Sym::UNKNOWN`]'s (never
+/// chained, so always [`NIL`]) and slot `i + 2` symbol `i`'s — the
+/// codes' own order, wrapped. The chains are intrusive — each stack
+/// entry names the previous (older) entry with its code — and the
+/// stacks shrink only from the tail, so a chain's head is its most
+/// recent member and a push or pop is one head swap.
+#[derive(Debug, Clone)]
+struct Chains(Vec<u32>);
+
+impl Chains {
+    fn new() -> Chains {
+        Chains(vec![NIL; 2])
+    }
+
+    fn slot(code: u32) -> usize {
+        code.wrapping_add(2) as usize
+    }
+
+    /// Makes room for `code`'s head.
+    fn ensure(&mut self, code: u32) {
+        if self.0.len() <= Chains::slot(code) {
+            self.0.resize(Chains::slot(code) + 1, NIL);
+        }
+    }
+
+    /// The most recent entry chained under `code` — [`NIL`] for a code
+    /// the bank never registered (say, a name someone else interned
+    /// into the shared table).
+    #[inline]
+    fn head(&self, code: u32) -> u32 {
+        self.0.get(Chains::slot(code)).copied().unwrap_or(NIL)
+    }
+
+    /// Chains the stack entry about to be pushed at index `at` under
+    /// `code`; returns the entry's `prev`.
+    #[inline]
+    fn push(&mut self, code: u32, at: usize) -> u32 {
+        std::mem::replace(&mut self.0[Chains::slot(code)], at as u32)
+    }
+
+    /// Unchains the stack entry just popped from index `at`.
+    #[inline]
+    fn pop(&mut self, code: u32, at: usize, prev: u32) {
+        let head = &mut self.0[Chains::slot(code)];
+        debug_assert_eq!(*head as usize, at, "chains pop in stack order");
+        *head = prev;
+    }
+}
+
 /// One open occurrence of a trie path in the shared frontier segment.
 /// The node test's dispatch code and axis are denormalized out of the
-/// trie so the per-event scan is a linear pass over a flat array of
-/// 16-byte records doing integer compares — the hot loop the symbol
-/// table exists for.
+/// trie and the record is threaded onto its code's chain ([`Chains`]):
+/// a start tag walks the chain of its own name and the wildcard chain —
+/// integer compares over 20-byte records, no trie chasing — and never
+/// sees a record its name cannot fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TrieRec {
     /// The trie node this record tracks.
@@ -296,6 +355,8 @@ struct TrieRec {
     level: u32,
     /// The node's [`sym_code`].
     code: u32,
+    /// The previous (older) record with the same `code`, or [`NIL`].
+    prev: u32,
     /// Whether the node's axis is `Descendant`.
     descendant: bool,
 }
@@ -305,16 +366,62 @@ struct TrieRec {
 /// event inside the activation subtree actually selects one of the
 /// residual's root records (see [`ResidualTriggers`]), an instance
 /// would provably hold nothing beyond its initial frontier records —
-/// so the bank holds this 16-byte entry instead of a live filter, and
-/// events cost the dormant group two integer compares instead of a
-/// full filter step. Activations whose subtree never exhibits a
-/// matching child retire without the instance ever existing.
+/// so the bank holds this entry instead of a live filter, chained (one
+/// [`WakeLink`] per trigger spec) under each dispatch code that can
+/// wake it: a start tag checks only the entries its name or a wildcard
+/// spec can fire. Activations whose subtree never exhibits a matching
+/// child retire without the instance ever existing.
 #[derive(Debug, Clone, Copy)]
 struct Dormant {
     group: u32,
     /// Document level of the activating element; `-1` for
     /// document-rooted groups.
     root_level: i64,
+    /// Index of this entry's first [`WakeLink`] (its links run to the
+    /// next entry's, or the end of the link stack).
+    links: u32,
+    /// Cleared — a tombstone until the entry pops — once the entry
+    /// fired or its group's state was dropped.
+    live: bool,
+}
+
+/// One registration of a [`Dormant`] entry under a dispatch code that
+/// can wake it, chained per code like [`TrieRec`].
+#[derive(Debug, Clone, Copy)]
+struct WakeLink {
+    /// Index of the entry in `dormant`.
+    entry: u32,
+    code: u32,
+    /// The previous (older) link with the same `code`, or [`NIL`].
+    prev: u32,
+    /// Whether the spec fires at any depth (else only on children of
+    /// the activating element).
+    descendant: bool,
+}
+
+/// One canonical group's per-document state: default until the group
+/// is `touched`, and reset at `StartDocument` only if it was.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupDoc {
+    /// Verdict accumulator (monotone within a document).
+    accepted: bool,
+    /// Whether the group is on the bank's `touched` list.
+    touched: bool,
+    /// Live dormant activations of this group.
+    dormant: u32,
+    /// Peak filter bits: the maximum, over time, of the *sum* of the
+    /// group's simultaneously-live instance bits — overlapping
+    /// activations (nested descendant prefixes) are charged together,
+    /// exactly as one naive filter's frontier holds all simultaneous
+    /// candidates at once.
+    peak_bits: u64,
+    /// Bits currently live (sum of `noted_bits` over live instances).
+    live_bits: u64,
+    /// Peak pending (unresolved-candidate) positions, summed over
+    /// simultaneously-live instances like `peak_bits`.
+    peak_pending: usize,
+    /// Pending positions currently live (sum of `noted_pending`).
+    live_pending: usize,
 }
 
 /// The wake-up conditions of a residual form's dormant activations:
@@ -337,7 +444,7 @@ struct ResidualTriggers {
 /// the always-false verdict the (previously eager) instance computed
 /// the expensive way.
 fn triggers_for(compiled: &CompiledQuery) -> ResidualTriggers {
-    let specs = compiled
+    let mut specs: Vec<(u32, bool)> = compiled
         .root_child_specs()
         .filter_map(|(sym, axis)| match axis {
             Axis::Attribute => None,
@@ -345,6 +452,9 @@ fn triggers_for(compiled: &CompiledQuery) -> ResidualTriggers {
             _ => Some((sym_code(sym), false)),
         })
         .collect();
+    // One wake-up registration per distinct spec.
+    specs.sort_unstable();
+    specs.dedup();
     ResidualTriggers { specs }
 }
 
@@ -426,12 +536,15 @@ pub struct IndexedBank {
 
     // -- per-document state -------------------------------------------------
     /// The shared frontier segment: one record per open occurrence of a
-    /// trie path, with the node test's dispatch code and axis inlined so
-    /// the per-event scan reads this flat array and nothing else.
+    /// trie path. A **stack** sorted by level — a start tag at level
+    /// `l` pushes level `l + 1` only, an end tag pops the tail above
+    /// the new level — each record also on its dispatch code's chain.
     records: Vec<TrieRec>,
+    /// Heads of `records`' per-code chains.
+    record_chains: Chains,
     instances: Vec<Instance>,
-    /// Reused per-event scratch: trie nodes the current start tag
-    /// activated.
+    /// Reused per-start-tag scratch: first the dormant entries the tag
+    /// wakes, then the trie nodes it activates.
     scratch_activated: Vec<u32>,
     /// Reused attribute buffer for the owned-event conversion layer.
     attr_scratch: AttrBuf,
@@ -441,8 +554,18 @@ pub struct IndexedBank {
     /// Lock-free name-lookup memo for the owned-event conversion layer.
     name_cache: SymCache,
     /// Dormant activations (see [`Dormant`]): divergence points reached
-    /// whose residual instances have not been woken yet.
+    /// whose residual instances have not been woken yet. A stack sorted
+    /// by `root_level`: the entries an element registers are the tail
+    /// its end tag pops (woken ones stay as tombstones until then).
     dormant: Vec<Dormant>,
+    /// The wake-up registrations of `dormant`'s entries, pushed and
+    /// popped in lock-step with them.
+    wake_links: Vec<WakeLink>,
+    /// Heads of `wake_links`' per-code chains.
+    wake_chains: Chains,
+    /// Number of live entries in `dormant` ([`IndexedBank::is_live`]):
+    /// what the shared-segment accounting charges.
+    dormant_live: usize,
     /// Per compiled-residual wake-up specs for dormant activations.
     residual_triggers: Vec<ResidualTriggers>,
     /// Retired residual-instance filters, pooled per compiled-residual
@@ -456,32 +579,22 @@ pub struct IndexedBank {
     /// Terminal activations awaiting their close tag (for the span):
     /// `(level, group, ordinal, span start)`, stack-ordered.
     open_terminals: Vec<(u32, u32, u64, u64)>,
-    /// Per-group verdict accumulator (monotone within a document).
-    group_true: Vec<bool>,
-    /// Per-group ordinals already reported this document (allocated only
-    /// for groups with `needs_dedup`).
+    /// Per-group verdicts and space peaks of the current document
+    /// (parallel to `groups`).
+    doc: Vec<GroupDoc>,
+    /// Per-group ordinals already reported this document (used only by
+    /// groups with `needs_dedup`).
     emitted: Vec<HashSet<u64>>,
+    /// The groups whose `doc` entry may have left its default: the only
+    /// ones the next `StartDocument` resets.
+    touched: Vec<u32>,
     /// Whether `EndDocument` has been seen for the current document.
     finished: bool,
 
     // -- statistics ---------------------------------------------------------
-    /// Per-group peak filter bits: the maximum, over time, of the *sum*
-    /// of this group's simultaneously-live instance bits — overlapping
-    /// activations (nested descendant prefixes) are charged together,
-    /// exactly as one naive filter's frontier holds all simultaneous
-    /// candidates at once.
-    peak_bits: Vec<u64>,
-    /// Per-group bits currently live: the sum of `noted_bits` over the
-    /// group's live instances.
-    live_bits: Vec<u64>,
-    /// Per-group peak pending (unresolved-candidate) positions —
-    /// simultaneously-live instances summed, like `peak_bits`, so the
-    /// figure is comparable with one naive filter buffering all of the
-    /// group's candidacies at once.
-    peak_pending: Vec<usize>,
-    /// Per-group pending positions currently live (sum of
-    /// `noted_pending` over live instances).
-    live_pending: Vec<usize>,
+    /// Bits of one trie-node reference, `bits_for(|trie| - 1)`,
+    /// refreshed whenever the trie changes.
+    trie_ref_bits: u32,
     /// Peak number of shared trie records.
     peak_records: usize,
     /// Peak logical size of the shared frontier segment, in bits — one
@@ -494,6 +607,10 @@ pub struct IndexedBank {
     activations: u64,
     /// Total events processed.
     events: u64,
+    /// Total trie records visited by start tags' chain walks.
+    records_visited: u64,
+    /// Total dormant wake-up registrations checked by start tags.
+    dormant_checked: u64,
 }
 
 /// A bank-level breakdown of the indexed path's logical memory and
@@ -676,29 +793,33 @@ impl IndexedBank {
             pooled,
             shard_owned: None,
             records: Vec::new(),
+            record_chains: Chains::new(),
             instances: Vec::new(),
             scratch_activated: Vec::new(),
             attr_scratch: AttrBuf::new(),
             drain_scratch: Vec::new(),
             name_cache: SymCache::new(),
             dormant: Vec::new(),
+            wake_links: Vec::new(),
+            wake_chains: Chains::new(),
+            dormant_live: 0,
             residual_triggers: Vec::new(),
             free_filters: Vec::new(),
             current_level: 0,
             element_ordinal: 0,
             open_terminals: Vec::new(),
-            group_true: Vec::new(),
+            doc: Vec::new(),
             emitted: Vec::new(),
+            touched: Vec::new(),
             finished: false,
-            peak_bits: Vec::new(),
-            live_bits: Vec::new(),
-            peak_pending: Vec::new(),
-            live_pending: Vec::new(),
+            trie_ref_bits: bits_for(0),
             peak_records: 0,
             peak_trie_bits: 0,
             peak_instances: 0,
             activations: 0,
             events: 0,
+            records_visited: 0,
+            dormant_checked: 0,
         }
     }
 
@@ -785,9 +906,10 @@ impl IndexedBank {
             // Historical peaks leave with the group's last owner, so
             // the per-query attribution keeps summing exactly over the
             // queries that still exist.
-            self.peak_bits[g] = 0;
-            self.peak_pending[g] = 0;
-            self.group_true[g] = false;
+            let doc = &mut self.doc[g];
+            doc.peak_bits = 0;
+            doc.peak_pending = 0;
+            doc.accepted = false;
         }
         self.maybe_compact();
         true
@@ -821,7 +943,10 @@ impl IndexedBank {
         if self.dead_slots == 0 || !(self.events == 0 || self.finished) {
             return false;
         }
-        debug_assert!(self.instances.is_empty() && self.dormant.is_empty());
+        debug_assert!(
+            self.instances.is_empty() && self.dormant.is_empty() && self.records.is_empty(),
+            "`EndDocument` empties the frontier"
+        );
         // Carry compiled residual forms and per-group history (peaks
         // and the last document's verdicts) across the rebuild, keyed
         // by canonical form.
@@ -836,14 +961,8 @@ impl IndexedBank {
         for (key, g) in old_groups {
             let gi = g as usize;
             if !self.groups[gi].members.is_empty() {
-                carry.insert(
-                    key,
-                    (
-                        self.peak_bits[gi],
-                        self.peak_pending[gi],
-                        self.group_true[gi],
-                    ),
-                );
+                let doc = &self.doc[gi];
+                carry.insert(key, (doc.peak_bits, doc.peak_pending, doc.accepted));
             }
         }
         let slot_query = std::mem::take(&mut self.slot_query);
@@ -865,15 +984,12 @@ impl IndexedBank {
         self.residual_uses.clear();
         self.residual_triggers.clear();
         self.free_filters.clear();
-        self.group_true.clear();
+        self.doc.clear();
         self.emitted.clear();
-        self.peak_bits.clear();
-        self.live_bits.clear();
-        self.peak_pending.clear();
-        self.live_pending.clear();
-        self.records.clear();
+        self.touched.clear();
         self.open_terminals.clear();
         self.dead_slots = 0;
+        self.trie_ref_bits = bits_for(0);
 
         for (sub, q) in survivors {
             self.insert_slot(&q, SubscriptionId(sub), Some(&warm))
@@ -884,11 +1000,11 @@ impl IndexedBank {
             .iter()
             .filter_map(|(key, &g)| carry.get(key).map(|&h| (g, h)))
             .collect();
-        for (g, (peak_bits, peak_pending, was_true)) in restored {
-            let gi = g as usize;
-            self.peak_bits[gi] = peak_bits;
-            self.peak_pending[gi] = peak_pending;
-            self.group_true[gi] = was_true;
+        for (g, (peak_bits, peak_pending, accepted)) in restored {
+            let doc = self.touch(g as usize);
+            doc.peak_bits = peak_bits;
+            doc.peak_pending = peak_pending;
+            doc.accepted = accepted;
         }
         self.compactions += 1;
         true
@@ -999,29 +1115,64 @@ impl IndexedBank {
     /// statistic, so a freshly partitioned shard accounts only what
     /// it processes after the split.
     fn reset_processing_state(&mut self) {
-        self.records.clear();
+        self.reset_document_state();
+        self.activations = 0;
+        self.events = 0;
+        self.records_visited = 0;
+        self.dormant_checked = 0;
+    }
+
+    /// Empties the shared segment — records, dormant activations, their
+    /// chains — and retires every live instance, in time proportional
+    /// to what is there: the stacks pop, the head tables are never
+    /// swept. Every exit that leaves
+    /// per-document state behind (a parse error, a mid-document
+    /// `partition`) comes through here by the next `StartDocument`.
+    fn clear_frontier(&mut self) {
+        while let Some(rec) = self.records.pop() {
+            self.record_chains
+                .pop(rec.code, self.records.len(), rec.prev);
+        }
+        while let Some(link) = self.wake_links.pop() {
+            self.wake_chains
+                .pop(link.code, self.wake_links.len(), link.prev);
+        }
+        self.dormant.clear();
+        self.dormant_live = 0;
         while let Some(inst) = self.instances.pop() {
             self.recycle(inst);
         }
-        self.dormant.clear();
+    }
+
+    /// Restores the start-of-document state: an empty frontier, default
+    /// [`GroupDoc`]s (only touched groups ever left it) and fresh
+    /// per-document peaks — a reused bank reports what a fresh one
+    /// would. `activations`/`events` stay cumulative.
+    fn reset_document_state(&mut self) {
+        self.clear_frontier();
+        while let Some(g) = self.touched.pop() {
+            self.doc[g as usize] = GroupDoc::default();
+            self.emitted[g as usize].clear();
+        }
         self.open_terminals.clear();
-        self.scratch_activated.clear();
         self.current_level = 0;
         self.element_ordinal = 0;
         self.finished = false;
-        self.group_true.fill(false);
-        for s in &mut self.emitted {
-            s.clear();
-        }
-        self.peak_bits.fill(0);
-        self.live_bits.fill(0);
-        self.peak_pending.fill(0);
-        self.live_pending.fill(0);
         self.peak_records = 0;
         self.peak_trie_bits = 0;
         self.peak_instances = 0;
-        self.activations = 0;
-        self.events = 0;
+    }
+
+    /// Group `g`'s per-document state, for writing: the next
+    /// `StartDocument` will reset it.
+    #[inline]
+    fn touch(&mut self, g: usize) -> &mut GroupDoc {
+        let doc = &mut self.doc[g];
+        if !doc.touched {
+            doc.touched = true;
+            self.touched.push(g as u32);
+        }
+        doc
     }
 
     /// The shared insertion path of [`IndexedBank::subscribe`] and
@@ -1120,6 +1271,8 @@ impl IndexedBank {
                         residual: Vec::new(),
                     });
                     self.trie[node as usize].children.push(id);
+                    self.record_chains.ensure(code);
+                    self.trie_ref_bits = bits_for(self.trie.len() - 1);
                     id
                 }
             };
@@ -1212,7 +1365,11 @@ impl IndexedBank {
     fn intern(&mut self, res: CompiledResidual) -> u32 {
         let r = self.residuals.len() as u32;
         self.pool_of_key.insert(res.key.clone(), r);
-        self.residual_triggers.push(triggers_for(res.compiled()));
+        let triggers = triggers_for(res.compiled());
+        for &(code, _) in &triggers.specs {
+            self.wake_chains.ensure(code);
+        }
+        self.residual_triggers.push(triggers);
         self.free_filters.push(Vec::new());
         self.residual_uses.push(1);
         self.residuals.push(res);
@@ -1222,12 +1379,8 @@ impl IndexedBank {
     /// Appends a group, growing every per-group parallel array.
     fn push_group(&mut self, group: Group) {
         self.groups.push(group);
-        self.group_true.push(false);
+        self.doc.push(GroupDoc::default());
         self.emitted.push(HashSet::new());
-        self.peak_bits.push(0);
-        self.live_bits.push(0);
-        self.peak_pending.push(0);
-        self.live_pending.push(0);
     }
 
     /// Drops a tombstoned group's live per-document state: open
@@ -1243,11 +1396,19 @@ impl IndexedBank {
                 i += 1;
             }
         }
-        self.dormant.retain(|d| d.group as usize != g);
+        // Churn path, not the per-event one: tombstone the group's
+        // dormant entries where they stand (they pop with their
+        // activating elements) and release their share of the live count.
+        for d in &mut self.dormant {
+            d.live &= d.group as usize != g;
+        }
         self.open_terminals
             .retain(|&(_, og, _, _)| og as usize != g);
-        self.live_bits[g] = 0;
-        self.live_pending[g] = 0;
+        let doc = &mut self.doc[g];
+        self.dormant_live -= doc.dormant as usize;
+        doc.dormant = 0;
+        doc.live_bits = 0;
+        doc.live_pending = 0;
     }
 
     /// The stable id of the subscription currently occupying `slot`
@@ -1343,6 +1504,21 @@ impl IndexedBank {
         self.events
     }
 
+    /// Total shared trie records start tags have visited so far
+    /// (cumulative, like every counter here): a tag walks the chain of
+    /// its own name plus the wildcard chain, so this deterministic work
+    /// count stays flat as the bank grows families a document never names.
+    pub fn trie_records_visited(&self) -> u64 {
+        self.records_visited
+    }
+
+    /// Total dormant wake-up registrations start tags have checked so
+    /// far: the dormant-side companion of
+    /// [`IndexedBank::trie_records_visited`].
+    pub fn dormant_entries_checked(&self) -> u64 {
+        self.dormant_checked
+    }
+
     /// Number of shared trie nodes (excluding the virtual root).
     pub fn shared_nodes(&self) -> usize {
         self.trie.len() - 1
@@ -1391,6 +1567,7 @@ impl IndexedBank {
             SymEvent::StartDocument => self.start_document(),
             SymEvent::StartElement { name, .. } => self.start_element(event, name, span, sink),
             SymEvent::EndElement { .. } => self.end_element(event, span, sink),
+            SymEvent::Text { .. } if self.instances.is_empty() => {}
             SymEvent::Text { .. } => {
                 self.feed_instances(event, span, self.current_level as i64, sink)
             }
@@ -1423,27 +1600,28 @@ impl IndexedBank {
     /// subscriptions through [`IndexedBank::slot_of`] instead of
     /// iterating blindly after churn.
     pub fn results(&self) -> Vec<Option<bool>> {
-        self.query_group
-            .iter()
-            .map(|&g| {
-                if self.group_true[g as usize] {
-                    Some(true)
-                } else if self.finished {
-                    Some(false)
-                } else {
-                    None
-                }
-            })
-            .collect()
+        self.verdicts().collect()
+    }
+
+    /// [`IndexedBank::results`] as an iterator over the slots, without
+    /// allocating.
+    pub fn verdicts(&self) -> impl Iterator<Item = Option<bool>> + '_ {
+        let undecided = self.finished.then_some(false);
+        self.query_group.iter().map(move |&g| {
+            if self.doc[g as usize].accepted {
+                Some(true)
+            } else {
+                undecided
+            }
+        })
     }
 
     /// Iterates the slots of the live queries the last document
     /// matched, without allocating (tombstoned slots never report).
     pub fn matching(&self) -> impl Iterator<Item = usize> + '_ {
-        self.query_group
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &g)| (self.slot_alive[i] && self.group_true[g as usize]).then_some(i))
+        self.query_group.iter().enumerate().filter_map(|(i, &g)| {
+            (self.slot_alive[i] && self.doc[g as usize].accepted).then_some(i)
+        })
     }
 
     /// Indices of the queries the last document matched, collected.
@@ -1466,31 +1644,32 @@ impl IndexedBank {
     /// cost `log|Q|` — can exceed a solo run's figure by a bit or two.
     pub fn peak_memory_bits(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.query_group.len()];
-        for (g, group) in self.groups.iter().enumerate() {
-            split_evenly(self.peak_bits[g], &group.members, &mut out);
+        // Only a touched group can hold a peak.
+        for &g in &self.touched {
+            let members = &self.groups[g as usize].members;
+            let bits = self.doc[g as usize].peak_bits;
+            split_evenly(bits, members.len(), members.iter().copied(), &mut out);
         }
-        // The trie sharers (everything alive except empty-prefix root
-        // groups) are derived on demand: churn moves slots in and out
-        // of the sharing set, and attribution is a finish-time read,
-        // not a hot path.
-        let sharers: Vec<usize> = self
-            .query_group
+        // The trie sharers are everything alive except the members of
+        // the empty-prefix root groups, counted from the group side and
+        // charged in one pass over the slots — no sharer list is built.
+        let alive = (0..self.query_group.len()).filter(|&i| self.slot_alive[i]);
+        let rooted: usize = self
+            .root_groups
             .iter()
-            .enumerate()
-            .filter(|&(i, &g)| self.slot_alive[i] && !self.groups[g as usize].document_rooted)
-            .map(|(i, _)| i)
-            .collect();
-        if sharers.is_empty() {
+            .map(|&g| self.groups[g as usize].members.len())
+            .sum();
+        let sharers = self.subs.len() - rooted;
+        if sharers == 0 {
             // Every trie query unsubscribed mid-life: the segment's
             // history has no natural owner left, so spread it over
             // whatever is still alive to keep the attribution summing
             // exactly to the bank total.
-            let alive: Vec<usize> = (0..self.query_group.len())
-                .filter(|&i| self.slot_alive[i])
-                .collect();
-            split_evenly(self.peak_trie_bits, &alive, &mut out);
+            split_evenly(self.peak_trie_bits, self.subs.len(), alive, &mut out);
         } else {
-            split_evenly(self.peak_trie_bits, &sharers, &mut out);
+            let sharing =
+                alive.filter(|&i| !self.groups[self.query_group[i] as usize].document_rooted);
+            split_evenly(self.peak_trie_bits, sharers, sharing, &mut out);
         }
         out
     }
@@ -1501,9 +1680,12 @@ impl IndexedBank {
     /// simultaneously-live instances together (one naive filter would
     /// buffer all those candidacies in a single reporter).
     pub fn peak_pending_positions(&self) -> Vec<usize> {
+        if !self.reporting {
+            return vec![0; self.query_group.len()];
+        }
         self.query_group
             .iter()
-            .map(|&g| self.peak_pending[g as usize])
+            .map(|&g| self.doc[g as usize].peak_pending)
             .collect()
     }
 
@@ -1514,13 +1696,21 @@ impl IndexedBank {
     /// which sums per-filter peaks the same way; equals the sum of
     /// [`IndexedBank::peak_memory_bits`] exactly.
     pub fn total_max_bits(&self) -> u64 {
-        self.peak_trie_bits + self.peak_bits.iter().sum::<u64>()
+        self.peak_trie_bits + self.residual_peak_bits()
+    }
+
+    /// Sum of the per-group instance peaks (only touched groups hold one).
+    fn residual_peak_bits(&self) -> u64 {
+        self.touched
+            .iter()
+            .map(|&g| self.doc[g as usize].peak_bits)
+            .sum()
     }
 
     /// The bank-level space/activation breakdown (see
     /// [`IndexSpaceStats`]).
     pub fn space_stats(&self) -> IndexSpaceStats {
-        let residual_bits = self.peak_bits.iter().sum::<u64>();
+        let residual_bits = self.residual_peak_bits();
         IndexSpaceStats {
             shared_trie_bits: self.peak_trie_bits,
             residual_bits,
@@ -1537,30 +1727,7 @@ impl IndexedBank {
     // -- event handlers -----------------------------------------------------
 
     fn start_document(&mut self) {
-        self.records.clear();
-        self.dormant.clear();
-        while let Some(inst) = self.instances.pop() {
-            self.recycle(inst);
-        }
-        self.live_bits.fill(0);
-        self.live_pending.fill(0);
-        // Peaks are per document (`activations`/`events` stay cumulative
-        // counters): a reused bank reports what a fresh one would.
-        self.peak_bits.fill(0);
-        self.peak_pending.fill(0);
-        self.peak_records = 0;
-        self.peak_trie_bits = 0;
-        self.peak_instances = 0;
-        self.open_terminals.clear();
-        self.current_level = 0;
-        self.element_ordinal = 0;
-        self.finished = false;
-        for v in &mut self.group_true {
-            *v = false;
-        }
-        for s in &mut self.emitted {
-            s.clear();
-        }
+        self.reset_document_state();
         for ci in 0..self.trie[0].children.len() {
             let c = self.trie[0].children[ci];
             self.push_record(c, 0);
@@ -1569,7 +1736,7 @@ impl IndexedBank {
         // exactly the naive bank's per-query filters (short-circuiting
         // included), except they stay dormant until the document shows
         // a root-record match — the naive bank's dominant root-tag
-        // early-reject case costs two integer compares here.
+        // early-reject case costs them nothing here.
         for gi in 0..self.root_groups.len() {
             let g = self.root_groups[gi];
             if self.groups[g as usize].members.is_empty() {
@@ -1597,38 +1764,35 @@ impl IndexedBank {
         // activations registered *by* this element below are appended
         // afterwards and correctly sleep through it.
         let code = name.index() as u32;
-        if !self.dormant.is_empty() {
-            self.trigger_dormant(event, code, lvl, span, sink);
-        }
+        self.trigger_dormant(event, code, lvl, span, sink);
 
-        // Walk the shared segment once: which trie nodes does this
-        // element activate? The scan reads the flat record array only —
-        // per record, two integer compares (level, dispatch code).
+        // Which trie nodes does this element activate? Only a record
+        // chained under the element's own name or under the wildcard can
+        // say — per record, one level compare (every open record sits at
+        // or above `lvl`, so a descendant-axis record always passes).
         self.scratch_activated.clear();
-        for rec in &self.records {
-            let level_ok = if rec.descendant {
-                lvl >= rec.level
-            } else {
-                lvl == rec.level
-            };
-            if level_ok
-                && (rec.code == WILDCARD_CODE || rec.code == code)
-                && !self.scratch_activated.contains(&rec.node)
-            {
-                self.scratch_activated.push(rec.node);
+        for head in [code, WILDCARD_CODE].map(|c| self.record_chains.head(c)) {
+            let mut at = head;
+            while at != NIL {
+                let rec = &self.records[at as usize];
+                debug_assert!(rec.code == code || rec.code == WILDCARD_CODE);
+                debug_assert!(rec.level <= lvl);
+                self.records_visited += 1;
+                if (rec.descendant || rec.level == lvl)
+                    && !self.scratch_activated.contains(&rec.node)
+                {
+                    self.scratch_activated.push(rec.node);
+                }
+                at = rec.prev;
             }
         }
         for ai in 0..self.scratch_activated.len() {
             let t = self.scratch_activated[ai];
+            // No record sits at `lvl + 1` yet (the last end tag popped
+            // them) and `t`, the one parent of `c`, activates once.
             for ci in 0..self.trie[t as usize].children.len() {
                 let c = self.trie[t as usize].children[ci];
-                if !self
-                    .records
-                    .iter()
-                    .any(|r| r.node == c && r.level == lvl + 1)
-                {
-                    self.push_record(c, lvl + 1);
-                }
+                self.push_record(c, lvl + 1);
             }
             for gi in 0..self.trie[t as usize].terminal.len() {
                 let g = self.trie[t as usize].terminal[gi];
@@ -1638,11 +1802,12 @@ impl IndexedBank {
                 if !self.owns_group(g as usize) {
                     continue; // another shard confirms this group
                 }
+                self.touch(g as usize);
                 if self.reporting {
                     self.open_terminals
                         .push((lvl, g, self.element_ordinal, span.start));
                 } else {
-                    self.group_true[g as usize] = true;
+                    self.accept(g as usize);
                 }
             }
             for gi in 0..self.trie[t as usize].residual.len() {
@@ -1652,7 +1817,7 @@ impl IndexedBank {
                 }
                 // Decided-group short-circuit: a filtering group already
                 // accepted needs no further instances.
-                if !self.reporting && self.group_true[g as usize] {
+                if !self.reporting && self.doc[g as usize].accepted {
                     continue;
                 }
                 self.activate(g, lvl as i64);
@@ -1670,13 +1835,11 @@ impl IndexedBank {
     /// with the trie standing in for the query.
     fn note_trie_peak(&mut self) {
         self.peak_records = self.peak_records.max(self.records.len());
-        let row_bits = (bits_for(self.trie.len().saturating_sub(1))
-            + bits_for(self.current_level as usize)
-            + 1) as u64;
-        // Dormant activations are bank state too: charge each as one
-        // shared-segment row (a group reference plus a level — the same
-        // shape as a trie record).
-        let rows = (self.records.len() + self.dormant.len()) as u64;
+        let row_bits = (self.trie_ref_bits + bits_for(self.current_level as usize) + 1) as u64;
+        // Dormant activations are bank state too: charge each live one
+        // as one shared-segment row (a group reference plus a level —
+        // the same shape as a trie record).
+        let rows = (self.records.len() + self.dormant_live) as u64;
         self.peak_trie_bits = self.peak_trie_bits.max(rows * row_bits);
     }
 
@@ -1697,13 +1860,18 @@ impl IndexedBank {
             }
         }
 
-        // Drop shared records spawned inside the closing element, and
-        // dormant activations rooted at it — their subtree ended with
-        // no wake-up, so their verdicts are (correctly) still false and
-        // the instance never needed to exist.
-        self.records.retain(|r| r.level <= new_level);
-        if !self.dormant.is_empty() {
-            self.dormant.retain(|d| d.root_level != new_level as i64);
+        // Pop the shared records spawned inside the closing element —
+        // the tail of the level-sorted stack, each the head of its chain
+        // — and the dormant activations rooted at it: their subtree
+        // ended with no wake-up, so their verdicts are (correctly) still
+        // false and the instance never needed to exist.
+        while let Some(rec) = self.records.pop_if(|r| r.level > new_level) {
+            self.record_chains
+                .pop(rec.code, self.records.len(), rec.prev);
+        }
+        debug_assert!(self.records.windows(2).all(|w| w[0].level <= w[1].level));
+        while (self.dormant.last()).is_some_and(|d| d.root_level >= new_level as i64) {
+            self.pop_dormant();
         }
 
         // Terminal activations of the closing element: the span is now
@@ -1722,18 +1890,24 @@ impl IndexedBank {
         while !self.instances.is_empty() {
             self.retire_instance(0, sink);
         }
-        self.dormant.clear();
+        debug_assert_eq!(
+            self.dormant_live,
+            self.dormant.iter().filter(|d| self.is_live(d)).count()
+        );
+        self.clear_frontier();
         self.finished = true;
     }
 
     /// Appends an open-occurrence record for trie node `t`, inlining its
-    /// dispatch code and axis.
+    /// dispatch code and axis, at the head of its code's chain.
     fn push_record(&mut self, t: u32, level: u32) {
         let node = &self.trie[t as usize];
+        let prev = self.record_chains.push(node.code, self.records.len());
         self.records.push(TrieRec {
             node: t,
             level,
             code: node.code,
+            prev,
             descendant: node.axis == Axis::Descendant,
         });
     }
@@ -1741,27 +1915,83 @@ impl IndexedBank {
     // -- instance plumbing --------------------------------------------------
 
     /// Registers an activation of group `g` rooted at `root_level`: a
-    /// dormant 16-byte entry, woken by the first event that would
-    /// select one of the residual's root records. Every residual form
-    /// is dormancy-eligible — attribute-axis root children, which the
-    /// wake check does not model, are provably unsatisfiable inside the
-    /// activation subtree (see [`triggers_for`]), so skipping their
-    /// triggers loses nothing.
+    /// dormant entry chained under every dispatch code that can wake
+    /// it, woken by the first event that would select one of the
+    /// residual's root records. Every residual form is dormancy-eligible
+    /// — attribute-axis root children, which the wake check does not
+    /// model, are provably unsatisfiable inside the activation subtree
+    /// (see [`triggers_for`]), so skipping their triggers loses nothing.
     fn activate(&mut self, g: u32, root_level: i64) {
-        debug_assert!(
-            self.groups[g as usize].residual.is_some(),
-            "only residual groups activate"
-        );
+        let rid = self.groups[g as usize]
+            .residual
+            .expect("only residual groups activate");
+        let entry = self.dormant.len() as u32;
         self.dormant.push(Dormant {
             group: g,
             root_level,
+            links: self.wake_links.len() as u32,
+            live: true,
         });
+        for &(code, descendant) in &self.residual_triggers[rid as usize].specs {
+            let prev = self.wake_chains.push(code, self.wake_links.len());
+            self.wake_links.push(WakeLink {
+                entry,
+                code,
+                prev,
+                descendant,
+            });
+        }
+        self.dormant_live += 1;
+        self.touch(g as usize).dormant += 1;
     }
 
-    /// Wakes every dormant activation the current start tag triggers:
-    /// the woken instance is fast-forwarded to its relative depth (the
-    /// skipped events provably left it untouched — nothing selected)
-    /// and fed this event as its first.
+    /// Whether a dormant entry still awaits its wake-up: not a
+    /// tombstone, and (filtering mode) its group not yet accepted — an
+    /// accepted group needs no instance.
+    #[inline]
+    fn is_live(&self, d: &Dormant) -> bool {
+        d.live && (self.reporting || !self.doc[d.group as usize].accepted)
+    }
+
+    /// Takes a live entry out of the shared-segment accounting.
+    fn release_dormant(&mut self, g: usize) {
+        self.dormant_live -= 1;
+        self.doc[g].dormant -= 1;
+    }
+
+    /// Pops the last dormant entry, unchaining its wake links — each
+    /// the head of its chain, the stacks popping in lock-step.
+    fn pop_dormant(&mut self) {
+        let d = self.dormant.pop().expect("caller saw an entry");
+        if self.is_live(&d) {
+            self.release_dormant(d.group as usize);
+        }
+        while self.wake_links.len() > d.links as usize {
+            let link = self.wake_links.pop().expect("non-empty");
+            self.wake_chains
+                .pop(link.code, self.wake_links.len(), link.prev);
+        }
+    }
+
+    /// Records group `g`'s accept. In filtering mode an accepted group
+    /// needs no further instances, so its dormant activations leave the
+    /// accounting here ([`IndexedBank::is_live`]) and pop, unvisited,
+    /// with their elements.
+    fn accept(&mut self, g: usize) {
+        let doc = &mut self.doc[g];
+        debug_assert!(doc.touched, "activation or confirmation precedes an accept");
+        doc.accepted = true;
+        if !self.reporting {
+            self.dormant_live -= std::mem::take(&mut doc.dormant) as usize;
+        }
+    }
+
+    /// Wakes every dormant activation the current start tag triggers —
+    /// found through the wake chains of the tag's own name and of the
+    /// wildcard, oldest activation first: the woken instance is
+    /// fast-forwarded to its relative depth (the skipped events
+    /// provably left it untouched — nothing selected) and fed this
+    /// event as its first.
     fn trigger_dormant(
         &mut self,
         event: SymEvent<'_>,
@@ -1770,34 +2000,41 @@ impl IndexedBank {
         span: Span,
         sink: &mut dyn MatchSink,
     ) {
-        let mut di = 0;
-        while di < self.dormant.len() {
-            let d = self.dormant[di];
-            let g = d.group as usize;
-            if !self.reporting && self.group_true[g] {
-                // Accepted groups need no instance — drop the entry.
-                self.dormant.swap_remove(di);
+        self.scratch_activated.clear();
+        for head in [code, WILDCARD_CODE].map(|c| self.wake_chains.head(c)) {
+            let mut at = head;
+            while at != NIL {
+                let link = &self.wake_links[at as usize];
+                self.dormant_checked += 1;
+                let d = &self.dormant[link.entry as usize];
+                // Relative depth 0 = a child of the activating element.
+                if d.live && (link.descendant || lvl as i64 == d.root_level + 1) {
+                    self.scratch_activated.push(link.entry);
+                }
+                at = link.prev;
+            }
+        }
+        self.scratch_activated.sort_unstable();
+        self.scratch_activated.dedup();
+        for i in 0..self.scratch_activated.len() {
+            let entry = self.scratch_activated[i];
+            let d = self.dormant[entry as usize];
+            // An earlier wake-up on this very tag may have accepted the
+            // group (filtering mode): no instance needed.
+            if !self.is_live(&d) {
                 continue;
             }
-            let rel = lvl as i64 - d.root_level - 1;
-            debug_assert!(rel >= 0, "dormant entries live above the event");
-            let rid = self.groups[g].residual.expect("dormant ⇒ residual");
-            let fired = self.residual_triggers[rid as usize]
-                .specs
-                .iter()
-                .any(|&(c, desc)| (desc || rel == 0) && (c == WILDCARD_CODE || c == code));
-            if !fired {
-                di += 1;
-                continue;
-            }
-            self.dormant.swap_remove(di);
+            self.dormant[entry as usize].live = false;
+            self.release_dormant(d.group as usize);
             // A shard tracks dormancy for every group (shared-segment
             // parity) but wakes instances only for its own: the entry
             // is consumed exactly when the unsharded bank would
             // consume it, and the owning shard does the work.
-            if !self.owns_group(g) {
+            if !self.owns_group(d.group as usize) {
                 continue;
             }
+            let rel = lvl as i64 - d.root_level - 1;
+            debug_assert!(rel >= 0, "dormant entries live above the event");
             let idx =
                 self.spawn_instance_at(d.group, self.element_ordinal, d.root_level, rel as usize);
             self.feed_one(idx, event, span, sink);
@@ -1845,11 +2082,11 @@ impl IndexedBank {
             noted_bits,
             noted_pending,
         });
-        let gi = g as usize;
-        self.live_bits[gi] += noted_bits;
-        self.peak_bits[gi] = self.peak_bits[gi].max(self.live_bits[gi]);
-        self.live_pending[gi] += noted_pending;
-        self.peak_pending[gi] = self.peak_pending[gi].max(self.live_pending[gi]);
+        let doc = &mut self.doc[g as usize];
+        doc.live_bits += noted_bits;
+        doc.peak_bits = doc.peak_bits.max(doc.live_bits);
+        doc.live_pending += noted_pending;
+        doc.peak_pending = doc.peak_pending.max(doc.live_pending);
         self.activations += 1;
         self.peak_instances = self.peak_instances.max(self.instances.len());
         self.instances.len() - 1
@@ -1868,7 +2105,7 @@ impl IndexedBank {
         let mut i = 0;
         while i < self.instances.len() {
             let g = self.instances[i].group as usize;
-            if !self.reporting && self.group_true[g] {
+            if !self.reporting && self.doc[g].accepted {
                 // The group already accepted: its verdict cannot change,
                 // so the instance is pure overhead. Same rationale as
                 // MultiFilter's decided-filter skip.
@@ -1933,17 +2170,18 @@ impl IndexedBank {
             // filter would holding all their candidates at once.
             let grown = self.instances[i].filter.stats().max_bits;
             let prev = self.instances[i].noted_bits;
+            let doc = &mut self.doc[g];
             if grown > prev {
                 self.instances[i].noted_bits = grown;
-                self.live_bits[g] += grown - prev;
-                self.peak_bits[g] = self.peak_bits[g].max(self.live_bits[g]);
+                doc.live_bits += grown - prev;
+                doc.peak_bits = doc.peak_bits.max(doc.live_bits);
             }
             let pending = self.instances[i].filter.peak_pending_positions();
             let prev = self.instances[i].noted_pending;
             if pending > prev {
                 self.instances[i].noted_pending = pending;
-                self.live_pending[g] += pending - prev;
-                self.peak_pending[g] = self.peak_pending[g].max(self.live_pending[g]);
+                doc.live_pending += pending - prev;
+                doc.peak_pending = doc.peak_pending.max(doc.live_pending);
             }
             if !drained.is_empty() {
                 let offset = self.instances[i].ordinal_offset;
@@ -1955,7 +2193,7 @@ impl IndexedBank {
             self.drain_scratch = drained;
             if let Some(v) = decided {
                 if v {
-                    self.group_true[g] = true;
+                    self.accept(g);
                 }
                 self.note_stats(i);
                 let inst = self.instances.swap_remove(i);
@@ -1989,7 +2227,7 @@ impl IndexedBank {
         drained.clear();
         self.drain_scratch = drained;
         if verdict == Some(true) {
-            self.group_true[g] = true;
+            self.accept(g);
         }
         self.note_stats(i);
         let inst = self.instances.swap_remove(i);
@@ -2008,28 +2246,23 @@ impl IndexedBank {
     /// releases its contribution to the group's live totals. Call
     /// immediately before removing the instance.
     fn note_stats(&mut self, i: usize) {
-        let g = self.instances[i].group as usize;
-        let bits = self.instances[i].filter.stats().max_bits;
-        let prev = self.instances[i].noted_bits;
-        if bits > prev {
-            self.live_bits[g] += bits - prev;
-        }
-        self.peak_bits[g] = self.peak_bits[g].max(self.live_bits[g]);
-        self.live_bits[g] -= bits;
-        let pending = self.instances[i].filter.peak_pending_positions();
-        let prev = self.instances[i].noted_pending;
-        if pending > prev {
-            self.live_pending[g] += pending - prev;
-        }
-        self.peak_pending[g] = self.peak_pending[g].max(self.live_pending[g]);
-        self.live_pending[g] -= pending;
+        let inst = &self.instances[i];
+        let doc = &mut self.doc[inst.group as usize];
+        let bits = inst.filter.stats().max_bits;
+        doc.live_bits += bits.saturating_sub(inst.noted_bits);
+        doc.peak_bits = doc.peak_bits.max(doc.live_bits);
+        doc.live_bits -= bits;
+        let pending = inst.filter.peak_pending_positions();
+        doc.live_pending += pending.saturating_sub(inst.noted_pending);
+        doc.peak_pending = doc.peak_pending.max(doc.live_pending);
+        doc.live_pending -= pending;
     }
 
     /// Routes one confirmed match to every member of group `g`,
     /// deduplicating ordinals for groups whose descendant-axis prefixes
     /// allow nested activations to confirm the same element twice.
     fn emit(&mut self, g: usize, ordinal: u64, span: Span, sink: &mut dyn MatchSink) {
-        self.group_true[g] = true;
+        self.accept(g);
         if !self.reporting {
             return;
         }
@@ -2046,18 +2279,18 @@ impl IndexedBank {
     }
 }
 
-/// Adds `bits` to `out`, split evenly across the bank indices in
-/// `sharers`; the integer remainder goes one extra bit apiece to the
-/// lowest-ranked sharers, so the split sums back to `bits` exactly. An
-/// empty sharer list only arises when `bits` is already zero (a bank
+/// Adds `bits` to `out`, split evenly across the `k` bank indices
+/// `sharers` yields; the integer remainder goes one extra bit apiece to
+/// the lowest-ranked sharers, so the split sums back to `bits` exactly.
+/// An empty sharer set only arises when `bits` is already zero (a bank
 /// with no trie never pushes a record).
-fn split_evenly(bits: u64, sharers: &[usize], out: &mut [u64]) {
-    if sharers.is_empty() || bits == 0 {
+fn split_evenly(bits: u64, k: usize, sharers: impl Iterator<Item = usize>, out: &mut [u64]) {
+    if k == 0 || bits == 0 {
         return;
     }
-    let k = sharers.len() as u64;
-    let (base, rem) = (bits / k, bits % k);
-    for (rank, &i) in sharers.iter().enumerate() {
+    let (base, rem) = (bits / k as u64, bits % k as u64);
+    for (rank, i) in sharers.enumerate() {
+        debug_assert!(rank < k);
         out[i] += base + u64::from((rank as u64) < rem);
     }
 }
@@ -2644,6 +2877,200 @@ mod tests {
             .map(|s| ib.results()[s])
             .collect();
         assert_eq!(by_id, fresh.results());
+    }
+
+    /// Every stack entry is reachable from exactly its own code's chain,
+    /// chains run newest to oldest, and the live-dormant count is the
+    /// number of live entries.
+    fn assert_chains_consistent(ib: &IndexedBank) {
+        let walk = |chains: &Chains, prev_of: &dyn Fn(u32) -> (u32, u32)| {
+            let mut seen = 0;
+            for (slot, &head) in chains.0.iter().enumerate() {
+                let mut at = head;
+                while at != NIL {
+                    let (code, prev) = prev_of(at);
+                    assert_eq!(Chains::slot(code), slot, "entry {at} on a foreign chain");
+                    assert!(prev == NIL || prev < at, "chains run newest to oldest");
+                    seen += 1;
+                    at = prev;
+                }
+            }
+            seen
+        };
+        let on_record_chains = walk(&ib.record_chains, &|at| {
+            let r = ib.records[at as usize];
+            (r.code, r.prev)
+        });
+        assert_eq!(on_record_chains, ib.records.len());
+        let on_wake_chains = walk(&ib.wake_chains, &|at| {
+            let l = ib.wake_links[at as usize];
+            (l.code, l.prev)
+        });
+        assert_eq!(on_wake_chains, ib.wake_links.len());
+        assert!(ib.records.windows(2).all(|w| w[0].level <= w[1].level));
+        assert!(ib
+            .dormant
+            .windows(2)
+            .all(|w| w[0].root_level <= w[1].root_level && w[0].links <= w[1].links));
+        let live = ib.dormant.iter().filter(|d| ib.is_live(d)).count();
+        assert_eq!(ib.dormant_live, live);
+    }
+
+    /// Feeds `xml` to both banks event by event, checking the index
+    /// structure after every event and the verdicts at the end.
+    fn feed_checked(ib: &mut IndexedBank, mf: &mut MultiFilter, xml: &str) {
+        for e in &fx_xml::parse(xml).unwrap() {
+            ib.process(e);
+            mf.process(e);
+            assert_chains_consistent(ib);
+        }
+        assert_eq!(ib.results(), mf.results(), "{xml}");
+    }
+
+    #[test]
+    fn wildcard_and_named_records_interleave_on_one_path() {
+        let (mut ib, mut mf) = bank(&[
+            "/hub/*/x",
+            "/hub/a/x",
+            "/hub/*/x[y]",
+            "//a//*//b",
+            "//a//*//b[c]",
+            "//*/a",
+        ]);
+        for xml in [
+            "<hub><a><x><y/></x></a><b><x/></b></hub>",
+            "<hub><q><x/></q></hub>",
+            "<a><a><a><b><c/></b></a></a></a>",
+            "<a><k><a><k><a><k><b><c/></b></k></a></k></a></k></a>",
+            "<r><a><b/></a></r>",
+        ] {
+            feed_checked(&mut ib, &mut mf, xml);
+        }
+    }
+
+    #[test]
+    fn unknown_names_walk_the_wildcard_chains_only() {
+        // No wildcard anywhere: a document outside the vocabulary finds
+        // every chain it asks for empty.
+        let (mut ib, mut mf) = bank(&["/hub/a/x", "//a/b[c]", "/hub[k]"]);
+        feed_checked(&mut ib, &mut mf, "<p><q><r/><s>t</s></q></p>");
+        assert_eq!(ib.trie_records_visited(), 0);
+        assert_eq!(ib.dormant_entries_checked(), 0);
+        // One wildcard record (`/*` at level 0) and one wildcard wake
+        // spec (`//*[..]`'s document-rooted activation): each start tag
+        // sees exactly those — 4 tags; the record `/*/q` pushes under
+        // `<p>` is named, so `<q>` finds it only by being known.
+        let (mut ib, mut mf) = bank(&["/*/hub", "//*[hub]", "/hub/a"]);
+        feed_checked(&mut ib, &mut mf, "<p><q><r/><s>t</s></q></p>");
+        assert_eq!(ib.trie_records_visited(), 4);
+        // The `//*[hub]` activation wakes on the first tag; its
+        // tombstone stays chained until its element — the document —
+        // closes, so the other three tags still check (and skip) it.
+        assert_eq!(ib.dormant_entries_checked(), 4);
+        assert_eq!(ib.activations(), 1);
+    }
+
+    #[test]
+    fn mid_document_unsubscribe_leaves_the_index_consistent() {
+        // Slot 0 holds dormant activations (nested, under `//a`); slot 1
+        // is the only terminal of the `/r/a/t` records; slot 2 survives.
+        let srcs = ["//a/b[c]", "/r/a/t", "//a[t]"];
+        let xml = "<r><a><a><t/><b><c/></b></a><t/></a><a><t/><b><c/></b></a></r>";
+        for reporting in [false, true] {
+            for cut in 0..fx_xml::parse(xml).unwrap().len() {
+                let queries: Vec<Query> = srcs.iter().map(|s| parse_query(s).unwrap()).collect();
+                let mut ib = IndexedBank::build(&queries, reporting, true, Default::default())
+                    .map_err(|(i, _)| i)
+                    .unwrap();
+                for (n, e) in fx_xml::parse(xml).unwrap().iter().enumerate() {
+                    if n == cut {
+                        for slot in [0, 1] {
+                            assert!(ib.unsubscribe(ib.subscription_of(slot).unwrap()));
+                            assert_chains_consistent(&ib);
+                        }
+                    }
+                    ib.process(e);
+                    assert_chains_consistent(&ib);
+                }
+                assert_eq!(ib.results()[2], Some(true), "cut {cut}");
+                // The next document reads like a fresh bank's.
+                let (mut fresh, _) = bank(&srcs[2..]);
+                for e in &fx_xml::parse(xml).unwrap() {
+                    ib.process(e);
+                    fresh.process(e);
+                }
+                assert_eq!(ib.results()[2], fresh.results()[0], "cut {cut}");
+                assert_eq!(ib.space_stats().total_bits, ib.peak_memory_bits()[2]);
+            }
+        }
+    }
+
+    #[test]
+    fn compact_and_partition_after_an_aborted_document() {
+        let srcs = ["/r/a/b[c]", "//a//b", "/r[k]", "/r/*/b"];
+        let good = "<r><a><b><c/></b></a><k/></r>";
+        let reading = |ib: &mut IndexedBank| {
+            for e in &fx_xml::parse(good).unwrap() {
+                ib.process(e);
+            }
+            assert_chains_consistent(ib);
+            let live: Vec<_> = (0..ib.len())
+                .filter(|&s| ib.subscription_of(s).is_some())
+                .map(|s| (ib.results()[s], ib.peak_memory_bits()[s]))
+                .collect();
+            (live, ib.space_stats().total_bits)
+        };
+        let (mut fresh, _) = bank(&srcs[..3]);
+        let want = reading(&mut fresh);
+
+        // The document stops inside `<a>`: records, a dormant
+        // activation and a live instance are all left behind.
+        let (mut ib, _) = bank(&srcs);
+        let events = fx_xml::parse(good).unwrap();
+        for e in &events[..3] {
+            ib.process(e);
+        }
+        assert!(!ib.records.is_empty() && ib.dormant_live > 0 && !ib.instances.is_empty());
+        ib.unsubscribe(ib.subscription_of(3).unwrap());
+        assert!(!ib.compact(), "mid-document: compaction waits");
+        for mut shard in ib.partition(2) {
+            assert_chains_consistent(&shard);
+            let owned: Vec<usize> = (0..3).filter(|&s| shard.owns_slot(s)).collect();
+            let (got, _) = reading(&mut shard);
+            for s in owned {
+                assert_eq!(got[s].0, want.0[s].0, "shard verdict of slot {s}");
+            }
+        }
+        // Tombstoned trie linkage still costs records until compaction:
+        // verdicts agree now, every bit of the accounting afterwards.
+        let verdicts = |r: &(Vec<(Option<bool>, u64)>, u64)| -> Vec<_> {
+            r.0.iter().map(|&(v, _)| v).collect()
+        };
+        assert_eq!(verdicts(&reading(&mut ib)), verdicts(&want), "tombstoned");
+        assert!(ib.compact());
+        assert_chains_consistent(&ib);
+        assert_eq!(reading(&mut ib), want, "compacted");
+    }
+
+    #[test]
+    fn subscribing_a_new_symbol_grows_the_chain_tables() {
+        let (mut ib, _) = bank(&["/r/a"]);
+        let feed = |ib: &mut IndexedBank, xml: &str| {
+            for e in &fx_xml::parse(xml).unwrap() {
+                ib.process(e);
+            }
+            ib.results()
+        };
+        let xml = "<r><a/><fresh><newer/></fresh></r>";
+        assert_eq!(feed(&mut ib, xml), [Some(true)]);
+        let (records, wakes) = (ib.record_chains.0.len(), ib.wake_chains.0.len());
+        ib.subscribe(&parse_query("/r/fresh").unwrap()).unwrap();
+        ib.subscribe(&parse_query("/r/fresh[newer]").unwrap())
+            .unwrap();
+        assert!(ib.record_chains.0.len() > records, "a head for `fresh`");
+        assert!(ib.wake_chains.0.len() > wakes, "a head for `newer`");
+        assert_eq!(feed(&mut ib, xml), [Some(true); 3]);
+        assert_chains_consistent(&ib);
     }
 
     #[test]

@@ -292,7 +292,7 @@ impl Session {
             }
             SessionInner::Indexed(bank) => {
                 let mut matched = Vec::with_capacity(bank.len());
-                for r in bank.results() {
+                for r in bank.verdicts() {
                     matched.push(r.ok_or(EngineError::IncompleteDocument)?);
                 }
                 (

@@ -285,6 +285,94 @@ fn index_shares_state_on_inactive_families() {
     );
 }
 
+/// Wildcard and named records share one path — two chains a single
+/// start tag must both walk — including a wildcard step nested three
+/// deep between descendant steps.
+#[test]
+fn wildcard_and_named_chains_interleave_parity() {
+    let srcs = [
+        "/hub/*/x",
+        "/hub/a/x",
+        "/hub/*/x[y]",
+        "/hub/a/x[y > 2]",
+        "//a//*//b",
+        "//a//*//b[c]",
+        "//*/a/*",
+    ];
+    let queries: Vec<Query> = srcs.iter().map(|s| parse_query(s).unwrap()).collect();
+    for xml in [
+        "<hub><a><x><y>3</y></x></a><b><x/></b><a><x><y>1</y></x></a></hub>",
+        "<a><k><a><k><a><k><b><c/></b></k></a></k></a></k><b/></a>",
+        "<a><a><a><b><c/><b/></b></a></a></a>",
+        "<hub><hub><a><x/></a></hub></hub>",
+    ] {
+        assert_parity(&queries, xml);
+    }
+    let mut rng = SmallRng::seed_from_u64(0x57A2);
+    let cfg = RandomDocConfig {
+        max_depth: 7,
+        max_children: 3,
+        names: ["hub", "a", "b", "x", "k"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect(),
+        text_values: vec![String::new(), "3".into()],
+    };
+    for _ in 0..60 {
+        assert_parity(&queries, &random_document(&mut rng, &cfg).to_xml());
+    }
+}
+
+/// ROADMAP measurement item (e), the noise-free regression gate: on the
+/// seeded shared-prefix bank a start tag visits only the records chained
+/// under its own name (or the wildcard) and checks only the dormant
+/// activations its name can wake, so the deterministic work per start
+/// tag is a small constant — and, unlike a scan of the shared frontier
+/// (22 records per tag at 16 families, 70 at 64), does **not** grow
+/// with the number of families the document never names.
+#[test]
+fn per_tag_index_work_is_flat_in_family_count() {
+    let work_per_start_tag = |families: usize| {
+        let bank = random_shared_prefix_bank(
+            &mut SmallRng::seed_from_u64(0xBEC + 16 * families as u64),
+            &SharedPrefixBankConfig {
+                families,
+                queries_per_family: 16,
+                prefix_depth: 3,
+                cross_family_tails: false,
+            },
+        );
+        let mut ib = IndexedBank::new(&bank.queries).unwrap();
+        let mut start_tags = 0u64;
+        for i in 0..families {
+            let active = [i % families, (7 * i + 1) % families];
+            let xml = bank.document_repeated(&active, 4, 8, 8 + i % 8);
+            for e in &fx_xml::parse(&xml).unwrap() {
+                start_tags += u64::from(matches!(e, Event::StartElement { .. }));
+                ib.process(e);
+            }
+            // The documents do exercise the bank: both families match.
+            assert!(ib.matching().count() >= 2, "families {families}, doc {i}");
+        }
+        let work = ib.trie_records_visited() + ib.dormant_entries_checked();
+        work as f64 / start_tags as f64
+    };
+    let (at16, at64) = (work_per_start_tag(16), work_per_start_tag(64));
+    // Measured: 0.25 at 16 families, 0.19 at 64.
+    assert!(
+        at16 <= 1.0,
+        "{at16} index entries per start tag at 16 families"
+    );
+    assert!(
+        at64 <= 1.0,
+        "{at64} index entries per start tag at 64 families"
+    );
+    assert!(
+        at64 <= at16 * 1.1,
+        "per-tag work grew with the family count: {at16} at 16 families, {at64} at 64"
+    );
+}
+
 /// Shared-residual dedup must not change observable behaviour: a seeded
 /// bank whose residual shapes repeat across distinct trie groups (the
 /// `cross_family_tails` generator variant) compiles each canonical
