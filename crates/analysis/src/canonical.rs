@@ -735,7 +735,7 @@ mod tests {
     #[test]
     fn residual_keys_dedupe_across_prefixes() {
         // Canonically-equal remainders below *different* prefixes render
-        // to one key — the shared-residual pool's dedup criterion.
+        // to one key — the shared-residual pool's dedup rule.
         let a = parse_query("/hub/asia/item[price > 5]/name").unwrap();
         let b = parse_query("/hub/europe/item[5 < price]/name").unwrap();
         let ka = canonical_residual_key(&a, sharable_prefix_len(&a));

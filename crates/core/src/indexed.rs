@@ -93,7 +93,6 @@ use fx_analysis::CanonicalForm;
 use fx_xml::{AttrBuf, Event, EventBatch, Span, Sym, SymCache, SymEvent, Symbols};
 use fx_xpath::{Axis, Expr, NodeTest, Query, QueryNodeId};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The record/node code standing for a wildcard node test. Interned
@@ -111,12 +110,6 @@ fn sym_code(sym: Option<Sym>) -> u32 {
     }
 }
 
-/// Process-wide count of [`CompiledResidual`] constructions, for
-/// measurement harnesses (the multi_query bench reports builds per
-/// bank). Tests should prefer the race-free per-bank
-/// [`IndexedBank::residual_builds`].
-static RESIDUAL_BUILDS: AtomicU64 = AtomicU64::new(0);
-
 /// A compiled residual remainder, built **once** per canonical residual
 /// form per bank and shared — behind an [`Arc`] — by every group and
 /// every activation that needs it. Spawning an instance from one is a
@@ -129,7 +122,6 @@ pub struct CompiledResidual {
 
 impl CompiledResidual {
     fn build(compiled: CompiledQuery, key: String) -> CompiledResidual {
-        RESIDUAL_BUILDS.fetch_add(1, Ordering::Relaxed);
         CompiledResidual {
             compiled: Arc::new(compiled),
             key,
@@ -145,14 +137,6 @@ impl CompiledResidual {
     /// deduplicated under.
     pub fn canonical_key(&self) -> &str {
         &self.key
-    }
-
-    /// Process-wide number of compiled-residual builds so far. Sample
-    /// before/after a bank build (single-threaded harnesses only) to
-    /// verify the one-build-per-canonical-form invariant; activations
-    /// never move this counter.
-    pub fn total_builds() -> u64 {
-        RESIDUAL_BUILDS.load(Ordering::Relaxed)
     }
 }
 

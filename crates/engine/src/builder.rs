@@ -449,22 +449,17 @@ impl Engine {
         session.finish()
     }
 
-    /// One-shot selection: streams a document from a reader through a
-    /// fresh session and returns the full [`Outcome`] — verdicts plus
-    /// the per-query match lists. Meaningful on a [`Mode::Select`]
-    /// engine; a filtering engine returns empty match lists.
+    /// One-shot selection: streams an in-memory XML string (never
+    /// materialized into events) through a fresh session and returns
+    /// the full [`Outcome`] — verdicts plus the per-query match lists.
+    /// Meaningful on a [`Mode::Select`] engine; a filtering engine
+    /// returns empty match lists.
     ///
     /// To consume matches *as they are confirmed* (rather than collected
     /// at the end), open a session and use
     /// [`Session::run_reader_to`] with your own [`crate::MatchSink`].
-    pub fn select_reader<R: Read>(&self, reader: R) -> Result<Outcome, EngineError> {
-        self.session().run_reader_outcome(reader)
-    }
-
-    /// [`Engine::select_reader`] over an in-memory XML string (still
-    /// streamed, never materialized into events).
     pub fn select_str(&self, xml: &str) -> Result<Outcome, EngineError> {
-        self.select_reader(xml.as_bytes())
+        self.session().run_reader_outcome(xml.as_bytes())
     }
 
     /// An HTML-soup frontend bound to this engine: a lenient

@@ -160,7 +160,7 @@ impl Default for SharedPrefixBankConfig {
 
 /// A bank of queries organized into shared-prefix families — the
 /// workload the shared-prefix index (`fx_core::IndexedBank`) is built
-/// for, used by both the `multi_query` bench and the indexed
+/// for, used by both `fxbench`'s bank workloads and the indexed
 /// differential suite.
 #[derive(Debug, Clone)]
 pub struct SharedPrefixBank {
@@ -240,7 +240,7 @@ impl SharedPrefixBank {
 
     /// [`SharedPrefixBank::document`] repeated `copies` times under one
     /// root: a byte-throughput workload of controllable size for the
-    /// MB/s benches (each copy re-exercises the activation/dormancy
+    /// MB/s series (each copy re-exercises the activation/dormancy
     /// cycle of the active families).
     pub fn document_repeated(
         &self,

@@ -1,7 +1,7 @@
 //! A miniature auction-site document generator in the spirit of the XMark
 //! benchmark: realistic element names, mild recursion (nested categories),
-//! attributes, and text payloads. Used by the examples and the throughput
-//! benches.
+//! attributes, and text payloads. Used by the examples, `fxbench` and the
+//! experiment harness.
 
 use fx_dom::{Document, NodeId, NodeKind};
 use rand::seq::SliceRandom;

@@ -155,7 +155,7 @@ fn main() {
     );
     println!(
         "(per-event work tracked the 3 activated families, not the {}-query bank;\n\
-         see the multi_query bench's indexed series for the 1 -> 1024 scaling curve)",
+         see fxbench's bank-1024 workload for the 1024-query end of the curve)",
         indexed.len()
     );
 }

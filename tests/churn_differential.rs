@@ -9,7 +9,9 @@
 
 use frontier_xpath::filter::{IndexedBank, SubscriptionId};
 use frontier_xpath::prelude::*;
-use frontier_xpath::workloads::{random_document, RandomDocConfig};
+use frontier_xpath::workloads::{
+    random_document, random_shared_prefix_bank, RandomDocConfig, SharedPrefixBankConfig,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -230,4 +232,37 @@ fn long_churn_walk_with_auto_compaction() {
         bank.compactions() > 0,
         "40 rounds of burst churn must cross the auto-compaction threshold"
     );
+
+    // The same guarantee at dissemination scale: a warm 1024-query
+    // shared-prefix bank through 4 waves of duplicate half the bank /
+    // stream / retire the duplicates / explicit compact.
+    let mut rng = SmallRng::seed_from_u64(0xC0DE + 1024);
+    let family = random_shared_prefix_bank(
+        &mut rng,
+        &SharedPrefixBankConfig {
+            families: 64,
+            queries_per_family: 16,
+            prefix_depth: 3,
+            cross_family_tails: false,
+        },
+    );
+    let xml = family.document(&[0, 1], 4, 8);
+    let mut bank = IndexedBank::new_reporting(&[]).unwrap();
+    let subscribe_first = |bank: &mut IndexedBank, n: usize| -> Vec<(SubscriptionId, Query)> {
+        let subscribe = |q: &Query| (bank.subscribe(q).unwrap(), q.clone());
+        family.queries[..n].iter().map(subscribe).collect()
+    };
+    let resident = subscribe_first(&mut bank, 1024);
+    let builds = bank.residual_builds();
+    for wave in 0..4 {
+        let duplicates = subscribe_first(&mut bank, 512);
+        let all: Vec<_> = resident.iter().chain(&duplicates).cloned().collect();
+        assert_doc_parity(&mut bank, &all, &xml);
+        for (id, _) in duplicates {
+            assert!(bank.unsubscribe(id));
+        }
+        bank.compact();
+        assert_eq!(bank.residual_builds(), builds, "wave {wave}");
+    }
+    assert_doc_parity(&mut bank, &resident, &xml);
 }

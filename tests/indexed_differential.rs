@@ -471,6 +471,11 @@ fn attributed_space_is_exact_and_bounded_by_standalone() {
         );
         let stats = ib.space_stats();
         assert_eq!(stats.total_bits, ib.total_max_bits());
+        assert_eq!(
+            ib.residual_builds() as usize,
+            stats.residual_pool,
+            "one compiled-residual build per canonical form (seed {seed:#x})"
+        );
         for (i, f) in solo.iter().enumerate() {
             assert!(
                 attributed[i] <= f.stats().max_bits,
@@ -480,6 +485,35 @@ fn attributed_space_is_exact_and_bounded_by_standalone() {
             );
         }
     }
+
+    // The bank-level corollary on the index's own workload — 1024
+    // queries, 2 of 64 families active: the indexed total undercuts
+    // even the short-circuiting naive bank's, or the index has stopped
+    // earning its keep.
+    let mut rng = SmallRng::seed_from_u64(0xBEC + 1024);
+    let bank = random_shared_prefix_bank(
+        &mut rng,
+        &SharedPrefixBankConfig {
+            families: 64,
+            queries_per_family: 16,
+            prefix_depth: 3,
+            cross_family_tails: false,
+        },
+    );
+    let mut ib = IndexedBank::new(&bank.queries).unwrap();
+    let mut mf = MultiFilter::new(&bank.queries).unwrap();
+    for e in &fx_xml::parse(&bank.document(&[0, 1], 4, 8)).unwrap() {
+        ib.process(e);
+        mf.process(e);
+    }
+    let stats = ib.space_stats();
+    assert!(
+        stats.total_bits < mf.total_max_bits(),
+        "indexed total ({}) must undercut naive total ({}) at n=1024",
+        stats.total_bits,
+        mf.total_max_bits()
+    );
+    assert_eq!(ib.residual_builds() as usize, stats.residual_pool);
 }
 
 const PROPTEST_BANKS: &[&[&str]] = &[
