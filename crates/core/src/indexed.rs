@@ -820,7 +820,9 @@ impl IndexedBank {
     ///
     /// Call between documents: the new query takes effect at the next
     /// `StartDocument` (mid-document calls are safe but the query's
-    /// view of the in-flight document is partial).
+    /// view of the in-flight document is partial). Names the query adds
+    /// to the table need no announcement — every name resolver on the
+    /// table picks them up at its own next document (`fx_xml::SymCache`).
     ///
     /// # Panics
     ///
@@ -836,12 +838,6 @@ impl IndexedBank {
         let id = SubscriptionId(self.next_sub);
         self.insert_slot(q, id, None)?;
         self.next_sub += 1;
-        // Compiling the query may have interned names an earlier
-        // document's owned-event conversion memoized as unknown — drop
-        // those verdicts so the new query sees them. (Reader-path
-        // consumers own their parser's memo; see
-        // `StreamingParser::invalidate_name_memo`.)
-        self.name_cache.clear();
         Ok(id)
     }
 

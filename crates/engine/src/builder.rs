@@ -3,9 +3,8 @@
 use crate::error::EngineError;
 use crate::session::{Outcome, Session, SessionInner, Verdicts};
 use fx_core::{CompiledQuery, IndexedBank, StreamFilter};
-use fx_xml::{Event, Symbols};
+use fx_xml::Symbols;
 use fx_xpath::{parse_query, Query};
-use std::io::Read;
 use std::sync::Arc;
 
 /// What a built [`Engine`] produces for each document.
@@ -425,28 +424,12 @@ impl Engine {
         )
     }
 
-    /// One-shot convenience: stream a document from a reader through a
-    /// fresh session. Use [`Engine::session`] directly to amortize
-    /// session setup over many documents.
-    pub fn run_reader<R: Read>(&self, reader: R) -> Result<Verdicts, EngineError> {
-        self.session().run_reader(reader)
-    }
-
-    /// One-shot convenience over an in-memory XML string. The string is
-    /// still *streamed* ([`Engine::run_reader`] over its bytes), not
-    /// materialized into events.
+    /// One-shot convenience over an in-memory XML string, *streamed*
+    /// through a fresh session's [`Session::run_reader`], not
+    /// materialized into events. Use [`Engine::session`] directly to
+    /// amortize session setup over many documents.
     pub fn run_str(&self, xml: &str) -> Result<Verdicts, EngineError> {
-        self.run_reader(xml.as_bytes())
-    }
-
-    /// One-shot convenience over pre-materialized events, for callers
-    /// migrating from the legacy `&[Event]` batch surface.
-    pub fn run_events(&self, events: &[Event]) -> Result<Verdicts, EngineError> {
-        let mut session = self.session();
-        for e in events {
-            session.push(e);
-        }
-        session.finish()
+        self.session().run_reader(xml.as_bytes())
     }
 
     /// One-shot selection: streams an in-memory XML string (never

@@ -111,27 +111,6 @@ impl Evaluator for fx_automata::BufferingFilter {
     }
 }
 
-/// The legacy multi-query bank as a single evaluator: its verdict is
-/// "some registered query matched", its memory the bank's aggregate.
-impl Evaluator for fx_core::MultiFilter {
-    fn process(&mut self, event: &Event) {
-        fx_core::MultiFilter::process(self, event);
-    }
-    fn verdict(&self) -> Option<bool> {
-        let results = self.results();
-        results
-            .iter()
-            .all(Option::is_some)
-            .then(|| results.contains(&Some(true)))
-    }
-    fn peak_memory_bits(&self) -> u64 {
-        self.total_max_bits()
-    }
-    fn label(&self) -> &'static str {
-        "multi-frontier"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,19 +133,5 @@ mod tests {
             labels.push(e.label());
         }
         assert_eq!(labels, ["frontier-filter", "nfa", "lazy-dfa", "buffer-all"]);
-    }
-
-    #[test]
-    fn multifilter_verdict_is_any_match() {
-        let queries: Vec<_> = ["/a[b]", "/a[c]"]
-            .iter()
-            .map(|s| parse_query(s).unwrap())
-            .collect();
-        #[allow(deprecated)]
-        let mut bank = fx_core::MultiFilter::new(&queries).unwrap();
-        let events = fx_xml::parse("<a><b/></a>").unwrap();
-        assert_eq!(Evaluator::run_stream(&mut bank, &events), Some(true));
-        let events = fx_xml::parse("<a><x/></a>").unwrap();
-        assert_eq!(Evaluator::run_stream(&mut bank, &events), Some(false));
     }
 }

@@ -26,7 +26,8 @@
 //!     .unwrap();
 //!
 //! // Stream a document from any `io::Read` — never materialized.
-//! let verdicts = engine.run_reader("<a><c><e/><f/></c><b>6</b></a>".as_bytes()).unwrap();
+//! let xml = "<a><c><e/><f/></c><b>6</b></a>";
+//! let verdicts = engine.session().run_reader(xml.as_bytes()).unwrap();
 //! assert!(verdicts.any());
 //! ```
 //!
@@ -115,14 +116,13 @@
 //! | [`Session`] | Per-document (reusable) evaluation state: `push` / `finish` / `run_reader`, plus the `_to` sink-driven variants |
 //! | [`Evaluator`] | The uniform boolean-streaming-filter interface every backend implements |
 //! | [`Verdicts`] / [`Outcome`] | Per-query outcomes (and match lists) plus the paper's logical-memory measures |
-//! | [`Match`] / [`MatchSink`] / [`MatchCollector`] | The incremental selection output surface |
+//! | [`Match`] / [`MatchSink`] | The incremental selection output surface (`Vec<Match>` is the collecting sink) |
 //! | [`EngineError`] | One `std::error::Error` for everything the above can reject |
 //!
 //! The [`Evaluator`] trait lived in `fx_automata` as
 //! `BooleanStreamFilter` before this crate existed; it now sits at the
-//! engine layer, where the paper's algorithm ([`fx_core::StreamFilter`]),
-//! the three automata baselines, and the legacy multi-query bank all
-//! implement it.
+//! engine layer, where the paper's algorithm ([`fx_core::StreamFilter`])
+//! and the three automata baselines implement it.
 
 #![warn(missing_docs)]
 
@@ -136,5 +136,5 @@ pub use builder::{Backend, Engine, EngineBuilder, IndexPolicy, Mode};
 pub use error::EngineError;
 pub use evaluator::Evaluator;
 pub use fx_core::{IndexSpaceStats, Match, MatchSink};
-pub use session::{MatchCollector, Outcome, Session, Verdicts};
+pub use session::{Outcome, Session, Verdicts};
 pub use sharded::{BankShardedOutcome, BatchRing};

@@ -1,5 +1,5 @@
-//! Per-document evaluation state: [`Session`], its [`Verdicts`], the
-//! selection [`Outcome`], and the convenience [`MatchCollector`] sink.
+//! Per-document evaluation state: [`Session`], its [`Verdicts`] and the
+//! selection [`Outcome`].
 
 use crate::builder::Mode;
 use crate::error::EngineError;
@@ -151,48 +151,14 @@ impl Session {
     /// Mutable access to the underlying [`IndexedBank`], for subscribing
     /// and unsubscribing queries on a live session. Churn is safe at any
     /// time but only fully effective from the next document; apply it
-    /// between documents (see `IndexedBank::subscribe`).
+    /// between documents (see `IndexedBank::subscribe`). Nothing else
+    /// has to be called: the session's warm parser sees the names a new
+    /// query interned when it starts the next document.
     pub fn indexed_bank_mut(&mut self) -> Option<&mut IndexedBank> {
         match &mut self.inner {
             SessionInner::Indexed(bank) => Some(bank),
             _ => None,
         }
-    }
-
-    /// Invalidates the warm parser's memoized name verdicts. Must be
-    /// called after subscribing queries on a live session
-    /// ([`Session::indexed_bank_mut`] + `IndexedBank::subscribe`): the
-    /// lookup-only reader path memoizes unknown-name verdicts, and a new
-    /// subscription can intern names an earlier document already
-    /// memoized as unknown.
-    ///
-    /// On a [`Session::freeze_parser`] session this additionally
-    /// re-takes the frozen symbol snapshot, so names the churn interned
-    /// become visible to this session's reader. In a multi-worker pool
-    /// every worker session must refresh its *own* memo when it applies
-    /// a churn command — another worker's refresh does nothing for this
-    /// one (see the multi-worker caveat on `fx_xml::SymCache`).
-    pub fn refresh_symbol_memo(&mut self) {
-        self.parser.invalidate_name_memo();
-    }
-
-    /// Switches the session's warm reader onto a **frozen snapshot** of
-    /// the engine's symbol table ([`fx_xml::SymbolsSnapshot`]): from the
-    /// next document on, the reader path resolves names lock-free
-    /// against the snapshot instead of read-locking the shared table.
-    /// This is the per-worker mode of the sharded runners
-    /// ([`crate::Engine::run_sharded`] and the multi-worker dissemination
-    /// server), where N sessions parse concurrently against one engine
-    /// — the engine-owned mutable table stays single-writer while
-    /// worker reads touch no lock at all. Call it before the first
-    /// document: the reader is rebuilt, not converted in place.
-    ///
-    /// The snapshot is a point-in-time view: after subscribing queries
-    /// on a live bank, call [`Session::refresh_symbol_memo`] to re-take
-    /// it (churn is the only event that grows the table, since frozen
-    /// readers run lookup-only).
-    pub fn freeze_parser(&mut self) {
-        self.parser = StreamingParser::with_symbols(Arc::clone(&self.symbols)).frozen();
     }
 
     /// Number of registered queries.
@@ -344,6 +310,24 @@ impl Session {
     /// to `sink` *as it is confirmed*, and finishes with the verdicts.
     /// This is the dissemination hot path: subscribers see matches while
     /// the document is still streaming, with byte spans to act on.
+    ///
+    /// Any `FnMut(Match)` is a sink, and so is a `Vec<Match>` — the
+    /// collecting sink, in confirmation order:
+    ///
+    /// ```
+    /// use fx_engine::{Engine, Match, Mode};
+    ///
+    /// let engine = Engine::builder()
+    ///     .query_str("//item[price > 300]/name")
+    ///     .mode(Mode::Select)
+    ///     .build()
+    ///     .unwrap();
+    /// let mut sink: Vec<Match> = Vec::new();
+    /// let xml = "<r><item><price>400</price><name>a</name></item></r>";
+    /// engine.session().run_reader_to(xml.as_bytes(), &mut sink).unwrap();
+    /// assert_eq!(sink.len(), 1);
+    /// assert_eq!(sink[0].span.slice(xml), Some("<name>a</name>"));
+    /// ```
     pub fn run_reader_to<R: Read>(
         &mut self,
         mut reader: R,
@@ -515,80 +499,6 @@ impl Outcome {
     /// Decomposes into `(verdicts, per-query matches)`.
     pub fn into_parts(self) -> (Verdicts, Vec<Vec<Match>>) {
         (self.verdicts, self.matches)
-    }
-}
-
-/// The convenience collecting [`MatchSink`]: accumulates every match,
-/// preserving confirmation order.
-///
-/// ```
-/// use fx_engine::{Engine, MatchCollector, Mode};
-///
-/// let engine = Engine::builder()
-///     .query_str("//item[price > 300]/name")
-///     .mode(Mode::Select)
-///     .build()
-///     .unwrap();
-/// let mut sink = MatchCollector::new();
-/// let xml = "<r><item><price>400</price><name>a</name></item></r>";
-/// engine.session().run_reader_to(xml.as_bytes(), &mut sink).unwrap();
-/// assert_eq!(sink.len(), 1);
-/// assert_eq!(sink.matches()[0].span.slice(xml), Some("<name>a</name>"));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MatchCollector {
-    matches: Vec<Match>,
-}
-
-impl MatchCollector {
-    /// An empty collector.
-    pub fn new() -> MatchCollector {
-        MatchCollector::default()
-    }
-
-    /// The collected matches, in confirmation order.
-    pub fn matches(&self) -> &[Match] {
-        &self.matches
-    }
-
-    /// Consumes the collector, returning the matches.
-    pub fn into_matches(self) -> Vec<Match> {
-        self.matches
-    }
-
-    /// The collected ordinals of query `query`, sorted into document
-    /// order.
-    pub fn ordinals(&self, query: usize) -> Vec<u64> {
-        let mut o: Vec<u64> = self
-            .matches
-            .iter()
-            .filter(|m| m.query == query)
-            .map(|m| m.ordinal)
-            .collect();
-        o.sort_unstable();
-        o
-    }
-
-    /// Number of collected matches.
-    pub fn len(&self) -> usize {
-        self.matches.len()
-    }
-
-    /// True when nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.matches.is_empty()
-    }
-
-    /// Empties the collector (e.g. between documents of a reused
-    /// session).
-    pub fn clear(&mut self) {
-        self.matches.clear();
-    }
-}
-
-impl MatchSink for MatchCollector {
-    fn on_match(&mut self, m: Match) {
-        self.matches.push(m);
     }
 }
 
@@ -850,6 +760,35 @@ mod tests {
             .run_reader("<doc><title/><item/><w99/></doc>".as_bytes())
             .unwrap();
         assert_eq!(v.matched(), &[true, true]);
+    }
+
+    /// A query subscribed on a live session takes effect at the next
+    /// document with no call in between, on the reader path (the
+    /// session parser's memo held `gadget` as unknown) and on the
+    /// owned-event path (the bank's own memo did).
+    #[test]
+    fn late_subscription_needs_no_announcement() {
+        use fx_core::{IndexedBank, Match};
+        let xml = "<r><gadget/></r>";
+        let fresh = || crate::Session::from_indexed(IndexedBank::new_reporting(&[]).unwrap());
+        let subscribe = |session: &mut crate::Session| {
+            let late = fx_xpath::parse_query("//gadget").unwrap();
+            session.indexed_bank_mut().unwrap().subscribe(&late)
+        };
+
+        let (mut session, mut routed) = (fresh(), Vec::<Match>::new());
+        session.run_reader_to(xml.as_bytes(), &mut routed).unwrap();
+        subscribe(&mut session).unwrap();
+        let v = session.run_reader_to(xml.as_bytes(), &mut routed).unwrap();
+        assert_eq!((v.matched(), routed.len()), (&[true][..], 1));
+
+        let (mut session, events) = (fresh(), fx_xml::parse(xml).unwrap());
+        events.iter().for_each(|e| session.push(e));
+        subscribe(&mut session).unwrap();
+        events.iter().for_each(|e| session.push(e));
+        let outcome = session.finish_outcome().unwrap();
+        assert_eq!(outcome.verdicts().matched(), &[true]);
+        assert_eq!(outcome.total_matches(), 1);
     }
 
     #[test]

@@ -11,17 +11,18 @@
 //!   many-small-docs path — embarrassingly parallel, results merged
 //!   back in input (`doc_seq`) order.
 //! - **Bank sharding** ([`Engine::run_bank_sharded`]): one huge
-//!   document streams once through a frozen-snapshot parser, its
+//!   document streams once through a lookup-only parser, its
 //!   interned events broadcast over a bounded SPMC [`BatchRing`] to K
 //!   threads each evaluating a [`fx_core::IndexedBank::partition`]
 //!   shard of the query groups. The huge-bank × huge-document path —
 //!   the stream is read once, the per-event bank work splits K ways.
 //!
-//! Both paths parse with [`crate::Session::freeze_parser`]-style
-//! frozen symbol snapshots, so worker threads never touch the shared
-//! table's lock. Equivalence to the single-threaded engine — verdicts,
-//! match streams, and merged space stats — is proven by
-//! `tests/sharded_differential.rs`.
+//! Both paths parse lookup-only, which resolves names against the
+//! engine table's one shared frozen view
+//! ([`fx_xml::Symbols::snapshot`]): worker threads never touch the
+//! table's lock and no thread copies the table. Equivalence to the
+//! single-threaded engine — verdicts, match streams, and merged space
+//! stats — is proven by `tests/sharded_differential.rs`.
 
 use crate::builder::Engine;
 use crate::error::EngineError;
@@ -216,8 +217,8 @@ impl BankShardedOutcome {
 impl Engine {
     /// Evaluates many independent documents across `threads` worker
     /// threads — the many-small-docs dissemination path. Each worker
-    /// owns a full session (cloned bank, frozen-snapshot parser via
-    /// [`Session::freeze_parser`], so name resolution is lock-free) and
+    /// owns a full session (cloned bank, its own warm parser over the
+    /// table's shared view, so name resolution is lock-free) and
     /// claims work from a shared counter by **claim-halving**: each
     /// claim takes half of the remaining queue divided by the worker
     /// count (at least one document), so early claims amortize the
@@ -229,7 +230,7 @@ impl Engine {
     /// the workers interleave.
     ///
     /// Verdicts are per-document identical to running each document
-    /// through [`Engine::run_reader`] on one thread. On error the
+    /// through [`Session::run_reader`] on one thread. On error the
     /// lowest-indexed failing document's error is returned. `threads`
     /// is clamped to `1..=docs.len()`.
     pub fn run_sharded<D>(&self, docs: &[D], threads: usize) -> Result<Vec<Verdicts>, EngineError>
@@ -275,7 +276,6 @@ impl Engine {
                     let run = &run;
                     s.spawn(move || {
                         let mut session = self.session();
-                        session.freeze_parser();
                         let mut produced = Vec::new();
                         loop {
                             // Claim-halving: take `remaining / (2 ·
@@ -325,7 +325,7 @@ impl Engine {
     /// [`crate::IndexPolicy::SharedPrefix`]
     /// ([`EngineError::ShardingRequiresIndex`] otherwise).
     ///
-    /// The calling thread parses once with a frozen-snapshot parser
+    /// The calling thread parses once with a lookup-only parser
     /// and broadcasts interned [`EventBatch`]es over a bounded
     /// [`BatchRing`]; each consumer thread replays the identical event
     /// stream into its [`fx_core::IndexedBank::partition`] shard.
@@ -369,16 +369,15 @@ impl Engine {
                 .collect();
 
             // The producer runs on the calling thread: one parse, K
-            // replays. The parser freezes its own snapshot of the
-            // engine table, so this thread needs no lock either. The
-            // whole document is in hand, so it is one feed (parsed in
-            // place) plus finish, filling the batch inline (same
+            // replays. The whole document is in hand, so it is one feed
+            // (parsed in place) plus finish, filling the batch inline (same
             // `BATCH_EVENTS`/`BATCH_BYTES` cut as `drive_batched`)
             // rather than through the parser's own batch, because the
             // ring recycles batches by swapping owned buffers —
             // `publish` needs `&mut EventBatch`, not the borrow
             // `drive_batched` hands out.
-            let mut parser = StreamingParser::with_symbols(Arc::clone(self.symbols())).frozen();
+            let mut parser =
+                StreamingParser::with_symbols(Arc::clone(self.symbols())).lookup_only();
             let mut batch = EventBatch::new();
             let mut fill = |ev: SymEvent<'_>, span| {
                 batch.push(&ev, span);

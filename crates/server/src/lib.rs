@@ -47,7 +47,8 @@
 //! **at document boundaries**: a subscription is guaranteed to see every
 //! document published after `subscribe` returned. Worker 0's bank
 //! decides each command (accept or reject, which id); the other workers
-//! apply the same commands in the same order, so all banks agree.
+//! apply the same commands in the same order, so all banks agree; each
+//! worker's parser picks a new query's names up at its next document.
 //!
 //! ## Backpressure
 //!

@@ -326,11 +326,6 @@ struct Worker {
     index: usize,
     shared: Arc<Shared>,
     session: Session,
-    /// A subscribe may have interned names an earlier document memoized
-    /// as unknown in this worker's parser. Refreshed once, at the next
-    /// document, however many subscribes landed since: on a frozen
-    /// parser the refresh copies the whole symbol table.
-    memo_stale: bool,
     /// Per-document buffers, kept across documents.
     raw: Vec<Match>,
     resolved: Vec<Resolved>,
@@ -366,7 +361,6 @@ impl Worker {
         match cmd {
             Command::Subscribe { query, decide } => {
                 let result = self.bank().subscribe(&query);
-                self.memo_stale |= result.is_ok();
                 let Some((outlet, reply)) = decide else {
                     result.expect("worker 0's bank accepted this query");
                     return;
@@ -409,9 +403,6 @@ impl Worker {
     }
 
     fn process(&mut self, (seq, document): Doc) {
-        if std::mem::take(&mut self.memo_stale) {
-            self.session.refresh_symbol_memo();
-        }
         self.raw.clear();
         let raw = &mut self.raw;
         let result = self
@@ -481,19 +472,10 @@ impl DisseminationServer {
                 let mut bank = IndexedBank::new_reporting_with_symbols(&[], Arc::clone(&symbols))
                     .expect("an empty bank always builds");
                 bank.set_compaction_policy(config.compaction);
-                let mut session = Session::from_indexed(bank);
-                // A frozen parser resolves names against a private
-                // snapshot instead of read-locking the shared table. A
-                // lone worker has nobody to contend with, and freezing
-                // it measured 7 % off `docs_per_s` on `pubsub-churn`.
-                if workers > 1 {
-                    session.freeze_parser();
-                }
                 let worker = Worker {
                     index,
                     shared: Arc::clone(&shared),
-                    session,
-                    memo_stale: false,
+                    session: Session::from_indexed(bank),
                     raw: Vec::new(),
                     resolved: Vec::new(),
                     documents: 0,

@@ -122,8 +122,8 @@ fn late_subscriptions_see_names_earlier_documents_memoized_as_unknown() {
             .unwrap();
         assert!(warm.recv().is_some());
 
-        // Now subscribe a query *on* that name; the memo must be refreshed
-        // or the stale unknown verdict would hide every <gadget> forever.
+        // Now subscribe a query *on* that name; each worker's parser must
+        // notice by itself, at its next document, that the name exists.
         let late = h
             .subscribe(parse_query("/inventory/gadget").unwrap())
             .unwrap();

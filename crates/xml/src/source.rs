@@ -13,8 +13,9 @@
 //!   feed), parsed *in place* when no partial token is pending, and
 //!   otherwise buffered — only the incomplete tail of each feed is ever
 //!   copied, and the buffer compacts once per feed;
-//! * **name resolution** ([`Names`]) in its three modes: interning,
-//!   [`Frontend::lookup_only`], and [`Frontend::frozen`];
+//! * **name resolution** ([`Names`]) in its two modes, interning and
+//!   [`Frontend::lookup_only`], and the once-per-document check that
+//!   shows a lookup-only frontend the names interned behind it;
 //! * the **batched driver** ([`Frontend::drive_batched`]): one read
 //!   loop over a recycled I/O chunk, filling a recycled [`EventBatch`]
 //!   and cutting it on [`BATCH_EVENTS`] / [`BATCH_BYTES`];
@@ -41,14 +42,14 @@
 //! 4. Implement [`Grammar::reset`]: clear per-document state, keep
 //!    scratch capacity.
 //! 5. `pub type FooParser = Frontend<FooGrammar>;` — feeds, finish,
-//!    `drive_batched`, the name modes and `EventSource` come with it.
+//!    `drive_batched`, both name modes and `EventSource` come with it.
 //! 6. Add the alias to `tests/chunk_split.rs`: one line proves the
 //!    grammar is chunk-boundary transparent.
 
 use crate::batch::{EventBatch, BATCH_BYTES, BATCH_EVENTS};
 use crate::parser::ParseError;
 use crate::span::Span;
-use crate::symbols::{Sym, SymCache, SymEvent, Symbols, SymbolsSnapshot};
+use crate::symbols::{Sym, SymCache, SymEvent, Symbols};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -65,14 +66,9 @@ pub trait EventSource {
 
     /// Resets per-document state so the source can stream another
     /// document, keeping amortizable scratch (buffers, name memos)
-    /// warm.
+    /// warm — and where a lookup-only source catches up with names
+    /// interned into its table since the last document.
     fn reset(&mut self);
-
-    /// Drops any memoized name-resolution verdicts. Required after the
-    /// shared table gains names behind a live lookup-only source (e.g.
-    /// a dissemination server compiling a late subscription); a no-op
-    /// for sources without a memo.
-    fn invalidate_name_memo(&mut self) {}
 
     /// Streams one whole document from `reader` as **runs of events**:
     /// the source fills a reusable arena-backed [`EventBatch`] (events
@@ -139,31 +135,25 @@ impl Cursor {
     }
 }
 
-/// Name resolution in its three modes, with the per-frontend lock-free
-/// memo in front of the table.
+/// Name resolution in its two modes, with the per-frontend lock-free
+/// memo in front of the table: a miss goes to [`Symbols::intern`]
+/// (interning, the default) or reads the table's shared frozen view
+/// ([`Frontend::lookup_only`]; absent names become [`Sym::UNKNOWN`]).
 #[derive(Debug, Clone)]
 pub struct Names {
     symbols: Arc<Symbols>,
     /// False in [`Frontend::lookup_only`] mode.
     intern: bool,
-    /// Set in [`Frontend::frozen`] mode: resolution goes through this
-    /// immutable snapshot instead of the live table — no lock even on
-    /// memo misses. Implies lookup-only.
-    snapshot: Option<Arc<SymbolsSnapshot>>,
     cache: SymCache,
 }
 
 impl Names {
-    /// Resolves a name per the mode: memoized lookup against the frozen
-    /// snapshot (lock-free) or the live table, plus interning (and memo
-    /// refresh) on a miss in the default mode. Names the table does not
-    /// hold collapse to [`Sym::UNKNOWN`] in the other two.
+    /// Resolves a name per the mode.
     pub fn resolve(&mut self, name: &str) -> Sym {
-        match &self.snapshot {
-            Some(snap) => self.cache.lookup_frozen(snap, name),
-            None => self
-                .cache
-                .lookup_or_intern(&self.symbols, name, self.intern),
+        if self.intern {
+            self.cache.intern(&self.symbols, name)
+        } else {
+            self.cache.lookup(&self.symbols, name)
         }
     }
 
@@ -366,7 +356,6 @@ impl<G: Grammar> Frontend<G> {
             names: Names {
                 symbols,
                 intern: true,
-                snapshot: None,
                 cache: SymCache::new(),
             },
             buf: String::new(),
@@ -391,25 +380,12 @@ impl<G: Grammar> Frontend<G> {
     /// [`SymEvent::to_owned`] needs to give every name back — on a
     /// lookup-only stream it renders unknown names as one sentinel).
     ///
-    /// Compile every query against the table *before* parsing: the
-    /// per-frontend memo caches "unknown" verdicts (see
-    /// [`crate::SymCache`]).
+    /// Queries may be compiled against the table at any time: names
+    /// interned behind a live frontend are seen from its next document
+    /// ([`Frontend::reset`]) on — never mid-document, so both tags of an
+    /// element always resolve alike (see [`crate::SymCache`]).
     pub fn lookup_only(mut self) -> Self {
         self.names.intern = false;
-        self
-    }
-
-    /// [`Frontend::lookup_only`] resolution against a **frozen
-    /// snapshot** of the table, taken now: name resolution never
-    /// touches the live table's lock again — not even on memo misses —
-    /// which is what lets N worker frontends share one engine-owned
-    /// table with zero read contention. The snapshot carries exactly
-    /// the vocabulary interned so far (compile every query first); if
-    /// the table later grows behind this frontend, call
-    /// [`Frontend::invalidate_name_memo`], which re-freezes.
-    pub fn frozen(mut self) -> Self {
-        self.names.intern = false;
-        self.names.snapshot = Some(Arc::new(self.names.symbols.freeze()));
         self
     }
 
@@ -432,6 +408,9 @@ impl<G: Grammar> Frontend<G> {
     /// document, keeping everything amortizable warm: the symbol table
     /// handle, the name memo, and every scratch buffer's capacity.
     /// Sessions reuse one frontend across documents this way.
+    /// A lookup-only frontend whose table grew since its last document
+    /// (a late subscription) moves to the table's new view here — the
+    /// one place it does; see [`crate::SymCache`].
     pub fn reset(&mut self) {
         self.grammar.reset();
         self.buf.clear();
@@ -439,26 +418,7 @@ impl<G: Grammar> Frontend<G> {
         self.base = 0;
         self.carry.len = 0;
         self.finished = false;
-    }
-
-    /// Drops every memoized name verdict. A lookup-only frontend
-    /// memoizes [`Sym::UNKNOWN`] for names outside the table; if the
-    /// shared table later gains such a name (a dissemination server
-    /// compiling a new subscription), the stale memo would keep
-    /// collapsing it to `UNKNOWN`. Call this after interning new names
-    /// behind a live frontend; [`Frontend::reset`] deliberately keeps
-    /// the memo warm.
-    ///
-    /// In a worker pool, *every* worker must invalidate its own
-    /// frontend when churn grows the shared table — see the
-    /// multi-worker caveat on [`SymCache`]. A [`Frontend::frozen`]
-    /// frontend re-freezes its snapshot here too, so the new vocabulary
-    /// becomes visible to its lock-free path.
-    pub fn invalidate_name_memo(&mut self) {
-        self.names.cache.clear();
-        if self.names.snapshot.is_some() {
-            self.names.snapshot = Some(Arc::new(self.names.symbols.freeze()));
-        }
+        self.names.cache.sync(&self.names.symbols);
     }
 
     /// Stream offset of the next byte a feed will bring.
@@ -602,10 +562,6 @@ impl<G: Grammar> EventSource for Frontend<G> {
         Frontend::reset(self);
     }
 
-    fn invalidate_name_memo(&mut self) {
-        Frontend::invalidate_name_memo(self);
-    }
-
     // The one read loop (not generic over the reader, so the feed it
     // monomorphizes over the batch-filling closure exists once).
     fn drive_batched(
@@ -682,6 +638,85 @@ mod tests {
         assert_eq!(
             drive_owned(&mut parser, "<x/>"),
             crate::parse("<x/>").unwrap()
+        );
+    }
+
+    fn lookup_only(symbols: &Arc<Symbols>) -> StreamingParser {
+        StreamingParser::with_symbols(Arc::clone(symbols)).lookup_only()
+    }
+
+    /// The element-name syms of the start and end tags `chunk` completes.
+    fn tag_syms(parser: &mut StreamingParser, chunk: &str) -> Vec<Sym> {
+        let mut syms = Vec::new();
+        let mut emit = |ev: SymEvent<'_>, _| match ev {
+            SymEvent::StartElement { name, .. } | SymEvent::EndElement { name } => syms.push(name),
+            _ => {}
+        };
+        parser.feed_interned(chunk, &mut emit).unwrap();
+        syms
+    }
+
+    #[test]
+    fn lookup_only_sees_names_interned_behind_it_at_the_next_document() {
+        let symbols = Arc::new(Symbols::new());
+        let (r, unknown) = (symbols.intern("r"), Sym::UNKNOWN);
+        let mut parser = lookup_only(&symbols);
+        let doc = "<r><gadget/></r>";
+        assert_eq!(tag_syms(&mut parser, doc), [r, unknown, unknown, r]);
+        let gadget = symbols.intern("gadget");
+        parser.reset();
+        assert_eq!(tag_syms(&mut parser, doc), [r, gadget, gadget, r]);
+    }
+
+    #[test]
+    fn a_name_interned_mid_document_stays_unknown_to_its_end() {
+        let symbols = Arc::new(Symbols::new());
+        let (r, unknown) = (symbols.intern("r"), Sym::UNKNOWN);
+        let mut parser = lookup_only(&symbols);
+        assert_eq!(tag_syms(&mut parser, "<r><gadget>"), [r, unknown]);
+        // Interned mid-document: invisible until the next one, memoized
+        // (`gadget`) or not (`gizmo` was never looked up before).
+        symbols.intern("gadget");
+        symbols.intern("gizmo");
+        assert_eq!(
+            tag_syms(&mut parser, "</gadget><gizmo><gadget/></gizmo></r>"),
+            [unknown, unknown, unknown, unknown, unknown, r]
+        );
+    }
+
+    #[test]
+    fn a_frontend_takes_one_new_view_per_table_growth_it_meets() {
+        let symbols = Arc::new(Symbols::new());
+        let mut parser = lookup_only(&symbols);
+        tag_syms(&mut parser, "<r/>");
+        // Held by the table, the frontend and this test.
+        let first = symbols.snapshot();
+        assert_eq!(Arc::strong_count(&first), 3);
+        // Five names between two documents: nothing is rebuilt until
+        // the reset, which moves table and frontend to one new view.
+        for i in 0..5 {
+            symbols.intern(&format!("late-{i}"));
+        }
+        assert_eq!(Arc::strong_count(&first), 3);
+        parser.reset();
+        assert_eq!(Arc::strong_count(&first), 1);
+        let second = symbols.snapshot();
+        assert_eq!((second.len(), Arc::strong_count(&second)), (5, 3));
+        // No growth: the next document keeps the view.
+        parser.reset();
+        assert_eq!(Arc::strong_count(&second), 3);
+    }
+
+    #[test]
+    fn names_longer_than_a_memo_slot_resolve_through_the_view() {
+        let long = "a-name-of-exactly-thirty-bytes";
+        assert_eq!(long.len(), 30);
+        let symbols = Arc::new(Symbols::new());
+        let sym = symbols.intern(long);
+        let doc = format!("<{long}><{long}-not-in-the-table/></{long}>");
+        assert_eq!(
+            tag_syms(&mut lookup_only(&symbols), &doc),
+            [sym, Sym::UNKNOWN, Sym::UNKNOWN, sym]
         );
     }
 

@@ -26,24 +26,27 @@
 //!   same table.
 //! * [`Sym::UNKNOWN`] is never returned by [`Symbols::intern`]: it is
 //!   the reserved "name absent from this table" code produced by
-//!   [`Symbols::lookup_or_unknown`], and compares unequal to every
+//!   [`SymCache::lookup`], and compares unequal to every
 //!   interned sym (so a document name no query mentions simply fails
 //!   every named node test, without growing the table).
 //!
 //! The table is internally synchronized (`RwLock`); interning an
-//! already-known name takes a read lock only, so concurrent sessions
+//! already-known name takes a read lock only, and every *non-interning*
+//! resolver reads the table's shared frozen view
+//! ([`Symbols::snapshot`]) without any lock, so concurrent sessions
 //! sharing one table do not serialize on the hot path.
 //!
 //! Because ids are never recycled, the table's footprint grows with
 //! every *distinct* name ever interned. Long-lived consumers that
 //! stream adversarial name cardinality should resolve document names
-//! read-only (`StreamingParser::lookup_only`, [`Symbols::lookup_or_unknown`])
+//! read-only (`StreamingParser::lookup_only`, [`SymCache::lookup`])
 //! so only compiled query vocabulary ever lands in the table — the
 //! engine's reader path does exactly this.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// The multiply-xor hash used by the interning map (the widely-used
 /// "Fx" construction): names are short and looked up once per event on
@@ -109,7 +112,7 @@ pub struct Sym(pub(crate) u32);
 
 impl Sym {
     /// The reserved "not in this table" code (see
-    /// [`Symbols::lookup_or_unknown`]). Never issued by
+    /// [`SymCache::lookup`]). Never issued by
     /// [`Symbols::intern`]; unequal to every interned sym.
     pub const UNKNOWN: Sym = Sym(u32::MAX);
 
@@ -135,6 +138,13 @@ struct Inner {
 #[derive(Debug, Default)]
 pub struct Symbols {
     inner: RwLock<Inner>,
+    /// `inner.names.len()`, published lock-free. Stored (`Release`)
+    /// under the write lock, after the name is in place; an `Acquire`
+    /// load that reads `n` therefore sees a table of at least `n` names.
+    len: AtomicUsize,
+    /// The shared frozen view, rebuilt by [`Symbols::snapshot`] only
+    /// when the length moved since it was built.
+    view: Mutex<Arc<SymbolsSnapshot>>,
 }
 
 impl Symbols {
@@ -160,26 +170,8 @@ impl Symbols {
         let s = Sym(id);
         inner.names.push(name.to_string());
         inner.map.insert(name.to_string(), s);
+        self.len.store(inner.names.len(), Ordering::Release);
         s
-    }
-
-    /// The sym for `name`, if it was ever interned.
-    pub fn lookup(&self, name: &str) -> Option<Sym> {
-        self.inner
-            .read()
-            .expect("symbols lock")
-            .map
-            .get(name)
-            .copied()
-    }
-
-    /// The sym for `name`, or [`Sym::UNKNOWN`] when the table has never
-    /// seen it. This is the read-only conversion used when feeding
-    /// string-named events to compiled filters: an unknown name cannot
-    /// equal any compiled node test, so the sentinel behaves exactly
-    /// like a fresh sym without growing the table.
-    pub fn lookup_or_unknown(&self, name: &str) -> Sym {
-        self.lookup(name).unwrap_or(Sym::UNKNOWN)
     }
 
     /// The name behind `sym` (a clone; resolution is for diagnostics
@@ -190,9 +182,9 @@ impl Symbols {
         self.inner.read().expect("symbols lock").names[sym.index()].clone()
     }
 
-    /// Number of interned names.
+    /// Number of interned names (one atomic load, no lock).
     pub fn len(&self) -> usize {
-        self.inner.read().expect("symbols lock").names.len()
+        self.len.load(Ordering::Acquire)
     }
 
     /// True when nothing has been interned.
@@ -200,42 +192,43 @@ impl Symbols {
         self.len() == 0
     }
 
-    /// Captures the table's current contents as a frozen
-    /// [`SymbolsSnapshot`]: an immutable copy whose lookups take **no
-    /// lock at all**, for fan-out across worker threads. Because ids
-    /// are stable and never recycled, every sym the snapshot resolves
-    /// stays valid against the live table forever; names interned
-    /// *after* the freeze are simply absent from the snapshot (they
-    /// resolve to [`Sym::UNKNOWN`]), exactly as if a lookup-only
-    /// consumer had raced ahead of the interning. Re-freeze after
-    /// growing the table behind snapshot readers — see
-    /// [`SymbolsSnapshot::is_current`].
-    pub fn freeze(&self) -> SymbolsSnapshot {
-        let inner = self.inner.read().expect("symbols lock");
-        SymbolsSnapshot {
-            map: inner.map.clone(),
-            names: inner.names.clone(),
+    /// The table's **shared frozen view**: an immutable copy of its
+    /// contents whose lookups take no lock at all, cached inside the
+    /// table and rebuilt — `O(table size)` — only when a name was
+    /// interned since it was built, so every caller between two growths
+    /// gets the *same* `Arc`, however many workers ask. Ids are stable,
+    /// so what a view resolves stays valid forever; names interned after
+    /// it was built resolve to [`Sym::UNKNOWN`] in it. [`SymCache`] is
+    /// the holder, and says when it asks again.
+    pub fn snapshot(&self) -> Arc<SymbolsSnapshot> {
+        let mut view = self.view.lock().expect("symbols view lock");
+        if view.len() != self.len() {
+            let inner = self.inner.read().expect("symbols lock");
+            *view = Arc::new(SymbolsSnapshot {
+                map: inner.map.clone(),
+                names: inner.names.clone(),
+            });
         }
+        Arc::clone(&view)
     }
 }
 
 /// A frozen, read-only view of a [`Symbols`] table at one instant
-/// (produced by [`Symbols::freeze`]), shareable via `Arc` across any
-/// number of worker threads with **lock-free** lookups.
+/// (handed out, shared, by [`Symbols::snapshot`]): any number of worker
+/// threads resolve names against it with **lock-free** lookups.
 ///
 /// # Invariants
 ///
 /// * Every `(name, sym)` pair in the snapshot is permanently valid
 ///   against the source table: ids are never recycled, so a snapshot
 ///   can never return a sym the live table disagrees with.
-/// * A snapshot never sees names interned after the freeze — they
+/// * A snapshot never sees names interned after it was built — they
 ///   resolve to [`Sym::UNKNOWN`], the same collapse a lookup-only
-///   parser applies to out-of-vocabulary document names. A consumer
-///   whose compiled vocabulary grows (a dissemination server accepting
-///   a new subscription) must re-freeze, exactly where it already
-///   invalidates its [`SymCache`] memo.
-/// * Freezing is O(table size) and happens at churn boundaries, never
-///   on the per-event hot path.
+///   parser applies to out-of-vocabulary document names — and is
+///   current exactly when its [`SymbolsSnapshot::len`] equals the
+///   table's (ids are dense, so equal lengths mean equal contents).
+/// * Building one is O(table size) and happens at most once per table
+///   growth that somebody looks at, never on the per-event hot path.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolsSnapshot {
     map: FxMap<String, Sym>,
@@ -243,22 +236,23 @@ pub struct SymbolsSnapshot {
 }
 
 impl SymbolsSnapshot {
-    /// The sym for `name`, if the source table had interned it at
-    /// freeze time. Lock-free.
+    /// The sym for `name`, if the source table had interned it when the
+    /// snapshot was built. Lock-free.
     pub fn lookup(&self, name: &str) -> Option<Sym> {
         self.map.get(name).copied()
     }
 
     /// The sym for `name`, or [`Sym::UNKNOWN`] when the snapshot does
-    /// not contain it — the read-only conversion worker threads use.
-    /// Lock-free.
+    /// not contain it — the read-only conversion: an unknown name cannot
+    /// equal any compiled node test, so the sentinel behaves exactly
+    /// like a fresh sym without growing the table. Lock-free.
     pub fn lookup_or_unknown(&self, name: &str) -> Sym {
         self.lookup(name).unwrap_or(Sym::UNKNOWN)
     }
 
     /// The name behind `sym`, borrowed from the snapshot (no clone, no
     /// lock). `None` for [`Sym::UNKNOWN`] or a sym issued after the
-    /// freeze.
+    /// snapshot was built.
     pub fn resolve(&self, sym: Sym) -> Option<&str> {
         self.names.get(sym.index()).map(String::as_str)
     }
@@ -272,62 +266,53 @@ impl SymbolsSnapshot {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
-
-    /// True when `table` has interned nothing since this snapshot was
-    /// frozen (ids are dense and never recycled, so equal lengths mean
-    /// equal contents). The cheap staleness probe for consumers that
-    /// re-freeze at churn boundaries.
-    pub fn is_current(&self, table: &Symbols) -> bool {
-        self.names.len() == table.len()
-    }
 }
 
-/// A small 2-way set-associative, lock-free memo for [`Symbols`]
-/// lookups, owned by a single consumer (a filter bank's owned-event
-/// conversion layer). XML documents draw names from a tiny vocabulary,
-/// so almost every per-event lookup hits the cache and costs a short
-/// hash plus one or two string compares — no table lock at all. Misses
-/// fall through to the shared table and fill the set's colder way
-/// (reusing its `String` capacity).
+/// A small 2-way set-associative, lock-free memo in front of a
+/// [`Symbols`] table, owned by a single name resolver (a frontend's
+/// [`crate::Names`], or a filter bank's owned-event conversion layer).
+/// XML documents draw names from a tiny vocabulary, so almost every
+/// per-event lookup hits the memo and costs a short hash plus one or two
+/// inline array compares. A miss is resolved by the owner's mode —
+/// [`SymCache::lookup`] reads the table's shared frozen view
+/// ([`Symbols::snapshot`]; no lock, and names too long for a memo slot
+/// read it every time), the interning frontends go to
+/// [`Symbols::intern`] — and overwrites the set's colder way.
 ///
 /// Two ways per set matter: real vocabularies routinely put two hot
 /// names in one hash bucket (an element and the attribute it always
 /// carries, say), and a direct-mapped memo would then *miss on every
-/// single lookup* as the pair evicts each other — paying the table's
-/// read lock per event. With two ways and move-to-front promotion the
-/// alternating pair simply occupies both ways of its set.
+/// single lookup* as the pair evicts each other. With two ways and
+/// move-to-front promotion the alternating pair simply occupies both
+/// ways of its set.
 ///
-/// The cache memoizes *lookup* results, including "unknown". A memoed
-/// [`Sym::UNKNOWN`] can go stale when another table user (a parser, a
-/// later-built bank) interns that name afterwards — harmlessly: the
-/// consumer's own compiled names were all interned before its first
-/// lookup, so a name that ever memoizes as unknown is outside its
-/// compiled vocabulary, where `UNKNOWN` and a real (never-compared)
-/// sym behave identically.
+/// # Name freshness
 ///
-/// **Multi-worker caveat.** The harmlessness argument is *per
-/// consumer*: it assumes the consumer's own vocabulary never grows
-/// behind its memo. In a pool of workers sharing one table, a
-/// subscribe handled by worker A interns names that worker B's memo
-/// may already hold as `UNKNOWN` from B's earlier documents — and B's
-/// vocabulary *did* just grow, so the staleness is no longer harmless
-/// for B. Every worker must therefore invalidate its **own** memo
-/// (and re-freeze its own [`SymbolsSnapshot`], if it parses against
-/// one) when it applies the churn command — invalidating only the
-/// worker that performed the interning is a correctness bug. The
-/// dissemination server does this by broadcasting churn to every worker,
-/// each of which refreshes its own session's memo; the regression is
-/// pinned by `tests/concurrency_stress.rs`.
+/// A lookup memoizes "unknown" too, and the view behind it does not see
+/// names interned later (a late subscription compiling behind a live
+/// parser). Nobody has to tell the memo: its owner compares the view's
+/// length with the table's **once per document** — `Frontend::reset`
+/// for the frontends, `StartDocument` in [`AttrBuf::sym_event`] for
+/// owned events; one atomic load — and, if the table grew, takes the
+/// new shared view and drops the memo. Never mid-document: the filters
+/// test an end tag's sym against the start tag's, so a name must
+/// resolve alike at both ends of an element. A name interned while a
+/// document streams is seen from the next document on, by every
+/// resolver on the table, without a call from whoever interned it.
 #[derive(Debug, Clone, Default)]
 pub struct SymCache {
     slots: Vec<CacheSlot>,
+    /// The view lookup misses resolve against: taken at the first miss,
+    /// re-validated by [`SymCache::sync`]. Never set by an interning
+    /// owner: its table grows with every document and is not copied.
+    view: Option<Arc<SymbolsSnapshot>>,
 }
 
 /// Number of 2-way sets; the memo holds twice this many entries.
 const SYM_CACHE_SETS: usize = 128;
 
 /// Longest name memoized inline. Longer names (rare in real vocabularies)
-/// bypass the memo and pay the shared-table lookup each time.
+/// bypass the memo and pay the miss path each time.
 const SYM_CACHE_NAME_MAX: usize = 22;
 
 /// One memo entry. The name bytes live inline so a probe is a length
@@ -349,19 +334,11 @@ impl CacheSlot {
         name: [0; SYM_CACHE_NAME_MAX],
     };
 
-    fn filled(nb: &[u8], sym: Sym) -> CacheSlot {
-        let mut slot = CacheSlot::EMPTY;
-        slot.name[..nb.len()].copy_from_slice(nb);
-        slot.len = nb.len() as u8;
-        slot.sym = sym;
-        slot
-    }
-
     /// Zero-pads a probe key once so every way comparison is a
     /// fixed-size array equality (unrolled word compares, no
     /// variable-length `memcmp` per way). Slot padding bytes are
-    /// always zero ([`CacheSlot::filled`] starts from `EMPTY`), so
-    /// padded equality coincides with prefix equality.
+    /// always zero (a slot is filled with the padded key), so padded
+    /// equality coincides with prefix equality.
     fn pad_key(nb: &[u8]) -> [u8; SYM_CACHE_NAME_MAX] {
         let mut key = [0u8; SYM_CACHE_NAME_MAX];
         key[..nb.len()].copy_from_slice(nb);
@@ -374,122 +351,72 @@ impl CacheSlot {
     }
 }
 
-/// The raw Fx hash of a byte string (the [`FxHasher`] fold, without
-/// the `Hash`-trait framing).
-fn fx_hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(bytes);
-    h.finish()
+/// The one probe/fill body: `name`'s memoized sym, or `miss()` —
+/// memoized in the colder way of its set, then promoted to the front.
+#[inline]
+fn memoized(slots: &mut Vec<CacheSlot>, name: &str, miss: impl FnOnce() -> Sym) -> Sym {
+    let nb = name.as_bytes();
+    if nb.is_empty() || nb.len() > SYM_CACHE_NAME_MAX {
+        return miss();
+    }
+    // Slots materialize on first use (`Default` is an empty vec), so
+    // `mem::take`-style swaps of a consumer's cache cost nothing.
+    if slots.is_empty() {
+        slots.resize(SYM_CACHE_SETS * 2, CacheSlot::EMPTY);
+    }
+    // Index of the first (hotter) way of `name`'s set: the raw Fx fold
+    // of the bytes, without the `Hash`-trait framing.
+    let mut hash = FxHasher::default();
+    hash.write(nb);
+    let idx = ((hash.finish() as usize) & (SYM_CACHE_SETS - 1)) * 2;
+    let key = CacheSlot::pad_key(nb);
+    if slots[idx].matches(nb.len(), &key) {
+        return slots[idx].sym;
+    }
+    if slots[idx + 1].matches(nb.len(), &key) {
+        slots.swap(idx, idx + 1);
+        return slots[idx].sym;
+    }
+    let sym = miss();
+    let (len, name) = (nb.len() as u8, key);
+    slots[idx + 1] = CacheSlot { sym, len, name };
+    slots.swap(idx, idx + 1);
+    sym
 }
 
-// NOTE: slots materialize on first use (`Default` is an empty vec), so
-// `mem::take`-style swaps of a consumer's cache cost nothing.
 impl SymCache {
     /// An empty cache.
     pub fn new() -> SymCache {
         SymCache::default()
     }
 
-    /// Index of the first (hotter) way of `name`'s set.
-    fn set_index(name: &str) -> usize {
-        ((fx_hash_bytes(name.as_bytes()) as usize) & (SYM_CACHE_SETS - 1)) * 2
-    }
-
-    /// [`Symbols::lookup_or_unknown`] through the memo.
+    /// The sym for `name`, or [`Sym::UNKNOWN`] when `symbols` does not
+    /// hold it: the memo, then `symbols`' shared frozen view (see the
+    /// type docs for when the view is renewed). Never interns.
     pub fn lookup(&mut self, symbols: &Symbols, name: &str) -> Sym {
-        let nb = name.as_bytes();
-        if nb.is_empty() || nb.len() > SYM_CACHE_NAME_MAX {
-            return symbols.lookup_or_unknown(name);
-        }
-        if self.slots.is_empty() {
-            self.slots.resize(SYM_CACHE_SETS * 2, CacheSlot::EMPTY);
-        }
-        let idx = SymCache::set_index(name);
-        let key = CacheSlot::pad_key(nb);
-        if self.slots[idx].matches(nb.len(), &key) {
-            return self.slots[idx].sym;
-        }
-        if self.slots[idx + 1].matches(nb.len(), &key) {
-            self.slots.swap(idx, idx + 1);
-            return self.slots[idx].sym;
-        }
-        let sym = symbols.lookup_or_unknown(name);
-        // Fill the colder way, then promote it to the front.
-        self.slots[idx + 1] = CacheSlot::filled(nb, sym);
-        self.slots.swap(idx, idx + 1);
-        sym
+        let SymCache { slots, view } = self;
+        memoized(slots, name, || {
+            view.get_or_insert_with(|| symbols.snapshot())
+                .lookup_or_unknown(name)
+        })
     }
 
-    /// [`Symbols::lookup_or_unknown`] through the memo, resolving
-    /// misses against a frozen [`SymbolsSnapshot`] instead of the live
-    /// table: the fully lock-free worker-thread form (hits touch only
-    /// the memo, misses only the immutable snapshot).
-    pub fn lookup_frozen(&mut self, snapshot: &SymbolsSnapshot, name: &str) -> Sym {
-        let nb = name.as_bytes();
-        if nb.is_empty() || nb.len() > SYM_CACHE_NAME_MAX {
-            return snapshot.lookup_or_unknown(name);
-        }
-        if self.slots.is_empty() {
-            self.slots.resize(SYM_CACHE_SETS * 2, CacheSlot::EMPTY);
-        }
-        let idx = SymCache::set_index(name);
-        let key = CacheSlot::pad_key(nb);
-        if self.slots[idx].matches(nb.len(), &key) {
-            return self.slots[idx].sym;
-        }
-        if self.slots[idx + 1].matches(nb.len(), &key) {
-            self.slots.swap(idx, idx + 1);
-            return self.slots[idx].sym;
-        }
-        let sym = snapshot.lookup_or_unknown(name);
-        self.slots[idx + 1] = CacheSlot::filled(nb, sym);
-        self.slots.swap(idx, idx + 1);
-        sym
+    /// [`Symbols::intern`] through the memo: the interning frontends'
+    /// resolution (every verdict it memoizes is a real sym).
+    pub(crate) fn intern(&mut self, symbols: &Symbols, name: &str) -> Sym {
+        memoized(&mut self.slots, name, || symbols.intern(name))
     }
 
-    /// [`SymCache::lookup`], optionally interning on a miss (with the
-    /// memo slot refreshed so the stale "unknown" verdict is replaced):
-    /// the one resolution primitive both parser modes share.
-    pub fn lookup_or_intern(&mut self, symbols: &Symbols, name: &str, intern: bool) -> Sym {
-        let sym = self.lookup(symbols, name);
-        if sym != Sym::UNKNOWN || !intern {
-            return sym;
+    /// The once-per-document freshness check of a lookup-only owner:
+    /// when `symbols` grew since the view was taken, takes the new
+    /// shared view and forgets every memoized verdict (slot storage is
+    /// kept). One atomic load, and no allocation, when it did not.
+    pub(crate) fn sync(&mut self, symbols: &Symbols) {
+        let stale = |view: &Arc<SymbolsSnapshot>| view.len() != symbols.len();
+        if self.view.as_ref().is_some_and(stale) {
+            self.view = Some(symbols.snapshot());
+            self.slots.fill(CacheSlot::EMPTY);
         }
-        let interned = symbols.intern(name);
-        self.insert(name, interned);
-        interned
-    }
-
-    /// Forgets every memoized verdict (slot storage is kept).
-    /// Required after the shared table gains names *behind* a lookup-only
-    /// consumer — e.g. a dissemination server compiling a freshly
-    /// subscribed query — since a stale memoized [`Sym::UNKNOWN`] would
-    /// otherwise hide the now-interned name from that consumer.
-    pub fn clear(&mut self) {
-        self.slots.fill(CacheSlot::EMPTY);
-    }
-
-    /// Overwrites the memo entry for `name` (used after interning a
-    /// name the cache had memoized as unknown), leaving it in the hot
-    /// way of its set.
-    pub fn insert(&mut self, name: &str, sym: Sym) {
-        let nb = name.as_bytes();
-        if nb.is_empty() || nb.len() > SYM_CACHE_NAME_MAX {
-            return;
-        }
-        if self.slots.is_empty() {
-            self.slots.resize(SYM_CACHE_SETS * 2, CacheSlot::EMPTY);
-        }
-        let idx = SymCache::set_index(name);
-        let key = CacheSlot::pad_key(nb);
-        if self.slots[idx].matches(nb.len(), &key) {
-            self.slots[idx].sym = sym;
-            return;
-        }
-        // Hit in the cold way updates in place; a true miss evicts it.
-        // Either way the entry is promoted to the front.
-        self.slots[idx + 1] = CacheSlot::filled(nb, sym);
-        self.slots.swap(idx, idx + 1);
     }
 }
 
@@ -672,6 +599,8 @@ impl AttrBuf {
     /// and staging attributes in this buffer. Filters and banks call it
     /// when fed pre-materialized [`crate::Event`]s — fixtures and
     /// hand-pushed events; parsers emit [`SymEvent`]s natively.
+    /// `StartDocument` is where `cache` catches up with names interned
+    /// since the last document (see [`SymCache`]).
     pub fn sym_event<'s>(
         &'s mut self,
         cache: &mut SymCache,
@@ -679,7 +608,10 @@ impl AttrBuf {
         event: &'s crate::Event,
     ) -> SymEvent<'s> {
         match event {
-            crate::Event::StartDocument => SymEvent::StartDocument,
+            crate::Event::StartDocument => {
+                cache.sync(symbols);
+                SymEvent::StartDocument
+            }
             crate::Event::EndDocument => SymEvent::EndDocument,
             crate::Event::StartElement { name, attributes } => {
                 self.clear();
@@ -722,11 +654,28 @@ mod tests {
     fn lookup_does_not_grow_the_table() {
         let t = Symbols::new();
         t.intern("known");
-        assert_eq!(t.lookup("known"), Some(Sym(0)));
-        assert_eq!(t.lookup("unknown"), None);
-        assert_eq!(t.lookup_or_unknown("unknown"), Sym::UNKNOWN);
+        let mut cache = SymCache::new();
+        assert_eq!(cache.lookup(&t, "known"), Sym(0));
+        assert_eq!(t.snapshot().lookup("unknown"), None);
+        assert_eq!(cache.lookup(&t, "unknown"), Sym::UNKNOWN);
         assert_eq!(t.len(), 1, "lookup must not intern");
-        assert_ne!(t.lookup_or_unknown("known"), Sym::UNKNOWN);
+    }
+
+    #[test]
+    fn snapshot_is_shared_until_the_table_grows() {
+        let t = Symbols::new();
+        assert!(Arc::ptr_eq(&t.snapshot(), &t.snapshot()));
+        let a = t.intern("a");
+        let view = t.snapshot();
+        assert_eq!(view.lookup("a"), Some(a));
+        assert!(Arc::ptr_eq(&view, &t.snapshot()));
+        t.intern("a"); // known name: no growth, no rebuild
+        assert!(Arc::ptr_eq(&view, &t.snapshot()));
+        let b = t.intern("b");
+        let grown = t.snapshot();
+        assert!(!Arc::ptr_eq(&view, &grown));
+        assert_eq!((view.lookup("b"), grown.lookup("b")), (None, Some(b)));
+        assert_eq!(grown.len(), t.len());
     }
 
     #[test]

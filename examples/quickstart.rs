@@ -28,7 +28,10 @@ fn main() {
         .expect("query is in the supported fragment");
     let xml = "<a><c><d/><e/><f/></c><b>6</b><c/></a>";
     println!("\ndocument:       {xml}");
-    let verdicts = engine.run_reader(xml.as_bytes()).expect("well-formed XML");
+    let verdicts = engine
+        .session()
+        .run_reader(xml.as_bytes())
+        .expect("well-formed XML");
     println!("matches:        {}", verdicts.any());
     println!(
         "peak bits:      {}  (Theorem 8.8's measure)",

@@ -26,7 +26,8 @@
 //!     .unwrap();
 //!
 //! // …filtering a streaming document in O(FS(Q)·log d) bits.
-//! let verdicts = engine.run_reader("<a><c><e/><f/></c><b>6</b></a>".as_bytes()).unwrap();
+//! let xml = "<a><c><e/><f/></c><b>6</b></a>";
+//! let verdicts = engine.session().run_reader(xml.as_bytes()).unwrap();
 //! assert!(verdicts.any());
 //!
 //! // The matching lower bound: FS(Q) = 3 bits are *necessary*.
@@ -131,7 +132,7 @@ pub mod prelude {
     pub use fx_engine::Evaluator as BooleanStreamFilter;
     pub use fx_engine::{
         Backend, BankShardedOutcome, BatchRing, Engine, EngineBuilder, EngineError, Evaluator,
-        IndexPolicy, Match, MatchCollector, MatchSink, Mode, Outcome, Session, Verdicts,
+        IndexPolicy, Match, MatchSink, Mode, Outcome, Session, Verdicts,
     };
     pub use fx_eval::{bool_eval, document_matches, full_eval};
     pub use fx_html::{parse_html, HtmlParser};

@@ -283,9 +283,9 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     parser.finish_interned(&mut emit).unwrap();
     assert_eq!(filter.result(), Some(true));
 
-    // --- Sharded worker hot path: frozen snapshot + batch ring. ------
+    // --- Sharded worker hot path: shared view + batch ring. ----------
     // The multi-core pipeline run end-to-end on this thread (the
-    // counter is thread-local): a frozen-snapshot parser resolves names
+    // counter is thread-local): a lookup-only parser resolves names
     // lock-free, events are copied into an `EventBatch` (the producer
     // side of the broadcast ring), then replayed through a consumer
     // scratch buffer into a partitioned bank shard — the exact per-event
@@ -304,10 +304,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     let parent = IndexedBank::new(&queries).unwrap();
     let symbols = Arc::clone(parent.symbols());
     let mut shard = parent.partition(2).swap_remove(0);
-    // Freeze after the bank compile interned the query vocabulary.
-    let mut parser = StreamingParser::with_symbols(Arc::clone(&symbols))
-        .lookup_only()
-        .frozen();
+    let mut parser = StreamingParser::with_symbols(Arc::clone(&symbols)).lookup_only();
     let mut batch = frontier_xpath::xml::EventBatch::new();
     let mut scratch = frontier_xpath::xml::AttrBuf::new();
     let chunk = r#"<i a="1">x</i><j/>"#;
@@ -338,7 +335,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     assert_eq!(
         after - before,
         0,
-        "sharded worker path (frozen parse → batch fill → replay into a \
+        "sharded worker path (lookup-only parse → batch fill → replay into a \
          bank shard) must not allocate in steady state ({} allocations \
          over {steady} cycles)",
         after - before

@@ -373,12 +373,12 @@ fn matches_before_a_parse_error_do_not_depend_on_the_batch_cut() {
         .unwrap_err();
         assert_eq!(ref_matches.len(), n);
 
-        let mut sink = MatchCollector::new();
+        let mut sink: Vec<Match> = Vec::new();
         engine
             .session()
             .run_reader_to(xml.as_bytes(), &mut sink)
             .unwrap_err();
-        assert_eq!(sink.matches(), &ref_matches[..], "fault after {n} elements");
+        assert_eq!(sink, ref_matches, "fault after {n} elements");
     }
 }
 
@@ -446,7 +446,7 @@ proptest! {
             .mode(Mode::Select)
             .build()
             .unwrap();
-        let mut sink = MatchCollector::new();
+        let mut sink: Vec<Match> = Vec::new();
         let verdicts = engine
             .session()
             .run_reader_to(ChunkyReader::new(xml.as_bytes(), seed, 13), &mut sink)
@@ -470,6 +470,6 @@ proptest! {
 
         let ref_verdicts: Vec<bool> = bank.results().iter().map(|r| r.unwrap()).collect();
         prop_assert_eq!(verdicts.matched(), &ref_verdicts[..]);
-        prop_assert_eq!(sink.matches(), &ref_matches[..]);
+        prop_assert_eq!(sink, ref_matches);
     }
 }

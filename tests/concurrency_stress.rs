@@ -1,11 +1,11 @@
 //! Concurrency stress: the multi-core layer under adversarial
 //! scheduling. Three fronts:
 //!
-//! 1. **Frozen snapshots vs a live interner** — reader threads hammer a
+//! 1. **The shared view vs a live interner** — reader threads hammer a
 //!    `SymbolsSnapshot` while the writer keeps interning; the grow-only
-//!    table guarantees every frozen answer stays correct forever
-//!    (prefix stability), staleness is detectable via `is_current`, and
-//!    a re-freeze picks up the new names.
+//!    table guarantees every answer of the view stays correct forever
+//!    (prefix stability), staleness shows as a length behind the
+//!    table's, and the next `snapshot()` picks up the new names.
 //! 2. **Multi-worker server churn under publish load** — subscriptions
 //!    come and go while publishers flood all workers; pinned subscriptions
 //!    must see *exactly* their documents (no loss, no duplication,
@@ -14,9 +14,9 @@
 //!    `dropped_deliveries`.
 //! 3. **Cross-worker stale-memo regression** — a late subscription's
 //!    names were interned *after* other workers' documents memoized
-//!    them UNKNOWN in their frozen parsers; every worker must still
-//!    match post-subscribe documents (the snapshot refresh after a
-//!    subscribe).
+//!    them UNKNOWN in their parsers; every worker must still match
+//!    post-subscribe documents (each parser's own check at its next
+//!    document — nobody tells it).
 //!
 //! Runs in CI's checked-arithmetic job with `RUST_TEST_THREADS`
 //! unpinned, so test-level parallelism adds scheduling noise for free.
@@ -27,10 +27,10 @@ use frontier_xpath::xpath::parse_query;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Readers resolve through a frozen snapshot while the writer interns
-/// thousands of fresh names: every pre-freeze answer must hold
-/// verbatim, post-freeze names must be invisible, and `is_current`
-/// must flip exactly when the table outgrows the snapshot.
+/// Readers resolve through the table's shared view while the writer
+/// interns thousands of fresh names: every answer the view gave must
+/// hold verbatim, later names must be invisible to it, and its length
+/// must fall behind the table's exactly when the table outgrows it.
 #[test]
 fn snapshot_readers_survive_concurrent_interning() {
     let symbols = Arc::new(Symbols::new());
@@ -41,8 +41,8 @@ fn snapshot_readers_survive_concurrent_interning() {
             (name, sym)
         })
         .collect();
-    let snapshot = Arc::new(symbols.freeze());
-    assert!(snapshot.is_current(&symbols));
+    let snapshot = symbols.snapshot();
+    assert_eq!(snapshot.len(), symbols.len());
 
     let stop = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..4)
@@ -59,7 +59,7 @@ fn snapshot_readers_survive_concurrent_interning() {
                         assert_eq!(snapshot.lookup(name), Some(*sym), "reader {r}");
                         assert_eq!(snapshot.resolve(*sym), Some(name.as_str()));
                     }
-                    // Names interned after the freeze must never leak in.
+                    // Names interned after the view was taken never leak in.
                     assert_eq!(snapshot.lookup(&format!("late-{rounds}")), None);
                     rounds += 1;
                     if stop.load(Ordering::Relaxed) {
@@ -79,14 +79,14 @@ fn snapshot_readers_survive_concurrent_interning() {
         assert!(r.join().unwrap() > 0, "reader never completed a round");
     }
 
-    // Staleness is detectable, and a re-freeze sees everything.
-    assert!(!snapshot.is_current(&symbols));
+    // Staleness is detectable, and the next view sees everything.
     assert_eq!(snapshot.len(), baseline.len());
-    let refrozen = symbols.freeze();
-    assert!(refrozen.is_current(&symbols));
-    assert!(refrozen.lookup("late-3999").is_some());
+    assert_ne!(snapshot.len(), symbols.len());
+    let renewed = symbols.snapshot();
+    assert_eq!(renewed.len(), symbols.len());
+    assert!(renewed.lookup("late-3999").is_some());
     for (name, sym) in &baseline {
-        assert_eq!(refrozen.lookup(name), Some(*sym), "prefix stability");
+        assert_eq!(renewed.lookup(name), Some(*sym), "prefix stability");
     }
 }
 
@@ -196,9 +196,9 @@ fn sharded_churn_under_publish_load_accounts_every_delivery() {
 
 /// The cross-worker stale-memo regression (the satellite fix pinned as
 /// behavior): documents containing `<X>` flow through *every* worker
-/// before any query mentions `X`, so each worker's frozen parser
-/// memoizes `X` as unknown. A late `//X` subscription must still match
-/// on all workers — each re-freezes its snapshot before its next document.
+/// before any query mentions `X`, so each worker's parser memoizes `X`
+/// as unknown. A late `//X` subscription must still match on all
+/// workers — each takes the table's new view at its next document.
 #[test]
 fn late_subscription_names_unstick_every_workers_memo() {
     for workers in [2usize, 4] {

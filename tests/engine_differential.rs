@@ -33,6 +33,15 @@ const QUERIES: &[&str] = &[
 
 const LINEAR_QUERIES: &[&str] = &["/a/b", "//a//b", "/a//b/c", "//x", "/a/*/b"];
 
+/// A fresh session fed pre-materialized events one `push` at a time.
+fn push_all(engine: &Engine, events: &[Event]) -> Verdicts {
+    let mut session = engine.session();
+    for e in events {
+        session.push(e);
+    }
+    session.finish().unwrap()
+}
+
 /// Verdict AND peak-bit parity between `Engine` (Frontier backend) and
 /// a bare `StreamFilter` over the seeded random-document generator.
 #[test]
@@ -72,7 +81,7 @@ fn frontier_backend_matches_legacy_verdicts_and_bits() {
             let legacy_bits = legacy.stats().max_bits;
 
             // New: a fresh engine session over the same events.
-            let verdicts = engine.run_events(&events).unwrap();
+            let verdicts = push_all(&engine, &events);
             assert_eq!(
                 verdicts.matched(),
                 &[legacy_verdict],
@@ -89,17 +98,18 @@ fn frontier_backend_matches_legacy_verdicts_and_bits() {
     }
 }
 
-/// The reader path (EventIter under the hood) agrees with the event path.
+/// The reader path (the session's own tokenizer, batched) agrees with
+/// the same document pushed as owned events.
 #[test]
-fn run_reader_matches_run_events() {
+fn session_reader_matches_pushed_events() {
     let mut rng = SmallRng::seed_from_u64(0x5EED);
     let cfg = RandomDocConfig::default();
     for src in QUERIES {
         let engine = Engine::builder().query_str(src).build().unwrap();
         for _ in 0..20 {
             let d = random_document(&mut rng, &cfg);
-            let via_events = engine.run_events(&d.to_events()).unwrap();
-            let via_reader = engine.run_reader(d.to_xml().as_bytes()).unwrap();
+            let via_events = push_all(&engine, &d.to_events());
+            let via_reader = engine.session().run_reader(d.to_xml().as_bytes()).unwrap();
             assert_eq!(
                 via_events.matched(),
                 via_reader.matched(),
@@ -138,7 +148,7 @@ fn all_backends_agree_with_reference_on_linear_queries() {
             let events = d.to_events();
             for engine in &engines {
                 assert_eq!(
-                    engine.run_events(&events).unwrap().any(),
+                    push_all(engine, &events).any(),
                     reference,
                     "{src} via {:?} on {}",
                     engine.backend(),
@@ -268,8 +278,8 @@ fn event_iter_filters_large_document_without_buffering() {
         .build()
         .unwrap();
 
-    let small = engine.run_reader(SyntheticCatalog::new(500)).unwrap();
-    let large = engine.run_reader(SyntheticCatalog::new(200_000)).unwrap();
+    let run = |items| engine.session().run_reader(SyntheticCatalog::new(items));
+    let (small, large) = (run(500).unwrap(), run(200_000).unwrap());
     assert!(small.any() && large.any());
     // StartDocument/EndDocument + <catalog>…</catalog> + five events per
     // item (start, start, text, end, end).
@@ -289,6 +299,7 @@ fn event_iter_filters_large_document_without_buffering() {
         .build()
         .unwrap();
     let buffered = buffering
+        .session()
         .run_reader(SyntheticCatalog::new(200_000))
         .unwrap();
     assert!(

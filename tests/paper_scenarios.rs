@@ -121,9 +121,8 @@ fn section_6_4_canonical_example() {
         1
     );
     // And streams correctly through the filter.
-    let events = cd.doc.to_events();
     let engine = Engine::builder().query(q).build().unwrap();
-    assert!(engine.run_events(&events).unwrap().any());
+    assert!(engine.run_str(&cd.doc.to_xml()).unwrap().any());
 }
 
 #[test]
@@ -203,7 +202,7 @@ fn multi_query_bank_spanning_fragments() {
         &mut rng,
         &frontier_xpath::workloads::XmarkConfig::default(),
     );
-    let verdicts = engine.run_events(&doc.to_events()).unwrap();
+    let verdicts = engine.run_str(&doc.to_xml()).unwrap();
     for (i, q) in queries.iter().enumerate() {
         assert_eq!(verdicts.matched()[i], bool_eval(q, &doc).unwrap());
     }

@@ -300,13 +300,9 @@ fn spans_point_into_the_source_across_documents() {
     ];
     let expected = [vec!["<name>gold</name>"], vec!["<name>late</name>"]];
     for (xml, want) in docs.iter().zip(expected) {
-        let mut sink = MatchCollector::new();
+        let mut sink: Vec<Match> = Vec::new();
         session.run_reader_to(xml.as_bytes(), &mut sink).unwrap();
-        let got: Vec<&str> = sink
-            .matches()
-            .iter()
-            .map(|m| m.span.slice(xml).unwrap())
-            .collect();
+        let got: Vec<&str> = sink.iter().map(|m| m.span.slice(xml).unwrap()).collect();
         assert_eq!(got, want, "{xml}");
     }
 }

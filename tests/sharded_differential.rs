@@ -76,7 +76,7 @@ fn doc_sharded_filtering_matches_sequential_xmark() {
         .unwrap();
     let reference: Vec<Vec<bool>> = corpus
         .iter()
-        .map(|d| engine.run_reader(d.as_bytes()).unwrap().matched().to_vec())
+        .map(|d| engine.run_str(d).unwrap().matched().to_vec())
         .collect();
     for &threads in THREAD_COUNTS {
         let sharded = engine.run_sharded(&corpus, threads).unwrap();
@@ -111,7 +111,7 @@ fn doc_sharded_skewed_sizes_match_sequential() {
         .unwrap();
     let reference: Vec<Vec<bool>> = corpus
         .iter()
-        .map(|d| engine.run_reader(d.as_bytes()).unwrap().matched().to_vec())
+        .map(|d| engine.run_str(d).unwrap().matched().to_vec())
         .collect();
     for &threads in THREAD_COUNTS {
         let sharded = engine.run_sharded(&corpus, threads).unwrap();
