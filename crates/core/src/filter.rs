@@ -22,7 +22,7 @@
 //! is bounded by the path recursion depth `r`, which the theorem already
 //! charges per record.
 
-use crate::reporter::{Frame, Match, MatchSink, Reporter};
+use crate::reporter::{Match, MatchSink, Reporter};
 use crate::space::SpaceStats;
 use fx_eval::truth::{constraining_predicate, TruthError};
 use fx_xml::{AttrBuf, Event, EventBatch, Span, Sym, SymAttr, SymCache, SymEvent, Symbols};
@@ -109,6 +109,48 @@ fn intern_ntest(symbols: &Symbols, ntest: &NodeTest) -> Option<Sym> {
     }
 }
 
+/// The element names a query's node tests mention: a bitset over sym
+/// ids. [`Sym::UNKNOWN`] and syms interned after compilation lie beyond
+/// its last word and are (correctly) not members.
+#[derive(Debug, Clone)]
+struct NameSet(Vec<u64>);
+
+impl NameSet {
+    /// The names of the element steps among `nodes` (`nodes[0]` is the
+    /// query root, not a step), or `None` when some element step is a
+    /// wildcard — such a query reacts to every tag. Attribute steps are
+    /// left out: they are resolved from their parent's start tag and
+    /// never compared against an element name.
+    fn of(nodes: &[CNode]) -> Option<NameSet> {
+        let steps = || nodes[1..].iter().filter(|n| n.axis != Axis::Attribute);
+        if steps().any(|n| n.sym.is_none()) {
+            return None;
+        }
+        let ids = || steps().filter_map(|n| n.sym).map(Sym::index);
+        let mut words = vec![0u64; ids().max().map_or(0, |i| (i >> 6) + 1)];
+        for i in ids() {
+            words[i >> 6] |= 1 << (i & 63);
+        }
+        Some(NameSet(words))
+    }
+
+    #[inline]
+    fn contains(&self, name: Sym) -> bool {
+        let i = name.index();
+        self.0.get(i >> 6).is_some_and(|w| w >> (i & 63) & 1 == 1)
+    }
+
+    /// The members' sym ids ([`Sym::index`]), ascending.
+    fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            // Each step clears the lowest set bit.
+            let nonzero = |bits: u64| (bits != 0).then_some(bits);
+            std::iter::successors(nonzero(word), move |&bits| nonzero(bits & (bits - 1)))
+                .map(move |bits| w << 6 | bits.trailing_zeros() as usize)
+        })
+    }
+}
+
 /// The compiled form of a query accepted by the filter.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
@@ -130,6 +172,12 @@ pub struct CompiledQuery {
     /// must reach the filter as syms from this same table (the owned
     /// [`Event`] entry points convert through it automatically).
     symbols: Arc<Symbols>,
+    /// The element names the node tests mention (`None`: some element
+    /// step is a wildcard). A tag outside it can select no record —
+    /// Thm 8.8's frontier reacts to the query's own node tests only —
+    /// so the filter does position bookkeeping for it and nothing else,
+    /// and a bank need not deliver it at all.
+    names: Option<NameSet>,
 }
 
 impl CompiledQuery {
@@ -204,6 +252,7 @@ impl CompiledQuery {
             .map(|&n| nodes[n as usize].axis != Axis::Descendant)
             .collect();
         Ok(CompiledQuery {
+            names: NameSet::of(&nodes),
             nodes,
             parents,
             root_children,
@@ -232,7 +281,24 @@ impl CompiledQuery {
         for n in &mut self.nodes {
             n.sym = intern_ntest(symbols, &n.ntest);
         }
+        self.names = NameSet::of(&self.nodes);
         self.symbols = Arc::clone(symbols);
+    }
+
+    /// Whether a start or end tag named `name` can touch the frontier:
+    /// false only when every element step is a named test and none of
+    /// them is `name`.
+    #[inline]
+    fn mentions(&self, name: Sym) -> bool {
+        self.names.as_ref().is_none_or(|set| set.contains(name))
+    }
+
+    /// The sym ids ([`Sym::index`]) of the element names the node tests
+    /// mention, or `None` when some element step is a wildcard. The
+    /// multi-query bank builds its per-name dispatch lists from the very
+    /// set the filter's own fast path consults.
+    pub(crate) fn element_names(&self) -> Option<impl Iterator<Item = usize> + '_> {
+        self.names.as_ref().map(NameSet::indices)
     }
 
     /// The query size `|Q|`.
@@ -282,9 +348,40 @@ pub struct FrontierRecord {
     /// for descendant-axis records, the insertion level (candidates may be
     /// deeper).
     pub level: usize,
-    /// Buffer offsets of the string values of currently-open candidacies
-    /// (leaf records only). Innermost last.
-    pub str_starts: Vec<usize>,
+    /// Buffer offset of the string value of the innermost open candidacy
+    /// (leaf records only).
+    pub str_start: Option<usize>,
+    /// Offsets of the open candidacies around the innermost one,
+    /// outermost first. A record's candidacies nest only under leaf
+    /// recursion (erratum #2), so this stays empty — and a record never
+    /// allocates — everywhere else.
+    pub outer_starts: Vec<usize>,
+}
+
+impl FrontierRecord {
+    fn new(node: u32, matched: bool, level: usize) -> FrontierRecord {
+        FrontierRecord {
+            node,
+            matched,
+            level,
+            str_start: None,
+            outer_starts: Vec::new(),
+        }
+    }
+
+    /// Pushes the offset of a candidacy opening inside the open ones.
+    fn open_candidacy(&mut self, offset: usize) {
+        if let Some(outer) = self.str_start.replace(offset) {
+            self.outer_starts.push(outer);
+        }
+    }
+
+    /// Pops the innermost open candidacy's offset.
+    fn close_candidacy(&mut self) -> Option<usize> {
+        let innermost = self.str_start.take()?;
+        self.str_start = self.outer_starts.pop();
+        Some(innermost)
+    }
 }
 
 /// The streaming filter: feed it SAX events through
@@ -450,6 +547,9 @@ impl StreamFilter {
     /// No-op in filtering (non-reporting) mode.
     pub fn drain_matches(&mut self, query: usize, sink: &mut dyn MatchSink) {
         if let Some(rep) = &mut self.st.reporter {
+            if rep.outbox_is_empty() {
+                return;
+            }
             for (ordinal, span) in rep.drain_outbox() {
                 sink.on_match(Match {
                     query,
@@ -463,7 +563,10 @@ impl StreamFilter {
     /// Peak number of simultaneously buffered *unresolved* candidate
     /// positions (reporting mode) — the \[5\] buffering cost. Matches whose
     /// ancestor chains already resolved are emitted immediately and never
-    /// counted here.
+    /// counted here, and a position whose last enclosing candidate
+    /// element closed without consuming it is dropped right there — no
+    /// open element can complete its chain any more — instead of being
+    /// carried to the root.
     pub fn peak_pending_positions(&self) -> usize {
         self.st.reporter.as_ref().map_or(0, |r| r.max_pendings)
     }
@@ -533,25 +636,46 @@ impl StreamFilter {
             SymEvent::Text { content } => st.text(content),
         }
         st.stats.events += 1;
-        // `buffer_refs` counts the open leaf candidacies, which is
-        // exactly the total of per-record offset-stack entries.
-        let snap = (
-            st.frontier.len(),
-            st.buffer_refs,
-            st.buffer.len(),
-            st.current_level,
+        st.observe_at(st.current_level);
+    }
+
+    /// Brings a filter up to date with a stream position its bank kept
+    /// for it: `skipped` events went by undelivered since the last one
+    /// this filter processed — tags no node test mentions, text while
+    /// nothing was buffering — leaving the stream at `level` / `ordinal`
+    /// after climbing as deep as `deepest`. Such a stretch moves nothing
+    /// but the position, so the frontier rows, offset-stack entries and
+    /// buffer are those of every snapshot a filter fed each event would
+    /// have taken along it; `instant_bits` is monotone in the level, so
+    /// observing the one snapshot at `deepest` leaves [`SpaceStats`]
+    /// exactly as that filter's.
+    pub(crate) fn sync(&mut self, level: usize, ordinal: u64, skipped: u64, deepest: usize) {
+        let st = &mut self.st;
+        debug_assert!(
+            deepest >= level && deepest >= st.current_level,
+            "the high-water mark covers both ends of the skipped stretch"
         );
-        let dominated = snap.0 <= st.observe_snap.0
-            && snap.1 <= st.observe_snap.1
-            && snap.2 <= st.observe_snap.2
-            && snap.3 <= st.observe_snap.3;
-        if !dominated {
-            // The snapshot must be a tuple that was actually observed —
-            // a pointwise max of several would dominate points whose
-            // bits exceed every real observation.
-            st.observe_snap = snap;
-            st.stats.observe(snap.0, snap.1, snap.2, snap.3);
-        }
+        debug_assert!(
+            ordinal - st.element_ordinal <= skipped,
+            "every skipped start tag is a skipped event"
+        );
+        debug_assert!(
+            st.frontier.len() <= st.observe_snap.0
+                && st.buffer_refs <= st.observe_snap.1
+                && st.buffer.len() <= st.observe_snap.2,
+            "a skipped filter's rows, stack entries and buffer were observed when it last ran"
+        );
+        st.stats.events += skipped;
+        st.observe_at(deepest);
+        st.current_level = level;
+        st.element_ordinal = ordinal;
+    }
+
+    /// Whether some value-restricted leaf candidacy is open, i.e. the
+    /// filter is buffering text — the only time a text event means
+    /// anything to it.
+    pub(crate) fn is_buffering(&self) -> bool {
+        self.st.buffer_refs > 0
     }
 
     /// Feeds a whole interned [`EventBatch`] in one call: the batch is
@@ -626,7 +750,7 @@ impl StreamFilter {
             let impossible = self.st.frontier.iter().any(|r| {
                 r.level == 0
                     && !r.matched
-                    && r.str_starts.is_empty()
+                    && r.str_start.is_none()
                     && self.query.nodes[r.node as usize].axis == Axis::Child
             });
             if impossible {
@@ -654,15 +778,11 @@ impl StreamFilter {
     /// which case the skipped events could only have moved the level,
     /// the ordinal counter (compensated via the bank's ordinal offset)
     /// and the space statistics (intentionally not charged: the state
-    /// genuinely never existed). In reporting mode the missed ancestors
-    /// get empty frames — correct, since none of them was a candidate.
+    /// genuinely never existed). Reporting mode needs nothing more: the
+    /// reporter keeps frames for candidate elements only, and none of
+    /// the missed ancestors was one.
     pub(crate) fn fast_forward(&mut self, level: usize) {
         self.st.current_level = level;
-        if let Some(rep) = &mut self.st.reporter {
-            for _ in 0..level {
-                rep.open_element(Frame::default());
-            }
-        }
     }
 
     /// The space statistics of the current document (they restart at
@@ -737,18 +857,37 @@ impl FilterState {
             rep.reset();
         }
         for &v in &q.root_children {
-            self.frontier.push(FrontierRecord {
-                node: v,
-                matched: false,
-                level: 0,
-                str_starts: Vec::new(),
-            });
+            self.frontier.push(FrontierRecord::new(v, false, 0));
+        }
+    }
+
+    /// Takes the post-event space snapshot at document level `level`
+    /// unless the last delivered one dominates it.
+    fn observe_at(&mut self, level: usize) {
+        // `buffer_refs` counts the open leaf candidacies, which is
+        // exactly the total of per-record offset-stack entries.
+        let snap = (
+            self.frontier.len(),
+            self.buffer_refs,
+            self.buffer.len(),
+            level,
+        );
+        let dominated = snap.0 <= self.observe_snap.0
+            && snap.1 <= self.observe_snap.1
+            && snap.2 <= self.observe_snap.2
+            && snap.3 <= self.observe_snap.3;
+        if !dominated {
+            // The snapshot must be a tuple that was actually observed —
+            // a pointwise max of several would dominate points whose
+            // bits exceed every real observation.
+            self.observe_snap = snap;
+            self.stats.observe(snap.0, snap.1, snap.2, snap.3);
         }
     }
 
     fn start_element(&mut self, q: &CompiledQuery, name: Sym, attributes: &[SymAttr], span: Span) {
         let lvl = self.current_level;
-        let reporting = self.reporter.is_some();
+        self.current_level = lvl + 1;
         let ordinal = self.element_ordinal;
         self.element_ordinal += 1;
         if lvl == 0 {
@@ -757,15 +896,13 @@ impl FilterState {
             // dead from here on (see `decided`).
             self.match_progress += 1;
         }
-        let mut frame = if reporting {
-            Some(Frame {
-                ordinal,
-                span_start: span.start,
-                ..Frame::default()
-            })
-        } else {
-            None
-        };
+        // A name no node test mentions selects no record (the scan below
+        // would reject every row on its node test): the position moved
+        // and nothing else did.
+        if !q.mentions(name) {
+            return;
+        }
+        let reporting = self.reporter.is_some();
         // One pass over the pre-existing records: select the frontier
         // records for which this element is a candidate match (Fig. 20
         // lines 1–4) and process each selection in place — leaves begin
@@ -800,20 +937,15 @@ impl FilterState {
             if rec.matched && !(reporting && q.path_index[node as usize].is_some()) {
                 continue;
             }
-            if let Some(frame) = &mut frame {
-                if let Some(idx) = q.path_index[node as usize] {
-                    if !frame.candidates.contains(&idx) {
-                        frame.candidates.push(idx);
-                    }
-                    if n.is_leaf && n.leaf_predicate.is_none() && idx as usize == q.out_path.len() {
-                        frame.out_leaf_unrestricted = true;
-                    }
-                }
+            if let (Some(rep), Some(idx)) = (&mut self.reporter, q.path_index[node as usize]) {
+                let out_leaf_unrestricted =
+                    n.is_leaf && n.leaf_predicate.is_none() && idx as usize == q.out_path.len();
+                rep.select(lvl, ordinal, span.start, idx, out_leaf_unrestricted);
             }
             if n.is_leaf {
                 if n.leaf_predicate.is_some() {
                     self.buffer_refs += 1;
-                    self.frontier[i].str_starts.push(self.buffer.len());
+                    self.frontier[i].open_candidacy(self.buffer.len());
                 } else {
                     // TRUTH(u) = S: any candidate is a real match; decide
                     // now and skip buffering.
@@ -848,19 +980,11 @@ impl FilterState {
                         if matched {
                             self.match_progress += 1;
                         }
-                        self.scratch_insert.push(FrontierRecord {
-                            node: v,
-                            matched,
-                            level: lvl + 1,
-                            str_starts: Vec::new(),
-                        });
+                        self.scratch_insert
+                            .push(FrontierRecord::new(v, matched, lvl + 1));
                     } else {
-                        self.scratch_insert.push(FrontierRecord {
-                            node: v,
-                            matched: false,
-                            level: lvl + 1,
-                            str_starts: Vec::new(),
-                        });
+                        self.scratch_insert
+                            .push(FrontierRecord::new(v, false, lvl + 1));
                     }
                 }
             }
@@ -870,10 +994,6 @@ impl FilterState {
             self.frontier.remove(i);
         }
         self.frontier.append(&mut self.scratch_insert);
-        self.current_level = lvl + 1;
-        if let (Some(rep), Some(frame)) = (&mut self.reporter, frame) {
-            rep.open_element(frame);
-        }
     }
 
     fn value_in_truth(node: &CNode, value: &str) -> bool {
@@ -895,6 +1015,20 @@ impl FilterState {
         // prober feeds crossed prefix/suffix pairs that may be malformed).
         self.current_level = self.current_level.saturating_sub(1);
         let lvl = self.current_level;
+        // A name no node test mentions ends no leaf candidacy, so unless
+        // state hangs below the closing level — records to fold (rows
+        // are level-sorted: spawned at the deepest level, folded from
+        // it) or a candidate frame to close — only the position moved.
+        // On a well-formed stream that state never exists here (the
+        // matching start tag selected nothing); the guard keeps crossed
+        // streams, which may close anything with any name, on the full
+        // path.
+        if !q.mentions(name)
+            && self.frontier.last().is_none_or(|r| r.level <= lvl)
+            && !self.reporter.as_ref().is_some_and(|r| r.is_open_at(lvl))
+        {
+            return;
+        }
 
         // 1. Leaf records whose candidacy ends here: evaluate the buffered
         //    string value against TRUTH(u) (Fig. 21 lines 2–10).
@@ -914,13 +1048,12 @@ impl FilterState {
                 Axis::Descendant => lvl >= self.frontier[i].level,
                 _ => lvl == self.frontier[i].level,
             };
-            if !level_ok || self.frontier[i].str_starts.is_empty() {
+            if !level_ok {
                 continue;
             }
-            let start = self.frontier[i]
-                .str_starts
-                .pop()
-                .expect("checked non-empty");
+            let Some(start) = self.frontier[i].close_candidacy() else {
+                continue;
+            };
             let value = &self.buffer[start..];
             self.stats.observe_text_width(value.chars().count());
             let needs_value = !self.frontier[i].matched || (reporting && Some(node) == out_node);
@@ -1001,17 +1134,14 @@ impl FilterState {
                 } else {
                     false
                 };
-                self.frontier.push(FrontierRecord {
-                    node: p,
-                    matched: was_matched || all_matched,
-                    level: lvl,
-                    str_starts: Vec::new(),
-                });
+                self.frontier
+                    .push(FrontierRecord::new(p, was_matched || all_matched, lvl));
             }
         }
         self.scratch_parents.clear();
         if let Some(rep) = &mut self.reporter {
             rep.close_element(
+                lvl,
                 &self.scratch_groups,
                 out_leaf_value,
                 &q.out_path,
@@ -1206,6 +1336,41 @@ mod tests {
         // No leaf record was buffering under <c> (b is unrestricted), so
         // the buffer stays empty.
         assert_eq!(f.stats().max_buffer_bytes, 0);
+    }
+
+    #[test]
+    fn tags_the_query_does_not_name_still_move_the_position() {
+        // <zz> selects nothing, so its tags take the bookkeeping-only
+        // path — which must still count the events, the element ordinal
+        // and the level the three live rows (//a, b, c) are charged at.
+        let q = parse_query("//a[b and c]").unwrap();
+        let spanned = fx_xml::parse_spanned("<r><a><b/><zz><zz/></zz><c/></a></r>").unwrap();
+        let mut f = StreamFilter::new_reporting(&q).unwrap();
+        for (event, span) in &spanned {
+            f.process_spanned(event, *span);
+        }
+        assert_eq!(f.result(), Some(true));
+        assert_eq!(f.matched_positions(), Some(vec![1]));
+        let stats = f.stats();
+        assert_eq!(stats.events, spanned.len() as u64);
+        assert_eq!((stats.max_rows, stats.max_level), (3, 4));
+        assert_eq!(stats.max_bits, 3 * stats.bits_per_row(4));
+        // And a mismatched end tag — no tokenizer emits one, the
+        // lower-bound prober does — still folds what hangs below it.
+        let crossed = [
+            Event::StartDocument,
+            Event::start("a"),
+            Event::start("b"),
+            Event::end("b"),
+            Event::start("c"),
+            Event::end("c"),
+            Event::end("zz"),
+            Event::EndDocument,
+        ];
+        assert_eq!(
+            StreamFilter::new(&q).unwrap().run_stream(&crossed),
+            Some(true)
+        );
     }
 
     #[test]

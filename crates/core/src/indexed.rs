@@ -1,9 +1,10 @@
 //! The shared-prefix **indexed multi-query bank**: YFilter-style work
 //! sharing for the selective-dissemination workload (\[1\] in the paper).
 //!
-//! [`crate::MultiFilter`] fans every event out to an independent
-//! [`StreamFilter`] per query, so per-event cost is Θ(n) in bank size.
-//! [`IndexedBank`] instead canonicalizes each query's succession chain
+//! [`crate::MultiFilter`] keeps an independent [`StreamFilter`] per
+//! query and shares nothing between them: an event costs one filter's
+//! work for every query that names its element, however alike the
+//! queries are. [`IndexedBank`] instead canonicalizes each query's succession chain
 //! (`fx_analysis::canonical_steps`), inserts the chains into a prefix
 //! **trie**, and walks the trie **once** per event: a trie node shared by
 //! a thousand queries owns a single frontier-table segment — one record

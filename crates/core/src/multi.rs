@@ -1,7 +1,8 @@
 //! Multi-query filtering: evaluating many XPath filters over one document
 //! stream, the selective-dissemination scenario that motivated streaming
 //! XPath engines (\[1\] in the paper). Each query keeps its own frontier
-//! table; events are fanned out once.
+//! table; an event is converted once and handed to the filters it can
+//! concern.
 //!
 //! A bank built with [`MultiFilter::from_compiled_reporting`] runs every
 //! filter in *selection* mode: confirmed output nodes are routed to a
@@ -11,13 +12,38 @@
 //!
 //! ## Naive bank vs. the shared-prefix index
 //!
-//! [`MultiFilter`] is the *naive* bank: per-event cost is Θ(n) in bank
-//! size (every undecided filter scans its frontier on every event), with
-//! two mitigations — decided filters stop seeing events, and rooted
-//! filters die on a mismatched root tag. Its per-query space statistics
-//! are bit-for-bit those of n independent [`StreamFilter`] runs, which
-//! makes it the reference bank for the paper's memory measurements and
-//! the oracle the indexed bank is differentially tested against.
+//! [`MultiFilter`] is the *naive* bank — one unshared [`StreamFilter`]
+//! per query — but an event costs it the filters that are *interested*,
+//! not all n. A frontier row reacts to its query's own node tests and
+//! nothing else (Thm 8.8), so the bank keeps the stream position (level,
+//! element ordinal, event count) once and dispatches XFilter-style (\[1\])
+//! on the element name: a start or end tag reaches the filters whose
+//! query names it plus those with a wildcard step, text reaches the
+//! filters that are buffering a leaf value, and document framing and the
+//! root element's two tags (the early reject of rooted filters keys on
+//! them) reach everyone. Decided filters stop seeing events as before.
+//! An end tag is dispatched on its *own* name, so the bank holds no
+//! per-open-element stack: its extra state is `O(log d)` bits plus two
+//! counters per filter. On a 6-query selection bank over XMark about a
+//! quarter of the (filter, event) pairs are delivered;
+//! [`MultiFilter::filter_events_delivered`] counts them.
+//!
+//! What stayed exact: a filter that was passed over is brought up to
+//! date just before its next delivery — position, the number of events
+//! it missed, and the deepest level the stream reached meanwhile. A
+//! passed-over stretch leaves a filter's rows, offset stacks and buffer
+//! untouched and its logical size is monotone in the level, so that one
+//! high-water mark reproduces its [`SpaceStats`] bit for bit. Verdicts,
+//! the match sequence (delivery runs in ascending filter index) and the
+//! per-query space statistics are those of n independent
+//! [`StreamFilter`] runs fed every event, which keeps this the reference
+//! bank for the paper's memory measurements and the oracle the indexed
+//! bank is differentially tested against
+//! (`tests/dispatch_differential.rs` holds it to that). On a *malformed*
+//! stream — an end tag named differently from its start tag — a filter
+//! may miss a close it would have seen alone; nothing panics and the
+//! next `StartDocument` starts clean, but that document's answers are
+//! unspecified, as the paper allows.
 //!
 //! [`crate::IndexedBank`] is the *shared-prefix* bank: queries are
 //! grouped by canonical form (`fx_analysis::canonical_key`) and their
@@ -25,9 +51,9 @@
 //! event, with per-query state only below activated divergence points —
 //! and the compiled remainders below those points pooled per canonical
 //! residual form, so activation never compiles. Per-event cost is
-//! `O(shared trie records + live residual instances)` instead of Θ(n) —
-//! sublinear in bank size whenever queries overlap and documents touch
-//! only part of the bank. Its per-query space figures are *attributed*
+//! `O(shared trie records + live residual instances)` instead of one
+//! filter's work per *interested* query — sublinear in bank size
+//! whenever queries overlap and documents touch only part of the bank. Its per-query space figures are *attributed*
 //! (shared bits split evenly across sharers, summing exactly to the
 //! bank total) rather than individually measured, so
 //! [`IndexedBank::total_max_bits`](crate::IndexedBank::total_max_bits)
@@ -42,7 +68,7 @@
 use crate::filter::{CompiledQuery, StreamFilter, UnsupportedQuery};
 use crate::reporter::{Match, MatchSink};
 use crate::space::SpaceStats;
-use fx_xml::{AttrBuf, Event, EventBatch, Span, SymCache, SymEvent, Symbols};
+use fx_xml::{AttrBuf, Event, EventBatch, Span, Sym, SymCache, SymEvent, Symbols};
 use fx_xpath::Query;
 use std::sync::Arc;
 
@@ -50,13 +76,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct MultiFilter {
     filters: Vec<StreamFilter>,
-    /// Early verdicts for the current document: once a filter decides
-    /// mid-stream (see [`StreamFilter::decided`]) its verdict is frozen
-    /// here and the filter skips the rest of the event feed.
-    decided: Vec<Option<bool>>,
-    /// Last observed [`StreamFilter::match_progress`] per filter: the
-    /// decision check re-runs only when a match flag actually moved.
-    progress: Vec<u64>,
+    /// What the bank keeps about each filter this document.
+    lanes: Vec<Lane>,
     /// Number of filters whose verdict is still open this document.
     /// When it hits zero the bank skips events *before* converting
     /// them — on dissemination workloads most documents decide the
@@ -72,6 +93,109 @@ pub struct MultiFilter {
     attr_scratch: AttrBuf,
     /// Lock-free name-lookup memo for the owned-event conversion layer.
     name_cache: SymCache,
+    /// Where the stream stands, kept once for the whole bank; a filter
+    /// holds its own copy only as of the last event delivered to it.
+    at: Position,
+    /// Per filter: the deepest level the stream has reached since its
+    /// last delivery — what [`StreamFilter::sync`] observes for the
+    /// stretch it was passed over. Apart from the lanes: every start tag
+    /// sweeps it.
+    deepest: Vec<usize>,
+    /// The filters with an open value-restricted leaf candidacy, in no
+    /// particular order: the only ones text is delivered to.
+    buffering: Vec<u32>,
+    /// Which filters a tag's name reaches.
+    interest: Interest,
+    /// Monotone count of (filter, event) deliveries.
+    delivered: u64,
+}
+
+/// The bank's per-document notes on one filter.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    /// The early verdict: once a filter decides mid-stream (see
+    /// [`StreamFilter::decided`]) it is frozen here and the filter skips
+    /// the rest of the event feed.
+    decided: Option<bool>,
+    /// Last observed [`StreamFilter::match_progress`]: the decision
+    /// check re-runs only when a match flag actually moved.
+    progress: u64,
+    /// `at.events` as of the last event delivered to the filter.
+    seen: u64,
+    /// Whether the filter sits in `buffering`.
+    buffering: bool,
+}
+
+/// A stream position within the current document.
+#[derive(Debug, Clone, Copy, Default)]
+struct Position {
+    /// Number of open elements.
+    level: usize,
+    /// Ordinal of the next element start.
+    ordinal: u64,
+    /// Events so far, `StartDocument` included.
+    events: u64,
+}
+
+/// Whom an event is delivered to (decided filters always excepted).
+enum Audience {
+    /// Document framing and the root element's tags.
+    Everyone,
+    /// A tag below the root: the filters whose query names it, and
+    /// those with a wildcard step.
+    Named(Sym),
+    /// Text: the filters buffering a leaf value.
+    Buffering,
+}
+
+/// The name-dispatch index: per sym, the filters whose query mentions
+/// it, ascending (compressed rows: sym `s` owns
+/// `filters[starts[s]..starts[s + 1]]`); and the filters with a wildcard
+/// element step, which every tag reaches.
+#[derive(Debug, Clone, Default)]
+struct Interest {
+    starts: Vec<u32>,
+    filters: Vec<u32>,
+    every_tag: Vec<u32>,
+}
+
+impl Interest {
+    fn build(compiled: &[Arc<CompiledQuery>]) -> Interest {
+        let mut every_tag = Vec::new();
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(4 * compiled.len());
+        for (i, c) in compiled.iter().enumerate() {
+            match c.element_names() {
+                None => every_tag.push(i as u32),
+                Some(names) => pairs.extend(names.map(|s| (s as u32, i as u32))),
+            }
+        }
+        pairs.sort_unstable();
+        let syms = pairs.last().map_or(0, |&(s, _)| s as usize + 1);
+        let mut starts = vec![0u32; syms + 1];
+        for &(s, _) in &pairs {
+            starts[s as usize + 1] += 1;
+        }
+        for s in 0..syms {
+            starts[s + 1] += starts[s];
+        }
+        Interest {
+            starts,
+            filters: pairs.into_iter().map(|(_, i)| i).collect(),
+            every_tag,
+        }
+    }
+
+    /// The row of `name` in `filters` (empty for [`Sym::UNKNOWN`] and
+    /// for names no query mentions).
+    fn named(&self, name: Sym) -> std::ops::Range<usize> {
+        match self
+            .starts
+            .get(name.index()..name.index().saturating_add(2))
+        {
+            Some(&[lo, hi]) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
+    }
 }
 
 impl MultiFilter {
@@ -105,19 +229,25 @@ impl MultiFilter {
     /// path) are used as-is.
     pub fn from_shared(compiled: impl IntoIterator<Item = Arc<CompiledQuery>>) -> MultiFilter {
         let (symbols, shared) = unify_tables(compiled.into_iter().collect());
-        let filters: Vec<StreamFilter> =
-            shared.into_iter().map(StreamFilter::from_shared).collect();
-        let decided = vec![None; filters.len()];
-        let progress = vec![0; filters.len()];
-        let open = filters.len();
+        let interest = Interest::build(&shared);
+        let filters = shared.into_iter().map(StreamFilter::from_shared).collect();
+        MultiFilter::assemble(symbols, interest, filters)
+    }
+
+    fn assemble(symbols: Arc<Symbols>, interest: Interest, filters: Vec<StreamFilter>) -> Self {
+        let n = filters.len();
         MultiFilter {
             filters,
-            decided,
-            progress,
-            open,
+            lanes: vec![Lane::default(); n],
+            open: n,
             symbols,
             attr_scratch: AttrBuf::new(),
             name_cache: SymCache::new(),
+            at: Position::default(),
+            deepest: vec![0; n],
+            buffering: Vec::new(),
+            interest,
+            delivered: 0,
         }
     }
 
@@ -138,22 +268,12 @@ impl MultiFilter {
         compiled: impl IntoIterator<Item = Arc<CompiledQuery>>,
     ) -> Result<MultiFilter, (usize, UnsupportedQuery)> {
         let (symbols, shared) = unify_tables(compiled.into_iter().collect());
+        let interest = Interest::build(&shared);
         let mut filters = Vec::with_capacity(shared.len());
         for (i, c) in shared.into_iter().enumerate() {
             filters.push(StreamFilter::from_shared_reporting(c).map_err(|e| (i, e))?);
         }
-        let decided = vec![None; filters.len()];
-        let progress = vec![0; filters.len()];
-        let open = filters.len();
-        Ok(MultiFilter {
-            filters,
-            decided,
-            progress,
-            open,
-            symbols,
-            attr_scratch: AttrBuf::new(),
-            name_cache: SymCache::new(),
-        })
+        Ok(MultiFilter::assemble(symbols, interest, filters))
     }
 
     /// Number of registered queries.
@@ -166,15 +286,16 @@ impl MultiFilter {
         self.filters.is_empty()
     }
 
-    /// Feeds one event to every filter whose verdict is still open.
+    /// Feeds one event to the filters it can concern (see the module
+    /// docs) among those whose verdict is still open.
     ///
     /// Filters that decide mid-document (see [`StreamFilter::decided`])
     /// stop receiving content events — on dissemination workloads most
     /// of the bank typically decides within the document's first
-    /// elements, so this is the hot-path win. Document framing events
-    /// still reach every filter, so per-document reset and final
-    /// verdicts behave exactly as before. A decided filter's space/event
-    /// statistics simply stop advancing at its decision point.
+    /// elements. Document framing events still reach every filter, so
+    /// per-document reset and final verdicts behave exactly as before. A
+    /// decided filter's space/event statistics simply stop advancing at
+    /// its decision point.
     pub fn process(&mut self, event: &Event) {
         self.process_to(event, Span::EMPTY, &mut |_: Match| {});
     }
@@ -208,42 +329,159 @@ impl MultiFilter {
     pub fn process_sym_to(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
         // Fully-decided bank: no filter will look at this event (decided
         // filters skip even `EndDocument`), so skip the whole loop —
-        // the engine's interned reader path lands here directly.
+        // the engine's interned reader path lands here directly. The
+        // position stops advancing too; the `StartDocument` that reopens
+        // the bank resets it.
         if self.open == 0 && !matches!(event, SymEvent::StartDocument) {
             return;
         }
-        match event {
-            SymEvent::StartDocument => {
-                for i in 0..self.filters.len() {
-                    self.filters[i].process_sym(event, span);
-                    self.decided[i] = None;
-                    self.progress[i] = 0;
+        if matches!(event, SymEvent::StartDocument) {
+            self.at = Position::default();
+            self.lanes.fill(Lane::default());
+            self.buffering.clear();
+            self.open = self.filters.len();
+        }
+        // Where the stream stood before this event: what a filter that
+        // was passed over is brought up to before it sees it.
+        let before = self.at;
+        self.at.events += 1;
+        let to = match event {
+            SymEvent::StartDocument | SymEvent::EndDocument => Audience::Everyone,
+            // The root element's two tags reach everyone: rooted filters
+            // live or die by them.
+            SymEvent::StartElement { name, .. } => {
+                self.at.level += 1;
+                self.at.ordinal += 1;
+                if before.level == 0 {
+                    Audience::Everyone
+                } else {
+                    Audience::Named(name)
                 }
-                self.open = self.filters.len();
             }
-            _ => {
-                for i in 0..self.filters.len() {
-                    if self.decided[i].is_some() {
-                        // The skipped filter's frontier is frozen mid-
-                        // document, so even `EndDocument` must not reach
-                        // it; its verdict lives in `decided`.
-                        continue;
-                    }
-                    let f = &mut self.filters[i];
-                    f.process_sym(event, span);
-                    f.drain_matches(i, sink);
-                    // `decided` can only flip when a match flag turned
-                    // true, so the recursive check runs on transitions
-                    // only — not on every event of the stream.
-                    let progress = f.match_progress();
-                    if progress != self.progress[i] {
-                        self.progress[i] = progress;
-                        self.decided[i] = f.decided();
-                        if self.decided[i].is_some() {
-                            self.open -= 1;
-                        }
-                    }
+            SymEvent::EndElement { name } => {
+                self.at.level = self.at.level.saturating_sub(1);
+                if self.at.level == 0 {
+                    Audience::Everyone
+                } else {
+                    Audience::Named(name)
                 }
+            }
+            SymEvent::Text { .. } => Audience::Buffering,
+        };
+        match to {
+            Audience::Everyone => {
+                for i in 0..self.filters.len() {
+                    self.deliver(i, before, event, span, sink);
+                }
+            }
+            Audience::Named(name) => self.deliver_named(name, before, event, span, sink),
+            Audience::Buffering => {
+                // Text moves no buffering flag, so the list is stable
+                // under the loop.
+                for k in 0..self.buffering.len() {
+                    let i = self.buffering[k] as usize;
+                    self.deliver(i, before, event, span, sink);
+                }
+            }
+        }
+        if self.at.level > before.level {
+            // One pass over a dense array, a compare per filter, is all
+            // a passed-over filter costs a start tag. (After the
+            // deliveries: a filter syncs to the stretch *before* the
+            // event it is about to see.)
+            let level = self.at.level;
+            for d in &mut self.deepest {
+                *d = (*d).max(level);
+            }
+        }
+    }
+
+    /// Delivers a tag to the filters its name reaches — those whose
+    /// query mentions it merged with the wildcard ones, in ascending
+    /// filter index so matches leave in the order a full fan-out gives.
+    fn deliver_named(
+        &mut self,
+        name: Sym,
+        before: Position,
+        event: SymEvent<'_>,
+        span: Span,
+        sink: &mut dyn MatchSink,
+    ) {
+        let mut named = self.interest.named(name);
+        let mut wild = 0;
+        loop {
+            let a = self.interest.filters[named.clone()].first().copied();
+            let b = self.interest.every_tag.get(wild).copied();
+            let i = match (a, b) {
+                (None, None) => return,
+                // The two lists are disjoint.
+                (Some(a), Some(b)) if b < a => {
+                    wild += 1;
+                    b
+                }
+                (Some(a), _) => {
+                    named.start += 1;
+                    a
+                }
+                (None, Some(b)) => {
+                    wild += 1;
+                    b
+                }
+            };
+            self.deliver(i as usize, before, event, span, sink);
+        }
+    }
+
+    /// Hands `event` to filter `i` unless it is decided: syncs it past
+    /// whatever it was not shown since its last delivery, processes,
+    /// drains its matches, and re-checks the early decision if a match
+    /// flag moved.
+    fn deliver(
+        &mut self,
+        i: usize,
+        before: Position,
+        event: SymEvent<'_>,
+        span: Span,
+        sink: &mut dyn MatchSink,
+    ) {
+        let lane = &mut self.lanes[i];
+        if lane.decided.is_some() {
+            // The skipped filter's frontier is frozen mid-document, so
+            // even `EndDocument` must not reach it; its verdict lives in
+            // its lane.
+            return;
+        }
+        let f = &mut self.filters[i];
+        if lane.seen != before.events {
+            f.sync(
+                before.level,
+                before.ordinal,
+                before.events - lane.seen,
+                self.deepest[i],
+            );
+        }
+        f.process_sym(event, span);
+        self.delivered += 1;
+        lane.seen = self.at.events;
+        self.deepest[i] = self.at.level;
+        f.drain_matches(i, sink);
+        if f.is_buffering() != lane.buffering {
+            lane.buffering = !lane.buffering;
+            if lane.buffering {
+                self.buffering.push(i as u32);
+            } else {
+                self.buffering.retain(|&b| b as usize != i);
+            }
+        }
+        // `decided` can only flip when a match flag turned true, so the
+        // recursive check runs on transitions only — not on every event
+        // of the stream.
+        let progress = f.match_progress();
+        if progress != lane.progress {
+            lane.progress = progress;
+            lane.decided = f.decided();
+            if lane.decided.is_some() {
+                self.open -= 1;
             }
         }
     }
@@ -290,8 +528,8 @@ impl MultiFilter {
     pub fn results(&self) -> Vec<Option<bool>> {
         self.filters
             .iter()
-            .zip(&self.decided)
-            .map(|(f, d)| f.result().or(*d))
+            .zip(&self.lanes)
+            .map(|(f, lane)| f.result().or(lane.decided))
             .collect()
     }
 
@@ -301,9 +539,9 @@ impl MultiFilter {
     pub fn matching(&self) -> impl Iterator<Item = usize> + '_ {
         self.filters
             .iter()
-            .zip(&self.decided)
+            .zip(&self.lanes)
             .enumerate()
-            .filter_map(|(i, (f, d))| (f.result().or(*d) == Some(true)).then_some(i))
+            .filter_map(|(i, (f, lane))| (f.result().or(lane.decided) == Some(true)).then_some(i))
     }
 
     /// Indices of the queries the last document matched, collected.
@@ -332,7 +570,18 @@ impl MultiFilter {
         self.filters.iter().map(|f| f.stats().max_bits).sum()
     }
 
-    /// Per-filter statistics.
+    /// Monotone count of (filter, event) deliveries since the bank was
+    /// built: the work name dispatch leaves. Against
+    /// `len() × events fed`, it is the share of the full fan-out the
+    /// bank still performs — a deterministic figure where wall-clock on
+    /// a noisy box decides nothing.
+    pub fn filter_events_delivered(&self) -> u64 {
+        self.delivered
+    }
+
+    /// Per-filter statistics: complete once `EndDocument` (or the
+    /// filter's early decision) has been processed; mid-document, a
+    /// filter's figures are as of the last event delivered to it.
     pub fn stats(&self) -> Vec<&SpaceStats> {
         self.filters.iter().map(StreamFilter::stats).collect()
     }

@@ -7,10 +7,9 @@
 //! follow-up work (\[5\]) proves that such evaluation inherently requires
 //! buffering — here, of *candidate output positions* whose ancestors'
 //! predicates are still unresolved. This module implements that extension:
-//! each open element carries a frame; confirmed output candidates bubble
-//! up as *pending positions* annotated with the output-path index they
-//! still need an ancestor match for, and are confirmed or dropped as the
-//! enclosing candidates close.
+//! confirmed output candidates bubble up as *pending positions* annotated
+//! with the output-path index they still need an ancestor match for, and
+//! are confirmed or dropped as the enclosing candidates close.
 //!
 //! A position whose ancestor chain fully resolves is **emitted
 //! immediately** as a [`Match`] (pushed to an outbox the owning filter
@@ -20,6 +19,31 @@
 //! filtering is `O(#pending · log |D|)` bits — matches in subtrees whose
 //! predicates already resolved cost nothing and reach the consumer before
 //! the rest of the document has streamed.
+//!
+//! ## Sparse frames
+//!
+//! A frame exists only for an open element that is a *candidate* for
+//! some output-path index — the filter opens it the first time a start
+//! tag selects a record on the output path — so the frame stack is
+//! strictly increasing in level and an element no path step selected
+//! costs the reporter nothing, open or closed. Closing a candidate
+//! hands its unresolved pendings to the **nearest enclosing frame**:
+//!
+//! * when that frame is the parent element, all of them (the parent's
+//!   own close decides what to consume, fork or drop);
+//! * across skipped non-candidate ancestors, only those whose next step
+//!   has a descendant axis — a non-candidate element can consume
+//!   nothing, and lets a pending pass exactly when the step below the
+//!   needed index may skip levels;
+//! * when no frame encloses them, none: no open element can ever
+//!   complete their chains, so they are dropped there instead of riding
+//!   to the root.
+//!
+//! Nothing is lost to the skipping: a pending that needs index `i` whose
+//! step `i + 1` has a *child* axis was produced by an element selected
+//! through a child-axis record, and that record was spawned by the
+//! parent element being selected for index `i` — so the parent is a
+//! candidate, has a frame, and is the nearest one.
 
 use fx_xml::Span;
 
@@ -81,32 +105,44 @@ pub(crate) struct Pending {
     span: Span,
 }
 
-/// One frame per open element.
+/// The frame of one open *candidate* element (elements no output-path
+/// step selected have none — see the module docs).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Frame {
+struct Frame {
+    /// The element's document level.
+    level: usize,
     /// The element's ordinal.
-    pub(crate) ordinal: u64,
+    ordinal: u64,
     /// Byte offset of the element's start tag (for the match span).
-    pub(crate) span_start: u64,
+    span_start: u64,
     /// Output-path indexes (1-based) this element is a candidate for.
-    pub(crate) candidates: Vec<u16>,
+    candidates: Vec<u16>,
     /// Whether this element is a candidate for a *leaf* output node whose
     /// truth set is unrestricted (confirmed by construction).
-    pub(crate) out_leaf_unrestricted: bool,
-    /// Pendings handed up by closed children.
-    pub(crate) pendings: Vec<Pending>,
+    out_leaf_unrestricted: bool,
+    /// Pendings handed up by closed descendants.
+    pendings: Vec<Pending>,
 }
 
 /// The reporting state machine; owned by a `StreamFilter` in reporting
 /// mode and driven from its event handlers.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Reporter {
+    /// `frames[..open]` are the open candidate elements, outermost
+    /// first and strictly increasing in level; the frames behind them
+    /// are closed ones kept for their buffers, so steady-state opening
+    /// and closing allocates nothing.
     frames: Vec<Frame>,
+    open: usize,
     /// Matches confirmed but not yet drained by the owning filter. In
     /// sink-driven use this is emptied after every event; in legacy
     /// batch use it accumulates and doubles as the collecting sink
     /// behind `matched_positions()`.
     outbox: Vec<(u64, Span)>,
+    /// Reused per-close scratch: what the closing element hands on.
+    out: Vec<Pending>,
+    /// Pendings buffered right now, over all open frames.
+    live_pendings: usize,
     /// Peak number of simultaneously buffered *unresolved* pendings (the
     /// \[5\] cost). Confirmed matches leave the buffer at emission and are
     /// not counted.
@@ -116,40 +152,77 @@ pub(crate) struct Reporter {
 impl Reporter {
     /// Per-document reset (the owning filter's `StartDocument`).
     pub(crate) fn reset(&mut self) {
-        self.frames.clear();
+        self.open = 0;
         self.outbox.clear();
+        self.live_pendings = 0;
         self.max_pendings = 0;
     }
 
-    pub(crate) fn open_element(&mut self, frame: Frame) {
-        self.frames.push(frame);
+    /// Notes that the element starting at `level` is a candidate for
+    /// output-path index `idx`, opening its frame on the element's first
+    /// selection. `out_leaf_unrestricted` flags a candidacy for a leaf
+    /// output node whose truth set is unrestricted.
+    pub(crate) fn select(
+        &mut self,
+        level: usize,
+        ordinal: u64,
+        span_start: u64,
+        idx: u16,
+        out_leaf_unrestricted: bool,
+    ) {
+        if !self.is_open_at(level) {
+            if self.open == self.frames.len() {
+                self.frames.push(Frame::default());
+            }
+            let frame = &mut self.frames[self.open];
+            frame.level = level;
+            frame.ordinal = ordinal;
+            frame.span_start = span_start;
+            frame.candidates.clear();
+            frame.out_leaf_unrestricted = false;
+            frame.pendings.clear();
+            self.open += 1;
+        }
+        let frame = &mut self.frames[self.open - 1];
+        if !frame.candidates.contains(&idx) {
+            frame.candidates.push(idx);
+        }
+        frame.out_leaf_unrestricted |= out_leaf_unrestricted;
     }
 
-    /// Closes the top frame. `pred_ok` lists, per folded query node,
-    /// `(node, all_children_matched, predicate_children_matched)` for the
-    /// closing element (the filter's reused fold scratch — a handful of
-    /// entries, scanned linearly); `out_leaf_value` is the per-candidate
-    /// value verdict when the output node is a value-restricted leaf
-    /// candidate here; `axes_child` tells, for each 1-based path index,
-    /// whether that step has a child axis (true) or descendant axis
-    /// (false); `end_offset` is the source byte offset one past the
-    /// closing tag (completing the element's span).
+    /// Closes the element at `level` — a no-op unless it is a candidate
+    /// (the top frame sits at that level). `pred_ok` lists, per folded
+    /// query node, `(node, all_children_matched,
+    /// predicate_children_matched)` for the closing element (the
+    /// filter's reused fold scratch — a handful of entries, scanned
+    /// linearly); `out_leaf_value` is the per-candidate value verdict
+    /// when the output node is a value-restricted leaf candidate here;
+    /// `axes_child` tells, for each 1-based path index, whether that
+    /// step has a child axis (true) or descendant axis (false);
+    /// `end_offset` is the source byte offset one past the closing tag
+    /// (completing the element's span).
     pub(crate) fn close_element(
         &mut self,
+        level: usize,
         pred_ok: &[(u32, bool, bool)],
         out_leaf_value: Option<bool>,
         path_nodes: &[u32],
         axes_child: &[bool],
         end_offset: u64,
     ) {
-        let frame = self.frames.pop().expect("close without open frame");
+        if !self.is_open_at(level) {
+            return;
+        }
+        self.open -= 1;
+        let (enclosing, closing) = self.frames.split_at_mut(self.open);
+        let frame = &closing[0];
         let elem_span = Span::new(frame.span_start, end_offset);
         let m = path_nodes.len() as u16;
-        let mut out: Vec<Pending> = Vec::new();
+        let out = &mut self.out;
+        out.clear();
 
         // 1. Local output candidacy: did this element confirm as OUT(Q)?
-        let is_out_candidate = frame.candidates.contains(&m);
-        if is_out_candidate {
+        if frame.candidates.contains(&m) {
             let local_ok = if frame.out_leaf_unrestricted {
                 true
             } else if let Some(v) = out_leaf_value {
@@ -168,12 +241,8 @@ impl Reporter {
             }
         }
 
-        // 2. Pendings bubbled from children: consume and/or skip.
-        for p in frame.pendings {
-            if p.needed == 0 {
-                out.push(p);
-                continue;
-            }
+        // 2. Pendings bubbled from descendants: consume and/or skip.
+        for &p in &frame.pendings {
             let i = p.needed;
             // Consume: this element is a valid candidate for index i.
             if frame.candidates.contains(&i) {
@@ -182,18 +251,17 @@ impl Reporter {
                 // (impossible for interior indexes — they have a
                 // successor), or its children were spawned but all
                 // resolved earlier. Treat missing entries as false.
-                let ok = lookup_pred(pred_ok, node).unwrap_or(false);
-                if ok {
+                if lookup_pred(pred_ok, node).unwrap_or(false) {
                     out.push(Pending { needed: i - 1, ..p });
                 }
             }
             // Skip: allowed when the step *below* index i (index i+1)
             // reaches its parent via a descendant axis.
-            let below_child_axis = axes_child[i as usize]; // axis of index i+1 (1-based)
-            if !below_child_axis {
+            if !axes_child[i as usize] {
                 out.push(p);
             }
         }
+        self.live_pendings -= frame.pendings.len();
 
         // Deduplicate (an element may be a candidate for several indexes,
         // or a pending may arrive via multiple chains). A pending's span
@@ -204,12 +272,16 @@ impl Reporter {
 
         // 3. Emission: a pending whose chain just completed (needed == 0)
         // is a genuine result *now* — no later event can revoke a real
-        // match — so it goes straight to the outbox instead of bubbling
-        // to the root. Every other copy of that ordinal (forked by the
-        // consume-and-skip rule on descendant axes) is dropped so the
-        // node cannot confirm twice via a second chain; all copies of an
-        // ordinal live in this frame, so purging `out` is complete.
-        let mut keep: Vec<Pending> = Vec::new();
+        // match — so it goes straight to the outbox. Every other copy of
+        // that ordinal (forked by the consume-and-skip rule on descendant
+        // axes) is dropped so the node cannot confirm twice via a second
+        // chain; all copies of an ordinal live in this frame, so purging
+        // `out` is complete. The unresolved rest goes to the nearest
+        // enclosing frame: whole when that is the parent element, and
+        // past skipped non-candidate ancestors only where the step below
+        // the needed index may skip levels (see the module docs).
+        let mut parent = enclosing.last_mut();
+        let adjacent = parent.as_ref().is_some_and(|f| f.level + 1 == level);
         let mut i = 0;
         while i < out.len() {
             let ordinal = out[i].ordinal;
@@ -219,20 +291,28 @@ impl Reporter {
             }
             if out[i].needed == 0 {
                 self.outbox.push((ordinal, out[i].span));
-            } else {
-                keep.extend_from_slice(&out[i..j]);
+            } else if let Some(parent) = &mut parent {
+                let before = parent.pendings.len();
+                parent.pendings.extend(
+                    out[i..j]
+                        .iter()
+                        .filter(|p| adjacent || !axes_child[p.needed as usize]),
+                );
+                self.live_pendings += parent.pendings.len() - before;
             }
             i = j;
         }
+        self.max_pendings = self.max_pendings.max(self.live_pendings);
+    }
 
-        // Unresolved pendings bubble to the parent; at the root element
-        // there is no further ancestor to complete their chains, so they
-        // are dropped.
-        if let Some(parent) = self.frames.last_mut() {
-            parent.pendings.extend(keep);
-        }
-        let live: usize = self.frames.iter().map(|f| f.pendings.len()).sum();
-        self.max_pendings = self.max_pendings.max(live);
+    /// Whether the open element at `level` is a candidate.
+    pub(crate) fn is_open_at(&self, level: usize) -> bool {
+        self.open > 0 && self.frames[self.open - 1].level == level
+    }
+
+    /// True when no confirmed match awaits draining.
+    pub(crate) fn outbox_is_empty(&self) -> bool {
+        self.outbox.is_empty()
     }
 
     /// Drains the confirmed-match outbox, oldest first.

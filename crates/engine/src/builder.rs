@@ -57,7 +57,7 @@ pub enum Backend {
 ///
 /// | Policy | Per-event cost | When to use |
 /// |---|---|---|
-/// | `None` | Θ(n) — one independent filter per query | small banks, maximal per-query statistics fidelity |
+/// | `None` | one independent filter per query, an event delivered to those whose query names its element (`fx_core::MultiFilter`) | small banks, maximal per-query statistics fidelity |
 /// | `SharedPrefix` | O(shared trie records + live residual instances) | large banks of overlapping queries (dissemination) |
 ///
 /// `SharedPrefix` canonicalizes each query's step chain
@@ -365,7 +365,7 @@ impl Engine {
                 fx_core::MultiFilter::from_shared_reporting(self.compiled.iter().map(Arc::clone))
                     .expect("reporting support validated at build()");
             return Session::new(
-                SessionInner::Bank(bank),
+                SessionInner::Bank(Box::new(bank)),
                 self.mode,
                 Arc::clone(&self.symbols),
             );
@@ -377,9 +377,9 @@ impl Engine {
         // session never recompiles or deep-clones them.
         if self.backend == Backend::Frontier && self.compiled.len() > 1 {
             return Session::new(
-                SessionInner::Bank(fx_core::MultiFilter::from_shared(
+                SessionInner::Bank(Box::new(fx_core::MultiFilter::from_shared(
                     self.compiled.iter().map(Arc::clone),
-                )),
+                ))),
                 self.mode,
                 Arc::clone(&self.symbols),
             );

@@ -61,7 +61,7 @@ pub(crate) enum SessionInner {
     /// buffering backends).
     Each(Vec<Box<dyn Evaluator>>),
     /// The (optionally reporting) frontier bank.
-    Bank(fx_core::MultiFilter),
+    Bank(Box<fx_core::MultiFilter>),
     /// The shared-prefix indexed bank
     /// ([`crate::IndexPolicy::SharedPrefix`]): common query prefixes
     /// evaluated once per event, per-query state only below activated
@@ -193,9 +193,10 @@ impl Session {
         }
     }
 
-    /// Feeds one SAX event to every filter whose verdict is still open.
-    /// Streams must carry the full document framing (`StartDocument` …
-    /// `EndDocument`), which is what every `fx_xml` source produces.
+    /// Feeds one SAX event to the filters it can concern among those
+    /// whose verdict is still open. Streams must carry the full document
+    /// framing (`StartDocument` … `EndDocument`), which is what every
+    /// `fx_xml` source produces.
     ///
     /// On a selection session, matches this event confirms are collected
     /// internally for [`Session::finish_outcome`]; hand-pushed events

@@ -4,7 +4,7 @@
 
 use crate::ast::{ArithOp, CompOp, Expr, Func, QueryNodeId};
 use crate::regexlite::Regex;
-use crate::value::{compare_values, EvalResult, Value};
+use crate::value::{compare_refs, EvalResult, Value, ValueRef};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -203,7 +203,11 @@ fn cartesian_each(
 /// numerically when either side is a number (or both parse as numbers),
 /// otherwise as strings. Comparisons involving NaN are false.
 pub fn apply_comp(op: CompOp, a: &Value, b: &Value) -> bool {
-    let ord = compare_values(a, b, op.is_ordering());
+    apply_comp_refs(op, a.into(), b.into())
+}
+
+fn apply_comp_refs(op: CompOp, a: ValueRef<'_>, b: ValueRef<'_>) -> bool {
+    let ord = compare_refs(a, b, op.is_ordering());
     match (op, ord) {
         (_, None) => false,
         (CompOp::Eq, Some(o)) => o == Ordering::Equal,
@@ -293,11 +297,33 @@ pub fn apply_func(f: Func, args: &[Value]) -> Result<Value, EvalError> {
 /// bare existence predicates like `[b]`: the EBV of the singleton sequence
 /// is true even when the candidate's string value is empty.
 pub fn eval_with_binding(expr: &Expr, var: QueryNodeId, value: &str) -> Result<bool, EvalError> {
-    let mut resolve = |v: QueryNodeId| {
+    // One comparison of the variable against a constant — the shape of
+    // nearly every value-restricted leaf (`price > 300`) — is decided on
+    // the borrowed string: the existential rule over two singleton
+    // sequences is the comparison itself. This runs once per leaf
+    // candidacy on the streaming hot path, where the general evaluator's
+    // sequences would cost three allocations a time.
+    let check = |v: QueryNodeId| {
         debug_assert_eq!(
             v, var,
             "univariate predicate resolved an unexpected variable"
-        );
+        )
+    };
+    if let Expr::Comp(op, a, b) = expr {
+        match (&**a, &**b) {
+            (Expr::Var(v), Expr::Const(c)) => {
+                check(*v);
+                return Ok(apply_comp_refs(*op, ValueRef::Str(value), c.into()));
+            }
+            (Expr::Const(c), Expr::Var(v)) => {
+                check(*v);
+                return Ok(apply_comp_refs(*op, c.into(), ValueRef::Str(value)));
+            }
+            _ => {}
+        }
+    }
+    let mut resolve = |v: QueryNodeId| {
+        check(v);
         EvalResult::Sequence(vec![Value::str(value)])
     };
     Ok(eval_expr(expr, &mut resolve)?.ebv())

@@ -151,18 +151,70 @@ impl From<Value> for EvalResult {
     }
 }
 
+/// A borrowed view of an atomic value, so the comparison rules have one
+/// implementation for owned [`Value`]s and for a string value the
+/// streaming filter holds in its buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ValueRef<'a> {
+    Number(f64),
+    Str(&'a str),
+    Bool(bool),
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Number(n) => ValueRef::Number(*n),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Bool(b) => ValueRef::Bool(*b),
+        }
+    }
+}
+
+impl ValueRef<'_> {
+    /// [`Value::to_number`].
+    fn to_number(self) -> f64 {
+        match self {
+            ValueRef::Number(n) => n,
+            ValueRef::Bool(b) => f64::from(u8::from(b)),
+            ValueRef::Str(s) => parse_number(s),
+        }
+    }
+
+    /// [`Value::to_str`] of a string or boolean, borrowed.
+    /// [`compare_refs`] compares numerically whenever a number is
+    /// involved, so it never asks for a number's spelling.
+    fn as_str(&self) -> &str {
+        match self {
+            ValueRef::Str(s) => s,
+            ValueRef::Bool(true) => "true",
+            ValueRef::Bool(false) => "false",
+            ValueRef::Number(_) => unreachable!("numbers compare numerically"),
+        }
+    }
+}
+
 /// Numeric-aware comparison used by the comparison operators: both operands
 /// are compared as numbers when the operator is an ordering operator, or
 /// when both parse as numbers; otherwise as strings. Returns `None` when a
 /// numeric comparison involves NaN.
 pub fn compare_values(a: &Value, b: &Value, force_numeric: bool) -> Option<Ordering> {
+    compare_refs(a.into(), b.into(), force_numeric)
+}
+
+/// [`compare_values`] on borrowed views; allocates nothing.
+pub(crate) fn compare_refs(
+    a: ValueRef<'_>,
+    b: ValueRef<'_>,
+    force_numeric: bool,
+) -> Option<Ordering> {
     let both_numeric = force_numeric
-        || matches!((a, b), (Value::Number(_), _) | (_, Value::Number(_)))
+        || matches!((a, b), (ValueRef::Number(_), _) | (_, ValueRef::Number(_)))
         || (!a.to_number().is_nan() && !b.to_number().is_nan());
     if both_numeric {
         a.to_number().partial_cmp(&b.to_number())
     } else {
-        Some(a.to_str().cmp(&b.to_str()))
+        Some(a.as_str().cmp(b.as_str()))
     }
 }
 

@@ -12,7 +12,7 @@ use frontier_xpath::engine::{Backend, Engine, Mode};
 use frontier_xpath::filter::{CompiledQuery, IndexedBank, StreamFilter};
 use frontier_xpath::html::HtmlParser;
 use frontier_xpath::json::JsonParser;
-use frontier_xpath::workloads::{auction_site, XmarkConfig};
+use frontier_xpath::workloads::{auction_site, standing_queries, XmarkConfig};
 use frontier_xpath::xml::{Span, StreamingParser, SymEvent, Symbols};
 use frontier_xpath::xpath::parse_query;
 use rand::rngs::SmallRng;
@@ -394,15 +394,17 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     );
     assert_eq!(bank.results(), vec![Some(true), Some(true)]);
 
-    // --- Product path: a one-query engine's reader entry points. -----
+    // --- Product path: the engine's reader entry points. --------------
     // What `fxgrep` and `Engine::run_str` take. A document costs a
-    // fixed handful of allocations (the `Verdicts` it returns, the
-    // reporter's per-candidate buffers) however many element events it
-    // holds: the session's one drive loop hands the filter recycled
-    // batches, never owned events. The query's candidates — the
-    // category chain — are the one part of an XMark-lite document that
-    // does not grow with the scale, so the filter's own per-candidate
-    // buffers are held fixed while the event count grows 8×.
+    // fixed handful of allocations (the `Verdicts` it returns) however
+    // many element events, candidates and matches it holds: the
+    // session's one drive loop hands the filters recycled batches, never
+    // owned events; a leaf value test keeps its buffer offset inline and
+    // compares the borrowed string; the reporter recycles its candidate
+    // frames. Every shape below has candidates that grow with the scale
+    // — value-restricted leaves (`price > 300`, `current > 500`) in the
+    // standing queries, and under `//regions//name` a pending buffer
+    // that holds every `name` until `regions` closes.
     let xmark = |scale: usize| {
         let mut rng = SmallRng::seed_from_u64(42);
         let cfg = XmarkConfig {
@@ -415,9 +417,22 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     };
     let (small, large) = (xmark(1), xmark(8));
     assert!(large.len() > 4 * small.len());
-    for mode in [Mode::Filter, Mode::Select] {
-        let builder = Engine::builder().query_str("//category[@id]/name");
-        let engine = builder
+    let one = |src: &str| vec![parse_query(src).unwrap()];
+    let standing = || standing_queries().into_iter().map(|(_, q)| q).collect();
+    let shapes: [(Mode, Vec<_>); 5] = [
+        (Mode::Filter, one("//category[@id]/name")),
+        (
+            Mode::Filter,
+            one("//open_auction[bidder and current > 980]"),
+        ),
+        (Mode::Select, one("//category[@id]/name")),
+        (Mode::Select, standing()),
+        (Mode::Select, one("//regions//name")),
+    ];
+    for (mode, queries) in shapes {
+        let label = format!("{mode:?} × {} queries", queries.len());
+        let engine = Engine::builder()
+            .queries(queries)
             .backend(Backend::Frontier)
             .mode(mode)
             .build()
@@ -440,16 +455,16 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
         let (on_small, on_large) = (per_doc(&small), per_doc(&large));
         assert_eq!(
             on_small, on_large,
-            "{mode:?}: allocations grew with the document"
+            "{label}: allocations grew with the document"
         );
         assert!(
             on_large < 32,
-            "{mode:?}: {on_large} allocations per document"
+            "{label}: {on_large} allocations per document"
         );
         assert_eq!(
             delivered > 0,
             mode == Mode::Select,
-            "matches reached the sink"
+            "{label}: matches reached the sink"
         );
     }
 }
