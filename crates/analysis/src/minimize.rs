@@ -246,7 +246,7 @@ fn rebuild_without(q: &Query, dropped: &HashSet<QueryNodeId>) -> Query {
                 .conjuncts()
                 .into_iter()
                 .filter(|c| c.vars().iter().all(|v| !dropped.contains(v)))
-                .map(|c| remap_expr(c, &map))
+                .map(|c| c.map_vars(|v| map[&v]))
                 .collect();
             if let Some(joined) = kept.into_iter().reduce(Expr::and) {
                 out.set_predicate(map[&old], joined);
@@ -255,28 +255,6 @@ fn rebuild_without(q: &Query, dropped: &HashSet<QueryNodeId>) -> Query {
     }
     debug_assert!(out.validate().is_ok());
     out
-}
-
-fn remap_expr(e: &Expr, map: &HashMap<QueryNodeId, QueryNodeId>) -> Expr {
-    match e {
-        Expr::Const(v) => Expr::Const(v.clone()),
-        Expr::Var(v) => Expr::Var(map[v]),
-        Expr::Comp(op, a, b) => Expr::Comp(
-            *op,
-            Box::new(remap_expr(a, map)),
-            Box::new(remap_expr(b, map)),
-        ),
-        Expr::Arith(op, a, b) => Expr::Arith(
-            *op,
-            Box::new(remap_expr(a, map)),
-            Box::new(remap_expr(b, map)),
-        ),
-        Expr::Neg(a) => Expr::Neg(Box::new(remap_expr(a, map))),
-        Expr::And(a, b) => Expr::and(remap_expr(a, map), remap_expr(b, map)),
-        Expr::Or(a, b) => Expr::Or(Box::new(remap_expr(a, map)), Box::new(remap_expr(b, map))),
-        Expr::Not(a) => Expr::Not(Box::new(remap_expr(a, map))),
-        Expr::Call(f, args) => Expr::Call(*f, args.iter().map(|a| remap_expr(a, map)).collect()),
-    }
 }
 
 #[cfg(test)]

@@ -77,6 +77,42 @@
 //! bank, and [`IndexedBank::residual_builds`] moves only when a
 //! genuinely new canonical form first appears.
 //!
+//! ## Index and run
+//!
+//! A bank is two halves with one writer each. The **index** is *what
+//! the subscriptions are* — trie, groups, residual pool and wake-up
+//! triggers, the canonical-key maps, the slot tables with the `Query`
+//! each slot retains for compaction — and only churn writes it:
+//! [`IndexedBank::subscribe`], [`IndexedBank::unsubscribe`],
+//! [`IndexedBank::compact`] and [`IndexedBank::set_compaction_policy`].
+//! The **run** is *where the document is* — frontier records and dormant
+//! activations with their chains, live residual instances and the
+//! filter pool, per-group verdicts and peaks, the counters: Theorem
+//! 8.8's work tape, with the index as the read-only input the theorem
+//! does not charge for. [`StreamFilter`] has the same border
+//! (`Arc<CompiledQuery>` beside its state), one level down.
+//!
+//! The bank holds its index behind an [`Arc`], so a [`Clone`] — an
+//! engine session, a `run_sharded` worker, an [`IndexedBank::partition`]
+//! shard — copies the run and bumps one refcount: a second run over the
+//! same queries costs the same handful of allocations at a thousand
+//! subscriptions as at ten. A clone carries its source's in-flight
+//! document; a shard starts a fresh run. Churn goes through
+//! [`Arc::make_mut`]: free while the bank is the index's only holder
+//! (every `fx-server` worker's is), and one copy of the index — copy on
+//! write — the first time a bank that shares it churns, after which it
+//! owns what it writes. Clones are therefore independent exactly as if
+//! each had been deep-copied: neither ever sees the other's churn.
+//! Compaction builds the folded index *beside* the old one and swaps it
+//! in, so compacting a shared index copies nothing either.
+//!
+//! The event handlers are methods of the run that receive `&Index`,
+//! borrowed once per event (once per batch on the batched path): no
+//! handler can write the index, whatever it is changed to do. The run's
+//! per-group, per-residual and per-name tables are sized by `Run::fit`
+//! in the same churn call that grew the index — the handlers index them
+//! unchecked.
+//!
 //! Correctness rests on the decomposition `BOOLEVAL(Q, D) = ∨ₓ
 //! BOOLEVAL(Q', subtree(x))` (and the analogous union for `FULLEVAL`)
 //! over the candidates `x` of the predicate-free prefix — predicates
@@ -92,7 +128,7 @@ use crate::reporter::{Match, MatchSink};
 use crate::space::bits_for;
 use fx_analysis::CanonicalForm;
 use fx_xml::{AttrBuf, Event, EventBatch, Span, Sym, SymCache, SymEvent, Symbols};
-use fx_xpath::{Axis, Expr, NodeTest, Query, QueryNodeId};
+use fx_xpath::{Axis, NodeTest, Query, QueryNodeId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -274,30 +310,26 @@ struct Instance {
 const NIL: u32 = u32::MAX;
 
 /// Heads of the per-dispatch-code chains threaded through a stack
-/// (`records` or `wake_links`): one `u32` per symbol the bank uses as a
-/// node test, sized when a code is *added* (subscribe), never per
-/// document. Slot 0 is the wildcard's, slot 1 [`Sym::UNKNOWN`]'s (never
+/// (`records` or `wake_links`): one `u32` per symbol of the bank's
+/// table, sized when churn may have *added* a code ([`Run::fit`]), never
+/// per document. Slot 0 is the wildcard's, slot 1 [`Sym::UNKNOWN`]'s (never
 /// chained, so always [`NIL`]) and slot `i + 2` symbol `i`'s — the
 /// codes' own order, wrapped. The chains are intrusive — each stack
 /// entry names the previous (older) entry with its code — and the
 /// stacks shrink only from the tail, so a chain's head is its most
 /// recent member and a push or pop is one head swap.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Chains(Vec<u32>);
 
 impl Chains {
-    fn new() -> Chains {
-        Chains(vec![NIL; 2])
-    }
-
     fn slot(code: u32) -> usize {
         code.wrapping_add(2) as usize
     }
 
-    /// Makes room for `code`'s head.
-    fn ensure(&mut self, code: u32) {
-        if self.0.len() <= Chains::slot(code) {
-            self.0.resize(Chains::slot(code) + 1, NIL);
+    /// Makes room for `heads` heads.
+    fn fit(&mut self, heads: usize) {
+        if self.0.len() < heads {
+            self.0.resize(heads, NIL);
         }
     }
 
@@ -443,25 +475,25 @@ fn triggers_for(compiled: &CompiledQuery) -> ResidualTriggers {
     ResidualTriggers { specs }
 }
 
-/// An indexed bank of streaming filters sharing one event feed *and*
-/// the evaluation of common query prefixes.
-///
-/// The surface mirrors [`crate::MultiFilter`]: feed events through
-/// [`IndexedBank::process`] / [`IndexedBank::process_to`], read
-/// per-query verdicts from [`IndexedBank::results`] or
-/// [`IndexedBank::matching`], and (in reporting mode) receive each
-/// confirmed [`Match`] stamped with the bank index of the query that
-/// selected it. Verdicts and routed matches are event-for-event
-/// equivalent to the naive bank; only the work sharing differs.
+/// *What the subscriptions are*: the half of an [`IndexedBank`] only
+/// churn writes ([`IndexedBank::subscribe`] / [`IndexedBank::unsubscribe`]
+/// / [`IndexedBank::compact`] / [`IndexedBank::set_compaction_policy`]).
+/// Every clone of a bank shares it behind one `Arc`; the event handlers
+/// receive it as `&Index` (see the module docs, "Index and run").
 #[derive(Debug, Clone)]
-pub struct IndexedBank {
+struct Index {
     trie: Vec<TrieNode>,
     groups: Vec<Group>,
     /// The shared-residual pool: one entry per **canonical residual
     /// form**, `Arc`-shared by every group and activation that needs it.
-    /// Cloning the bank (one clone per engine session) bumps refcounts;
-    /// nothing is ever recompiled.
     residuals: Vec<CompiledResidual>,
+    /// Per pool entry, the wake-up specs of its dormant activations.
+    residual_triggers: Vec<ResidualTriggers>,
+    /// Per pool entry, the number of live (non-tombstoned) groups
+    /// referencing it; an entry at zero keeps only its compiled `Arc`
+    /// (the run drops its filter free-list on the spot) until a
+    /// compaction pass drops the entry itself.
+    residual_uses: Vec<u32>,
     /// Number of [`CompiledResidual`] builds this bank performed: one
     /// per canonical residual form first subscribed, and flat across
     /// any amount of processing *and churn over known forms*
@@ -477,11 +509,6 @@ pub struct IndexedBank {
     group_of_key: HashMap<String, u32>,
     /// Canonical residual form → pool index: the cross-group dedup.
     pool_of_key: HashMap<String, u32>,
-    /// Per pool entry, the number of live (non-tombstoned) groups
-    /// referencing it; an entry at zero keeps only its compiled `Arc`
-    /// (its filter free-list is dropped on the spot) until a compaction
-    /// pass drops the entry itself.
-    residual_uses: Vec<u32>,
     /// Subscription id → current slot, for every live subscription.
     subs: HashMap<u64, usize>,
     /// Slot → subscription id (stale for tombstoned slots).
@@ -509,6 +536,17 @@ pub struct IndexedBank {
     /// Whether residuals share the canonical-form pool (false only for
     /// the unpooled differential-testing reference).
     pooled: bool,
+    /// Bits of one trie-node reference, `bits_for(|trie| - 1)`,
+    /// refreshed whenever the trie changes.
+    trie_ref_bits: u32,
+}
+
+/// *Where the document is*: the half of an [`IndexedBank`] the event
+/// handlers write — Theorem 8.8's work tape, with the [`Index`] as the
+/// read-only input. Its per-group, per-residual and per-name tables are
+/// sized by [`Run::fit`] in the churn call that grew the index.
+#[derive(Debug, Clone, Default)]
+struct Run {
     /// Per-group ownership mask of a bank shard produced by
     /// [`IndexedBank::partition`] (`None` for every unsharded bank:
     /// the bank owns all of its groups). A shard runs the shared trie
@@ -518,8 +556,6 @@ pub struct IndexedBank {
     /// bank's — but spawns residual instances, confirms terminals and
     /// routes matches only for the groups it owns.
     shard_owned: Option<Vec<bool>>,
-
-    // -- per-document state -------------------------------------------------
     /// The shared frontier segment: one record per open occurrence of a
     /// trie path. A **stack** sorted by level — a start tag at level
     /// `l` pushes level `l + 1` only, an end tag pops the tail above
@@ -527,17 +563,6 @@ pub struct IndexedBank {
     records: Vec<TrieRec>,
     /// Heads of `records`' per-code chains.
     record_chains: Chains,
-    instances: Vec<Instance>,
-    /// Reused per-start-tag scratch: first the dormant entries the tag
-    /// wakes, then the trie nodes it activates.
-    scratch_activated: Vec<u32>,
-    /// Reused attribute buffer for the owned-event conversion layer.
-    attr_scratch: AttrBuf,
-    /// Reused match-drain buffer for instance feeding/retirement, so the
-    /// per-event hot path never allocates a fresh drain vector.
-    drain_scratch: Vec<(u64, Span)>,
-    /// Lock-free name-lookup memo for the owned-event conversion layer.
-    name_cache: SymCache,
     /// Dormant activations (see [`Dormant`]): divergence points reached
     /// whose residual instances have not been woken yet. A stack sorted
     /// by `root_level`: the entries an element registers are the tail
@@ -548,28 +573,34 @@ pub struct IndexedBank {
     wake_links: Vec<WakeLink>,
     /// Heads of `wake_links`' per-code chains.
     wake_chains: Chains,
-    /// Number of live entries in `dormant` ([`IndexedBank::is_live`]):
-    /// what the shared-segment accounting charges.
+    /// Number of live entries in `dormant` ([`Run::is_live`]): what
+    /// the shared-segment accounting charges.
     dormant_live: usize,
-    /// Per compiled-residual wake-up specs for dormant activations.
-    residual_triggers: Vec<ResidualTriggers>,
+    instances: Vec<Instance>,
     /// Retired residual-instance filters, pooled per compiled-residual
     /// id: spawning an activation pops one (metrics reset, state reset
     /// by its `StartDocument`) instead of allocating fresh frontier and
     /// scratch buffers — the instance churn of a busy document touches
     /// the allocator only until the pool warms.
     free_filters: Vec<Vec<StreamFilter>>,
+    /// Reused per-start-tag scratch: first the dormant entries the tag
+    /// wakes, then the trie nodes it activates.
+    scratch_activated: Vec<u32>,
+    /// Reused attribute buffer for the owned-event conversion layer.
+    attr_scratch: AttrBuf,
+    /// Lock-free name-lookup memo for the owned-event conversion layer.
+    name_cache: SymCache,
     current_level: u32,
     element_ordinal: u64,
     /// Terminal activations awaiting their close tag (for the span):
     /// `(level, group, ordinal, span start)`, stack-ordered.
     open_terminals: Vec<(u32, u32, u64, u64)>,
     /// Per-group verdicts and space peaks of the current document
-    /// (parallel to `groups`).
+    /// (parallel to the index's groups).
     doc: Vec<GroupDoc>,
-    /// Per-group ordinals already reported this document (used only by
-    /// groups with `needs_dedup`).
-    emitted: Vec<HashSet<u64>>,
+    /// The `(group, ordinal)` pairs already reported this document, for
+    /// groups with `needs_dedup` — no other group ever touches it.
+    emitted: HashSet<(u32, u64)>,
     /// The groups whose `doc` entry may have left its default: the only
     /// ones the next `StartDocument` resets.
     touched: Vec<u32>,
@@ -577,9 +608,6 @@ pub struct IndexedBank {
     finished: bool,
 
     // -- statistics ---------------------------------------------------------
-    /// Bits of one trie-node reference, `bits_for(|trie| - 1)`,
-    /// refreshed whenever the trie changes.
-    trie_ref_bits: u32,
     /// Peak number of shared trie records.
     peak_records: usize,
     /// Peak logical size of the shared frontier segment, in bits — one
@@ -596,6 +624,26 @@ pub struct IndexedBank {
     records_visited: u64,
     /// Total dormant wake-up registrations checked by start tags.
     dormant_checked: u64,
+}
+
+/// An indexed bank of streaming filters sharing one event feed *and*
+/// the evaluation of common query prefixes.
+///
+/// The surface mirrors [`crate::MultiFilter`]: feed events through
+/// [`IndexedBank::process`] / [`IndexedBank::process_to`], read
+/// per-query verdicts from [`IndexedBank::results`] or
+/// [`IndexedBank::matching`], and (in reporting mode) receive each
+/// confirmed [`Match`] stamped with the bank index of the query that
+/// selected it. Verdicts and routed matches are event-for-event
+/// equivalent to the naive bank; only the work sharing differs.
+///
+/// [`Clone`] copies the document state and *shares* the subscriptions
+/// (one refcount bump, whatever the bank's size); the two banks stay
+/// independent — the first to churn takes its own copy of the index.
+#[derive(Debug, Clone)]
+pub struct IndexedBank {
+    index: Arc<Index>,
+    run: Run,
 }
 
 /// A bank-level breakdown of the indexed path's logical memory and
@@ -685,6 +733,215 @@ impl IndexSpaceStats {
     }
 }
 
+impl Index {
+    /// An index of no queries; they arrive through
+    /// [`Index::insert_slot`].
+    fn empty(reporting: bool, pooled: bool, symbols: Arc<Symbols>) -> Index {
+        Index {
+            trie: vec![TrieNode {
+                axis: Axis::Child,
+                ntest: NodeTest::Wildcard,
+                code: WILDCARD_CODE,
+                children: Vec::new(),
+                terminal: Vec::new(),
+                residual: Vec::new(),
+            }],
+            groups: Vec::new(),
+            residuals: Vec::new(),
+            residual_triggers: Vec::new(),
+            residual_uses: Vec::new(),
+            built_residuals: 0,
+            root_groups: Vec::new(),
+            query_group: Vec::new(),
+            group_of_key: HashMap::new(),
+            pool_of_key: HashMap::new(),
+            subs: HashMap::new(),
+            slot_sub: Vec::new(),
+            slot_alive: Vec::new(),
+            slot_query: Vec::new(),
+            next_sub: 0,
+            dead_slots: 0,
+            policy: CompactionPolicy::default(),
+            compactions: 0,
+            symbols,
+            reporting,
+            pooled,
+            trie_ref_bits: bits_for(0),
+        }
+    }
+
+    /// Compiles `q` against the bank's table and checks it exactly like
+    /// the naive bank would — without writing anything.
+    fn validate(&self, q: &Query) -> Result<CompiledQuery, UnsupportedQuery> {
+        let compiled = CompiledQuery::compile_with(q, Arc::clone(&self.symbols))?;
+        if self.reporting {
+            compiled.reporting_supported()?;
+        }
+        Ok(compiled)
+    }
+
+    /// The shared insertion path of [`IndexedBank::subscribe`] and
+    /// [`IndexedBank::compact`]: registers `q` in the next slot under
+    /// subscription `id` and returns its group. `compiled` is the
+    /// subscribe path's validation of `q`; `warm` is the index a
+    /// compaction is folding away, whose residual pool is carried over
+    /// by canonical form — reinsertion revalidates nothing and compiles
+    /// only on a warm-pool miss, which a pooled bank never hits.
+    fn insert_slot(
+        &mut self,
+        q: &Query,
+        id: SubscriptionId,
+        compiled: Option<CompiledQuery>,
+        warm: Option<&Index>,
+    ) -> Result<u32, UnsupportedQuery> {
+        let slot = self.query_group.len();
+        let form = CanonicalForm::of(q);
+        let g = match self.group_of_key.get(&form.key) {
+            Some(&g) => {
+                self.join_group(g, slot);
+                g
+            }
+            None => self.insert_group(q, form, slot, compiled, warm)?,
+        };
+        self.query_group.push(g);
+        self.slot_sub.push(id.0);
+        self.slot_alive.push(true);
+        self.slot_query.push(q.clone());
+        self.subs.insert(id.0, slot);
+        Ok(g)
+    }
+
+    /// Adds `slot` to the existing group `g`, reviving it if
+    /// tombstoned (its trie linkage was never removed; it only needs
+    /// its pool entry's use count back).
+    fn join_group(&mut self, g: u32, slot: usize) {
+        let group = &mut self.groups[g as usize];
+        if let (true, Some(rid)) = (group.members.is_empty(), group.residual) {
+            self.residual_uses[rid as usize] += 1;
+        }
+        group.members.push(slot);
+    }
+
+    /// Creates the group for a canonical form the bank has not seen:
+    /// walks/extends the trie along the sharable prefix and wires the
+    /// remainder into the residual pool. O(|query|) — the trie walk
+    /// touches one node per prefix step, and appended nodes/groups
+    /// never renumber existing ones.
+    fn insert_group(
+        &mut self,
+        q: &Query,
+        form: CanonicalForm,
+        slot: usize,
+        compiled: Option<CompiledQuery>,
+        warm: Option<&Index>,
+    ) -> Result<u32, UnsupportedQuery> {
+        let steps = &form.steps;
+        let k = form.sharable;
+        let mut node = 0u32;
+        let mut needs_dedup = false;
+        for step in &steps[..k] {
+            needs_dedup |= step.axis == Axis::Descendant;
+            node = match self.trie[node as usize]
+                .children
+                .iter()
+                .copied()
+                .find(|&c| {
+                    self.trie[c as usize].axis == step.axis
+                        && self.trie[c as usize].ntest == step.ntest
+                }) {
+                Some(c) => c,
+                None => {
+                    let id = self.trie.len() as u32;
+                    let code = match &step.ntest {
+                        NodeTest::Wildcard => WILDCARD_CODE,
+                        NodeTest::Name(n) => sym_code(Some(self.symbols.intern(n))),
+                    };
+                    self.trie.push(TrieNode {
+                        axis: step.axis,
+                        ntest: step.ntest.clone(),
+                        code,
+                        children: Vec::new(),
+                        terminal: Vec::new(),
+                        residual: Vec::new(),
+                    });
+                    self.trie[node as usize].children.push(id);
+                    self.trie_ref_bits = bits_for(self.trie.len() - 1);
+                    id
+                }
+            };
+        }
+        let g = self.groups.len() as u32;
+        let mut group = Group {
+            members: vec![slot],
+            residual: None,
+            needs_dedup,
+            document_rooted: false,
+        };
+        if k == steps.len() && k > 0 {
+            self.trie[node as usize].terminal.push(g);
+        } else {
+            // A document-rooted remainder (k == 0) is the whole query;
+            // its residual form is the full canonical key, so a root
+            // group can still share its compiled form with a trie
+            // group whose remainder renders identically.
+            let rkey = form.residual_key(k);
+            let r = match self.pool_hit(&rkey, warm) {
+                Some(r) => r,
+                None => {
+                    // Genuinely new canonical form: compile it (for
+                    // k == 0 the subscribe path already has it).
+                    let rc = match (k, compiled) {
+                        (0, Some(c)) => c,
+                        (0, None) => self.validate(q)?,
+                        _ => self.validate(&residual_query(q, k))?,
+                    };
+                    self.built_residuals += 1;
+                    self.intern(CompiledResidual::build(rc, rkey))
+                }
+            };
+            group.residual = Some(r);
+            if k == 0 {
+                self.root_groups.push(g);
+                group.document_rooted = true;
+            } else {
+                self.trie[node as usize].residual.push(g);
+            }
+        }
+        self.groups.push(group);
+        self.group_of_key.insert(form.key, g);
+        Ok(g)
+    }
+
+    /// Looks up a canonical residual form: first in the live pool,
+    /// then in the pool of the index a compaction is folding away (a
+    /// hit there moves the entry — an `Arc` clone, never a build — into
+    /// the live pool). Unpooled banks skip both, so every group owns a
+    /// private fresh build.
+    fn pool_hit(&mut self, rkey: &str, warm: Option<&Index>) -> Option<u32> {
+        if !self.pooled {
+            return None;
+        }
+        if let Some(&r) = self.pool_of_key.get(rkey) {
+            self.residual_uses[r as usize] += 1;
+            return Some(r);
+        }
+        let warm = warm?;
+        let &r = warm.pool_of_key.get(rkey)?;
+        Some(self.intern(warm.residuals[r as usize].clone()))
+    }
+
+    /// Adds a pool entry (with one use) and its dormant wake-up
+    /// triggers.
+    fn intern(&mut self, res: CompiledResidual) -> u32 {
+        let r = self.residuals.len() as u32;
+        self.pool_of_key.insert(res.key.clone(), r);
+        self.residual_triggers.push(triggers_for(res.compiled()));
+        self.residual_uses.push(1);
+        self.residuals.push(res);
+        r
+    }
+}
+
 impl IndexedBank {
     /// Compiles and indexes a bank of filtering queries; fails on the
     /// first unsupported one (with its bank index), exactly like
@@ -731,81 +988,24 @@ impl IndexedBank {
         IndexedBank::build(queries, false, false, Arc::new(Symbols::new()))
     }
 
+    /// An empty bank, then one [`IndexedBank::subscribe`] per query:
+    /// construction-time queries are subscriptions too — ids are
+    /// assigned in registration order.
     fn build(
         queries: &[Query],
         reporting: bool,
         pooled: bool,
         symbols: Arc<Symbols>,
     ) -> Result<IndexedBank, (usize, UnsupportedQuery)> {
-        let mut bank = IndexedBank::empty(reporting, pooled, symbols);
+        let index = Index::empty(reporting, pooled, symbols);
+        let mut bank = IndexedBank {
+            run: Run::new(&index),
+            index: Arc::new(index),
+        };
         for (i, q) in queries.iter().enumerate() {
             bank.subscribe(q).map_err(|e| (i, e))?;
         }
         Ok(bank)
-    }
-
-    /// An empty mutable bank; queries arrive through
-    /// [`IndexedBank::subscribe`]. (Construction-time queries are
-    /// subscriptions too — ids are assigned in registration order.)
-    fn empty(reporting: bool, pooled: bool, symbols: Arc<Symbols>) -> IndexedBank {
-        IndexedBank {
-            trie: vec![TrieNode {
-                axis: Axis::Child,
-                ntest: NodeTest::Wildcard,
-                code: WILDCARD_CODE,
-                children: Vec::new(),
-                terminal: Vec::new(),
-                residual: Vec::new(),
-            }],
-            groups: Vec::new(),
-            residuals: Vec::new(),
-            built_residuals: 0,
-            root_groups: Vec::new(),
-            query_group: Vec::new(),
-            group_of_key: HashMap::new(),
-            pool_of_key: HashMap::new(),
-            residual_uses: Vec::new(),
-            subs: HashMap::new(),
-            slot_sub: Vec::new(),
-            slot_alive: Vec::new(),
-            slot_query: Vec::new(),
-            next_sub: 0,
-            dead_slots: 0,
-            policy: CompactionPolicy::default(),
-            compactions: 0,
-            symbols,
-            reporting,
-            pooled,
-            shard_owned: None,
-            records: Vec::new(),
-            record_chains: Chains::new(),
-            instances: Vec::new(),
-            scratch_activated: Vec::new(),
-            attr_scratch: AttrBuf::new(),
-            drain_scratch: Vec::new(),
-            name_cache: SymCache::new(),
-            dormant: Vec::new(),
-            wake_links: Vec::new(),
-            wake_chains: Chains::new(),
-            dormant_live: 0,
-            residual_triggers: Vec::new(),
-            free_filters: Vec::new(),
-            current_level: 0,
-            element_ordinal: 0,
-            open_terminals: Vec::new(),
-            doc: Vec::new(),
-            emitted: Vec::new(),
-            touched: Vec::new(),
-            finished: false,
-            trie_ref_bits: bits_for(0),
-            peak_records: 0,
-            peak_trie_bits: 0,
-            peak_instances: 0,
-            activations: 0,
-            events: 0,
-            records_visited: 0,
-            dormant_checked: 0,
-        }
     }
 
     // -- query churn --------------------------------------------------------
@@ -833,12 +1033,19 @@ impl IndexedBank {
     /// parent bank, then re-partition.
     pub fn subscribe(&mut self, q: &Query) -> Result<SubscriptionId, UnsupportedQuery> {
         assert!(
-            self.shard_owned.is_none(),
+            self.run.shard_owned.is_none(),
             "subscribe on a bank shard: churn the parent bank and re-partition"
         );
-        let id = SubscriptionId(self.next_sub);
-        self.insert_slot(q, id, None)?;
-        self.next_sub += 1;
+        // Validation only reads: an unsupported query copies no index.
+        let compiled = self.index.validate(q)?;
+        let index = Arc::make_mut(&mut self.index);
+        let id = SubscriptionId(index.next_sub);
+        let inserted = index.insert_slot(q, id, Some(compiled), None);
+        // Whatever the insertion added — trie nodes stay even if it
+        // failed past them — the run must be able to track.
+        self.run.fit(index);
+        inserted?;
+        index.next_sub += 1;
         Ok(id)
     }
 
@@ -860,50 +1067,41 @@ impl IndexedBank {
     /// [`IndexedBank::subscribe`]).
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
         assert!(
-            self.shard_owned.is_none(),
+            self.run.shard_owned.is_none(),
             "unsubscribe on a bank shard: churn the parent bank and re-partition"
         );
-        let Some(slot) = self.subs.remove(&id.0) else {
+        let Some(&slot) = self.index.subs.get(&id.0) else {
             return false;
         };
-        self.slot_alive[slot] = false;
-        self.dead_slots += 1;
-        let g = self.query_group[slot] as usize;
-        if let Some(pos) = self.groups[g].members.iter().position(|&m| m == slot) {
-            self.groups[g].members.swap_remove(pos);
+        let index = Arc::make_mut(&mut self.index);
+        index.subs.remove(&id.0);
+        index.slot_alive[slot] = false;
+        index.dead_slots += 1;
+        let g = index.query_group[slot] as usize;
+        let group = &mut index.groups[g];
+        if let Some(pos) = group.members.iter().position(|&m| m == slot) {
+            group.members.swap_remove(pos);
         }
-        if self.groups[g].members.is_empty() {
-            self.drop_group_state(g);
-            if let Some(rid) = self.groups[g].residual {
-                let rid = rid as usize;
-                self.residual_uses[rid] -= 1;
-                if self.residual_uses[rid] == 0 {
-                    // Each pooled filter holds an `Arc` of the compiled
-                    // residual: dropping the free-list now leaves the
-                    // pool entry as the form's last reference.
-                    self.free_filters[rid].clear();
-                }
+        if group.members.is_empty() {
+            if let Some(rid) = group.residual {
+                index.residual_uses[rid as usize] -= 1;
             }
-            // Historical peaks leave with the group's last owner, so
-            // the per-query attribution keeps summing exactly over the
-            // queries that still exist.
-            let doc = &mut self.doc[g];
-            doc.peak_bits = 0;
-            doc.peak_pending = 0;
-            doc.accepted = false;
+            self.run.drop_group(index, g);
         }
         self.maybe_compact();
         true
     }
 
-    /// Folds every tombstoned slot away: rebuilds the trie, groups and
-    /// slot table from the surviving subscriptions — renumbering
-    /// **slots** only; [`SubscriptionId`]s are stable and re-resolve
-    /// through [`IndexedBank::slot_of`] — and drops residual-pool
-    /// entries no surviving group references. The pass *moves* the
-    /// existing compiled residuals into the rebuilt pool (`Arc`
-    /// clones) and skips re-validation, so it performs **zero** query
-    /// compilations: [`IndexedBank::residual_builds`] is unchanged.
+    /// Folds every tombstoned slot away: builds a fresh index — trie,
+    /// groups and slot table — from the surviving subscriptions beside
+    /// the old one and swaps it in (so compacting an index other banks
+    /// share copies nothing), renumbering **slots** only;
+    /// [`SubscriptionId`]s are stable and re-resolve through
+    /// [`IndexedBank::slot_of`]. Residual-pool entries no surviving
+    /// group references are left behind. The pass *moves* the existing
+    /// compiled residuals into the new pool (`Arc` clones) and skips
+    /// re-validation, so it performs **zero** query compilations:
+    /// [`IndexedBank::residual_builds`] is unchanged.
     ///
     /// Only effective between documents (mid-document calls return
     /// `false` and change nothing). Returns `true` when a rebuild
@@ -915,86 +1113,61 @@ impl IndexedBank {
     /// renumbers groups, which would desynchronize the ownership
     /// mask); see [`IndexedBank::subscribe`].
     pub fn compact(&mut self) -> bool {
+        let (old, run) = (&*self.index, &mut self.run);
         assert!(
-            self.shard_owned.is_none(),
+            run.shard_owned.is_none(),
             "compact on a bank shard: churn the parent bank and re-partition"
         );
         // "Between documents" ⇔ nothing processed yet, or the last
         // document ran to `EndDocument`.
-        if self.dead_slots == 0 || !(self.events == 0 || self.finished) {
+        if old.dead_slots == 0 || !(run.events == 0 || run.finished) {
             return false;
         }
         debug_assert!(
-            self.instances.is_empty() && self.dormant.is_empty() && self.records.is_empty(),
+            run.instances.is_empty() && run.dormant.is_empty() && run.records.is_empty(),
             "`EndDocument` empties the frontier"
         );
-        // Carry compiled residual forms and per-group history (peaks
-        // and the last document's verdicts) across the rebuild, keyed
-        // by canonical form.
-        let residuals = std::mem::take(&mut self.residuals);
-        let pool_keys = std::mem::take(&mut self.pool_of_key);
-        let warm: HashMap<String, CompiledResidual> = pool_keys
-            .into_iter()
-            .map(|(k, r)| (k, residuals[r as usize].clone()))
-            .collect();
-        let old_groups = std::mem::take(&mut self.group_of_key);
-        let mut carry: HashMap<String, (u64, usize, bool)> = HashMap::new();
-        for (key, g) in old_groups {
-            let gi = g as usize;
-            if !self.groups[gi].members.is_empty() {
-                let doc = &self.doc[gi];
-                carry.insert(key, (doc.peak_bits, doc.peak_pending, doc.accepted));
+        let mut index = Index::empty(old.reporting, old.pooled, Arc::clone(&old.symbols));
+        index.built_residuals = old.built_residuals;
+        index.next_sub = old.next_sub;
+        index.policy = old.policy;
+        index.compactions = old.compactions + 1;
+        // New group → the old group it continues.
+        let mut continues: Vec<u32> = Vec::new();
+        for slot in (0..old.slot_alive.len()).filter(|&s| old.slot_alive[s]) {
+            let id = SubscriptionId(old.slot_sub[slot]);
+            let g = index
+                .insert_slot(&old.slot_query[slot], id, None, Some(old))
+                .expect("surviving queries were validated at subscribe");
+            if g as usize == continues.len() {
+                continues.push(old.query_group[slot]);
             }
         }
-        let slot_query = std::mem::take(&mut self.slot_query);
-        let slot_sub = std::mem::take(&mut self.slot_sub);
-        let slot_alive = std::mem::take(&mut self.slot_alive);
-        let survivors: Vec<(u64, Query)> = slot_query
-            .into_iter()
-            .zip(slot_sub)
-            .zip(slot_alive)
-            .filter_map(|((q, sub), alive)| alive.then_some((sub, q)))
+        // Per-group history — peaks and the last document's verdicts —
+        // crosses the renumbering; pooled filters do not (the pool ids
+        // moved), and the rest restarts at the next `StartDocument`.
+        run.doc = (continues.iter().map(|&g| &run.doc[g as usize]))
+            .map(|was| GroupDoc {
+                accepted: was.accepted,
+                touched: true,
+                peak_bits: was.peak_bits,
+                peak_pending: was.peak_pending,
+                ..GroupDoc::default()
+            })
             .collect();
-
-        self.trie.truncate(1);
-        self.trie[0].children.clear();
-        self.groups.clear();
-        self.root_groups.clear();
-        self.query_group.clear();
-        self.subs.clear();
-        self.residual_uses.clear();
-        self.residual_triggers.clear();
-        self.free_filters.clear();
-        self.doc.clear();
-        self.emitted.clear();
-        self.touched.clear();
-        self.open_terminals.clear();
-        self.dead_slots = 0;
-        self.trie_ref_bits = bits_for(0);
-
-        for (sub, q) in survivors {
-            self.insert_slot(&q, SubscriptionId(sub), Some(&warm))
-                .expect("surviving queries were validated at subscribe");
-        }
-        let restored: Vec<(u32, (u64, usize, bool))> = self
-            .group_of_key
-            .iter()
-            .filter_map(|(key, &g)| carry.get(key).map(|&h| (g, h)))
-            .collect();
-        for (g, (peak_bits, peak_pending, accepted)) in restored {
-            let doc = self.touch(g as usize);
-            doc.peak_bits = peak_bits;
-            doc.peak_pending = peak_pending;
-            doc.accepted = accepted;
-        }
-        self.compactions += 1;
+        run.touched.clear();
+        run.touched.extend(0..continues.len() as u32);
+        run.free_filters.clear();
+        run.fit(&index);
+        self.index = Arc::new(index);
         true
     }
 
     fn maybe_compact(&mut self) {
-        if self.dead_slots >= self.policy.min_tombstones
-            && (self.dead_slots as f64)
-                > self.policy.max_tombstone_ratio * self.query_group.len() as f64
+        let index = &self.index;
+        if index.dead_slots >= index.policy.min_tombstones
+            && (index.dead_slots as f64)
+                > index.policy.max_tombstone_ratio * index.query_group.len() as f64
         {
             self.compact();
         }
@@ -1003,8 +1176,9 @@ impl IndexedBank {
     // -- bank sharding ------------------------------------------------------
 
     /// Splits the bank into `shards` sub-banks for parallel evaluation
-    /// of **one** event stream: each shard is a full structural clone
-    /// (same trie, groups, residual pool and symbol table) carrying a
+    /// of **one** event stream: each shard shares this bank's index
+    /// (same trie, groups, residual pool and symbol table — a refcount
+    /// bump, not a copy) and starts a fresh run carrying a
     /// group-ownership mask, with every group owned by exactly one
     /// shard (greedily balanced by member count). Feed the identical
     /// interned event sequence to every shard — on separate threads,
@@ -1033,8 +1207,8 @@ impl IndexedBank {
     /// Shards are read-only snapshots of the subscription set: churn
     /// ([`IndexedBank::subscribe`] / [`IndexedBank::unsubscribe`] /
     /// [`IndexedBank::compact`]) panics on a shard — churn the parent
-    /// and re-partition. Per-document state and statistics are reset
-    /// in every shard, so merged stats account exactly the documents
+    /// and re-partition. A shard starts with no per-document state and
+    /// zeroed statistics, so merged stats account exactly the documents
     /// processed after the split. Call between documents.
     ///
     /// `shards` is clamped to at least 1; asking for more shards than
@@ -1042,41 +1216,33 @@ impl IndexedBank {
     /// track the shared segment — harmless, but wasted work).
     pub fn partition(&self, shards: usize) -> Vec<IndexedBank> {
         let shards = shards.max(1);
+        let groups = &self.index.groups;
         // Greedy balance: heaviest group first, onto the lightest
         // shard. Weight 1 + |members| — a group costs its instance
         // churn plus per-member match fan-out; tombstoned groups
         // weigh nothing and are skipped at every activation site
         // anyway.
-        let mut order: Vec<usize> = (0..self.groups.len()).collect();
-        order.sort_by_key(|&g| std::cmp::Reverse(self.groups[g].members.len()));
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        order.sort_by_key(|&g| std::cmp::Reverse(groups[g].members.len()));
         let mut load = vec![0usize; shards];
-        let mut owner = vec![0usize; self.groups.len()];
+        let mut owner = vec![0usize; groups.len()];
         for g in order {
             let lightest = (0..shards).min_by_key(|&s| load[s]).unwrap_or(0);
             owner[g] = lightest;
-            if !self.groups[g].members.is_empty() {
-                load[lightest] += 1 + self.groups[g].members.len();
+            if !groups[g].members.is_empty() {
+                load[lightest] += 1 + groups[g].members.len();
             }
         }
         (0..shards)
             .map(|s| {
-                let mut shard = self.clone();
-                shard.shard_owned = Some(owner.iter().map(|&o| o == s).collect());
-                shard.reset_processing_state();
-                shard
+                let mut run = Run::new(&self.index);
+                run.shard_owned = Some(owner.iter().map(|&o| o == s).collect());
+                IndexedBank {
+                    index: Arc::clone(&self.index),
+                    run,
+                }
             })
             .collect()
-    }
-
-    /// Whether this bank owns group `g` — always true for an
-    /// unsharded bank, and true for exactly one shard of a
-    /// [`IndexedBank::partition`] per group.
-    #[inline]
-    fn owns_group(&self, g: usize) -> bool {
-        match &self.shard_owned {
-            None => true,
-            Some(mask) => mask[g],
-        }
     }
 
     /// Whether this bank owns the group of slot `slot` — the shard
@@ -1084,312 +1250,7 @@ impl IndexedBank {
     /// per-group statistics are authoritative for that query. Always
     /// true for an unsharded bank.
     pub fn owns_slot(&self, slot: usize) -> bool {
-        self.owns_group(self.query_group[slot] as usize)
-    }
-
-    /// Whether this bank is a shard of an [`IndexedBank::partition`].
-    pub fn is_shard(&self) -> bool {
-        self.shard_owned.is_some()
-    }
-
-    /// Clears per-document evaluation state and zeroes every
-    /// statistic, so a freshly partitioned shard accounts only what
-    /// it processes after the split.
-    fn reset_processing_state(&mut self) {
-        self.reset_document_state();
-        self.activations = 0;
-        self.events = 0;
-        self.records_visited = 0;
-        self.dormant_checked = 0;
-    }
-
-    /// Empties the shared segment — records, dormant activations, their
-    /// chains — and retires every live instance, in time proportional
-    /// to what is there: the stacks pop, the head tables are never
-    /// swept. Every exit that leaves
-    /// per-document state behind (a parse error, a mid-document
-    /// `partition`) comes through here by the next `StartDocument`.
-    fn clear_frontier(&mut self) {
-        while let Some(rec) = self.records.pop() {
-            self.record_chains
-                .pop(rec.code, self.records.len(), rec.prev);
-        }
-        while let Some(link) = self.wake_links.pop() {
-            self.wake_chains
-                .pop(link.code, self.wake_links.len(), link.prev);
-        }
-        self.dormant.clear();
-        self.dormant_live = 0;
-        while let Some(inst) = self.instances.pop() {
-            self.recycle(inst);
-        }
-    }
-
-    /// Restores the start-of-document state: an empty frontier, default
-    /// [`GroupDoc`]s (only touched groups ever left it) and fresh
-    /// per-document peaks — a reused bank reports what a fresh one
-    /// would. `activations`/`events` stay cumulative.
-    fn reset_document_state(&mut self) {
-        self.clear_frontier();
-        while let Some(g) = self.touched.pop() {
-            self.doc[g as usize] = GroupDoc::default();
-            self.emitted[g as usize].clear();
-        }
-        self.open_terminals.clear();
-        self.current_level = 0;
-        self.element_ordinal = 0;
-        self.finished = false;
-        self.peak_records = 0;
-        self.peak_trie_bits = 0;
-        self.peak_instances = 0;
-    }
-
-    /// Group `g`'s per-document state, for writing: the next
-    /// `StartDocument` will reset it.
-    #[inline]
-    fn touch(&mut self, g: usize) -> &mut GroupDoc {
-        let doc = &mut self.doc[g];
-        if !doc.touched {
-            doc.touched = true;
-            self.touched.push(g as u32);
-        }
-        doc
-    }
-
-    /// The shared insertion path of [`IndexedBank::subscribe`] and
-    /// [`IndexedBank::compact`]: registers `q` in the next slot under
-    /// subscription `id`. `warm` carries a previous incarnation's
-    /// residual pool (keyed by canonical form) so compaction
-    /// revalidates and recompiles nothing.
-    fn insert_slot(
-        &mut self,
-        q: &Query,
-        id: SubscriptionId,
-        warm: Option<&HashMap<String, CompiledResidual>>,
-    ) -> Result<(), UnsupportedQuery> {
-        // Validate the full query exactly like the naive bank (skipped
-        // on compaction, which reinserts already-validated queries and
-        // compiles only on a warm-pool miss — which reinsertion of a
-        // pooled bank never hits).
-        let mut compiled = None;
-        if warm.is_none() {
-            let c = CompiledQuery::compile_with(q, Arc::clone(&self.symbols))?;
-            if self.reporting {
-                c.reporting_supported()?;
-            }
-            compiled = Some(c);
-        }
-        let slot = self.query_group.len();
-        let form = CanonicalForm::of(q);
-        let g = match self.group_of_key.get(&form.key) {
-            Some(&g) => {
-                self.join_group(g, slot);
-                g
-            }
-            None => self.insert_group(q, form, slot, compiled, warm)?,
-        };
-        self.query_group.push(g);
-        self.slot_sub.push(id.0);
-        self.slot_alive.push(true);
-        self.slot_query.push(q.clone());
-        self.subs.insert(id.0, slot);
-        Ok(())
-    }
-
-    /// Adds `slot` to the existing group `g`, reviving it if
-    /// tombstoned (its trie linkage was never removed; it only needs
-    /// its pool entry's use count back).
-    fn join_group(&mut self, g: u32, slot: usize) {
-        let gi = g as usize;
-        if self.groups[gi].members.is_empty() {
-            if let Some(rid) = self.groups[gi].residual {
-                self.residual_uses[rid as usize] += 1;
-            }
-        }
-        self.groups[gi].members.push(slot);
-    }
-
-    /// Creates the group for a canonical form the bank has not seen:
-    /// walks/extends the trie along the sharable prefix and wires the
-    /// remainder into the residual pool. O(|query|) — the trie walk
-    /// touches one node per prefix step, and appended nodes/groups
-    /// never renumber existing ones.
-    fn insert_group(
-        &mut self,
-        q: &Query,
-        form: CanonicalForm,
-        slot: usize,
-        compiled: Option<CompiledQuery>,
-        warm: Option<&HashMap<String, CompiledResidual>>,
-    ) -> Result<u32, UnsupportedQuery> {
-        let steps = &form.steps;
-        let k = form.sharable;
-        let mut node = 0u32;
-        let mut needs_dedup = false;
-        for step in &steps[..k] {
-            needs_dedup |= step.axis == Axis::Descendant;
-            node = match self.trie[node as usize]
-                .children
-                .iter()
-                .copied()
-                .find(|&c| {
-                    self.trie[c as usize].axis == step.axis
-                        && self.trie[c as usize].ntest == step.ntest
-                }) {
-                Some(c) => c,
-                None => {
-                    let id = self.trie.len() as u32;
-                    let code = match &step.ntest {
-                        NodeTest::Wildcard => WILDCARD_CODE,
-                        NodeTest::Name(n) => sym_code(Some(self.symbols.intern(n))),
-                    };
-                    self.trie.push(TrieNode {
-                        axis: step.axis,
-                        ntest: step.ntest.clone(),
-                        code,
-                        children: Vec::new(),
-                        terminal: Vec::new(),
-                        residual: Vec::new(),
-                    });
-                    self.trie[node as usize].children.push(id);
-                    self.record_chains.ensure(code);
-                    self.trie_ref_bits = bits_for(self.trie.len() - 1);
-                    id
-                }
-            };
-        }
-        let g = self.groups.len() as u32;
-        if k == steps.len() && k > 0 {
-            self.trie[node as usize].terminal.push(g);
-            self.push_group(Group {
-                members: vec![slot],
-                residual: None,
-                needs_dedup,
-                document_rooted: false,
-            });
-        } else {
-            // A document-rooted remainder (k == 0) is the whole query;
-            // its residual form is the full canonical key, so a root
-            // group can still share its compiled form with a trie
-            // group whose remainder renders identically.
-            let rkey = form.residual_key(k);
-            let r = match self.pool_hit(&rkey, warm) {
-                Some(r) => r,
-                None => {
-                    // Genuinely new canonical form: compile it (for
-                    // k == 0 the subscribe path already has it).
-                    let rc = match (k, compiled) {
-                        (0, Some(c)) => c,
-                        _ => {
-                            let residual = if k == 0 {
-                                q.clone()
-                            } else {
-                                residual_query(q, k)
-                            };
-                            let rc =
-                                CompiledQuery::compile_with(&residual, Arc::clone(&self.symbols))?;
-                            if self.reporting {
-                                rc.reporting_supported()?;
-                            }
-                            rc
-                        }
-                    };
-                    self.built_residuals += 1;
-                    self.intern(CompiledResidual::build(rc, rkey))
-                }
-            };
-            if k == 0 {
-                self.root_groups.push(g);
-                self.push_group(Group {
-                    members: vec![slot],
-                    residual: Some(r),
-                    needs_dedup: false,
-                    document_rooted: true,
-                });
-            } else {
-                self.trie[node as usize].residual.push(g);
-                self.push_group(Group {
-                    members: vec![slot],
-                    residual: Some(r),
-                    needs_dedup,
-                    document_rooted: false,
-                });
-            }
-        }
-        self.group_of_key.insert(form.key, g);
-        Ok(g)
-    }
-
-    /// Looks up a canonical residual form: first in the live pool,
-    /// then in a compaction's warm pool (a hit there moves the entry —
-    /// an `Arc` clone, never a build — into the live pool). Unpooled
-    /// banks skip both, so every group owns a private fresh build.
-    fn pool_hit(
-        &mut self,
-        rkey: &str,
-        warm: Option<&HashMap<String, CompiledResidual>>,
-    ) -> Option<u32> {
-        if !self.pooled {
-            return None;
-        }
-        if let Some(&r) = self.pool_of_key.get(rkey) {
-            self.residual_uses[r as usize] += 1;
-            return Some(r);
-        }
-        warm.and_then(|w| w.get(rkey))
-            .cloned()
-            .map(|res| self.intern(res))
-    }
-
-    /// Adds a pool entry (with one use), registering its dormant
-    /// wake-up triggers and its (empty) filter free-list.
-    fn intern(&mut self, res: CompiledResidual) -> u32 {
-        let r = self.residuals.len() as u32;
-        self.pool_of_key.insert(res.key.clone(), r);
-        let triggers = triggers_for(res.compiled());
-        for &(code, _) in &triggers.specs {
-            self.wake_chains.ensure(code);
-        }
-        self.residual_triggers.push(triggers);
-        self.free_filters.push(Vec::new());
-        self.residual_uses.push(1);
-        self.residuals.push(res);
-        r
-    }
-
-    /// Appends a group, growing every per-group parallel array.
-    fn push_group(&mut self, group: Group) {
-        self.groups.push(group);
-        self.doc.push(GroupDoc::default());
-        self.emitted.push(HashSet::new());
-    }
-
-    /// Drops a tombstoned group's live per-document state: open
-    /// residual instances, dormant activations and pending terminal
-    /// spans (a mid-document unsubscribe simply stops evaluating).
-    fn drop_group_state(&mut self, g: usize) {
-        let mut i = 0;
-        while i < self.instances.len() {
-            if self.instances[i].group as usize == g {
-                self.note_stats(i);
-                self.instances.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        // Churn path, not the per-event one: tombstone the group's
-        // dormant entries where they stand (they pop with their
-        // activating elements) and release their share of the live count.
-        for d in &mut self.dormant {
-            d.live &= d.group as usize != g;
-        }
-        self.open_terminals
-            .retain(|&(_, og, _, _)| og as usize != g);
-        let doc = &mut self.doc[g];
-        self.dormant_live -= doc.dormant as usize;
-        doc.dormant = 0;
-        doc.live_bits = 0;
-        doc.live_pending = 0;
+        self.run.owns(self.index.query_group[slot] as usize)
     }
 
     /// The stable id of the subscription currently occupying `slot`
@@ -1397,39 +1258,36 @@ impl IndexedBank {
     /// [`IndexedBank::slot_of`], for translating a routed [`Match`]'s
     /// bank index back to its subscriber.
     pub fn subscription_of(&self, slot: usize) -> Option<SubscriptionId> {
-        (self.slot_alive.get(slot) == Some(&true)).then(|| SubscriptionId(self.slot_sub[slot]))
+        let index = &*self.index;
+        (index.slot_alive.get(slot) == Some(&true)).then(|| SubscriptionId(index.slot_sub[slot]))
     }
 
     /// The current slot (bank index) of a subscription, `None` once
     /// unsubscribed. Slots are stable except across
     /// [`IndexedBank::compact`].
     pub fn slot_of(&self, id: SubscriptionId) -> Option<usize> {
-        self.subs.get(&id.0).copied()
+        self.index.subs.get(&id.0).copied()
     }
 
     /// Number of live (non-tombstoned) subscriptions.
     pub fn live_subscriptions(&self) -> usize {
-        self.subs.len()
+        self.index.subs.len()
     }
 
     /// Number of tombstoned slots awaiting compaction.
     pub fn tombstoned_slots(&self) -> usize {
-        self.dead_slots
+        self.index.dead_slots
     }
 
     /// Number of compaction passes performed so far.
     pub fn compactions(&self) -> u64 {
-        self.compactions
+        self.index.compactions
     }
 
-    /// The automatic compaction policy (see [`CompactionPolicy`]).
-    pub fn compaction_policy(&self) -> CompactionPolicy {
-        self.policy
-    }
-
-    /// Replaces the automatic compaction policy.
+    /// Replaces the automatic compaction policy (see
+    /// [`CompactionPolicy`]).
     pub fn set_compaction_policy(&mut self, policy: CompactionPolicy) {
-        self.policy = policy;
+        Arc::make_mut(&mut self.index).policy = policy;
     }
 
     /// Number of registered slots — live subscriptions plus tombstones
@@ -1437,30 +1295,30 @@ impl IndexedBank {
     /// the live ones alone). Per-slot vectors such as
     /// [`IndexedBank::results`] have this length.
     pub fn len(&self) -> usize {
-        self.query_group.len()
+        self.index.query_group.len()
     }
 
     /// True when no queries are registered.
     pub fn is_empty(&self) -> bool {
-        self.query_group.is_empty()
+        self.index.query_group.is_empty()
     }
 
     /// True when this bank reports positions (built via
     /// [`IndexedBank::new_reporting`]).
     pub fn is_reporting(&self) -> bool {
-        self.reporting
+        self.index.reporting
     }
 
     /// Number of distinct canonical query groups (each evaluated once).
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.index.groups.len()
     }
 
     /// Number of distinct canonical residual forms in the shared pool —
     /// at most the number of residual-bearing groups, and strictly less
     /// whenever remainders repeat across trie groups.
     pub fn residual_pool_size(&self) -> usize {
-        self.residuals.len()
+        self.index.residuals.len()
     }
 
     /// Number of [`CompiledResidual`] builds this bank performed:
@@ -1471,18 +1329,7 @@ impl IndexedBank {
     /// — leave this unchanged: that is the no-recompilation guarantee
     /// the mutable bank is built around.
     pub fn residual_builds(&self) -> u64 {
-        self.built_residuals
-    }
-
-    /// Total residual instances spawned so far (cumulative across
-    /// documents) — each one an `Arc` bump plus empty instance state.
-    pub fn activations(&self) -> u64 {
-        self.activations
-    }
-
-    /// Total events processed so far (cumulative across documents).
-    pub fn events_processed(&self) -> u64 {
-        self.events
+        self.index.built_residuals
     }
 
     /// Total shared trie records start tags have visited so far
@@ -1490,35 +1337,24 @@ impl IndexedBank {
     /// its own name plus the wildcard chain, so this deterministic work
     /// count stays flat as the bank grows families a document never names.
     pub fn trie_records_visited(&self) -> u64 {
-        self.records_visited
+        self.run.records_visited
     }
 
     /// Total dormant wake-up registrations start tags have checked so
     /// far: the dormant-side companion of
     /// [`IndexedBank::trie_records_visited`].
     pub fn dormant_entries_checked(&self) -> u64 {
-        self.dormant_checked
+        self.run.dormant_checked
     }
 
     /// Number of shared trie nodes (excluding the virtual root).
     pub fn shared_nodes(&self) -> usize {
-        self.trie.len() - 1
-    }
-
-    /// Currently live residual instances (per-query state that exists
-    /// only below activated divergence points).
-    pub fn live_instances(&self) -> usize {
-        self.instances.len()
+        self.index.trie.len() - 1
     }
 
     /// Peak number of simultaneously live residual instances.
     pub fn peak_live_instances(&self) -> usize {
-        self.peak_instances
-    }
-
-    /// Peak number of shared trie frontier records.
-    pub fn peak_shared_records(&self) -> usize {
-        self.peak_records
+        self.run.peak_instances
     }
 
     /// Feeds one event to the index (no span information; reported
@@ -1531,40 +1367,32 @@ impl IndexedBank {
     /// confirmed to `sink` — each stamped with the bank index of the
     /// query that selected it. Filtering-mode banks never call the sink.
     pub fn process_to(&mut self, event: &Event, span: Span, sink: &mut dyn MatchSink) {
+        let (index, run) = (&*self.index, &mut self.run);
         // One conversion to the interned form serves the shared trie
         // walk and every live residual instance.
-        let mut scratch = std::mem::take(&mut self.attr_scratch);
-        let ev = scratch.sym_event(&mut self.name_cache, &self.symbols, event);
-        self.process_sym_to(ev, span, sink);
-        self.attr_scratch = scratch;
+        let mut scratch = std::mem::take(&mut run.attr_scratch);
+        let ev = scratch.sym_event(&mut run.name_cache, &index.symbols, event);
+        run.process(index, ev, span, sink);
+        run.attr_scratch = scratch;
     }
 
     /// [`IndexedBank::process_to`] over an already-interned event (syms
     /// from the bank's table, [`IndexedBank::symbols`]) — the zero-copy
     /// hot path a `StreamingParser` sharing the table feeds directly.
     pub fn process_sym_to(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
-        self.events += 1;
-        match event {
-            SymEvent::StartDocument => self.start_document(),
-            SymEvent::StartElement { name, .. } => self.start_element(event, name, span, sink),
-            SymEvent::EndElement { .. } => self.end_element(event, span, sink),
-            SymEvent::Text { .. } if self.instances.is_empty() => {}
-            SymEvent::Text { .. } => {
-                self.feed_instances(event, span, self.current_level as i64, sink)
-            }
-            SymEvent::EndDocument => self.end_document(sink),
-        }
+        self.run.process(&self.index, event, span, sink);
     }
 
     /// [`IndexedBank::process_sym_to`] over a whole [`EventBatch`]: the
     /// batch-granular hot path. One bank call walks the entire run with
-    /// the replay attribute scratch hoisted out of the per-event loop;
-    /// event order, match routing, verdicts, and space accounting are
-    /// exactly those of the per-event feed.
+    /// the index borrow and the replay attribute scratch hoisted out of
+    /// the per-event loop; event order, match routing, verdicts, and
+    /// space accounting are exactly those of the per-event feed.
     pub fn process_batch_to(&mut self, batch: &EventBatch, sink: &mut dyn MatchSink) {
-        let mut scratch = std::mem::take(&mut self.attr_scratch);
-        batch.replay(&mut scratch, |ev, span| self.process_sym_to(ev, span, sink));
-        self.attr_scratch = scratch;
+        let (index, run) = (&*self.index, &mut self.run);
+        let mut scratch = std::mem::take(&mut run.attr_scratch);
+        batch.replay(&mut scratch, |ev, span| run.process(index, ev, span, sink));
+        run.attr_scratch = scratch;
     }
 
     /// The bank's shared symbol table: hand it to
@@ -1572,7 +1400,7 @@ impl IndexedBank {
     /// already interned and [`IndexedBank::process_sym_to`] dispatches
     /// without any per-event name lookup.
     pub fn symbols(&self) -> &Arc<Symbols> {
-        &self.symbols
+        &self.index.symbols
     }
 
     /// Per-query verdicts (available after `endDocument`, or earlier for
@@ -1587,9 +1415,9 @@ impl IndexedBank {
     /// [`IndexedBank::results`] as an iterator over the slots, without
     /// allocating.
     pub fn verdicts(&self) -> impl Iterator<Item = Option<bool>> + '_ {
-        let undecided = self.finished.then_some(false);
-        self.query_group.iter().map(move |&g| {
-            if self.doc[g as usize].accepted {
+        let undecided = self.run.finished.then_some(false);
+        self.index.query_group.iter().map(move |&g| {
+            if self.run.doc[g as usize].accepted {
                 Some(true)
             } else {
                 undecided
@@ -1600,8 +1428,9 @@ impl IndexedBank {
     /// Iterates the slots of the live queries the last document
     /// matched, without allocating (tombstoned slots never report).
     pub fn matching(&self) -> impl Iterator<Item = usize> + '_ {
-        self.query_group.iter().enumerate().filter_map(|(i, &g)| {
-            (self.slot_alive[i] && self.doc[g as usize].accepted).then_some(i)
+        let (index, doc) = (&*self.index, &self.run.doc);
+        (index.query_group.iter().enumerate()).filter_map(move |(i, &g)| {
+            (index.slot_alive[i] && doc[g as usize].accepted).then_some(i)
         })
     }
 
@@ -1624,33 +1453,34 @@ impl IndexedBank {
     /// trie share — whose rows cost `log|trie|` where a lone filter's
     /// cost `log|Q|` — can exceed a solo run's figure by a bit or two.
     pub fn peak_memory_bits(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.query_group.len()];
+        let (index, run) = (&*self.index, &self.run);
+        let mut out = vec![0u64; index.query_group.len()];
         // Only a touched group can hold a peak.
-        for &g in &self.touched {
-            let members = &self.groups[g as usize].members;
-            let bits = self.doc[g as usize].peak_bits;
+        for &g in &run.touched {
+            let members = &index.groups[g as usize].members;
+            let bits = run.doc[g as usize].peak_bits;
             split_evenly(bits, members.len(), members.iter().copied(), &mut out);
         }
         // The trie sharers are everything alive except the members of
         // the empty-prefix root groups, counted from the group side and
         // charged in one pass over the slots — no sharer list is built.
-        let alive = (0..self.query_group.len()).filter(|&i| self.slot_alive[i]);
-        let rooted: usize = self
+        let alive = (0..index.query_group.len()).filter(|&i| index.slot_alive[i]);
+        let rooted: usize = index
             .root_groups
             .iter()
-            .map(|&g| self.groups[g as usize].members.len())
+            .map(|&g| index.groups[g as usize].members.len())
             .sum();
-        let sharers = self.subs.len() - rooted;
+        let sharers = index.subs.len() - rooted;
         if sharers == 0 {
             // Every trie query unsubscribed mid-life: the segment's
             // history has no natural owner left, so spread it over
             // whatever is still alive to keep the attribution summing
             // exactly to the bank total.
-            split_evenly(self.peak_trie_bits, self.subs.len(), alive, &mut out);
+            split_evenly(run.peak_trie_bits, index.subs.len(), alive, &mut out);
         } else {
             let sharing =
-                alive.filter(|&i| !self.groups[self.query_group[i] as usize].document_rooted);
-            split_evenly(self.peak_trie_bits, sharers, sharing, &mut out);
+                alive.filter(|&i| !index.groups[index.query_group[i] as usize].document_rooted);
+            split_evenly(run.peak_trie_bits, sharers, sharing, &mut out);
         }
         out
     }
@@ -1661,12 +1491,12 @@ impl IndexedBank {
     /// simultaneously-live instances together (one naive filter would
     /// buffer all those candidacies in a single reporter).
     pub fn peak_pending_positions(&self) -> Vec<usize> {
-        if !self.reporting {
-            return vec![0; self.query_group.len()];
+        let (index, doc) = (&*self.index, &self.run.doc);
+        if !index.reporting {
+            return vec![0; index.query_group.len()];
         }
-        self.query_group
-            .iter()
-            .map(|&g| self.doc[g as usize].peak_pending)
+        (index.query_group.iter())
+            .map(|&g| doc[g as usize].peak_pending)
             .collect()
     }
 
@@ -1677,59 +1507,205 @@ impl IndexedBank {
     /// which sums per-filter peaks the same way; equals the sum of
     /// [`IndexedBank::peak_memory_bits`] exactly.
     pub fn total_max_bits(&self) -> u64 {
-        self.peak_trie_bits + self.residual_peak_bits()
-    }
-
-    /// Sum of the per-group instance peaks (only touched groups hold one).
-    fn residual_peak_bits(&self) -> u64 {
-        self.touched
-            .iter()
-            .map(|&g| self.doc[g as usize].peak_bits)
-            .sum()
+        self.space_stats().total_bits
     }
 
     /// The bank-level space/activation breakdown (see
     /// [`IndexSpaceStats`]).
     pub fn space_stats(&self) -> IndexSpaceStats {
-        let residual_bits = self.residual_peak_bits();
+        let run = &self.run;
+        // Only a touched group can hold a peak.
+        let residual_bits = (run.touched.iter())
+            .map(|&g| run.doc[g as usize].peak_bits)
+            .sum();
         IndexSpaceStats {
-            shared_trie_bits: self.peak_trie_bits,
+            shared_trie_bits: run.peak_trie_bits,
             residual_bits,
-            total_bits: self.peak_trie_bits + residual_bits,
-            peak_records: self.peak_records,
-            peak_instances: self.peak_instances,
-            activations: self.activations,
-            events: self.events,
-            groups: self.groups.len(),
-            residual_pool: self.residuals.len(),
+            total_bits: run.peak_trie_bits + residual_bits,
+            peak_records: run.peak_records,
+            peak_instances: run.peak_instances,
+            activations: run.activations,
+            events: run.events,
+            groups: self.index.groups.len(),
+            residual_pool: self.index.residuals.len(),
         }
+    }
+}
+
+impl Run {
+    /// A run at the start of its first document, sized for `index`.
+    fn new(index: &Index) -> Run {
+        let mut run = Run::default();
+        run.fit(index);
+        run
+    }
+
+    /// Grows the tables that parallel the index — a [`GroupDoc`] per
+    /// group, a filter free-list per pool entry, a chain head per
+    /// dispatch code — to what `index` now holds. Every code is a sym
+    /// of the bank's table (or one of the two reserved codes), so the
+    /// table's length bounds them all. Churn calls this before it
+    /// returns: a handler indexes these tables unchecked.
+    fn fit(&mut self, index: &Index) {
+        self.doc.resize(index.groups.len(), GroupDoc::default());
+        self.free_filters
+            .resize_with(index.residuals.len(), Vec::new);
+        let heads = index.symbols.len() + 2;
+        self.record_chains.fit(heads);
+        self.wake_chains.fit(heads);
+    }
+
+    /// Whether this run owns group `g` — always true for an unsharded
+    /// bank, and true for exactly one shard of a
+    /// [`IndexedBank::partition`] per group.
+    #[inline]
+    fn owns(&self, g: usize) -> bool {
+        match &self.shard_owned {
+            None => true,
+            Some(mask) => mask[g],
+        }
+    }
+
+    /// Empties the shared segment — records, dormant activations, their
+    /// chains — and removes every live instance, in time proportional
+    /// to what is there: the stacks pop, the head tables are never
+    /// swept. Every exit that leaves per-document state behind (a parse
+    /// error, a clone taken mid-document) comes through here by the
+    /// next `StartDocument`.
+    fn clear_frontier(&mut self, index: &Index) {
+        while let Some(rec) = self.records.pop() {
+            self.record_chains
+                .pop(rec.code, self.records.len(), rec.prev);
+        }
+        // Entry by entry, so each group's live-dormant count comes
+        // back to zero with the bank's (a document-rooted activation
+        // that never woke is still live at `EndDocument`).
+        while !self.dormant.is_empty() {
+            self.pop_dormant(index);
+        }
+        debug_assert!(self.wake_links.is_empty() && self.dormant_live == 0);
+        while !self.instances.is_empty() {
+            self.remove_instance(index, self.instances.len() - 1);
+        }
+    }
+
+    /// Restores the start-of-document state: an empty frontier, default
+    /// [`GroupDoc`]s (only touched groups ever left it) and fresh
+    /// per-document peaks — a reused bank reports what a fresh one
+    /// would. `activations`/`events` stay cumulative.
+    fn reset_document(&mut self, index: &Index) {
+        self.clear_frontier(index);
+        while let Some(g) = self.touched.pop() {
+            self.doc[g as usize] = GroupDoc::default();
+        }
+        self.emitted.clear();
+        self.open_terminals.clear();
+        self.current_level = 0;
+        self.element_ordinal = 0;
+        self.finished = false;
+        self.peak_records = 0;
+        self.peak_trie_bits = 0;
+        self.peak_instances = 0;
+    }
+
+    /// Group `g`'s per-document state, for writing: the next
+    /// `StartDocument` will reset it.
+    #[inline]
+    fn touch(&mut self, g: usize) -> &mut GroupDoc {
+        let doc = &mut self.doc[g];
+        if !doc.touched {
+            doc.touched = true;
+            self.touched.push(g as u32);
+        }
+        doc
+    }
+
+    /// Group `g` lost its last member ([`IndexedBank::unsubscribe`]):
+    /// drops its live per-document state — open residual instances,
+    /// dormant activations and pending terminal spans (a mid-document
+    /// unsubscribe simply stops evaluating) — and its history.
+    fn drop_group(&mut self, index: &Index, g: usize) {
+        let mut i = 0;
+        while i < self.instances.len() {
+            if self.instances[i].group as usize == g {
+                self.remove_instance(index, i);
+            } else {
+                i += 1;
+            }
+        }
+        // Churn path, not the per-event one: tombstone the group's
+        // dormant entries where they stand (they pop with their
+        // activating elements) and release their share of the live count.
+        for d in &mut self.dormant {
+            d.live &= d.group as usize != g;
+        }
+        self.open_terminals
+            .retain(|&(_, og, _, _)| og as usize != g);
+        if let Some(rid) = index.groups[g].residual {
+            if index.residual_uses[rid as usize] == 0 {
+                // Each pooled filter holds an `Arc` of the compiled
+                // residual: dropping the free-list now leaves the
+                // pool entry as the form's last reference.
+                self.free_filters[rid as usize].clear();
+            }
+        }
+        // Historical peaks leave with the group's last owner, so the
+        // per-query attribution keeps summing exactly over the queries
+        // that still exist.
+        let doc = &mut self.doc[g];
+        self.dormant_live -= doc.dormant as usize;
+        *doc = GroupDoc {
+            touched: doc.touched,
+            ..GroupDoc::default()
+        };
     }
 
     // -- event handlers -----------------------------------------------------
 
-    fn start_document(&mut self) {
-        self.reset_document_state();
-        for ci in 0..self.trie[0].children.len() {
-            let c = self.trie[0].children[ci];
-            self.push_record(c, 0);
+    fn process(
+        &mut self,
+        index: &Index,
+        event: SymEvent<'_>,
+        span: Span,
+        sink: &mut dyn MatchSink,
+    ) {
+        self.events += 1;
+        match event {
+            SymEvent::StartDocument => self.start_document(index),
+            SymEvent::StartElement { name, .. } => {
+                self.start_element(index, event, name, span, sink)
+            }
+            SymEvent::EndElement { .. } => self.end_element(index, event, span, sink),
+            SymEvent::Text { .. } if self.instances.is_empty() => {}
+            SymEvent::Text { .. } => {
+                self.feed_instances(index, event, span, self.current_level as i64, sink)
+            }
+            SymEvent::EndDocument => self.end_document(index, sink),
+        }
+    }
+
+    fn start_document(&mut self, index: &Index) {
+        self.reset_document(index);
+        for &c in &index.trie[0].children {
+            self.push_record(index, c, 0);
         }
         // Empty-prefix groups run as document-rooted activations:
         // exactly the naive bank's per-query filters (short-circuiting
         // included), except they stay dormant until the document shows
         // a root-record match — the naive bank's dominant root-tag
         // early-reject case costs them nothing here.
-        for gi in 0..self.root_groups.len() {
-            let g = self.root_groups[gi];
-            if self.groups[g as usize].members.is_empty() {
+        for &g in &index.root_groups {
+            if index.groups[g as usize].members.is_empty() {
                 continue; // tombstoned, awaiting compaction
             }
-            self.activate(g, -1);
+            self.activate(index, g, -1);
         }
-        self.note_trie_peak();
+        self.note_trie_peak(index);
     }
 
     fn start_element(
         &mut self,
+        index: &Index,
         event: SymEvent<'_>,
         name: Sym,
         span: Span,
@@ -1739,13 +1715,13 @@ impl IndexedBank {
         // Feed instances rooted strictly above this element first; the
         // instances this element spawns below must not see its start tag
         // (they are rooted *at* it).
-        self.feed_instances(event, span, lvl as i64, sink);
+        self.feed_instances(index, event, span, lvl as i64, sink);
         // Wake any dormant activation this start tag triggers (the
         // woken instance receives this very event as its first);
         // activations registered *by* this element below are appended
         // afterwards and correctly sleep through it.
         let code = name.index() as u32;
-        self.trigger_dormant(event, code, lvl, span, sink);
+        self.trigger_dormant(index, event, code, lvl, span, sink);
 
         // Which trie nodes does this element activate? Only a record
         // chained under the element's own name or under the wildcard can
@@ -1768,45 +1744,42 @@ impl IndexedBank {
             }
         }
         for ai in 0..self.scratch_activated.len() {
-            let t = self.scratch_activated[ai];
+            let node = &index.trie[self.scratch_activated[ai] as usize];
             // No record sits at `lvl + 1` yet (the last end tag popped
-            // them) and `t`, the one parent of `c`, activates once.
-            for ci in 0..self.trie[t as usize].children.len() {
-                let c = self.trie[t as usize].children[ci];
-                self.push_record(c, lvl + 1);
+            // them) and this node, the one parent of `c`, activates once.
+            for &c in &node.children {
+                self.push_record(index, c, lvl + 1);
             }
-            for gi in 0..self.trie[t as usize].terminal.len() {
-                let g = self.trie[t as usize].terminal[gi];
-                if self.groups[g as usize].members.is_empty() {
+            for &g in &node.terminal {
+                if index.groups[g as usize].members.is_empty() {
                     continue; // tombstoned, awaiting compaction
                 }
-                if !self.owns_group(g as usize) {
+                if !self.owns(g as usize) {
                     continue; // another shard confirms this group
                 }
                 self.touch(g as usize);
-                if self.reporting {
+                if index.reporting {
                     self.open_terminals
                         .push((lvl, g, self.element_ordinal, span.start));
                 } else {
-                    self.accept(g as usize);
+                    self.accept(index, g as usize);
                 }
             }
-            for gi in 0..self.trie[t as usize].residual.len() {
-                let g = self.trie[t as usize].residual[gi];
-                if self.groups[g as usize].members.is_empty() {
+            for &g in &node.residual {
+                if index.groups[g as usize].members.is_empty() {
                     continue; // tombstoned, awaiting compaction
                 }
                 // Decided-group short-circuit: a filtering group already
                 // accepted needs no further instances.
-                if !self.reporting && self.doc[g as usize].accepted {
+                if !index.reporting && self.doc[g as usize].accepted {
                     continue;
                 }
-                self.activate(g, lvl as i64);
+                self.activate(index, g, lvl as i64);
             }
         }
         self.element_ordinal += 1;
         self.current_level = lvl + 1;
-        self.note_trie_peak();
+        self.note_trie_peak(index);
     }
 
     /// Updates the shared-segment peaks: record count, and the segment's
@@ -1814,9 +1787,9 @@ impl IndexedBank {
     /// reference plus an insertion level plus O(1) flags, mirroring
     /// [`crate::SpaceStats::bits_per_row`]'s `log|Q| + log d + 1` shape
     /// with the trie standing in for the query.
-    fn note_trie_peak(&mut self) {
+    fn note_trie_peak(&mut self, index: &Index) {
         self.peak_records = self.peak_records.max(self.records.len());
-        let row_bits = (self.trie_ref_bits + bits_for(self.current_level as usize) + 1) as u64;
+        let row_bits = (index.trie_ref_bits + bits_for(self.current_level as usize) + 1) as u64;
         // Dormant activations are bank state too: charge each live one
         // as one shared-segment row (a group reference plus a level —
         // the same shape as a trie record).
@@ -1824,18 +1797,24 @@ impl IndexedBank {
         self.peak_trie_bits = self.peak_trie_bits.max(rows * row_bits);
     }
 
-    fn end_element(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
+    fn end_element(
+        &mut self,
+        index: &Index,
+        event: SymEvent<'_>,
+        span: Span,
+        sink: &mut dyn MatchSink,
+    ) {
         let new_level = self.current_level.saturating_sub(1);
         // Instances strictly inside see the end tag; the ones rooted at
         // the closing element get `EndDocument` instead, below.
-        self.feed_instances(event, span, new_level as i64, sink);
+        self.feed_instances(index, event, span, new_level as i64, sink);
         self.current_level = new_level;
 
         // Retire instances rooted at the closing element.
         let mut i = 0;
         while i < self.instances.len() {
             if self.instances[i].root_level == new_level as i64 {
-                self.retire_instance(i, sink);
+                self.retire_instance(index, i, sink);
             } else {
                 i += 1;
             }
@@ -1852,37 +1831,47 @@ impl IndexedBank {
         }
         debug_assert!(self.records.windows(2).all(|w| w[0].level <= w[1].level));
         while (self.dormant.last()).is_some_and(|d| d.root_level >= new_level as i64) {
-            self.pop_dormant();
+            self.pop_dormant(index);
         }
 
         // Terminal activations of the closing element: the span is now
         // complete, and — the chain being predicate-free — the match is
         // definitely confirmed.
-        while let Some(&(l, g, ordinal, start)) = self.open_terminals.last() {
-            if l != new_level {
-                break;
-            }
-            self.open_terminals.pop();
-            self.emit(g as usize, ordinal, Span::new(start, span.end), sink);
+        while let Some((_, g, ordinal, start)) =
+            self.open_terminals.pop_if(|&mut (l, ..)| l == new_level)
+        {
+            let span = Span::new(start, span.end);
+            emit(
+                index,
+                &mut self.doc,
+                &mut self.emitted,
+                g as usize,
+                ordinal,
+                span,
+                sink,
+            );
         }
     }
 
-    fn end_document(&mut self, sink: &mut dyn MatchSink) {
+    fn end_document(&mut self, index: &Index, sink: &mut dyn MatchSink) {
         while !self.instances.is_empty() {
-            self.retire_instance(0, sink);
+            self.retire_instance(index, 0, sink);
         }
         debug_assert_eq!(
             self.dormant_live,
-            self.dormant.iter().filter(|d| self.is_live(d)).count()
+            self.dormant
+                .iter()
+                .filter(|d| self.is_live(index, d))
+                .count()
         );
-        self.clear_frontier();
+        self.clear_frontier(index);
         self.finished = true;
     }
 
     /// Appends an open-occurrence record for trie node `t`, inlining its
     /// dispatch code and axis, at the head of its code's chain.
-    fn push_record(&mut self, t: u32, level: u32) {
-        let node = &self.trie[t as usize];
+    fn push_record(&mut self, index: &Index, t: u32, level: u32) {
+        let node = &index.trie[t as usize];
         let prev = self.record_chains.push(node.code, self.records.len());
         self.records.push(TrieRec {
             node: t,
@@ -1902,8 +1891,8 @@ impl IndexedBank {
     /// — attribute-axis root children, which the wake check does not
     /// model, are provably unsatisfiable inside the activation subtree
     /// (see [`triggers_for`]), so skipping their triggers loses nothing.
-    fn activate(&mut self, g: u32, root_level: i64) {
-        let rid = self.groups[g as usize]
+    fn activate(&mut self, index: &Index, g: u32, root_level: i64) {
+        let rid = index.groups[g as usize]
             .residual
             .expect("only residual groups activate");
         let entry = self.dormant.len() as u32;
@@ -1913,7 +1902,7 @@ impl IndexedBank {
             links: self.wake_links.len() as u32,
             live: true,
         });
-        for &(code, descendant) in &self.residual_triggers[rid as usize].specs {
+        for &(code, descendant) in &index.residual_triggers[rid as usize].specs {
             let prev = self.wake_chains.push(code, self.wake_links.len());
             self.wake_links.push(WakeLink {
                 entry,
@@ -1930,8 +1919,8 @@ impl IndexedBank {
     /// tombstone, and (filtering mode) its group not yet accepted — an
     /// accepted group needs no instance.
     #[inline]
-    fn is_live(&self, d: &Dormant) -> bool {
-        d.live && (self.reporting || !self.doc[d.group as usize].accepted)
+    fn is_live(&self, index: &Index, d: &Dormant) -> bool {
+        d.live && (index.reporting || !self.doc[d.group as usize].accepted)
     }
 
     /// Takes a live entry out of the shared-segment accounting.
@@ -1942,9 +1931,9 @@ impl IndexedBank {
 
     /// Pops the last dormant entry, unchaining its wake links — each
     /// the head of its chain, the stacks popping in lock-step.
-    fn pop_dormant(&mut self) {
+    fn pop_dormant(&mut self, index: &Index) {
         let d = self.dormant.pop().expect("caller saw an entry");
-        if self.is_live(&d) {
+        if self.is_live(index, &d) {
             self.release_dormant(d.group as usize);
         }
         while self.wake_links.len() > d.links as usize {
@@ -1956,13 +1945,13 @@ impl IndexedBank {
 
     /// Records group `g`'s accept. In filtering mode an accepted group
     /// needs no further instances, so its dormant activations leave the
-    /// accounting here ([`IndexedBank::is_live`]) and pop, unvisited,
-    /// with their elements.
-    fn accept(&mut self, g: usize) {
+    /// accounting here ([`Run::is_live`]) and pop, unvisited, with
+    /// their elements.
+    fn accept(&mut self, index: &Index, g: usize) {
         let doc = &mut self.doc[g];
         debug_assert!(doc.touched, "activation or confirmation precedes an accept");
         doc.accepted = true;
-        if !self.reporting {
+        if !index.reporting {
             self.dormant_live -= std::mem::take(&mut doc.dormant) as usize;
         }
     }
@@ -1975,6 +1964,7 @@ impl IndexedBank {
     /// event as its first.
     fn trigger_dormant(
         &mut self,
+        index: &Index,
         event: SymEvent<'_>,
         code: u32,
         lvl: u32,
@@ -2002,7 +1992,7 @@ impl IndexedBank {
             let d = self.dormant[entry as usize];
             // An earlier wake-up on this very tag may have accepted the
             // group (filtering mode): no instance needed.
-            if !self.is_live(&d) {
+            if !self.is_live(index, &d) {
                 continue;
             }
             self.dormant[entry as usize].live = false;
@@ -2011,37 +2001,38 @@ impl IndexedBank {
             // parity) but wakes instances only for its own: the entry
             // is consumed exactly when the unsharded bank would
             // consume it, and the owning shard does the work.
-            if !self.owns_group(d.group as usize) {
+            if !self.owns(d.group as usize) {
                 continue;
             }
             let rel = lvl as i64 - d.root_level - 1;
             debug_assert!(rel >= 0, "dormant entries live above the event");
-            let idx =
-                self.spawn_instance_at(d.group, self.element_ordinal, d.root_level, rel as usize);
-            self.feed_one(idx, event, span, sink);
+            let idx = self.spawn_instance(index, d.group, d.root_level, rel as usize);
+            self.feed_one(index, idx, event, span, sink);
         }
     }
 
-    /// Spawns one residual instance: an `Arc` bump on the group's pooled
-    /// [`CompiledResidual`] plus empty per-instance state, fast-forwarded
-    /// to relative depth `fast_forward` (0 for eager spawns). No
-    /// compilation, no deep clone, no per-step allocation — the hot path
-    /// the shared pool exists for. Returns the instance's index.
-    fn spawn_instance_at(
+    /// The one way in for a residual instance: an `Arc` bump on the
+    /// group's pooled [`CompiledResidual`] plus empty per-instance
+    /// state (a recycled filter when the pool has one), rooted at the
+    /// element open at `root_level` and fast-forwarded to relative
+    /// depth `fast_forward`. No compilation, no deep clone, no per-step
+    /// allocation — the hot path the shared pool exists for. Returns
+    /// the instance's index.
+    fn spawn_instance(
         &mut self,
+        index: &Index,
         g: u32,
-        ordinal_offset: u64,
         root_level: i64,
         fast_forward: usize,
     ) -> usize {
-        let rid = self.groups[g as usize]
+        let rid = index.groups[g as usize]
             .residual
-            .expect("only residual groups spawn instances");
+            .expect("only residual groups spawn instances") as usize;
         // A pooled filter needs no scrubbing: the `StartDocument` below
         // restarts its statistics along with its frontier.
-        let mut filter = self.free_filters[rid as usize].pop().unwrap_or_else(|| {
-            let compiled = Arc::clone(&self.residuals[rid as usize].compiled);
-            if self.reporting {
+        let mut filter = self.free_filters[rid].pop().unwrap_or_else(|| {
+            let compiled = Arc::clone(&index.residuals[rid].compiled);
+            if index.reporting {
                 StreamFilter::from_shared_reporting(compiled)
                     .expect("reporting support validated at build")
             } else {
@@ -2052,25 +2043,20 @@ impl IndexedBank {
         if fast_forward > 0 {
             filter.fast_forward(fast_forward);
         }
-        let noted_bits = filter.stats().max_bits;
-        let noted_pending = filter.peak_pending_positions();
+        let i = self.instances.len();
         self.instances.push(Instance {
             group: g,
             filter,
-            ordinal_offset,
+            ordinal_offset: self.element_ordinal,
             root_level,
             progress: 0,
-            noted_bits,
-            noted_pending,
+            noted_bits: 0,
+            noted_pending: 0,
         });
-        let doc = &mut self.doc[g as usize];
-        doc.live_bits += noted_bits;
-        doc.peak_bits = doc.peak_bits.max(doc.live_bits);
-        doc.live_pending += noted_pending;
-        doc.peak_pending = doc.peak_pending.max(doc.live_pending);
+        self.fold_growth(i);
         self.activations += 1;
         self.peak_instances = self.peak_instances.max(self.instances.len());
-        self.instances.len() - 1
+        i
     }
 
     /// Feeds `event` to every instance rooted strictly above `threshold`
@@ -2078,6 +2064,7 @@ impl IndexedBank {
     /// the decided-filter short-circuit in filtering mode.
     fn feed_instances(
         &mut self,
+        index: &Index,
         event: SymEvent<'_>,
         span: Span,
         threshold: i64,
@@ -2085,21 +2072,13 @@ impl IndexedBank {
     ) {
         let mut i = 0;
         while i < self.instances.len() {
-            let g = self.instances[i].group as usize;
-            if !self.reporting && self.doc[g].accepted {
+            let inst = &self.instances[i];
+            if !index.reporting && self.doc[inst.group as usize].accepted {
                 // The group already accepted: its verdict cannot change,
                 // so the instance is pure overhead. Same rationale as
                 // MultiFilter's decided-filter skip.
-                self.note_stats(i);
-                let inst = self.instances.swap_remove(i);
-                self.recycle(inst);
-                continue;
-            }
-            if threshold <= self.instances[i].root_level {
-                i += 1;
-                continue;
-            }
-            if !self.feed_one(i, event, span, sink) {
+                self.remove_instance(index, i);
+            } else if threshold <= inst.root_level || !self.feed_one(index, i, event, span, sink) {
                 i += 1;
             }
         }
@@ -2111,152 +2090,140 @@ impl IndexedBank {
     /// previous last instance, swap-remove style).
     fn feed_one(
         &mut self,
+        index: &Index,
         i: usize,
         event: SymEvent<'_>,
         span: Span,
         sink: &mut dyn MatchSink,
     ) -> bool {
-        let g = self.instances[i].group as usize;
-        {
-            let mut drained = std::mem::take(&mut self.drain_scratch);
-            drained.clear();
-            let mut decided = None;
-            {
-                let inst = &mut self.instances[i];
-                inst.filter.process_sym(event, span);
-                if self.reporting {
-                    inst.filter
-                        .drain_matches(0, &mut |m: Match| drained.push((m.ordinal, m.span)));
-                } else {
-                    let p = inst.filter.match_progress();
-                    if p != inst.progress {
-                        inst.progress = p;
-                        decided = inst.filter.decided();
-                        // The early-reject branch of `decided()` assumes
-                        // level-0 child-axis candidates are exhausted
-                        // after one element — true only for a document's
-                        // unique root. An element-rooted instance sees
-                        // every child of its activation element at level
-                        // 0, so for it only the (monotone) accept is
-                        // decisive.
-                        if decided == Some(false) && inst.root_level >= 0 {
-                            decided = None;
-                        }
-                    }
-                }
-            }
-            // Fold the instance's growth into its group's live totals, so
-            // the group peaks charge simultaneously-live instances
-            // *together* — overlapping activations cost what one naive
-            // filter would holding all their candidates at once.
-            let grown = self.instances[i].filter.stats().max_bits;
-            let prev = self.instances[i].noted_bits;
-            let doc = &mut self.doc[g];
-            if grown > prev {
-                self.instances[i].noted_bits = grown;
-                doc.live_bits += grown - prev;
-                doc.peak_bits = doc.peak_bits.max(doc.live_bits);
-            }
-            let pending = self.instances[i].filter.peak_pending_positions();
-            let prev = self.instances[i].noted_pending;
-            if pending > prev {
-                self.instances[i].noted_pending = pending;
-                doc.live_pending += pending - prev;
-                doc.peak_pending = doc.peak_pending.max(doc.live_pending);
-            }
-            if !drained.is_empty() {
-                let offset = self.instances[i].ordinal_offset;
-                for &(o, sp) in &drained {
-                    self.emit(g, o + offset, sp, sink);
-                }
-                drained.clear();
-            }
-            self.drain_scratch = drained;
-            if let Some(v) = decided {
-                if v {
-                    self.accept(g);
-                }
-                self.note_stats(i);
-                let inst = self.instances.swap_remove(i);
-                self.recycle(inst);
-                return true;
+        self.instances[i].filter.process_sym(event, span);
+        let mut decided = None;
+        if index.reporting {
+            self.drain(index, i, sink);
+        } else {
+            let inst = &mut self.instances[i];
+            let p = inst.filter.match_progress();
+            if p != inst.progress {
+                inst.progress = p;
+                // The early-reject branch of `decided()` assumes level-0
+                // child-axis candidates are exhausted after one element
+                // — true only for a document's unique root. An
+                // element-rooted instance sees every child of its
+                // activation element at level 0, so for it only the
+                // (monotone) accept is decisive.
+                decided = (inst.filter.decided()).filter(|&accept| accept || inst.root_level < 0);
             }
         }
-        false
+        self.fold_growth(i);
+        let Some(accept) = decided else {
+            return false;
+        };
+        if accept {
+            self.accept(index, self.instances[i].group as usize);
+        }
+        self.remove_instance(index, i);
+        true
     }
 
     /// Sends `EndDocument` to instance `i`, harvests its verdict and any
-    /// final matches, records statistics, and removes it.
-    fn retire_instance(&mut self, i: usize, sink: &mut dyn MatchSink) {
-        let g = self.instances[i].group as usize;
-        let mut drained = std::mem::take(&mut self.drain_scratch);
-        drained.clear();
-        let verdict;
-        {
-            let inst = &mut self.instances[i];
-            inst.filter.process_sym(SymEvent::EndDocument, Span::EMPTY);
-            if self.reporting {
-                inst.filter
-                    .drain_matches(0, &mut |m: Match| drained.push((m.ordinal, m.span)));
-            }
-            verdict = inst.filter.result();
+    /// final matches, and removes it.
+    fn retire_instance(&mut self, index: &Index, i: usize, sink: &mut dyn MatchSink) {
+        let inst = &mut self.instances[i];
+        inst.filter.process_sym(SymEvent::EndDocument, Span::EMPTY);
+        let (g, accept) = (inst.group as usize, inst.filter.result() == Some(true));
+        if index.reporting {
+            self.drain(index, i, sink);
         }
-        let offset = self.instances[i].ordinal_offset;
-        for &(o, sp) in &drained {
-            self.emit(g, o + offset, sp, sink);
+        if accept {
+            self.accept(index, g);
         }
-        drained.clear();
-        self.drain_scratch = drained;
-        if verdict == Some(true) {
-            self.accept(g);
-        }
-        self.note_stats(i);
-        let inst = self.instances.swap_remove(i);
-        self.recycle(inst);
+        self.remove_instance(index, i);
     }
 
-    /// Returns a removed instance's filter to the per-residual pool for
-    /// the next activation to reuse.
-    fn recycle(&mut self, inst: Instance) {
-        if let Some(rid) = self.groups[inst.group as usize].residual {
+    /// Routes the matches instance `i` confirmed since its last drain
+    /// (reporting mode), instance-local ordinals made global.
+    fn drain(&mut self, index: &Index, i: usize, sink: &mut dyn MatchSink) {
+        let Run {
+            instances,
+            doc,
+            emitted,
+            ..
+        } = self;
+        let inst = &mut instances[i];
+        let (g, offset) = (inst.group as usize, inst.ordinal_offset);
+        inst.filter.drain_matches(0, &mut |m: Match| {
+            emit(index, doc, emitted, g, m.ordinal + offset, m.span, sink)
+        });
+    }
+
+    /// Folds what instance `i`'s monotone peaks grew by since they were
+    /// last noted into its group's live totals, so the group peaks
+    /// charge simultaneously-live instances *together* — overlapping
+    /// activations (nested descendant prefixes) cost what one naive
+    /// filter would holding all their candidates at once.
+    fn fold_growth(&mut self, i: usize) {
+        let inst = &mut self.instances[i];
+        let doc = &mut self.doc[inst.group as usize];
+        let bits = inst.filter.stats().max_bits;
+        if bits > inst.noted_bits {
+            doc.live_bits += bits - inst.noted_bits;
+            doc.peak_bits = doc.peak_bits.max(doc.live_bits);
+            inst.noted_bits = bits;
+        }
+        let pending = inst.filter.peak_pending_positions();
+        if pending > inst.noted_pending {
+            doc.live_pending += pending - inst.noted_pending;
+            doc.peak_pending = doc.peak_pending.max(doc.live_pending);
+            inst.noted_pending = pending;
+        }
+    }
+
+    /// The one way out for a residual instance (its slot then holds the
+    /// previous last instance, swap-remove style): its final growth is
+    /// folded into its group's peaks, its share of the group's live
+    /// totals released, and its filter returned to the per-residual
+    /// pool for the next activation to reuse.
+    fn remove_instance(&mut self, index: &Index, i: usize) {
+        self.fold_growth(i);
+        let inst = self.instances.swap_remove(i);
+        let doc = &mut self.doc[inst.group as usize];
+        doc.live_bits -= inst.noted_bits;
+        doc.live_pending -= inst.noted_pending;
+        if let Some(rid) = index.groups[inst.group as usize].residual {
             self.free_filters[rid as usize].push(inst.filter);
         }
     }
+}
 
-    /// Folds instance `i`'s final statistics into its group's peaks and
-    /// releases its contribution to the group's live totals. Call
-    /// immediately before removing the instance.
-    fn note_stats(&mut self, i: usize) {
-        let inst = &self.instances[i];
-        let doc = &mut self.doc[inst.group as usize];
-        let bits = inst.filter.stats().max_bits;
-        doc.live_bits += bits.saturating_sub(inst.noted_bits);
-        doc.peak_bits = doc.peak_bits.max(doc.live_bits);
-        doc.live_bits -= bits;
-        let pending = inst.filter.peak_pending_positions();
-        doc.live_pending += pending.saturating_sub(inst.noted_pending);
-        doc.peak_pending = doc.peak_pending.max(doc.live_pending);
-        doc.live_pending -= pending;
+/// Routes one confirmed match of reporting group `g` to every member,
+/// deduplicating ordinals for groups whose descendant-axis prefixes
+/// allow nested activations to confirm the same element twice. A free
+/// function over the fields it writes, so a live instance can drain
+/// straight into it.
+fn emit(
+    index: &Index,
+    doc: &mut [GroupDoc],
+    emitted: &mut HashSet<(u32, u64)>,
+    g: usize,
+    ordinal: u64,
+    span: Span,
+    sink: &mut dyn MatchSink,
+) {
+    let group = &index.groups[g];
+    debug_assert!(
+        doc[g].touched,
+        "activation or confirmation precedes a match"
+    );
+    doc[g].accepted = true;
+    if group.needs_dedup && !emitted.insert((g as u32, ordinal)) {
+        return;
     }
-
-    /// Routes one confirmed match to every member of group `g`,
-    /// deduplicating ordinals for groups whose descendant-axis prefixes
-    /// allow nested activations to confirm the same element twice.
-    fn emit(&mut self, g: usize, ordinal: u64, span: Span, sink: &mut dyn MatchSink) {
-        self.accept(g);
-        if !self.reporting {
-            return;
-        }
-        if self.groups[g].needs_dedup && !self.emitted[g].insert(ordinal) {
-            return;
-        }
-        for &m in &self.groups[g].members {
-            sink.on_match(Match {
-                query: m,
-                ordinal,
-                span,
-            });
-        }
+    for &m in &group.members {
+        sink.on_match(Match {
+            query: m,
+            ordinal,
+            span,
+        });
     }
 }
 
@@ -2315,30 +2282,7 @@ fn copy_subtree(
         rq.set_successor(id, map[&s]);
     }
     if let Some(p) = q.predicate(u) {
-        let remapped = remap_expr(p, map);
-        rq.set_predicate(id, remapped);
-    }
-}
-
-fn remap_expr(e: &Expr, map: &HashMap<QueryNodeId, QueryNodeId>) -> Expr {
-    match e {
-        Expr::Const(v) => Expr::Const(v.clone()),
-        Expr::Var(v) => Expr::Var(map[v]),
-        Expr::Comp(op, a, b) => Expr::Comp(
-            *op,
-            Box::new(remap_expr(a, map)),
-            Box::new(remap_expr(b, map)),
-        ),
-        Expr::Arith(op, a, b) => Expr::Arith(
-            *op,
-            Box::new(remap_expr(a, map)),
-            Box::new(remap_expr(b, map)),
-        ),
-        Expr::Neg(a) => Expr::Neg(Box::new(remap_expr(a, map))),
-        Expr::And(a, b) => Expr::And(Box::new(remap_expr(a, map)), Box::new(remap_expr(b, map))),
-        Expr::Or(a, b) => Expr::Or(Box::new(remap_expr(a, map)), Box::new(remap_expr(b, map))),
-        Expr::Not(a) => Expr::Not(Box::new(remap_expr(a, map))),
-        Expr::Call(f, args) => Expr::Call(*f, args.iter().map(|a| remap_expr(a, map)).collect()),
+        rq.set_predicate(id, p.map_vars(|v| map[&v]));
     }
 }
 
@@ -2523,7 +2467,11 @@ mod tests {
         for e in &fx_xml::parse(&xml).unwrap() {
             ib.process(e);
         }
-        assert!(ib.activations() >= 25, "{}", ib.activations());
+        assert!(
+            ib.space_stats().activations >= 25,
+            "{}",
+            ib.space_stats().activations
+        );
         assert_eq!(ib.residual_builds(), 1, "activation never compiles");
         assert_eq!(
             ib.results(),
@@ -2878,23 +2826,29 @@ mod tests {
             }
             seen
         };
-        let on_record_chains = walk(&ib.record_chains, &|at| {
-            let r = ib.records[at as usize];
+        let on_record_chains = walk(&ib.run.record_chains, &|at| {
+            let r = ib.run.records[at as usize];
             (r.code, r.prev)
         });
-        assert_eq!(on_record_chains, ib.records.len());
-        let on_wake_chains = walk(&ib.wake_chains, &|at| {
-            let l = ib.wake_links[at as usize];
+        assert_eq!(on_record_chains, ib.run.records.len());
+        let on_wake_chains = walk(&ib.run.wake_chains, &|at| {
+            let l = ib.run.wake_links[at as usize];
             (l.code, l.prev)
         });
-        assert_eq!(on_wake_chains, ib.wake_links.len());
-        assert!(ib.records.windows(2).all(|w| w[0].level <= w[1].level));
+        assert_eq!(on_wake_chains, ib.run.wake_links.len());
+        assert!(ib.run.records.windows(2).all(|w| w[0].level <= w[1].level));
         assert!(ib
+            .run
             .dormant
             .windows(2)
             .all(|w| w[0].root_level <= w[1].root_level && w[0].links <= w[1].links));
-        let live = ib.dormant.iter().filter(|d| ib.is_live(d)).count();
-        assert_eq!(ib.dormant_live, live);
+        let live = ib
+            .run
+            .dormant
+            .iter()
+            .filter(|d| ib.run.is_live(&ib.index, d))
+            .count();
+        assert_eq!(ib.run.dormant_live, live);
     }
 
     /// Feeds `xml` to both banks event by event, checking the index
@@ -2948,7 +2902,7 @@ mod tests {
         // tombstone stays chained until its element — the document —
         // closes, so the other three tags still check (and skip) it.
         assert_eq!(ib.dormant_entries_checked(), 4);
-        assert_eq!(ib.activations(), 1);
+        assert_eq!(ib.space_stats().activations, 1);
     }
 
     #[test]
@@ -3011,7 +2965,9 @@ mod tests {
         for e in &events[..3] {
             ib.process(e);
         }
-        assert!(!ib.records.is_empty() && ib.dormant_live > 0 && !ib.instances.is_empty());
+        assert!(
+            !ib.run.records.is_empty() && ib.run.dormant_live > 0 && !ib.run.instances.is_empty()
+        );
         ib.unsubscribe(ib.subscription_of(3).unwrap());
         assert!(!ib.compact(), "mid-document: compaction waits");
         for mut shard in ib.partition(2) {
@@ -3044,14 +3000,50 @@ mod tests {
         };
         let xml = "<r><a/><fresh><newer/></fresh></r>";
         assert_eq!(feed(&mut ib, xml), [Some(true)]);
-        let (records, wakes) = (ib.record_chains.0.len(), ib.wake_chains.0.len());
+        let (records, wakes) = (ib.run.record_chains.0.len(), ib.run.wake_chains.0.len());
         ib.subscribe(&parse_query("/r/fresh").unwrap()).unwrap();
         ib.subscribe(&parse_query("/r/fresh[newer]").unwrap())
             .unwrap();
-        assert!(ib.record_chains.0.len() > records, "a head for `fresh`");
-        assert!(ib.wake_chains.0.len() > wakes, "a head for `newer`");
+        assert!(ib.run.record_chains.0.len() > records, "a head for `fresh`");
+        assert!(ib.run.wake_chains.0.len() > wakes, "a head for `newer`");
         assert_eq!(feed(&mut ib, xml), [Some(true); 3]);
         assert_chains_consistent(&ib);
+    }
+
+    /// A query subscribed on a live bank takes effect at the next
+    /// document with no call in between, on the reader path (the
+    /// lookup-only parser's memo held `gadget` as unknown) and on the
+    /// owned-event path (the bank's own memo did).
+    #[test]
+    fn late_subscription_needs_no_announcement() {
+        let xml = "<r><gadget/></r>";
+        let late = parse_query("//gadget").unwrap();
+
+        let mut ib = IndexedBank::new_reporting(&[]).unwrap();
+        let mut parser = fx_xml::StreamingParser::with_symbols(ib.symbols().clone()).lookup_only();
+        let mut routed: Vec<Match> = Vec::new();
+        for subscribe in [false, true] {
+            if subscribe {
+                ib.subscribe(&late).unwrap();
+            }
+            parser.reset();
+            parser
+                .drive_batched(xml.as_bytes(), &mut |b| ib.process_batch_to(b, &mut routed))
+                .unwrap();
+        }
+        assert_eq!((ib.results(), routed.len()), (vec![Some(true)], 1));
+
+        let mut ib = IndexedBank::new_reporting(&[]).unwrap();
+        let (events, mut routed) = (fx_xml::parse(xml).unwrap(), Vec::<Match>::new());
+        let mut feed = |ib: &mut IndexedBank| {
+            for e in &events {
+                ib.process_to(e, Span::EMPTY, &mut routed);
+            }
+        };
+        feed(&mut ib);
+        ib.subscribe(&late).unwrap();
+        feed(&mut ib);
+        assert_eq!((ib.results(), routed.len()), (vec![Some(true)], 1));
     }
 
     #[test]

@@ -235,7 +235,7 @@ impl EngineBuilder {
             Backend::Buffering => {}
         }
         // The indexed bank is built once here (trie construction +
-        // residual compilation) and cheaply cloned per session.
+        // residual compilation); every session shares its index.
         let indexed = if self.index == IndexPolicy::SharedPrefix {
             let bank = if self.mode == Mode::Select {
                 IndexedBank::new_reporting_with_symbols(&self.queries, Arc::clone(&symbols))
@@ -275,9 +275,9 @@ pub struct Engine {
     backend: Backend,
     mode: Mode,
     /// The shared-prefix bank prototype ([`IndexPolicy::SharedPrefix`]
-    /// only): trie and residuals prebuilt, cloned per session (the
-    /// compiled residual pool inside is `Arc`-shared, so the clone is
-    /// bookkeeping, not recompilation).
+    /// only): trie and residuals prebuilt. A session's bank is a clone,
+    /// which shares the prototype's index — one refcount bump, whatever
+    /// the number of queries — and owns only its per-document run.
     indexed: Option<IndexedBank>,
     /// The engine-wide symbol table (see [`Engine::symbols`]).
     symbols: Arc<Symbols>,
@@ -348,7 +348,8 @@ impl Engine {
     /// backend keeps its memoized transition table warm across documents.
     pub fn session(&self) -> Session {
         // Indexed engines run every session on a clone of the prebuilt
-        // shared-prefix bank (filtering or reporting per the mode).
+        // shared-prefix bank (filtering or reporting per the mode): a
+        // fresh run over the one shared index.
         if let Some(proto) = &self.indexed {
             return Session::new(
                 SessionInner::Indexed(Box::new(proto.clone())),

@@ -4,7 +4,7 @@
 use crate::builder::Mode;
 use crate::error::EngineError;
 use crate::evaluator::Evaluator;
-use fx_core::{IndexedBank, Match, MatchSink};
+use fx_core::{Match, MatchSink};
 use fx_xml::{AttrBuf, Event, EventBatch, EventSource, Span, StreamingParser, Symbols};
 use std::io::Read;
 use std::sync::Arc;
@@ -117,47 +117,6 @@ impl Session {
             symbols,
             collected: Vec::new(),
             scratch: AttrBuf::new(),
-        }
-    }
-
-    /// Wraps a live [`IndexedBank`] — typically one grown through
-    /// [`IndexedBank::subscribe`] — in a session, inheriting the bank's
-    /// symbol table and reporting mode. This is the entry point for
-    /// long-running dissemination services (`fx-server`): the bank stays
-    /// reachable through [`Session::indexed_bank`] /
-    /// [`Session::indexed_bank_mut`] so queries can churn between
-    /// documents while the session keeps its parser warm across
-    /// [`Session::run_reader_to`] calls.
-    pub fn from_indexed(bank: IndexedBank) -> Session {
-        let mode = if bank.is_reporting() {
-            Mode::Select
-        } else {
-            Mode::Filter
-        };
-        let symbols = Arc::clone(bank.symbols());
-        Session::new(SessionInner::Indexed(Box::new(bank)), mode, symbols)
-    }
-
-    /// The underlying [`IndexedBank`] of a session built with
-    /// [`crate::IndexPolicy::SharedPrefix`] or
-    /// [`Session::from_indexed`]; `None` otherwise.
-    pub fn indexed_bank(&self) -> Option<&IndexedBank> {
-        match &self.inner {
-            SessionInner::Indexed(bank) => Some(bank),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the underlying [`IndexedBank`], for subscribing
-    /// and unsubscribing queries on a live session. Churn is safe at any
-    /// time but only fully effective from the next document; apply it
-    /// between documents (see `IndexedBank::subscribe`). Nothing else
-    /// has to be called: the session's warm parser sees the names a new
-    /// query interned when it starts the next document.
-    pub fn indexed_bank_mut(&mut self) -> Option<&mut IndexedBank> {
-        match &mut self.inner {
-            SessionInner::Indexed(bank) => Some(bank),
-            _ => None,
         }
     }
 
@@ -761,35 +720,6 @@ mod tests {
             .run_reader("<doc><title/><item/><w99/></doc>".as_bytes())
             .unwrap();
         assert_eq!(v.matched(), &[true, true]);
-    }
-
-    /// A query subscribed on a live session takes effect at the next
-    /// document with no call in between, on the reader path (the
-    /// session parser's memo held `gadget` as unknown) and on the
-    /// owned-event path (the bank's own memo did).
-    #[test]
-    fn late_subscription_needs_no_announcement() {
-        use fx_core::{IndexedBank, Match};
-        let xml = "<r><gadget/></r>";
-        let fresh = || crate::Session::from_indexed(IndexedBank::new_reporting(&[]).unwrap());
-        let subscribe = |session: &mut crate::Session| {
-            let late = fx_xpath::parse_query("//gadget").unwrap();
-            session.indexed_bank_mut().unwrap().subscribe(&late)
-        };
-
-        let (mut session, mut routed) = (fresh(), Vec::<Match>::new());
-        session.run_reader_to(xml.as_bytes(), &mut routed).unwrap();
-        subscribe(&mut session).unwrap();
-        let v = session.run_reader_to(xml.as_bytes(), &mut routed).unwrap();
-        assert_eq!((v.matched(), routed.len()), (&[true][..], 1));
-
-        let (mut session, events) = (fresh(), fx_xml::parse(xml).unwrap());
-        events.iter().for_each(|e| session.push(e));
-        subscribe(&mut session).unwrap();
-        events.iter().for_each(|e| session.push(e));
-        let outcome = session.finish_outcome().unwrap();
-        assert_eq!(outcome.verdicts().matched(), &[true]);
-        assert_eq!(outcome.total_matches(), 1);
     }
 
     #[test]

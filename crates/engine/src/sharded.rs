@@ -7,7 +7,7 @@
 //!
 //! - **Document sharding** ([`Engine::run_sharded`] /
 //!   [`Engine::select_sharded`]): many independent documents fan out
-//!   across worker threads, each owning a full cloned session. The
+//!   across worker threads, each owning a session of its own. The
 //!   many-small-docs path — embarrassingly parallel, results merged
 //!   back in input (`doc_seq`) order.
 //! - **Bank sharding** ([`Engine::run_bank_sharded`]): one huge
@@ -217,8 +217,9 @@ impl BankShardedOutcome {
 impl Engine {
     /// Evaluates many independent documents across `threads` worker
     /// threads — the many-small-docs dissemination path. Each worker
-    /// owns a full session (cloned bank, its own warm parser over the
-    /// table's shared view, so name resolution is lock-free) and
+    /// owns a full session (its own run over the engine's one shared
+    /// bank index, its own warm parser over the table's shared view, so
+    /// name resolution is lock-free) and
     /// claims work from a shared counter by **claim-halving**: each
     /// claim takes half of the remaining queue divided by the worker
     /// count (at least one document), so early claims amortize the

@@ -7,9 +7,9 @@
 //! fanning confirmed matches out to the subscribers they belong to.
 //!
 //! [`DisseminationServer`] runs [`ServerConfig::workers`] worker threads
-//! (one by default), each owning an engine session — its own
-//! shared-prefix [`fx_core::IndexedBank`] over one shared symbol table
-//! and a warm, reusable parser. Documents are dealt to the workers
+//! (one by default), each owning its own shared-prefix
+//! [`fx_core::IndexedBank`] and a warm, reusable lookup-only parser over
+//! one shared symbol table. Documents are dealt to the workers
 //! round-robin in publish order; a document's deliveries are released
 //! together when it finishes, and documents are released in publish
 //! order, so every subscriber reads an ascending `doc_seq` whatever the
@@ -103,8 +103,8 @@ pub struct ServerConfig {
     /// When unsubscribe tombstones fold into a rebuilt bank; see
     /// [`fx_core::CompactionPolicy`].
     pub compaction: CompactionPolicy,
-    /// Worker threads (at least one). Each owns a full engine session
-    /// and a document queue of [`ServerConfig::doc_queue_capacity`];
+    /// Worker threads (at least one). Each owns a bank, a parser and a
+    /// document queue of [`ServerConfig::doc_queue_capacity`];
     /// documents go round-robin in publish order and deliveries come
     /// back in that order. More than one pays off when evaluating a
     /// document costs more than handing it over.

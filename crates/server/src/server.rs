@@ -1,6 +1,6 @@
 //! The dissemination server: N worker threads (one by default), each
-//! owning a full engine session — its own [`IndexedBank`] over **one
-//! shared symbol table**, its own inbox — with documents dealt
+//! owning its own [`IndexedBank`] and warm lookup-only parser over **one
+//! shared symbol table**, and its own inbox — with documents dealt
 //! round-robin by publish sequence number and deliveries released in
 //! that order through one [`Outbox`].
 //!
@@ -41,8 +41,7 @@ use crate::inbox::Inbox;
 use crate::sub::{Delivery, SubShared, Subscription};
 use crate::{ServerConfig, ServerError};
 use fx_core::{IndexedBank, Match, SubscriptionId, UnsupportedQuery};
-use fx_engine::Session;
-use fx_xml::{Span, Symbols};
+use fx_xml::{Span, StreamingParser, Symbols};
 use fx_xpath::Query;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,8 +55,6 @@ pub(crate) type Doc = (u64, Arc<[u8]>);
 /// A match resolved from its worker-local slot to the global id:
 /// subscription, ordinal, span.
 type Resolved = (SubscriptionId, u64, Span);
-
-const BANK: &str = "server sessions always wrap an indexed bank";
 
 /// One queued churn / introspection operation, applied by a worker
 /// between documents, in submission order. Worker 0's copy carries the
@@ -319,13 +316,15 @@ fn snapshot(workers: &[ServerStats], churn: &Churn, outbox: &Outbox) -> ServerSt
     stats
 }
 
-/// One worker: a full engine session (bank + warm parser over the
-/// shared symbol table) processing every `seq % workers == index`
-/// document.
+/// One worker: a bank and a warm lookup-only parser over the shared
+/// symbol table — a name a late subscription interned reaches the parser
+/// at its next document, unannounced — processing every
+/// `seq % workers == index` document.
 struct Worker {
     index: usize,
     shared: Arc<Shared>,
-    session: Session,
+    bank: IndexedBank,
+    parser: StreamingParser,
     /// Per-document buffers, kept across documents.
     raw: Vec<Match>,
     resolved: Vec<Resolved>,
@@ -336,10 +335,6 @@ struct Worker {
 impl Worker {
     fn inbox(&self) -> &Inbox {
         &self.shared.inboxes[self.index]
-    }
-
-    fn bank(&mut self) -> &mut IndexedBank {
-        self.session.indexed_bank_mut().expect(BANK)
     }
 
     fn run(mut self) -> ServerStats {
@@ -360,7 +355,7 @@ impl Worker {
     fn apply(&mut self, cmd: Command) {
         match cmd {
             Command::Subscribe { query, decide } => {
-                let result = self.bank().subscribe(&query);
+                let result = self.bank.subscribe(&query);
                 let Some((outlet, reply)) = decide else {
                     result.expect("worker 0's bank accepted this query");
                     return;
@@ -374,7 +369,7 @@ impl Worker {
                 let _ = reply.send(result);
             }
             Command::Unsubscribe { id, reply } => {
-                let gone = self.bank().unsubscribe(id);
+                let gone = self.bank.unsubscribe(id);
                 let Some(reply) = reply else { return };
                 if gone {
                     let Ok(mut outbox) = self.shared.lock(&self.shared.outbox) else {
@@ -385,7 +380,7 @@ impl Worker {
                 let _ = reply.send(gone);
             }
             Command::Compact { reply } => {
-                let did = self.bank().compact();
+                let did = self.bank.compact();
                 if let Some(reply) = reply {
                     let _ = reply.send(did);
                 }
@@ -403,19 +398,22 @@ impl Worker {
     }
 
     fn process(&mut self, (seq, document): Doc) {
-        self.raw.clear();
-        let raw = &mut self.raw;
-        let result = self
-            .session
-            .run_reader_to(&document[..], &mut |m: Match| raw.push(m));
+        let Worker {
+            bank, parser, raw, ..
+        } = self;
+        raw.clear();
+        parser.reset();
+        let result = parser.drive_batched(&document[..], &mut |batch| {
+            bank.process_batch_to(batch, raw)
+        });
         match result {
-            Ok(_) => self.documents += 1,
+            Ok(()) => self.documents += 1,
             Err(_) => self.parse_errors += 1,
         }
-        // Slot → id after the run (the session is exclusively borrowed
+        // Slot → id after the run (the bank is exclusively borrowed
         // during it) and before the report leaves this thread: slots are
         // worker-local and renumber on compaction, ids never do.
-        let bank = self.session.indexed_bank().expect(BANK);
+        let bank = &self.bank;
         self.resolved.clear();
         self.resolved.extend(self.raw.iter().filter_map(|m| {
             bank.subscription_of(m.query)
@@ -428,7 +426,7 @@ impl Worker {
 
     /// This worker's slice of the [`ServerStats`]; [`snapshot`] merges.
     fn stats(&self) -> ServerStats {
-        let bank = self.session.indexed_bank().expect(BANK);
+        let bank = &self.bank;
         ServerStats {
             documents: self.documents,
             parse_errors: self.parse_errors,
@@ -441,7 +439,7 @@ impl Worker {
 }
 
 /// A running dissemination service: [`ServerConfig::workers`] worker
-/// threads, each owning an engine session, fed through
+/// threads, each owning a bank and a parser, fed through
 /// [`ServerHandle`]s. See the crate docs for the full model.
 pub struct DisseminationServer {
     shared: Arc<Shared>,
@@ -475,7 +473,8 @@ impl DisseminationServer {
                 let worker = Worker {
                     index,
                     shared: Arc::clone(&shared),
-                    session: Session::from_indexed(bank),
+                    bank,
+                    parser: StreamingParser::with_symbols(Arc::clone(&symbols)).lookup_only(),
                     raw: Vec::new(),
                     resolved: Vec::new(),
                     documents: 0,
@@ -667,13 +666,13 @@ impl std::fmt::Debug for ServerHandle {
     }
 }
 
-// Worker threads own sessions (bank + symbols + parser) and the handles
-// cross threads; regressions in these bounds should fail the build
+// Worker threads own a bank and a parser (and the symbols both share)
+// and the handles cross threads; regressions in these bounds should fail the build
 // here, not at a distant spawn site.
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send::<Session>();
+    assert_send::<Worker>();
     assert_send::<Subscription>();
     assert_send_sync::<ServerHandle>();
 };

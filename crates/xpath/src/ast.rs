@@ -334,6 +334,26 @@ impl Expr {
         }
     }
 
+    /// A copy of this expression with every `Var` pointer sent through
+    /// `f` — what moving a predicate onto a renumbered copy of its query
+    /// node needs. Conjunctions are rebuilt through [`Expr::and`].
+    pub fn map_vars(&self, f: impl Fn(QueryNodeId) -> QueryNodeId + Copy) -> Expr {
+        let sub = |e: &Expr| Box::new(e.map_vars(f));
+        match self {
+            Expr::Const(v) => Expr::Const(v.clone()),
+            Expr::Var(v) => Expr::Var(f(*v)),
+            Expr::Comp(op, a, b) => Expr::Comp(*op, sub(a), sub(b)),
+            Expr::Arith(op, a, b) => Expr::Arith(*op, sub(a), sub(b)),
+            Expr::Neg(a) => Expr::Neg(sub(a)),
+            Expr::And(a, b) => Expr::and(a.map_vars(f), b.map_vars(f)),
+            Expr::Or(a, b) => Expr::Or(sub(a), sub(b)),
+            Expr::Not(a) => Expr::Not(sub(a)),
+            Expr::Call(func, args) => {
+                Expr::Call(*func, args.iter().map(|a| a.map_vars(f)).collect())
+            }
+        }
+    }
+
     /// Whether this node is an operator *on boolean arguments* (the logical
     /// operators) — the ops banned inside atomic predicates (Def. 5.3 (1)).
     pub fn is_boolean_operator(&self) -> bool {
@@ -699,6 +719,25 @@ mod tests {
         assert_eq!(q.output_node(), b2);
         assert_eq!(q.predicate_children(a).len(), 2);
         assert_eq!(q.predicate_children(c).len(), 2);
+    }
+
+    #[test]
+    fn map_vars_renumbers_pointers_under_every_operator() {
+        let var = |i: u32| Expr::Var(QueryNodeId(i));
+        let tree = |v: &dyn Fn(u32) -> Expr| {
+            let sum = Expr::Arith(
+                ArithOp::Add,
+                Box::new(v(1)),
+                Box::new(Expr::Neg(Box::new(v(2)))),
+            );
+            let cmp = Expr::comp(CompOp::Gt, sum, Expr::Const(Value::Number(5.0)));
+            let call = Expr::Call(Func::Contains, vec![v(3), Expr::Const(Value::Number(1.0))]);
+            let either = Expr::Or(Box::new(call), Box::new(Expr::Not(Box::new(v(4)))));
+            Expr::and(cmp, Expr::and(either, v(5)))
+        };
+        let shifted = tree(&var).map_vars(|v| QueryNodeId(v.0 + 10));
+        assert_eq!(shifted, tree(&|i| var(i + 10)));
+        assert_eq!(shifted.vars().len(), 5);
     }
 
     #[test]

@@ -3,16 +3,20 @@
 //! start/end element event performs **no heap allocation anywhere** on
 //! the parse → intern → tag-dispatch path, for a single `StreamFilter`,
 //! for the `IndexedBank`'s shared-trie walk, and for the HTML-soup and
-//! JSON frontends feeding the same filter alike.
+//! JSON frontends feeding the same filter alike. And the guarantee that
+//! spawning a second run over an indexed bank — a session, a clone, a
+//! partition — costs the same handful of allocations at any bank size.
 //!
 //! Measured with a counting `#[global_allocator]`; this file holds a
 //! single test so no sibling test thread can pollute the counter.
 
-use frontier_xpath::engine::{Backend, Engine, Mode};
+use frontier_xpath::engine::{Backend, Engine, IndexPolicy, Mode};
 use frontier_xpath::filter::{CompiledQuery, IndexedBank, StreamFilter};
 use frontier_xpath::html::HtmlParser;
 use frontier_xpath::json::JsonParser;
-use frontier_xpath::workloads::{auction_site, standing_queries, XmarkConfig};
+use frontier_xpath::workloads::{
+    auction_site, random_shared_prefix_bank, standing_queries, SharedPrefixBankConfig, XmarkConfig,
+};
 use frontier_xpath::xml::{Span, StreamingParser, SymEvent, Symbols};
 use frontier_xpath::xpath::parse_query;
 use rand::rngs::SmallRng;
@@ -467,4 +471,58 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
             "{label}: matches reached the sink"
         );
     }
+
+    // --- Spawn cost: a session, a clone, a partition. ------------------
+    // An indexed bank is an index (what the subscriptions are, shared
+    // behind one `Arc`) and a run (where the document is): a second run
+    // over the same queries copies the run and bumps a refcount, so its
+    // allocation count does not move with the number of subscriptions.
+    fn counted<T>(spawn: impl FnOnce() -> T) -> u64 {
+        let before = allocations();
+        let spawned = std::hint::black_box(spawn());
+        let calls = allocations() - before;
+        drop(spawned);
+        calls
+    }
+    let spawn_costs = |families: usize| {
+        let cfg = SharedPrefixBankConfig {
+            families,
+            queries_per_family: 16,
+            ..SharedPrefixBankConfig::default()
+        };
+        let queries = random_shared_prefix_bank(&mut SmallRng::seed_from_u64(7), &cfg).queries;
+        let engine = |mode| {
+            Engine::builder()
+                .queries(queries.clone())
+                .mode(mode)
+                .index(IndexPolicy::SharedPrefix)
+                .build()
+                .unwrap()
+        };
+        let (filtering, selecting) = (engine(Mode::Filter), engine(Mode::Select));
+        let bank = IndexedBank::new(&queries).unwrap();
+        assert_eq!(bank.len(), 16 * families);
+        [
+            counted(|| filtering.session()),
+            counted(|| selecting.session()),
+            counted(|| bank.clone()),
+            counted(|| bank.partition(4)),
+        ]
+    };
+    let costs = [4, 16, 64].map(spawn_costs);
+    for (what, i) in ["filter session", "select session", "bank clone"]
+        .into_iter()
+        .zip(0..)
+    {
+        let [small, medium, large] = costs.map(|c| c[i]);
+        assert!(
+            small == medium && medium == large && large <= 16,
+            "{what}: {small} / {medium} / {large} allocations at 64 / 256 / 1024 queries"
+        );
+    }
+    let partitions = costs.map(|c| c[3]);
+    assert!(
+        partitions.iter().all(|&calls| calls <= 48),
+        "partition(4): {partitions:?} allocations at 64 / 256 / 1024 queries"
+    );
 }

@@ -175,6 +175,75 @@ fn run_churn_case(seed: u64) {
     assert_eq!(bank.residual_builds(), builds_at_steady_state);
 }
 
+/// One clone scenario: a bank that has streamed a document is cloned —
+/// the two share one index — and then only one of the pair churns
+/// (subscribes over known forms and a form of its own, unsubscribes,
+/// compacts). The churning side takes its own copy of the index: the
+/// other one's slot count, subscriptions, last verdicts and
+/// `residual_builds()` stay what they were and its next document reads
+/// like a from-scratch bank's over the unchanged queries, while the
+/// churned side equals a from-scratch bank over its survivors. Run once
+/// churning the clone and once churning the source.
+fn run_clone_case(seed: u64, churn_the_clone: bool) {
+    let pool = pool_queries();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let doc_cfg = RandomDocConfig {
+        max_depth: 6,
+        max_children: 4,
+        names: ["a", "b", "c", "x"].iter().map(|s| s.to_string()).collect(),
+        text_values: vec![String::new(), "1".into(), "3".into(), "6".into()],
+    };
+    let mut source = IndexedBank::new_reporting(&[]).unwrap();
+    let resident: Vec<(SubscriptionId, Query)> = pool
+        .iter()
+        .filter(|_| rng.gen_range(0..4u32) > 0)
+        .map(|q| (source.subscribe(q).unwrap(), q.clone()))
+        .collect();
+    let xml = random_document(&mut rng, &doc_cfg).to_xml();
+    assert_doc_parity(&mut source, &resident, &xml);
+
+    let mut clone = source.clone();
+    let (churned, kept) = if churn_the_clone {
+        (&mut clone, &mut source)
+    } else {
+        (&mut source, &mut clone)
+    };
+    let observe = |bank: &IndexedBank| {
+        (
+            bank.len(),
+            bank.live_subscriptions(),
+            bank.residual_builds(),
+            bank.results(),
+        )
+    };
+    let before = observe(kept);
+
+    let mut live = resident.clone();
+    for _ in 0..rng.gen_range(1..4usize) {
+        let q = &pool[rng.gen_range(0..pool.len())];
+        live.push((churned.subscribe(q).unwrap(), q.clone()));
+    }
+    // A canonical form only the churned side ever hears of: its build
+    // count moves, the other's must not.
+    let (novel, builds) = (
+        parse_query("/a/b[x > 4]//c").unwrap(),
+        churned.residual_builds(),
+    );
+    live.push((churned.subscribe(&novel).unwrap(), novel));
+    assert_eq!(churned.residual_builds(), builds + 1, "seed {seed:#x}");
+    for _ in 0..rng.gen_range(1..4usize) {
+        let (id, _) = live.swap_remove(rng.gen_range(0..live.len()));
+        assert!(churned.unsubscribe(id), "{id} was live");
+    }
+    assert!(churned.compact(), "tombstones to fold (seed {seed:#x})");
+    assert_eq!(observe(kept), before, "seed {seed:#x}");
+
+    let xml = random_document(&mut rng, &doc_cfg).to_xml();
+    assert_doc_parity(kept, &resident, &xml);
+    assert_doc_parity(churned, &live, &xml);
+    assert_eq!(kept.residual_builds(), before.2, "seed {seed:#x}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fx_cases(48)))]
 
@@ -184,6 +253,14 @@ proptest! {
     #[test]
     fn churned_bank_matches_from_scratch_bank(seed in 0u64..1_000_000) {
         run_churn_case(seed);
+    }
+
+    /// Clones share an index, never a fate: churn on either side of a
+    /// clone is invisible on the other.
+    #[test]
+    fn churn_on_one_side_of_a_clone_leaves_the_other_untouched(seed in 0u64..1_000_000) {
+        run_clone_case(seed, true);
+        run_clone_case(seed, false);
     }
 }
 

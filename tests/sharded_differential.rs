@@ -348,6 +348,74 @@ proptest! {
             );
         }
     }
+
+    /// `partition` after churn and compaction: the ownership mask is per
+    /// group and compaction renumbers groups, so the shards of a bank
+    /// that unsubscribed, re-subscribed and compacted must still merge
+    /// to that bank's own verdicts, match stream and space stats.
+    #[test]
+    fn partition_of_a_churned_then_compacted_bank_merges_to_the_unsharded_bank(
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pool = pool_queries();
+        let mut bank = IndexedBank::new_reporting(&pool).unwrap();
+        for slot in 0..pool.len() {
+            if slot == 0 || rng.gen_range(0..3u32) == 0 {
+                prop_assert!(bank.unsubscribe(bank.subscription_of(slot).unwrap()));
+            }
+        }
+        for _ in 0..rng.gen_range(0..4usize) {
+            bank.subscribe(&pool[rng.gen_range(0..pool.len())]).unwrap();
+        }
+        prop_assert!(bank.compact());
+        prop_assert_eq!(bank.len(), bank.live_subscriptions());
+
+        let xml = random_corpus(seed, 1).remove(0);
+        let events = frontier_xpath::xml::parse_spanned(&xml).unwrap();
+        let feed = |bank: &mut IndexedBank| {
+            let mut matches: Vec<(usize, u64, u64, u64)> = Vec::new();
+            for (event, span) in &events {
+                bank.process_to(event, *span, &mut |m: frontier_xpath::filter::Match| {
+                    matches.push((m.query, m.ordinal, m.span.start, m.span.end))
+                });
+            }
+            matches
+        };
+        let mut whole = bank.clone();
+        let mut reference_matches = feed(&mut whole);
+        reference_matches.sort_unstable();
+        for &shards in THREAD_COUNTS {
+            let mut got = Vec::new();
+            let mut verdicts = vec![None; bank.len()];
+            let mut stats = Vec::new();
+            for mut shard in bank.partition(shards) {
+                got.extend(feed(&mut shard));
+                for (slot, verdict) in shard.results().into_iter().enumerate() {
+                    if shard.owns_slot(slot) {
+                        prop_assert_eq!(verdicts[slot].replace(verdict), None, "one owner per slot");
+                    }
+                }
+                stats.push(shard.space_stats());
+            }
+            got.sort_unstable();
+            let verdicts: Vec<Option<bool>> = verdicts.into_iter().flatten().collect();
+            prop_assert_eq!(
+                verdicts, whole.results(),
+                "verdicts at {} shards (seed {:#x})", shards, seed
+            );
+            prop_assert_eq!(
+                &got, &reference_matches,
+                "match streams at {} shards (seed {:#x})", shards, seed
+            );
+            assert_stats_parity(
+                &IndexSpaceStats::merge_sharded(&stats),
+                &whole.space_stats(),
+                &format!("churned bank, seed {seed:#x} at {shards} shards"),
+            );
+        }
+    }
 }
 
 /// Sharding an engine without the shared-prefix index is a typed error,
