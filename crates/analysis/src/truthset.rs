@@ -13,6 +13,7 @@
 //! recognized predicate shapes and conservatively (`Unknown`) otherwise.
 
 use fx_eval::truth::{constraining_predicate, TruthError};
+use fx_xpath::canonical::flip;
 use fx_xpath::value::{format_number, Value};
 use fx_xpath::{ops, CompOp, Expr, Func, Query, QueryNodeId};
 
@@ -242,20 +243,6 @@ fn num_or_str(op: CompOp, c: &Value) -> Shape {
             }
         }
         Value::Bool(_) => Shape::Opaque,
-    }
-}
-
-/// Mirrors a comparison across its operands: `a op b` ⟺ `b flip(op) a`.
-/// Shared with the canonical-query renderer, which uses it to orient
-/// `const op path` comparisons path-first.
-pub(crate) fn flip(op: CompOp) -> CompOp {
-    match op {
-        CompOp::Eq => CompOp::Eq,
-        CompOp::Ne => CompOp::Ne,
-        CompOp::Lt => CompOp::Gt,
-        CompOp::Le => CompOp::Ge,
-        CompOp::Gt => CompOp::Lt,
-        CompOp::Ge => CompOp::Le,
     }
 }
 

@@ -212,6 +212,18 @@ mod tests {
     }
 
     #[test]
+    fn lazy_dfa_table_stays_warm_across_documents() {
+        let q = parse_query("//a//b").unwrap();
+        let mut f = LazyDfaFilter::new(&q).unwrap();
+        let events = fx_xml::parse("<a><b/></a>").unwrap();
+        assert_eq!(f.run_stream(&events), Some(true));
+        let first = f.peak_memory_bits();
+        assert_eq!(f.run_stream(&events), Some(true));
+        // Memoized table persists, so peak memory does not restart at 0.
+        assert!(f.peak_memory_bits() >= first);
+    }
+
+    #[test]
     fn wildcard_gap_query_blows_up_exponentially() {
         // //a/*^k/b: the DFA must remember which of the last k+1 levels
         // held an `a`, so the subset space is ~2^k. The frontier filter

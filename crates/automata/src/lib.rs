@@ -8,15 +8,12 @@
 //! memory measure as the paper's algorithm, so the benchmark harness can
 //! report who wins where.
 //!
-//! Each baseline exposes the uniform `process` / `verdict` /
-//! `peak_memory_bits` shape as inherent methods; the trait unifying them
-//! (formerly `BooleanStreamFilter` in this crate) now lives at the
-//! engine layer as `fx_engine::Evaluator`, where every backend —
-//! including the paper's own `fx_core::StreamFilter` — implements it.
-//! Select a baseline through `fx_engine::Backend` rather than
-//! constructing filters directly when filtering documents; direct
-//! construction remains for experiments that poke automaton internals
-//! (eager materialization, state counts).
+//! Each baseline exposes the same `new` / `process` / `run_stream` /
+//! `verdict` / `peak_memory_bits` shape as inherent methods, which is
+//! also the shape of the paper's own `fx_core::StreamFilter`. They are
+//! baselines, not product options: `fx-engine` does not link this crate.
+//! Construct a filter directly, as `fx-experiments` (E9, E10), the
+//! `baseline_shootout` example and the differential suites do.
 
 #![warn(missing_docs)]
 

@@ -6,6 +6,9 @@
 use fx_xml::{Attribute, Event};
 use fx_xpath::{Axis, NodeTest, Query};
 
+/// How many NFA states (steps + the initial one) a [`StateSet`] holds.
+const MAX_STATES: usize = 128;
+
 /// One step of a linear (predicate-free) path query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathStep {
@@ -26,7 +29,9 @@ pub struct LinearPath {
 impl LinearPath {
     /// Extracts the linear path from a query, or `None` if the query has
     /// predicates or attribute steps (outside this baseline's fragment —
-    /// exactly the limitation the paper's algorithm removes).
+    /// exactly the limitation the paper's algorithm removes) or more
+    /// than 127 steps: a [`StateSet`] holds 128 states, and query text is
+    /// input, so the bound is checked here, once, for both filters.
     pub fn from_query(q: &Query) -> Option<LinearPath> {
         let mut steps = Vec::new();
         let mut cur = q.root();
@@ -49,7 +54,9 @@ impl LinearPath {
                 None => break,
             }
         }
-        (!steps.is_empty()).then_some(LinearPath { steps })
+        (1..MAX_STATES)
+            .contains(&steps.len())
+            .then_some(LinearPath { steps })
     }
 
     /// Parses a linear path from XPath text (test convenience).
@@ -120,7 +127,7 @@ impl StateSet {
 
     /// Iterates the member states.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..128).filter(|&s| self.contains(s))
+        (0..MAX_STATES).filter(|&s| self.contains(s))
     }
 }
 
@@ -156,10 +163,6 @@ impl NfaFilter {
     /// Builds the filter for a linear query.
     pub fn new(q: &Query) -> Option<NfaFilter> {
         let path = LinearPath::from_query(q)?;
-        assert!(
-            path.state_count() <= 128,
-            "linear baseline supports ≤127 steps"
-        );
         Some(NfaFilter {
             path,
             stack: Vec::new(),
@@ -245,6 +248,31 @@ mod tests {
         assert!(LinearPath::parse("/a/b//c").is_some());
         assert!(LinearPath::parse("/a[b]/c").is_none());
         assert!(LinearPath::parse("/a/@id").is_none());
+    }
+
+    #[test]
+    fn paths_longer_than_a_state_set_are_rejected_not_aliased() {
+        // 127 steps = 128 states, the last one a `StateSet` can hold.
+        for (steps, fits) in [(127, true), (128, false), (130, false)] {
+            let q = parse_query(&"/a".repeat(steps)).unwrap();
+            assert_eq!(NfaFilter::new(&q).is_some(), fits, "nfa, {steps} steps");
+            assert_eq!(
+                crate::LazyDfaFilter::new(&q).is_some(),
+                fits,
+                "lazy dfa, {steps} steps"
+            );
+        }
+        // At the bound the accepting state is a real bit, not an alias.
+        let q = parse_query(&"/a".repeat(127)).unwrap();
+        let deep = format!("{}{}", "<a>".repeat(127), "</a>".repeat(127));
+        let shallow = format!("{}{}", "<a>".repeat(126), "</a>".repeat(126));
+        for (xml, expected) in [(&deep, true), (&shallow, false)] {
+            let events = fx_xml::parse(xml).unwrap();
+            let mut nfa = NfaFilter::new(&q).unwrap();
+            let mut dfa = crate::LazyDfaFilter::new(&q).unwrap();
+            assert_eq!(nfa.run_stream(&events), Some(expected));
+            assert_eq!(dfa.run_stream(&events), Some(expected));
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 
 use crate::reporter::{Match, MatchSink, Reporter};
 use crate::space::SpaceStats;
-use fx_eval::truth::{constraining_predicate, TruthError};
 use fx_xml::{AttrBuf, Event, EventBatch, Span, Sym, SymAttr, SymCache, SymEvent, Symbols};
+use fx_xpath::truth::{constraining_predicate, is_atomic, TruthError};
 use fx_xpath::{Axis, Expr, NodeTest, Query, QueryNodeId};
 use std::fmt;
 use std::sync::Arc;
@@ -199,7 +199,7 @@ impl CompiledQuery {
         for u in q.all_nodes() {
             if let Some(p) = q.predicate(u) {
                 for c in p.conjuncts() {
-                    if !fx_eval::is_atomic(c) {
+                    if !is_atomic(c) {
                         return Err(UnsupportedQuery::NotConjunctive(u));
                     }
                     if c.vars().len() > 1 {

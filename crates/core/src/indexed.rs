@@ -5,7 +5,7 @@
 //! query and shares nothing between them: an event costs one filter's
 //! work for every query that names its element, however alike the
 //! queries are. [`IndexedBank`] instead canonicalizes each query's succession chain
-//! (`fx_analysis::canonical_steps`), inserts the chains into a prefix
+//! (`fx_xpath::canonical::canonical_steps`), inserts the chains into a prefix
 //! **trie**, and walks the trie **once** per event: a trie node shared by
 //! a thousand queries owns a single frontier-table segment — one record
 //! per open occurrence of its path — no matter how many queries hang
@@ -23,7 +23,7 @@
 //! wake + live residual instances)` — not `O(bank size)`, and not even
 //! `O(shared frontier)`: queries whose prefix the
 //! document never exhibits cost **zero** per event, and equivalent
-//! queries (equal `fx_analysis::canonical_key`, e.g. commutative
+//! queries (equal `fx_xpath::canonical::canonical_key`, e.g. commutative
 //! predicate reorderings) are evaluated once and fanned out. On
 //! overlapping query families this makes per-event work grow sublinearly
 //! with bank size; on banks with no shared structure (every prefix
@@ -34,7 +34,7 @@
 //!
 //! Residual remainders are compiled **once per canonical residual form
 //! per bank**, not once per group: every distinct
-//! `fx_analysis::canonical_residual_key` owns a single
+//! `fx_xpath::canonical::canonical_residual_key` owns a single
 //! [`CompiledResidual`] in the bank's pool, shared across *all* trie
 //! groups whose remainders render to that form — even groups diverging
 //! from entirely different prefixes (`/asia/item[price > 5]` and
@@ -126,8 +126,8 @@
 use crate::filter::{CompiledQuery, StreamFilter, UnsupportedQuery};
 use crate::reporter::{Match, MatchSink};
 use crate::space::bits_for;
-use fx_analysis::CanonicalForm;
 use fx_xml::{AttrBuf, Event, EventBatch, Span, Sym, SymCache, SymEvent, Symbols};
+use fx_xpath::canonical::CanonicalForm;
 use fx_xpath::{Axis, NodeTest, Query, QueryNodeId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -170,7 +170,7 @@ impl CompiledResidual {
         &self.compiled
     }
 
-    /// The `fx_analysis::canonical_residual_key` this pool entry is
+    /// The `fx_xpath::canonical::canonical_residual_key` this pool entry is
     /// deduplicated under.
     pub fn canonical_key(&self) -> &str {
         &self.key

@@ -46,7 +46,7 @@
 //! unspecified, as the paper allows.
 //!
 //! [`crate::IndexedBank`] is the *shared-prefix* bank: queries are
-//! grouped by canonical form (`fx_analysis::canonical_key`) and their
+//! grouped by canonical form (`fx_xpath::canonical::canonical_key`) and their
 //! predicate-free chain prefixes merged into a trie walked **once** per
 //! event, with per-query state only below activated divergence points —
 //! and the compiled remainders below those points pooled per canonical

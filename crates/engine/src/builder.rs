@@ -2,7 +2,7 @@
 
 use crate::error::EngineError;
 use crate::session::{Outcome, Session, SessionInner, Verdicts};
-use fx_core::{CompiledQuery, IndexedBank, StreamFilter};
+use fx_core::{CompiledQuery, IndexedBank, MultiFilter, StreamFilter};
 use fx_xml::Symbols;
 use fx_xpath::{parse_query, Query};
 use std::sync::Arc;
@@ -17,8 +17,7 @@ use std::sync::Arc;
 /// In `Select` mode every confirmed output node of `FULLEVAL(Q, D)` is
 /// delivered to a [`crate::MatchSink`] the moment its ancestor chain
 /// resolves — before the rest of the document streams — with its
-/// document-order ordinal and source byte [`fx_xml::Span`]. Selection
-/// requires [`Backend::Frontier`].
+/// document-order ordinal and source byte [`fx_xml::Span`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
     /// Boolean filtering (the default): `BOOLEVAL_Q` per query.
@@ -29,30 +28,6 @@ pub enum Mode {
     Select,
 }
 
-/// Which evaluation algorithm a built [`Engine`] runs.
-///
-/// All four implement [`crate::Evaluator`]; they differ in supported
-/// fragment and in the memory/time trade-off the paper studies:
-///
-/// | Backend | Fragment | Memory |
-/// |---|---|---|
-/// | `Frontier` | univariate conjunctive Forward XPath | `O(|Q|·r·log d)` bits (Thm 8.8) — the paper's algorithm |
-/// | `Nfa` | linear paths | `O(d·|Q|)` bits |
-/// | `LazyDfa` | linear paths | up to `2^|Q|` transition-table states |
-/// | `Buffering` | anything the reference evaluator handles | `Θ(|D|)` bits |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// The paper's Section-8 frontier algorithm (the default).
-    #[default]
-    Frontier,
-    /// Lazily-determinized DFA (Green et al. style).
-    LazyDfa,
-    /// NFA with a run-time stack of state sets (XFilter/YFilter style).
-    Nfa,
-    /// Buffer the document, evaluate at `EndDocument` (the strawman).
-    Buffering,
-}
-
 /// How a multi-query [`Engine`] organizes its bank.
 ///
 /// | Policy | Per-event cost | When to use |
@@ -61,18 +36,19 @@ pub enum Backend {
 /// | `SharedPrefix` | O(shared trie records + live residual instances) | large banks of overlapping queries (dissemination) |
 ///
 /// `SharedPrefix` canonicalizes each query's step chain
-/// (`fx_analysis::canonical_steps`), shares the evaluation of common
+/// (`fx_xpath::canonical::canonical_steps`), shares the evaluation of common
 /// predicate-free prefixes in one trie walked once per event, and keeps
 /// per-query state only below *activated* divergence points — see
 /// [`fx_core::IndexedBank`]. Verdicts and routed matches are identical
 /// to the naive bank (proven by `tests/indexed_differential.rs`); only
-/// the work sharing differs. Requires [`Backend::Frontier`].
+/// the work sharing differs.
 ///
 /// Two further sharing layers ride on the index. **Shared residuals**:
 /// the remainder of a query below its prefix is compiled once per
-/// *canonical residual form* (`fx_analysis::canonical_residual_key`) and
-/// held behind an `Arc`, shared across all groups whose remainders
-/// render identically — even groups on different trie paths — so
+/// *canonical residual form*
+/// (`fx_xpath::canonical::canonical_residual_key`) and held behind an
+/// `Arc`, shared across all groups whose remainders render identically
+/// — even groups on different trie paths — so
 /// activating a divergence point spawns an instance with a refcount
 /// bump, never a recompilation or deep clone. **Attributed space**: the
 /// shared trie's and each group's peak bits are split evenly across
@@ -90,14 +66,14 @@ pub enum IndexPolicy {
     SharedPrefix,
 }
 
-/// Builds an [`Engine`]: accumulate queries, pick a [`Backend`], then
-/// [`EngineBuilder::build`] validates everything up front so sessions
+/// Builds an [`Engine`]: accumulate queries, pick a [`Mode`] and an
+/// [`IndexPolicy`] — every combination is legal — then
+/// [`EngineBuilder::build`] validates every query up front so sessions
 /// can be spawned infallibly.
 #[derive(Debug, Default)]
 #[must_use = "builders do nothing until `.build()` is called"]
 pub struct EngineBuilder {
     queries: Vec<Query>,
-    backend: Backend,
     mode: Mode,
     index: IndexPolicy,
     /// First query-string parse failure, surfaced at `build()` so the
@@ -135,15 +111,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the evaluation backend (default: [`Backend::Frontier`]).
-    pub fn backend(mut self, backend: Backend) -> EngineBuilder {
-        self.backend = backend;
-        self
-    }
-
     /// Selects what the engine produces (default: [`Mode::Filter`]).
-    /// [`Mode::Select`] additionally streams confirmed matches and
-    /// requires [`Backend::Frontier`].
+    /// [`Mode::Select`] additionally streams confirmed matches.
     pub fn mode(mut self, mode: Mode) -> EngineBuilder {
         self.mode = mode;
         self
@@ -157,14 +126,14 @@ impl EngineBuilder {
     /// Selects how the multi-query bank is organized (default:
     /// [`IndexPolicy::None`]). [`IndexPolicy::SharedPrefix`] makes
     /// per-event work scale with the *activated* part of the bank
-    /// instead of its size; it requires [`Backend::Frontier`].
+    /// instead of its size.
     pub fn index(mut self, policy: IndexPolicy) -> EngineBuilder {
         self.index = policy;
         self
     }
 
-    /// Validates every query against the chosen backend and mode, and
-    /// compiles what can be compiled ahead of time.
+    /// Validates every query against the chosen mode, and compiles what
+    /// can be compiled ahead of time.
     pub fn build(self) -> Result<Engine, EngineError> {
         if let Some(e) = self.deferred {
             return Err(e);
@@ -172,42 +141,18 @@ impl EngineBuilder {
         if self.queries.is_empty() {
             return Err(EngineError::NoQueries);
         }
-        if self.mode == Mode::Select && self.backend != Backend::Frontier {
-            return Err(EngineError::SelectionUnsupported {
-                backend: self.backend,
-            });
-        }
-        if self.index == IndexPolicy::SharedPrefix && self.backend != Backend::Frontier {
-            return Err(EngineError::IndexUnsupported {
-                backend: self.backend,
-            });
-        }
         // One symbol table per engine: queries compile against it, the
         // indexed bank's trie resolves against it, and every session's
         // parser interns document names into it — so events and node
         // tests meet as equal integers with no per-event conversion.
+        // Compilation (either arm below) interns every node-test name of
+        // every query, which is the invariant the lookup-only frontends
+        // (`Engine::html_source`, `Session::run_source`) rely on: a name
+        // missing from the table cannot be part of any query.
         let symbols = Arc::new(Symbols::new());
-        // Seed the table with every query's name vocabulary up front,
-        // for *all* backends — Frontier compilation would intern these
-        // anyway, but the automata and buffering backends compile
-        // nothing against the table, and the lookup-only frontends
-        // (`Engine::html_source`, `Session::run_source`) rely on the
-        // invariant that a name missing from the table cannot be part
-        // of any query.
-        for q in &self.queries {
-            for id in q.all_nodes() {
-                if let Some(fx_xpath::NodeTest::Name(n)) = q.ntest(id) {
-                    symbols.intern(n);
-                }
-            }
-        }
         let mut compiled = Vec::new();
-        match self.backend {
-            // Under IndexPolicy::SharedPrefix the indexed bank built
-            // below is the sole compiler/validator (it checks every
-            // query in order, with the same error indices), and indexed
-            // sessions never read `compiled` — skip the duplicate pass.
-            Backend::Frontier if self.index == IndexPolicy::None => {
+        let indexed = match self.index {
+            IndexPolicy::None => {
                 for (index, q) in self.queries.iter().enumerate() {
                     let c = CompiledQuery::compile_with(q, Arc::clone(&symbols))
                         .map_err(|source| EngineError::Unsupported { index, source })?;
@@ -217,40 +162,25 @@ impl EngineBuilder {
                     }
                     compiled.push(Arc::new(c));
                 }
+                None
             }
-            Backend::Frontier => {}
-            Backend::Nfa | Backend::LazyDfa => {
-                for (index, q) in self.queries.iter().enumerate() {
-                    let linear =
-                        fx_automata::LinearPath::from_query(q).filter(|p| p.state_count() <= 128);
-                    if linear.is_none() {
-                        return Err(EngineError::BackendRequiresLinear {
-                            index,
-                            backend: self.backend,
-                            query: fx_xpath::to_xpath(q),
-                        });
-                    }
+            // The indexed bank is the sole compiler/validator of its
+            // queries (it checks them in order, with the same error
+            // indices) and is built once here — trie construction plus
+            // residual compilation; every session shares its index and
+            // never reads `compiled`.
+            IndexPolicy::SharedPrefix => Some(
+                if self.mode == Mode::Select {
+                    IndexedBank::new_reporting_with_symbols(&self.queries, Arc::clone(&symbols))
+                } else {
+                    IndexedBank::new_with_symbols(&self.queries, Arc::clone(&symbols))
                 }
-            }
-            Backend::Buffering => {}
-        }
-        // The indexed bank is built once here (trie construction +
-        // residual compilation); every session shares its index.
-        let indexed = if self.index == IndexPolicy::SharedPrefix {
-            let bank = if self.mode == Mode::Select {
-                IndexedBank::new_reporting_with_symbols(&self.queries, Arc::clone(&symbols))
-            } else {
-                IndexedBank::new_with_symbols(&self.queries, Arc::clone(&symbols))
-            }
-            .map_err(|(index, source)| EngineError::Unsupported { index, source })?;
-            Some(bank)
-        } else {
-            None
+                .map_err(|(index, source)| EngineError::Unsupported { index, source })?,
+            ),
         };
         Ok(Engine {
             queries: self.queries,
             compiled,
-            backend: self.backend,
             mode: self.mode,
             indexed,
             symbols,
@@ -260,19 +190,16 @@ impl EngineBuilder {
 
 /// A compiled, validated bank of streaming XPath filters.
 ///
-/// The engine itself is immutable (and cheaply shareable across
-/// threads for `Frontier`/`Buffering` backends); all per-document state
-/// lives in the [`Session`]s it spawns.
+/// The engine itself is immutable and cheaply shareable across
+/// threads; all per-document state lives in the [`Session`]s it spawns.
 #[derive(Debug, Clone)]
 pub struct Engine {
     queries: Vec<Query>,
-    /// Pre-compiled forms (Frontier backend only; other backends build
-    /// their automata per session, which is cheap for linear paths),
-    /// behind `Arc` so spawning a session is a reference-count bump per
-    /// query — compiled state is pooled across every session of this
-    /// engine, never cloned.
+    /// Pre-compiled forms ([`IndexPolicy::None`] only), behind `Arc` so
+    /// spawning a session is a reference-count bump per query —
+    /// compiled state is pooled across every session of this engine,
+    /// never cloned.
     compiled: Vec<Arc<CompiledQuery>>,
-    backend: Backend,
     mode: Mode,
     /// The shared-prefix bank prototype ([`IndexPolicy::SharedPrefix`]
     /// only): trie and residuals prebuilt. A session's bank is a clone,
@@ -304,11 +231,6 @@ impl Engine {
     /// which rejects empty banks).
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
-    }
-
-    /// The configured backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The configured output mode.
@@ -344,85 +266,34 @@ impl Engine {
     /// Opens a session: the mutable per-document evaluation state. A
     /// session may be reused for many documents in sequence (each
     /// `StartDocument` resets the filters), which is how the
-    /// dissemination workload amortizes setup — and how the `LazyDfa`
-    /// backend keeps its memoized transition table warm across documents.
+    /// dissemination workload amortizes setup.
     pub fn session(&self) -> Session {
-        // Indexed engines run every session on a clone of the prebuilt
-        // shared-prefix bank (filtering or reporting per the mode): a
-        // fresh run over the one shared index.
-        if let Some(proto) = &self.indexed {
-            return Session::new(
-                SessionInner::Indexed(Box::new(proto.clone())),
-                self.mode,
-                Arc::clone(&self.symbols),
-            );
-        }
-        // Selection sessions always run on a reporting bank (even with a
-        // single query): the bank stamps every confirmed match with its
-        // query index and routes it to the caller's sink. Spawning
-        // shares the engine's compiled queries by reference — no clone.
-        if self.mode == Mode::Select {
-            let bank =
-                fx_core::MultiFilter::from_shared_reporting(self.compiled.iter().map(Arc::clone))
-                    .expect("reporting support validated at build()");
-            return Session::new(
-                SessionInner::Bank(Box::new(bank)),
-                self.mode,
-                Arc::clone(&self.symbols),
-            );
-        }
-        // A multi-query Frontier session runs on the short-circuiting
-        // bank; a single-query one keeps the bare filter so its space
-        // statistics stay bit-for-bit identical to a legacy run. Either
-        // way the compiled queries are pooled behind `Arc` — spawning a
-        // session never recompiles or deep-clones them.
-        if self.backend == Backend::Frontier && self.compiled.len() > 1 {
-            return Session::new(
-                SessionInner::Bank(Box::new(fx_core::MultiFilter::from_shared(
-                    self.compiled.iter().map(Arc::clone),
-                ))),
-                self.mode,
-                Arc::clone(&self.symbols),
-            );
-        }
-        let evaluators: Vec<Box<dyn crate::Evaluator>> = match self.backend {
-            Backend::Frontier => self
-                .compiled
-                .iter()
-                .map(|c| {
-                    Box::new(StreamFilter::from_shared(Arc::clone(c))) as Box<dyn crate::Evaluator>
-                })
-                .collect(),
-            Backend::Nfa => self
-                .queries
-                .iter()
-                .map(|q| {
-                    Box::new(fx_automata::NfaFilter::new(q).expect("validated linear at build()"))
-                        as Box<dyn crate::Evaluator>
-                })
-                .collect(),
-            Backend::LazyDfa => self
-                .queries
-                .iter()
-                .map(|q| {
-                    Box::new(
-                        fx_automata::LazyDfaFilter::new(q).expect("validated linear at build()"),
-                    ) as Box<dyn crate::Evaluator>
-                })
-                .collect(),
-            Backend::Buffering => self
-                .queries
-                .iter()
-                .map(|q| {
-                    Box::new(fx_automata::BufferingFilter::new(q)) as Box<dyn crate::Evaluator>
-                })
-                .collect(),
+        let inner = if let Some(proto) = &self.indexed {
+            // A clone of the prebuilt shared-prefix bank (filtering or
+            // reporting per the mode): a fresh run over the one shared
+            // index.
+            SessionInner::Indexed(Box::new(proto.clone()))
+        } else if self.mode == Mode::Select {
+            // Selection always runs on a reporting bank (even with a
+            // single query): the bank stamps every confirmed match with
+            // its query index and routes it to the caller's sink.
+            SessionInner::Bank(Box::new(
+                MultiFilter::from_shared_reporting(self.compiled.iter().map(Arc::clone))
+                    .expect("reporting support validated at build()"),
+            ))
+        } else if let [only] = self.compiled.as_slice() {
+            // A single-query filtering session keeps the bare filter, so
+            // its space statistics stay bit-for-bit a bare `StreamFilter`
+            // run's (a bank of one freezes them at an early root reject).
+            SessionInner::Solo(Box::new(StreamFilter::from_shared(Arc::clone(only))))
+        } else {
+            SessionInner::Bank(Box::new(MultiFilter::from_shared(
+                self.compiled.iter().map(Arc::clone),
+            )))
         };
-        Session::new(
-            SessionInner::Each(evaluators),
-            self.mode,
-            Arc::clone(&self.symbols),
-        )
+        // Whichever arm, the compiled queries are pooled behind `Arc`:
+        // spawning a session never recompiles or deep-clones them.
+        Session::new(inner, self.mode, Arc::clone(&self.symbols))
     }
 
     /// One-shot convenience over an in-memory XML string, *streamed*
@@ -481,30 +352,11 @@ mod tests {
 
     #[test]
     fn builder_validates_per_backend() {
-        // Twig queries compile on Frontier…
+        // Twig queries compile…
         let e = Engine::builder().query_str("/a[b and c]").build().unwrap();
-        assert_eq!(e.backend(), Backend::Frontier);
         assert_eq!(e.len(), 1);
 
-        // …but the automata backends demand linear paths.
-        let err = Engine::builder()
-            .query_str("/a[b and c]")
-            .backend(Backend::Nfa)
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(err, EngineError::BackendRequiresLinear { index: 0, .. }),
-            "{err}"
-        );
-
-        // Buffering takes anything, including non-streamable queries.
-        Engine::builder()
-            .query_str("/a[not(b)]")
-            .backend(Backend::Buffering)
-            .build()
-            .unwrap();
-
-        // Frontier rejects non-streamable queries with the index.
+        // …and non-streamable queries are rejected with their index.
         let err = Engine::builder()
             .query_str("/a[b]")
             .query_str("/a[not(b)]")
@@ -518,24 +370,7 @@ mod tests {
 
     #[test]
     fn selection_mode_validates_backend_and_output() {
-        // Selection runs only on the paper's algorithm…
-        let err = Engine::builder()
-            .query_str("/a/b")
-            .backend(Backend::Nfa)
-            .mode(Mode::Select)
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                EngineError::SelectionUnsupported {
-                    backend: Backend::Nfa
-                }
-            ),
-            "{err}"
-        );
-
-        // …and needs an element output node (attributes carry no
+        // Selection needs an element output node (attributes carry no
         // element ordinal), reported with the query's index.
         let err = Engine::builder()
             .query_str("/a/b")
@@ -556,6 +391,93 @@ mod tests {
             .unwrap();
         assert_eq!(e.mode(), Mode::Select);
         assert_eq!(e.session().mode(), Mode::Select);
+    }
+
+    #[test]
+    fn every_mode_and_policy_cell_is_legal_and_agrees() {
+        let srcs = [
+            "/doc[title and @lang]/item",
+            "//item[price > 100]/name",
+            "/doc/item",
+        ];
+        let docs = [
+            "<doc lang=\"en\"><title/><item><price>150</price><name>n</name></item></doc>",
+            "<doc><item></doc>",
+            "<doc><item/></doc>",
+        ];
+        let mut per_cell = Vec::new();
+        for mode in [Mode::Filter, Mode::Select] {
+            for policy in [IndexPolicy::None, IndexPolicy::SharedPrefix] {
+                let engine = Engine::builder()
+                    .queries(srcs.iter().map(|s| fx_xpath::parse_query(s).unwrap()))
+                    .mode(mode)
+                    .index(policy)
+                    .build()
+                    .unwrap();
+                assert_eq!((engine.mode(), engine.index_policy()), (mode, policy));
+                // Compilation interned the whole query vocabulary, which
+                // is what lets the lookup-only frontends collapse every
+                // other name.
+                let names = engine.symbols().snapshot();
+                for q in engine.queries() {
+                    for id in q.all_nodes() {
+                        if let Some(fx_xpath::NodeTest::Name(n)) = q.ntest(id) {
+                            assert!(names.lookup(n).is_some(), "{mode:?}/{policy:?}: {n}");
+                        }
+                    }
+                }
+                let mut session = engine.session();
+                assert_eq!(session.mode(), mode);
+                let mut verdicts = Vec::new();
+                for xml in docs {
+                    match session.run_reader(xml.as_bytes()) {
+                        Ok(v) => {
+                            // A reused session reads like a fresh one,
+                            // also right after a malformed document.
+                            assert_eq!(v.matched(), engine.run_str(xml).unwrap().matched());
+                            verdicts.push(Some(v.matched().to_vec()));
+                        }
+                        Err(e) => {
+                            assert!(matches!(e, EngineError::Parse(_)), "{e}");
+                            verdicts.push(None);
+                        }
+                    }
+                }
+                per_cell.push(verdicts);
+            }
+        }
+        assert_eq!(
+            per_cell[0],
+            [
+                Some(vec![true, true, true]),
+                None,
+                Some(vec![false, false, true])
+            ]
+        );
+        assert!(per_cell.iter().all(|v| *v == per_cell[0]));
+    }
+
+    #[test]
+    fn a_lone_filter_session_reads_a_bare_filters_bits() {
+        // `/a[b and c]` is rejected at the root tag `<c>`: a bank of one
+        // would freeze the peak there, the bare filter keeps counting.
+        let q = fx_xpath::parse_query("/a[b and c]").unwrap();
+        let xml = "<c><a><b/><c/></a><a><b/></a></c>";
+        let events = fx_xml::parse(xml).unwrap();
+        let mut bare = StreamFilter::new(&q).unwrap();
+        assert_eq!(bare.run_stream(&events), Some(false));
+        let expected = [bare.stats().max_bits];
+
+        let engine = Engine::builder().query(q).build().unwrap();
+        let mut session = engine.session();
+        for e in &events {
+            session.push(e);
+        }
+        assert_eq!(session.finish().unwrap().peak_memory_bits(), expected);
+        // The reader path hands the filter interned batches directly.
+        let read = session.run_reader(xml.as_bytes()).unwrap();
+        assert_eq!(read.matched(), [false]);
+        assert_eq!(read.peak_memory_bits(), expected);
     }
 
     #[test]
@@ -608,25 +530,6 @@ mod tests {
         for q in 0..srcs.len() {
             assert_eq!(naive.ordinals(q), indexed.ordinals(q), "query #{q}");
         }
-    }
-
-    #[test]
-    fn index_requires_frontier_backend() {
-        let err = Engine::builder()
-            .query_str("/a/b")
-            .backend(Backend::Nfa)
-            .index(IndexPolicy::SharedPrefix)
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                EngineError::IndexUnsupported {
-                    backend: Backend::Nfa
-                }
-            ),
-            "{err}"
-        );
     }
 
     #[test]
@@ -716,32 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn each_sessions_take_the_owned_fallback_for_frontends() {
-        // The automata backends have no interned surface: they take
-        // each batch through `Evaluator::process_batch`'s owned replay,
-        // which collapses names a lookup-only source could not resolve
-        // to a sentinel outside any query vocabulary. Verdicts must
-        // agree with the frontier backend.
-        let html = "<div><ul><li>x</li></ul></div>";
-        for backend in [Backend::Frontier, Backend::Nfa, Backend::LazyDfa] {
-            let e = Engine::builder()
-                .query_str("//li")
-                .backend(backend)
-                .build()
-                .unwrap();
-            let mut session = e.session();
-            let v = session
-                .run_source(&mut e.html_source(), html.as_bytes())
-                .unwrap();
-            assert!(v.any(), "{backend:?}");
-            let v = session
-                .run_source(&mut e.html_source(), "<div><p>x</p></div>".as_bytes())
-                .unwrap();
-            assert!(!v.any(), "{backend:?}");
-        }
-    }
-
-    #[test]
     fn a_source_with_a_foreign_table_still_evaluates() {
         let e = Engine::builder().query_str("/json/a").build().unwrap();
         // An interning parser over its own table: syms are meaningless
@@ -754,25 +631,5 @@ mod tests {
             .unwrap();
         assert!(v.any());
         assert!(!Arc::ptr_eq(source.symbols(), e.symbols()));
-    }
-
-    #[test]
-    fn all_four_backends_agree_on_a_linear_query() {
-        let xml = "<a><x><b/></x><a><b/></a></a>";
-        let mut verdicts = Vec::new();
-        for backend in [
-            Backend::Frontier,
-            Backend::Nfa,
-            Backend::LazyDfa,
-            Backend::Buffering,
-        ] {
-            let engine = Engine::builder()
-                .query_str("//a/b")
-                .backend(backend)
-                .build()
-                .unwrap();
-            verdicts.push(engine.run_str(xml).unwrap().any());
-        }
-        assert_eq!(verdicts, vec![true; 4]);
     }
 }

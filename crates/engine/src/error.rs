@@ -4,10 +4,9 @@
 //! (`fx_xpath::QueryParseError`, `fx_core::UnsupportedQuery`,
 //! `fx_xml::ParseError`, …), all of which implement `std::error::Error`.
 //! [`EngineError`] is the composition point: it wraps each of them with
-//! enough context (query index, chosen backend) to act on, implements
-//! `source()` chaining, and converts via `?` through `From`.
+//! enough context (the query's index) to act on, implements `source()`
+//! chaining, and converts via `?` through `From`.
 
-use crate::builder::Backend;
 use fx_core::UnsupportedQuery;
 use fx_xml::ParseError;
 use fx_xpath::QueryParseError;
@@ -26,33 +25,12 @@ pub enum EngineError {
         /// The parser's error.
         source: QueryParseError,
     },
-    /// A query lies outside the fragment the selected backend supports.
+    /// A query lies outside the fragment the streaming filter supports.
     Unsupported {
         /// Position of the query among the builder's additions.
         index: usize,
         /// Why the streaming filter rejected it.
         source: UnsupportedQuery,
-    },
-    /// The backend only handles linear (predicate-free) path queries.
-    BackendRequiresLinear {
-        /// Position of the query among the builder's additions.
-        index: usize,
-        /// The backend that rejected it.
-        backend: Backend,
-        /// The query, rendered back to XPath.
-        query: String,
-    },
-    /// Selection mode was requested on a backend that cannot report
-    /// matched positions.
-    SelectionUnsupported {
-        /// The backend that only computes boolean verdicts.
-        backend: Backend,
-    },
-    /// A shared-prefix index was requested on a backend other than the
-    /// paper's frontier algorithm.
-    IndexUnsupported {
-        /// The backend that has no indexed bank.
-        backend: Backend,
     },
     /// The document stream was malformed XML (or unreadable).
     Parse(ParseError),
@@ -74,34 +52,6 @@ impl fmt::Display for EngineError {
                 write!(
                     f,
                     "query #{index} is outside the streamable fragment: {source}"
-                )
-            }
-            EngineError::BackendRequiresLinear {
-                index,
-                backend,
-                query,
-            } => {
-                write!(
-                    f,
-                    "query #{index} (`{query}`) is outside the {backend:?} backend's fragment \
-                     (linear predicate-free paths of at most 127 steps, no attributes); \
-                     use Backend::Frontier"
-                )
-            }
-            EngineError::SelectionUnsupported { backend } => {
-                write!(
-                    f,
-                    "selection (Mode::Select) requires Backend::Frontier — the paper's \
-                     algorithm is the one extended to full-fledged evaluation; \
-                     {backend:?} only computes boolean verdicts"
-                )
-            }
-            EngineError::IndexUnsupported { backend } => {
-                write!(
-                    f,
-                    "IndexPolicy::SharedPrefix requires Backend::Frontier — the indexed \
-                     bank shares frontier-table segments across queries; {backend:?} has \
-                     no such structure"
                 )
             }
             EngineError::Parse(e) => write!(f, "document stream: {e}"),

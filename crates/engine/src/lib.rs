@@ -17,11 +17,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use fx_engine::{Backend, Engine};
+//! use fx_engine::Engine;
 //!
 //! let engine = Engine::builder()
 //!     .query_str("/a[c[.//e and f] and b > 5]")
-//!     .backend(Backend::Frontier)
 //!     .build()
 //!     .unwrap();
 //!
@@ -112,29 +111,28 @@
 //!
 //! | Piece | Role |
 //! |---|---|
-//! | [`Engine`] / [`EngineBuilder`] | Compiles and validates a query bank against a [`Backend`], [`Mode`] and [`IndexPolicy`] |
+//! | [`Engine`] / [`EngineBuilder`] | Compiles and validates a query bank for a [`Mode`] and an [`IndexPolicy`] (all four combinations are legal) |
 //! | [`Session`] | Per-document (reusable) evaluation state: `push` / `finish` / `run_reader`, plus the `_to` sink-driven variants |
-//! | [`Evaluator`] | The uniform boolean-streaming-filter interface every backend implements |
 //! | [`Verdicts`] / [`Outcome`] | Per-query outcomes (and match lists) plus the paper's logical-memory measures |
 //! | [`Match`] / [`MatchSink`] | The incremental selection output surface (`Vec<Match>` is the collecting sink) |
 //! | [`EngineError`] | One `std::error::Error` for everything the above can reject |
 //!
-//! The [`Evaluator`] trait lived in `fx_automata` as
-//! `BooleanStreamFilter` before this crate existed; it now sits at the
-//! engine layer, where the paper's algorithm ([`fx_core::StreamFilter`])
-//! and the three automata baselines implement it.
+//! The engine runs the paper's §8 frontier algorithm and nothing else:
+//! a single-query filtering session drives one concrete
+//! [`fx_core::StreamFilter`], every other session a
+//! [`fx_core::MultiFilter`] or [`fx_core::IndexedBank`]. The paper's
+//! §1.2 baselines (NFA, lazy DFA, buffer-everything) live in
+//! `fx-automata`, which this crate does not link.
 
 #![warn(missing_docs)]
 
 mod builder;
 mod error;
-mod evaluator;
 mod session;
 mod sharded;
 
-pub use builder::{Backend, Engine, EngineBuilder, IndexPolicy, Mode};
+pub use builder::{Engine, EngineBuilder, IndexPolicy, Mode};
 pub use error::EngineError;
-pub use evaluator::Evaluator;
 pub use fx_core::{IndexSpaceStats, Match, MatchSink};
 pub use session::{Outcome, Session, Verdicts};
 pub use sharded::{BankShardedOutcome, BatchRing};

@@ -3,8 +3,7 @@
 
 use crate::builder::Mode;
 use crate::error::EngineError;
-use crate::evaluator::Evaluator;
-use fx_core::{Match, MatchSink};
+use fx_core::{IndexedBank, Match, MatchSink, MultiFilter, StreamFilter};
 use fx_xml::{AttrBuf, Event, EventBatch, EventSource, Span, StreamingParser, Symbols};
 use std::io::Read;
 use std::sync::Arc;
@@ -17,9 +16,8 @@ use std::sync::Arc;
 /// hands the evaluators one recycled [`EventBatch`] at a time. After
 /// `EndDocument` (or `finish()`), the same session can be reused for
 /// the next document: the next `StartDocument` resets every filter's
-/// per-document state — space statistics included — while keeping
-/// amortizable state (such as the lazy DFA's memoized transition
-/// table) warm.
+/// per-document state — space statistics included — while the
+/// session's tokenizer, name memo and scratch buffers stay warm.
 ///
 /// On a [`Mode::Select`] engine the session additionally *streams
 /// matches*: every confirmed output node is delivered to a
@@ -27,8 +25,8 @@ use std::sync::Arc;
 /// chain resolves. The sink-less entry points collect matches
 /// internally instead, for retrieval via [`Session::finish_outcome`].
 ///
-/// Multi-query `Frontier` filtering sessions run on the
-/// short-circuiting [`fx_core::MultiFilter`] bank: filters whose
+/// Multi-query filtering sessions run on the short-circuiting
+/// [`fx_core::MultiFilter`] bank: filters whose
 /// verdict is already decided (accepted — or rejected at the root tag,
 /// the dominant dissemination case) stop seeing events. Verdicts are
 /// unaffected; a decided filter's peak-bit statistic simply freezes at
@@ -51,56 +49,42 @@ pub struct Session {
     /// Matches confirmed through the sink-less entry points, held for
     /// [`Session::finish_outcome`]; cleared at each `StartDocument`.
     collected: Vec<Match>,
-    /// Attribute scratch for replaying batches to [`Evaluator`]s and
-    /// foreign-table sources (the banks carry their own).
+    /// Attribute scratch for replaying batches to the lone filter and
+    /// from foreign-table sources (the banks carry their own).
     scratch: AttrBuf,
 }
 
 pub(crate) enum SessionInner {
-    /// One evaluator per query (single-query banks and the automata and
-    /// buffering backends).
-    Each(Vec<Box<dyn Evaluator>>),
+    /// The lone filter of a single-query filtering session, fed every
+    /// event, so its statistics are a bare [`StreamFilter`]'s.
+    Solo(Box<StreamFilter>),
     /// The (optionally reporting) frontier bank.
-    Bank(Box<fx_core::MultiFilter>),
+    Bank(Box<MultiFilter>),
     /// The shared-prefix indexed bank
     /// ([`crate::IndexPolicy::SharedPrefix`]): common query prefixes
     /// evaluated once per event, per-query state only below activated
     /// divergence points.
-    Indexed(Box<fx_core::IndexedBank>),
+    Indexed(Box<IndexedBank>),
 }
 
 impl SessionInner {
     fn push(&mut self, event: &Event, span: Span, sink: &mut dyn MatchSink) {
         match self {
-            SessionInner::Each(evs) => {
-                for ev in evs {
-                    ev.process(event);
-                }
-            }
+            SessionInner::Solo(filter) => filter.process(event),
             SessionInner::Bank(bank) => bank.process_to(event, span, sink),
             SessionInner::Indexed(bank) => bank.process_to(event, span, sink),
         }
     }
 
     /// Whole-batch dispatch — what the drive loop hands every variant:
-    /// one call walks a run of events whose syms `names` (the engine's
-    /// table) issued. The banks replay it with their own hoisted scratch
-    /// (and, for the multi-filter bank, skip the rest of a batch once
-    /// every filter is decided); plain evaluators take it through
-    /// [`Evaluator::process_batch`].
-    fn push_batch(
-        &mut self,
-        batch: &EventBatch,
-        names: &Symbols,
-        scratch: &mut AttrBuf,
-        sink: &mut dyn MatchSink,
-    ) {
+    /// one call walks a run of events whose syms the engine's table
+    /// issued. The banks replay it with their own hoisted scratch (and,
+    /// for the multi-filter bank, skip the rest of a batch once every
+    /// filter is decided); the lone filter replays it with the
+    /// session's.
+    fn push_batch(&mut self, batch: &EventBatch, scratch: &mut AttrBuf, sink: &mut dyn MatchSink) {
         match self {
-            SessionInner::Each(evs) => {
-                for ev in evs {
-                    ev.process_batch(batch, names, scratch);
-                }
-            }
+            SessionInner::Solo(filter) => filter.process_batch(batch, scratch),
             SessionInner::Bank(bank) => bank.process_batch_to(batch, sink),
             SessionInner::Indexed(bank) => bank.process_batch_to(batch, sink),
         }
@@ -123,7 +107,7 @@ impl Session {
     /// Number of registered queries.
     pub fn len(&self) -> usize {
         match &self.inner {
-            SessionInner::Each(evs) => evs.len(),
+            SessionInner::Solo(_) => 1,
             SessionInner::Bank(bank) => bank.len(),
             SessionInner::Indexed(bank) => bank.len(),
         }
@@ -198,16 +182,11 @@ impl Session {
     /// document afterwards.
     pub fn finish(&mut self) -> Result<Verdicts, EngineError> {
         let (matched, peak_bits, peak_pending) = match &self.inner {
-            SessionInner::Each(evs) => {
-                let mut matched = Vec::with_capacity(evs.len());
-                let mut peak_bits = Vec::with_capacity(evs.len());
-                for ev in evs {
-                    matched.push(ev.verdict().ok_or(EngineError::IncompleteDocument)?);
-                    peak_bits.push(ev.peak_memory_bits());
-                }
-                let peak_pending = vec![0; evs.len()];
-                (matched, peak_bits, peak_pending)
-            }
+            SessionInner::Solo(filter) => (
+                vec![filter.result().ok_or(EngineError::IncompleteDocument)?],
+                vec![filter.stats().max_bits],
+                vec![0],
+            ),
             SessionInner::Bank(bank) => {
                 let mut matched = Vec::with_capacity(bank.len());
                 for r in bank.results() {
@@ -396,7 +375,7 @@ impl Session {
             .drive_batched(reader, &mut |batch| {
                 *events += batch.len() as u64;
                 match &foreign {
-                    None => inner.push_batch(batch, symbols, scratch, sink),
+                    None => inner.push_batch(batch, scratch, sink),
                     Some(table) => batch.replay(scratch, |ev, span| {
                         inner.push(&ev.to_owned(table), span, sink)
                     }),
@@ -540,7 +519,7 @@ impl Verdicts {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Backend, Engine, EngineError};
+    use crate::{Engine, EngineError};
 
     #[test]
     fn push_finish_lifecycle() {
@@ -720,20 +699,5 @@ mod tests {
             .run_reader("<doc><title/><item/><w99/></doc>".as_bytes())
             .unwrap();
         assert_eq!(v.matched(), &[true, true]);
-    }
-
-    #[test]
-    fn lazy_dfa_table_stays_warm_across_documents() {
-        let engine = Engine::builder()
-            .query_str("//a//b")
-            .backend(Backend::LazyDfa)
-            .build()
-            .unwrap();
-        let mut session = engine.session();
-        let v1 = session.run_reader("<a><b/></a>".as_bytes()).unwrap();
-        let v2 = session.run_reader("<a><b/></a>".as_bytes()).unwrap();
-        assert!(v1.any() && v2.any());
-        // Memoized table persists, so peak memory does not restart at 0.
-        assert!(v2.total_peak_bits() >= v1.total_peak_bits());
     }
 }

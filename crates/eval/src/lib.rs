@@ -23,7 +23,7 @@
 pub mod homomorphism;
 pub mod matching;
 pub mod select;
-pub mod truth;
+pub use fx_xpath::truth;
 
 pub use homomorphism::{find_homomorphism, is_homomorphism, is_isomorphism, HomKind, NodeMap};
 pub use matching::{

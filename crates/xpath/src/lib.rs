@@ -16,10 +16,12 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+pub mod canonical;
 pub mod display;
 pub mod ops;
 pub mod parser;
 pub mod regexlite;
+pub mod truth;
 pub mod value;
 
 pub use ast::{ArithOp, Axis, CompOp, Expr, Func, NodeTest, Query, QueryNode, QueryNodeId};

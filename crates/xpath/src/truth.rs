@@ -11,8 +11,8 @@
 //! representation used to sample distinguished values for canonical
 //! documents lives in `fx-analysis`.
 
-use fx_xpath::ops::eval_with_binding;
-use fx_xpath::{EvalError, Expr, Query, QueryNodeId};
+use crate::ops::eval_with_binding;
+use crate::{EvalError, Expr, Query, QueryNodeId};
 
 /// Locates the atomic predicate (a top-level conjunct of the parent's
 /// predicate) in which the succession root of `u` occurs as a variable.
@@ -145,7 +145,7 @@ pub fn is_value_restricted(q: &Query, u: QueryNodeId) -> Result<bool, TruthError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_xpath::parse_query;
+    use crate::parse_query;
 
     #[test]
     fn truth_sets_of_paper_example() {

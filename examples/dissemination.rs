@@ -21,7 +21,6 @@ fn main() {
     let labeled = standing_queries();
     let engine = Engine::builder()
         .queries(labeled.iter().map(|(_, q)| q.clone()))
-        .backend(Backend::Frontier)
         .build()
         .expect("standing queries are supported");
     println!("registered {} standing queries:", engine.len());

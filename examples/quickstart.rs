@@ -23,7 +23,6 @@ fn main() {
     // `io::Read` — the document is never materialized.
     let engine = Engine::builder()
         .query(query.clone())
-        .backend(Backend::Frontier)
         .build()
         .expect("query is in the supported fragment");
     let xml = "<a><c><d/><e/><f/></c><b>6</b><c/></a>";

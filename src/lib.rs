@@ -21,7 +21,6 @@
 //! // paper's own algorithm…
 //! let engine = Engine::builder()
 //!     .query_str("/a[c[.//e and f] and b > 5]")
-//!     .backend(Backend::Frontier)
 //!     .build()
 //!     .unwrap();
 //!
@@ -77,16 +76,16 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`engine`] | **The canonical API**: `Engine` builder, per-document `Session`s, the `Evaluator` trait, unified `EngineError` |
+//! | [`engine`] | **The canonical API**: `Engine` builder, per-document `Session`s (`Mode` × `IndexPolicy`, every cell legal), unified `EngineError`; runs the §8 algorithm and nothing else |
 //! | [`xml`] | SAX events, the [`xml::Frontend`] chassis every streaming tokenizer is a [`xml::Grammar`] on (and the [`xml::EventSource`] trait it implements), the XML grammar, writer, pull-based [`xml::EventIter`], stream splicing (§3.1.4) |
 //! | [`html`] | The lenient HTML-soup grammar: tag soup in, the same interned events out |
 //! | [`json`] | The JSON and NDJSON grammars: objects as elements, keys as QNames, array items as repeated children |
 //! | [`dom`] | The XPath data model: trees, `STRVAL`, depth (§3.1.1) |
-//! | [`xpath`] | Forward XPath parser, query trees, predicate semantics (§3.1.2–3) |
+//! | [`xpath`] | Forward XPath parser, query trees, predicate semantics (§3.1.2–3); the query-only analyses the filter compiles with: truth sets (`truth`, Def. 5.6) and canonical query forms (`canonical`) |
 //! | [`eval`] | Reference `SELECT`/`FULLEVAL`/`BOOLEVAL`, matchings (§3.1.3, §5.5) |
 //! | [`analysis`] | Redundancy-free XPath, truth sets, canonical documents, `FS(Q)` (§4–6) |
 //! | [`filter`] | **The Section-8 streaming filter** with space instrumentation |
-//! | [`automata`] | NFA / lazy-DFA / buffer-all baselines (§1.2, §2) |
+//! | [`automata`] | NFA / lazy-DFA / buffer-all baselines (§1.2, §2), constructed directly — not engine options |
 //! | [`lowerbounds`] | Fooling sets, DISJ reduction, depth bound, state prober (§3.2, §4, §7) |
 //! | [`workloads`] | Seeded document/query generators |
 //!
@@ -127,12 +126,9 @@ pub mod prelude {
     pub use fx_automata::{BufferingFilter, LazyDfaFilter, NfaFilter};
     pub use fx_core::{IndexSpaceStats, IndexedBank, MultiFilter, SpaceStats, StreamFilter};
     pub use fx_dom::Document;
-    /// The pre-engine name of [`Evaluator`], kept so downstream imports
-    /// keep compiling; new code should name [`Evaluator`] directly.
-    pub use fx_engine::Evaluator as BooleanStreamFilter;
     pub use fx_engine::{
-        Backend, BankShardedOutcome, BatchRing, Engine, EngineBuilder, EngineError, Evaluator,
-        IndexPolicy, Match, MatchSink, Mode, Outcome, Session, Verdicts,
+        BankShardedOutcome, BatchRing, Engine, EngineBuilder, EngineError, IndexPolicy, Match,
+        MatchSink, Mode, Outcome, Session, Verdicts,
     };
     pub use fx_eval::{bool_eval, document_matches, full_eval};
     pub use fx_html::{parse_html, HtmlParser};

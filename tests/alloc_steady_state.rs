@@ -10,7 +10,7 @@
 //! Measured with a counting `#[global_allocator]`; this file holds a
 //! single test so no sibling test thread can pollute the counter.
 
-use frontier_xpath::engine::{Backend, Engine, IndexPolicy, Mode};
+use frontier_xpath::engine::{Engine, IndexPolicy, Mode};
 use frontier_xpath::filter::{CompiledQuery, IndexedBank, StreamFilter};
 use frontier_xpath::html::HtmlParser;
 use frontier_xpath::json::JsonParser;
@@ -437,7 +437,6 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
         let label = format!("{mode:?} × {} queries", queries.len());
         let engine = Engine::builder()
             .queries(queries)
-            .backend(Backend::Frontier)
             .mode(mode)
             .build()
             .unwrap();

@@ -42,7 +42,7 @@ fn push_all(engine: &Engine, events: &[Event]) -> Verdicts {
     session.finish().unwrap()
 }
 
-/// Verdict AND peak-bit parity between `Engine` (Frontier backend) and
+/// Verdict AND peak-bit parity between `Engine` and
 /// a bare `StreamFilter` over the seeded random-document generator.
 #[test]
 fn frontier_backend_matches_legacy_verdicts_and_bits() {
@@ -64,11 +64,7 @@ fn frontier_backend_matches_legacy_verdicts_and_bits() {
     };
     for src in QUERIES {
         let q = parse_query(src).unwrap();
-        let engine = Engine::builder()
-            .query(q.clone())
-            .backend(Backend::Frontier)
-            .build()
-            .unwrap();
+        let engine = Engine::builder().query(q.clone()).build().unwrap();
         for _ in 0..40 {
             let d = random_document(&mut rng, &cfg);
             let events = d.to_events();
@@ -120,40 +116,36 @@ fn session_reader_matches_pushed_events() {
     }
 }
 
-/// Every backend agrees with the reference evaluator on linear queries.
+/// The engine and the three automata baselines agree with the reference
+/// evaluator on linear queries.
 #[test]
 fn all_backends_agree_with_reference_on_linear_queries() {
     let mut rng = SmallRng::seed_from_u64(0xBACE);
     let cfg = RandomDocConfig::default();
     for src in LINEAR_QUERIES {
         let q = parse_query(src).unwrap();
-        let engines: Vec<Engine> = [
-            Backend::Frontier,
-            Backend::Nfa,
-            Backend::LazyDfa,
-            Backend::Buffering,
-        ]
-        .iter()
-        .map(|&b| {
-            Engine::builder()
-                .query(q.clone())
-                .backend(b)
-                .build()
-                .unwrap()
-        })
-        .collect();
+        let engine = Engine::builder().query(q.clone()).build().unwrap();
         for _ in 0..25 {
             let d = random_document(&mut rng, &cfg);
             let reference = bool_eval(&q, &d).unwrap();
             let events = d.to_events();
-            for engine in &engines {
-                assert_eq!(
-                    push_all(engine, &events).any(),
-                    reference,
-                    "{src} via {:?} on {}",
-                    engine.backend(),
-                    d.to_xml()
-                );
+            let verdicts = [
+                ("frontier", push_all(&engine, &events).any()),
+                (
+                    "nfa",
+                    NfaFilter::new(&q).unwrap().run_stream(&events).unwrap(),
+                ),
+                (
+                    "lazy dfa",
+                    LazyDfaFilter::new(&q).unwrap().run_stream(&events).unwrap(),
+                ),
+                (
+                    "buffering",
+                    BufferingFilter::new(&q).run_stream(&events).unwrap(),
+                ),
+            ];
+            for (label, verdict) in verdicts {
+                assert_eq!(verdict, reference, "{src} via {label} on {}", d.to_xml());
             }
         }
     }
@@ -293,48 +285,37 @@ fn event_iter_filters_large_document_without_buffering() {
         large.total_peak_bits(),
         "streaming memory must be flat in document size"
     );
-    let buffering = Engine::builder()
-        .query_str("//item[price > 400]")
-        .backend(Backend::Buffering)
-        .build()
-        .unwrap();
-    let buffered = buffering
-        .session()
-        .run_reader(SyntheticCatalog::new(200_000))
-        .unwrap();
+    let mut buffering = BufferingFilter::new(&parse_query("//item[price > 400]").unwrap());
+    for event in EventIter::new(SyntheticCatalog::new(200_000)) {
+        buffering.process(&event.unwrap());
+    }
+    assert_eq!(buffering.verdict(), Some(true));
     assert!(
-        buffered.total_peak_bits() > 1_000 * large.total_peak_bits(),
+        buffering.peak_memory_bits() > 1_000 * large.total_peak_bits(),
         "buffer-all: {} bits, frontier: {} bits",
-        buffered.total_peak_bits(),
+        buffering.peak_memory_bits(),
         large.total_peak_bits()
     );
 }
 
 /// Every shape of session the engine builds, by label: the three
-/// `SessionInner` variants × filter/select on the frontier backend,
-/// then the automata and buffering baselines.
+/// `SessionInner` variants × filter/select.
 fn session_shapes() -> Vec<(&'static str, Engine)> {
-    use {Backend::*, IndexPolicy::SharedPrefix, Mode::*};
-    let (one, two, linear) = (["//a[b > 5]"], ["//a[b > 5]", "//x//b"], ["//a/b"]);
+    use {IndexPolicy::SharedPrefix, Mode::*};
+    let (one, two) = (["//a[b > 5]"], ["//a[b > 5]", "//x//b"]);
     let flat = IndexPolicy::None;
-    let shapes: [(&str, &[&str], Mode, IndexPolicy, Backend); 9] = [
-        ("single filter", &one, Filter, flat, Frontier),
-        ("single select", &one, Select, flat, Frontier),
-        ("bank", &two, Filter, flat, Frontier),
-        ("bank select", &two, Select, flat, Frontier),
-        ("indexed", &two, Filter, SharedPrefix, Frontier),
-        ("indexed select", &two, Select, SharedPrefix, Frontier),
-        ("nfa", &linear, Filter, flat, Nfa),
-        ("lazy dfa", &linear, Filter, flat, LazyDfa),
-        ("buffering", &one, Filter, flat, Buffering),
+    let shapes: [(&str, &[&str], Mode, IndexPolicy); 6] = [
+        ("single filter", &one, Filter, flat),
+        ("single select", &one, Select, flat),
+        ("bank", &two, Filter, flat),
+        ("bank select", &two, Select, flat),
+        ("indexed", &two, Filter, SharedPrefix),
+        ("indexed select", &two, Select, SharedPrefix),
     ];
-    let build = |(label, srcs, mode, index, backend): (_, &[&str], _, _, _)| {
+    let build = |(label, srcs, mode, index): (_, &[&str], _, _)| {
         let queries = srcs.iter().map(|s| parse_query(s).unwrap());
         let builder = Engine::builder().queries(queries).mode(mode);
-        (
-            label,
-            builder.index(index).backend(backend).build().unwrap(),
-        )
+        (label, builder.index(index).build().unwrap())
     };
     shapes.into_iter().map(build).collect()
 }
@@ -360,9 +341,7 @@ fn reused_sessions_report_per_document_peaks() {
         );
         (v.matched().to_vec(), bits, pending, total)
     };
-    // The frontier shapes; the baselines keep amortized state (the lazy
-    // DFA's table) in their figure by design.
-    for (label, engine) in session_shapes().into_iter().take(6) {
+    for (label, engine) in session_shapes() {
         let mut reused = engine.session();
         let mut totals = Vec::new();
         for doc in docs {

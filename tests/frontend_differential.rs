@@ -197,10 +197,9 @@ fn json_engine_matches_reference_eval_on_record_corpus() {
     }
 }
 
-/// The filtering mode too: one reused session per backend coverage of
-/// `Evaluator::process_batch`'s owned replay (automata backends have no
-/// interned path, so each batch is materialized through the sentinel
-/// mapping).
+/// The filtering mode too: the engine's reused session over the soup
+/// tokenizer agrees with the NFA baseline over the owned events of the
+/// same document.
 #[test]
 fn nfa_backend_agrees_with_frontier_on_soup() {
     let mut rng = SmallRng::seed_from_u64(0xBAC0);
@@ -208,21 +207,14 @@ fn nfa_backend_agrees_with_frontier_on_soup() {
     let corpus = html_soup_corpus(&mut rng, &cfg, 12);
     for src in ["//li", "/html/div", "//section//span"] {
         let frontier = Engine::builder().query_str(src).build().unwrap();
-        let nfa = Engine::builder()
-            .query_str(src)
-            .backend(Backend::Nfa)
-            .build()
-            .unwrap();
+        let mut nfa = NfaFilter::new(&parse_query(src).unwrap()).unwrap();
         let mut fs = frontier.session();
-        let mut ns = nfa.session();
         for doc in &corpus {
             let vf = fs
                 .run_source(&mut frontier.html_source(), doc.html.as_bytes())
                 .unwrap();
-            let vn = ns
-                .run_source(&mut nfa.html_source(), doc.html.as_bytes())
-                .unwrap();
-            assert_eq!(vf.any(), vn.any(), "{src} on {}", doc.html);
+            let vn = nfa.run_stream(&parse_html(&doc.html)).unwrap();
+            assert_eq!(vf.any(), vn, "{src} on {}", doc.html);
         }
     }
 }
