@@ -474,7 +474,7 @@ mod tests {
             session.push(e);
         }
         assert_eq!(session.finish().unwrap().peak_memory_bits(), expected);
-        // The reader path hands the filter interned batches directly.
+        // The reader path hands the filter interned events directly.
         let read = session.run_reader(xml.as_bytes()).unwrap();
         assert_eq!(read.matched(), [false]);
         assert_eq!(read.peak_memory_bits(), expected);
@@ -622,8 +622,8 @@ mod tests {
     fn a_source_with_a_foreign_table_still_evaluates() {
         let e = Engine::builder().query_str("/json/a").build().unwrap();
         // An interning parser over its own table: syms are meaningless
-        // to the engine, so the session replays each batch to owned
-        // events through the source's table and re-resolves per event.
+        // to the engine, so the session makes each event owned through
+        // the source's table and re-resolves it.
         let mut source = fx_json::JsonParser::new();
         let v = e
             .session()

@@ -10,9 +10,10 @@
 //! `O(FS(Q)·log d)` bits — so the engine's surface never requires a
 //! materialized `Vec<Event>`. Documents arrive either event-by-event
 //! through [`Session::push`] or straight from any [`std::io::Read`]
-//! through [`Session::run_reader`], whose tokenizer hands the filters one
-//! recycled [`fx_xml::EventBatch`] at a time, so memory stays bounded by
-//! the read buffer plus the filter state regardless of document size.
+//! through [`Session::run_reader`], whose tokenizer hands the filters
+//! each event as it completes — borrowed from the read buffer, nothing
+//! materialized in between — so memory stays bounded by the read buffer
+//! plus the filter state regardless of document size.
 //!
 //! ## Quick start
 //!

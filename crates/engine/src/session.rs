@@ -4,7 +4,7 @@
 use crate::builder::Mode;
 use crate::error::EngineError;
 use fx_core::{IndexedBank, Match, MatchSink, MultiFilter, StreamFilter};
-use fx_xml::{AttrBuf, Event, EventBatch, EventSource, Span, StreamingParser, Symbols};
+use fx_xml::{Event, EventSource, Span, StreamingParser, SymEvent, Symbols};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -12,11 +12,12 @@ use std::sync::Arc;
 ///
 /// A session is fed incrementally — [`Session::push`] one event at a
 /// time, or [`Session::run_reader`] to drive a whole document from any
-/// byte source without ever materializing it: the session's tokenizer
-/// hands the evaluators one recycled [`EventBatch`] at a time. After
-/// `EndDocument` (or `finish()`), the same session can be reused for
-/// the next document: the next `StartDocument` resets every filter's
-/// per-document state — space statistics included — while the
+/// byte source without ever materializing it — not even a run of its
+/// events: the session's tokenizer hands each event to the evaluators
+/// the moment it is complete, its payloads still borrowing the read
+/// chunk. After `EndDocument` (or `finish()`), the same session can be
+/// reused for the next document: the next `StartDocument` resets every
+/// filter's per-document state — space statistics included — while the
 /// session's tokenizer, name memo and scratch buffers stay warm.
 ///
 /// On a [`Mode::Select`] engine the session additionally *streams
@@ -49,9 +50,6 @@ pub struct Session {
     /// Matches confirmed through the sink-less entry points, held for
     /// [`Session::finish_outcome`]; cleared at each `StartDocument`.
     collected: Vec<Match>,
-    /// Attribute scratch for replaying batches to the lone filter and
-    /// from foreign-table sources (the banks carry their own).
-    scratch: AttrBuf,
 }
 
 pub(crate) enum SessionInner {
@@ -76,17 +74,15 @@ impl SessionInner {
         }
     }
 
-    /// Whole-batch dispatch — what the drive loop hands every variant:
-    /// one call walks a run of events whose syms the engine's table
-    /// issued. The banks replay it with their own hoisted scratch (and,
-    /// for the multi-filter bank, skip the rest of a batch once every
-    /// filter is decided); the lone filter replays it with the
-    /// session's.
-    fn push_batch(&mut self, batch: &EventBatch, scratch: &mut AttrBuf, sink: &mut dyn MatchSink) {
+    /// One interned event — what the drive loop hands every variant,
+    /// its syms issued by the engine's table: one predictable match,
+    /// then the concretely-typed filter or bank.
+    #[inline]
+    fn push_sym(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
         match self {
-            SessionInner::Solo(filter) => filter.process_batch(batch, scratch),
-            SessionInner::Bank(bank) => bank.process_batch_to(batch, sink),
-            SessionInner::Indexed(bank) => bank.process_batch_to(batch, sink),
+            SessionInner::Solo(filter) => filter.process_sym(event, span),
+            SessionInner::Bank(bank) => bank.process_sym_to(event, span, sink),
+            SessionInner::Indexed(bank) => bank.process_sym_to(event, span, sink),
         }
     }
 }
@@ -100,7 +96,6 @@ impl Session {
             parser: StreamingParser::with_symbols(Arc::clone(&symbols)).lookup_only(),
             symbols,
             collected: Vec::new(),
-            scratch: AttrBuf::new(),
         }
     }
 
@@ -235,11 +230,12 @@ impl Session {
     /// which do not discard the matches.)
     ///
     /// The `run_reader*` entry points are the `run_source*` ones over
-    /// the session's own warm XML tokenizer, which resolves names
-    /// lookup-only: document names outside the compiled query
-    /// vocabulary collapse to `Sym::UNKNOWN` instead of growing the
-    /// engine-wide table, so a long-lived engine's memory stays bounded
-    /// by its queries, never by document content.
+    /// the session's own warm XML tokenizer — driven by its concrete
+    /// type, so the evaluators inline into its token loop — which
+    /// resolves names lookup-only: document names outside the compiled
+    /// query vocabulary collapse to `Sym::UNKNOWN` instead of growing
+    /// the engine-wide table, so a long-lived engine's memory stays
+    /// bounded by its queries, never by document content.
     pub fn run_reader<R: Read>(&mut self, mut reader: R) -> Result<Verdicts, EngineError> {
         self.drive(None, &mut reader, None)?;
         self.finish()
@@ -291,11 +287,12 @@ impl Session {
     ///
     /// The source should share the engine's symbol table (build it with
     /// `with_symbols(engine.symbols().clone()).lookup_only()`, or use
-    /// `Engine::html_source` / `Engine::json_source`): then its batches
+    /// `Engine::html_source` / `Engine::json_source`): then its events
     /// flow straight into the evaluators with no per-event allocation,
-    /// exactly like the XML reader path. A source carrying a
-    /// *different* table still evaluates correctly — its events are
-    /// materialized and re-resolved per event, at owned-event cost.
+    /// like the XML reader path behind one virtual call per event. A
+    /// source carrying a *different* table still evaluates correctly —
+    /// its events are materialized and re-resolved per event, at
+    /// owned-event cost.
     pub fn run_source<R: Read>(
         &mut self,
         source: &mut dyn EventSource,
@@ -330,18 +327,20 @@ impl Session {
 
     /// The one drive loop: streams one document from `reader` through
     /// `source` (`None`: the session's own warm XML tokenizer) and hands
-    /// every [`EventBatch`] to the evaluators, matches going to `sink`
-    /// (`None`: the session's own outbox). No owned `Event` is
-    /// materialized, and in steady state nothing on the path allocates
-    /// per element event; the callback boundary is paid once per batch.
-    /// A parse error ends the drive only after the events completed
-    /// before it were evaluated, so the matches a `sink` sees of a
-    /// malformed document do not depend on where a batch was cut.
+    /// each event to the evaluators as the tokenizer completes it,
+    /// matches going to `sink` (`None`: the session's own outbox).
+    /// Nothing is materialized between the two — no owned `Event`, no
+    /// run of events — and in steady state nothing on the path
+    /// allocates per element event. The session's own tokenizer is
+    /// driven by its concrete type, so the evaluators inline into its
+    /// token loop; a handed-in source costs one virtual call per event.
+    /// A parse or read error ends the drive only after the events
+    /// completed before it were evaluated.
     ///
     /// The one exception is a source whose symbol table is not the
     /// engine's: its syms mean nothing to the compiled node tests, so
-    /// each batch is replayed to owned events through the *source's*
-    /// table and re-resolved per event, like hand-pushed ones.
+    /// each event is made owned through the *source's* table and
+    /// re-resolved, like a hand-pushed one.
     fn drive(
         &mut self,
         source: Option<&mut dyn EventSource>,
@@ -354,13 +353,8 @@ impl Session {
             symbols,
             parser,
             collected,
-            scratch,
             ..
         } = self;
-        let source: &mut dyn EventSource = match source {
-            Some(source) => source,
-            None => parser,
-        };
         // A drive is exactly one document, so clearing the outbox up
         // front equals clearing at its `StartDocument`.
         collected.clear();
@@ -368,20 +362,29 @@ impl Session {
             Some(sink) => sink,
             None => collected,
         };
-        source.reset();
-        let foreign =
-            (!Arc::ptr_eq(source.symbols(), symbols)).then(|| Arc::clone(source.symbols()));
-        source
-            .drive_batched(reader, &mut |batch| {
-                *events += batch.len() as u64;
-                match &foreign {
-                    None => inner.push_batch(batch, scratch, sink),
-                    Some(table) => batch.replay(scratch, |ev, span| {
-                        inner.push(&ev.to_owned(table), span, sink)
-                    }),
+        let mut feed = |ev: SymEvent<'_>, span: Span| {
+            *events += 1;
+            inner.push_sym(ev, span, sink)
+        };
+        let result = match source {
+            None => {
+                parser.reset();
+                parser.drive(reader, &mut feed)
+            }
+            Some(source) => {
+                source.reset();
+                if Arc::ptr_eq(source.symbols(), symbols) {
+                    source.drive(reader, &mut feed)
+                } else {
+                    let table = Arc::clone(source.symbols());
+                    source.drive(reader, &mut |ev, span| {
+                        *events += 1;
+                        inner.push(&ev.to_owned(&table), span, sink)
+                    })
                 }
-            })
-            .map_err(EngineError::from)
+            }
+        };
+        result.map_err(EngineError::from)
     }
 }
 

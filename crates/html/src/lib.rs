@@ -48,7 +48,7 @@
 //!   element is dropped.
 //!
 //! The only errors [`HtmlParser`] can surface are invalid UTF-8 and,
-//! from `drive_batched`, a failed read — both positioned (`at byte N`).
+//! from the reader drivers, a failed read — both positioned (`at byte N`).
 //!
 //! ```
 //! use fx_html::parse_html;

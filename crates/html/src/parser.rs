@@ -87,7 +87,7 @@ fn start_tag_closes(incoming: &str, open: &str) -> bool {
 /// by the largest single token (a tag, a text run, or one raw-text
 /// element's content), never by document size. It never reports a
 /// structural error: the only failure a feed can surface is invalid
-/// UTF-8 (and `drive_batched`, a read error).
+/// UTF-8 (and the reader drivers, a read error).
 pub type HtmlParser = Frontend<HtmlGrammar>;
 
 /// HTML-soup token state. Whitespace-only text is dropped by default,
@@ -508,6 +508,7 @@ fn tag_length(b: &str) -> Option<usize> {
             Some(q) => {
                 if c == q {
                     quote = None;
+                    after_eq = false;
                 }
             }
             None => match c {
@@ -717,6 +718,47 @@ mod tests {
                 Event::EndDocument,
             ]
         );
+    }
+
+    #[test]
+    fn a_quote_opens_a_value_only_right_after_an_equals_sign() {
+        // The tag scanner and the attribute parser must agree on what is
+        // quoted: once `title`'s value closes, the next quote is a name
+        // character, so the first `>` ends the tag — however the value
+        // before it was spelled.
+        let unquoted = vec![
+            Event::StartDocument,
+            Event::start_with_attrs(
+                "p",
+                vec![Attribute::new("title", "a"), Attribute::new("\"b", "")],
+            ),
+            Event::text("c\">text"),
+            Event::end("p"),
+            Event::EndDocument,
+        ];
+        let quoted = vec![
+            Event::StartDocument,
+            Event::start_with_attrs("p", vec![Attribute::new("x", "b>c")]),
+            Event::text("text"),
+            Event::end("p"),
+            Event::EndDocument,
+        ];
+        let cases = [
+            (r#"<p title="a" "b>c">text</p>"#, &unquoted),
+            (r#"<p title="a""b>c">text</p>"#, &unquoted),
+            (r#"<p title=a "b>c">text</p>"#, &unquoted),
+            (r#"<p x="b>c">text</p>"#, &quoted),
+            (r#"<p x = "b>c">text</p>"#, &quoted),
+        ];
+        for (doc, want) in cases {
+            for chunk_size in 1..=doc.len() {
+                assert_eq!(
+                    &parse_html_chunked(doc, chunk_size),
+                    want,
+                    "chunk size {chunk_size} on {doc}"
+                );
+            }
+        }
     }
 
     #[test]

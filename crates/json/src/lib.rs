@@ -11,7 +11,7 @@
 //! `fx_xml::Frontend<JsonGrammar>` and [`NdjsonParser`] is
 //! `fx_xml::Frontend<NdjsonGrammar>` (one JSON grammar run per line) —
 //! input buffering at arbitrary chunk boundaries, UTF-8 carrying, name
-//! resolution, the batched reader driver and the `fx_xml::EventSource`
+//! resolution, the two reader drivers and the `fx_xml::EventSource`
 //! impl are the shared chassis (see `fx_xml::source`).
 //!
 //! # The JSON → element mapping

@@ -319,7 +319,10 @@ fn snapshot(workers: &[ServerStats], churn: &Churn, outbox: &Outbox) -> ServerSt
 /// One worker: a bank and a warm lookup-only parser over the shared
 /// symbol table — a name a late subscription interned reaches the parser
 /// at its next document, unannounced — processing every
-/// `seq % workers == index` document.
+/// `seq % workers == index` document. Parser and bank share the thread,
+/// so each event goes from one to the other as it completes
+/// (`Frontend::drive` into `IndexedBank::process_sym_to`), borrowed
+/// from the document's bytes; no run of events is materialized.
 struct Worker {
     index: usize,
     shared: Arc<Shared>,
@@ -403,8 +406,8 @@ impl Worker {
         } = self;
         raw.clear();
         parser.reset();
-        let result = parser.drive_batched(&document[..], &mut |batch| {
-            bank.process_batch_to(batch, raw)
+        let result = parser.drive(&document[..], &mut |ev, span| {
+            bank.process_sym_to(ev, span, raw)
         });
         match result {
             Ok(()) => self.documents += 1,

@@ -22,9 +22,11 @@ use crate::span::Span;
 use crate::symbols::{AttrBuf, Sym, SymEvent};
 
 /// Default batch cut on event count: producers publish a batch once it
-/// holds this many events. Sized so one batch amortizes the dispatch
-/// boundary (one virtual call per ~1024 events instead of per event)
-/// while staying small enough to live in cache.
+/// holds this many events. Sized so one batch amortizes a hand-off that
+/// cannot be a plain call — a ring slot published to other threads, one
+/// wake-up per ~1024 events instead of per event — while staying small
+/// enough to live in cache. An in-thread consumer needs no batch at
+/// all: it takes borrowed events from [`crate::Frontend::drive`].
 pub const BATCH_EVENTS: usize = 1024;
 
 /// Default batch cut on payload bytes (text + attribute values): the

@@ -6,7 +6,7 @@
 //! the setting the paper's space bounds are about.
 //!
 //! Everything format-agnostic — input buffering and the in-place fast
-//! path, UTF-8 carrying, name resolution, the batched reader driver —
+//! path, UTF-8 carrying, name resolution, the two reader drivers —
 //! is the [`Frontend`] chassis (see [`crate::source`]); this module
 //! holds only what is XML: tag and text tokenizing, entity decoding,
 //! the open-element stack, and the well-formedness rules.

@@ -16,9 +16,12 @@
 //! * **name resolution** ([`Names`]) in its two modes, interning and
 //!   [`Frontend::lookup_only`], and the once-per-document check that
 //!   shows a lookup-only frontend the names interned behind it;
-//! * the **batched driver** ([`Frontend::drive_batched`]): one read
-//!   loop over a recycled I/O chunk, filling a recycled [`EventBatch`]
-//!   and cutting it on [`BATCH_EVENTS`] / [`BATCH_BYTES`];
+//! * the **two drivers** over one read loop and one recycled I/O
+//!   chunk: [`Frontend::drive`] hands each event to a callback as it
+//!   completes — the in-thread path, monomorphized into the consumer —
+//!   and [`Frontend::drive_batched`] fills a recycled [`EventBatch`],
+//!   cut on [`BATCH_EVENTS`] / [`BATCH_BYTES`], for a consumer on
+//!   another thread or one that replays the run;
 //! * the one [`EventSource`] implementation the engine drives.
 //!
 //! The frontends are aliases: [`crate::StreamingParser`] is
@@ -42,7 +45,7 @@
 //! 4. Implement [`Grammar::reset`]: clear per-document state, keep
 //!    scratch capacity.
 //! 5. `pub type FooParser = Frontend<FooGrammar>;` — feeds, finish,
-//!    `drive_batched`, both name modes and `EventSource` come with it.
+//!    both drivers, both name modes and `EventSource` come with it.
 //! 6. Add the alias to `tests/chunk_split.rs`: one line proves the
 //!    grammar is chunk-boundary transparent.
 
@@ -70,20 +73,35 @@ pub trait EventSource {
     /// interned into its table since the last document.
     fn reset(&mut self);
 
-    /// Streams one whole document from `reader` as **runs of events**:
-    /// the source fills a reusable arena-backed [`EventBatch`] (events
-    /// plus spans, including the `StartDocument`/`EndDocument` framing)
-    /// and hands each full batch to `consume` — one virtual call per
-    /// batch instead of per event, which is what the engine's hot path
-    /// rides. The batch borrow is valid only for the duration of the
-    /// call (the source recycles it); memory stays bounded by the read
-    /// chunk, the batch cut ([`crate::BATCH_EVENTS`] /
-    /// [`crate::BATCH_BYTES`]), and the largest single input token —
-    /// never by document size. Batching is pure control-transfer
-    /// amortization: event order, spans, and the paper's frontier-space
-    /// bounds are exactly those of the per-event stream — and so is the
-    /// error contract: every event completed before an error reaches
-    /// `consume` before the error is returned, wherever the cut fell.
+    /// Streams one whole document from `reader`, handing `emit` every
+    /// event with its span (the `StartDocument`/`EndDocument` framing
+    /// included) the moment the tokenizer completes it: payloads borrow
+    /// the input or the grammar's scratch and are valid for that call
+    /// only. This is what a session rides for a frontend it is handed
+    /// (`Session::run_source*`) — one virtual call per event, nothing
+    /// materialized in between. Memory stays bounded by the read chunk
+    /// and the largest single input token. Every event completed before
+    /// an error — malformed input or a failed read — reaches `emit`
+    /// before the error is returned.
+    fn drive(
+        &mut self,
+        reader: &mut dyn Read,
+        emit: &mut dyn FnMut(SymEvent<'_>, Span),
+    ) -> Result<(), ParseError>;
+
+    /// [`EventSource::drive`] as **runs of events**, for a consumer the
+    /// stream cannot reach by a call — another thread, or one that
+    /// replays a run more than once: the source fills a reusable
+    /// arena-backed [`EventBatch`] (events plus spans) and hands each
+    /// full batch to `consume`. The batch borrow is valid only for the
+    /// duration of the call (the source recycles it); memory stays
+    /// bounded by the read chunk, the batch cut ([`crate::BATCH_EVENTS`]
+    /// / [`crate::BATCH_BYTES`]), and the largest single input token —
+    /// never by document size. Event order, spans, and the paper's
+    /// frontier-space bounds are exactly those of the per-event stream —
+    /// and so is the error contract: every event completed before an
+    /// error reaches `consume` before the error is returned, wherever
+    /// the cut fell.
     fn drive_batched(
         &mut self,
         reader: &mut dyn Read,
@@ -326,7 +344,7 @@ pub struct Frontend<G> {
     base: usize,
     carry: Utf8Carry,
     finished: bool,
-    /// Reused read buffer for [`Frontend::drive_batched`].
+    /// Reused read buffer of the two drivers.
     io_chunk: Vec<u8>,
     /// Reused event batch for [`Frontend::drive_batched`]: recycled
     /// (`clear` keeps arena capacity) so the batched drive allocates
@@ -531,25 +549,80 @@ impl<G: Grammar> Frontend<G> {
         Ok(())
     }
 
-    /// Streams a whole document from `reader` as *batches*: reads
-    /// fixed-size chunks, feeds them, finishes, and hands the recycled
-    /// [`EventBatch`] (events plus spans, arenas reused — zero
-    /// allocation per event in steady state) to `consume` whenever it
-    /// reaches [`BATCH_EVENTS`] events or [`BATCH_BYTES`] payload
-    /// bytes. One virtual call per batch replaces one per event — the
-    /// dispatch-amortized hot path `Session::run_reader*` rides. The
-    /// batch borrow handed to `consume` is only valid for that call.
+    /// Streams a whole document from `reader`: reads fixed-size chunks
+    /// into a recycled buffer, feeds them
+    /// ([`Frontend::feed_interned_bytes`]), finishes
+    /// ([`Frontend::finish_interned`]), and hands `emit` every event the
+    /// moment it is complete. A concrete closure monomorphizes all the
+    /// way into the grammar's token loop, so an in-thread consumer (a
+    /// filter, a bank) inlines into the tokenizer with nothing
+    /// materialized in between; this is what `Session::run_reader*`
+    /// rides.
     ///
     /// Memory is bounded by the chunk plus the largest single token,
     /// never by document size — and in [`Frontend::lookup_only`] mode
     /// (how the engine drives this) the shared symbol table stays
-    /// bounded by the compiled query vocabulary too.
+    /// bounded by the compiled query vocabulary too. Events completed
+    /// before an error (malformed input, a failed read) are emitted
+    /// before it is returned.
+    pub fn drive<R: Read, F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        mut reader: R,
+        emit: &mut F,
+    ) -> Result<(), ParseError> {
+        self.read_loop(&mut reader, emit, |emit, ev, span| emit(ev, span), |_| {})
+    }
+
+    /// [`Frontend::drive`] as *batches*, for a consumer on another
+    /// thread or one that replays a run more than once: events go into
+    /// the recycled [`EventBatch`] (events plus spans, arenas reused —
+    /// zero allocation per event in steady state), which `consume`
+    /// gets whenever it reaches [`BATCH_EVENTS`] events or
+    /// [`BATCH_BYTES`] payload bytes, checked once per read chunk. The
+    /// batch borrow handed to `consume` is only valid for that call.
     pub fn drive_batched<R: Read>(
         &mut self,
         mut reader: R,
         consume: &mut dyn FnMut(&EventBatch),
     ) -> Result<(), ParseError> {
         EventSource::drive_batched(self, &mut reader, consume)
+    }
+
+    /// The one read loop, under both drivers: every event goes to
+    /// `emit`, and `chunk_end` runs after each fed chunk (`state` is
+    /// what the two share). Not generic over the reader, so the feed it
+    /// monomorphizes over `emit` exists once per consumer.
+    fn read_loop<S: ?Sized>(
+        &mut self,
+        reader: &mut dyn Read,
+        state: &mut S,
+        emit: impl Fn(&mut S, SymEvent<'_>, Span),
+        chunk_end: impl Fn(&mut S),
+    ) -> Result<(), ParseError> {
+        // Take the recycled chunk out for the loop (so reading into it
+        // and feeding `self` borrow independently) and restore it on
+        // the one exit path.
+        let mut chunk = std::mem::take(&mut self.io_chunk);
+        if chunk.is_empty() {
+            chunk.resize(8 * 1024, 0);
+        }
+        let result = loop {
+            let n = match read_some(reader, &mut chunk, self.fed()) {
+                Ok(n) => n,
+                Err(e) => break Err(e),
+            };
+            if n == 0 {
+                break self.finish_interned(&mut |ev, span| emit(state, ev, span));
+            }
+            if let Err(e) =
+                self.feed_interned_bytes(&chunk[..n], &mut |ev, span| emit(state, ev, span))
+            {
+                break Err(e);
+            }
+            chunk_end(state);
+        };
+        self.io_chunk = chunk;
+        result
     }
 }
 
@@ -562,47 +635,40 @@ impl<G: Grammar> EventSource for Frontend<G> {
         Frontend::reset(self);
     }
 
-    // The one read loop (not generic over the reader, so the feed it
-    // monomorphizes over the batch-filling closure exists once).
+    fn drive(
+        &mut self,
+        reader: &mut dyn Read,
+        emit: &mut dyn FnMut(SymEvent<'_>, Span),
+    ) -> Result<(), ParseError> {
+        Frontend::drive(self, reader, emit)
+    }
+
     fn drive_batched(
         &mut self,
         reader: &mut dyn Read,
         consume: &mut dyn FnMut(&EventBatch),
     ) -> Result<(), ParseError> {
-        // Take the recycled buffers out for the loop (so filling them
-        // and feeding `self` borrow independently) and restore them on
-        // the one exit path.
         let mut batch = std::mem::take(&mut self.ev_batch);
         batch.clear();
-        let mut chunk = std::mem::take(&mut self.io_chunk);
-        if chunk.is_empty() {
-            chunk.resize(8 * 1024, 0);
-        }
-        let result = loop {
-            let n = match read_some(reader, &mut chunk, self.fed()) {
-                Ok(n) => n,
-                Err(e) => break Err(e),
-            };
-            if n == 0 {
-                break self.finish_interned(&mut |ev, span| batch.push(&ev, span));
-            }
-            if let Err(e) =
-                self.feed_interned_bytes(&chunk[..n], &mut |ev, span| batch.push(&ev, span))
-            {
-                break Err(e);
-            }
-            if batch.len() >= BATCH_EVENTS || batch.payload_bytes() >= BATCH_BYTES {
-                consume(&batch);
-                batch.clear();
-            }
-        };
+        let mut state = (batch, consume);
+        let result = self.read_loop(
+            reader,
+            &mut state,
+            |(batch, _), ev, span| batch.push(&ev, span),
+            |(batch, consume)| {
+                if batch.len() >= BATCH_EVENTS || batch.payload_bytes() >= BATCH_BYTES {
+                    consume(batch);
+                    batch.clear();
+                }
+            },
+        );
         // On an error too: the events completed before it are the
         // consumer's wherever the cut happened to fall.
+        let (mut batch, consume) = state;
         if !batch.is_empty() {
             consume(&batch);
         }
         batch.clear();
-        self.io_chunk = chunk;
         self.ev_batch = batch;
         result
     }
@@ -742,6 +808,9 @@ mod tests {
         );
         // StartDocument, <a>, <b>, </b> were complete before the fault.
         assert_eq!(events, 4);
+        let mut driven = 0;
+        let per_event = StreamingParser::new().drive(Broken(b"<a><b/>"), &mut |_, _| driven += 1);
+        assert_eq!((per_event.unwrap_err(), driven), (err.clone(), 4));
         let last = crate::EventIter::new(Broken(b"<a><b/>")).last().unwrap();
         assert_eq!(last.unwrap_err(), err);
     }

@@ -5,7 +5,8 @@
 //! for the `IndexedBank`'s shared-trie walk, and for the HTML-soup and
 //! JSON frontends feeding the same filter alike. And the guarantee that
 //! spawning a second run over an indexed bank — a session, a clone, a
-//! partition — costs the same handful of allocations at any bank size.
+//! partition — costs the same handful of allocations at any bank size;
+//! and that a warm session retains no buffer of events.
 //!
 //! Measured with a counting `#[global_allocator]`; this file holds a
 //! single test so no sibling test thread can pollute the counter.
@@ -26,35 +27,44 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 /// Counts every allocation and reallocation made by *this thread*
-/// (frees are irrelevant: a path that frees must have allocated). The
-/// counter is thread-local so harness/watchdog threads cannot pollute
-/// the measurement, and const-initialized so reading it inside the
+/// (frees are irrelevant to the count: a path that frees must have
+/// allocated) and the bytes this thread holds live. The counters are
+/// thread-local so harness/watchdog threads cannot pollute the
+/// measurement, and const-initialized so reading them inside the
 /// allocator never recurses into allocation.
 struct CountingAlloc;
 
 thread_local! {
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// One allocating call that leaves `grown` more bytes live.
+fn bump(grown: i64) {
     // TLS may be unavailable during thread teardown; skip counting then.
     let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    live(grown);
+}
+
+fn live(delta: i64) {
+    let _ = THREAD_LIVE_BYTES.try_with(|c| c.set(c.get() + delta));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -64,6 +74,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     THREAD_ALLOCATIONS.with(|c| c.get())
+}
+
+fn live_bytes() -> i64 {
+    THREAD_LIVE_BYTES.with(|c| c.get())
 }
 
 /// Pins a closure to the higher-ranked `for<'a> FnMut(SymEvent<'a>, _)`
@@ -346,9 +360,9 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     );
 
     // --- Batched drain: `drive_batched` → `process_batch_to`. --------
-    // The engine's default hot path since events became batch-native:
-    // the parser fills its recycled `EventBatch` from reader chunks and
-    // the bank walks each batch in one call. After warm-up grows the
+    // The path to a consumer that replays a run or sits on another
+    // thread: the parser fills its recycled `EventBatch` from reader
+    // chunks and the bank walks each batch in one call. After warm-up grows the
     // batch arena, the io chunk, and the banks' scratch, a whole
     // drive — thousands of events, several batch hand-offs — must not
     // allocate at all: `clear()` retains arena capacity and
@@ -398,12 +412,45 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     );
     assert_eq!(bank.results(), vec![Some(true), Some(true)]);
 
+    // --- Per-event drive: `drive` → `process_sym_to`. ------------------
+    // What the session and the server worker ride: the same read loop
+    // with no batch in it — each event goes to the banks as the
+    // tokenizer completes it, borrowed from the io chunk. Nothing is
+    // left to warm up but the banks' own per-event scratch.
+    let mut events = 0u64;
+    let mut drive = |events: &mut u64| {
+        parser.reset();
+        parser
+            .drive(doc.as_bytes(), &mut |ev: SymEvent<'_>, span| {
+                *events += 1;
+                bank.process_sym_to(ev, span, sink);
+                indexed.process_sym_to(ev, span, sink);
+            })
+            .unwrap();
+    };
+    drive(&mut events);
+    let (before, per_drive) = (allocations(), events);
+    for _ in 0..drives {
+        drive(&mut events);
+    }
+    let after = allocations();
+    assert!(per_drive > 2000 && events == (drives + 1) * per_drive);
+    assert_eq!(
+        after - before,
+        0,
+        "per-event drive (parse → bank, no batch) must not allocate in \
+         steady state ({} allocations over {drives} drives)",
+        after - before
+    );
+    assert_eq!(bank.results(), vec![Some(true), Some(true)]);
+    assert_eq!(indexed.results(), vec![Some(true), Some(true)]);
+
     // --- Product path: the engine's reader entry points. --------------
     // What `fxgrep` and `Engine::run_str` take. A document costs a
     // fixed handful of allocations (the `Verdicts` it returns) however
     // many element events, candidates and matches it holds: the
-    // session's one drive loop hands the filters recycled batches, never
-    // owned events; a leaf value test keeps its buffer offset inline and
+    // session's one drive loop hands the filters borrowed events, never
+    // owned ones; a leaf value test keeps its buffer offset inline and
     // compares the borrowed string; the reporter recycles its candidate
     // frames. Every shape below has candidates that grow with the scale
     // — value-restricted leaves (`price > 300`, `current > 500`) in the
@@ -468,6 +515,50 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
             delivered > 0,
             mode == Mode::Select,
             "{label}: matches reached the sink"
+        );
+    }
+
+    // --- Retained heap: the buffer is gone. ---------------------------
+    // The paper's machine keeps `O(FS(Q)·log d)` *bits* between events;
+    // what a warm session keeps besides is an 8 KiB io chunk, the
+    // structural index of one chunk, a name memo and — selecting — the
+    // reporter's buffers. Not a run of events: half a megabyte of
+    // documents leaves no arena sized by what passed through.
+    let docs: Vec<String> = (1..=16).map(xmark).collect();
+    assert!(docs.iter().map(String::len).sum::<usize>() > 400_000);
+    let retained: [(Mode, IndexPolicy, Vec<_>, i64); 3] = [
+        (
+            Mode::Filter,
+            IndexPolicy::None,
+            one("//category[@id]/name"),
+            64 << 10,
+        ),
+        (
+            Mode::Filter,
+            IndexPolicy::SharedPrefix,
+            standing(),
+            96 << 10,
+        ),
+        (Mode::Select, IndexPolicy::None, standing(), 160 << 10),
+    ];
+    for (mode, policy, queries, limit) in retained {
+        let engine = Engine::builder()
+            .queries(queries)
+            .mode(mode)
+            .index(policy)
+            .build()
+            .unwrap();
+        let before = live_bytes();
+        let mut session = engine.session();
+        for xml in &docs {
+            let sink = &mut |_: frontier_xpath::filter::Match| {};
+            session.run_reader_to(xml.as_bytes(), sink).unwrap();
+        }
+        let held = live_bytes() - before;
+        assert!(
+            (1..limit).contains(&held),
+            "{mode:?} × {policy:?} × {} queries: a warm session holds {held} B (limit {limit})",
+            session.len()
         );
     }
 

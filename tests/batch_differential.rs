@@ -1,12 +1,15 @@
-//! Batch ≡ per-event differential: `drive_batched` is pure
-//! control-transfer amortization, so across every frontend (XML, HTML,
-//! JSON, NDJSON) and every read-chunk geometry it must yield the
-//! identical event stream — same events, same spans — as per-event
-//! feed + finish, and the banks' batch walkers
+//! Batch ≡ per-event differential: `drive_batched` only materializes
+//! the stream `drive` hands over event by event, so across every
+//! frontend (XML, HTML, JSON, NDJSON) and every read-chunk geometry the
+//! two drivers must yield the identical event stream — same events,
+//! same spans — as per-event feed + finish, and the banks' batch walkers
 //! (`MultiFilter::process_batch_to`, `IndexedBank::process_batch_to`,
 //! `StreamFilter::process_batch_to`) must produce identical verdicts,
 //! match streams, and space statistics to per-event dispatch —
-//! including when a decided bank short-circuits mid-batch.
+//! including when a decided bank short-circuits mid-batch. The
+//! session's per-event drive keeps the error contract with no batch cut
+//! to hide behind: the matches of the events completed before a fault,
+//! the positioned error, a reusable session.
 //!
 //! Case counts honor `FX_PROPTEST_CASES` (CI pins a small count; local
 //! runs omit it to crank coverage).
@@ -120,6 +123,47 @@ fn batched_stream(
         )
         .unwrap();
     out
+}
+
+/// Owned `(event, span)` stream of a per-event drive.
+fn collect_into<'a>(
+    out: &'a mut Vec<(Event, XSpan)>,
+    symbols: &'a Symbols,
+) -> impl FnMut(SymEvent<'_>, XSpan) + 'a {
+    move |ev, span| out.push((ev.to_owned(symbols), span))
+}
+
+/// `drive` — called inherently (monomorphized over the closure) and
+/// through `&mut dyn EventSource` (one virtual call per event) — yields
+/// the stream of feed + finish and of `drive_batched`, each leg under
+/// its own read-chunk geometry.
+fn assert_drivers_agree<G: Grammar>(parser: &mut Frontend<G>, data: &[u8], chunk_seed: u64) {
+    let symbols = Arc::clone(parser.symbols());
+    parser.reset();
+    let reference = per_event_stream(parser, ChunkyReader::new(data, chunk_seed, 7));
+    let batched = batched_stream(parser, &symbols, data, chunk_seed + 1);
+    assert_eq!(batched, reference, "drive_batched, chunk seed {chunk_seed}");
+
+    let mut inherent = Vec::new();
+    parser.reset();
+    parser
+        .drive(
+            ChunkyReader::new(data, chunk_seed + 2, 11),
+            &mut collect_into(&mut inherent, &symbols),
+        )
+        .unwrap();
+    assert_eq!(inherent, reference, "drive, chunk seed {chunk_seed}");
+
+    let mut through_dyn = Vec::new();
+    let source: &mut dyn EventSource = parser;
+    source.reset();
+    source
+        .drive(
+            &mut ChunkyReader::new(data, chunk_seed + 3, 5),
+            &mut collect_into(&mut through_dyn, &symbols),
+        )
+        .unwrap();
+    assert_eq!(through_dyn, reference, "dyn drive, chunk seed {chunk_seed}");
 }
 
 /// XML per-event reference vs the batched drive, across chunk cuts.
@@ -416,6 +460,139 @@ fn single_filter_batch_drain_matches_per_event() {
     assert_eq!(batched.stats().events, per_event.stats().events);
 }
 
+/// Yields its bytes under a seeded chunk geometry, then — if `breaks` —
+/// fails instead of reporting end of input.
+struct Cable<'a> {
+    bytes: ChunkyReader<'a>,
+    breaks: bool,
+}
+
+impl Read for Cable<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        match self.bytes.read(out)? {
+            0 if self.breaks => Err(std::io::Error::other("cable cut")),
+            n => Ok(n),
+        }
+    }
+}
+
+/// Every shape of session the engine builds, by label: the three
+/// `SessionInner` variants × filter/select (the shapes of
+/// `engine_differential::error_exits_leave_every_session_shape_reusable`).
+fn session_shapes() -> Vec<(&'static str, Engine)> {
+    use {IndexPolicy::SharedPrefix, Mode::*};
+    let (one, two) = (["//a[b > 5]"], ["//a[b > 5]", "//x//b"]);
+    let flat = IndexPolicy::None;
+    let shapes: [(&str, &[&str], Mode, IndexPolicy); 6] = [
+        ("single filter", &one, Filter, flat),
+        ("single select", &one, Select, flat),
+        ("bank", &two, Filter, flat),
+        ("bank select", &two, Select, flat),
+        ("indexed", &two, Filter, SharedPrefix),
+        ("indexed select", &two, Select, SharedPrefix),
+    ];
+    let build = |(label, srcs, mode, index): (_, &[&str], _, _)| {
+        let queries = srcs.iter().map(|s| parse_query(s).unwrap());
+        let builder = Engine::builder().queries(queries).mode(mode);
+        (label, builder.index(index).build().unwrap())
+    };
+    shapes.into_iter().map(build).collect()
+}
+
+/// The session's drive has no batch between tokenizer and evaluators,
+/// so an error has no cut to fall before or after: on every session
+/// shape and through each of the drive's three doors (the session's own
+/// tokenizer, a handed-in source on the engine's table, one on a
+/// foreign table), a document malformed after > 1 024 events and a
+/// reader that fails mid-stream deliver exactly the matches of the
+/// events completed before the fault, return the positioned error, and
+/// leave the session reading the next document like a fresh one.
+#[test]
+fn a_fault_mid_stream_keeps_the_error_contract_on_every_session_shape() {
+    let prefix = "<a><b>9</b></a>".repeat(600);
+    let malformed = format!("<r>{prefix}<x><a><b>7</b></a><a></x></r>");
+    let cut_short = format!("<r>{prefix}<x><a><b>7</b></a><a><b>");
+    let good = "<r><a><b>1</b></a><x><a><b>7</b></a></x></r>";
+    for (label, engine) in session_shapes() {
+        let selecting = engine.mode() == Mode::Select;
+        for (chunk_seed, max_chunk) in [(1u64, 13usize), (2, 700), (3, 1 << 16)] {
+            for read_fails in [false, true] {
+                let data = if read_fails { &cut_short } else { &malformed }.as_bytes();
+                // Reference: the same bytes through a private interning
+                // tokenizer, each owned event hand-pushed into a second
+                // session until the fault.
+                let (mut pushed, mut want): (Session, Vec<Match>) = (engine.session(), Vec::new());
+                let mut tokenizer = StreamingParser::new();
+                let table = Arc::clone(tokenizer.symbols());
+                let mut events = 0usize;
+                let mut push = |ev: SymEvent<'_>, span| {
+                    events += 1;
+                    pushed.push_spanned_to(&ev.to_owned(&table), span, &mut want)
+                };
+                let want_err = if read_fails {
+                    tokenizer.feed_interned_bytes(data, &mut push).unwrap();
+                    format!(
+                        "XML parse error at byte {}: read error: cable cut",
+                        data.len() + 1
+                    )
+                } else {
+                    feed_and_finish(&mut tokenizer, data, &mut push)
+                        .unwrap_err()
+                        .to_string()
+                };
+                assert!(events > 3000, "the fault comes late: {events} events");
+                // Not vacuous: a selecting shape confirmed matches on
+                // both sides of the 1 024-event mark before the fault.
+                assert_eq!(want.len() > 600, selecting, "{label}");
+                assert_eq!(want.is_empty(), !selecting, "{label}");
+
+                let on_table =
+                    || StreamingParser::with_symbols(Arc::clone(engine.symbols())).lookup_only();
+                let doors: [(&str, Option<StreamingParser>); 3] = [
+                    ("own tokenizer", None),
+                    ("source on the engine's table", Some(on_table())),
+                    ("source on a foreign table", Some(StreamingParser::new())),
+                ];
+                for (door, mut source) in doors {
+                    let at = format!("{label} / {door} / chunks ≤ {max_chunk} / {want_err}");
+                    let mut session = engine.session();
+                    let mut run = |reader: &mut dyn Read, sink: &mut Vec<Match>| match &mut source {
+                        None => session.run_reader_to(reader, sink),
+                        Some(source) => session.run_source_to(source, reader, sink),
+                    };
+                    let mut got: Vec<Match> = Vec::new();
+                    let mut cable = Cable {
+                        bytes: ChunkyReader::new(data, chunk_seed, max_chunk),
+                        breaks: read_fails,
+                    };
+                    let err = run(&mut cable, &mut got).unwrap_err();
+                    let EngineError::Parse(err) = err else {
+                        panic!("{at}: {err}")
+                    };
+                    assert_eq!(err.to_string(), want_err, "{at}");
+                    assert_eq!(got, want, "{at}");
+
+                    let mut next: Vec<Match> = Vec::new();
+                    let verdicts = run(&mut good.as_bytes(), &mut next).unwrap();
+                    let mut fresh: Vec<Match> = Vec::new();
+                    let want_verdicts = engine
+                        .session()
+                        .run_reader_to(good.as_bytes(), &mut fresh)
+                        .unwrap();
+                    assert_eq!(verdicts.matched(), want_verdicts.matched(), "{at}");
+                    assert_eq!(
+                        verdicts.peak_memory_bits(),
+                        want_verdicts.peak_memory_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(next, fresh, "{at}");
+                    assert_eq!(next.is_empty(), !selecting, "{at}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fx_cases(32)))]
 
@@ -431,7 +608,31 @@ proptest! {
         assert_indexed_parity(&xml, chunk_seed);
     }
 
-    /// Engine-level parity: `run_reader_to` (now batched inside) equals
+    /// The two drivers and feed + finish yield one `(event, span)`
+    /// stream on every frontend, whatever the read-chunk geometry.
+    #[test]
+    fn drive_matches_feed_finish_and_drive_batched_on_every_frontend(
+        seed in 0u64..1_000_000,
+        chunk_seed in 0u64..1_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let xml = random_document(&mut rng, &RandomDocConfig::default()).to_xml();
+        assert_drivers_agree(&mut StreamingParser::new(), xml.as_bytes(), chunk_seed);
+        let html = html_soup_document(&mut rng, &HtmlSoupConfig::default()).html;
+        assert_drivers_agree(&mut HtmlParser::new(), html.as_bytes(), chunk_seed);
+        let cfg = JsonRecordsConfig::default();
+        let json = json_record(&mut rng, &cfg).json;
+        assert_drivers_agree(&mut JsonParser::new(), json.as_bytes(), chunk_seed);
+        // NDJSON forbids a raw newline inside a record: flatten the
+        // generator's (same byte count, same token stream).
+        let records: Vec<String> = (0..3)
+            .map(|_| json_record(&mut rng, &cfg).json.replace('\n', " "))
+            .collect();
+        let ndjson = records.join("\n") + "\n";
+        assert_drivers_agree(&mut NdjsonParser::new(), ndjson.as_bytes(), chunk_seed);
+    }
+
+    /// Engine-level parity: `run_reader_to` (per-event inside) equals
     /// hand-driven per-event evaluation on verdicts and match streams,
     /// for both the multi-filter bank and the indexed bank.
     #[test]
