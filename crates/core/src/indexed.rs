@@ -93,11 +93,10 @@
 //! (`Arc<CompiledQuery>` beside its state), one level down.
 //!
 //! The bank holds its index behind an [`Arc`], so a [`Clone`] — an
-//! engine session, a `run_sharded` worker, an [`IndexedBank::partition`]
-//! shard — copies the run and bumps one refcount: a second run over the
-//! same queries costs the same handful of allocations at a thousand
-//! subscriptions as at ten. A clone carries its source's in-flight
-//! document; a shard starts a fresh run. Churn goes through
+//! engine session, a `run_sharded` worker — copies the run and bumps one
+//! refcount: a second run over the same queries costs the same handful
+//! of allocations at a thousand subscriptions as at ten. A clone carries
+//! its source's in-flight document. Churn goes through
 //! [`Arc::make_mut`]: free while the bank is the index's only holder
 //! (every `fx-server` worker's is), and one copy of the index — copy on
 //! write — the first time a bank that shares it churns, after which it
@@ -547,15 +546,6 @@ struct Index {
 /// sized by [`Run::fit`] in the churn call that grew the index.
 #[derive(Debug, Clone, Default)]
 struct Run {
-    /// Per-group ownership mask of a bank shard produced by
-    /// [`IndexedBank::partition`] (`None` for every unsharded bank:
-    /// the bank owns all of its groups). A shard runs the shared trie
-    /// walk and the dormancy bookkeeping for **every** group — that is
-    /// what keeps its record/dormant trajectories, and hence the
-    /// shared-segment space accounting, identical to the unsharded
-    /// bank's — but spawns residual instances, confirms terminals and
-    /// routes matches only for the groups it owns.
-    shard_owned: Option<Vec<bool>>,
     /// The shared frontier segment: one record per open occurrence of a
     /// trie path. A **stack** sorted by level — a start tag at level
     /// `l` pushes level `l + 1` only, an end tag pops the tail above
@@ -690,46 +680,6 @@ impl IndexSpaceStats {
         } else {
             self.activations as f64 / self.events as f64
         }
-    }
-
-    /// Combines per-shard stats from an [`IndexedBank::partition`] run
-    /// over one event stream into the figures of the equivalent
-    /// unsharded bank. Field by field:
-    ///
-    /// - `residual_bits` and `activations` **sum** — each group's
-    ///   instances live in exactly one shard, and its owning shard's
-    ///   trajectory for them is event-for-event the unsharded one, so
-    ///   both sums are exact (in reporting *and* filtering mode).
-    /// - `shared_trie_bits`, `peak_records`, `events`, `groups` and
-    ///   `residual_pool` take the **max** — every shard walks the same
-    ///   shared segment over the same stream, so in reporting mode all
-    ///   shards agree and the max is the exact common value. (In
-    ///   filtering mode a non-owning shard may retain dormancy entries
-    ///   past a group's accept, so the max can exceed the unsharded
-    ///   `shared_trie_bits`, never undershoot it.)
-    /// - `peak_instances` **sums**, which is an upper bound, not the
-    ///   exact unsharded figure: per-shard peaks may occur at
-    ///   different events, and a sum of per-shard maxima bounds the
-    ///   maximum of the sum from above. The exact joint peak is not
-    ///   recoverable from per-shard summaries.
-    /// - `total_bits` is recomputed as `shared_trie_bits +
-    ///   residual_bits` of the merged figures.
-    ///
-    /// Merging an empty slice yields the default (all-zero) stats.
-    pub fn merge_sharded(shards: &[IndexSpaceStats]) -> IndexSpaceStats {
-        let mut out = IndexSpaceStats::default();
-        for s in shards {
-            out.shared_trie_bits = out.shared_trie_bits.max(s.shared_trie_bits);
-            out.residual_bits += s.residual_bits;
-            out.peak_records = out.peak_records.max(s.peak_records);
-            out.peak_instances += s.peak_instances;
-            out.activations += s.activations;
-            out.events = out.events.max(s.events);
-            out.groups = out.groups.max(s.groups);
-            out.residual_pool = out.residual_pool.max(s.residual_pool);
-        }
-        out.total_bits = out.shared_trie_bits + out.residual_bits;
-        out
     }
 }
 
@@ -1024,18 +974,7 @@ impl IndexedBank {
     /// view of the in-flight document is partial). Names the query adds
     /// to the table need no announcement — every name resolver on the
     /// table picks them up at its own next document (`fx_xml::SymCache`).
-    ///
-    /// # Panics
-    ///
-    /// On a shard produced by [`IndexedBank::partition`]: shards are
-    /// read-only snapshots of the parent's subscription set (churn
-    /// would desynchronize the group-ownership masks). Churn the
-    /// parent bank, then re-partition.
     pub fn subscribe(&mut self, q: &Query) -> Result<SubscriptionId, UnsupportedQuery> {
-        assert!(
-            self.run.shard_owned.is_none(),
-            "subscribe on a bank shard: churn the parent bank and re-partition"
-        );
         // Validation only reads: an unsupported query copies no index.
         let compiled = self.index.validate(q)?;
         let index = Arc::make_mut(&mut self.index);
@@ -1060,16 +999,7 @@ impl IndexedBank {
     /// [`CompactionPolicy`]).
     ///
     /// Returns `false` for unknown or already-withdrawn ids.
-    ///
-    /// # Panics
-    ///
-    /// On a shard produced by [`IndexedBank::partition`] (see
-    /// [`IndexedBank::subscribe`]).
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        assert!(
-            self.run.shard_owned.is_none(),
-            "unsubscribe on a bank shard: churn the parent bank and re-partition"
-        );
         let Some(&slot) = self.index.subs.get(&id.0) else {
             return false;
         };
@@ -1106,18 +1036,8 @@ impl IndexedBank {
     /// Only effective between documents (mid-document calls return
     /// `false` and change nothing). Returns `true` when a rebuild
     /// happened.
-    ///
-    /// # Panics
-    ///
-    /// On a shard produced by [`IndexedBank::partition`] (the rebuild
-    /// renumbers groups, which would desynchronize the ownership
-    /// mask); see [`IndexedBank::subscribe`].
     pub fn compact(&mut self) -> bool {
         let (old, run) = (&*self.index, &mut self.run);
-        assert!(
-            run.shard_owned.is_none(),
-            "compact on a bank shard: churn the parent bank and re-partition"
-        );
         // "Between documents" ⇔ nothing processed yet, or the last
         // document ran to `EndDocument`.
         if old.dead_slots == 0 || !(run.events == 0 || run.finished) {
@@ -1171,86 +1091,6 @@ impl IndexedBank {
         {
             self.compact();
         }
-    }
-
-    // -- bank sharding ------------------------------------------------------
-
-    /// Splits the bank into `shards` sub-banks for parallel evaluation
-    /// of **one** event stream: each shard shares this bank's index
-    /// (same trie, groups, residual pool and symbol table — a refcount
-    /// bump, not a copy) and starts a fresh run carrying a
-    /// group-ownership mask, with every group owned by exactly one
-    /// shard (greedily balanced by member count). Feed the identical
-    /// interned event sequence to every shard — on separate threads,
-    /// via `fx_xml::EventBatch` broadcast — then combine: per-slot
-    /// verdicts and matches come from the shard that
-    /// [`IndexedBank::owns_slot`], and per-shard
-    /// [`IndexedBank::space_stats`] merge through
-    /// [`IndexSpaceStats::merge_sharded`].
-    ///
-    /// **Equivalence.** Every shard runs the shared trie walk and the
-    /// dormancy bookkeeping for all groups — the shared-segment
-    /// trajectory (records *and* dormant activations) is identical in
-    /// every shard and identical to this bank's, so in reporting mode
-    /// `shared_trie_bits`/`peak_records` are exact, not estimates.
-    /// Only residual-instance spawning, terminal confirmation and
-    /// match routing are gated by ownership, so each group's
-    /// instance-side behaviour (verdicts, matches, `peak_bits`,
-    /// activation counts) in its owning shard is event-for-event what
-    /// the unsharded bank computes. In filtering mode the accepted-
-    /// group short-circuit is ownership-local — a non-owning shard
-    /// keeps dormancy entries the unsharded bank would have dropped
-    /// after the group accepted — so a shard's `shared_trie_bits` may
-    /// exceed (never undershoot) the unsharded figure; verdicts are
-    /// unaffected.
-    ///
-    /// Shards are read-only snapshots of the subscription set: churn
-    /// ([`IndexedBank::subscribe`] / [`IndexedBank::unsubscribe`] /
-    /// [`IndexedBank::compact`]) panics on a shard — churn the parent
-    /// and re-partition. A shard starts with no per-document state and
-    /// zeroed statistics, so merged stats account exactly the documents
-    /// processed after the split. Call between documents.
-    ///
-    /// `shards` is clamped to at least 1; asking for more shards than
-    /// live groups yields trailing shards that own nothing (they still
-    /// track the shared segment — harmless, but wasted work).
-    pub fn partition(&self, shards: usize) -> Vec<IndexedBank> {
-        let shards = shards.max(1);
-        let groups = &self.index.groups;
-        // Greedy balance: heaviest group first, onto the lightest
-        // shard. Weight 1 + |members| — a group costs its instance
-        // churn plus per-member match fan-out; tombstoned groups
-        // weigh nothing and are skipped at every activation site
-        // anyway.
-        let mut order: Vec<usize> = (0..groups.len()).collect();
-        order.sort_by_key(|&g| std::cmp::Reverse(groups[g].members.len()));
-        let mut load = vec![0usize; shards];
-        let mut owner = vec![0usize; groups.len()];
-        for g in order {
-            let lightest = (0..shards).min_by_key(|&s| load[s]).unwrap_or(0);
-            owner[g] = lightest;
-            if !groups[g].members.is_empty() {
-                load[lightest] += 1 + groups[g].members.len();
-            }
-        }
-        (0..shards)
-            .map(|s| {
-                let mut run = Run::new(&self.index);
-                run.shard_owned = Some(owner.iter().map(|&o| o == s).collect());
-                IndexedBank {
-                    index: Arc::clone(&self.index),
-                    run,
-                }
-            })
-            .collect()
-    }
-
-    /// Whether this bank owns the group of slot `slot` — the shard
-    /// whose [`IndexedBank::results`] entry, routed matches and
-    /// per-group statistics are authoritative for that query. Always
-    /// true for an unsharded bank.
-    pub fn owns_slot(&self, slot: usize) -> bool {
-        self.run.owns(self.index.query_group[slot] as usize)
     }
 
     /// The stable id of the subscription currently occupying `slot`
@@ -1555,17 +1395,6 @@ impl Run {
         self.wake_chains.fit(heads);
     }
 
-    /// Whether this run owns group `g` — always true for an unsharded
-    /// bank, and true for exactly one shard of a
-    /// [`IndexedBank::partition`] per group.
-    #[inline]
-    fn owns(&self, g: usize) -> bool {
-        match &self.shard_owned {
-            None => true,
-            Some(mask) => mask[g],
-        }
-    }
-
     /// Empties the shared segment — records, dormant activations, their
     /// chains — and removes every live instance, in time proportional
     /// to what is there: the stacks pop, the head tables are never
@@ -1753,9 +1582,6 @@ impl Run {
             for &g in &node.terminal {
                 if index.groups[g as usize].members.is_empty() {
                     continue; // tombstoned, awaiting compaction
-                }
-                if !self.owns(g as usize) {
-                    continue; // another shard confirms this group
                 }
                 self.touch(g as usize);
                 if index.reporting {
@@ -1997,13 +1823,6 @@ impl Run {
             }
             self.dormant[entry as usize].live = false;
             self.release_dormant(d.group as usize);
-            // A shard tracks dormancy for every group (shared-segment
-            // parity) but wakes instances only for its own: the entry
-            // is consumed exactly when the unsharded bank would
-            // consume it, and the owning shard does the work.
-            if !self.owns(d.group as usize) {
-                continue;
-            }
             let rel = lvl as i64 - d.root_level - 1;
             debug_assert!(rel >= 0, "dormant entries live above the event");
             let idx = self.spawn_instance(index, d.group, d.root_level, rel as usize);
@@ -2970,14 +2789,6 @@ mod tests {
         );
         ib.unsubscribe(ib.subscription_of(3).unwrap());
         assert!(!ib.compact(), "mid-document: compaction waits");
-        for mut shard in ib.partition(2) {
-            assert_chains_consistent(&shard);
-            let owned: Vec<usize> = (0..3).filter(|&s| shard.owns_slot(s)).collect();
-            let (got, _) = reading(&mut shard);
-            for s in owned {
-                assert_eq!(got[s].0, want.0[s].0, "shard verdict of slot {s}");
-            }
-        }
         // Tombstoned trie linkage still costs records until compaction:
         // verdicts agree now, every bit of the accounting afterwards.
         let verdicts = |r: &(Vec<(Option<bool>, u64)>, u64)| -> Vec<_> {

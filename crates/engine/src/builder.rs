@@ -216,12 +216,6 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// The prebuilt shared-prefix bank prototype, for the sharded
-    /// runners ([`IndexPolicy::SharedPrefix`] engines only).
-    pub(crate) fn indexed_proto(&self) -> Option<&IndexedBank> {
-        self.indexed.as_ref()
-    }
-
     /// Number of registered queries.
     pub fn len(&self) -> usize {
         self.queries.len()

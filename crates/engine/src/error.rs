@@ -36,9 +36,6 @@ pub enum EngineError {
     Parse(ParseError),
     /// `finish()` was called before `EndDocument` was seen.
     IncompleteDocument,
-    /// Bank sharding was requested on an engine without a shared-prefix
-    /// index.
-    ShardingRequiresIndex,
 }
 
 impl fmt::Display for EngineError {
@@ -57,13 +54,6 @@ impl fmt::Display for EngineError {
             EngineError::Parse(e) => write!(f, "document stream: {e}"),
             EngineError::IncompleteDocument => {
                 write!(f, "finish() called before EndDocument was pushed")
-            }
-            EngineError::ShardingRequiresIndex => {
-                write!(
-                    f,
-                    "bank sharding partitions the shared-prefix trie's query groups; \
-                     build the engine with .index(IndexPolicy::SharedPrefix)"
-                )
             }
         }
     }

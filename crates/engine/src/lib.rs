@@ -136,4 +136,3 @@ pub use builder::{Engine, EngineBuilder, IndexPolicy, Mode};
 pub use error::EngineError;
 pub use fx_core::{IndexSpaceStats, Match, MatchSink};
 pub use session::{Outcome, Session, Verdicts};
-pub use sharded::{BankShardedOutcome, BatchRing};

@@ -215,11 +215,16 @@ impl Session {
     /// grouped per query: the batch face of selection.
     pub fn finish_outcome(&mut self) -> Result<Outcome, EngineError> {
         let verdicts = self.finish()?;
+        Ok(self.outcome(verdicts))
+    }
+
+    /// `verdicts` with the outbox's matches grouped per query.
+    fn outcome(&mut self, verdicts: Verdicts) -> Outcome {
         let mut matches: Vec<Vec<Match>> = (0..verdicts.len()).map(|_| Vec::new()).collect();
         for m in self.collected.drain(..) {
             matches[m.query].push(m);
         }
-        Ok(Outcome { verdicts, matches })
+        Outcome { verdicts, matches }
     }
 
     /// Streams one whole document from `reader` and finishes: the
@@ -237,8 +242,7 @@ impl Session {
     /// the engine-wide table, so a long-lived engine's memory stays
     /// bounded by its queries, never by document content.
     pub fn run_reader<R: Read>(&mut self, mut reader: R) -> Result<Verdicts, EngineError> {
-        self.drive(None, &mut reader, None)?;
-        self.finish()
+        self.drive(None, &mut reader, None)
     }
 
     /// Streams one whole document from `reader`, delivering each match
@@ -268,15 +272,14 @@ impl Session {
         mut reader: R,
         sink: &mut dyn MatchSink,
     ) -> Result<Verdicts, EngineError> {
-        self.drive(None, &mut reader, Some(sink))?;
-        self.finish()
+        self.drive(None, &mut reader, Some(sink))
     }
 
     /// Streams one whole document from `reader` and returns the full
     /// [`Outcome`] — verdicts plus the collected per-query matches.
     pub fn run_reader_outcome<R: Read>(&mut self, mut reader: R) -> Result<Outcome, EngineError> {
-        self.drive(None, &mut reader, None)?;
-        self.finish_outcome()
+        let verdicts = self.drive(None, &mut reader, None)?;
+        Ok(self.outcome(verdicts))
     }
 
     /// [`Session::run_reader`] generalized over the event frontend:
@@ -298,8 +301,7 @@ impl Session {
         source: &mut dyn EventSource,
         mut reader: R,
     ) -> Result<Verdicts, EngineError> {
-        self.drive(Some(source), &mut reader, None)?;
-        self.finish()
+        self.drive(Some(source), &mut reader, None)
     }
 
     /// [`Session::run_source`], delivering each match to `sink` *as it
@@ -310,8 +312,7 @@ impl Session {
         mut reader: R,
         sink: &mut dyn MatchSink,
     ) -> Result<Verdicts, EngineError> {
-        self.drive(Some(source), &mut reader, Some(sink))?;
-        self.finish()
+        self.drive(Some(source), &mut reader, Some(sink))
     }
 
     /// [`Session::run_source`], returning the full [`Outcome`] —
@@ -321,8 +322,8 @@ impl Session {
         source: &mut dyn EventSource,
         mut reader: R,
     ) -> Result<Outcome, EngineError> {
-        self.drive(Some(source), &mut reader, None)?;
-        self.finish_outcome()
+        let verdicts = self.drive(Some(source), &mut reader, None)?;
+        Ok(self.outcome(verdicts))
     }
 
     /// The one drive loop: streams one document from `reader` through
@@ -335,7 +336,13 @@ impl Session {
     /// driven by its concrete type, so the evaluators inline into its
     /// token loop; a handed-in source costs one virtual call per event.
     /// A parse or read error ends the drive only after the events
-    /// completed before it were evaluated.
+    /// completed before it were evaluated; a clean drive ends in
+    /// [`Session::finish`].
+    ///
+    /// A stream that held no document at all (an NDJSON stream without
+    /// a record) delivers no event, so the evaluators still hold
+    /// whatever came before: it reads as every query unmatched, with
+    /// zero peak bits.
     ///
     /// The one exception is a source whose symbol table is not the
     /// engine's: its syms mean nothing to the compiled node tests, so
@@ -346,7 +353,8 @@ impl Session {
         source: Option<&mut dyn EventSource>,
         reader: &mut dyn Read,
         sink: Option<&mut dyn MatchSink>,
-    ) -> Result<(), EngineError> {
+    ) -> Result<Verdicts, EngineError> {
+        let delivered = self.events;
         let Session {
             inner,
             events,
@@ -384,7 +392,17 @@ impl Session {
                 }
             }
         };
-        result.map_err(EngineError::from)
+        result?;
+        if self.events == delivered {
+            let queries = self.len();
+            return Ok(Verdicts {
+                matched: vec![false; queries],
+                peak_bits: vec![0; queries],
+                peak_pending: vec![0; queries],
+                events: self.events,
+            });
+        }
+        self.finish()
     }
 }
 

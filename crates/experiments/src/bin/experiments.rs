@@ -10,7 +10,7 @@
 use fx_analysis::{frontier_size, redundancy_free};
 use fx_automata::{BufferingFilter, LazyDfaFilter, NfaFilter};
 use fx_core::{MultiFilter, StreamFilter};
-use fx_engine::{Engine, IndexPolicy};
+use fx_engine::Engine;
 use fx_lowerbounds::{
     depth_bound, disj_segments, frontier_bound, probe, probe_fooling_set, sets_intersect,
 };
@@ -644,38 +644,6 @@ fn scale() -> bool {
             mb_s
         })
         .collect();
-
-    // Bank sharding: one large document against a 1024-query
-    // shared-prefix bank split into K shard banks fed from a single
-    // parse. The parse stays serial, so Amdahl caps this axis lower.
-    let mut rng = SmallRng::seed_from_u64(0xBEC + 1024);
-    let bank = wl::random_shared_prefix_bank(
-        &mut rng,
-        &wl::SharedPrefixBankConfig {
-            families: 64,
-            queries_per_family: 16,
-            prefix_depth: 3,
-            cross_family_tails: false,
-        },
-    );
-    let xml = bank.document_repeated(&[0, 1], 4, 8, 32);
-    let engine = Engine::builder()
-        .queries(bank.queries.iter().cloned())
-        .index(IndexPolicy::SharedPrefix)
-        .build()
-        .expect("shared-prefix bank compiles");
-    println!("\n-- bank-sharded: one document, 1024-query bank, Engine::run_bank_sharded --");
-    println!("{:>7}  {:>10}", "shards", "MB/s");
-    for &shards in &widths {
-        let mb_s = best_mb_s(xml.len(), || {
-            black_box(
-                engine
-                    .run_bank_sharded(&xml, shards)
-                    .expect("well-formed document"),
-            );
-        });
-        println!("{shards:>7}  {mb_s:>10.1}");
-    }
 
     if width < 4 {
         println!("\nspeedup gate: skipped (parallelism={width})\n");

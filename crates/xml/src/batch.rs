@@ -1,16 +1,17 @@
-//! Owned, reusable batches of interned events, for handing a parsed
-//! stream across threads.
+//! Owned, reusable batches of interned events, for a consumer that
+//! must hold a run of a parsed stream.
 //!
 //! A [`crate::SymEvent`] borrows the parser's scratch buffers, so it
-//! cannot outlive the emit callback — fine for the single-threaded
-//! hot path, useless for broadcasting one event stream to K bank
-//! shards on other threads. An [`EventBatch`] materializes a run of
-//! events into flat arenas it owns: one fixed-size op record per
-//! event, one `String` arena for text and attribute values, one flat
-//! attribute list. Batches are built once by the producer, replayed
+//! cannot outlive the emit callback — which is all an in-thread
+//! consumer needs, and every product path is one (events never leave
+//! the thread that tokenized them). An [`EventBatch`] materializes a
+//! run of events into flat arenas it owns, for a consumer that replays
+//! the run or could not be reached by a call: one fixed-size op record
+//! per event, one `String` arena for text and attribute values, one
+//! flat attribute list. Batches are built once by the producer, replayed
 //! any number of times by consumers, and **reused**: [`EventBatch::clear`]
-//! keeps every arena's capacity, so a bounded ring of batches performs
-//! zero allocations per event in steady state (proven by
+//! keeps every arena's capacity, so a recycled batch performs zero
+//! allocations per event in steady state (proven by
 //! `tests/alloc_steady_state.rs`).
 //!
 //! Replay reconstructs borrowed [`SymEvent`]s: text payloads borrow
@@ -23,9 +24,8 @@ use crate::symbols::{AttrBuf, Sym, SymEvent};
 
 /// Default batch cut on event count: producers publish a batch once it
 /// holds this many events. Sized so one batch amortizes a hand-off that
-/// cannot be a plain call — a ring slot published to other threads, one
-/// wake-up per ~1024 events instead of per event — while staying small
-/// enough to live in cache. An in-thread consumer needs no batch at
+/// cannot be a plain call — one per ~1024 events instead of per event —
+/// while staying small enough to live in cache. An in-thread consumer needs no batch at
 /// all: it takes borrowed events from [`crate::Frontend::drive`].
 pub const BATCH_EVENTS: usize = 1024;
 

@@ -188,6 +188,10 @@ impl<'a> Parser<'a> {
 
     fn run(&mut self) -> Result<(), ParseError> {
         self.emit(Event::StartDocument, Span::point(0));
+        // A byte-order mark may open the input (XML 1.0 §4.3.3).
+        if self.starts_with("\u{feff}") {
+            self.bump('\u{feff}'.len_utf8());
+        }
         // Prolog: XML declaration, comments, PIs, DOCTYPE.
         loop {
             self.skip_ws();

@@ -74,6 +74,11 @@ impl Grammar for XmlGrammar {
         at_eof: bool,
         emit: &mut F,
     ) -> Result<(), ParseError> {
+        // A byte-order mark may open the stream (XML 1.0 §4.3.3); it is
+        // no part of the document, and spans stay source offsets.
+        if cur.offset() == 0 && buf[cur.pos..].starts_with('\u{feff}') {
+            cur.advance('\u{feff}'.len_utf8());
+        }
         let mut idx = std::mem::take(&mut self.struct_idx);
         idx.clear();
         assert!(

@@ -24,6 +24,9 @@
 //! they are confirmed (often long before end-of-document), each carrying
 //! the source byte span of the matched element, so downstream tooling
 //! can cut the fragment straight out of the file.
+//!
+//! Exit status, as grep's: 0 some input matched, 1 none did, 2 a usage
+//! error or an input that could not be opened or parsed.
 
 use frontier_xpath::prelude::*;
 use std::io::Read;
@@ -111,8 +114,8 @@ fn main() -> ExitCode {
     };
     // One session per file: the session's event counter is cumulative
     // across the documents it processes, and `-v` should report each
-    // file on its own.
-    let mut run = |label: &str, reader: &mut dyn Read| {
+    // file on its own. Returns whether the input could be read.
+    let mut run = |label: &str, reader: &mut dyn Read| -> bool {
         let mut session = engine.session();
         // Matches print as the engine confirms them, mid-stream.
         let mut matches = 0usize;
@@ -145,25 +148,33 @@ fn main() -> ExitCode {
                         verdicts.events()
                     );
                 }
+                true
             }
-            Err(e) => eprintln!("{label}: {e}"),
+            Err(e) => {
+                eprintln!("{label}: {e}");
+                false
+            }
         }
     };
 
+    let mut failed = false;
     if files.is_empty() {
         let mut stdin = std::io::stdin().lock();
-        run("<stdin>", &mut stdin);
+        failed |= !run("<stdin>", &mut stdin);
     } else {
         for path in files {
             match std::fs::File::open(path) {
-                Ok(mut f) => run(path, &mut f),
-                Err(e) => eprintln!("{path}: {e}"),
+                Ok(mut f) => failed |= !run(path, &mut f),
+                Err(e) => {
+                    failed = true;
+                    eprintln!("{path}: {e}");
+                }
             }
         }
     }
-    if any_match {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
+    match (failed, any_match) {
+        (true, _) => ExitCode::from(2),
+        (false, true) => ExitCode::SUCCESS,
+        (false, false) => ExitCode::from(1),
     }
 }

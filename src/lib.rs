@@ -127,8 +127,8 @@ pub mod prelude {
     pub use fx_core::{IndexSpaceStats, IndexedBank, MultiFilter, SpaceStats, StreamFilter};
     pub use fx_dom::Document;
     pub use fx_engine::{
-        BankShardedOutcome, BatchRing, Engine, EngineBuilder, EngineError, IndexPolicy, Match,
-        MatchSink, Mode, Outcome, Session, Verdicts,
+        Engine, EngineBuilder, EngineError, IndexPolicy, Match, MatchSink, Mode, Outcome, Session,
+        Verdicts,
     };
     pub use fx_eval::{bool_eval, document_matches, full_eval};
     pub use fx_html::{parse_html, HtmlParser};

@@ -4,8 +4,8 @@
 //! the parse → intern → tag-dispatch path, for a single `StreamFilter`,
 //! for the `IndexedBank`'s shared-trie walk, and for the HTML-soup and
 //! JSON frontends feeding the same filter alike. And the guarantee that
-//! spawning a second run over an indexed bank — a session, a clone, a
-//! partition — costs the same handful of allocations at any bank size;
+//! spawning a second run over an indexed bank — a session, a clone —
+//! costs the same handful of allocations at any bank size;
 //! and that a warm session retains no buffer of events.
 //!
 //! Measured with a counting `#[global_allocator]`; this file holds a
@@ -301,16 +301,13 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     parser.finish_interned(&mut emit).unwrap();
     assert_eq!(filter.result(), Some(true));
 
-    // --- Sharded worker hot path: shared view + batch ring. ----------
-    // The multi-core pipeline run end-to-end on this thread (the
-    // counter is thread-local): a lookup-only parser resolves names
-    // lock-free, events are copied into an `EventBatch` (the producer
-    // side of the broadcast ring), then replayed through a consumer
-    // scratch buffer into a partitioned bank shard — the exact per-event
-    // work a `run_bank_sharded` worker does. After warm-up grows the
-    // batch arenas and the shard's trie scratch, the fill → replay →
-    // clear cycle must be allocation-free: `clear()` retains capacity,
-    // so a recycled batch never re-allocates.
+    // --- Batch fill → replay → clear over a shared view. -------------
+    // A lookup-only parser resolves names lock-free, events are copied
+    // into an `EventBatch`, then replayed through a consumer scratch
+    // buffer into an indexed bank. After warm-up grows the batch arenas
+    // and the bank's trie scratch, the fill → replay → clear cycle must
+    // be allocation-free: `clear()` retains capacity, so a recycled
+    // batch never re-allocates.
     let queries: Vec<_> = [
         "/site/regions/asia/item[price > 10]",
         "/site/regions/europe/item[price > 10]",
@@ -319,10 +316,8 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     .iter()
     .map(|s| parse_query(s).unwrap())
     .collect();
-    let parent = IndexedBank::new(&queries).unwrap();
-    let symbols = Arc::clone(parent.symbols());
-    let mut shard = parent.partition(2).swap_remove(0);
-    let mut parser = StreamingParser::with_symbols(Arc::clone(&symbols)).lookup_only();
+    let mut bank = IndexedBank::new(&queries).unwrap();
+    let mut parser = StreamingParser::with_symbols(Arc::clone(bank.symbols())).lookup_only();
     let mut batch = frontier_xpath::xml::EventBatch::new();
     let mut scratch = frontier_xpath::xml::AttrBuf::new();
     let chunk = r#"<i a="1">x</i><j/>"#;
@@ -334,9 +329,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
             parser.feed_interned(chunk, &mut emit).unwrap();
         }
     }
-    batch.replay(&mut scratch, |ev, span| {
-        shard.process_sym_to(ev, span, sink)
-    });
+    batch.replay(&mut scratch, |ev, span| bank.process_sym_to(ev, span, sink));
     batch.clear();
     let before = allocations();
     for _ in 0..steady {
@@ -344,18 +337,15 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
             let mut emit = emitter(|ev, span| batch.push(&ev, span));
             parser.feed_interned(chunk, &mut emit).unwrap();
         }
-        batch.replay(&mut scratch, |ev, span| {
-            shard.process_sym_to(ev, span, sink)
-        });
+        batch.replay(&mut scratch, |ev, span| bank.process_sym_to(ev, span, sink));
         batch.clear();
     }
     let after = allocations();
     assert_eq!(
         after - before,
         0,
-        "sharded worker path (lookup-only parse → batch fill → replay into a \
-         bank shard) must not allocate in steady state ({} allocations \
-         over {steady} cycles)",
+        "lookup-only parse → batch fill → replay into an indexed bank must \
+         not allocate in steady state ({} allocations over {steady} cycles)",
         after - before
     );
 
@@ -562,7 +552,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
         );
     }
 
-    // --- Spawn cost: a session, a clone, a partition. ------------------
+    // --- Spawn cost: a session, a clone. --------------------------------
     // An indexed bank is an index (what the subscriptions are, shared
     // behind one `Arc`) and a run (where the document is): a second run
     // over the same queries copies the run and bumps a refcount, so its
@@ -596,7 +586,6 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
             counted(|| filtering.session()),
             counted(|| selecting.session()),
             counted(|| bank.clone()),
-            counted(|| bank.partition(4)),
         ]
     };
     let costs = [4, 16, 64].map(spawn_costs);
@@ -610,9 +599,4 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
             "{what}: {small} / {medium} / {large} allocations at 64 / 256 / 1024 queries"
         );
     }
-    let partitions = costs.map(|c| c[3]);
-    assert!(
-        partitions.iter().all(|&calls| calls <= 48),
-        "partition(4): {partitions:?} allocations at 64 / 256 / 1024 queries"
-    );
 }

@@ -32,12 +32,8 @@ use rand::{Rng, SeedableRng};
 use std::io::Read;
 use std::sync::Arc;
 
-fn fx_cases(default: u32) -> u32 {
-    std::env::var("FX_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+mod common;
+use common::{fx_cases, session_shapes};
 
 /// A reader that hands out pseudo-random chunk sizes (1..=max), so the
 /// batched drivers see every flavor of token-straddling read boundary.
@@ -474,29 +470,6 @@ impl Read for Cable<'_> {
             n => Ok(n),
         }
     }
-}
-
-/// Every shape of session the engine builds, by label: the three
-/// `SessionInner` variants × filter/select (the shapes of
-/// `engine_differential::error_exits_leave_every_session_shape_reusable`).
-fn session_shapes() -> Vec<(&'static str, Engine)> {
-    use {IndexPolicy::SharedPrefix, Mode::*};
-    let (one, two) = (["//a[b > 5]"], ["//a[b > 5]", "//x//b"]);
-    let flat = IndexPolicy::None;
-    let shapes: [(&str, &[&str], Mode, IndexPolicy); 6] = [
-        ("single filter", &one, Filter, flat),
-        ("single select", &one, Select, flat),
-        ("bank", &two, Filter, flat),
-        ("bank select", &two, Select, flat),
-        ("indexed", &two, Filter, SharedPrefix),
-        ("indexed select", &two, Select, SharedPrefix),
-    ];
-    let build = |(label, srcs, mode, index): (_, &[&str], _, _)| {
-        let queries = srcs.iter().map(|s| parse_query(s).unwrap());
-        let builder = Engine::builder().queries(queries).mode(mode);
-        (label, builder.index(index).build().unwrap())
-    };
-    shapes.into_iter().map(build).collect()
 }
 
 /// The session's drive has no batch between tokenizer and evaluators,

@@ -19,6 +19,9 @@ use frontier_xpath::xml::{
 use proptest::prelude::*;
 use std::sync::Arc;
 
+mod common;
+use common::fx_cases;
+
 /// One recorded event stream: owned events with their spans.
 type Recorded = Vec<(Event, Span)>;
 
@@ -136,6 +139,43 @@ fn single_byte_chunks_match_batch() {
     check::<NdjsonGrammar>(NDJSON_DOC);
 }
 
+/// A byte-order mark may open an XML stream (XML 1.0 §4.3.3): both XML
+/// tokenizers skip exactly one U+FEFF at offset 0 — wherever the three
+/// bytes are cut — and agree event for event and span for span, the
+/// spans still counting source bytes. Anywhere else a U+FEFF is the
+/// character it is.
+#[test]
+fn a_leading_bom_is_skipped_at_every_cut_by_both_xml_tokenizers() {
+    use frontier_xpath::xml::parse_spanned;
+    let doc = "\u{feff}<?xml version=\"1.0\"?><a>t\u{feff}</a>";
+    let reference = parse_spanned(doc).unwrap();
+    let spans: Vec<Span> = reference.iter().map(|&(_, span)| span).collect();
+    let (open, text, close) = (Span::new(24, 27), Span::new(27, 31), Span::new(31, 35));
+    assert_eq!(spans[1..4], [open, text, close]);
+    let text = Event::Text {
+        content: "t\u{feff}".into(),
+    };
+    assert_eq!(reference[2].0, text);
+    for cut in 1..doc.len() {
+        let streamed = stream::<XmlGrammar>(doc.as_bytes(), &[cut]);
+        assert_eq!(streamed, reference, "cut at byte {cut}");
+    }
+    let bytewise: Vec<usize> = (1..doc.len()).collect();
+    assert_eq!(stream::<XmlGrammar>(doc.as_bytes(), &bytewise), reference);
+
+    let bare = parse_spanned("\u{feff}<a/>").unwrap();
+    assert_eq!(bare[1].1, Span::new(3, 7));
+    assert_eq!(stream::<XmlGrammar>("\u{feff}<a/>".as_bytes(), &[2]), bare);
+
+    for elsewhere in ["\u{feff}\u{feff}<a/>", " \u{feff}<a/>", "<a/>\u{feff}"] {
+        parse_spanned(elsewhere).expect_err(elsewhere);
+        for cut in 1..elsewhere.len() {
+            let (_, result) = try_stream::<XmlGrammar>(elsewhere.as_bytes(), &[cut]);
+            result.expect_err(elsewhere);
+        }
+    }
+}
+
 /// The error of a stream that must fail, as `(events before it, 1-based
 /// byte position, message)`.
 fn failure<G: Grammar>(doc: &[u8], splits: &[usize]) -> (usize, usize, String) {
@@ -227,13 +267,6 @@ fn str_feed_after_a_split_scalar_is_an_error() {
     check::<NdjsonGrammar>(b"1\n\"caf\xC3");
 }
 
-fn proptest_cases() -> u32 {
-    std::env::var("FX_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
-
 /// Turns a set of raw proptest offsets into sorted, deduped, in-range
 /// cut points for a document of `len` bytes.
 fn normalize_cuts(raw: &[usize], len: usize) -> Vec<usize> {
@@ -247,7 +280,7 @@ fn normalize_cuts(raw: &[usize], len: usize) -> Vec<usize> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(fx_cases(64)))]
 
     /// Random documents (unicode text, entity-bearing), random cut
     /// sets: the XML byte feed is split-transparent.

@@ -16,14 +16,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Case-count knob: CI pins a small count via `FX_PROPTEST_CASES`;
-/// local runs omit it for the default or set it higher for coverage.
-fn fx_cases(default: u32) -> u32 {
-    std::env::var("FX_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+mod common;
+use common::fx_cases;
 
 /// The subscription pool: reporting-supported shapes sharing prefixes
 /// and canonical residual forms, so churn exercises trie extension,

@@ -26,15 +26,8 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Case-count knob for this suite's proptests: CI pins a small count by
-/// exporting `FX_PROPTEST_CASES` (and cranks it under checked
-/// arithmetic); cases stay seeded/deterministic either way.
-fn fx_cases(default: u32) -> u32 {
-    std::env::var("FX_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+mod common;
+use common::fx_cases;
 
 /// The bank under test beside its reference: one solo filter per query,
 /// fed **every** event until — exactly like a bank member — it decides

@@ -11,6 +11,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::io::Read;
 
+mod common;
+use common::session_shapes;
+
 /// The same query pool the legacy differential suite sweeps.
 const QUERIES: &[&str] = &[
     "/a[b and c]",
@@ -296,28 +299,6 @@ fn event_iter_filters_large_document_without_buffering() {
         buffering.peak_memory_bits(),
         large.total_peak_bits()
     );
-}
-
-/// Every shape of session the engine builds, by label: the three
-/// `SessionInner` variants × filter/select.
-fn session_shapes() -> Vec<(&'static str, Engine)> {
-    use {IndexPolicy::SharedPrefix, Mode::*};
-    let (one, two) = (["//a[b > 5]"], ["//a[b > 5]", "//x//b"]);
-    let flat = IndexPolicy::None;
-    let shapes: [(&str, &[&str], Mode, IndexPolicy); 6] = [
-        ("single filter", &one, Filter, flat),
-        ("single select", &one, Select, flat),
-        ("bank", &two, Filter, flat),
-        ("bank select", &two, Select, flat),
-        ("indexed", &two, Filter, SharedPrefix),
-        ("indexed select", &two, Select, SharedPrefix),
-    ];
-    let build = |(label, srcs, mode, index): (_, &[&str], _, _)| {
-        let queries = srcs.iter().map(|s| parse_query(s).unwrap());
-        let builder = Engine::builder().queries(queries).mode(mode);
-        (label, builder.index(index).build().unwrap())
-    };
-    shapes.into_iter().map(build).collect()
 }
 
 /// `Verdicts` are "per-query outcomes of one document": the peak

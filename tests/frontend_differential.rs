@@ -8,7 +8,6 @@
 //! the recovery rules provably undo, plus proptest-chosen seeds
 //! honoring `FX_PROPTEST_CASES`.
 
-use frontier_xpath::dom::NodeKind;
 use frontier_xpath::html::{parse_html, HtmlParser};
 use frontier_xpath::json::parse_json;
 use frontier_xpath::prelude::*;
@@ -21,37 +20,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Case-count knob for this suite's proptests: CI pins a small count by
-/// exporting `FX_PROPTEST_CASES`; local runs omit it (or set it higher)
-/// to crank coverage.
-fn fx_cases(default: u32) -> u32 {
-    std::env::var("FX_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// `FULLEVAL(Q, D)` ground truth, translated to element ordinals
-/// (0-based positions among `startElement` events = document order).
-fn expected_ordinals(q: &Query, d: &Document) -> Vec<u64> {
-    let elements: Vec<_> = d
-        .all_nodes()
-        .filter(|&n| d.kind(n) == NodeKind::Element)
-        .collect();
-    let mut out: Vec<u64> = full_eval(q, d)
-        .unwrap()
-        .into_iter()
-        .map(|n| {
-            elements
-                .iter()
-                .position(|&e| e == n)
-                .expect("selected nodes are elements") as u64
-        })
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
+mod common;
+use common::{expected_ordinals, fx_cases, session_shapes};
 
 /// The soup parse of `html` must build the same DOM as the witness
 /// `xml`, batch and chunked alike.
@@ -216,6 +186,44 @@ fn nfa_backend_agrees_with_frontier_on_soup() {
             let vn = nfa.run_stream(&parse_html(&doc.html)).unwrap();
             assert_eq!(vf.any(), vn, "{src} on {}", doc.html);
         }
+    }
+}
+
+/// An NDJSON stream with no record in it delivers no document, so the
+/// evaluators still hold the stream before: the drive must read as
+/// every query unmatched in no state — not the previous stream's
+/// verdicts on a reused session, not `IncompleteDocument` on a fresh
+/// one — on every session shape.
+#[test]
+fn a_record_free_ndjson_stream_matches_nothing_fresh_or_reused() {
+    for (label, engine) in session_shapes() {
+        let mut source = engine.ndjson_source();
+        let mut reused = engine.session();
+        let before = reused
+            .run_source(&mut source, r#"{"a":{"b":9}}"#.as_bytes())
+            .unwrap();
+        assert!(before.matched()[0], "{label}: the stream before matches");
+        for empty in ["", "\n\n"] {
+            for (which, session) in [("reused", &mut reused), ("fresh", &mut engine.session())] {
+                let ctx = format!("{label}, {which} session, stream {empty:?}");
+                let outcome = session
+                    .run_source_outcome(&mut source, empty.as_bytes())
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                let verdicts = outcome.verdicts();
+                assert_eq!(verdicts.len(), session.len(), "{ctx}");
+                assert!(!verdicts.any(), "{ctx}: {:?}", verdicts.matched());
+                assert_eq!(verdicts.total_peak_bits(), 0, "{ctx}");
+                assert!(verdicts.peak_pending_positions().iter().all(|&p| p == 0));
+                assert_eq!(outcome.total_matches(), 0, "{ctx}");
+                let mut sunk: Vec<Match> = Vec::new();
+                let streamed = session.run_source_to(&mut source, empty.as_bytes(), &mut sunk);
+                assert_eq!(&streamed.unwrap(), verdicts, "{ctx}");
+                assert!(sunk.is_empty(), "{ctx}");
+            }
+        }
+        // And the session still reads the next stream like a fresh one.
+        let after = reused.run_source(&mut source, r#"{"a":{"b":9}}"#.as_bytes());
+        assert_eq!(after.unwrap().matched(), before.matched(), "{label}");
     }
 }
 

@@ -18,16 +18,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Case-count knob for this suite's proptests: CI pins a small count by
-/// exporting `FX_PROPTEST_CASES`; local runs omit it (or set it higher)
-/// to crank coverage. Cases themselves stay seeded/deterministic — the
-/// knob changes how many run, never which.
-fn fx_cases(default: u32) -> u32 {
-    std::env::var("FX_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+mod common;
+use common::fx_cases;
 
 /// (query, ordinal, span start, span end) — the full observable content
 /// of a routed match, order-normalized.

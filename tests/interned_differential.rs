@@ -14,6 +14,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
+mod common;
+use common::fx_cases;
+
 const QUERIES: &[&str] = &[
     "/site/regions/asia/item",
     "//item[price > 300]",
@@ -272,15 +275,8 @@ fn comment_and_cdata_split_text_concatenates_to_the_reference() {
     assert_eq!(engine.run_str(xml).unwrap().matched(), &[want]);
 }
 
-fn proptest_cases() -> u32 {
-    std::env::var("FX_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(fx_cases(64)))]
 
     /// Random (query, document) pairs: both single-filter paths agree
     /// on verdicts and statistics.

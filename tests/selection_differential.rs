@@ -5,7 +5,6 @@
 //! (before end-of-document, in bounded memory) rather than revealed at
 //! `finish()`.
 
-use frontier_xpath::dom::NodeKind;
 use frontier_xpath::engine::{Match, Mode};
 use frontier_xpath::prelude::*;
 use frontier_xpath::workloads::{auction_site, random_document, RandomDocConfig, XmarkConfig};
@@ -13,6 +12,9 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::io::Read;
+
+mod common;
+use common::expected_ordinals;
 
 /// Queries with element output nodes inside the streamable fragment,
 /// exercising child/descendant axes, wildcards, predicates before and
@@ -30,28 +32,6 @@ const SELECTION_QUERIES: &[&str] = &[
     "/a[x]/b",
     "//b",
 ];
-
-/// `FULLEVAL(Q, D)` ground truth, translated to element ordinals
-/// (0-based positions among `startElement` events = document order).
-fn expected_ordinals(q: &Query, d: &Document) -> Vec<u64> {
-    let elements: Vec<_> = d
-        .all_nodes()
-        .filter(|&n| d.kind(n) == NodeKind::Element)
-        .collect();
-    let mut out: Vec<u64> = full_eval(q, d)
-        .unwrap()
-        .into_iter()
-        .map(|n| {
-            elements
-                .iter()
-                .position(|&e| e == n)
-                .expect("selected nodes are elements") as u64
-        })
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
 
 fn assert_selection_agrees(engine: &Engine, queries: &[Query], d: &Document) {
     let xml = d.to_xml();
