@@ -57,12 +57,14 @@
 //! - **Documents** ([`ServerHandle::publish`]): the publisher *blocks*
 //!   when [`ServerConfig::doc_queue_capacity`] documents are pending —
 //!   dissemination is lossless upstream, the stream source slows down.
-//! - **Deliveries** (per subscriber): each subscription has a bounded
-//!   mailbox ([`ServerConfig::mailbox_capacity`]). A stalled subscriber
-//!   never blocks a worker or its peers: matches that do not fit are
-//!   *dropped for that subscriber only* and counted on its lag counter
-//!   ([`Subscription::dropped`]), the paper-appropriate policy for live
-//!   dissemination (a slow consumer falls behind; the stream does not).
+//! - **Deliveries** (per subscriber): each subscription's mailbox holds
+//!   at most [`ServerConfig::mailbox_capacity`] unread matches,
+//!   allocated as they queue — a subscription costs what it holds, not
+//!   its worst case. A stalled subscriber never blocks a worker or its
+//!   peers: matches that do not fit are *dropped for that subscriber
+//!   only* and counted on its lag counter ([`Subscription::dropped`]),
+//!   the paper-appropriate policy for live dissemination (a slow
+//!   consumer falls behind; the stream does not).
 //!   A subscriber that went away entirely (receiver dropped) is detected
 //!   on delivery, skipped from then on, and auto-unsubscribed by the next
 //!   churn or [`ServerHandle::stats`] call.
@@ -96,9 +98,10 @@ pub struct ServerConfig {
     /// Documents the publish queue holds before
     /// [`ServerHandle::publish`] blocks (upstream backpressure).
     pub doc_queue_capacity: usize,
-    /// Per-subscriber mailbox size: confirmed matches a subscription can
-    /// lag behind before further matches are dropped for it (and counted
-    /// on [`Subscription::dropped`]).
+    /// Per-subscriber mailbox bound: at most this many unread matches,
+    /// allocated as they queue (nothing is reserved up front). A
+    /// subscription that lags by this many has further matches dropped
+    /// for it (and counted on [`Subscription::dropped`]).
     pub mailbox_capacity: usize,
     /// When unsubscribe tombstones fold into a rebuilt bank; see
     /// [`fx_core::CompactionPolicy`].

@@ -27,8 +27,8 @@
 //! ## Lock order
 //!
 //! The churn lock first, then an inbox's or the outbox's; those two are
-//! leaves. Nothing blocks while holding the outbox lock (`try_send`
-//! never waits), and workers never take the churn lock — so a handle
+//! leaves. Nothing blocks while holding the outbox lock (a mailbox
+//! send never waits), and workers never take the churn lock — so a handle
 //! may hold it while it waits for worker replies. A departed subscriber
 //! (receiver dropped) is found on delivery, loses its outlet at once,
 //! and is parked on [`Outbox::departed`] for the next churn-lock holder
@@ -45,7 +45,7 @@ use fx_xml::{Span, StreamingParser, Symbols};
 use fx_xpath::Query;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -112,10 +112,11 @@ pub struct ServerStats {
 }
 
 /// The server-side end of one subscription: the delivery sender (owned
-/// *only* here, so dropping it on withdrawal disconnects the mailbox)
-/// plus the counters shared with the subscriber.
+/// *only* here, so dropping it on withdrawal disconnects the mailbox),
+/// the mailbox capacity, and the counters shared with the subscriber.
 pub(crate) struct Outlet {
-    tx: SyncSender<Delivery>,
+    tx: Sender<Delivery>,
+    capacity: usize,
     shared: Arc<SubShared>,
 }
 
@@ -154,28 +155,38 @@ impl Outbox {
             let Some(outlet) = self.outlets.get(&id) else {
                 continue; // withdrawn, or departed earlier in this document
             };
-            let delivery = Delivery {
-                subscription: id,
-                doc_seq,
-                ordinal,
-                span,
-                document: Arc::clone(document),
-            };
-            match outlet.tx.try_send(delivery) {
-                Ok(()) => {
-                    outlet.shared.delivered.fetch_add(1, Ordering::Relaxed);
-                    self.deliveries += 1;
-                }
-                Err(TrySendError::Full(_)) => {
+            let shared = &outlet.shared;
+            // Reserve a slot before sending: the subscriber releases one
+            // only after receiving, so the count never underflows.
+            if shared.backlog.fetch_add(1, Ordering::Relaxed) >= outlet.capacity {
+                shared.backlog.fetch_sub(1, Ordering::Relaxed);
+                // Once the `Subscription` is dropped the outlet holds
+                // the only reference: a full mailbox nobody reads has
+                // departed, like an empty one whose send fails.
+                if Arc::strong_count(shared) > 1 {
                     // A stalled subscriber lags; the stream does not stop.
-                    outlet.shared.dropped.fetch_add(1, Ordering::Relaxed);
+                    shared.dropped.fetch_add(1, Ordering::Relaxed);
                     self.dropped += 1;
+                    continue;
                 }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.outlets.remove(&id);
-                    self.departed.push(id);
-                }
+            } else if outlet
+                .tx
+                .send(Delivery {
+                    subscription: id,
+                    doc_seq,
+                    ordinal,
+                    span,
+                    document: Arc::clone(document),
+                })
+                .is_ok()
+            {
+                shared.delivered.fetch_add(1, Ordering::Relaxed);
+                self.deliveries += 1;
+                continue;
             }
+            // The receiver is gone.
+            self.outlets.remove(&id);
+            self.departed.push(id);
         }
     }
 
@@ -411,7 +422,13 @@ impl Worker {
         });
         match result {
             Ok(()) => self.documents += 1,
-            Err(_) => self.parse_errors += 1,
+            Err(_) => {
+                // A rejected document delivers nothing, not the matches
+                // confirmed before the error; its (empty) report still
+                // keeps its place in publish order.
+                raw.clear();
+                self.parse_errors += 1;
+            }
         }
         // Slot → id after the run (the bank is exclusively borrowed
         // during it) and before the report leaves this thread: slots are
@@ -580,10 +597,11 @@ impl ServerHandle {
             .iter()
             .map(|_| query.clone())
             .collect();
-        let (tx, rx) = sync_channel(mailbox.max(1));
+        let (tx, rx) = channel();
         let shared = Arc::new(SubShared::default());
         let outlet = Outlet {
             tx,
+            capacity: mailbox.max(1),
             shared: Arc::clone(&shared),
         };
         let id = self
@@ -687,10 +705,11 @@ mod tests {
 
     /// An outbox with one subscriber `id`, and the mailbox to read back.
     fn outbox_with(id: SubscriptionId) -> (Outbox, Subscription) {
-        let (tx, rx) = sync_channel(16);
+        let (tx, rx) = channel();
         let shared = Arc::new(SubShared::default());
         let outlet = Outlet {
             tx,
+            capacity: 16,
             shared: Arc::clone(&shared),
         };
         let mut outbox = Outbox::default();

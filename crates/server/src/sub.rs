@@ -3,7 +3,7 @@
 
 use fx_core::SubscriptionId;
 use fx_xml::Span;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,10 +32,14 @@ pub struct Delivery {
 
 impl Delivery {
     /// The matched element's source text, sliced out of the document.
-    /// `None` if the document is not valid UTF-8 or the span is empty.
+    /// Only the span's bytes are validated, so a call costs the
+    /// fragment's length, not the document's. `None` if the span is out
+    /// of range or its bytes are not UTF-8; an empty span yields
+    /// `Some("")`.
     pub fn fragment(&self) -> Option<&str> {
-        let source = std::str::from_utf8(&self.document).ok()?;
-        self.span.slice(source)
+        let start = usize::try_from(self.span.start).ok()?;
+        let end = usize::try_from(self.span.end).ok()?;
+        std::str::from_utf8(self.document.get(start..end)?).ok()
     }
 }
 
@@ -48,10 +52,15 @@ impl Delivery {
 pub(crate) struct SubShared {
     pub(crate) delivered: AtomicU64,
     pub(crate) dropped: AtomicU64,
+    /// Deliveries in the mailbox and not yet received: the server
+    /// reserves a slot before each send, the subscriber releases one per
+    /// delivery it takes.
+    pub(crate) backlog: AtomicUsize,
 }
 
-/// A live standing query: the receiving end of a bounded delivery
-/// mailbox, plus its identity and lag counters.
+/// A live standing query: the receiving end of a delivery mailbox that
+/// holds at most [`crate::ServerConfig::mailbox_capacity`] unread
+/// matches, allocated as they queue, plus its identity and lag counters.
 ///
 /// Dropping a `Subscription` without unsubscribing is safe: the server
 /// notices the dead mailbox on the next delivery attempt, stops
@@ -75,18 +84,26 @@ impl Subscription {
     /// Blocks until the next delivery. `None` once the subscription was
     /// withdrawn (or the server shut down) *and* the mailbox is drained.
     pub fn recv(&self) -> Option<Delivery> {
-        self.rx.recv().ok()
+        self.release(self.rx.recv().ok())
     }
 
     /// [`Subscription::recv`] with a deadline; `None` on timeout too.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Delivery> {
-        self.rx.recv_timeout(timeout).ok()
+        self.release(self.rx.recv_timeout(timeout).ok())
     }
 
     /// Non-blocking receive: `None` when the mailbox is currently empty
     /// or the subscription is finished.
     pub fn try_recv(&self) -> Option<Delivery> {
-        self.rx.try_recv().ok()
+        self.release(self.rx.try_recv().ok())
+    }
+
+    /// Frees the mailbox slot a received delivery held.
+    fn release(&self, received: Option<Delivery>) -> Option<Delivery> {
+        if received.is_some() {
+            self.shared.backlog.fetch_sub(1, Ordering::Relaxed);
+        }
+        received
     }
 
     /// Matches delivered into the mailbox so far (including ones not yet
@@ -110,5 +127,35 @@ impl std::fmt::Debug for Subscription {
             .field("delivered", &self.delivered())
             .field("dropped", &self.dropped())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Only the span's bytes are validated: bytes that are not UTF-8
+    /// outside it do not hide the fragment. Out of range is `None`, an
+    /// empty span the empty string.
+    #[test]
+    fn fragment_validates_only_the_span() {
+        let doc = b"<r><a>x</a>\xff\xfe</r>";
+        let fragment = |start, end| {
+            Delivery {
+                subscription: SubscriptionId::from_raw(0),
+                doc_seq: 0,
+                ordinal: 0,
+                span: Span::new(start, end),
+                document: Arc::from(&doc[..]),
+            }
+            .fragment()
+            .map(str::to_owned)
+        };
+        assert_eq!(fragment(3, 11).as_deref(), Some("<a>x</a>"));
+        assert_eq!(fragment(3, 12), None, "the span takes 0xff");
+        assert_eq!(fragment(3, 99), None, "past the end");
+        assert_eq!(fragment(7, 3), None, "start past end");
+        assert_eq!(fragment(0, 0).as_deref(), Some(""));
+        assert_eq!(fragment(4, 4).as_deref(), Some(""));
     }
 }

@@ -206,6 +206,52 @@ fn malformed_documents_are_counted_and_skipped() {
     }
 }
 
+/// A rejected document delivers nothing — not even the matches its
+/// prefix confirmed before the parser gave up — whether it breaks off
+/// mid-tag or carries bytes that are not UTF-8; its turn in publish
+/// order still passes, so the good document after it is delivered.
+#[test]
+fn a_rejected_document_delivers_none_of_its_early_matches() {
+    for workers in WORKERS {
+        let srv = server(workers);
+        let h = srv.handle();
+        let sub = h.subscribe(parse_query("//a").unwrap()).unwrap();
+        h.publish_str("<r><a/><bad").unwrap();
+        h.publish(b"<r><a/>\xff\xfe".to_vec()).unwrap();
+        h.publish_str("<r><a/></r>").unwrap();
+        let stats = h.stats().unwrap();
+        assert_eq!(stats.parse_errors, 2);
+        assert_eq!(stats.documents, 1);
+        assert_eq!(stats.deliveries, 1, "{workers} workers");
+        let d = sub.try_recv().unwrap();
+        assert_eq!((d.doc_seq, d.fragment()), (2, Some("<a/>")));
+        assert!(sub.try_recv().is_none());
+        srv.shutdown();
+    }
+}
+
+/// A subscriber that went away with its mailbox full is departed, not
+/// lagging: it is withdrawn, and no further drop is counted for it.
+#[test]
+fn a_full_mailbox_whose_receiver_is_gone_is_auto_unsubscribed() {
+    for workers in WORKERS {
+        let srv = server(workers);
+        let h = srv.handle();
+        let gone = h
+            .subscribe_with_mailbox(parse_query("//a").unwrap(), 1)
+            .unwrap();
+        h.publish_str("<r><a/></r>").unwrap();
+        assert_eq!(h.stats().unwrap().deliveries, 1);
+        drop(gone);
+        h.publish_str("<r><a/></r>").unwrap();
+        let stats = h.stats().unwrap();
+        assert_eq!(stats.auto_unsubscribes, 1);
+        assert_eq!(stats.live_subscriptions, 0);
+        assert_eq!(stats.dropped_deliveries, 0);
+        srv.shutdown();
+    }
+}
+
 #[test]
 fn unsupported_queries_are_rejected_without_registering() {
     for workers in WORKERS {

@@ -6,15 +6,17 @@
 //! JSON frontends feeding the same filter alike. And the guarantee that
 //! spawning a second run over an indexed bank — a session, a clone —
 //! costs the same handful of allocations at any bank size;
-//! and that a warm session retains no buffer of events.
+//! that a warm session retains no buffer of events; and that a server
+//! subscription's mailbox costs what it holds, not its capacity.
 //!
 //! Measured with a counting `#[global_allocator]`; this file holds a
-//! single test so no sibling test thread can pollute the counter.
+//! single test so no sibling test thread can pollute the counters.
 
 use frontier_xpath::engine::{Engine, IndexPolicy, Mode};
 use frontier_xpath::filter::{CompiledQuery, IndexedBank, StreamFilter};
 use frontier_xpath::html::HtmlParser;
 use frontier_xpath::json::JsonParser;
+use frontier_xpath::server::{Delivery, DisseminationServer, ServerConfig, Subscription};
 use frontier_xpath::workloads::{
     auction_site, random_shared_prefix_bank, standing_queries, SharedPrefixBankConfig, XmarkConfig,
 };
@@ -24,6 +26,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 /// Counts every allocation and reallocation made by *this thread*
@@ -31,13 +34,18 @@ use std::sync::Arc;
 /// allocated) and the bytes this thread holds live. The counters are
 /// thread-local so harness/watchdog threads cannot pollute the
 /// measurement, and const-initialized so reading them inside the
-/// allocator never recurses into allocation.
+/// allocator never recurses into allocation. Live bytes are also summed
+/// over the whole process, for memory that one thread allocates and
+/// another frees (a server worker fills a mailbox, its subscriber
+/// drains it).
 struct CountingAlloc;
 
 thread_local! {
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static THREAD_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
+
+static PROCESS_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 /// One allocating call that leaves `grown` more bytes live.
 fn bump(grown: i64) {
@@ -48,6 +56,7 @@ fn bump(grown: i64) {
 
 fn live(delta: i64) {
     let _ = THREAD_LIVE_BYTES.try_with(|c| c.set(c.get() + delta));
+    PROCESS_LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -78,6 +87,10 @@ fn allocations() -> u64 {
 
 fn live_bytes() -> i64 {
     THREAD_LIVE_BYTES.with(|c| c.get())
+}
+
+fn process_live_bytes() -> i64 {
+    PROCESS_LIVE_BYTES.load(Ordering::Relaxed)
 }
 
 /// Pins a closure to the higher-ranked `for<'a> FnMut(SymEvent<'a>, _)`
@@ -599,4 +612,60 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
             "{what}: {small} / {medium} / {large} allocations at 64 / 256 / 1024 queries"
         );
     }
+
+    // --- Server mailboxes: a subscription costs what it holds. ---------
+    // A mailbox is bounded by `mailbox_capacity` unread matches but
+    // allocates only for matches actually queued, so sixteen idle
+    // subscriptions that may each lag by 65 536 matches hold nothing
+    // like 16 × 65 536 slots (64 MiB if preallocated). The workers
+    // allocate on their own threads: these readings are process-wide,
+    // taken while every worker is parked after a `stats()` barrier.
+    let server = DisseminationServer::start(ServerConfig {
+        mailbox_capacity: 65_536,
+        ..ServerConfig::default()
+    });
+    let handle = server.handle();
+    handle.stats().unwrap();
+    let before = process_live_bytes();
+    let subs: Vec<Subscription> = (0..16)
+        .map(|i| {
+            handle
+                .subscribe(parse_query(&format!("//a{i}")).unwrap())
+                .unwrap()
+        })
+        .collect();
+    handle.stats().unwrap();
+    let grown = process_live_bytes() - before;
+    assert!(
+        grown < 1 << 20,
+        "16 subscriptions at mailbox_capacity 65 536 hold {grown} B"
+    );
+
+    // A backlog's memory goes as the subscriber drains it: what is left
+    // is at most the one block of slots the channel keeps current (std's
+    // unbounded channel links blocks of 31 slots, each a `Delivery` and
+    // a state word). A warm-up round grows the worker's per-document
+    // buffers to this document's match count first.
+    let block = 32 * (std::mem::size_of::<Delivery>() + std::mem::size_of::<usize>()) as i64;
+    let backlog = 1_000;
+    let doc = format!("<r>{}</r>", "<a0/>".repeat(backlog));
+    let drain = |sub: &Subscription| std::iter::from_fn(|| sub.try_recv()).count();
+    handle.publish_str(&doc).unwrap();
+    handle.stats().unwrap();
+    assert_eq!(drain(&subs[0]), backlog);
+    let start = process_live_bytes();
+    handle.publish_str(&doc).unwrap();
+    handle.stats().unwrap();
+    let held = process_live_bytes() - start;
+    assert!(
+        held > (backlog * std::mem::size_of::<Delivery>()) as i64,
+        "a backlog of {backlog} deliveries holds only {held} B"
+    );
+    assert_eq!(drain(&subs[0]), backlog);
+    let left = process_live_bytes() - start;
+    assert!(
+        left.abs() <= block,
+        "a drained mailbox still holds {left} B (one block is {block} B)"
+    );
+    assert_eq!(server.shutdown().deliveries, 2 * backlog as u64);
 }

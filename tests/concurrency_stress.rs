@@ -11,7 +11,8 @@
 //!    must see *exactly* their documents (no loss, no duplication,
 //!    ordered by `doc_seq`), and every drop must be accounted twice
 //!    over: per-subscription counters sum to the server's
-//!    `dropped_deliveries`.
+//!    `dropped_deliveries`. A consumer racing the workers never lags by
+//!    more than its mailbox capacity, and a drained mailbox fills again.
 //! 3. **Cross-worker stale-memo regression** — a late subscription's
 //!    names were interned *after* other workers' documents memoized
 //!    them UNKNOWN in their parsers; every worker must still match
@@ -24,8 +25,9 @@
 use frontier_xpath::server::{DisseminationServer, ServerConfig};
 use frontier_xpath::xml::{Sym, Symbols};
 use frontier_xpath::xpath::parse_query;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Readers resolve through the table's shared view while the writer
 /// interns thousands of fresh names: every answer the view gave must
@@ -192,6 +194,74 @@ fn sharded_churn_under_publish_load_accounts_every_delivery() {
     assert_eq!(final_stats.live_subscriptions, 3);
     assert_eq!(final_stats.subscribes, 3 + 40);
     assert_eq!(final_stats.unsubscribes, 40);
+}
+
+/// A consumer thread drains a 4-slot mailbox while three workers race
+/// to fill it. The mailbox bound is a bound on lag: at every receive the
+/// deliveries not yet received number at most the capacity. Every match
+/// is accounted once, delivered or dropped, and once the consumer has
+/// caught up the mailbox accepts a full capacity again.
+#[test]
+fn a_racing_consumer_lags_by_at_most_its_mailbox() {
+    const CAPACITY: u64 = 4;
+    const DOCS: u64 = 200;
+    const PINGS: u64 = 6; // per document: more than the mailbox holds
+    let server = DisseminationServer::start(ServerConfig {
+        doc_queue_capacity: 8,
+        workers: 3,
+        ..ServerConfig::default()
+    });
+    let handle = server.handle();
+    let sub = handle
+        .subscribe_with_mailbox(parse_query("//ping").unwrap(), CAPACITY as usize)
+        .unwrap();
+    let id = sub.id();
+    let received = Arc::new(AtomicU64::new(0));
+    let consumer = {
+        let received = Arc::clone(&received);
+        std::thread::spawn(move || {
+            while sub.recv().is_some() {
+                let got = received.fetch_add(1, Ordering::Relaxed) + 1;
+                let lag = sub.delivered().saturating_sub(got);
+                assert!(lag <= CAPACITY, "lag {lag} past a {CAPACITY}-slot mailbox");
+                if got.is_multiple_of(64) {
+                    std::thread::yield_now();
+                }
+            }
+            sub
+        })
+    };
+    let doc = format!("<doc>{}</doc>", "<ping/>".repeat(PINGS as usize));
+    for _ in 0..DOCS {
+        handle.publish_str(&doc).unwrap();
+    }
+    // Wait for the consumer to catch up with everything delivered.
+    let caught_up = |deliveries: u64| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while received.load(Ordering::Relaxed) < deliveries {
+            assert!(!consumer.is_finished(), "the consumer exited early");
+            assert!(Instant::now() < deadline, "the consumer stalled");
+            std::thread::yield_now();
+        }
+    };
+    let flood = handle.stats().unwrap();
+    assert_eq!(flood.deliveries + flood.dropped_deliveries, DOCS * PINGS);
+    caught_up(flood.deliveries);
+
+    // A drained mailbox takes a whole capacity again without a drop.
+    let refill = format!("<doc>{}</doc>", "<ping/>".repeat(CAPACITY as usize));
+    handle.publish_str(&refill).unwrap();
+    let stats = handle.stats().unwrap();
+    assert_eq!(stats.deliveries, flood.deliveries + CAPACITY);
+    assert_eq!(stats.dropped_deliveries, flood.dropped_deliveries);
+    caught_up(stats.deliveries);
+
+    assert!(handle.unsubscribe(id).unwrap());
+    let sub = consumer.join().unwrap();
+    assert_eq!(received.load(Ordering::Relaxed), sub.delivered());
+    assert_eq!(sub.delivered() + sub.dropped(), DOCS * PINGS + CAPACITY);
+    assert_eq!(sub.dropped(), stats.dropped_deliveries);
+    server.shutdown();
 }
 
 /// The cross-worker stale-memo regression (the satellite fix pinned as
