@@ -25,7 +25,7 @@
 use crate::reporter::{Match, MatchSink, Reporter};
 use crate::space::SpaceStats;
 use fx_xml::{AttrBuf, Event, EventBatch, Span, Sym, SymAttr, SymCache, SymEvent, Symbols};
-use fx_xpath::truth::{constraining_predicate, is_atomic, TruthError};
+use fx_xpath::truth::{constraining_predicate, is_atomic};
 use fx_xpath::{Axis, Expr, NodeTest, Query, QueryNodeId};
 use std::fmt;
 use std::sync::Arc;
@@ -189,13 +189,14 @@ impl CompiledQuery {
         CompiledQuery::compile_with(q, Arc::new(Symbols::new()))
     }
 
-    /// Compiles `q`, interning its node tests into `symbols`.
-    pub fn compile_with(
-        q: &Query,
-        symbols: Arc<Symbols>,
-    ) -> Result<CompiledQuery, UnsupportedQuery> {
-        // Fragment checks (§8: leaf-only-value-restricted univariate
-        // conjunctive).
+    /// Decides, building nothing, whether `q` compiles — and, when
+    /// `reporting`, whether it can also report positions: exactly the
+    /// `Err` that [`CompiledQuery::compile_with`] followed by
+    /// [`CompiledQuery::reporting_supported`] would return, which is why
+    /// `compile_with` runs this very check. A bank or a server decides a
+    /// subscription with it and compiles only what it keeps.
+    pub fn check(q: &Query, reporting: bool) -> Result<(), UnsupportedQuery> {
+        // §8: leaf-only-value-restricted univariate conjunctive.
         for u in q.all_nodes() {
             if let Some(p) = q.predicate(u) {
                 for c in p.conjuncts() {
@@ -208,29 +209,44 @@ impl CompiledQuery {
                 }
             }
         }
+        // Every conjunct is now atomic and univariate, so no node's
+        // constraining predicate is an error, and only an internal node's
+        // can break a rule.
+        if let Some(u) = q
+            .all_nodes()
+            .find(|&u| !q.is_leaf(u) && matches!(constraining_predicate(q, u), Ok(Some(_))))
+        {
+            return Err(UnsupportedQuery::NotLeafOnlyValueRestricted(u));
+        }
+        if reporting {
+            let out_path = std::iter::successors(q.successor(q.root()), |&u| q.successor(u));
+            attribute_output(out_path.map(|u| q.axis(u).unwrap_or(Axis::Child)))?;
+        }
+        Ok(())
+    }
+
+    /// Compiles `q`, interning its node tests into `symbols`.
+    pub fn compile_with(
+        q: &Query,
+        symbols: Arc<Symbols>,
+    ) -> Result<CompiledQuery, UnsupportedQuery> {
+        CompiledQuery::check(q, false)?;
         let mut nodes = Vec::with_capacity(q.len());
         for u in q.all_nodes() {
-            let leaf_predicate = match constraining_predicate(q, u) {
-                Ok(p) => p.map(|(var, e)| (e, var)),
-                Err(TruthError::NotUnivariate { node }) => {
-                    return Err(UnsupportedQuery::NotUnivariate(node))
-                }
-                Err(TruthError::NotAtomic { node }) => {
-                    return Err(UnsupportedQuery::NotConjunctive(node))
-                }
-                Err(TruthError::Eval(_)) => None,
-            };
             let is_leaf = q.is_leaf(u);
-            if !is_leaf && leaf_predicate.is_some() {
-                return Err(UnsupportedQuery::NotLeafOnlyValueRestricted(u));
-            }
+            // `check` ruled out every error and every value-restricted
+            // internal node.
+            let leaf_predicate = match constraining_predicate(q, u) {
+                Ok(Some((var, e))) if is_leaf => Some((e, var)),
+                _ => None,
+            };
             let ntest = q.ntest(u).cloned().unwrap_or(NodeTest::Wildcard);
             nodes.push(CNode {
                 axis: q.axis(u).unwrap_or(Axis::Child),
                 sym: intern_ntest(&symbols, &ntest),
                 ntest,
                 children: q.children(u).iter().map(|c| c.0).collect(),
-                leaf_predicate: if is_leaf { leaf_predicate } else { None },
+                leaf_predicate,
                 is_leaf,
             });
         }
@@ -326,15 +342,17 @@ impl CompiledQuery {
     /// position reporting requires an element output node, since
     /// attributes carry no element ordinal.
     pub fn reporting_supported(&self) -> Result<(), UnsupportedQuery> {
-        if self
-            .out_path
-            .iter()
-            .any(|&n| self.nodes[n as usize].axis == Axis::Attribute)
-        {
-            return Err(UnsupportedQuery::AttributeOutput);
-        }
-        Ok(())
+        attribute_output(self.out_path.iter().map(|&n| self.nodes[n as usize].axis))
     }
+}
+
+/// The reporting rule over the axes of the output path: an attribute
+/// step leaves the output node without an element ordinal.
+fn attribute_output(mut out_axes: impl Iterator<Item = Axis>) -> Result<(), UnsupportedQuery> {
+    if out_axes.any(|axis| axis == Axis::Attribute) {
+        return Err(UnsupportedQuery::AttributeOutput);
+    }
+    Ok(())
 }
 
 /// One row of the frontier table (§8.2), extended with the offset stack.

@@ -218,12 +218,12 @@ impl SubscriptionId {
     ///
     /// Ids are assigned by [`IndexedBank::subscribe`] as the
     /// deterministic sequence 0, 1, 2, … (incremented only on success),
-    /// so a coordinator that mirrors the subscribe stream — the sharded
-    /// server broadcasting one churn command to N workers — can predict
-    /// the id every replica will assign and hand it to callers without
-    /// waiting for a worker round-trip. Constructing an id the bank
-    /// never issued is safe: every lookup treats unknown ids as
-    /// already-withdrawn.
+    /// so a coordinator that mirrors the subscribe stream — a server
+    /// that decides with [`CompiledQuery::check`] and broadcasts one
+    /// churn command to N workers — can predict the id every replica
+    /// will assign and hand it to callers without waiting for a worker
+    /// round-trip. Constructing an id the bank never issued is safe:
+    /// every lookup treats unknown ids as already-withdrawn.
     pub fn from_raw(raw: u64) -> SubscriptionId {
         SubscriptionId(raw)
     }
@@ -720,30 +720,14 @@ impl Index {
         }
     }
 
-    /// Compiles `q` against the bank's table and checks it exactly like
-    /// the naive bank would — without writing anything.
-    fn validate(&self, q: &Query) -> Result<CompiledQuery, UnsupportedQuery> {
-        let compiled = CompiledQuery::compile_with(q, Arc::clone(&self.symbols))?;
-        if self.reporting {
-            compiled.reporting_supported()?;
-        }
-        Ok(compiled)
-    }
-
     /// The shared insertion path of [`IndexedBank::subscribe`] and
-    /// [`IndexedBank::compact`]: registers `q` in the next slot under
-    /// subscription `id` and returns its group. `compiled` is the
-    /// subscribe path's validation of `q`; `warm` is the index a
-    /// compaction is folding away, whose residual pool is carried over
-    /// by canonical form — reinsertion revalidates nothing and compiles
-    /// only on a warm-pool miss, which a pooled bank never hits.
-    fn insert_slot(
-        &mut self,
-        q: &Query,
-        id: SubscriptionId,
-        compiled: Option<CompiledQuery>,
-        warm: Option<&Index>,
-    ) -> Result<u32, UnsupportedQuery> {
+    /// [`IndexedBank::compact`]: registers `q`, which
+    /// [`CompiledQuery::check`] accepted for this bank, in the next slot
+    /// under subscription `id` and returns its group. `warm` is the
+    /// index a compaction is folding away, whose residual pool is
+    /// carried over by canonical form — reinsertion compiles only on a
+    /// warm-pool miss, which a pooled bank never hits.
+    fn insert_slot(&mut self, q: &Query, id: SubscriptionId, warm: Option<&Index>) -> u32 {
         let slot = self.query_group.len();
         let form = CanonicalForm::of(q);
         let g = match self.group_of_key.get(&form.key) {
@@ -751,14 +735,14 @@ impl Index {
                 self.join_group(g, slot);
                 g
             }
-            None => self.insert_group(q, form, slot, compiled, warm)?,
+            None => self.insert_group(q, form, slot, warm),
         };
         self.query_group.push(g);
         self.slot_sub.push(id.0);
         self.slot_alive.push(true);
         self.slot_query.push(q.clone());
         self.subs.insert(id.0, slot);
-        Ok(g)
+        g
     }
 
     /// Adds `slot` to the existing group `g`, reviving it if
@@ -782,9 +766,8 @@ impl Index {
         q: &Query,
         form: CanonicalForm,
         slot: usize,
-        compiled: Option<CompiledQuery>,
         warm: Option<&Index>,
-    ) -> Result<u32, UnsupportedQuery> {
+    ) -> u32 {
         let steps = &form.steps;
         let k = form.sharable;
         let mut node = 0u32;
@@ -838,13 +821,14 @@ impl Index {
             let r = match self.pool_hit(&rkey, warm) {
                 Some(r) => r,
                 None => {
-                    // Genuinely new canonical form: compile it (for
-                    // k == 0 the subscribe path already has it).
-                    let rc = match (k, compiled) {
-                        (0, Some(c)) => c,
-                        (0, None) => self.validate(q)?,
-                        _ => self.validate(&residual_query(q, k))?,
-                    };
+                    // Genuinely new canonical form: compile it — the
+                    // whole query for a document-rooted group.
+                    let residual = (k > 0).then(|| residual_query(q, k));
+                    let rc = CompiledQuery::compile_with(
+                        residual.as_ref().unwrap_or(q),
+                        Arc::clone(&self.symbols),
+                    )
+                    .expect("a checked query's residual compiles");
                     self.built_residuals += 1;
                     self.intern(CompiledResidual::build(rc, rkey))
                 }
@@ -859,7 +843,7 @@ impl Index {
         }
         self.groups.push(group);
         self.group_of_key.insert(form.key, g);
-        Ok(g)
+        g
     }
 
     /// Looks up a canonical residual form: first in the live pool,
@@ -961,13 +945,15 @@ impl IndexedBank {
     // -- query churn --------------------------------------------------------
 
     /// Registers one more standing query, **incrementally** and in
-    /// O(|query|): the canonical chain is derived once, the shared
-    /// prefix extends the live trie in place (no existing group, slot
-    /// or record is renumbered), and the remainder reuses the shared
-    /// residual pool whenever its canonical form is already compiled —
-    /// [`IndexedBank::residual_builds`] moves only when a genuinely new
-    /// form first appears, never for churn over known shapes, and the
-    /// bank as a whole is never recompiled.
+    /// O(|query|): [`CompiledQuery::check`] decides it without building
+    /// anything, the canonical chain is derived once, the shared prefix
+    /// extends the live trie in place (no existing group, slot or record
+    /// is renumbered), and the remainder reuses the shared residual pool
+    /// whenever its canonical form is already compiled. Only a pool miss
+    /// compiles — the residual, or the whole query for a document-rooted
+    /// group — so [`IndexedBank::residual_builds`] moves only when a
+    /// genuinely new form first appears, a known-form subscribe compiles
+    /// nothing, and the bank as a whole is never recompiled.
     ///
     /// Call between documents: the new query takes effect at the next
     /// `StartDocument` (mid-document calls are safe but the query's
@@ -975,16 +961,14 @@ impl IndexedBank {
     /// to the table need no announcement — every name resolver on the
     /// table picks them up at its own next document (`fx_xml::SymCache`).
     pub fn subscribe(&mut self, q: &Query) -> Result<SubscriptionId, UnsupportedQuery> {
-        // Validation only reads: an unsupported query copies no index.
-        let compiled = self.index.validate(q)?;
+        // The check builds nothing: an unsupported query copies no index,
+        // and an accepted one compiles only a residual form the pool lacks.
+        CompiledQuery::check(q, self.index.reporting)?;
         let index = Arc::make_mut(&mut self.index);
         let id = SubscriptionId(index.next_sub);
-        let inserted = index.insert_slot(q, id, Some(compiled), None);
-        // Whatever the insertion added — trie nodes stay even if it
-        // failed past them — the run must be able to track.
-        self.run.fit(index);
-        inserted?;
         index.next_sub += 1;
+        index.insert_slot(q, id, None);
+        self.run.fit(index);
         Ok(id)
     }
 
@@ -1029,8 +1013,8 @@ impl IndexedBank {
     /// [`SubscriptionId`]s are stable and re-resolve through
     /// [`IndexedBank::slot_of`]. Residual-pool entries no surviving
     /// group references are left behind. The pass *moves* the existing
-    /// compiled residuals into the new pool (`Arc` clones) and skips
-    /// re-validation, so it performs **zero** query compilations:
+    /// compiled residuals into the new pool (`Arc` clones) and checks
+    /// nothing again, so it performs **zero** query compilations:
     /// [`IndexedBank::residual_builds`] is unchanged.
     ///
     /// Only effective between documents (mid-document calls return
@@ -1056,9 +1040,7 @@ impl IndexedBank {
         let mut continues: Vec<u32> = Vec::new();
         for slot in (0..old.slot_alive.len()).filter(|&s| old.slot_alive[s]) {
             let id = SubscriptionId(old.slot_sub[slot]);
-            let g = index
-                .insert_slot(&old.slot_query[slot], id, None, Some(old))
-                .expect("surviving queries were validated at subscribe");
+            let g = index.insert_slot(&old.slot_query[slot], id, Some(old));
             if g as usize == continues.len() {
                 continues.push(old.query_group[slot]);
             }
@@ -1853,7 +1835,7 @@ impl Run {
             let compiled = Arc::clone(&index.residuals[rid].compiled);
             if index.reporting {
                 StreamFilter::from_shared_reporting(compiled)
-                    .expect("reporting support validated at build")
+                    .expect("a reporting bank checks reporting support at subscribe")
             } else {
                 StreamFilter::from_shared(compiled)
             }

@@ -43,11 +43,14 @@
 //! remainder is already compiled; a withdrawal tombstones one slot.
 //! Neither ever recompiles the bank — `residual_builds()` stays flat
 //! under churn over known query shapes — so subscriptions stay cheap at
-//! any bank size. Churn commands are queued and applied by each worker
-//! **at document boundaries**: a subscription is guaranteed to see every
-//! document published after `subscribe` returned. Worker 0's bank
-//! decides each command (accept or reject, which id); the other workers
-//! apply the same commands in the same order, so all banks agree; each
+//! any bank size. The calling handle decides each command on the spot —
+//! a rejected query is refused before `subscribe` returns, ids are
+//! dense, and nothing is delivered once `unsubscribe` returns — and
+//! queues one identical copy for every worker without waiting for, or
+//! waking, any. Each worker applies its copies **at document
+//! boundaries** — handed over with its next document — in the
+//! same order, so all banks agree: a subscription is guaranteed to see
+//! every document published after `subscribe` returned, and each
 //! worker's parser picks a new query's names up at its next document.
 //!
 //! ## Backpressure

@@ -4,16 +4,20 @@
 //! round-robin by publish sequence number and deliveries released in
 //! that order through one [`Outbox`].
 //!
-//! ## Churn: worker 0 decides, the rest follow
+//! ## Churn: the handle decides, every worker follows
 //!
 //! Every worker's bank holds the same subscription set, so churn must
-//! produce the same [`SubscriptionId`] in all of them. Ids are
-//! deterministic (0, 1, 2, … in subscribe order, never recycled), so a
-//! handle sends each churn command to worker 0 first — its bank accepts
-//! or rejects the query, registers or drops the subscriber's outlet, and
-//! replies — and then broadcasts reply-less copies to workers 1.., all
-//! under the churn mutex: every bank sees the same successful
-//! subscribes in the same order and assigns the same ids.
+//! produce the same [`SubscriptionId`] in all of them. Under the churn
+//! mutex the handle decides a subscribe itself: it runs the banks' own
+//! [`CompiledQuery::check`], takes the next id (ids are dense — 0, 1, 2,
+//! … in accepted-subscribe order — and never recycled, exactly as every
+//! bank assigns them), registers the subscriber's outlet, and pushes one
+//! identical command to every inbox. An unsubscribe is answered by the
+//! outbox (a live id has an outlet or is departed), withdraws the
+//! outlet, then broadcasts. No churn call waits for a worker, or even
+//! wakes one: each inbox hands over its commands before its next
+//! document, so every bank sees the same subscribes in the same order
+//! and asserts it assigned the id the handle did.
 //!
 //! ## Delivery order
 //!
@@ -29,10 +33,11 @@
 //! The churn lock first, then an inbox's or the outbox's; those two are
 //! leaves. Nothing blocks while holding the outbox lock (a mailbox
 //! send never waits), and workers never take the churn lock — so a handle
-//! may hold it while it waits for worker replies. A departed subscriber
-//! (receiver dropped) is found on delivery, loses its outlet at once,
-//! and is parked on [`Outbox::departed`] for the next churn-lock holder
-//! to withdraw from the banks.
+//! may hold it while [`ServerHandle::compact`] or [`ServerHandle::stats`]
+//! waits for worker replies, the only churn-lock holders that wait. A
+//! departed subscriber (receiver dropped) is found on delivery, loses its
+//! outlet at once, and is parked on [`Outbox::departed`] for the next
+//! churn-lock holder to withdraw from the banks.
 //!
 //! A poisoned churn or outbox lock closes the server: the caller that
 //! meets it gets [`ServerError::Closed`], and so does every later call.
@@ -40,7 +45,7 @@
 use crate::inbox::Inbox;
 use crate::sub::{Delivery, SubShared, Subscription};
 use crate::{ServerConfig, ServerError};
-use fx_core::{IndexedBank, Match, SubscriptionId, UnsupportedQuery};
+use fx_core::{CompiledQuery, IndexedBank, Match, SubscriptionId};
 use fx_xml::{Span, StreamingParser, Symbols};
 use fx_xpath::Query;
 use std::collections::{BTreeMap, HashMap};
@@ -57,17 +62,16 @@ pub(crate) type Doc = (u64, Arc<[u8]>);
 type Resolved = (SubscriptionId, u64, Span);
 
 /// One queued churn / introspection operation, applied by a worker
-/// between documents, in submission order. Worker 0's copy carries the
-/// reply channel (and, for a subscribe, the outlet to register); the
-/// copies broadcast to workers 1.. carry `None`.
+/// between documents, in submission order. Churn is decided by the
+/// handle and reaches every worker as the same command; only worker 0's
+/// copy of a compaction carries the reply channel.
 pub(crate) enum Command {
     Subscribe {
-        query: Query,
-        decide: Option<(Outlet, SyncSender<Result<SubscriptionId, UnsupportedQuery>>)>,
+        query: Arc<Query>,
+        id: SubscriptionId,
     },
     Unsubscribe {
         id: SubscriptionId,
-        reply: Option<SyncSender<bool>>,
     },
     Compact {
         reply: Option<SyncSender<bool>>,
@@ -190,12 +194,15 @@ impl Outbox {
         }
     }
 
-    /// Forgets a subscription the banks have withdrawn. Dropping the
-    /// outlet drops the last delivery sender, which wakes a blocked
+    /// Forgets a subscription before the banks hear of it, so nothing
+    /// reaches its mailbox afterwards; `false` if it was not live (a live
+    /// subscription has an outlet or is departed). Dropping the outlet
+    /// drops the last delivery sender, which wakes a blocked
     /// [`Subscription::recv`].
-    fn withdraw(&mut self, id: SubscriptionId) {
-        self.outlets.remove(&id);
+    fn withdraw(&mut self, id: SubscriptionId) -> bool {
+        let departed = self.departed.len();
         self.departed.retain(|&d| d != id);
+        self.outlets.remove(&id).is_some() || self.departed.len() < departed
     }
 
     /// Shutdown: every worker has exited, so no report is still to come
@@ -213,6 +220,7 @@ impl Outbox {
 /// it).
 #[derive(Default)]
 struct Churn {
+    /// Accepted subscribes, and so the raw value of the next id.
     subscribes: u64,
     unsubscribes: u64,
     auto_unsubscribes: u64,
@@ -249,32 +257,12 @@ impl Shared {
         Ok(churn)
     }
 
-    /// Sends worker 0 a command built around a reply channel and waits
-    /// for the answer.
-    fn ask<T>(&self, command: impl FnOnce(SyncSender<T>) -> Command) -> Result<T, ServerError> {
-        let (reply, done) = sync_channel(1);
-        self.inboxes[0].command(command(reply))?;
-        done.recv().map_err(|_| ServerError::Closed)
-    }
-
-    /// Sends workers 1.. their copy of what worker 0 just decided. Must
-    /// hold the churn lock.
-    fn follow(&self, command: impl Fn() -> Command) -> Result<(), ServerError> {
-        self.inboxes[1..]
+    /// Queues one command on every inbox, in inbox order. Must hold the
+    /// churn lock, so every worker sees churn in the same order.
+    fn broadcast(&self, mut command: impl FnMut() -> Command) -> Result<(), ServerError> {
+        self.inboxes
             .iter()
             .try_for_each(|inbox| inbox.command(command()))
-    }
-
-    /// Must hold the churn lock.
-    fn withdraw(&self, id: SubscriptionId) -> Result<bool, ServerError> {
-        let gone = self.ask(|reply| Command::Unsubscribe {
-            id,
-            reply: Some(reply),
-        })?;
-        if gone {
-            self.follow(|| Command::Unsubscribe { id, reply: None })?;
-        }
-        Ok(gone)
     }
 
     /// Turns outbox-detected departures into real withdrawals; `true`
@@ -284,7 +272,7 @@ impl Shared {
         for &id in &departed {
             // Always live: an explicit unsubscribe strikes the id off
             // the list in the critical section that drops its outlet.
-            self.withdraw(id)?;
+            self.broadcast(|| Command::Unsubscribe { id })?;
             churn.unsubscribes += 1;
             churn.auto_unsubscribes += 1;
         }
@@ -363,35 +351,17 @@ impl Worker {
         self.stats()
     }
 
-    /// A reply that cannot be sent (or an outbox that cannot be locked,
-    /// which drops the reply) reads as [`ServerError::Closed`] in the
-    /// waiting handle.
+    /// A reply that cannot be sent reads as [`ServerError::Closed`] in
+    /// the waiting handle.
     fn apply(&mut self, cmd: Command) {
         match cmd {
-            Command::Subscribe { query, decide } => {
-                let result = self.bank.subscribe(&query);
-                let Some((outlet, reply)) = decide else {
-                    result.expect("worker 0's bank accepted this query");
-                    return;
-                };
-                if let Ok(id) = result {
-                    let Ok(mut outbox) = self.shared.lock(&self.shared.outbox) else {
-                        return;
-                    };
-                    outbox.outlets.insert(id, outlet);
-                }
-                let _ = reply.send(result);
+            Command::Subscribe { query, id } => {
+                let assigned = self.bank.subscribe(&query);
+                assert_eq!(assigned, Ok(id), "the bank decides as the handle did");
             }
-            Command::Unsubscribe { id, reply } => {
+            Command::Unsubscribe { id } => {
                 let gone = self.bank.unsubscribe(id);
-                let Some(reply) = reply else { return };
-                if gone {
-                    let Ok(mut outbox) = self.shared.lock(&self.shared.outbox) else {
-                        return;
-                    };
-                    outbox.withdraw(id);
-                }
-                let _ = reply.send(gone);
+                assert!(gone, "the handle withdraws only live ids");
             }
             Command::Compact { reply } => {
                 let did = self.bank.compact();
@@ -574,7 +544,10 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Registers a standing query on every worker and returns its
-    /// [`Subscription`] mailbox. Applied at each worker's next document
+    /// [`Subscription`] mailbox. Acceptance is decided here, before the
+    /// call returns — an unsupported query is rejected with
+    /// [`ServerError::Unsupported`] and registers nothing — and the call
+    /// waits for no worker. Applied at each worker's next document
     /// boundary: the subscription sees every document published after
     /// this call returns (and may additionally see earlier documents
     /// still queued when it lands). Incremental — O(|query|) bank
@@ -591,12 +564,9 @@ impl ServerHandle {
         mailbox: usize,
     ) -> Result<Subscription, ServerError> {
         let mut churn = self.shared.churn()?;
-        // Worker 0 gets the query itself; only its followers cost a
-        // clone each.
-        let copies: Vec<Query> = self.shared.inboxes[1..]
-            .iter()
-            .map(|_| query.clone())
-            .collect();
+        // Every bank is a reporting bank and runs this same check.
+        CompiledQuery::check(&query, true).map_err(ServerError::Unsupported)?;
+        let id = SubscriptionId::from_raw(churn.subscribes);
         let (tx, rx) = channel();
         let shared = Arc::new(SubShared::default());
         let outlet = Outlet {
@@ -604,30 +574,32 @@ impl ServerHandle {
             capacity: mailbox.max(1),
             shared: Arc::clone(&shared),
         };
-        let id = self
-            .shared
-            .ask(|reply| Command::Subscribe {
-                query,
-                decide: Some((outlet, reply)),
-            })?
-            .map_err(ServerError::Unsupported)?;
+        // Registered before any worker can report a match for it.
+        self.shared
+            .lock(&self.shared.outbox)?
+            .outlets
+            .insert(id, outlet);
+        let query = Arc::new(query);
+        self.shared.broadcast(|| Command::Subscribe {
+            query: Arc::clone(&query),
+            id,
+        })?;
         churn.subscribes += 1;
-        for (inbox, query) in self.shared.inboxes[1..].iter().zip(copies) {
-            inbox.command(Command::Subscribe {
-                query,
-                decide: None,
-            })?;
-        }
         Ok(Subscription { id, rx, shared })
     }
 
-    /// Withdraws a subscription from every worker at its next document
-    /// boundary. `false` if the id was never live or is already gone.
+    /// Withdraws a subscription: nothing more is delivered to its
+    /// mailbox once this returns, and every worker drops the query at its
+    /// next document boundary. `false` if the id was never live or is
+    /// already gone. Waits for no worker.
     pub fn unsubscribe(&self, id: SubscriptionId) -> Result<bool, ServerError> {
         let mut churn = self.shared.churn()?;
-        let gone = self.shared.withdraw(id)?;
-        churn.unsubscribes += u64::from(gone);
-        Ok(gone)
+        if !self.shared.lock(&self.shared.outbox)?.withdraw(id) {
+            return Ok(false);
+        }
+        self.shared.broadcast(|| Command::Unsubscribe { id })?;
+        churn.unsubscribes += 1;
+        Ok(true)
     }
 
     /// Queues one XML document for evaluation against every live
@@ -651,11 +623,13 @@ impl ServerHandle {
     /// away.
     pub fn compact(&self) -> Result<bool, ServerError> {
         let _churn = self.shared.churn()?;
-        let did = self
-            .shared
-            .ask(|reply| Command::Compact { reply: Some(reply) })?;
-        self.shared.follow(|| Command::Compact { reply: None })?;
-        Ok(did)
+        // Every bank holds the same set; worker 0's answers for all.
+        let (reply, done) = sync_channel(1);
+        let mut reply = Some(reply);
+        self.shared.broadcast(|| Command::Compact {
+            reply: reply.take(),
+        })?;
+        done.recv().map_err(|_| ServerError::Closed)
     }
 
     /// A cumulative activity snapshot. Synchronous: acts as a barrier

@@ -3,7 +3,7 @@
 //! refresh that late subscriptions depend on — every case at one worker
 //! and at several, since both are the same server.
 
-use fx_server::{DisseminationServer, ServerConfig, ServerError, Subscription};
+use fx_server::{DisseminationServer, ServerConfig, ServerError, Subscription, SubscriptionId};
 use fx_xpath::parse_query;
 use std::time::Duration;
 
@@ -252,14 +252,53 @@ fn a_full_mailbox_whose_receiver_is_gone_is_auto_unsubscribed() {
     }
 }
 
+/// A subscribe is decided before it returns, with no worker asked: a
+/// rejection takes no id, so ids stay dense across rejections, and every
+/// worker's bank — which assigns ids by itself — routes each match to the
+/// subscriber the handle named.
 #[test]
 fn unsupported_queries_are_rejected_without_registering() {
+    let rejected = ["/a[b or c]", "/a[b = c]", "/a[b[c] > 5]", "/a/@id"];
     for workers in WORKERS {
         let srv = server(workers);
         let h = srv.handle();
-        let err = h.subscribe(parse_query("/a[b or c]").unwrap()).unwrap_err();
-        assert!(matches!(err, ServerError::Unsupported(_)), "{err}");
-        assert_eq!(h.stats().unwrap().live_subscriptions, 0);
+        let mut subs = Vec::new();
+        for (i, bad) in rejected.into_iter().enumerate() {
+            let err = h.subscribe(parse_query(bad).unwrap()).unwrap_err();
+            assert!(matches!(err, ServerError::Unsupported(_)), "{bad}: {err}");
+            subs.push(
+                h.subscribe(parse_query(&format!("//k{i}")).unwrap())
+                    .unwrap(),
+            );
+        }
+        let ids: Vec<u64> = subs.iter().map(|s| s.id().as_u64()).collect();
+        assert_eq!(ids, [0, 1, 2, 3], "{workers} workers");
+        // Every worker takes two documents.
+        let docs = 2 * workers;
+        for _ in 0..docs {
+            h.publish_str("<r><k3/><k2/><k1/><k0/></r>").unwrap();
+        }
+        let stats = h.stats().unwrap();
+        assert_eq!(stats.subscribes, 4);
+        assert_eq!(stats.live_subscriptions, 4);
+        assert_eq!(stats.deliveries, 4 * docs as u64);
+        for (i, sub) in subs.iter().enumerate() {
+            let fragment = format!("<k{i}/>");
+            let got: Vec<_> = std::iter::from_fn(|| sub.try_recv()).collect();
+            assert_eq!(got.len(), docs, "{workers} workers, sub {i}");
+            for d in got {
+                assert_eq!(d.subscription, sub.id());
+                assert_eq!(d.fragment(), Some(fragment.as_str()), "doc {}", d.doc_seq);
+            }
+        }
+        assert!(
+            !h.unsubscribe(SubscriptionId::from_raw(4)).unwrap(),
+            "never issued"
+        );
+        assert!(h.unsubscribe(subs[1].id()).unwrap());
+        assert!(!h.unsubscribe(subs[1].id()).unwrap(), "already withdrawn");
+        let stats = h.stats().unwrap();
+        assert_eq!((stats.unsubscribes, stats.live_subscriptions), (1, 3));
         srv.shutdown();
     }
 }
@@ -407,6 +446,26 @@ fn churn_applies_to_every_worker() {
         // `a` saw the first nine documents everywhere, `b` all 18.
         assert_eq!(a.delivered(), 9);
         assert_eq!(b.delivered(), 18);
+
+        // Withdrawn while workers are mid-document (commands overtake
+        // queued documents, not the one in hand): once `unsubscribe`
+        // returns, nothing more reaches the mailbox.
+        let c = h
+            .subscribe_with_mailbox(parse_query("//c").unwrap(), 1 << 20)
+            .unwrap();
+        let big = format!("<r>{}</r>", "<c/>".repeat(20_000));
+        for _ in 0..2 * workers {
+            h.publish_str(&big).unwrap();
+        }
+        assert!(h.unsubscribe(c.id()).unwrap());
+        let at_return = c.delivered();
+        assert_eq!(h.stats().unwrap().documents, 18 + 2 * workers as u64);
+        assert_eq!(c.delivered(), at_return);
+        assert_eq!(
+            std::iter::from_fn(|| c.try_recv()).count() as u64,
+            at_return
+        );
+        assert!(c.recv().is_none(), "the mailbox is disconnected");
         srv.shutdown();
     }
 }

@@ -6,8 +6,10 @@
 //! JSON frontends feeding the same filter alike. And the guarantee that
 //! spawning a second run over an indexed bank — a session, a clone —
 //! costs the same handful of allocations at any bank size;
-//! that a warm session retains no buffer of events; and that a server
-//! subscription's mailbox costs what it holds, not its capacity.
+//! that a warm session retains no buffer of events; that a server
+//! subscription's mailbox costs what it holds, not its capacity; and
+//! that churn over a known query form compiles nothing and waits for no
+//! worker reply.
 //!
 //! Measured with a counting `#[global_allocator]`; this file holds a
 //! single test so no sibling test thread can pollute the counters.
@@ -26,7 +28,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Counts every allocation and reallocation made by *this thread*
@@ -37,7 +39,8 @@ use std::sync::Arc;
 /// allocator never recurses into allocation. Live bytes are also summed
 /// over the whole process, for memory that one thread allocates and
 /// another frees (a server worker fills a mailbox, its subscriber
-/// drains it).
+/// drains it), and so are calls, for work a server worker does on a
+/// handle's behalf.
 struct CountingAlloc;
 
 thread_local! {
@@ -46,11 +49,13 @@ thread_local! {
 }
 
 static PROCESS_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// One allocating call that leaves `grown` more bytes live.
 fn bump(grown: i64) {
     // TLS may be unavailable during thread teardown; skip counting then.
     let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     live(grown);
 }
 
@@ -91,6 +96,10 @@ fn live_bytes() -> i64 {
 
 fn process_live_bytes() -> i64 {
     PROCESS_LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+fn process_allocations() -> u64 {
+    PROCESS_ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// Pins a closure to the higher-ranked `for<'a> FnMut(SymEvent<'a>, _)`
@@ -667,5 +676,53 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
         left.abs() <= block,
         "a drained mailbox still holds {left} B (one block is {block} B)"
     );
+
+    // --- Churn over a known form: checked, never compiled. -------------
+    // A subscribe whose canonical form the bank already holds joins its
+    // group: the check builds nothing, and nothing is compiled. The
+    // fewest calls over a few subscribes, so a slot table's amortized
+    // growth does not count.
+    let known = parse_query("/site/regions//item[price > 400]/name").unwrap();
+    let mut bank = IndexedBank::new_reporting(std::slice::from_ref(&known)).unwrap();
+    let builds = bank.residual_builds();
+    let fewest = (0..8)
+        .map(|_| counted(|| bank.subscribe(&known).unwrap()))
+        .min()
+        .unwrap();
+    assert_eq!(bank.residual_builds(), builds);
+    assert!(
+        fewest <= BANK_KNOWN_SUBSCRIBE,
+        "a known-form subscribe makes {fewest} allocation calls (limit {BANK_KNOWN_SUBSCRIBE})"
+    );
+
+    // A warm server's subscribe + unsubscribe pair of a known form: the
+    // handle decides both and waits for no reply, and each worker's bank
+    // compiles nothing. Counted process-wide through a barrier, less
+    // what the barrier alone costs.
+    let barrier = || {
+        let before = process_allocations();
+        handle.stats().unwrap();
+        process_allocations() - before
+    };
+    let pair = || {
+        let query = parse_query("//a3").unwrap();
+        let before = process_allocations();
+        let sub = handle.subscribe(query).unwrap();
+        assert!(handle.unsubscribe(sub.id()).unwrap());
+        drop(sub);
+        handle.stats().unwrap();
+        process_allocations() - before
+    };
+    let fewest = (0..8).map(|_| pair() - barrier()).min().unwrap();
+    assert!(
+        fewest <= SERVER_KNOWN_PAIR,
+        "a server churn pair makes {fewest} allocation calls (limit {SERVER_KNOWN_PAIR})"
+    );
     assert_eq!(server.shutdown().deliveries, 2 * backlog as u64);
 }
+
+/// Allocation calls of a known-form `IndexedBank::subscribe`.
+const BANK_KNOWN_SUBSCRIBE: u64 = 37;
+/// Allocation calls of a warm server's known-form subscribe +
+/// unsubscribe pair, both sides of the thread hand-off together.
+const SERVER_KNOWN_PAIR: u64 = 9;

@@ -11,9 +11,10 @@ use frontier_xpath::engine::{IndexPolicy, Mode};
 use frontier_xpath::filter::{CompiledQuery, IndexedBank, MultiFilter};
 use frontier_xpath::prelude::*;
 use frontier_xpath::workloads::{
-    auction_site, random_document, random_shared_prefix_bank, standing_queries, RandomDocConfig,
-    SharedPrefixBankConfig, XmarkConfig,
+    auction_site, random_document, random_redundancy_free, random_shared_prefix_bank,
+    standing_queries, RandomDocConfig, RandomQueryConfig, SharedPrefixBankConfig, XmarkConfig,
 };
+use frontier_xpath::xpath::{Axis, CompOp, Expr, NodeTest, QueryNodeId, Value};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -589,5 +590,84 @@ proptest! {
         }
         prop_assert_eq!(ib.results(), mf.results(), "verdicts on {}", xml);
         prop_assert_eq!(normalize(&got), normalize(&want), "matches on {}", xml);
+    }
+}
+
+/// Adds `conjunct` to the predicate of `u`.
+fn conjoin(q: &mut Query, u: QueryNodeId, conjunct: Expr) {
+    let predicate = match q.predicate(u) {
+        Some(p) => Expr::and(p.clone(), conjunct),
+        None => conjunct,
+    };
+    q.set_predicate(u, predicate);
+}
+
+/// Breaks `q` by the fragment rules `mutations` selects, each at a node
+/// the rng picks — bit 0: a disjunction; bit 1: a two-variable
+/// comparison; bit 2: a value test on an internal node; bit 3: an
+/// attribute output node.
+fn mutate(q: &mut Query, mutations: u8, rng: &mut SmallRng) {
+    let mut pick = |q: &Query| QueryNodeId(rng.gen_range(1..q.len() as u32));
+    if mutations & 1 != 0 {
+        let u = pick(q);
+        let v = q.add_child(u, "or1");
+        conjoin(
+            q,
+            u,
+            Expr::Or(Box::new(Expr::Var(v)), Box::new(Expr::Var(v))),
+        );
+    }
+    if mutations & 2 != 0 {
+        let u = pick(q);
+        let (a, b) = (q.add_child(u, "lhs"), q.add_child(u, "rhs"));
+        conjoin(q, u, Expr::comp(CompOp::Eq, Expr::Var(a), Expr::Var(b)));
+    }
+    if mutations & 4 != 0 {
+        let u = pick(q);
+        let v = q.add_child(u, "inner");
+        let w = q.add_child(v, "below");
+        q.set_predicate(v, Expr::Var(w));
+        conjoin(
+            q,
+            u,
+            Expr::comp(CompOp::Gt, Expr::Var(v), Expr::Const(Value::Number(5.0))),
+        );
+    }
+    if mutations & 8 != 0 {
+        let out = q.output_node();
+        let a = q.add_node(out, Axis::Attribute, NodeTest::Name("id".into()));
+        q.set_successor(out, a);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fx_cases(64)))]
+
+    /// `CompiledQuery::check` is the compiler's own check: on random
+    /// redundancy-free queries, broken by any mix of the four rules, it
+    /// returns exactly what `compile` (+ `reporting_supported`) returns
+    /// — variant and node id. And a checked query always inserts: a
+    /// bank compiles only residuals, and a checked query's residual
+    /// compiles (its output path is a suffix of the query's, so it
+    /// reports too), which every fresh, unpooled and reporting bank
+    /// below does on its pool miss.
+    #[test]
+    fn the_check_is_the_compilers_check(seed in 0u64..1_000_000, mutations in 0u8..16) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut q = random_redundancy_free(&mut rng, &RandomQueryConfig::default());
+        mutate(&mut q, mutations, &mut rng);
+        let compiled = CompiledQuery::compile(&q);
+        let filtering = compiled.as_ref().map(|_| ()).map_err(Clone::clone);
+        let reporting = compiled.and_then(|c| c.reporting_supported());
+        prop_assert_eq!(&CompiledQuery::check(&q, false), &filtering, "{:?}", &q);
+        prop_assert_eq!(&CompiledQuery::check(&q, true), &reporting, "{:?}", &q);
+        prop_assert_eq!(filtering.is_ok(), mutations & 0b111 == 0);
+        prop_assert_eq!(reporting.is_ok(), mutations == 0);
+
+        let at_zero = |r: &Result<(), _>| r.clone().map_err(|e| (0, e));
+        let twice = [q.clone(), q];
+        prop_assert_eq!(IndexedBank::new(&twice).map(|_| ()), at_zero(&filtering));
+        prop_assert_eq!(IndexedBank::new_unpooled(&twice).map(|_| ()), at_zero(&filtering));
+        prop_assert_eq!(IndexedBank::new_reporting(&twice).map(|_| ()), at_zero(&reporting));
     }
 }
