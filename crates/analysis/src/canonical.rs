@@ -57,7 +57,7 @@ impl CanonicalDocument {
 
 /// Returns a name from `N` that does not occur as a node test in `Q`
 /// (the `getAuxiliaryName` of Fig. 8).
-pub fn auxiliary_name(q: &Query) -> String {
+pub(crate) fn auxiliary_name(q: &Query) -> String {
     let used: HashSet<&str> = q
         .all_nodes()
         .filter_map(|u| match q.ntest(u) {
@@ -82,12 +82,8 @@ pub fn canonical_document(q: &Query) -> Result<CanonicalDocument, FragmentViolat
     build(q, true)
 }
 
-/// The "structurally canonical" variant (§6.4.1): same tree, no text
-/// values. Used for structural-matching arguments (Lemma 6.9's proof).
-pub fn structurally_canonical_document(q: &Query) -> CanonicalDocument {
-    build(q, false).expect("structural construction cannot fail")
-}
-
+/// `with_values: false` builds the "structurally canonical" variant
+/// (§6.4.1): same tree, no text values.
 fn build(q: &Query, with_values: bool) -> Result<CanonicalDocument, FragmentViolation> {
     let aux = auxiliary_name(q);
     let h = q.longest_wildcard_chain();
@@ -149,7 +145,7 @@ fn build(q: &Query, with_values: bool) -> Result<CanonicalDocument, FragmentViol
 /// leaf set receives `α` that is not a prefix of any dominated value.
 /// Unrestricted leaves with nothing to distinguish stay empty (matching
 /// the paper's example documents, e.g. `〈e/〉`).
-pub fn unique_values(q: &Query) -> Result<HashMap<QueryNodeId, String>, FragmentViolation> {
+pub(crate) fn unique_values(q: &Query) -> Result<HashMap<QueryNodeId, String>, FragmentViolation> {
     let mut out = HashMap::new();
     for u in q.all_nodes() {
         if u == q.root() {
@@ -345,7 +341,7 @@ mod tests {
     #[test]
     fn structurally_canonical_has_no_text() {
         let q = parse_query("/a[c[.//e and f] and b > 5]").unwrap();
-        let cd = structurally_canonical_document(&q);
+        let cd = build(&q, false).unwrap();
         assert!(cd
             .doc
             .all_nodes()

@@ -28,13 +28,6 @@ pub fn frontier_size(q: &Query) -> usize {
         .unwrap_or(0)
 }
 
-/// The node realizing the largest frontier (ties broken by id order).
-pub fn widest_frontier_node(q: &Query) -> QueryNodeId {
-    q.all_nodes()
-        .max_by_key(|&u| (frontier(q, u).len(), std::cmp::Reverse(u.0)))
-        .expect("queries always contain the root")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,7 +44,6 @@ mod tests {
         let f = frontier(&q, e);
         assert_eq!(f.len(), 3);
         assert_eq!(frontier_size(&q), 3);
-        assert_eq!(widest_frontier_node(&q), e);
     }
 
     #[test]

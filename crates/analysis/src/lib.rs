@@ -29,19 +29,18 @@ pub mod truthset;
 
 pub use automorphism::{dominated_leaves, structural_domination_set, AutomorphismFinder};
 pub use canonical::{
-    auxiliary_name, canonical_document, canonical_key, canonical_residual_key, canonical_steps,
+    canonical_document, canonical_key, canonical_residual_key, canonical_steps,
     sharable_prefix_len, sharable_prefix_of, shared_prefix_depth, strongly_subsumption_free,
-    structurally_canonical_document, unique_values, CanonicalDocument, CanonicalForm,
-    CanonicalStep,
+    CanonicalDocument, CanonicalForm, CanonicalStep,
 };
 pub use fragment::{
     closure_free, conjunctive, depth_theorem_node, leaf_only_value_restricted,
     recursive_xpath_node, star_restricted, univariate, FragmentViolation,
 };
-pub use frontier::{frontier, frontier_size, widest_frontier_node};
+pub use frontier::{frontier, frontier_size};
 pub use minimize::{eliminate_one, find_redundancy, minimize, truth_implies, Redundancy};
 pub use pathmatch::{
-    path_consistency_free, path_consistent, path_match_sets, path_matches, path_recursion_depth,
+    path_consistency_free, path_consistent, path_matches, path_recursion_depth,
     recursion_depth_wrt, text_width,
 };
 pub use truthset::{sample_distinct_member, sample_non_prefix, Shape, Tri, TruthSet};

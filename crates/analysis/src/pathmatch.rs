@@ -10,7 +10,7 @@ use std::collections::{HashMap, HashSet};
 /// For every document node, the set of query nodes it *path matches*
 /// (Def. 8.2): there is a root/axis/node-test-respecting map from
 /// `PATH(u)` to `PATH(x)`.
-pub fn path_match_sets(q: &Query, d: &Document) -> HashMap<NodeId, HashSet<QueryNodeId>> {
+pub(crate) fn path_match_sets(q: &Query, d: &Document) -> HashMap<NodeId, HashSet<QueryNodeId>> {
     let mut sets: HashMap<NodeId, HashSet<QueryNodeId>> = HashMap::new();
     let mut anc: HashMap<NodeId, HashSet<QueryNodeId>> = HashMap::new();
     sets.insert(d.root(), HashSet::from([q.root()]));

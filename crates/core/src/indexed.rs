@@ -70,8 +70,8 @@
 //! sites skip it for the cost of one emptiness check) and its pooled
 //! filters are released so the residual pool's `Arc` refcounts drop
 //! naturally. Tombstones are folded away by [`IndexedBank::compact`] —
-//! run automatically once their density crosses the
-//! [`CompactionPolicy`] threshold — which rebuilds the trie and slot
+//! run automatically once there are at least 16 of them and they fill
+//! more than half the slot table — which rebuilds the trie and slot
 //! table from the surviving subscriptions while *moving* the existing
 //! compiled residuals into the new pool: churn never recompiles the
 //! bank, and [`IndexedBank::residual_builds`] moves only when a
@@ -83,8 +83,8 @@
 //! the subscriptions are* — trie, groups, residual pool and wake-up
 //! triggers, the canonical-key maps, the slot tables with the `Query`
 //! each slot retains for compaction — and only churn writes it:
-//! [`IndexedBank::subscribe`], [`IndexedBank::unsubscribe`],
-//! [`IndexedBank::compact`] and [`IndexedBank::set_compaction_policy`].
+//! [`IndexedBank::subscribe`], [`IndexedBank::unsubscribe`] and
+//! [`IndexedBank::compact`].
 //! The **run** is *where the document is* — frontier records and dormant
 //! activations with their chains, live residual instances and the
 //! filter pool, per-group verdicts and peaks, the counters: Theorem
@@ -235,29 +235,12 @@ impl std::fmt::Display for SubscriptionId {
     }
 }
 
-/// When [`IndexedBank::unsubscribe`] folds tombstoned slots away
-/// automatically (see [`IndexedBank::compact`]). Compaction costs one
-/// pass over the surviving subscriptions (no recompilation), so the
-/// default waits for tombstones to outnumber half the slot table —
-/// amortized O(1/ratio) slot moves per unsubscribe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactionPolicy {
-    /// Never auto-compact below this many tombstoned slots.
-    pub min_tombstones: usize,
-    /// Auto-compact when tombstoned slots exceed this fraction of all
-    /// slots. Set it at or above `1.0` to disable automatic compaction
-    /// (explicit [`IndexedBank::compact`] calls still work).
-    pub max_tombstone_ratio: f64,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> CompactionPolicy {
-        CompactionPolicy {
-            min_tombstones: 16,
-            max_tombstone_ratio: 0.5,
-        }
-    }
-}
+/// [`IndexedBank::unsubscribe`] folds tombstoned slots away once there
+/// are at least this many and they fill more than half the slot table.
+/// Compaction costs one pass over the surviving subscriptions (no
+/// recompilation), so waiting for tombstones to outnumber the live slots
+/// keeps it amortized O(1) slot moves per unsubscribe.
+const MIN_TOMBSTONES: usize = 16;
 
 /// A set of bank queries with identical canonical form, evaluated once.
 #[derive(Debug, Clone)]
@@ -476,7 +459,7 @@ fn triggers_for(compiled: &CompiledQuery) -> ResidualTriggers {
 
 /// *What the subscriptions are*: the half of an [`IndexedBank`] only
 /// churn writes ([`IndexedBank::subscribe`] / [`IndexedBank::unsubscribe`]
-/// / [`IndexedBank::compact`] / [`IndexedBank::set_compaction_policy`]).
+/// / [`IndexedBank::compact`]).
 /// Every clone of a bank shares it behind one `Arc`; the event handlers
 /// receive it as `&Index` (see the module docs, "Index and run").
 #[derive(Debug, Clone)]
@@ -520,10 +503,8 @@ struct Index {
     slot_query: Vec<Query>,
     /// Next subscription id (monotone; never reused).
     next_sub: u64,
-    /// Number of tombstoned slots ([`CompactionPolicy`] trigger).
+    /// Number of tombstoned slots (the automatic compaction trigger).
     dead_slots: usize,
-    /// When unsubscribe folds tombstones away automatically.
-    policy: CompactionPolicy,
     /// Number of compaction passes performed.
     compactions: u64,
     /// The bank's shared symbol table: trie node tests and every
@@ -711,7 +692,6 @@ impl Index {
             slot_query: Vec::new(),
             next_sub: 0,
             dead_slots: 0,
-            policy: CompactionPolicy::default(),
             compactions: 0,
             symbols,
             reporting,
@@ -979,8 +959,8 @@ impl IndexedBank {
     /// without live groups releases its pooled filters so the shared
     /// residual's `Arc` refcounts drop back to the compiled entry
     /// alone. Nothing is recompiled; the inert trie linkage is folded
-    /// away by the next [`IndexedBank::compact`] (automatic per
-    /// [`CompactionPolicy`]).
+    /// away by the next [`IndexedBank::compact`] (automatic once
+    /// tombstones are at least 16 and more than half the slots).
     ///
     /// Returns `false` for unknown or already-withdrawn ids.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
@@ -1034,7 +1014,6 @@ impl IndexedBank {
         let mut index = Index::empty(old.reporting, old.pooled, Arc::clone(&old.symbols));
         index.built_residuals = old.built_residuals;
         index.next_sub = old.next_sub;
-        index.policy = old.policy;
         index.compactions = old.compactions + 1;
         // New group → the old group it continues.
         let mut continues: Vec<u32> = Vec::new();
@@ -1067,10 +1046,7 @@ impl IndexedBank {
 
     fn maybe_compact(&mut self) {
         let index = &self.index;
-        if index.dead_slots >= index.policy.min_tombstones
-            && (index.dead_slots as f64)
-                > index.policy.max_tombstone_ratio * index.query_group.len() as f64
-        {
+        if index.dead_slots >= MIN_TOMBSTONES && 2 * index.dead_slots > index.query_group.len() {
             self.compact();
         }
     }
@@ -1104,12 +1080,6 @@ impl IndexedBank {
     /// Number of compaction passes performed so far.
     pub fn compactions(&self) -> u64 {
         self.index.compactions
-    }
-
-    /// Replaces the automatic compaction policy (see
-    /// [`CompactionPolicy`]).
-    pub fn set_compaction_policy(&mut self, policy: CompactionPolicy) {
-        Arc::make_mut(&mut self.index).policy = policy;
     }
 
     /// Number of registered slots — live subscriptions plus tombstones
@@ -2547,25 +2517,28 @@ mod tests {
     #[test]
     fn automatic_compaction_honours_the_policy() {
         let mut ib = IndexedBank::new(&[]).unwrap();
-        ib.set_compaction_policy(CompactionPolicy {
-            min_tombstones: 4,
-            max_tombstone_ratio: 0.5,
-        });
         let keep = ib.subscribe(&parse_query("/keep/me").unwrap()).unwrap();
         let mut churned = Vec::new();
-        for i in 0..6 {
+        for i in 0..20 {
             let q = parse_query(&format!("/fam{i}/item[p > {i}]")).unwrap();
             churned.push(ib.subscribe(&q).unwrap());
         }
         let builds = ib.residual_builds();
+        let mut churned = churned.into_iter();
+        for id in churned.by_ref().take(MIN_TOMBSTONES - 1) {
+            ib.unsubscribe(id);
+        }
+        // 15 of 21 slots: more than half, but below the floor of 16.
+        assert_eq!(MIN_TOMBSTONES, 16);
+        assert_eq!((ib.compactions(), ib.tombstoned_slots()), (0, 15));
+        // The 16th tombstone crosses both (16 ≥ 16 and 2·16 > 21) and
+        // auto-compacts; the last four stay below it.
         for id in churned {
             ib.unsubscribe(id);
         }
-        // The 4th tombstone crosses the threshold (4 ≥ 4 and 4 > 0.5·7)
-        // and auto-compacts; the last two stay below it.
         assert_eq!(ib.compactions(), 1, "threshold crossed ⇒ auto-compact");
-        assert_eq!(ib.tombstoned_slots(), 2);
-        // An explicit compact ignores the policy and folds the rest.
+        assert_eq!(ib.tombstoned_slots(), 4);
+        // An explicit compact ignores the threshold and folds the rest.
         assert!(ib.compact());
         assert_eq!(ib.tombstoned_slots(), 0);
         assert_eq!(ib.len(), 1);

@@ -42,9 +42,7 @@ pub mod space;
 pub mod trace;
 
 pub use filter::{CompiledQuery, FrontierRecord, StreamFilter, UnsupportedQuery};
-pub use indexed::{
-    CompactionPolicy, CompiledResidual, IndexSpaceStats, IndexedBank, SubscriptionId,
-};
+pub use indexed::{CompiledResidual, IndexSpaceStats, IndexedBank, SubscriptionId};
 pub use multi::MultiFilter;
 pub use reporter::{Match, MatchSink};
 pub use space::{bits_for, SpaceStats};

@@ -2,7 +2,8 @@
 //! command queue plus a *bounded* document queue whose fullness blocks
 //! publishers.
 
-use crate::server::{Command, Doc};
+use crate::broker::Command;
+use crate::server::{Doc, Shared};
 use crate::ServerError;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -10,22 +11,19 @@ use std::sync::{Condvar, Mutex, PoisonError};
 /// Worker side only: handle-side callers get [`ServerError::Closed`].
 const POISONED: &str = "a thread panicked while holding this inbox's lock";
 
-/// One unit of worker work: all pending commands, or one document —
-/// never both (commands apply before documents, and the stats barrier
-/// depends on draining the document queue itself).
-pub(crate) type WorkBatch = (Vec<Command>, Option<Doc>);
+/// All pending commands, or one document (see [`Inbox::take_work`]).
+pub(crate) type WorkBatch = (Vec<Command<Shared>>, Option<Doc>);
 
 pub(crate) struct Inbox {
     state: Mutex<InboxState>,
-    /// Worker-side: signalled when work (an awaited command, documents,
-    /// shutdown) arrives.
+    /// Signalled for the worker when work arrives.
     work: Condvar,
     /// Publisher-side: signalled when a document slot frees up.
     space: Condvar,
 }
 
 struct InboxState {
-    cmds: VecDeque<Command>,
+    cmds: VecDeque<Command<Shared>>,
     docs: VecDeque<Doc>,
     doc_cap: usize,
     shutdown: bool,
@@ -52,15 +50,12 @@ impl Inbox {
     /// command a handle waits on wakes the worker: churn takes effect at
     /// the next document, and whatever brings one — a publish, a
     /// barrier, the close — wakes it and hands the churn over first.
-    pub(crate) fn command(&self, cmd: Command) -> Result<(), ServerError> {
+    pub(crate) fn command(&self, cmd: Command<Shared>) -> Result<(), ServerError> {
         let mut st = self.state.lock().map_err(|_| ServerError::Closed)?;
         if st.shutdown {
             return Err(ServerError::Closed);
         }
-        let awaited = matches!(
-            cmd,
-            Command::Stats { .. } | Command::Compact { reply: Some(_) }
-        );
+        let awaited = cmd.awaited();
         st.cmds.push_back(cmd);
         if awaited {
             st.awaited = true;
@@ -83,14 +78,11 @@ impl Inbox {
         Ok(())
     }
 
-    /// Worker side: blocks for work, then takes *all* pending commands
-    /// — or, when none are queued, one document. Commands and documents
-    /// are never batched together: the stats barrier drains the document
-    /// queue itself, so it must still hold whatever was published before
-    /// it. Churn alone is not work: it waits, unapplied, for a document,
-    /// an awaited command or the close, so an idle worker never runs it
-    /// on its own. Returns `None` when the server is shut down and fully
-    /// drained.
+    /// Worker side: blocks for work, then takes *all* pending commands —
+    /// or, when none are queued, one document; never both, since the
+    /// stats barrier drains the document queue itself. Churn alone is not
+    /// work: it waits for a document, an awaited command or the close.
+    /// `None` once the server is shut down and fully drained.
     pub(crate) fn take_work(&self) -> Option<WorkBatch> {
         let mut st = self.state.lock().expect(POISONED);
         loop {
@@ -109,8 +101,7 @@ impl Inbox {
         }
     }
 
-    /// Non-blocking: pops one pending document if there is one (used by
-    /// the stats barrier to drain the queue).
+    /// Non-blocking: pops one pending document (the stats barrier).
     pub(crate) fn take_doc(&self) -> Option<Doc> {
         let mut st = self.state.lock().expect(POISONED);
         let doc = st.docs.pop_front();
@@ -155,9 +146,7 @@ mod tests {
     #[test]
     fn churn_waits_for_the_next_document() {
         let inbox = &Inbox::new(4);
-        let churn = || Command::Unsubscribe {
-            id: SubscriptionId::from_raw(0),
-        };
+        let churn = || Command::Unsubscribe(SubscriptionId::from_raw(0));
         inbox.command(churn()).unwrap();
         std::thread::scope(|scope| {
             let (tx, rx) = channel();

@@ -34,62 +34,54 @@
 //! server.shutdown();
 //! ```
 //!
-//! ## Subscribe / unsubscribe: churn without rebuilds
+//! ## Churn without rebuilds, decided where it is called
 //!
 //! [`ServerHandle::subscribe`] and [`ServerHandle::unsubscribe`] ride the
-//! mutable bank's incremental paths (`IndexedBank::subscribe` /
-//! `unsubscribe`): a new query extends the shared-prefix trie in
-//! O(|query|) and reuses pooled residual automata whenever its canonical
-//! remainder is already compiled; a withdrawal tombstones one slot.
-//! Neither ever recompiles the bank — `residual_builds()` stays flat
-//! under churn over known query shapes — so subscriptions stay cheap at
-//! any bank size. The calling handle decides each command on the spot —
-//! a rejected query is refused before `subscribe` returns, ids are
-//! dense, and nothing is delivered once `unsubscribe` returns — and
-//! queues one identical copy for every worker without waiting for, or
-//! waking, any. Each worker applies its copies **at document
-//! boundaries** — handed over with its next document — in the
-//! same order, so all banks agree: a subscription is guaranteed to see
-//! every document published after `subscribe` returned, and each
-//! worker's parser picks a new query's names up at its next document.
+//! bank's incremental paths: a new query extends the shared-prefix trie
+//! in O(|query|) and reuses pooled residual automata whenever its
+//! canonical remainder is already compiled; a withdrawal tombstones one
+//! slot. Neither recompiles the bank (`residual_builds` stays flat over
+//! known query shapes). The calling handle decides each call — a
+//! rejected query is refused before `subscribe` returns, ids are dense,
+//! nothing is delivered once `unsubscribe` returns — and queues one
+//! identical command per worker without waiting for any. Every worker
+//! applies them in that order before its next document, so a
+//! subscription sees every document published after `subscribe`
+//! returned. These rules live in one thread-free core (`broker.rs`),
+//! which the crate's tests check against a sequential specification
+//! over every interleaving of small scripts.
 //!
 //! ## Backpressure
-//!
-//! Two bounded queues, two different policies:
 //!
 //! - **Documents** ([`ServerHandle::publish`]): the publisher *blocks*
 //!   when [`ServerConfig::doc_queue_capacity`] documents are pending —
 //!   dissemination is lossless upstream, the stream source slows down.
-//! - **Deliveries** (per subscriber): each subscription's mailbox holds
-//!   at most [`ServerConfig::mailbox_capacity`] unread matches,
-//!   allocated as they queue — a subscription costs what it holds, not
-//!   its worst case. A stalled subscriber never blocks a worker or its
-//!   peers: matches that do not fit are *dropped for that subscriber
-//!   only* and counted on its lag counter ([`Subscription::dropped`]),
-//!   the paper-appropriate policy for live dissemination (a slow
-//!   consumer falls behind; the stream does not).
-//!   A subscriber that went away entirely (receiver dropped) is detected
-//!   on delivery, skipped from then on, and auto-unsubscribed by the next
-//!   churn or [`ServerHandle::stats`] call.
+//! - **Deliveries**: a mailbox holds at most
+//!   [`ServerConfig::mailbox_capacity`] unread matches, allocated as they
+//!   queue. A stalled subscriber never blocks a worker or its peers:
+//!   matches that do not fit are *dropped for that subscriber only* and
+//!   counted ([`Subscription::dropped`]) — a slow consumer falls behind;
+//!   the stream does not. A subscriber that went away (receiver dropped)
+//!   is found on delivery, skipped from then on, and auto-unsubscribed
+//!   by the next churn or [`ServerHandle::stats`] call.
 //!
-//! ## Compaction policy
+//! ## Compaction
 //!
-//! Tombstoned slots accumulate until the bank's
-//! [`fx_core::CompactionPolicy`] (set from [`ServerConfig::compaction`])
-//! triggers a rebuild of the flat trie/slot arrays — an O(live queries)
-//! fold that moves `Arc`s and copies records but compiles nothing.
-//! [`ServerHandle::compact`] forces one regardless of thresholds.
-//! [`SubscriptionId`]s are stable across compaction; only internal slot
-//! numbers move.
+//! Once a bank holds at least 16 tombstoned slots and they fill more than
+//! half its slot table, it rebuilds its flat trie/slot arrays — an
+//! O(live queries) fold that moves `Arc`s but compiles nothing.
+//! [`ServerHandle::compact`] forces one. [`SubscriptionId`]s are stable
+//! across compaction; only internal slot numbers move.
 
 #![warn(missing_docs)]
 
+mod broker;
 mod inbox;
 mod server;
 mod sub;
 
-pub use fx_core::{CompactionPolicy, SubscriptionId, UnsupportedQuery};
-pub use server::{DisseminationServer, ServerHandle, ServerStats};
+pub use fx_core::{SubscriptionId, UnsupportedQuery};
+pub use server::{DisseminationServer, ServerHandle};
 pub use sub::{Delivery, Subscription};
 
 use fx_xpath::Query;
@@ -106,14 +98,10 @@ pub struct ServerConfig {
     /// subscription that lags by this many has further matches dropped
     /// for it (and counted on [`Subscription::dropped`]).
     pub mailbox_capacity: usize,
-    /// When unsubscribe tombstones fold into a rebuilt bank; see
-    /// [`fx_core::CompactionPolicy`].
-    pub compaction: CompactionPolicy,
-    /// Worker threads (at least one). Each owns a bank, a parser and a
-    /// document queue of [`ServerConfig::doc_queue_capacity`];
-    /// documents go round-robin in publish order and deliveries come
-    /// back in that order. More than one pays off when evaluating a
-    /// document costs more than handing it over.
+    /// Worker threads (at least one), each with a bank, a parser and a
+    /// document queue; documents go round-robin, deliveries come back in
+    /// publish order. More than one pays off when evaluating a document
+    /// costs more than handing it over.
     pub workers: usize,
 }
 
@@ -122,10 +110,36 @@ impl Default for ServerConfig {
         ServerConfig {
             doc_queue_capacity: 64,
             mailbox_capacity: 256,
-            compaction: CompactionPolicy::default(),
             workers: 1,
         }
     }
+}
+
+/// A cumulative snapshot of the server's activity, taken at a document
+/// boundary by [`ServerHandle::stats`], a barrier for everything queued
+/// before it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ServerStats {
+    /// Documents fully processed.
+    pub documents: u64,
+    /// Documents rejected by the parser; the stream goes on.
+    pub parse_errors: u64,
+    /// Matches delivered into subscriber mailboxes.
+    pub deliveries: u64,
+    /// Matches dropped at a full mailbox (every lag counter's sum).
+    pub dropped_deliveries: u64,
+    /// Subscriptions accepted over the server's lifetime.
+    pub subscribes: u64,
+    /// Subscriptions withdrawn (explicit and auto-unsubscribed).
+    pub unsubscribes: u64,
+    /// Currently live subscriptions.
+    pub live_subscriptions: usize,
+    /// Subscribers withdrawn after their receiver was dropped.
+    pub auto_unsubscribes: u64,
+    /// Bank compactions performed (automatic and explicit).
+    pub compactions: u64,
+    /// Residual automata compiled — flat under churn over known shapes.
+    pub residual_builds: u64,
 }
 
 /// Why a [`ServerHandle`] operation could not be carried out.

@@ -1,119 +1,26 @@
-//! The dissemination server: N worker threads (one by default), each
-//! owning its own [`IndexedBank`] and warm lookup-only parser over **one
-//! shared symbol table**, and its own inbox — with documents dealt
-//! round-robin by publish sequence number and deliveries released in
-//! that order through one [`Outbox`].
-//!
-//! ## Churn: the handle decides, every worker follows
-//!
-//! Every worker's bank holds the same subscription set, so churn must
-//! produce the same [`SubscriptionId`] in all of them. Under the churn
-//! mutex the handle decides a subscribe itself: it runs the banks' own
-//! [`CompiledQuery::check`], takes the next id (ids are dense — 0, 1, 2,
-//! … in accepted-subscribe order — and never recycled, exactly as every
-//! bank assigns them), registers the subscriber's outlet, and pushes one
-//! identical command to every inbox. An unsubscribe is answered by the
-//! outbox (a live id has an outlet or is departed), withdraws the
-//! outlet, then broadcasts. No churn call waits for a worker, or even
-//! wakes one: each inbox hands over its commands before its next
-//! document, so every bank sees the same subscribes in the same order
-//! and asserts it assigned the id the handle did.
-//!
-//! ## Delivery order
-//!
-//! A worker finishes its document, resolves bank slots to ids, and
-//! reports under the outbox lock. A report that is next in publish
-//! order is delivered on the spot from the worker's own buffers and
-//! releases whatever was parked behind it; one that is ahead of its turn
-//! is parked. An outlet is registered before its subscribe is broadcast,
-//! so no report can mention a subscription the outbox does not know.
-//!
-//! ## Lock order
-//!
-//! The churn lock first, then an inbox's or the outbox's; those two are
-//! leaves. Nothing blocks while holding the outbox lock (a mailbox
-//! send never waits), and workers never take the churn lock — so a handle
-//! may hold it while [`ServerHandle::compact`] or [`ServerHandle::stats`]
-//! waits for worker replies, the only churn-lock holders that wait. A
-//! departed subscriber (receiver dropped) is found on delivery, loses its
-//! outlet at once, and is parked on [`Outbox::departed`] for the next
-//! churn-lock holder to withdraw from the banks.
-//!
-//! A poisoned churn or outbox lock closes the server: the caller that
-//! meets it gets [`ServerError::Closed`], and so does every later call.
+//! The shell around [`crate::broker`]: worker threads that parse, run
+//! their [`IndexedBank`], resolve slots to ids and report under the
+//! outbox lock, and handles that call the core under the churn lock.
+//! Lock order: churn, then an inbox's or the outbox's (leaves). Nothing
+//! blocks under the outbox lock and workers never take the churn lock,
+//! so `compact` and `stats` may wait for workers while holding it. A
+//! poisoned lock closes the server: the caller that meets it gets
+//! [`ServerError::Closed`], and so does every later call.
 
+use crate::broker::{route, Churn, Command, Mailbox, Offer, Outbox, Port, Resolved};
 use crate::inbox::Inbox;
-use crate::sub::{Delivery, SubShared, Subscription};
-use crate::{ServerConfig, ServerError};
+use crate::sub::{Delivery, Document, SubShared, Subscription};
+use crate::{ServerConfig, ServerError, ServerStats};
 use fx_core::{CompiledQuery, IndexedBank, Match, SubscriptionId};
-use fx_xml::{Span, StreamingParser, Symbols};
+use fx_xml::{StreamingParser, Symbols};
 use fx_xpath::Query;
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// A published document and its place in the stream.
-pub(crate) type Doc = (u64, Arc<[u8]>);
-
-/// A match resolved from its worker-local slot to the global id:
-/// subscription, ordinal, span.
-type Resolved = (SubscriptionId, u64, Span);
-
-/// One queued churn / introspection operation, applied by a worker
-/// between documents, in submission order. Churn is decided by the
-/// handle and reaches every worker as the same command; only worker 0's
-/// copy of a compaction carries the reply channel.
-pub(crate) enum Command {
-    Subscribe {
-        query: Arc<Query>,
-        id: SubscriptionId,
-    },
-    Unsubscribe {
-        id: SubscriptionId,
-    },
-    Compact {
-        reply: Option<SyncSender<bool>>,
-    },
-    /// The barrier: the worker drains its document queue, then replies
-    /// with its slice of the stats.
-    Stats {
-        reply: SyncSender<ServerStats>,
-    },
-}
-
-/// A cumulative snapshot of the server's activity, taken at a document
-/// boundary by [`ServerHandle::stats`] (which therefore also acts as a
-/// barrier: it returns only after every previously queued command and
-/// document has been processed).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Documents fully processed.
-    pub documents: u64,
-    /// Documents rejected by the parser (malformed XML); the stream
-    /// continues with the next document.
-    pub parse_errors: u64,
-    /// Matches delivered into subscriber mailboxes.
-    pub deliveries: u64,
-    /// Matches dropped because a subscriber's mailbox was full (the sum
-    /// of every subscriber's lag counter, including departed ones).
-    pub dropped_deliveries: u64,
-    /// Subscriptions accepted over the server's lifetime.
-    pub subscribes: u64,
-    /// Subscriptions withdrawn (explicit and auto-unsubscribed).
-    pub unsubscribes: u64,
-    /// Currently live subscriptions.
-    pub live_subscriptions: usize,
-    /// Subscribers withdrawn automatically after their mailbox receiver
-    /// was dropped.
-    pub auto_unsubscribes: u64,
-    /// Bank compactions performed (policy-driven and explicit).
-    pub compactions: u64,
-    /// Residual automata compiled since startup — flat under churn over
-    /// known query shapes (the no-rebuild guarantee, observable).
-    pub residual_builds: u64,
-}
+pub(crate) type Doc = (u64, Document);
 
 /// The server-side end of one subscription: the delivery sender (owned
 /// *only* here, so dropping it on withdrawal disconnects the mailbox),
@@ -124,121 +31,40 @@ pub(crate) struct Outlet {
     shared: Arc<SubShared>,
 }
 
-/// All delivery state, behind one leaf mutex.
-#[derive(Default)]
-struct Outbox {
-    outlets: HashMap<SubscriptionId, Outlet>,
-    /// The reorder buffer: reports that arrived ahead of their turn.
-    parked: BTreeMap<u64, (Arc<[u8]>, Vec<Resolved>)>,
-    next_seq: u64,
-    deliveries: u64,
-    dropped: u64,
-    /// Subscribers whose receiver vanished, still live in the banks.
-    departed: Vec<SubscriptionId>,
-}
-
-impl Outbox {
-    /// Takes one finished document's matches: delivered now if `seq` is
-    /// next in publish order (together with any run parked behind it),
-    /// parked otherwise.
-    fn report(&mut self, seq: u64, document: Arc<[u8]>, matches: &[Resolved]) {
-        if seq != self.next_seq {
-            self.parked.insert(seq, (document, matches.to_vec()));
-            return;
-        }
-        self.deliver(seq, &document, matches);
-        self.next_seq += 1;
-        while let Some((document, matches)) = self.parked.remove(&self.next_seq) {
-            self.deliver(self.next_seq, &document, &matches);
-            self.next_seq += 1;
-        }
-    }
-
-    fn deliver(&mut self, doc_seq: u64, document: &Arc<[u8]>, matches: &[Resolved]) {
-        for &(id, ordinal, span) in matches {
-            let Some(outlet) = self.outlets.get(&id) else {
-                continue; // withdrawn, or departed earlier in this document
-            };
-            let shared = &outlet.shared;
-            // Reserve a slot before sending: the subscriber releases one
-            // only after receiving, so the count never underflows.
-            if shared.backlog.fetch_add(1, Ordering::Relaxed) >= outlet.capacity {
-                shared.backlog.fetch_sub(1, Ordering::Relaxed);
-                // Once the `Subscription` is dropped the outlet holds
-                // the only reference: a full mailbox nobody reads has
-                // departed, like an empty one whose send fails.
-                if Arc::strong_count(shared) > 1 {
-                    // A stalled subscriber lags; the stream does not stop.
-                    shared.dropped.fetch_add(1, Ordering::Relaxed);
-                    self.dropped += 1;
-                    continue;
-                }
-            } else if outlet
-                .tx
-                .send(Delivery {
-                    subscription: id,
-                    doc_seq,
-                    ordinal,
-                    span,
-                    document: Arc::clone(document),
-                })
-                .is_ok()
-            {
-                shared.delivered.fetch_add(1, Ordering::Relaxed);
-                self.deliveries += 1;
-                continue;
+impl Mailbox for Outlet {
+    fn offer(&mut self, delivery: Delivery) -> Offer {
+        let shared = &self.shared;
+        // Reserve a slot before sending: the subscriber releases one only
+        // after receiving, so the count never underflows.
+        if shared.backlog.fetch_add(1, Ordering::Relaxed) >= self.capacity {
+            shared.backlog.fetch_sub(1, Ordering::Relaxed);
+            // Once the `Subscription` is dropped the outlet holds the
+            // only reference: a full mailbox nobody reads has departed.
+            if Arc::strong_count(shared) == 1 {
+                return Offer::Gone;
             }
-            // The receiver is gone.
-            self.outlets.remove(&id);
-            self.departed.push(id);
+            shared.dropped.fetch_add(1, Ordering::Relaxed);
+            return Offer::Full;
         }
-    }
-
-    /// Forgets a subscription before the banks hear of it, so nothing
-    /// reaches its mailbox afterwards; `false` if it was not live (a live
-    /// subscription has an outlet or is departed). Dropping the outlet
-    /// drops the last delivery sender, which wakes a blocked
-    /// [`Subscription::recv`].
-    fn withdraw(&mut self, id: SubscriptionId) -> bool {
-        let departed = self.departed.len();
-        self.departed.retain(|&d| d != id);
-        self.outlets.remove(&id).is_some() || self.departed.len() < departed
-    }
-
-    /// Shutdown: every worker has exited, so no report is still to come
-    /// — a gap in the sequence is a `publish` that lost the race with
-    /// the close. Releases the reorder buffer in sequence order.
-    fn flush(&mut self) {
-        for (seq, (document, matches)) in std::mem::take(&mut self.parked) {
-            self.deliver(seq, &document, &matches);
+        if self.tx.send(delivery).is_err() {
+            return Offer::Gone;
         }
+        shared.delivered.fetch_add(1, Ordering::Relaxed);
+        Offer::Sent
     }
 }
 
-/// Lifetime churn counts, guarded by the mutex that serializes
-/// subscribe / unsubscribe / compact / stats (publishing never takes
-/// it).
-#[derive(Default)]
-struct Churn {
-    /// Accepted subscribes, and so the raw value of the next id.
-    subscribes: u64,
-    unsubscribes: u64,
-    auto_unsubscribes: u64,
-}
-
-struct Shared {
+pub(crate) struct Shared {
     inboxes: Vec<Inbox>,
     seq: AtomicU64,
     churn: Mutex<Churn>,
-    outbox: Mutex<Outbox>,
+    outbox: Mutex<Outbox<Outlet>>,
     mailbox_capacity: usize,
 }
 
 impl Shared {
     fn close(&self) {
-        for inbox in &self.inboxes {
-            inbox.close();
-        }
+        self.inboxes.iter().for_each(Inbox::close);
     }
 
     /// A poisoned lock means a thread died mid-update: fail closed.
@@ -248,80 +74,40 @@ impl Shared {
             ServerError::Closed
         })
     }
-
-    /// Takes the churn lock and withdraws parked departures first, so a
-    /// server that is never asked for stats still sheds dead queries.
-    fn churn(&self) -> Result<MutexGuard<'_, Churn>, ServerError> {
-        let mut churn = self.lock(&self.churn)?;
-        self.sweep(&mut churn)?;
-        Ok(churn)
-    }
-
-    /// Queues one command on every inbox, in inbox order. Must hold the
-    /// churn lock, so every worker sees churn in the same order.
-    fn broadcast(&self, mut command: impl FnMut() -> Command) -> Result<(), ServerError> {
-        self.inboxes
-            .iter()
-            .try_for_each(|inbox| inbox.command(command()))
-    }
-
-    /// Turns outbox-detected departures into real withdrawals; `true`
-    /// if there were any.
-    fn sweep(&self, churn: &mut Churn) -> Result<bool, ServerError> {
-        let departed = std::mem::take(&mut self.lock(&self.outbox)?.departed);
-        for &id in &departed {
-            // Always live: an explicit unsubscribe strikes the id off
-            // the list in the critical section that drops its outlet.
-            self.broadcast(|| Command::Unsubscribe { id })?;
-            churn.unsubscribes += 1;
-            churn.auto_unsubscribes += 1;
-        }
-        Ok(!departed.is_empty())
-    }
-
-    /// Every worker drains its document queue and replies with its
-    /// slice of the stats. Replies are collected only after all
-    /// commands are queued, so the workers drain in parallel.
-    fn barrier(&self) -> Result<Vec<ServerStats>, ServerError> {
-        let replies = self
-            .inboxes
-            .iter()
-            .map(|inbox| {
-                let (reply, done) = sync_channel(1);
-                inbox.command(Command::Stats { reply })?;
-                Ok(done)
-            })
-            .collect::<Result<Vec<_>, ServerError>>()?;
-        replies
-            .into_iter()
-            .map(|done| done.recv().map_err(|_| ServerError::Closed))
-            .collect()
-    }
 }
 
-/// Sums the workers' slices (document counts add up; worker 0's bank
-/// speaks for all of them) and fills in the shared counters.
-fn snapshot(workers: &[ServerStats], churn: &Churn, outbox: &Outbox) -> ServerStats {
-    let mut stats = workers[0].clone();
-    for worker in &workers[1..] {
-        stats.documents += worker.documents;
-        stats.parse_errors += worker.parse_errors;
+impl Port for Shared {
+    type Mailbox = Outlet;
+    type Query = Arc<Query>;
+    type Reply<A> = SyncSender<A>;
+    type Pending<A> = Receiver<A>;
+
+    fn workers(&self) -> usize {
+        self.inboxes.len()
     }
-    stats.deliveries = outbox.deliveries;
-    stats.dropped_deliveries = outbox.dropped;
-    stats.subscribes = churn.subscribes;
-    stats.unsubscribes = churn.unsubscribes;
-    stats.auto_unsubscribes = churn.auto_unsubscribes;
-    stats
+
+    fn outbox<T>(&self, f: impl FnOnce(&mut Outbox<Outlet>) -> T) -> Result<T, ServerError> {
+        Ok(f(&mut *self.lock(&self.outbox)?))
+    }
+
+    fn push(&self, worker: usize, command: Command<Shared>) -> Result<(), ServerError> {
+        self.inboxes[worker].command(command)
+    }
+
+    fn reply<A>(&self) -> (SyncSender<A>, Receiver<A>) {
+        sync_channel(1)
+    }
+
+    /// A reply that cannot be sent reads as [`ServerError::Closed`].
+    fn wait<A>(&self, pending: Receiver<A>) -> Result<A, ServerError> {
+        pending.recv().map_err(|_| ServerError::Closed)
+    }
 }
 
 /// One worker: a bank and a warm lookup-only parser over the shared
-/// symbol table — a name a late subscription interned reaches the parser
-/// at its next document, unannounced — processing every
-/// `seq % workers == index` document. Parser and bank share the thread,
-/// so each event goes from one to the other as it completes
-/// (`Frontend::drive` into `IndexedBank::process_sym_to`), borrowed
-/// from the document's bytes; no run of events is materialized.
+/// symbol table (a late subscription's names reach it at its next
+/// document). Each event goes from parser to bank as it completes,
+/// borrowed from the document's bytes; no run of events is kept.
 struct Worker {
     index: usize,
     shared: Arc<Shared>,
@@ -330,8 +116,8 @@ struct Worker {
     /// Per-document buffers, kept across documents.
     raw: Vec<Match>,
     resolved: Vec<Resolved>,
-    documents: u64,
-    parse_errors: u64,
+    /// Documents and parse errors; [`Worker::stats`] adds the bank's.
+    counts: ServerStats,
 }
 
 impl Worker {
@@ -351,28 +137,23 @@ impl Worker {
         self.stats()
     }
 
-    /// A reply that cannot be sent reads as [`ServerError::Closed`] in
-    /// the waiting handle.
-    fn apply(&mut self, cmd: Command) {
+    fn apply(&mut self, cmd: Command<Shared>) {
         match cmd {
-            Command::Subscribe { query, id } => {
+            Command::Subscribe(query, id) => {
                 let assigned = self.bank.subscribe(&query);
                 assert_eq!(assigned, Ok(id), "the bank decides as the handle did");
             }
-            Command::Unsubscribe { id } => {
+            Command::Unsubscribe(id) => {
                 let gone = self.bank.unsubscribe(id);
                 assert!(gone, "the handle withdraws only live ids");
             }
-            Command::Compact { reply } => {
+            Command::Compact(reply) => {
                 let did = self.bank.compact();
-                if let Some(reply) = reply {
-                    let _ = reply.send(did);
-                }
+                let _ = reply.map(|reply| reply.send(did));
             }
-            Command::Stats { reply } => {
-                // The barrier contract: everything queued before the
-                // stats call — commands (they precede it in the command
-                // queue) *and* documents — is reflected in the snapshot.
+            Command::Stats(reply) => {
+                // The barrier: commands queued before it have been applied;
+                // documents queued before it are drained here.
                 while let Some(doc) = self.inbox().take_doc() {
                     self.process(doc);
                 }
@@ -390,18 +171,15 @@ impl Worker {
         let result = parser.drive(&document[..], &mut |ev, span| {
             bank.process_sym_to(ev, span, raw)
         });
-        match result {
-            Ok(()) => self.documents += 1,
-            Err(_) => {
-                // A rejected document delivers nothing, not the matches
-                // confirmed before the error; its (empty) report still
-                // keeps its place in publish order.
-                raw.clear();
-                self.parse_errors += 1;
-            }
+        if result.is_ok() {
+            self.counts.documents += 1;
+        } else {
+            // A rejected document delivers nothing; its empty report
+            // still keeps its place in publish order.
+            raw.clear();
+            self.counts.parse_errors += 1;
         }
-        // Slot → id after the run (the bank is exclusively borrowed
-        // during it) and before the report leaves this thread: slots are
+        // Slot → id before the report leaves this thread: slots are
         // worker-local and renumber on compaction, ids never do.
         let bank = &self.bank;
         self.resolved.clear();
@@ -409,21 +187,17 @@ impl Worker {
             bank.subscription_of(m.query)
                 .map(|id| (id, m.ordinal, m.span))
         }));
-        if let Ok(mut outbox) = self.shared.lock(&self.shared.outbox) {
-            outbox.report(seq, document, &self.resolved);
-        }
+        let resolved = &self.resolved;
+        let _ = self.shared.outbox(|o| o.report(seq, document, resolved));
     }
 
-    /// This worker's slice of the [`ServerStats`]; [`snapshot`] merges.
+    /// This worker's slice of the [`ServerStats`]; the core merges.
     fn stats(&self) -> ServerStats {
-        let bank = &self.bank;
         ServerStats {
-            documents: self.documents,
-            parse_errors: self.parse_errors,
-            live_subscriptions: bank.live_subscriptions(),
-            compactions: bank.compactions(),
-            residual_builds: bank.residual_builds(),
-            ..ServerStats::default()
+            live_subscriptions: self.bank.live_subscriptions(),
+            compactions: self.bank.compactions(),
+            residual_builds: self.bank.residual_builds(),
+            ..self.counts.clone()
         }
     }
 }
@@ -457,18 +231,15 @@ impl DisseminationServer {
         let symbols = Arc::new(Symbols::new());
         let workers = (0..workers)
             .map(|index| {
-                let mut bank = IndexedBank::new_reporting_with_symbols(&[], Arc::clone(&symbols))
-                    .expect("an empty bank always builds");
-                bank.set_compaction_policy(config.compaction);
                 let worker = Worker {
                     index,
                     shared: Arc::clone(&shared),
-                    bank,
+                    bank: IndexedBank::new_reporting_with_symbols(&[], Arc::clone(&symbols))
+                        .expect("an empty bank always builds"),
                     parser: StreamingParser::with_symbols(Arc::clone(&symbols)).lookup_only(),
                     raw: Vec::new(),
                     resolved: Vec::new(),
-                    documents: 0,
-                    parse_errors: 0,
+                    counts: ServerStats::default(),
                 };
                 std::thread::Builder::new()
                     .name(format!("fx-server-{index}"))
@@ -499,31 +270,13 @@ impl DisseminationServer {
         // if poisoned: every update under them is a counter or map step
         // that leaves the data valid. The churn lock comes first, so no
         // churn operation is half-broadcast when the inboxes close.
-        let mut churn = self
-            .shared
-            .churn
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        self.shared.close();
-        let workers: Vec<ServerStats> = self
-            .workers
-            .into_iter()
-            .map(|w| w.join().expect("fx-server worker thread panicked"))
-            .collect();
-        let mut outbox = self
-            .shared
-            .outbox
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        outbox.flush();
-        // Departures no churn operation got to withdraw: the banks are
-        // gone, so count them instead.
-        let unswept = outbox.departed.len();
-        churn.unsubscribes += unswept as u64;
-        churn.auto_unsubscribes += unswept as u64;
-        let mut stats = snapshot(&workers, &churn, &outbox);
-        stats.live_subscriptions -= unswept;
-        stats
+        let shared = &*self.shared;
+        let mut churn = shared.churn.lock().unwrap_or_else(PoisonError::into_inner);
+        shared.close();
+        let join = |w: JoinHandle<_>| w.join().expect("fx-server worker thread panicked");
+        let workers: Vec<_> = self.workers.into_iter().map(join).collect();
+        let mut outbox = shared.outbox.lock().unwrap_or_else(PoisonError::into_inner);
+        churn.close(&mut outbox, &workers)
     }
 }
 
@@ -543,6 +296,10 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
+    fn churn(&self) -> Result<MutexGuard<'_, Churn>, ServerError> {
+        self.shared.lock(&self.shared.churn)
+    }
+
     /// Registers a standing query on every worker and returns its
     /// [`Subscription`] mailbox. Acceptance is decided here, before the
     /// call returns — an unsupported query is rejected with
@@ -563,28 +320,18 @@ impl ServerHandle {
         query: Query,
         mailbox: usize,
     ) -> Result<Subscription, ServerError> {
-        let mut churn = self.shared.churn()?;
         // Every bank is a reporting bank and runs this same check.
         CompiledQuery::check(&query, true).map_err(ServerError::Unsupported)?;
-        let id = SubscriptionId::from_raw(churn.subscribes);
         let (tx, rx) = channel();
         let shared = Arc::new(SubShared::default());
+        let capacity = mailbox.max(1);
         let outlet = Outlet {
             tx,
-            capacity: mailbox.max(1),
+            capacity,
             shared: Arc::clone(&shared),
         };
-        // Registered before any worker can report a match for it.
-        self.shared
-            .lock(&self.shared.outbox)?
-            .outlets
-            .insert(id, outlet);
         let query = Arc::new(query);
-        self.shared.broadcast(|| Command::Subscribe {
-            query: Arc::clone(&query),
-            id,
-        })?;
-        churn.subscribes += 1;
+        let id = self.churn()?.subscribe(&*self.shared, query, outlet)?;
         Ok(Subscription { id, rx, shared })
     }
 
@@ -593,23 +340,17 @@ impl ServerHandle {
     /// next document boundary. `false` if the id was never live or is
     /// already gone. Waits for no worker.
     pub fn unsubscribe(&self, id: SubscriptionId) -> Result<bool, ServerError> {
-        let mut churn = self.shared.churn()?;
-        if !self.shared.lock(&self.shared.outbox)?.withdraw(id) {
-            return Ok(false);
-        }
-        self.shared.broadcast(|| Command::Unsubscribe { id })?;
-        churn.unsubscribes += 1;
-        Ok(true)
+        self.churn()?.unsubscribe(&*self.shared, id)
     }
 
     /// Queues one XML document for evaluation against every live
-    /// subscription: it takes the next sequence number and goes to
-    /// worker `seq % workers`. Blocks while that worker's document queue
-    /// is at capacity (upstream backpressure); returns `Err` only when
-    /// the server is shut down.
+    /// subscription: it takes the next sequence number and goes to one
+    /// worker, round-robin. Blocks while that worker's document queue is
+    /// at capacity (upstream backpressure); returns `Err` only when the
+    /// server is shut down.
     pub fn publish(&self, doc: impl Into<Arc<[u8]>>) -> Result<(), ServerError> {
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let worker = (seq % self.shared.inboxes.len() as u64) as usize;
+        let worker = route(seq, self.shared.inboxes.len());
         self.shared.inboxes[worker].publish((seq, doc.into()))
     }
 
@@ -618,18 +359,10 @@ impl ServerHandle {
         self.publish(doc.as_bytes().to_vec())
     }
 
-    /// Forces a bank compaction (normally policy-driven) on every worker
-    /// at its next document boundary. `true` if tombstones were folded
-    /// away.
+    /// Forces a bank compaction (normally automatic) on every worker at
+    /// its next document boundary. `true` if tombstones were folded away.
     pub fn compact(&self) -> Result<bool, ServerError> {
-        let _churn = self.shared.churn()?;
-        // Every bank holds the same set; worker 0's answers for all.
-        let (reply, done) = sync_channel(1);
-        let mut reply = Some(reply);
-        self.shared.broadcast(|| Command::Compact {
-            reply: reply.take(),
-        })?;
-        done.recv().map_err(|_| ServerError::Closed)
+        self.churn()?.compact(&*self.shared)
     }
 
     /// A cumulative activity snapshot. Synchronous: acts as a barrier
@@ -640,18 +373,7 @@ impl ServerHandle {
     /// in flight on another thread holds back those of later documents
     /// until it lands.)
     pub fn stats(&self) -> Result<ServerStats, ServerError> {
-        let shared = &*self.shared;
-        let mut churn = shared.lock(&shared.churn)?;
-        // Sweep *after* the barrier, which is what uncovers departures;
-        // a sweep changes worker 0's bank counters, so go round again.
-        let workers = loop {
-            let workers = shared.barrier()?;
-            if !shared.sweep(&mut churn)? {
-                break workers;
-            }
-        };
-        let outbox = shared.lock(&shared.outbox)?;
-        Ok(snapshot(&workers, &churn, &outbox))
+        self.churn()?.stats(&*self.shared)
     }
 }
 
@@ -661,24 +383,23 @@ impl std::fmt::Debug for ServerHandle {
     }
 }
 
-// Worker threads own a bank and a parser (and the symbols both share)
-// and the handles cross threads; regressions in these bounds should fail the build
-// here, not at a distant spawn site.
+// Workers, subscriptions and handles cross threads: a regression in
+// these bounds should fail the build here, not at a distant spawn site.
 const _: () = {
-    const fn assert_send<T: Send>() {}
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send::<Worker>();
-    assert_send::<Subscription>();
-    assert_send_sync::<ServerHandle>();
+    const fn send<T: Send>() {}
+    const fn send_sync<T: Send + Sync>() {}
+    send::<(Worker, Subscription)>();
+    send_sync::<ServerHandle>();
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fx_xml::Span;
     use fx_xpath::parse_query;
 
     /// An outbox with one subscriber `id`, and the mailbox to read back.
-    fn outbox_with(id: SubscriptionId) -> (Outbox, Subscription) {
+    fn outbox_with(id: SubscriptionId) -> (Outbox<Outlet>, Subscription) {
         let (tx, rx) = channel();
         let shared = Arc::new(SubShared::default());
         let outlet = Outlet {
@@ -687,7 +408,7 @@ mod tests {
             shared: Arc::clone(&shared),
         };
         let mut outbox = Outbox::default();
-        outbox.outlets.insert(id, outlet);
+        outbox.register(id, outlet);
         (outbox, Subscription { id, rx, shared })
     }
 
@@ -709,10 +430,10 @@ mod tests {
         };
         assert_eq!(seqs(&sub), [0, 1, 2], "0 releases the run parked behind it");
         // 3 never arrives (its publish lost the race with the close):
-        // shutdown's flush still releases 4.
-        outbox.flush();
+        // closing the books still releases 4.
+        let stats = Churn::default().close(&mut outbox, &[ServerStats::default()]);
         assert_eq!(seqs(&sub), [4]);
-        assert_eq!(outbox.deliveries, 4);
+        assert_eq!((stats.deliveries, sub.delivered()), (4, 4));
     }
 
     /// Some thread dies holding the outbox lock. The first call that

@@ -8,34 +8,30 @@ use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One confirmed match, delivered to the subscriber it belongs to. A
-/// document's deliveries are released together when the document
-/// finishes, documents in [`crate::ServerHandle::publish`] order — so a
-/// subscriber reads an ascending `doc_seq`, however many workers ran.
+/// A published document's bytes, shared by every delivery it makes.
+pub(crate) type Document = Arc<[u8]>;
+
+/// One confirmed match, delivered to the subscriber it belongs to.
+/// Documents are released in [`crate::ServerHandle::publish`] order, so
+/// a subscriber reads an ascending `doc_seq`, however many workers ran.
 #[derive(Debug, Clone)]
 pub struct Delivery {
     /// The subscription this match belongs to.
     pub subscription: SubscriptionId,
-    /// 0-based sequence number of the document within the server's
-    /// stream (in [`crate::ServerHandle::publish`] order).
+    /// 0-based place of the document in the server's publish order.
     pub doc_seq: u64,
-    /// Document-order ordinal of the matched element among the
-    /// document's `startElement` events.
+    /// Ordinal of the matched element among the document's elements.
     pub ordinal: u64,
-    /// Source byte range of the matched element (start tag through end
-    /// tag) within [`Delivery::document`].
+    /// Byte range of the matched element within [`Delivery::document`].
     pub span: Span,
-    /// The published document the match came from (shared, not copied:
-    /// every delivery of a document clones one `Arc`).
+    /// The published document, shared by all of its deliveries.
     pub document: Arc<[u8]>,
 }
 
 impl Delivery {
-    /// The matched element's source text, sliced out of the document.
-    /// Only the span's bytes are validated, so a call costs the
-    /// fragment's length, not the document's. `None` if the span is out
-    /// of range or its bytes are not UTF-8; an empty span yields
-    /// `Some("")`.
+    /// The matched element's source text, sliced out of the document;
+    /// only the span's bytes are validated. `None` if the span is out of
+    /// range or not UTF-8; an empty span yields `Some("")`.
     pub fn fragment(&self) -> Option<&str> {
         let start = usize::try_from(self.span.start).ok()?;
         let end = usize::try_from(self.span.end).ok()?;
@@ -44,17 +40,15 @@ impl Delivery {
 }
 
 /// The lag accounting shared between the server and one
-/// [`Subscription`]. Deliberately *without* the delivery sender: the
-/// server is the sender's only owner, so withdrawing a subscription
-/// disconnects its mailbox and a blocked [`Subscription::recv`] wakes
-/// with `None` instead of waiting forever.
+/// [`Subscription`], deliberately *without* the delivery sender: the
+/// server owns that alone, so a withdrawal wakes a blocked
+/// [`Subscription::recv`] with `None`.
 #[derive(Default)]
 pub(crate) struct SubShared {
     pub(crate) delivered: AtomicU64,
     pub(crate) dropped: AtomicU64,
-    /// Deliveries in the mailbox and not yet received: the server
-    /// reserves a slot before each send, the subscriber releases one per
-    /// delivery it takes.
+    /// Deliveries queued and not yet received: the server reserves a
+    /// slot before each send, the subscriber releases one per receive.
     pub(crate) backlog: AtomicUsize,
 }
 
@@ -63,11 +57,9 @@ pub(crate) struct SubShared {
 /// matches, allocated as they queue, plus its identity and lag counters.
 ///
 /// Dropping a `Subscription` without unsubscribing is safe: the server
-/// notices the dead mailbox on the next delivery attempt, stops
-/// delivering to it at once, and withdraws the query from the banks at
-/// the next churn or [`crate::ServerHandle::stats`] call (or closes the
-/// books at shutdown). Explicit [`crate::ServerHandle::unsubscribe`]
-/// frees the slot immediately.
+/// finds the dead mailbox on the next delivery, stops delivering to it,
+/// and withdraws the query at the next churn or
+/// [`crate::ServerHandle::stats`] call, or at shutdown.
 pub struct Subscription {
     pub(crate) id: SubscriptionId,
     pub(crate) rx: Receiver<Delivery>,
@@ -106,15 +98,13 @@ impl Subscription {
         received
     }
 
-    /// Matches delivered into the mailbox so far (including ones not yet
-    /// received by the consumer).
+    /// Matches delivered into the mailbox so far, received or not.
     pub fn delivered(&self) -> u64 {
         self.shared.delivered.load(Ordering::Relaxed)
     }
 
-    /// The lag counter: matches dropped because this subscriber's
-    /// mailbox was full when they were confirmed. Monotone; a nonzero
-    /// value means the consumer is (or was) slower than the stream.
+    /// The lag counter: matches dropped because this mailbox was full.
+    /// Nonzero means the consumer is (or was) slower than the stream.
     pub fn dropped(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
     }

@@ -39,12 +39,10 @@ pub use parser::{parse, parse_spanned, parse_spanned_with, parse_with, ParseErro
 pub use reader::{StreamingParser, XmlGrammar};
 pub use source::{Cursor, EventSource, Frontend, Grammar, Names, WhitespaceText};
 pub use span::Span;
-pub use split::{
-    element_range, find_nth, first_end, first_start, matching_end, splice, Segmentation,
-};
+pub use split::{first_end, first_start, matching_end, splice, Segmentation};
 pub use symbols::{AttrBuf, Sym, SymAttr, SymCache, SymEvent, Symbols, SymbolsSnapshot};
 pub use wellformed::{check, is_well_formed, stream_depth, Violation};
-pub use writer::{to_pretty_xml, to_xml, WriteError};
+pub use writer::{to_xml, WriteError};
 
 #[cfg(test)]
 mod proptests {
@@ -89,21 +87,6 @@ mod proptests {
             let xml = to_xml(&events).unwrap();
             let reparsed = parse_with(&xml, ParseOptions { keep_whitespace_text: true }).unwrap();
             prop_assert_eq!(reparsed, events);
-        }
-
-        #[test]
-        fn pretty_parse_preserves_structure(body in arb_tree(3)) {
-            let mut events = vec![Event::StartDocument];
-            events.extend(body);
-            events.push(Event::EndDocument);
-            let pretty = to_pretty_xml(&events).unwrap();
-            // Whitespace-insensitive parse must recover the same element
-            // structure (text may gain surrounding whitespace in pretty form,
-            // so compare element events only).
-            let reparsed = parse(&pretty).unwrap();
-            let elems = |evs: &[Event]| evs.iter().filter(|e| e.is_start() || e.is_end())
-                .cloned().collect::<Vec<_>>();
-            prop_assert_eq!(elems(&reparsed), elems(&events));
         }
 
         #[test]

@@ -65,7 +65,11 @@ pub fn splice(segments: &[&[Event]]) -> Vec<Event> {
 }
 
 /// Finds the index of the `n`-th (0-based) event satisfying `pred`.
-pub fn find_nth(events: &[Event], n: usize, mut pred: impl FnMut(&Event) -> bool) -> Option<usize> {
+pub(crate) fn find_nth(
+    events: &[Event],
+    n: usize,
+    mut pred: impl FnMut(&Event) -> bool,
+) -> Option<usize> {
     events
         .iter()
         .enumerate()
@@ -112,12 +116,6 @@ pub fn matching_end(events: &[Event], start: usize) -> Option<usize> {
         }
     }
     None
-}
-
-/// Extracts the full event range of the element starting at `start`
-/// (inclusive of both its start and end events).
-pub fn element_range(events: &[Event], start: usize) -> Option<std::ops::RangeInclusive<usize>> {
-    matching_end(events, start).map(|end| start..=end)
 }
 
 #[cfg(test)]
@@ -183,8 +181,7 @@ mod tests {
     fn element_range_covers_subtree() {
         let events = parse("<a><b><c/><d/></b></a>").unwrap();
         let b = first_start(&events, "b").unwrap();
-        let range = element_range(&events, b).unwrap();
-        let sub: Vec<_> = events[range].to_vec();
+        let sub: Vec<_> = events[b..=matching_end(&events, b).unwrap()].to_vec();
         assert_eq!(sub.first(), Some(&Event::start("b")));
         assert_eq!(sub.last(), Some(&Event::end("b")));
         assert_eq!(sub.len(), 6);

@@ -78,62 +78,6 @@ pub fn to_xml(events: &[Event]) -> Result<String, WriteError> {
     Ok(out)
 }
 
-/// Serializes events to indented XML, two spaces per depth level. Text-only
-/// elements are kept on one line.
-pub fn to_pretty_xml(events: &[Event]) -> Result<String, WriteError> {
-    let mut out = String::new();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < events.len() {
-        match &events[i] {
-            Event::StartDocument | Event::EndDocument => {}
-            Event::StartElement { name, attributes } => {
-                if !out.is_empty() {
-                    out.push('\n');
-                }
-                out.push_str(&"  ".repeat(depth));
-                out.push('<');
-                out.push_str(name);
-                for a in attributes {
-                    out.push_str(&format!(" {}=\"{}\"", a.name, escape_attr(&a.value)));
-                }
-                // Lookahead: <n/> , <n>text</n> on one line, otherwise block.
-                match events.get(i + 1) {
-                    Some(Event::EndElement { .. }) => {
-                        out.push_str("/>");
-                        i += 1;
-                    }
-                    Some(Event::Text { content })
-                        if matches!(events.get(i + 2), Some(Event::EndElement { .. })) =>
-                    {
-                        out.push('>');
-                        out.push_str(&escape_text(content));
-                        out.push_str(&format!("</{name}>"));
-                        i += 2;
-                    }
-                    _ => {
-                        out.push('>');
-                        depth += 1;
-                    }
-                }
-            }
-            Event::EndElement { name } => {
-                depth = depth.saturating_sub(1);
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth));
-                out.push_str(&format!("</{name}>"));
-            }
-            Event::Text { content } => {
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth));
-                out.push_str(&escape_text(content));
-            }
-        }
-        i += 1;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,21 +107,5 @@ mod tests {
         let src = r#"<a id="1" q="x &amp; y"><b/></a>"#;
         let events = parse(src).unwrap();
         assert_eq!(to_xml(&events).unwrap(), src);
-    }
-
-    #[test]
-    fn pretty_print_shape() {
-        let events = parse("<a><b>6</b><c><d/></c></a>").unwrap();
-        let pretty = to_pretty_xml(&events).unwrap();
-        assert_eq!(pretty, "<a>\n  <b>6</b>\n  <c>\n    <d/>\n  </c>\n</a>");
-    }
-
-    #[test]
-    fn pretty_then_reparse_is_identity() {
-        let src = "<a><b>6</b><c><d/><e>hi</e></c></a>";
-        let events = parse(src).unwrap();
-        let pretty = to_pretty_xml(&events).unwrap();
-        let reparsed = parse(&pretty).unwrap();
-        assert_eq!(reparsed, events);
     }
 }

@@ -259,16 +259,12 @@ proptest! {
 }
 
 /// A deterministic long walk (independent of proptest's case budget):
-/// heavier churn with policy-driven auto-compaction enabled.
+/// heavier churn, enough to cross the automatic compaction threshold.
 #[test]
 fn long_churn_walk_with_auto_compaction() {
     let pool = pool_queries();
     let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
     let mut bank = IndexedBank::new_reporting(&[]).unwrap();
-    bank.set_compaction_policy(frontier_xpath::filter::CompactionPolicy {
-        min_tombstones: 8,
-        max_tombstone_ratio: 0.3,
-    });
     let pinned: Vec<(SubscriptionId, Query)> = pool
         .iter()
         .map(|q| (bank.subscribe(q).unwrap(), q.clone()))
