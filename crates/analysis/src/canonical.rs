@@ -8,19 +8,15 @@
 //! nodes deeper (where `h` is the longest wildcard chain), and shadow nodes
 //! receive text values that belong "uniquely" to their truth sets.
 //!
-//! The canonical forms of **queries** themselves — [`canonical_steps`],
-//! [`canonical_key`], [`CanonicalForm`], the trie keys of
+//! The canonical forms of **queries** themselves — `canonical_steps`,
+//! `canonical_key`, `CanonicalForm`, the trie keys of
 //! `fx_core::IndexedBank` — read the query alone and live in
-//! [`fx_xpath::canonical`]; this module re-exports them.
+//! [`fx_xpath::canonical`].
 
 use crate::automorphism::dominated_leaves;
 use crate::fragment::FragmentViolation;
 use crate::truthset::{sample_distinct_member, sample_non_prefix, Shape, TruthSet};
 use fx_dom::{Document, NodeId, NodeKind};
-pub use fx_xpath::canonical::{
-    canonical_key, canonical_residual_key, canonical_steps, sharable_prefix_len,
-    sharable_prefix_of, shared_prefix_depth, CanonicalForm, CanonicalStep,
-};
 use fx_xpath::{Axis, NodeTest, Query, QueryNodeId};
 use std::collections::{HashMap, HashSet};
 

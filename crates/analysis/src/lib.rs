@@ -28,11 +28,7 @@ pub mod pathmatch;
 pub mod truthset;
 
 pub use automorphism::{dominated_leaves, structural_domination_set, AutomorphismFinder};
-pub use canonical::{
-    canonical_document, canonical_key, canonical_residual_key, canonical_steps,
-    sharable_prefix_len, sharable_prefix_of, shared_prefix_depth, strongly_subsumption_free,
-    CanonicalDocument, CanonicalForm, CanonicalStep,
-};
+pub use canonical::{canonical_document, strongly_subsumption_free, CanonicalDocument};
 pub use fragment::{
     closure_free, conjunctive, depth_theorem_node, leaf_only_value_restricted,
     recursive_xpath_node, star_restricted, univariate, FragmentViolation,

@@ -1,12 +1,11 @@
 //! Multi-query filtering: evaluating many XPath filters over one document
 //! stream, the selective-dissemination scenario that motivated streaming
 //! XPath engines (\[1\] in the paper). Each query keeps its own frontier
-//! table; an event is converted once and handed to the filters it can
-//! concern.
+//! table; an interned event is handed to the filters it can concern.
 //!
 //! A bank built with [`MultiFilter::from_compiled_reporting`] runs every
 //! filter in *selection* mode: confirmed output nodes are routed to a
-//! [`MatchSink`] as [`Match`]es stamped with their query's bank index the
+//! [`MatchSink`] as [`Match`](crate::Match)es stamped with their query's bank index the
 //! moment they resolve — the per-subscriber fan-out a dissemination
 //! deployment needs.
 //!
@@ -66,9 +65,9 @@
 //! `tests/indexed_differential.rs` on seeded 1k-query banks.
 
 use crate::filter::{CompiledQuery, StreamFilter, UnsupportedQuery};
-use crate::reporter::{Match, MatchSink};
+use crate::reporter::MatchSink;
 use crate::space::SpaceStats;
-use fx_xml::{AttrBuf, Event, EventBatch, Span, Sym, SymCache, SymEvent, Symbols};
+use fx_xml::{AttrBuf, EventBatch, Span, Sym, SymEvent, Symbols};
 use fx_xpath::Query;
 use std::sync::Arc;
 
@@ -79,20 +78,17 @@ pub struct MultiFilter {
     /// What the bank keeps about each filter this document.
     lanes: Vec<Lane>,
     /// Number of filters whose verdict is still open this document.
-    /// When it hits zero the bank skips events *before* converting
+    /// When it hits zero the bank skips events *before* dispatching
     /// them — on dissemination workloads most documents decide the
     /// whole bank within a few tags, making the tail of the stream
     /// free.
     open: usize,
     /// The bank's shared symbol table: every filter's compiled node
-    /// tests are syms from this table, so one per-event conversion (or
-    /// an already-interned event from a parser sharing the table)
+    /// tests are syms from this table, so an event interned against it
     /// serves the whole bank.
     symbols: Arc<Symbols>,
-    /// Reused attribute buffer for the owned-event conversion layer.
+    /// Reused attribute buffer an `EventBatch` replays through.
     attr_scratch: AttrBuf,
-    /// Lock-free name-lookup memo for the owned-event conversion layer.
-    name_cache: SymCache,
     /// Where the stream stands, kept once for the whole bank; a filter
     /// holds its own copy only as of the last event delivered to it.
     at: Position,
@@ -242,7 +238,6 @@ impl MultiFilter {
             open: n,
             symbols,
             attr_scratch: AttrBuf::new(),
-            name_cache: SymCache::new(),
             at: Position::default(),
             deepest: vec![0; n],
             buffering: Vec::new(),
@@ -252,7 +247,7 @@ impl MultiFilter {
     }
 
     /// Builds a *selection* bank from already-compiled queries: every
-    /// filter runs in reporting mode, and [`MultiFilter::process_to`]
+    /// filter runs in reporting mode, and [`MultiFilter::process_sym_to`]
     /// routes each confirmed match to the sink with its query index.
     /// Fails with the index of the first query whose output node cannot
     /// be reported (attribute output).
@@ -286,46 +281,24 @@ impl MultiFilter {
         self.filters.is_empty()
     }
 
-    /// Feeds one event to the filters it can concern (see the module
-    /// docs) among those whose verdict is still open.
+    /// Feeds one interned event (syms from the bank's table,
+    /// [`MultiFilter::symbols`]) with its source span to the filters it
+    /// can concern (see the module docs) among those whose verdict is
+    /// still open, routing any matches it confirmed to `sink` — each
+    /// stamped with the index of the query that selected it, so a
+    /// dissemination layer can fan confirmed matches straight out to
+    /// per-query subscribers. A `StreamingParser` sharing the table
+    /// feeds this directly.
     ///
     /// Filters that decide mid-document (see [`StreamFilter::decided`])
     /// stop receiving content events — on dissemination workloads most
     /// of the bank typically decides within the document's first
     /// elements. Document framing events still reach every filter, so
-    /// per-document reset and final verdicts behave exactly as before. A
-    /// decided filter's space/event statistics simply stop advancing at
-    /// its decision point.
-    pub fn process(&mut self, event: &Event) {
-        self.process_to(event, Span::EMPTY, &mut |_: Match| {});
-    }
-
-    /// Feeds one event with its source span, routing any matches it
-    /// confirmed to `sink` — each stamped with the index of the query
-    /// that selected it, so a dissemination layer can fan confirmed
-    /// matches straight out to per-query subscribers.
-    ///
-    /// Filtering-mode banks never produce matches (the sink is simply
-    /// not called); reporting banks never short-circuit, because full
-    /// evaluation must examine every candidate.
-    pub fn process_to(&mut self, event: &Event, span: Span, sink: &mut dyn MatchSink) {
-        // Fully-decided bank: nothing will look at this event (decided
-        // filters skip even `EndDocument`), so skip the conversion too.
-        // `StartDocument` always passes — it reopens every filter.
-        if self.open == 0 && !matches!(event, Event::StartDocument) {
-            return;
-        }
-        // Convert to the interned form once, here at the bank level:
-        // every filter then dispatches on integer syms.
-        let mut scratch = std::mem::take(&mut self.attr_scratch);
-        let ev = scratch.sym_event(&mut self.name_cache, &self.symbols, event);
-        self.process_sym_to(ev, span, sink);
-        self.attr_scratch = scratch;
-    }
-
-    /// [`MultiFilter::process_to`] over an already-interned event (syms
-    /// from the bank's table, [`MultiFilter::symbols`]) — the zero-copy
-    /// hot path a `StreamingParser` sharing the table feeds directly.
+    /// per-document reset and final verdicts are unaffected. A decided
+    /// filter's space/event statistics simply stop advancing at its
+    /// decision point. Filtering-mode banks never produce matches (the
+    /// sink is simply not called); reporting banks never short-circuit,
+    /// because full evaluation must examine every candidate.
     pub fn process_sym_to(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
         // Fully-decided bank: no filter will look at this event (decided
         // filters skip even `EndDocument`), so skip the whole loop —
@@ -609,14 +582,9 @@ fn unify_tables(mut compiled: Vec<Arc<CompiledQuery>>) -> (Arc<Symbols>, Vec<Arc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::indexed::tests::{feed, feed_to};
+    use crate::reporter::Match;
     use fx_xpath::parse_query;
-
-    /// Event-at-a-time feed, the way the engine session drives a bank.
-    fn feed(mf: &mut MultiFilter, events: &[Event]) {
-        for e in events {
-            mf.process(e);
-        }
-    }
 
     #[test]
     fn dissemination_scenario() {
@@ -653,9 +621,12 @@ mod tests {
         assert!(bank.is_reporting());
         let xml = "<doc><item/><note/><item/></doc>";
         let mut routed: Vec<Match> = Vec::new();
-        for (event, span) in fx_xml::parse_spanned(xml).unwrap() {
-            bank.process_to(&event, span, &mut routed);
-        }
+        let spanned = fx_xml::parse_spanned(xml).unwrap();
+        feed_to(
+            &mut bank,
+            spanned.iter().map(|(event, span)| (event, *span)),
+            &mut routed,
+        );
         // Ordinals: doc=0, item=1, note=2, item=3.
         let per_query = |q: usize| {
             routed

@@ -4,7 +4,7 @@
 use crate::builder::Mode;
 use crate::error::EngineError;
 use fx_core::{IndexedBank, Match, MatchSink, MultiFilter, StreamFilter};
-use fx_xml::{Event, EventSource, Span, StreamingParser, SymEvent, Symbols};
+use fx_xml::{AttrBuf, Event, EventSource, Span, StreamingParser, SymCache, SymEvent, Symbols};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -47,6 +47,10 @@ pub struct Session {
     /// points: reset per document, its scratch buffers, name memo and
     /// read buffer stay warm across a reused session's documents.
     parser: StreamingParser,
+    /// Where an owned event (hand-pushed, or from a source on a foreign
+    /// table) is interned, once, before any evaluator sees it.
+    attrs: AttrBuf,
+    names: SymCache,
     /// Matches confirmed through the sink-less entry points, held for
     /// [`Session::finish_outcome`]; cleared at each `StartDocument`.
     collected: Vec<Match>,
@@ -66,14 +70,6 @@ pub(crate) enum SessionInner {
 }
 
 impl SessionInner {
-    fn push(&mut self, event: &Event, span: Span, sink: &mut dyn MatchSink) {
-        match self {
-            SessionInner::Solo(filter) => filter.process(event),
-            SessionInner::Bank(bank) => bank.process_to(event, span, sink),
-            SessionInner::Indexed(bank) => bank.process_to(event, span, sink),
-        }
-    }
-
     /// One interned event — what the drive loop hands every variant,
     /// its syms issued by the engine's table: one predictable match,
     /// then the concretely-typed filter or bank.
@@ -95,6 +91,8 @@ impl Session {
             mode,
             parser: StreamingParser::with_symbols(Arc::clone(&symbols)).lookup_only(),
             symbols,
+            attrs: AttrBuf::new(),
+            names: SymCache::new(),
             collected: Vec::new(),
         }
     }
@@ -156,8 +154,8 @@ impl Session {
         self.push_event(event, span, Some(sink));
     }
 
-    /// One owned event into the evaluators; `None` sinks into the
-    /// session's own outbox.
+    /// One owned event into the evaluators, interned once against the
+    /// engine's table; `None` sinks into the session's own outbox.
     fn push_event(&mut self, event: &Event, span: Span, sink: Option<&mut dyn MatchSink>) {
         if matches!(event, Event::StartDocument) {
             self.collected.clear();
@@ -167,7 +165,8 @@ impl Session {
             Some(sink) => sink,
             None => &mut self.collected,
         };
-        self.inner.push(event, span, sink);
+        let ev = self.attrs.sym_event(&mut self.names, &self.symbols, event);
+        self.inner.push_sym(ev, span, sink);
     }
 
     /// Collects the per-query verdicts of the document just streamed.
@@ -294,8 +293,8 @@ impl Session {
     /// flow straight into the evaluators with no per-event allocation,
     /// like the XML reader path behind one virtual call per event. A
     /// source carrying a *different* table still evaluates correctly —
-    /// its events are materialized and re-resolved per event, at
-    /// owned-event cost.
+    /// each event is made owned through its table and interned again
+    /// against the engine's, like a hand-pushed one, at owned-event cost.
     pub fn run_source<R: Read>(
         &mut self,
         source: &mut dyn EventSource,
@@ -347,7 +346,7 @@ impl Session {
     /// The one exception is a source whose symbol table is not the
     /// engine's: its syms mean nothing to the compiled node tests, so
     /// each event is made owned through the *source's* table and
-    /// re-resolved, like a hand-pushed one.
+    /// interned again against the engine's, like a hand-pushed one.
     fn drive(
         &mut self,
         source: Option<&mut dyn EventSource>,
@@ -360,6 +359,8 @@ impl Session {
             events,
             symbols,
             parser,
+            attrs,
+            names,
             collected,
             ..
         } = self;
@@ -387,7 +388,8 @@ impl Session {
                     let table = Arc::clone(source.symbols());
                     source.drive(reader, &mut |ev, span| {
                         *events += 1;
-                        inner.push(&ev.to_owned(&table), span, sink)
+                        let owned = ev.to_owned(&table);
+                        inner.push_sym(attrs.sym_event(names, symbols, &owned), span, sink)
                     })
                 }
             }

@@ -9,18 +9,19 @@
 
 use fx_analysis::{frontier_size, redundancy_free};
 use fx_automata::{BufferingFilter, LazyDfaFilter, NfaFilter};
-use fx_core::{MultiFilter, StreamFilter};
+use fx_core::{Match, MultiFilter, StreamFilter};
 use fx_engine::Engine;
 use fx_lowerbounds::{
     depth_bound, disj_segments, frontier_bound, probe, probe_fooling_set, sets_intersect,
 };
 use fx_workloads as wl;
-use fx_xml::Event;
+use fx_xml::{AttrBuf, Event, Span, SymCache};
 use fx_xpath::{parse_query, to_xpath, Query};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
@@ -565,11 +566,14 @@ fn e11_multi_query() {
             .map(|_| wl::random_redundancy_free(&mut rng, &cfg))
             .collect();
         let mut bank = MultiFilter::new(&queries).unwrap();
+        let symbols = Arc::clone(bank.symbols());
+        let (mut attrs, mut names) = (AttrBuf::new(), SymCache::new());
         let start = Instant::now();
         let mut processed = 0u64;
         while start.elapsed() < Duration::from_millis(200) {
             for e in &events {
-                bank.process(e);
+                let ev = attrs.sym_event(&mut names, &symbols, e);
+                bank.process_sym_to(ev, Span::EMPTY, &mut |_: Match| {});
             }
             processed += events.len() as u64;
         }

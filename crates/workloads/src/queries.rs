@@ -502,7 +502,8 @@ mod tests {
         let bank = random_shared_prefix_bank(&mut rng, &cfg);
         for i in 0..bank.len() {
             for j in (i + 1)..bank.len() {
-                let d = fx_analysis::shared_prefix_depth(&bank.queries[i], &bank.queries[j]);
+                let d =
+                    fx_xpath::canonical::shared_prefix_depth(&bank.queries[i], &bank.queries[j]);
                 if bank.family_of[i] == bank.family_of[j] {
                     assert_eq!(
                         d, cfg.prefix_depth,
@@ -515,7 +516,7 @@ mod tests {
         }
         // The prefix steps themselves are predicate-free and sharable.
         for q in &bank.queries {
-            assert!(fx_analysis::sharable_prefix_len(q) >= cfg.prefix_depth);
+            assert!(fx_xpath::canonical::sharable_prefix_len(q) >= cfg.prefix_depth);
         }
     }
 
@@ -531,8 +532,8 @@ mod tests {
         let bank = random_shared_prefix_bank(&mut rng, &cfg);
         // Member j of every family carries the same canonical residual
         // form (names, shapes and random constants included)…
-        let rkey =
-            |q: &Query| fx_analysis::canonical_residual_key(q, fx_analysis::sharable_prefix_len(q));
+        use fx_xpath::canonical::{canonical_residual_key, sharable_prefix_len};
+        let rkey = |q: &Query| canonical_residual_key(q, sharable_prefix_len(q));
         for j in 0..cfg.queries_per_family {
             let first = rkey(&bank.queries[j]);
             for f in 1..cfg.families {
@@ -543,13 +544,15 @@ mod tests {
         // …while the full queries stay family-distinct (different
         // prefixes), so the indexed bank sees many groups but pools few
         // compiled residuals.
-        let ib = fx_core::IndexedBank::new(&bank.queries).unwrap();
-        assert!(ib.group_count() > cfg.queries_per_family);
+        let stats = fx_core::IndexedBank::new(&bank.queries)
+            .unwrap()
+            .space_stats();
+        assert!(stats.groups > cfg.queries_per_family);
         assert!(
-            ib.residual_pool_size() <= cfg.queries_per_family,
+            stats.residual_pool <= cfg.queries_per_family,
             "{} forms for {} groups",
-            ib.residual_pool_size(),
-            ib.group_count()
+            stats.residual_pool,
+            stats.groups
         );
         // And every query still parses/compiles/reports like the
         // family-unique variant.
@@ -596,8 +599,11 @@ mod tests {
         let xml = bank.document(&[0, 2], 2, 3);
         let events = fx_xml::parse(&xml).unwrap();
         let mut mf = fx_core::MultiFilter::new(&bank.queries).unwrap();
+        let symbols = std::sync::Arc::clone(mf.symbols());
+        let (mut attrs, mut names) = (fx_xml::AttrBuf::new(), fx_xml::SymCache::new());
         for e in &events {
-            mf.process(e);
+            let ev = attrs.sym_event(&mut names, &symbols, e);
+            mf.process_sym_to(ev, fx_xml::Span::EMPTY, &mut |_: fx_core::Match| {});
         }
         let results = mf.results();
         let mut matched = 0usize;

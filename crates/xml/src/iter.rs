@@ -8,7 +8,8 @@
 //! parsed. Memory is bounded by the read buffer plus the largest single
 //! XML token, independent of document size — the setting the paper's
 //! space bounds are about. It is a convenience surface (examples,
-//! fixtures): the engine consumes [`crate::EventBatch`]es and never
+//! fixtures): the engine takes each interned event from
+//! [`crate::Frontend::drive`] as the tokenizer completes it and never
 //! allocates per event.
 //!
 //! ```

@@ -389,7 +389,7 @@ impl<G: Grammar> Frontend<G> {
     /// Switches to *lookup-only* name resolution: document names are
     /// resolved against the (shared) table without interning — names
     /// the table has never seen collapse to [`Sym::UNKNOWN`], exactly
-    /// as the filters' owned-event conversion treats them (they fail
+    /// as [`crate::AttrBuf::sym_event`] treats owned events (they fail
     /// every named node test and pass every wildcard), and the table
     /// never grows with document content. This is how a long-lived
     /// engine keeps bounded memory on streams with unbounded

@@ -175,7 +175,7 @@ impl Symbols {
     }
 
     /// The name behind `sym` (a clone; resolution is for diagnostics
-    /// and the owned-event conversion layer, not the hot path).
+    /// and [`SymEvent::to_owned`], not the hot path).
     ///
     /// Panics on [`Sym::UNKNOWN`] or a sym from another table.
     pub fn resolve(&self, sym: Sym) -> String {
@@ -270,7 +270,8 @@ impl SymbolsSnapshot {
 
 /// A small 2-way set-associative, lock-free memo in front of a
 /// [`Symbols`] table, owned by a single name resolver (a frontend's
-/// [`crate::Names`], or a filter bank's owned-event conversion layer).
+/// [`crate::Names`], or whoever interns owned events with
+/// [`AttrBuf::sym_event`]: an engine session, a bare filter).
 /// XML documents draw names from a tiny vocabulary, so almost every
 /// per-event lookup hits the memo and costs a short hash plus one or two
 /// inline array compares. A miss is resolved by the owner's mode —

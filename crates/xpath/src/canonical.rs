@@ -9,10 +9,11 @@
 //! shared-prefix index (`fx_core::IndexedBank`) keys its trie on these
 //! forms: equal canonical steps land on the same trie path. Everything
 //! here reads the query alone; the canonical *documents* of §6.4 live in
-//! `fx_analysis::canonical`, which re-exports this module's items.
+//! `fx_analysis::canonical`.
 
 use crate::value::format_number;
 use crate::{Axis, CompOp, Expr, NodeTest, Query, QueryNodeId, Value};
+use std::collections::HashMap;
 use std::fmt;
 
 /// One step of a query's canonical succession chain (root → `OUT(Q)`).
@@ -157,6 +158,51 @@ impl CanonicalForm {
             .iter()
             .map(CanonicalStep::to_string)
             .collect()
+    }
+}
+
+/// Builds the residual query of `q` below a sharable prefix of length
+/// `skip`: the subtree rooted at chain node `u_{skip+1}`, re-rooted so
+/// its first step is relative to a prefix-activation element. Its
+/// [`canonical_key`] is `canonical_residual_key(q, skip)`, the key an
+/// indexed bank pools the compiled remainder under.
+pub fn residual_query(q: &Query, skip: usize) -> Query {
+    let mut chain = Vec::new();
+    let mut cur = q.root();
+    while let Some(n) = q.successor(cur) {
+        chain.push(n);
+        cur = n;
+    }
+    let start = chain[skip];
+    let mut rq = Query::new();
+    let root = rq.root();
+    let mut map: HashMap<QueryNodeId, QueryNodeId> = HashMap::new();
+    copy_subtree(q, start, &mut rq, root, &mut map);
+    rq.set_successor(root, map[&start]);
+    rq
+}
+
+fn copy_subtree(
+    q: &Query,
+    u: QueryNodeId,
+    rq: &mut Query,
+    parent: QueryNodeId,
+    map: &mut HashMap<QueryNodeId, QueryNodeId>,
+) {
+    let id = rq.add_node(
+        parent,
+        q.axis(u).unwrap_or(Axis::Child),
+        q.ntest(u).cloned().unwrap_or(NodeTest::Wildcard),
+    );
+    map.insert(u, id);
+    for c in q.children(u).to_vec() {
+        copy_subtree(q, c, rq, id, map);
+    }
+    if let Some(s) = q.successor(u) {
+        rq.set_successor(id, map[&s]);
+    }
+    if let Some(p) = q.predicate(u) {
+        rq.set_predicate(id, p.map_vars(|v| map[&v]));
     }
 }
 

@@ -120,8 +120,7 @@ pub use fx_xpath as xpath;
 /// The one-stop import for applications.
 pub mod prelude {
     pub use fx_analysis::{
-        canonical_document, canonical_key, canonical_steps, frontier_size, path_recursion_depth,
-        redundancy_free, text_width,
+        canonical_document, frontier_size, path_recursion_depth, redundancy_free, text_width,
     };
     pub use fx_automata::{BufferingFilter, LazyDfaFilter, NfaFilter};
     pub use fx_core::{IndexSpaceStats, IndexedBank, MultiFilter, SpaceStats, StreamFilter};
@@ -136,5 +135,6 @@ pub mod prelude {
     pub use fx_lowerbounds::{depth_bound, disj_segments, frontier_bound, probe_fooling_set};
     pub use fx_server::{Delivery, DisseminationServer, ServerConfig, ServerHandle, Subscription};
     pub use fx_xml::{parse as parse_xml, Event, EventIter, EventSource, Span};
+    pub use fx_xpath::canonical::{canonical_key, canonical_steps};
     pub use fx_xpath::{parse_query, Query};
 }

@@ -17,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::fx_cases;
+use common::{feed_to, fx_cases};
 
 /// The subscription pool: reporting-supported shapes sharing prefixes
 /// and canonical residual forms, so churn exercises trie extension,
@@ -69,10 +69,10 @@ fn assert_doc_parity(churned: &mut IndexedBank, live: &[(SubscriptionId, Query)]
     let mut fresh = IndexedBank::new_reporting(&surviving).unwrap();
     let mut got: Vec<Match> = Vec::new();
     let mut want: Vec<Match> = Vec::new();
-    for (event, span) in fx_xml::parse_spanned(xml).unwrap() {
-        churned.process_to(&event, span, &mut got);
-        fresh.process_to(&event, span, &mut want);
-    }
+    let spanned = fx_xml::parse_spanned(xml).unwrap();
+    let events = spanned.iter().map(|(event, span)| (event, *span));
+    feed_to(churned, events.clone(), &mut got);
+    feed_to(&mut fresh, events, &mut want);
     // Translate churned slots to positions in the surviving list.
     let mut slot_to_pos: Vec<Option<usize>> = vec![None; churned.len()];
     for (pos, (id, _)) in live.iter().enumerate() {

@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 mod common;
-use common::fx_cases;
+use common::{feed_to, fx_cases};
 
 /// The bank under test beside its reference: one solo filter per query,
 /// fed **every** event until — exactly like a bank member — it decides
@@ -482,9 +482,7 @@ fn malformed_streams_neither_panic_nor_leak_into_the_next_document() {
     type Reading = (Vec<Option<bool>>, Vec<Match>, Vec<SpaceStats>, Vec<usize>);
     let run_bank = |bank: &mut MultiFilter, events: &[Event]| -> Reading {
         let mut matches = Vec::new();
-        for e in events {
-            bank.process_to(e, Span::EMPTY, &mut matches);
-        }
+        feed_to(bank, events.iter().map(|e| (e, Span::EMPTY)), &mut matches);
         let stats = bank.stats().into_iter().cloned().collect();
         (
             bank.results(),

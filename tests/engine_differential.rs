@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use std::io::Read;
 
 mod common;
-use common::session_shapes;
+use common::{feed, session_shapes};
 
 /// The same query pool the legacy differential suite sweeps.
 const QUERIES: &[&str] = &[
@@ -97,8 +97,9 @@ fn frontier_backend_matches_legacy_verdicts_and_bits() {
     }
 }
 
-/// The reader path (the session's own tokenizer, batched) agrees with
-/// the same document pushed as owned events.
+/// The reader path (the session's own tokenizer, each event handed on
+/// as it completes) agrees with the same document pushed as owned
+/// events.
 #[test]
 fn session_reader_matches_pushed_events() {
     let mut rng = SmallRng::seed_from_u64(0x5EED);
@@ -117,6 +118,42 @@ fn session_reader_matches_pushed_events() {
             );
         }
     }
+}
+
+/// Every session shape, over a seeded random corpus: the owned events
+/// of `fx_xml::parse_spanned` through `push_spanned_to` and `finish`
+/// read exactly like `run_reader_to` over the same bytes — verdicts,
+/// peak bits, pending positions, and every match's query, ordinal and
+/// span, in order.
+#[test]
+fn pushed_spanned_events_equal_the_reader_on_every_session_shape() {
+    let mut rng = SmallRng::seed_from_u64(0x9A5E);
+    let docs: Vec<String> = (0..40)
+        .map(|_| random_document(&mut rng, &RandomDocConfig::default()).to_xml())
+        .collect();
+    let reading = |v: &Verdicts| {
+        let (bits, pending) = (v.peak_memory_bits(), v.peak_pending_positions());
+        (v.matched().to_vec(), bits.to_vec(), pending.to_vec())
+    };
+    let routed =
+        |m: &[Match]| -> Vec<_> { m.iter().map(|m| (m.query, m.ordinal, m.span)).collect() };
+    let mut selected = 0;
+    for (label, engine) in session_shapes() {
+        let (mut pushed, mut read) = (engine.session(), engine.session());
+        for xml in &docs {
+            let mut via_push: Vec<Match> = Vec::new();
+            for (event, span) in fx_xml::parse_spanned(xml).unwrap() {
+                pushed.push_spanned_to(&event, span, &mut via_push);
+            }
+            let want = pushed.finish().unwrap();
+            let mut via_reader: Vec<Match> = Vec::new();
+            let got = read.run_reader_to(xml.as_bytes(), &mut via_reader).unwrap();
+            assert_eq!(reading(&got), reading(&want), "{label} on {xml}");
+            assert_eq!(routed(&via_reader), routed(&via_push), "{label} on {xml}");
+            selected += via_reader.len();
+        }
+    }
+    assert!(selected > 0, "the corpus selects something");
 }
 
 /// The engine and the three automata baselines agree with the reference
@@ -171,9 +208,7 @@ fn multi_query_session_agrees_with_legacy_bank() {
         let events = d.to_events();
         let verdicts = session.run_reader(d.to_xml().as_bytes()).unwrap();
         let mut bank = MultiFilter::new(&queries).unwrap();
-        for e in &events {
-            bank.process(e);
-        }
+        feed(&mut bank, &events);
         for (i, q) in queries.iter().enumerate() {
             let solo = StreamFilter::new(q).unwrap().run_stream(&events).unwrap();
             assert_eq!(

@@ -20,7 +20,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::fx_cases;
+use common::{feed, feed_to, fx_cases};
 
 /// (query, ordinal, span start, span end) — the full observable content
 /// of a routed match, order-normalized.
@@ -39,10 +39,9 @@ fn assert_parity(queries: &[Query], xml: &str) {
     // Filtering mode: verdicts only.
     let mut ib = IndexedBank::new(queries).unwrap();
     let mut mf = MultiFilter::new(queries).unwrap();
-    for e in &fx_xml::parse(xml).unwrap() {
-        ib.process(e);
-        mf.process(e);
-    }
+    let events = fx_xml::parse(xml).unwrap();
+    feed(&mut ib, &events);
+    feed(&mut mf, &events);
     assert_eq!(ib.results(), mf.results(), "filter verdicts on {xml}");
     assert_eq!(
         ib.matching_queries(),
@@ -59,10 +58,10 @@ fn assert_parity(queries: &[Query], xml: &str) {
     let mut mf = MultiFilter::from_compiled_reporting(compiled).unwrap();
     let mut got: Vec<Match> = Vec::new();
     let mut want: Vec<Match> = Vec::new();
-    for (event, span) in fx_xml::parse_spanned(xml).unwrap() {
-        ib.process_to(&event, span, &mut got);
-        mf.process_to(&event, span, &mut want);
-    }
+    let spanned = fx_xml::parse_spanned(xml).unwrap();
+    let events = spanned.iter().map(|(event, span)| (event, *span));
+    feed_to(&mut ib, events.clone(), &mut got);
+    feed_to(&mut mf, events, &mut want);
     assert_eq!(ib.results(), mf.results(), "reporting verdicts on {xml}");
     assert_eq!(normalize(&got), normalize(&want), "match streams on {xml}");
 }
@@ -143,7 +142,7 @@ fn equivalent_query_fanout_parity() {
     ];
     let queries: Vec<Query> = srcs.iter().map(|s| parse_query(s).unwrap()).collect();
     let ib = IndexedBank::new(&queries).unwrap();
-    assert_eq!(ib.group_count(), 4, "permutations must share groups");
+    assert_eq!(ib.space_stats().groups, 4, "permutations must share groups");
     let mut rng = SmallRng::seed_from_u64(0xFA11);
     let cfg = RandomDocConfig {
         max_depth: 6,
@@ -258,17 +257,12 @@ fn index_shares_state_on_inactive_families() {
     );
     let mut ib = IndexedBank::new(&bank.queries).unwrap();
     let xml = bank.document(&[3], 16, 2);
-    for e in &fx_xml::parse(&xml).unwrap() {
-        ib.process(e);
-    }
+    feed(&mut ib, &fx_xml::parse(&xml).unwrap());
     // Only family 3's divergence points ever spawned instances; with its
     // witnesses arriving one after another, far fewer than 16 residuals
     // are ever live at once — and nothing from the other 63 families.
-    assert!(
-        ib.peak_live_instances() <= 16,
-        "peak {} instances for a 1024-query bank",
-        ib.peak_live_instances()
-    );
+    let peak = ib.space_stats().peak_instances;
+    assert!(peak <= 16, "peak {peak} instances for a 1024-query bank");
     // The trie itself collapsed 1024 chains into a few hundred shared
     // nodes (|families| · depth + divergence steps, not |bank| · depth).
     assert!(
@@ -340,10 +334,12 @@ fn per_tag_index_work_is_flat_in_family_count() {
         for i in 0..families {
             let active = [i % families, (7 * i + 1) % families];
             let xml = bank.document_repeated(&active, 4, 8, 8 + i % 8);
-            for e in &fx_xml::parse(&xml).unwrap() {
-                start_tags += u64::from(matches!(e, Event::StartElement { .. }));
-                ib.process(e);
-            }
+            let events = fx_xml::parse(&xml).unwrap();
+            start_tags += events
+                .iter()
+                .filter(|e| matches!(e, Event::StartElement { .. }))
+                .count() as u64;
+            feed(&mut ib, &events);
             // The documents do exercise the bank: both families match.
             assert!(ib.matching().count() >= 2, "families {families}, doc {i}");
         }
@@ -384,20 +380,21 @@ fn cross_group_residual_bank_parity() {
         },
     );
     let ib = IndexedBank::new(&bank.queries).unwrap();
+    let stats = ib.space_stats();
     assert!(
-        ib.group_count() >= 12,
+        stats.groups >= 12,
         "distinct prefixes keep groups distinct: {}",
-        ib.group_count()
+        stats.groups
     );
     assert!(
-        ib.residual_pool_size() <= 6,
+        stats.residual_pool <= 6,
         "repeated residual shapes must pool: {} forms for {} groups",
-        ib.residual_pool_size(),
-        ib.group_count()
+        stats.residual_pool,
+        stats.groups
     );
     assert_eq!(
         ib.residual_builds() as usize,
-        ib.residual_pool_size(),
+        stats.residual_pool,
         "exactly one compiled build per canonical residual form"
     );
     for xml in [
@@ -449,11 +446,10 @@ fn attributed_space_is_exact_and_bounded_by_standalone() {
             bank.document(&(0..families).collect::<Vec<_>>(), 2, 0),
             bank.document(&[], 0, 3),
         ] {
-            for e in &fx_xml::parse(&xml).unwrap() {
-                ib.process(e);
-                for f in solo.iter_mut() {
-                    f.process(e);
-                }
+            let events = fx_xml::parse(&xml).unwrap();
+            feed(&mut ib, &events);
+            for f in solo.iter_mut() {
+                f.process_all(&events);
             }
         }
         let attributed = ib.peak_memory_bits();
@@ -495,10 +491,9 @@ fn attributed_space_is_exact_and_bounded_by_standalone() {
     );
     let mut ib = IndexedBank::new(&bank.queries).unwrap();
     let mut mf = MultiFilter::new(&bank.queries).unwrap();
-    for e in &fx_xml::parse(&bank.document(&[0, 1], 4, 8)).unwrap() {
-        ib.process(e);
-        mf.process(e);
-    }
+    let events = fx_xml::parse(&bank.document(&[0, 1], 4, 8)).unwrap();
+    feed(&mut ib, &events);
+    feed(&mut mf, &events);
     let stats = ib.space_stats();
     assert!(
         stats.total_bits < mf.total_max_bits(),
@@ -551,11 +546,10 @@ proptest! {
         let mut pooled = IndexedBank::new(&bank.queries).unwrap();
         let mut fresh = IndexedBank::new_unpooled(&bank.queries).unwrap();
         let mut oracle = MultiFilter::new(&bank.queries).unwrap();
-        for e in &fx_xml::parse(&xml).unwrap() {
-            pooled.process(e);
-            fresh.process(e);
-            oracle.process(e);
-        }
+        let events = fx_xml::parse(&xml).unwrap();
+        feed(&mut pooled, &events);
+        feed(&mut fresh, &events);
+        feed(&mut oracle, &events);
         prop_assert_eq!(pooled.results(), fresh.results(), "pooled vs fresh on {}", &xml);
         prop_assert_eq!(pooled.matching_queries(), fresh.matching_queries());
         prop_assert_eq!(pooled.results(), oracle.results(), "pooled vs naive on {}", &xml);
@@ -584,10 +578,10 @@ proptest! {
         let mut mf = MultiFilter::from_compiled_reporting(compiled).unwrap();
         let mut got: Vec<Match> = Vec::new();
         let mut want: Vec<Match> = Vec::new();
-        for (event, span) in fx_xml::parse_spanned(&xml).unwrap() {
-            ib.process_to(&event, span, &mut got);
-            mf.process_to(&event, span, &mut want);
-        }
+        let spanned = fx_xml::parse_spanned(&xml).unwrap();
+        let events = spanned.iter().map(|(event, span)| (event, *span));
+        feed_to(&mut ib, events.clone(), &mut got);
+        feed_to(&mut mf, events, &mut want);
         prop_assert_eq!(ib.results(), mf.results(), "verdicts on {}", xml);
         prop_assert_eq!(normalize(&got), normalize(&want), "matches on {}", xml);
     }

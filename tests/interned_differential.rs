@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 mod common;
-use common::fx_cases;
+use common::{feed, fx_cases};
 
 const QUERIES: &[&str] = &[
     "/site/regions/asia/item",
@@ -180,10 +180,8 @@ fn banks_interned_feed_equals_owned_feed() {
 
         let mut mf_owned = MultiFilter::new(&bank.queries).unwrap();
         let mut ib_owned = IndexedBank::new(&bank.queries).unwrap();
-        for e in &events {
-            mf_owned.process(e);
-            ib_owned.process(e);
-        }
+        feed(&mut mf_owned, &events);
+        feed(&mut ib_owned, &events);
 
         let mut mf_sym = MultiFilter::new(&bank.queries).unwrap();
         let mut parser = StreamingParser::with_symbols(Arc::clone(mf_sym.symbols()));
