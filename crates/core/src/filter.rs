@@ -403,9 +403,14 @@ impl FrontierRecord {
 }
 
 /// The streaming filter: feed it SAX events through
-/// [`StreamFilter::process`] (or [`StreamFilter::process_spanned`], to
-/// stamp reported matches with source byte spans) and read the verdict
-/// at `endDocument`.
+/// [`StreamFilter::process`] and read the verdict at `endDocument`.
+///
+/// In reporting mode every confirmed match leaves through the sink the
+/// `_to` entry points ([`StreamFilter::process_to`],
+/// [`StreamFilter::process_sym_to`]) hand in with the closing event —
+/// the filter holds no match once that call returns. The sink-less
+/// forms (`process`, `process_sym`, `process_batch`) are the filtering
+/// forms: in reporting mode they discard what they confirm.
 #[derive(Debug, Clone)]
 pub struct StreamFilter {
     /// The compiled query, behind an [`Arc`] so many filters (e.g. the
@@ -534,50 +539,6 @@ impl StreamFilter {
         Ok(f)
     }
 
-    /// One-shot full evaluation: the ordinals of selected elements.
-    pub fn run_reporting(q: &Query, events: &[Event]) -> Result<Vec<u64>, UnsupportedQuery> {
-        let mut f = StreamFilter::new_reporting(q)?;
-        f.process_all(events);
-        Ok(f.matched_positions()
-            .expect("endDocument delivers positions"))
-    }
-
-    /// In reporting mode, after `endDocument`: the sorted element
-    /// ordinals selected by `FULLEVAL(Q, D)` that have **not** been
-    /// drained through [`StreamFilter::drain_matches`].
-    ///
-    /// This is the legacy batch accessor, now a thin wrapper over the
-    /// reporter's collecting outbox: when nothing drains matches
-    /// incrementally (the `run_reporting` path) every confirmed position
-    /// accumulates there and this returns the complete result set.
-    pub fn matched_positions(&self) -> Option<Vec<u64>> {
-        match (&self.st.reporter, self.st.result) {
-            (Some(rep), Some(_)) => Some(rep.results()),
-            _ => None,
-        }
-    }
-
-    /// Drains every match confirmed since the last drain into `sink`,
-    /// stamped with bank index `query`. The engine calls this after each
-    /// event, so matches reach the consumer the moment the paper's
-    /// frontier resolves their ancestor chains — not at `endDocument`.
-    ///
-    /// No-op in filtering (non-reporting) mode.
-    pub fn drain_matches(&mut self, query: usize, sink: &mut dyn MatchSink) {
-        if let Some(rep) = &mut self.st.reporter {
-            if rep.outbox_is_empty() {
-                return;
-            }
-            for (ordinal, span) in rep.drain_outbox() {
-                sink.on_match(Match {
-                    query,
-                    ordinal,
-                    span,
-                });
-            }
-        }
-    }
-
     /// Peak number of simultaneously buffered *unresolved* candidate
     /// positions (reporting mode) — the \[5\] buffering cost. Matches whose
     /// ancestor chains already resolved are emitted immediately and never
@@ -609,16 +570,16 @@ impl StreamFilter {
         self.result()
     }
 
-    /// Feeds one event without span information (matches then carry
-    /// [`Span::EMPTY`]). Sources that know byte offsets use
-    /// [`StreamFilter::process_spanned`].
+    /// Feeds one event: the filtering form, discarding any match it
+    /// confirms in reporting mode.
     pub fn process(&mut self, event: &Event) {
-        self.process_spanned(event, Span::EMPTY);
+        self.process_to(event, Span::EMPTY, 0, &mut |_: Match| {});
     }
 
-    /// Feeds one event together with its source byte span, so reporting
-    /// mode can stamp each confirmed match with the element's full
-    /// source range (start tag through end tag).
+    /// Feeds one event together with its source byte span, handing
+    /// every match it confirms to `sink`, stamped with bank index
+    /// `query` and the element's full source range (start tag through
+    /// end tag; [`Span::EMPTY`] when `span` is).
     ///
     /// This is the owned-event conversion layer: names are resolved to
     /// [`Sym`]s through the compiled query's table (a memoized read-only
@@ -626,20 +587,41 @@ impl StreamFilter {
     /// named node test) and dispatch proceeds on integers. Sources that
     /// already hold interned events
     /// (`fx_xml::StreamingParser::feed_interned`) should call
-    /// [`StreamFilter::process_sym`] directly and skip the lookup.
-    pub fn process_spanned(&mut self, event: &Event, span: Span) {
+    /// [`StreamFilter::process_sym_to`] directly and skip the lookup.
+    pub fn process_to(
+        &mut self,
+        event: &Event,
+        span: Span,
+        query: usize,
+        sink: &mut dyn MatchSink,
+    ) {
         let mut scratch = std::mem::take(&mut self.attr_scratch);
         let ev = scratch.sym_event(&mut self.name_cache, self.query.symbols(), event);
-        self.process_sym(ev, span);
+        self.process_sym_to(ev, span, query, sink);
         self.attr_scratch = scratch;
+    }
+
+    /// Feeds one *interned* event: the filtering form of
+    /// [`StreamFilter::process_sym_to`], discarding any match it
+    /// confirms in reporting mode.
+    pub fn process_sym(&mut self, event: SymEvent<'_>, span: Span) {
+        self.process_sym_to(event, span, 0, &mut |_: Match| {});
     }
 
     /// Feeds one *interned* event: the allocation-free hot path. The
     /// event's syms must come from this filter's compiled table
     /// ([`CompiledQuery::symbols`]) — feed the same table to the parser
     /// (`StreamingParser::with_symbols`) and the names meet as equal
-    /// integers.
-    pub fn process_sym(&mut self, event: SymEvent<'_>, span: Span) {
+    /// integers. In reporting mode, each match the event confirms (an
+    /// end tag is the only event that confirms any) goes to `sink`,
+    /// stamped with bank index `query`, before this call returns.
+    pub fn process_sym_to(
+        &mut self,
+        event: SymEvent<'_>,
+        span: Span,
+        query: usize,
+        sink: &mut dyn MatchSink,
+    ) {
         // Disjoint borrows: the compiled query is read, the state is
         // mutated — no per-event refcount traffic, no cloning.
         let q: &CompiledQuery = &self.query;
@@ -650,7 +632,7 @@ impl StreamFilter {
             SymEvent::StartElement { name, attributes } => {
                 st.start_element(q, name, attributes, span)
             }
-            SymEvent::EndElement { name } => st.end_element(q, name, span),
+            SymEvent::EndElement { name } => st.end_element(q, name, span, query, sink),
             SymEvent::Text { content } => st.text(content),
         }
         st.stats.events += 1;
@@ -701,26 +683,10 @@ impl StreamFilter {
     /// `scratch` hoisted out of the per-event loop, so the filter sees
     /// exactly the per-event stream but pays the call boundary once per
     /// run. The batch's syms must come from the same table as the
-    /// compiled query.
+    /// compiled query. A filtering form: in reporting mode, matches are
+    /// discarded.
     pub fn process_batch(&mut self, batch: &EventBatch, scratch: &mut AttrBuf) {
         batch.replay(scratch, |ev, span| self.process_sym(ev, span));
-    }
-
-    /// [`StreamFilter::process_batch`] with confirmed matches drained
-    /// **once per batch** instead of once per event. The reporter's
-    /// outbox is a FIFO, so a single filter's match order is exactly
-    /// that of the per-event drain — only the sink-call granularity is
-    /// amortized. (The multi-filter bank keeps per-event draining to
-    /// preserve cross-filter match interleaving.)
-    pub fn process_batch_to(
-        &mut self,
-        batch: &EventBatch,
-        scratch: &mut AttrBuf,
-        query: usize,
-        sink: &mut dyn MatchSink,
-    ) {
-        self.process_batch(batch, scratch);
-        self.drain_matches(query, sink);
     }
 
     /// The verdict, available after `endDocument`.
@@ -1027,7 +993,14 @@ impl FilterState {
         }
     }
 
-    fn end_element(&mut self, q: &CompiledQuery, name: Sym, span: Span) {
+    fn end_element(
+        &mut self,
+        q: &CompiledQuery,
+        name: Sym,
+        span: Span,
+        query: usize,
+        sink: &mut dyn MatchSink,
+    ) {
         // Saturate on malformed streams (the paper lets algorithms behave
         // arbitrarily on them, but we must not crash: the lower-bound
         // prober feeds crossed prefix/suffix pairs that may be malformed).
@@ -1157,14 +1130,14 @@ impl FilterState {
             }
         }
         self.scratch_parents.clear();
-        if let Some(rep) = &mut self.reporter {
+        if let Some(rep) = self.reporter.as_mut().filter(|r| r.is_open_at(lvl)) {
             rep.close_element(
-                lvl,
+                q,
                 &self.scratch_groups,
                 out_leaf_value,
-                &q.out_path,
-                &q.out_axes_child,
                 span.end,
+                query,
+                sink,
             );
         }
         self.scratch_groups.clear();
@@ -1364,11 +1337,12 @@ mod tests {
         let q = parse_query("//a[b and c]").unwrap();
         let spanned = fx_xml::parse_spanned("<r><a><b/><zz><zz/></zz><c/></a></r>").unwrap();
         let mut f = StreamFilter::new_reporting(&q).unwrap();
+        let mut ordinals = Vec::new();
         for (event, span) in &spanned {
-            f.process_spanned(event, *span);
+            f.process_to(event, *span, 0, &mut |m: Match| ordinals.push(m.ordinal));
         }
         assert_eq!(f.result(), Some(true));
-        assert_eq!(f.matched_positions(), Some(vec![1]));
+        assert_eq!(ordinals, vec![1]);
         let stats = f.stats();
         assert_eq!(stats.events, spanned.len() as u64);
         assert_eq!((stats.max_rows, stats.max_level), (3, 4));

@@ -329,7 +329,7 @@ impl Run {
             SymEvent::Text { .. } => {
                 self.feed_instances(index, event, span, self.current_level as i64, sink)
             }
-            SymEvent::EndDocument => self.end_document(index, sink),
+            SymEvent::EndDocument => self.end_document(index),
         }
     }
 
@@ -460,7 +460,7 @@ impl Run {
         let mut i = 0;
         while i < self.instances.len() {
             if self.instances[i].root_level == new_level as i64 {
-                self.retire_instance(index, i, sink);
+                self.retire_instance(index, i);
             } else {
                 i += 1;
             }
@@ -499,9 +499,9 @@ impl Run {
         }
     }
 
-    fn end_document(&mut self, index: &Index, sink: &mut dyn MatchSink) {
+    fn end_document(&mut self, index: &Index) {
         while !self.instances.is_empty() {
-            self.retire_instance(index, 0, sink);
+            self.retire_instance(index, 0);
         }
         debug_assert_eq!(
             self.dormant_live,
@@ -699,7 +699,7 @@ impl Run {
     }
 
     /// Feeds `event` to every instance rooted strictly above `threshold`
-    /// (the level the event occurs at), draining matches and applying
+    /// (the level the event occurs at), routing matches and applying
     /// the decided-filter short-circuit in filtering mode.
     fn feed_instances(
         &mut self,
@@ -724,7 +724,7 @@ impl Run {
     }
 
     /// Feeds `event` to instance `i` with full bookkeeping (match
-    /// draining, decided short-circuit, space-delta folding). Returns
+    /// routing, decided short-circuit, space-delta folding). Returns
     /// `true` when the instance was removed (its slot now holds the
     /// previous last instance, swap-remove style).
     fn feed_one(
@@ -735,12 +735,20 @@ impl Run {
         span: Span,
         sink: &mut dyn MatchSink,
     ) -> bool {
-        self.instances[i].filter.process_sym(event, span);
+        let Run {
+            instances,
+            doc,
+            emitted,
+            ..
+        } = self;
+        let inst = &mut instances[i];
+        let (g, offset) = (inst.group as usize, inst.ordinal_offset);
+        // What the instance confirms, its local ordinals made global.
+        inst.filter.process_sym_to(event, span, 0, &mut |m: Match| {
+            emit(index, doc, emitted, g, m.ordinal + offset, m.span, sink)
+        });
         let mut decided = None;
-        if index.reporting {
-            self.drain(index, i, sink);
-        } else {
-            let inst = &mut self.instances[i];
+        if !index.reporting {
             let p = inst.filter.match_progress();
             if p != inst.progress {
                 inst.progress = p;
@@ -764,35 +772,16 @@ impl Run {
         true
     }
 
-    /// Sends `EndDocument` to instance `i`, harvests its verdict and any
-    /// final matches, and removes it.
-    fn retire_instance(&mut self, index: &Index, i: usize, sink: &mut dyn MatchSink) {
+    /// Sends `EndDocument` (which confirms no match) to instance `i`,
+    /// harvests its verdict, and removes it.
+    fn retire_instance(&mut self, index: &Index, i: usize) {
         let inst = &mut self.instances[i];
         inst.filter.process_sym(SymEvent::EndDocument, Span::EMPTY);
         let (g, accept) = (inst.group as usize, inst.filter.result() == Some(true));
-        if index.reporting {
-            self.drain(index, i, sink);
-        }
         if accept {
             self.accept(index, g);
         }
         self.remove_instance(index, i);
-    }
-
-    /// Routes the matches instance `i` confirmed since its last drain
-    /// (reporting mode), instance-local ordinals made global.
-    fn drain(&mut self, index: &Index, i: usize, sink: &mut dyn MatchSink) {
-        let Run {
-            instances,
-            doc,
-            emitted,
-            ..
-        } = self;
-        let inst = &mut instances[i];
-        let (g, offset) = (inst.group as usize, inst.ordinal_offset);
-        inst.filter.drain_matches(0, &mut |m: Match| {
-            emit(index, doc, emitted, g, m.ordinal + offset, m.span, sink)
-        });
     }
 
     /// Folds what instance `i`'s monotone peaks grew by since they were
@@ -837,8 +826,8 @@ impl Run {
 /// Routes one confirmed match of reporting group `g` to every member,
 /// deduplicating ordinals for groups whose descendant-axis prefixes
 /// allow nested activations to confirm the same element twice. A free
-/// function over the fields it writes, so a live instance can drain
-/// straight into it.
+/// function over the fields it writes, so a live instance's sink can
+/// call it while the instance is borrowed.
 fn emit(
     index: &Index,
     doc: &mut [GroupDoc],

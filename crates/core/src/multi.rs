@@ -406,9 +406,9 @@ impl MultiFilter {
     }
 
     /// Hands `event` to filter `i` unless it is decided: syncs it past
-    /// whatever it was not shown since its last delivery, processes,
-    /// drains its matches, and re-checks the early decision if a match
-    /// flag moved.
+    /// whatever it was not shown since its last delivery, processes it
+    /// with `sink` (the filter stamps what it confirms with `i`), and
+    /// re-checks the early decision if a match flag moved.
     fn deliver(
         &mut self,
         i: usize,
@@ -433,11 +433,10 @@ impl MultiFilter {
                 self.deepest[i],
             );
         }
-        f.process_sym(event, span);
+        f.process_sym_to(event, span, i, sink);
         self.delivered += 1;
         lane.seen = self.at.events;
         self.deepest[i] = self.at.level;
-        f.drain_matches(i, sink);
         if f.is_buffering() != lane.buffering {
             lane.buffering = !lane.buffering;
             if lane.buffering {

@@ -12,13 +12,14 @@
 //! are confirmed or dropped as the enclosing candidates close.
 //!
 //! A position whose ancestor chain fully resolves is **emitted
-//! immediately** as a [`Match`] (pushed to an outbox the owning filter
-//! drains into a [`MatchSink`] after every event); only *unresolved*
-//! candidates stay buffered. The buffered state is therefore exactly the
-//! quantity \[5\] shows is unavoidable, and the space overhead over pure
-//! filtering is `O(#pending · log |D|)` bits — matches in subtrees whose
-//! predicates already resolved cost nothing and reach the consumer before
-//! the rest of the document has streamed.
+//! immediately** as a [`Match`], straight into the [`MatchSink`] the
+//! caller handed the closing event to; only *unresolved* candidates
+//! stay buffered — a confirmed match is handed over, never held. The
+//! buffered state is therefore exactly the quantity \[5\] shows is
+//! unavoidable, and the space overhead over pure filtering is
+//! `O(#pending · log |D|)` bits — matches in subtrees whose predicates
+//! already resolved cost nothing and reach the consumer before the rest
+//! of the document has streamed.
 //!
 //! ## Sparse frames
 //!
@@ -45,6 +46,7 @@
 //! parent element being selected for index `i` — so the parent is a
 //! candidate, has a frame, and is the nearest one.
 
+use crate::filter::CompiledQuery;
 use fx_xml::Span;
 
 /// One confirmed output node of `FULLEVAL(Q, D)`, delivered to a
@@ -134,11 +136,6 @@ pub(crate) struct Reporter {
     /// and closing allocates nothing.
     frames: Vec<Frame>,
     open: usize,
-    /// Matches confirmed but not yet drained by the owning filter. In
-    /// sink-driven use this is emptied after every event; in legacy
-    /// batch use it accumulates and doubles as the collecting sink
-    /// behind `matched_positions()`.
-    outbox: Vec<(u64, Span)>,
     /// Reused per-close scratch: what the closing element hands on.
     out: Vec<Pending>,
     /// Pendings buffered right now, over all open frames.
@@ -153,7 +150,6 @@ impl Reporter {
     /// Per-document reset (the owning filter's `StartDocument`).
     pub(crate) fn reset(&mut self) {
         self.open = 0;
-        self.outbox.clear();
         self.live_pendings = 0;
         self.max_pendings = 0;
     }
@@ -190,32 +186,33 @@ impl Reporter {
         frame.out_leaf_unrestricted |= out_leaf_unrestricted;
     }
 
-    /// Closes the element at `level` — a no-op unless it is a candidate
-    /// (the top frame sits at that level). `pred_ok` lists, per folded
-    /// query node, `(node, all_children_matched,
-    /// predicate_children_matched)` for the closing element (the
-    /// filter's reused fold scratch — a handful of entries, scanned
-    /// linearly); `out_leaf_value` is the per-candidate value verdict
-    /// when the output node is a value-restricted leaf candidate here;
-    /// `axes_child` tells, for each 1-based path index, whether that
-    /// step has a child axis (true) or descendant axis (false);
-    /// `end_offset` is the source byte offset one past the closing tag
-    /// (completing the element's span).
+    /// Closes the element of the top frame — the caller has checked
+    /// with [`Reporter::is_open_at`] that the closing element is that
+    /// candidate. `pred_ok` lists, per folded query node, `(node,
+    /// all_children_matched, predicate_children_matched)` for the
+    /// closing element (the filter's reused fold scratch — a handful of
+    /// entries, scanned linearly); `out_leaf_value` is the per-candidate
+    /// value verdict when the output node is a value-restricted leaf
+    /// candidate here; `q` supplies the output path and, for each
+    /// 1-based path index, whether that step has a child axis (true) or
+    /// descendant axis (false); `end_offset` is the source byte offset
+    /// one past the closing tag (completing the element's span). Every
+    /// match the close confirms goes to `sink` right here, stamped with
+    /// bank index `query`.
     pub(crate) fn close_element(
         &mut self,
-        level: usize,
+        q: &CompiledQuery,
         pred_ok: &[(u32, bool, bool)],
         out_leaf_value: Option<bool>,
-        path_nodes: &[u32],
-        axes_child: &[bool],
         end_offset: u64,
+        query: usize,
+        sink: &mut dyn MatchSink,
     ) {
-        if !self.is_open_at(level) {
-            return;
-        }
+        let (path_nodes, axes_child) = (&q.out_path[..], &q.out_axes_child[..]);
         self.open -= 1;
         let (enclosing, closing) = self.frames.split_at_mut(self.open);
         let frame = &closing[0];
+        let level = frame.level;
         let elem_span = Span::new(frame.span_start, end_offset);
         let m = path_nodes.len() as u16;
         let out = &mut self.out;
@@ -272,7 +269,7 @@ impl Reporter {
 
         // 3. Emission: a pending whose chain just completed (needed == 0)
         // is a genuine result *now* — no later event can revoke a real
-        // match — so it goes straight to the outbox. Every other copy of
+        // match — so it goes straight to the sink. Every other copy of
         // that ordinal (forked by the consume-and-skip rule on descendant
         // axes) is dropped so the node cannot confirm twice via a second
         // chain; all copies of an ordinal live in this frame, so purging
@@ -290,7 +287,11 @@ impl Reporter {
                 j += 1;
             }
             if out[i].needed == 0 {
-                self.outbox.push((ordinal, out[i].span));
+                sink.on_match(Match {
+                    query,
+                    ordinal,
+                    span: out[i].span,
+                });
             } else if let Some(parent) = &mut parent {
                 let before = parent.pendings.len();
                 parent.pendings.extend(
@@ -309,24 +310,6 @@ impl Reporter {
     pub(crate) fn is_open_at(&self, level: usize) -> bool {
         self.open > 0 && self.frames[self.open - 1].level == level
     }
-
-    /// True when no confirmed match awaits draining.
-    pub(crate) fn outbox_is_empty(&self) -> bool {
-        self.outbox.is_empty()
-    }
-
-    /// Drains the confirmed-match outbox, oldest first.
-    pub(crate) fn drain_outbox(&mut self) -> std::vec::Drain<'_, (u64, Span)> {
-        self.outbox.drain(..)
-    }
-
-    /// The undrained confirmed output ordinals, sorted. (Emission already
-    /// deduplicates, so this is a sort of the outbox.)
-    pub(crate) fn results(&self) -> Vec<u64> {
-        let mut r: Vec<u64> = self.outbox.iter().map(|&(o, _)| o).collect();
-        r.sort_unstable();
-        r
-    }
 }
 
 /// The predicate-children verdict folded for `node`, if any (linear
@@ -341,8 +324,10 @@ fn lookup_pred(pred_ok: &[(u32, bool, bool)], node: u32) -> Option<bool> {
 
 #[cfg(test)]
 mod tests {
+    use super::Match;
     use crate::filter::StreamFilter;
     use fx_dom::{Document, NodeKind};
+    use fx_xml::Span;
     use fx_xpath::parse_query;
 
     /// Maps the reference evaluator's selected nodes to element ordinals
@@ -372,7 +357,15 @@ mod tests {
     fn reported_positions(query: &str, xml: &str) -> Vec<u64> {
         let q = parse_query(query).unwrap();
         let events = fx_xml::parse(xml).unwrap();
-        StreamFilter::run_reporting(&q, &events).unwrap()
+        let mut f = StreamFilter::new_reporting(&q).unwrap();
+        let mut ordinals = Vec::new();
+        for event in &events {
+            f.process_to(event, Span::EMPTY, 0, &mut |m: Match| {
+                ordinals.push(m.ordinal)
+            });
+        }
+        ordinals.sort_unstable();
+        ordinals
     }
 
     fn agree(query: &str, xml: &str) {
@@ -483,7 +476,7 @@ mod tests {
     #[test]
     fn matches_emit_the_moment_their_chain_resolves() {
         // Two <a> subtrees: the first resolves (has <x/>) and closes
-        // early; its b-matches must be drained *before* the second
+        // early; its b-matches must reach the sink *before* the second
         // subtree — let alone endDocument — streams.
         let xml = "<r><a><x/><b/><b/></a><a><b/><b/><b/></a></r>";
         let q = parse_query("//a[x]/b").unwrap();
@@ -491,9 +484,10 @@ mod tests {
         let spanned = fx_xml::parse_spanned(xml).unwrap();
         let mut arrivals: Vec<(u64, usize)> = Vec::new(); // (ordinal, events seen)
         for (i, (event, span)) in spanned.iter().enumerate() {
-            f.process_spanned(event, *span);
             let seen = i + 1;
-            f.drain_matches(0, &mut |m: crate::Match| arrivals.push((m.ordinal, seen)));
+            f.process_to(event, *span, 0, &mut |m: Match| {
+                arrivals.push((m.ordinal, seen))
+            });
         }
         let total = spanned.len();
         // Ordinals: r=0, a=1, x=2, b=3, b=4, a=5, b=6,7,8. Only the
@@ -508,9 +502,6 @@ mod tests {
                 "match {ordinal} arrived at event {seen}/{total}, not incrementally"
             );
         }
-        // Drained matches are gone; the legacy accessor sees only what
-        // was never drained (nothing here).
-        assert_eq!(f.matched_positions().unwrap(), Vec::<u64>::new());
     }
 
     #[test]
@@ -518,10 +509,9 @@ mod tests {
         let xml = "<r><a><x/><b>hi</b></a><b/></r>";
         let q = parse_query("//a[x]/b").unwrap();
         let mut f = StreamFilter::new_reporting(&q).unwrap();
-        let mut matches: Vec<crate::Match> = Vec::new();
+        let mut matches: Vec<Match> = Vec::new();
         for (event, span) in fx_xml::parse_spanned(xml).unwrap() {
-            f.process_spanned(&event, span);
-            f.drain_matches(7, &mut matches);
+            f.process_to(&event, span, 7, &mut matches);
         }
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].query, 7, "sink sees the stamped bank index");
@@ -538,8 +528,7 @@ mod tests {
         let mut f = StreamFilter::new_reporting(&q).unwrap();
         let mut count = 0usize;
         for (event, span) in fx_xml::parse_spanned(&xml).unwrap() {
-            f.process_spanned(&event, span);
-            f.drain_matches(0, &mut |_m: crate::Match| count += 1);
+            f.process_to(&event, span, 0, &mut |_m: Match| count += 1);
         }
         assert_eq!(count, n);
         assert_eq!(
@@ -562,8 +551,7 @@ mod tests {
             let mut f = StreamFilter::new_reporting(&q).unwrap();
             let mut seen: Vec<u64> = Vec::new();
             for (event, span) in fx_xml::parse_spanned(xml).unwrap() {
-                f.process_spanned(&event, span);
-                f.drain_matches(0, &mut |m: crate::Match| seen.push(m.ordinal));
+                f.process_to(&event, span, 0, &mut |m: Match| seen.push(m.ordinal));
             }
             let mut deduped = seen.clone();
             deduped.sort_unstable();
@@ -582,8 +570,11 @@ mod tests {
         let q = parse_query("/a[x]/b").unwrap();
         let events = fx_xml::parse(&xml).unwrap();
         let mut f = StreamFilter::new_reporting(&q).unwrap();
-        f.process_all(&events);
-        assert_eq!(f.matched_positions().unwrap().len(), n);
+        let mut selected = 0;
+        for event in &events {
+            f.process_to(event, Span::EMPTY, 0, &mut |_m: Match| selected += 1);
+        }
+        assert_eq!(selected, n);
         assert!(f.peak_pending_positions() >= n);
     }
 

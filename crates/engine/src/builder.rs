@@ -304,11 +304,11 @@ impl Engine {
     /// Meaningful on a [`Mode::Select`] engine; a filtering engine
     /// returns empty match lists.
     ///
-    /// To consume matches *as they are confirmed* (rather than collected
+    /// To consume matches *as they are confirmed* (rather than gathered
     /// at the end), open a session and use
     /// [`Session::run_reader_to`] with your own [`crate::MatchSink`].
     pub fn select_str(&self, xml: &str) -> Result<Outcome, EngineError> {
-        self.session().run_reader_outcome(xml.as_bytes())
+        self.session().select(xml.as_bytes())
     }
 
     /// An HTML-soup frontend bound to this engine: a lenient
@@ -333,7 +333,7 @@ impl Engine {
     /// non-blank line is framed as its own document — so drive it
     /// through a reused session ([`Session::run_source`]) and the
     /// session's verdicts reflect the **last** record, while match
-    /// sinks and collected outcomes see **every** record's matches,
+    /// sinks see **every** record's matches,
     /// with stream-global spans that slice the original NDJSON input.
     pub fn ndjson_source(&self) -> fx_json::NdjsonParser {
         fx_json::NdjsonParser::with_symbols(Arc::clone(&self.symbols)).lookup_only()
@@ -586,16 +586,13 @@ mod tests {
             .build()
             .unwrap();
         let html = "<ul><li>a<li>b</ul>";
-        let out = e
+        let mut out: Vec<crate::Match> = Vec::new();
+        let verdicts = e
             .session()
-            .run_source_outcome(&mut e.html_source(), html.as_bytes())
+            .run_source_to(&mut e.html_source(), html.as_bytes(), &mut out)
             .unwrap();
-        assert!(out.verdicts().matched()[0]);
-        let spans: Vec<_> = out
-            .matches(0)
-            .iter()
-            .map(|m| m.span.slice(html).unwrap())
-            .collect();
+        assert!(verdicts.matched()[0]);
+        let spans: Vec<_> = out.iter().map(|m| m.span.slice(html).unwrap()).collect();
         // A match span covers the element from its start tag through
         // its (here implied) close.
         assert_eq!(spans, vec!["<li>a", "<li>b"]);
@@ -605,11 +602,15 @@ mod tests {
             .select()
             .build()
             .unwrap();
-        let out = e
-            .session()
-            .run_source_outcome(&mut e.json_source(), r#"{"tags":[1,2,3]}"#.as_bytes())
+        let mut out: Vec<crate::Match> = Vec::new();
+        e.session()
+            .run_source_to(
+                &mut e.json_source(),
+                r#"{"tags":[1,2,3]}"#.as_bytes(),
+                &mut out,
+            )
             .unwrap();
-        assert_eq!(out.matches(0).len(), 3);
+        assert_eq!(out.len(), 3);
     }
 
     #[test]

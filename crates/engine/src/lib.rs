@@ -113,8 +113,8 @@
 //! | Piece | Role |
 //! |---|---|
 //! | [`Engine`] / [`EngineBuilder`] | Compiles and validates a query bank for a [`Mode`] and an [`IndexPolicy`] (all four combinations are legal) |
-//! | [`Session`] | Per-document (reusable) evaluation state: `push` / `finish` / `run_reader`, plus the `_to` sink-driven variants |
-//! | [`Verdicts`] / [`Outcome`] | Per-query outcomes (and match lists) plus the paper's logical-memory measures |
+//! | [`Session`] | Per-document (reusable) evaluation state: `push` / `run_reader` / `run_source` (verdicts only — on a selection session they discard matches) and `finish`, plus the `_to` variants that hand each match to a sink the moment it is confirmed; a session holds no match |
+//! | [`Verdicts`] / [`Outcome`] | Per-query outcomes plus the paper's logical-memory measures; an `Outcome` adds the per-query match lists of `Engine::select_str` / `select_sharded` |
 //! | [`Match`] / [`MatchSink`] | The incremental selection output surface (`Vec<Match>` is the collecting sink) |
 //! | [`EngineError`] | One `std::error::Error` for everything the above can reject |
 //!

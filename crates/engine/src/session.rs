@@ -21,10 +21,12 @@ use std::sync::Arc;
 /// session's tokenizer, name memo and scratch buffers stay warm.
 ///
 /// On a [`Mode::Select`] engine the session additionally *streams
-/// matches*: every confirmed output node is delivered to a
-/// [`MatchSink`] (the `_to` entry points) the moment its ancestor
-/// chain resolves. The sink-less entry points collect matches
-/// internally instead, for retrieval via [`Session::finish_outcome`].
+/// matches*: every confirmed output node is delivered to the
+/// [`MatchSink`] of a `_to` entry point the moment its ancestor chain
+/// resolves, and the session keeps none of them. The sink-less entry
+/// points ([`Session::push`], [`Session::run_reader`],
+/// [`Session::run_source`]) discard matches: on a selection session
+/// they report verdicts and space statistics only.
 ///
 /// Multi-query filtering sessions run on the short-circuiting
 /// [`fx_core::MultiFilter`] bank: filters whose
@@ -51,9 +53,6 @@ pub struct Session {
     /// table) is interned, once, before any evaluator sees it.
     attrs: AttrBuf,
     names: SymCache,
-    /// Matches confirmed through the sink-less entry points, held for
-    /// [`Session::finish_outcome`]; cleared at each `StartDocument`.
-    collected: Vec<Match>,
 }
 
 pub(crate) enum SessionInner {
@@ -76,7 +75,7 @@ impl SessionInner {
     #[inline]
     fn push_sym(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
         match self {
-            SessionInner::Solo(filter) => filter.process_sym(event, span),
+            SessionInner::Solo(filter) => filter.process_sym_to(event, span, 0, sink),
             SessionInner::Bank(bank) => bank.process_sym_to(event, span, sink),
             SessionInner::Indexed(bank) => bank.process_sym_to(event, span, sink),
         }
@@ -93,7 +92,6 @@ impl Session {
             symbols,
             attrs: AttrBuf::new(),
             names: SymCache::new(),
-            collected: Vec::new(),
         }
     }
 
@@ -134,13 +132,11 @@ impl Session {
     /// framing (`StartDocument` … `EndDocument`), which is what every
     /// `fx_xml` source produces.
     ///
-    /// On a selection session, matches this event confirms are collected
-    /// internally for [`Session::finish_outcome`]; hand-pushed events
-    /// carry no source offsets, so their matches have [`Span::EMPTY`].
-    /// Use [`Session::push_spanned_to`] to stream matches to a sink with
-    /// real spans.
+    /// On a selection session, matches this event confirms are
+    /// discarded; use [`Session::push_spanned_to`] to stream them to a
+    /// sink.
     pub fn push(&mut self, event: &Event) {
-        self.push_event(event, Span::EMPTY, None);
+        self.push_spanned_to(event, Span::EMPTY, &mut |_: Match| {});
     }
 
     /// [`Session::push`] with the event's source byte span (from
@@ -149,22 +145,13 @@ impl Session {
     /// sessions never call the sink): the incremental-selection entry
     /// point. Matches reach `sink` the moment the frontier resolves
     /// their ancestor chains — possibly many events before
-    /// `EndDocument`.
+    /// `EndDocument`. Events pushed with [`Span::EMPTY`] confirm
+    /// matches with empty spans.
+    ///
+    /// The owned event is interned once against the engine's table
+    /// before any evaluator sees it.
     pub fn push_spanned_to(&mut self, event: &Event, span: Span, sink: &mut dyn MatchSink) {
-        self.push_event(event, span, Some(sink));
-    }
-
-    /// One owned event into the evaluators, interned once against the
-    /// engine's table; `None` sinks into the session's own outbox.
-    fn push_event(&mut self, event: &Event, span: Span, sink: Option<&mut dyn MatchSink>) {
-        if matches!(event, Event::StartDocument) {
-            self.collected.clear();
-        }
         self.events += 1;
-        let sink: &mut dyn MatchSink = match sink {
-            Some(sink) => sink,
-            None => &mut self.collected,
-        };
         let ev = self.attrs.sym_event(&mut self.names, &self.symbols, event);
         self.inner.push_sym(ev, span, sink);
     }
@@ -209,29 +196,11 @@ impl Session {
         })
     }
 
-    /// [`Session::finish`], additionally returning the matches the
-    /// sink-less entry points collected since the last `StartDocument`,
-    /// grouped per query: the batch face of selection.
-    pub fn finish_outcome(&mut self) -> Result<Outcome, EngineError> {
-        let verdicts = self.finish()?;
-        Ok(self.outcome(verdicts))
-    }
-
-    /// `verdicts` with the outbox's matches grouped per query.
-    fn outcome(&mut self, verdicts: Verdicts) -> Outcome {
-        let mut matches: Vec<Vec<Match>> = (0..verdicts.len()).map(|_| Vec::new()).collect();
-        for m in self.collected.drain(..) {
-            matches[m.query].push(m);
-        }
-        Outcome { verdicts, matches }
-    }
-
     /// Streams one whole document from `reader` and finishes: the
     /// true-streaming entry point. Memory is bounded by the read chunk,
     /// the largest single XML token, and the filters' own state — never
-    /// by document size. (On selection sessions, prefer
-    /// [`Session::run_reader_to`] or [`Session::run_reader_outcome`],
-    /// which do not discard the matches.)
+    /// by document size. On a selection session the matches are
+    /// discarded; [`Session::run_reader_to`] hands them over instead.
     ///
     /// The `run_reader*` entry points are the `run_source*` ones over
     /// the session's own warm XML tokenizer — driven by its concrete
@@ -241,7 +210,7 @@ impl Session {
     /// the engine-wide table, so a long-lived engine's memory stays
     /// bounded by its queries, never by document content.
     pub fn run_reader<R: Read>(&mut self, mut reader: R) -> Result<Verdicts, EngineError> {
-        self.drive(None, &mut reader, None)
+        self.drive(None, &mut reader, &mut |_: Match| {})
     }
 
     /// Streams one whole document from `reader`, delivering each match
@@ -271,21 +240,15 @@ impl Session {
         mut reader: R,
         sink: &mut dyn MatchSink,
     ) -> Result<Verdicts, EngineError> {
-        self.drive(None, &mut reader, Some(sink))
-    }
-
-    /// Streams one whole document from `reader` and returns the full
-    /// [`Outcome`] — verdicts plus the collected per-query matches.
-    pub fn run_reader_outcome<R: Read>(&mut self, mut reader: R) -> Result<Outcome, EngineError> {
-        let verdicts = self.drive(None, &mut reader, None)?;
-        Ok(self.outcome(verdicts))
+        self.drive(None, &mut reader, sink)
     }
 
     /// [`Session::run_reader`] generalized over the event frontend:
     /// streams one whole document from `reader` through `source` — any
     /// [`EventSource`] (the XML [`StreamingParser`], `fx-html`'s soup
     /// tokenizer, `fx-json`'s record adapter, …) — and finishes with
-    /// the verdicts.
+    /// the verdicts. On a selection session the matches are discarded;
+    /// [`Session::run_source_to`] hands them over instead.
     ///
     /// The source should share the engine's symbol table (build it with
     /// `with_symbols(engine.symbols().clone()).lookup_only()`, or use
@@ -300,7 +263,7 @@ impl Session {
         source: &mut dyn EventSource,
         mut reader: R,
     ) -> Result<Verdicts, EngineError> {
-        self.drive(Some(source), &mut reader, None)
+        self.drive(Some(source), &mut reader, &mut |_: Match| {})
     }
 
     /// [`Session::run_source`], delivering each match to `sink` *as it
@@ -311,24 +274,22 @@ impl Session {
         mut reader: R,
         sink: &mut dyn MatchSink,
     ) -> Result<Verdicts, EngineError> {
-        self.drive(Some(source), &mut reader, Some(sink))
+        self.drive(Some(source), &mut reader, sink)
     }
 
-    /// [`Session::run_source`], returning the full [`Outcome`] —
-    /// verdicts plus the collected per-query matches.
-    pub fn run_source_outcome<R: Read>(
-        &mut self,
-        source: &mut dyn EventSource,
-        mut reader: R,
-    ) -> Result<Outcome, EngineError> {
-        let verdicts = self.drive(Some(source), &mut reader, None)?;
-        Ok(self.outcome(verdicts))
+    /// [`Session::run_reader_to`] into a `Vec`, grouped per query: what
+    /// [`crate::Engine::select_str`] and [`crate::Engine::select_sharded`]
+    /// return per document.
+    pub(crate) fn select<R: Read>(&mut self, reader: R) -> Result<Outcome, EngineError> {
+        let mut matches = Vec::new();
+        let verdicts = self.run_reader_to(reader, &mut matches)?;
+        Ok(Outcome::new(verdicts, matches))
     }
 
     /// The one drive loop: streams one document from `reader` through
     /// `source` (`None`: the session's own warm XML tokenizer) and hands
     /// each event to the evaluators as the tokenizer completes it,
-    /// matches going to `sink` (`None`: the session's own outbox).
+    /// matches going to `sink`.
     /// Nothing is materialized between the two — no owned `Event`, no
     /// run of events — and in steady state nothing on the path
     /// allocates per element event. The session's own tokenizer is
@@ -351,7 +312,7 @@ impl Session {
         &mut self,
         source: Option<&mut dyn EventSource>,
         reader: &mut dyn Read,
-        sink: Option<&mut dyn MatchSink>,
+        sink: &mut dyn MatchSink,
     ) -> Result<Verdicts, EngineError> {
         let delivered = self.events;
         let Session {
@@ -361,16 +322,8 @@ impl Session {
             parser,
             attrs,
             names,
-            collected,
             ..
         } = self;
-        // A drive is exactly one document, so clearing the outbox up
-        // front equals clearing at its `StartDocument`.
-        collected.clear();
-        let sink: &mut dyn MatchSink = match sink {
-            Some(sink) => sink,
-            None => collected,
-        };
         let mut feed = |ev: SymEvent<'_>, span: Span| {
             *events += 1;
             inner.push_sym(ev, span, sink)
@@ -428,6 +381,20 @@ pub struct Outcome {
 }
 
 impl Outcome {
+    /// Groups `matches` — a document's, in confirmation order, as a
+    /// `Vec<Match>` sink receives them — per query beside that
+    /// document's `verdicts`.
+    pub fn new(verdicts: Verdicts, matches: Vec<Match>) -> Outcome {
+        let mut per_query: Vec<Vec<Match>> = vec![Vec::new(); verdicts.len()];
+        for m in matches {
+            per_query[m.query].push(m);
+        }
+        Outcome {
+            verdicts,
+            matches: per_query,
+        }
+    }
+
     /// The per-query boolean verdicts and space statistics.
     pub fn verdicts(&self) -> &Verdicts {
         &self.verdicts
@@ -500,7 +467,7 @@ impl Verdicts {
             .filter_map(|(i, &m)| m.then_some(i))
     }
 
-    /// Indices of the matching queries, collected into a `Vec`.
+    /// Indices of the matching queries, as a `Vec`.
     pub fn matching_queries(&self) -> Vec<usize> {
         self.matching().collect()
     }
@@ -639,13 +606,9 @@ mod tests {
             .build()
             .unwrap();
         let mut session = engine.session();
-        let o1 = session
-            .run_reader_outcome("<a><b/><b/></a>".as_bytes())
-            .unwrap();
+        let o1 = session.select("<a><b/><b/></a>".as_bytes()).unwrap();
         assert_eq!(o1.ordinals(0), vec![1, 2]);
-        let o2 = session
-            .run_reader_outcome("<a><b/></a>".as_bytes())
-            .unwrap();
+        let o2 = session.select("<a><b/></a>".as_bytes()).unwrap();
         assert_eq!(
             o2.ordinals(0),
             vec![1],

@@ -55,9 +55,7 @@ impl Engine {
     where
         D: AsRef<[u8]> + Sync,
     {
-        self.sharded_generic(docs, threads, |session, doc| {
-            session.run_reader_outcome(doc)
-        })
+        self.sharded_generic(docs, threads, |session, doc| session.select(doc))
     }
 
     fn sharded_generic<D, T, F>(

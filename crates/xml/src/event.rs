@@ -97,11 +97,6 @@ impl Event {
         matches!(self, Event::StartElement { .. })
     }
 
-    /// True for [`Event::EndElement`].
-    pub fn is_end(&self) -> bool {
-        matches!(self, Event::EndElement { .. })
-    }
-
     /// The paper's angle-bracket notation for a single event (`〈a〉`, `〈/a〉`,
     /// `〈$〉`, `〈/$〉`, or the raw text).
     pub fn notation(&self) -> String {
@@ -173,8 +168,7 @@ mod tests {
     #[test]
     fn start_is_start_end_is_end() {
         assert!(Event::start("a").is_start());
-        assert!(!Event::start("a").is_end());
-        assert!(Event::end("a").is_end());
+        assert!(!Event::end("a").is_start());
         assert!(!Event::text("t").is_start());
     }
 

@@ -62,7 +62,7 @@ impl<R: Read> EventIter<R> {
 
     /// Wraps a reader, reading `chunk_size` bytes at a time (minimum 4,
     /// so a UTF-8 scalar always fits).
-    pub fn with_chunk_size(reader: R, chunk_size: usize) -> EventIter<R> {
+    fn with_chunk_size(reader: R, chunk_size: usize) -> EventIter<R> {
         EventIter {
             reader,
             parser: StreamingParser::new(),

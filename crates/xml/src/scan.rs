@@ -22,9 +22,10 @@
 //! search with one pass over the haystack.
 //!
 //! All three frontends (`fx_xml`, `fx_html`, `fx_json`) share this
-//! module: XML/HTML tag scanning uses [`memchr`]/[`memchr2`]/
-//! [`memchr3`]/[`memchr4`] to find `<`, `>`, `&`, and quote
-//! delimiters; JSON string scanning uses [`memchr2`] for `"` vs `\`.
+//! module: the XML tokenizer walks the structural index
+//! [`positions_xml`] builds and finds attribute and entity delimiters
+//! with [`memchr`]; the HTML tokenizer finds `<` and `>` with
+//! [`memchr`]; JSON string scanning uses [`memchr2`] for `"` vs `\`.
 
 /// One repetition of `0x01` per byte lane.
 const LO: u64 = 0x0101_0101_0101_0101;
@@ -70,11 +71,10 @@ const fn zero_lanes_exact(x: u64) -> u64 {
 }
 
 /// Appends the index of every occurrence of the five needle bytes in
-/// `hay[from..]` to `out` (absolute indices into `hay`), in order: one
-/// SWAR pass building a *structural index* the tokenizer then walks,
-/// instead of re-scanning bytes per token. `hay` must be under 4 GiB
-/// (indices are `u32`; the caller buffers at most one token).
-pub fn positions5(hay: &[u8], from: usize, needles: [u8; 5], out: &mut Vec<u32>) {
+/// `hay[from..]` to `out`, five probes per word: the oracle
+/// [`positions_xml`] is tested against.
+#[cfg(test)]
+fn positions5(hay: &[u8], from: usize, needles: [u8; 5], out: &mut Vec<u32>) {
     let [n1, n2, n3, n4, n5] = needles;
     let (s1, s2, s3, s4, s5) = (splat(n1), splat(n2), splat(n3), splat(n4), splat(n5));
     let mut i = from;
@@ -100,8 +100,12 @@ pub fn positions5(hay: &[u8], from: usize, needles: [u8; 5], out: &mut Vec<u32>)
     }
 }
 
-/// [`positions5`] specialized to the XML structural set
-/// `< > " ' &`: `<` (0x3C) and `>` (0x3E) differ only in bit 1, and
+/// Appends the index of every occurrence of the XML structural set
+/// `< > " ' &` in `hay[from..]` to `out` (absolute indices into `hay`),
+/// in order: one SWAR pass building a *structural index* the tokenizer
+/// then walks, instead of re-scanning bytes per token. `hay` must be
+/// under 4 GiB (indices are `u32`; the caller buffers at most one
+/// token). `<` (0x3C) and `>` (0x3E) differ only in bit 1, and
 /// `&` (0x26) and `'` (0x27) only in bit 0, so OR-ing that bit before
 /// the compare tests each pair in one SWAR probe — three zero-lane
 /// tests per word instead of five.
@@ -183,44 +187,6 @@ pub fn memchr2(n1: u8, n2: u8, hay: &[u8]) -> Option<usize> {
         .map(|p| i + p)
 }
 
-/// Index of the first occurrence of `n1`, `n2`, or `n3` in `hay`.
-#[inline]
-pub fn memchr3(n1: u8, n2: u8, n3: u8, hay: &[u8]) -> Option<usize> {
-    let (s1, s2, s3) = (splat(n1), splat(n2), splat(n3));
-    let mut i = 0;
-    while i + 8 <= hay.len() {
-        let w = load(hay, i);
-        let m = zero_lanes(w ^ s1) | zero_lanes(w ^ s2) | zero_lanes(w ^ s3);
-        if m != 0 {
-            return Some(i + first_lane(m));
-        }
-        i += 8;
-    }
-    hay[i..]
-        .iter()
-        .position(|&b| b == n1 || b == n2 || b == n3)
-        .map(|p| i + p)
-}
-
-/// Index of the first occurrence of `n1`, `n2`, `n3`, or `n4` in `hay`.
-#[inline]
-pub fn memchr4(n1: u8, n2: u8, n3: u8, n4: u8, hay: &[u8]) -> Option<usize> {
-    let (s1, s2, s3, s4) = (splat(n1), splat(n2), splat(n3), splat(n4));
-    let mut i = 0;
-    while i + 8 <= hay.len() {
-        let w = load(hay, i);
-        let m = zero_lanes(w ^ s1) | zero_lanes(w ^ s2) | zero_lanes(w ^ s3) | zero_lanes(w ^ s4);
-        if m != 0 {
-            return Some(i + first_lane(m));
-        }
-        i += 8;
-    }
-    hay[i..]
-        .iter()
-        .position(|&b| b == n1 || b == n2 || b == n3 || b == n4)
-        .map(|p| i + p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,8 +227,6 @@ mod tests {
             let h = &hay[start..];
             assert_eq!(memchr(b'<', h), naive(b"<", h));
             assert_eq!(memchr2(b'"', b'\'', h), naive(b"\"'", h));
-            assert_eq!(memchr3(b'<', b'>', b'&', h), naive(b"<>&", h));
-            assert_eq!(memchr4(b'>', b'"', b'\'', b'<', h), naive(b">\"'<", h));
         }
     }
 
@@ -328,6 +292,5 @@ mod tests {
         assert_eq!(memchr(b'<', b""), None);
         assert_eq!(memchr2(b'<', b'>', b""), None);
         assert_eq!(memchr(b'<', b"<"), Some(0));
-        assert_eq!(memchr4(b'a', b'b', b'c', b'd', b"xyzd"), Some(3));
     }
 }

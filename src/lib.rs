@@ -97,9 +97,9 @@
 //! forfeiting the memory guarantee at the API boundary. They have been
 //! removed: everything goes through [`engine::Engine`] now, and the
 //! algorithm layer is driven event-at-a-time (`StreamFilter::process`).
-//! Likewise `StreamFilter::matched_positions()` is only a thin wrapper
-//! over the incremental [`engine::MatchSink`] machinery, reading
-//! whatever matches were never drained.
+//! Likewise no evaluator holds a confirmed match: each goes to the
+//! [`engine::MatchSink`] the caller hands in with the event that
+//! confirms it (`StreamFilter::process_to`, `Session::run_reader_to`).
 
 #![warn(missing_docs)]
 

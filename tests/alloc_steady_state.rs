@@ -6,7 +6,8 @@
 //! JSON frontends feeding the same filter alike. And the guarantee that
 //! spawning a second run over an indexed bank — a session, a clone —
 //! costs the same handful of allocations at any bank size;
-//! that a warm session retains no buffer of events; that a server
+//! that a warm session retains no buffer of events; that no evaluator
+//! holds a confirmed match, whether or not a sink takes it; that a server
 //! subscription's mailbox costs what it holds, not its capacity; and
 //! that churn over a known query form compiles nothing and waits for no
 //! worker reply.
@@ -22,7 +23,7 @@ use frontier_xpath::server::{Delivery, DisseminationServer, ServerConfig, Subscr
 use frontier_xpath::workloads::{
     auction_site, random_shared_prefix_bank, standing_queries, SharedPrefixBankConfig, XmarkConfig,
 };
-use frontier_xpath::xml::{Span, StreamingParser, SymEvent, Symbols};
+use frontier_xpath::xml::{Event, Span, StreamingParser, SymCache, SymEvent, Symbols};
 use frontier_xpath::xpath::parse_query;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -571,6 +572,88 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
             (1..limit).contains(&held),
             "{mode:?} × {policy:?} × {} queries: a warm session holds {held} B (limit {limit})",
             session.len()
+        );
+    }
+
+    // --- Confirmed matches: handed over, never held. --------------------
+    // Selection's only unavoidable extra memory is the *unresolved*
+    // candidates (the paper's follow-up \[5\]); every `<b>` of
+    // `<a><b/>…</a>` resolves at its own close, so what an evaluator
+    // holds after the document must not grow with the number of `<b>`s
+    // — not behind a sink-less session entry point, not in a bare
+    // reporting filter fed without a sink. The reader's session is
+    // first warmed by a match-free document of the same size, so the
+    // tokenizer's chunk-sized buffers have grown before the measure.
+    fn held<T>(run: impl FnOnce() -> T) -> i64 {
+        let before = live_bytes();
+        let kept = std::hint::black_box(run());
+        let held = live_bytes() - before;
+        drop(kept);
+        held
+    }
+    let engine = Engine::builder()
+        .query_str("//b")
+        .mode(Mode::Select)
+        .build()
+        .unwrap();
+    let compiled = CompiledQuery::compile(&parse_query("//b").unwrap()).unwrap();
+    let mut names = SymCache::new();
+    let (a, b) = (
+        names.lookup(compiled.symbols(), "a"),
+        names.lookup(compiled.symbols(), "b"),
+    );
+    let held_by = |n: usize| {
+        let document = |tag: &str| format!("<a>{}</a>", format!("<{tag}/>").repeat(n));
+        let (warm_up, xml) = (document("c"), document("b"));
+        let mut session = engine.session();
+        session.run_reader(warm_up.as_bytes()).unwrap();
+        let reader = held(|| session.run_reader(xml.as_bytes()).unwrap());
+        let pushed = held(|| {
+            let mut session = engine.session();
+            session.push(&Event::StartDocument);
+            session.push(&Event::start("a"));
+            for _ in 0..n {
+                session.push(&Event::start("b"));
+                session.push(&Event::end("b"));
+            }
+            session.push(&Event::end("a"));
+            session.push(&Event::EndDocument);
+            assert_eq!(session.finish().unwrap().matched(), &[true]);
+            session
+        });
+        let bare = held(|| {
+            let mut filter = StreamFilter::from_compiled_reporting(compiled.clone()).unwrap();
+            let start = |name| SymEvent::StartElement {
+                name,
+                attributes: &[],
+            };
+            filter.process_sym(SymEvent::StartDocument, Span::EMPTY);
+            filter.process_sym(start(a), Span::EMPTY);
+            for _ in 0..n {
+                filter.process_sym(start(b), Span::EMPTY);
+                filter.process_sym(SymEvent::EndElement { name: b }, Span::EMPTY);
+            }
+            filter.process_sym(SymEvent::EndElement { name: a }, Span::EMPTY);
+            filter.process_sym(SymEvent::EndDocument, Span::EMPTY);
+            assert_eq!(filter.result(), Some(true));
+            filter
+        });
+        [reader, pushed, bare]
+    };
+    let (small, large) = (held_by(1_000), held_by(100_000));
+    for (what, i) in [
+        "Session::run_reader",
+        "Session::push",
+        "StreamFilter::process_sym",
+    ]
+    .into_iter()
+    .zip(0..)
+    {
+        assert!(
+            large[i] <= small[i],
+            "{what} on a selection: {} B held after 1 000 matches, {} B after 100 000",
+            small[i],
+            large[i]
         );
     }
 

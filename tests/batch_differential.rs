@@ -3,13 +3,12 @@
 //! frontend (XML, HTML, JSON, NDJSON) and every read-chunk geometry the
 //! two drivers must yield the identical event stream — same events,
 //! same spans — as per-event feed + finish, and the banks' batch walkers
-//! (`MultiFilter::process_batch_to`, `IndexedBank::process_batch_to`,
-//! `StreamFilter::process_batch_to`) must produce identical verdicts,
-//! match streams, and space statistics to per-event dispatch —
-//! including when a decided bank short-circuits mid-batch. The
-//! session's per-event drive keeps the error contract with no batch cut
-//! to hide behind: the matches of the events completed before a fault,
-//! the positioned error, a reusable session.
+//! (`MultiFilter::process_batch_to`, `IndexedBank::process_batch_to`)
+//! must produce identical verdicts, match streams, and space statistics
+//! to per-event dispatch — including when a decided bank short-circuits
+//! mid-batch. The session's per-event drive keeps the error contract
+//! with no batch cut to hide behind: the matches of the events
+//! completed before a fault, the positioned error, a reusable session.
 //!
 //! Case counts honor `FX_PROPTEST_CASES` (CI pins a small count; local
 //! runs omit it to crank coverage).
@@ -422,38 +421,35 @@ fn matches_before_a_parse_error_do_not_depend_on_the_batch_cut() {
     }
 }
 
-/// The single-filter fused surface: `StreamFilter::process_batch_to`
-/// (one drain per batch) equals per-event processing with per-event
-/// drains — the outbox is FIFO, so even the match order is identical.
+/// A one-filter bank's batch walker, `MultiFilter::process_batch_to`,
+/// equals the bare filter fed per event through `process_sym_to` —
+/// match order included.
 #[test]
 fn single_filter_batch_drain_matches_per_event() {
     let q = parse_query("//b").unwrap();
     let compiled = frontier_xpath::filter::CompiledQuery::compile(&q).unwrap();
     let symbols = Arc::clone(compiled.symbols());
-    let per_event = StreamFilter::from_compiled_reporting(compiled).unwrap();
-    let mut batched = per_event.clone();
-    let mut per_event = per_event;
+    let mut per_event = StreamFilter::from_compiled_reporting(compiled.clone()).unwrap();
+    let mut batched = MultiFilter::from_compiled_reporting(vec![compiled]).unwrap();
 
     let xml = format!("<a>{}</a>", "<b>6</b>".repeat(50));
     let mut parser = StreamingParser::with_symbols(symbols).lookup_only();
     let mut ref_matches: Vec<Match> = Vec::new();
     feed_and_finish(&mut parser, xml.as_bytes(), &mut |ev, span| {
-        per_event.process_sym(ev, span);
-        per_event.drain_matches(0, &mut |m: Match| ref_matches.push(m));
+        per_event.process_sym_to(ev, span, 0, &mut |m: Match| ref_matches.push(m));
     })
     .unwrap();
 
     parser.reset();
     let mut got_matches: Vec<Match> = Vec::new();
-    let mut scratch = AttrBuf::new();
     parser
         .drive_batched(xml.as_bytes(), &mut |batch| {
-            batched.process_batch_to(batch, &mut scratch, 0, &mut |m: Match| got_matches.push(m));
+            batched.process_batch_to(batch, &mut |m: Match| got_matches.push(m));
         })
         .unwrap();
     assert_eq!(got_matches, ref_matches);
-    assert_eq!(batched.result(), per_event.result());
-    assert_eq!(batched.stats().events, per_event.stats().events);
+    assert_eq!(batched.results(), vec![per_event.result()]);
+    assert_eq!(batched.stats()[0].events, per_event.stats().events);
 }
 
 /// Yields its bytes under a seeded chunk geometry, then — if `breaks` —

@@ -3,11 +3,12 @@
 #![allow(dead_code)]
 
 use frontier_xpath::dom::{Document, NodeKind};
-use frontier_xpath::engine::{Engine, IndexPolicy, Mode};
+use frontier_xpath::engine::{Engine, EngineError, IndexPolicy, Mode, Outcome, Session};
 use frontier_xpath::eval::full_eval;
 use frontier_xpath::filter::{IndexedBank, Match, MatchSink, MultiFilter};
-use frontier_xpath::xml::{AttrBuf, Event, Span, SymCache, SymEvent, Symbols};
+use frontier_xpath::xml::{AttrBuf, Event, EventSource, Span, SymCache, SymEvent, Symbols};
 use frontier_xpath::xpath::{parse_query, Query};
+use std::io::Read;
 use std::sync::Arc;
 
 /// Case-count knob for the suites' proptests: CI pins a small count by
@@ -114,4 +115,25 @@ pub fn feed(bank: &mut impl Bank, events: &[Event]) {
         events.iter().map(|e| (e, Span::EMPTY)),
         &mut |_: Match| {},
     );
+}
+
+/// `Session::run_reader_to` into a `Vec`, grouped per query.
+pub fn run_reader_outcome(
+    session: &mut Session,
+    reader: impl Read,
+) -> Result<Outcome, EngineError> {
+    let mut matches = Vec::new();
+    let verdicts = session.run_reader_to(reader, &mut matches)?;
+    Ok(Outcome::new(verdicts, matches))
+}
+
+/// `Session::run_source_to` into a `Vec`, grouped per query.
+pub fn run_source_outcome(
+    session: &mut Session,
+    source: &mut dyn EventSource,
+    reader: impl Read,
+) -> Result<Outcome, EngineError> {
+    let mut matches = Vec::new();
+    let verdicts = session.run_source_to(source, reader, &mut matches)?;
+    Ok(Outcome::new(verdicts, matches))
 }

@@ -84,8 +84,7 @@ impl Lanes {
             if self.early[i].is_some() {
                 continue;
             }
-            solo.process_sym(ev, span);
-            solo.drain_matches(i, &mut self.want);
+            solo.process_sym_to(ev, span, i, &mut self.want);
             if !matches!(ev, SymEvent::EndDocument) {
                 self.early[i] = solo.decided();
             }
@@ -494,8 +493,7 @@ fn malformed_streams_neither_panic_nor_leak_into_the_next_document() {
     let run_filter = |f: &mut StreamFilter, events: &[Event]| -> Reading {
         let mut matches = Vec::new();
         for e in events {
-            f.process(e);
-            f.drain_matches(0, &mut matches);
+            f.process_to(e, Span::EMPTY, 0, &mut matches);
         }
         (
             vec![f.result()],

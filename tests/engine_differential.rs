@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use std::io::Read;
 
 mod common;
-use common::{feed, session_shapes};
+use common::{feed, run_reader_outcome, run_source_outcome, session_shapes};
 
 /// The same query pool the legacy differential suite sweeps.
 const QUERIES: &[&str] = &[
@@ -346,8 +346,7 @@ fn reused_sessions_report_per_document_peaks() {
     // What a document reads: verdicts, peak bits, peak pending
     // positions, and the indexed bank's exact total.
     let reading = |session: &mut Session, doc: &str| {
-        let (v, _) = session
-            .run_reader_outcome(doc.as_bytes())
+        let (v, _) = run_reader_outcome(session, doc.as_bytes())
             .unwrap()
             .into_parts();
         let total = session.index_stats().map(|s| s.total_bits);
@@ -417,8 +416,8 @@ fn error_exits_leave_every_session_shape_reusable() {
         for (fault, json, bad) in &faults {
             let (mut session, mut source) = (engine.session(), engine.json_source());
             let mut run = |doc: &[u8]| match json {
-                true => session.run_source_outcome(&mut source, doc),
-                false => session.run_reader_outcome(doc),
+                true => run_source_outcome(&mut session, &mut source, doc),
+                false => run_reader_outcome(&mut session, doc),
             };
             let err = run(bad).unwrap_err();
             assert!(
@@ -428,9 +427,11 @@ fn error_exits_leave_every_session_shape_reusable() {
             for good in if *json { good_json } else { good_xml } {
                 let got = run(good.as_bytes()).unwrap();
                 let fresh = match json {
-                    true => engine
-                        .session()
-                        .run_source_outcome(&mut engine.json_source(), good.as_bytes()),
+                    true => run_source_outcome(
+                        &mut engine.session(),
+                        &mut engine.json_source(),
+                        good.as_bytes(),
+                    ),
                     false => engine.select_str(good),
                 };
                 let want = outcome_of(fresh.unwrap());

@@ -21,7 +21,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 mod common;
-use common::{expected_ordinals, fx_cases, session_shapes};
+use common::{expected_ordinals, fx_cases, run_source_outcome, session_shapes};
 
 /// The soup parse of `html` must build the same DOM as the witness
 /// `xml`, batch and chunked alike.
@@ -74,13 +74,9 @@ fn assert_engine_parity(
 ) {
     let dom = Document::from_xml(witness_xml).unwrap();
     let outcome = if source_is_html {
-        session
-            .run_source_outcome(&mut engine.html_source(), messy.as_bytes())
-            .unwrap()
+        run_source_outcome(session, &mut engine.html_source(), messy.as_bytes()).unwrap()
     } else {
-        session
-            .run_source_outcome(&mut engine.json_source(), messy.as_bytes())
-            .unwrap()
+        run_source_outcome(session, &mut engine.json_source(), messy.as_bytes()).unwrap()
     };
     for (i, q) in queries.iter().enumerate() {
         let want = expected_ordinals(q, &dom);
@@ -206,8 +202,7 @@ fn a_record_free_ndjson_stream_matches_nothing_fresh_or_reused() {
         for empty in ["", "\n\n"] {
             for (which, session) in [("reused", &mut reused), ("fresh", &mut engine.session())] {
                 let ctx = format!("{label}, {which} session, stream {empty:?}");
-                let outcome = session
-                    .run_source_outcome(&mut source, empty.as_bytes())
+                let outcome = run_source_outcome(session, &mut source, empty.as_bytes())
                     .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                 let verdicts = outcome.verdicts();
                 assert_eq!(verdicts.len(), session.len(), "{ctx}");

@@ -20,7 +20,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{feed, feed_to, fx_cases};
+use common::{feed, feed_to, fx_cases, run_reader_outcome};
 
 /// (query, ordinal, span start, span end) — the full observable content
 /// of a routed match, order-normalized.
@@ -231,8 +231,8 @@ fn engine_sessions_agree_across_policies() {
         let v1 = s1.run_reader(xml.as_bytes()).unwrap();
         let v2 = s2.run_reader(xml.as_bytes()).unwrap();
         assert_eq!(v1.matched(), v2.matched(), "{xml}");
-        let o1 = s3.run_reader_outcome(xml.as_bytes()).unwrap();
-        let o2 = s4.run_reader_outcome(xml.as_bytes()).unwrap();
+        let o1 = run_reader_outcome(&mut s3, xml.as_bytes()).unwrap();
+        let o2 = run_reader_outcome(&mut s4, xml.as_bytes()).unwrap();
         assert_eq!(o1.verdicts().matched(), o2.verdicts().matched(), "{xml}");
         for q in 0..bank.len() {
             assert_eq!(o1.ordinals(q), o2.ordinals(q), "query #{q} on {xml}");
