@@ -671,6 +671,28 @@ impl StreamFilter {
         st.element_ordinal = ordinal;
     }
 
+    /// Ends a document none of whose events but its framing reached the
+    /// filter — `events` events in all, taking the stream as deep as
+    /// `deepest` — leaving what `StartDocument`, [`StreamFilter::sync`]
+    /// over the rest and `EndDocument` would: the verdict of the
+    /// untouched frontier (no root child matched) and the space
+    /// statistics of its initial rows at `deepest`, without running
+    /// any of them. The frontier itself keeps the previous document's
+    /// rows; the bank resets the filter before it delivers it another
+    /// event.
+    pub(crate) fn settle_untouched(&mut self, events: u64, deepest: usize) {
+        let (q, st) = (&*self.query, &mut self.st);
+        st.stats = SpaceStats::new(q.size());
+        // The one snapshot that dominates the document's: `instant_bits`
+        // is monotone in the level.
+        st.stats.observe(q.root_children.len(), 0, 0, deepest);
+        st.stats.events = events;
+        st.result = Some(q.root_children.is_empty());
+        if let Some(rep) = &mut st.reporter {
+            rep.reset();
+        }
+    }
+
     /// Whether some value-restricted leaf candidacy is open, i.e. the
     /// filter is buffering text — the only time a text event means
     /// anything to it.

@@ -18,21 +18,36 @@
 //! element ordinal, event count) once and dispatches XFilter-style (\[1\])
 //! on the element name: a start or end tag reaches the filters whose
 //! query names it plus those with a wildcard step, text reaches the
-//! filters that are buffering a leaf value, and document framing and the
-//! root element's two tags (the early reject of rooted filters keys on
-//! them) reach everyone. Decided filters stop seeing events as before.
-//! An end tag is dispatched on its *own* name, so the bank holds no
-//! per-open-element stack: its extra state is `O(log d)` bits plus two
-//! counters per filter. On a 6-query selection bank over XMark about a
-//! quarter of the (filter, event) pairs are delivered;
+//! filters that are buffering a leaf value, and the root element's start
+//! tag also reaches the *rooted* filters — those with a child-axis root
+//! child, whose early reject keys on that tag. Decided filters stop
+//! seeing events as before. An end tag, the root's included, is
+//! dispatched on its *own* name, so the bank holds no per-open-element
+//! stack: its extra state is `O(log d)` bits plus two counters per
+//! filter. On a 6-query selection bank over XMark about a quarter of the
+//! (filter, event) pairs are delivered;
 //! [`MultiFilter::filter_events_delivered`] counts them.
+//!
+//! Document framing reaches only what the document touched. A
+//! `StartDocument` bumps a document epoch and delivers nothing: a filter
+//! is reset (it processes `StartDocument`) just before the first event
+//! the document delivers to it. `EndDocument` goes to the filters the
+//! document reached; one it never reached is *settled* in place without
+//! running — its untouched frontier's verdict, and the [`SpaceStats`] of
+//! its initial rows at the document's deepest level with the document's
+//! event count — so a document over names most of the bank never uses
+//! costs those filters a compare each.
 //!
 //! What stayed exact: a filter that was passed over is brought up to
 //! date just before its next delivery — position, the number of events
-//! it missed, and the deepest level the stream reached meanwhile. A
-//! passed-over stretch leaves a filter's rows, offset stacks and buffer
-//! untouched and its logical size is monotone in the level, so that one
-//! high-water mark reproduces its [`SpaceStats`] bit for bit. Verdicts,
+//! it missed, and the deepest level the stream reached meanwhile; one
+//! the document has not reached yet is first reset, as if it had seen
+//! `StartDocument`, then brought up to date the same way. A passed-over
+//! stretch leaves a filter's rows, offset stacks and buffer untouched
+//! and its logical size is monotone in the level, so that one high-water
+//! mark reproduces its [`SpaceStats`] bit for bit — and a filter no event
+//! of the document reached ends with exactly what `StartDocument`, that
+//! stretch and `EndDocument` would leave. Verdicts,
 //! the match sequence (delivery runs in ascending filter index) and the
 //! per-query space statistics are those of n independent
 //! [`StreamFilter`] runs fed every event, which keeps this the reference
@@ -68,7 +83,7 @@ use crate::filter::{CompiledQuery, StreamFilter, UnsupportedQuery};
 use crate::reporter::MatchSink;
 use crate::space::SpaceStats;
 use fx_xml::{AttrBuf, EventBatch, Span, Sym, SymEvent, Symbols};
-use fx_xpath::Query;
+use fx_xpath::{Axis, Query};
 use std::sync::Arc;
 
 /// A bank of streaming filters sharing one event feed.
@@ -77,6 +92,10 @@ pub struct MultiFilter {
     filters: Vec<StreamFilter>,
     /// What the bank keeps about each filter this document.
     lanes: Vec<Lane>,
+    /// The current document's number: bumped by every `StartDocument`.
+    /// A lane that trails it belongs to a filter this document has not
+    /// reached yet.
+    epoch: u64,
     /// Number of filters whose verdict is still open this document.
     /// When it hits zero the bank skips events *before* dispatching
     /// them — on dissemination workloads most documents decide the
@@ -109,6 +128,9 @@ pub struct MultiFilter {
 /// The bank's per-document notes on one filter.
 #[derive(Debug, Clone, Copy, Default)]
 struct Lane {
+    /// The document these notes are about; the rest of the lane, and
+    /// the filter's own state, mean nothing while it trails the bank's.
+    epoch: u64,
     /// The early verdict: once a filter decides mid-stream (see
     /// [`StreamFilter::decided`]) it is frozen here and the filter skips
     /// the rest of the event feed.
@@ -131,38 +153,38 @@ struct Position {
     ordinal: u64,
     /// Events so far, `StartDocument` included.
     events: u64,
-}
-
-/// Whom an event is delivered to (decided filters always excepted).
-enum Audience {
-    /// Document framing and the root element's tags.
-    Everyone,
-    /// A tag below the root: the filters whose query names it, and
-    /// those with a wildcard step.
-    Named(Sym),
-    /// Text: the filters buffering a leaf value.
-    Buffering,
+    /// The deepest level the document has reached.
+    deepest: usize,
 }
 
 /// The name-dispatch index: per sym, the filters whose query mentions
 /// it, ascending (compressed rows: sym `s` owns
-/// `filters[starts[s]..starts[s + 1]]`); and the filters with a wildcard
-/// element step, which every tag reaches.
+/// `filters[starts[s]..starts[s + 1]]`); the filters with a wildcard
+/// element step, which every tag reaches; and the rooted filters, which
+/// the root element's start tag reaches too. All three ascending.
 #[derive(Debug, Clone, Default)]
 struct Interest {
     starts: Vec<u32>,
     filters: Vec<u32>,
     every_tag: Vec<u32>,
+    /// The filters with a child-axis root child: the root element's
+    /// start tag decides them (see [`StreamFilter::decided`]) whatever
+    /// its name.
+    rooted: Vec<u32>,
 }
 
 impl Interest {
     fn build(compiled: &[Arc<CompiledQuery>]) -> Interest {
         let mut every_tag = Vec::new();
+        let mut rooted = Vec::new();
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(4 * compiled.len());
         for (i, c) in compiled.iter().enumerate() {
             match c.element_names() {
                 None => every_tag.push(i as u32),
                 Some(names) => pairs.extend(names.map(|s| (s as u32, i as u32))),
+            }
+            if c.root_child_specs().any(|(_, axis)| axis == Axis::Child) {
+                rooted.push(i as u32);
             }
         }
         pairs.sort_unstable();
@@ -178,6 +200,7 @@ impl Interest {
             starts,
             filters: pairs.into_iter().map(|(_, i)| i).collect(),
             every_tag,
+            rooted,
         }
     }
 
@@ -235,6 +258,7 @@ impl MultiFilter {
         MultiFilter {
             filters,
             lanes: vec![Lane::default(); n],
+            epoch: 0,
             open: n,
             symbols,
             attr_scratch: AttrBuf::new(),
@@ -291,80 +315,69 @@ impl MultiFilter {
     /// feeds this directly.
     ///
     /// Filters that decide mid-document (see [`StreamFilter::decided`])
-    /// stop receiving content events — on dissemination workloads most
-    /// of the bank typically decides within the document's first
-    /// elements. Document framing events still reach every filter, so
-    /// per-document reset and final verdicts are unaffected. A decided
-    /// filter's space/event statistics simply stop advancing at its
-    /// decision point. Filtering-mode banks never produce matches (the
-    /// sink is simply not called); reporting banks never short-circuit,
-    /// because full evaluation must examine every candidate.
+    /// stop receiving events — on dissemination workloads most of the
+    /// bank typically decides within the document's first elements. A
+    /// decided filter's space/event statistics simply stop advancing at
+    /// its decision point. Final verdicts are unaffected: `EndDocument`
+    /// settles every filter the document left open. Filtering-mode
+    /// banks never produce matches (the sink is simply not called);
+    /// reporting banks never short-circuit, because full evaluation must
+    /// examine every candidate.
     pub fn process_sym_to(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
-        // Fully-decided bank: no filter will look at this event (decided
-        // filters skip even `EndDocument`), so skip the whole loop —
-        // the engine's interned reader path lands here directly. The
-        // position stops advancing too; the `StartDocument` that reopens
-        // the bank resets it.
-        if self.open == 0 && !matches!(event, SymEvent::StartDocument) {
-            return;
-        }
         if matches!(event, SymEvent::StartDocument) {
+            // Every lane goes stale at once; a filter is reset just
+            // before the first event this document delivers to it.
+            self.epoch += 1;
             self.at = Position::default();
-            self.lanes.fill(Lane::default());
             self.buffering.clear();
             self.open = self.filters.len();
+        } else if self.open == 0 {
+            // Fully-decided bank: every filter was reached and decided,
+            // so no filter will look at this event (decided filters skip
+            // even `EndDocument`) — the engine's interned reader path
+            // lands here directly. The position stops advancing too;
+            // the `StartDocument` that reopens the bank resets it.
+            return;
         }
         // Where the stream stood before this event: what a filter that
         // was passed over is brought up to before it sees it.
         let before = self.at;
         self.at.events += 1;
-        let to = match event {
-            SymEvent::StartDocument | SymEvent::EndDocument => Audience::Everyone,
-            // The root element's two tags reach everyone: rooted filters
-            // live or die by them.
-            SymEvent::StartElement { name, .. } => {
-                self.at.level += 1;
-                self.at.ordinal += 1;
-                if before.level == 0 {
-                    Audience::Everyone
-                } else {
-                    Audience::Named(name)
-                }
-            }
-            SymEvent::EndElement { name } => {
-                self.at.level = self.at.level.saturating_sub(1);
-                if self.at.level == 0 {
-                    Audience::Everyone
-                } else {
-                    Audience::Named(name)
-                }
-            }
-            SymEvent::Text { .. } => Audience::Buffering,
-        };
-        match to {
-            Audience::Everyone => {
+        match event {
+            SymEvent::StartDocument => {}
+            SymEvent::EndDocument => {
                 for i in 0..self.filters.len() {
                     self.deliver(i, before, event, span, sink);
                 }
             }
-            Audience::Named(name) => self.deliver_named(name, before, event, span, sink),
-            Audience::Buffering => {
+            SymEvent::StartElement { name, .. } => {
+                self.at.level += 1;
+                self.at.ordinal += 1;
+                self.at.deepest = self.at.deepest.max(self.at.level);
+                self.deliver_named(name, before, event, span, sink);
+                if before.level == 0 {
+                    self.deliver_rooted(before, event, span, sink);
+                }
+                // One pass over a dense array, a compare per filter, is
+                // all a passed-over filter costs a start tag. (After the
+                // deliveries: a filter syncs to the stretch *before* the
+                // event it is about to see.)
+                let level = self.at.level;
+                for d in &mut self.deepest {
+                    *d = (*d).max(level);
+                }
+            }
+            SymEvent::EndElement { name } => {
+                self.at.level = self.at.level.saturating_sub(1);
+                self.deliver_named(name, before, event, span, sink);
+            }
+            SymEvent::Text { .. } => {
                 // Text moves no buffering flag, so the list is stable
                 // under the loop.
                 for k in 0..self.buffering.len() {
                     let i = self.buffering[k] as usize;
                     self.deliver(i, before, event, span, sink);
                 }
-            }
-        }
-        if self.at.level > before.level {
-            // One pass over a dense array, a compare per filter, is all
-            // a passed-over filter costs a start tag. (After the
-            // deliveries: a filter syncs to the stretch *before* the
-            // event it is about to see.)
-            let level = self.at.level;
-            for d in &mut self.deepest {
-                *d = (*d).max(level);
             }
         }
     }
@@ -405,10 +418,31 @@ impl MultiFilter {
         }
     }
 
-    /// Hands `event` to filter `i` unless it is decided: syncs it past
-    /// whatever it was not shown since its last delivery, processes it
-    /// with `sink` (the filter stamps what it confirms with `i`), and
-    /// re-checks the early decision if a match flag moved.
+    /// Delivers the root element's start tag to the rooted filters its
+    /// name did not reach. It confirms no match, so their place after
+    /// the named ones changes no match order.
+    fn deliver_rooted(
+        &mut self,
+        before: Position,
+        event: SymEvent<'_>,
+        span: Span,
+        sink: &mut dyn MatchSink,
+    ) {
+        for k in 0..self.interest.rooted.len() {
+            let i = self.interest.rooted[k] as usize;
+            let lane = &self.lanes[i];
+            if lane.epoch != self.epoch || lane.seen != self.at.events {
+                self.deliver(i, before, event, span, sink);
+            }
+        }
+    }
+
+    /// Hands `event` to filter `i` unless it is decided: resets it if
+    /// this is the first event the document delivers to it (or settles
+    /// it, if that event is `EndDocument`), syncs it past whatever it
+    /// was not shown since its last delivery, processes it with `sink`
+    /// (the filter stamps what it confirms with `i`), and re-checks the
+    /// early decision if a match flag moved.
     fn deliver(
         &mut self,
         i: usize,
@@ -418,13 +452,27 @@ impl MultiFilter {
         sink: &mut dyn MatchSink,
     ) {
         let lane = &mut self.lanes[i];
-        if lane.decided.is_some() {
+        let f = &mut self.filters[i];
+        if lane.epoch != self.epoch {
+            *lane = Lane {
+                epoch: self.epoch,
+                ..Lane::default()
+            };
+            if matches!(event, SymEvent::EndDocument) {
+                // No event of the document touched the filter: settle it
+                // without running it.
+                f.settle_untouched(self.at.events, before.deepest);
+                return;
+            }
+            f.process_sym_to(SymEvent::StartDocument, Span::EMPTY, i, sink);
+            lane.seen = 1;
+            self.deepest[i] = before.deepest;
+        } else if lane.decided.is_some() {
             // The skipped filter's frontier is frozen mid-document, so
             // even `EndDocument` must not reach it; its verdict lives in
             // its lane.
             return;
         }
-        let f = &mut self.filters[i];
         if lane.seen != before.events {
             f.sync(
                 before.level,
@@ -496,24 +544,35 @@ impl MultiFilter {
     }
 
     /// Per-query verdicts (available after `endDocument`, or earlier for
-    /// filters that short-circuited).
+    /// filters that short-circuited). Mid-document, a filter the
+    /// document has not reached yet reports `None`, never the previous
+    /// document's verdict.
     pub fn results(&self) -> Vec<Option<bool>> {
-        self.filters
-            .iter()
-            .zip(&self.lanes)
-            .map(|(f, lane)| f.result().or(lane.decided))
-            .collect()
+        self.readings().map(|(verdict, ..)| verdict).collect()
+    }
+
+    /// Per query, in bank order: its verdict, its space statistics and
+    /// its peak pending positions — what [`MultiFilter::results`],
+    /// [`MultiFilter::stats`] and [`MultiFilter::peak_pending_positions`]
+    /// report, read in one pass without allocating.
+    pub fn readings(&self) -> impl ExactSizeIterator<Item = (Option<bool>, &SpaceStats, usize)> {
+        self.filters.iter().zip(&self.lanes).map(|(f, lane)| {
+            let verdict = if lane.epoch == self.epoch {
+                lane.decided.or(f.result())
+            } else {
+                None
+            };
+            (verdict, f.stats(), f.peak_pending_positions())
+        })
     }
 
     /// Iterates the indices of the queries the last document matched,
     /// without allocating — the hot-path form of
     /// [`MultiFilter::matching_queries`] for per-document fan-out loops.
     pub fn matching(&self) -> impl Iterator<Item = usize> + '_ {
-        self.filters
-            .iter()
-            .zip(&self.lanes)
+        self.readings()
             .enumerate()
-            .filter_map(|(i, (f, lane))| (f.result().or(lane.decided) == Some(true)).then_some(i))
+            .filter_map(|(i, (verdict, ..))| (verdict == Some(true)).then_some(i))
     }
 
     /// Indices of the queries the last document matched, collected.
@@ -523,6 +582,8 @@ impl MultiFilter {
 
     /// Per-query peak counts of buffered unresolved candidate positions
     /// (all zero for filtering-mode banks) — the \[5\] selection cost.
+    /// Like [`MultiFilter::stats`], a filter the document has not
+    /// reached yet still shows the previous document's count.
     pub fn peak_pending_positions(&self) -> Vec<usize> {
         self.filters
             .iter()
@@ -553,7 +614,9 @@ impl MultiFilter {
 
     /// Per-filter statistics: complete once `EndDocument` (or the
     /// filter's early decision) has been processed; mid-document, a
-    /// filter's figures are as of the last event delivered to it.
+    /// filter's figures are as of the last event delivered to it, and a
+    /// filter the document has not reached yet still shows the previous
+    /// document's (a fresh bank's: zeros).
     pub fn stats(&self) -> Vec<&SpaceStats> {
         self.filters.iter().map(StreamFilter::stats).collect()
     }

@@ -53,6 +53,9 @@ pub struct Session {
     /// table) is interned, once, before any evaluator sees it.
     attrs: AttrBuf,
     names: SymCache,
+    /// The all-zero peak-pending column every [`Verdicts`] of a
+    /// filtering session shares, allocated by its first document.
+    zeros: Option<Arc<[usize]>>,
 }
 
 pub(crate) enum SessionInner {
@@ -92,6 +95,7 @@ impl Session {
             symbols,
             attrs: AttrBuf::new(),
             names: SymCache::new(),
+            zeros: None,
         }
     }
 
@@ -162,38 +166,61 @@ impl Session {
     /// has not been pushed. The session remains usable for the next
     /// document afterwards.
     pub fn finish(&mut self) -> Result<Verdicts, EngineError> {
-        let (matched, peak_bits, peak_pending) = match &self.inner {
-            SessionInner::Solo(filter) => (
-                vec![filter.result().ok_or(EngineError::IncompleteDocument)?],
-                vec![filter.stats().max_bits],
-                vec![0],
-            ),
+        let queries = self.len();
+        let selecting = self.mode == Mode::Select;
+        let mut matched = Vec::with_capacity(queries);
+        let (peak_bits, counted) = match &self.inner {
+            SessionInner::Solo(filter) => {
+                // A lone filter only filters: nothing to count.
+                matched.push(filter.result().ok_or(EngineError::IncompleteDocument)?);
+                (vec![filter.stats().max_bits], None)
+            }
             SessionInner::Bank(bank) => {
-                let mut matched = Vec::with_capacity(bank.len());
-                for r in bank.results() {
-                    matched.push(r.ok_or(EngineError::IncompleteDocument)?);
+                let mut peak_bits = Vec::with_capacity(queries);
+                let mut counted = selecting.then(|| Vec::with_capacity(queries));
+                for (verdict, stats, pending) in bank.readings() {
+                    matched.push(verdict.ok_or(EngineError::IncompleteDocument)?);
+                    peak_bits.push(stats.max_bits);
+                    if let Some(counted) = &mut counted {
+                        counted.push(pending);
+                    }
                 }
-                let peak_bits = bank.stats().iter().map(|s| s.max_bits).collect();
-                (matched, peak_bits, bank.peak_pending_positions())
+                (peak_bits, counted)
             }
             SessionInner::Indexed(bank) => {
-                let mut matched = Vec::with_capacity(bank.len());
                 for r in bank.verdicts() {
                     matched.push(r.ok_or(EngineError::IncompleteDocument)?);
                 }
-                (
-                    matched,
-                    bank.peak_memory_bits(),
-                    bank.peak_pending_positions(),
-                )
+                let counted = selecting.then(|| bank.peak_pending_positions());
+                (bank.peak_memory_bits(), counted)
             }
         };
-        Ok(Verdicts {
+        Ok(self.verdicts(matched, peak_bits, counted))
+    }
+
+    /// One document's [`Verdicts`]: a selection session hands over its
+    /// `counted` peak pending positions; a filtering session has none to
+    /// count and shares its one all-zero column instead.
+    fn verdicts(
+        &mut self,
+        matched: Vec<bool>,
+        peak_bits: Vec<u64>,
+        counted: Option<Vec<usize>>,
+    ) -> Verdicts {
+        let peak_pending = match counted {
+            Some(counted) => Pending::Counted(counted),
+            None => {
+                let queries = matched.len();
+                let zeros = self.zeros.get_or_insert_with(|| vec![0; queries].into());
+                Pending::Zeros(Arc::clone(zeros))
+            }
+        };
+        Verdicts {
             matched,
             peak_bits,
             peak_pending,
             events: self.events,
-        })
+        }
     }
 
     /// Streams one whole document from `reader` and finishes: the
@@ -350,12 +377,8 @@ impl Session {
         result?;
         if self.events == delivered {
             let queries = self.len();
-            return Ok(Verdicts {
-                matched: vec![false; queries],
-                peak_bits: vec![0; queries],
-                peak_pending: vec![0; queries],
-                events: self.events,
-            });
+            let counted = (self.mode == Mode::Select).then(|| vec![0; queries]);
+            return Ok(self.verdicts(vec![false; queries], vec![0; queries], counted));
         }
         self.finish()
     }
@@ -437,8 +460,41 @@ impl Outcome {
 pub struct Verdicts {
     matched: Vec<bool>,
     peak_bits: Vec<u64>,
-    peak_pending: Vec<usize>,
+    peak_pending: Pending,
     events: u64,
+}
+
+/// The peak-pending column of a [`Verdicts`], compared and printed as
+/// the slice it holds.
+#[derive(Clone)]
+enum Pending {
+    /// A filtering session's: all zero, one slice its documents share.
+    Zeros(Arc<[usize]>),
+    /// A selection session's counts, exactly as long as the bank.
+    Counted(Vec<usize>),
+}
+
+impl Pending {
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Pending::Zeros(zeros) => zeros,
+            Pending::Counted(counted) => counted,
+        }
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Pending) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Pending {}
+
+impl std::fmt::Debug for Pending {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
 }
 
 impl Verdicts {
@@ -480,9 +536,12 @@ impl Verdicts {
     /// Per-query peak counts of buffered unresolved candidate positions
     /// — the extra memory selection pays over filtering, which the
     /// paper's follow-up (\[5\]) proves unavoidable. All zeros on
-    /// filtering sessions.
+    /// filtering sessions, whose documents' verdicts all share one
+    /// such slice, allocated once per session: a document's verdicts
+    /// cost a filtering session two blocks (`matched`, peak bits), a
+    /// selection session three.
     pub fn peak_pending_positions(&self) -> &[usize] {
-        &self.peak_pending
+        self.peak_pending.as_slice()
     }
 
     /// Aggregate peak logical filter state across the bank, in bits.

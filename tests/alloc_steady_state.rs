@@ -531,6 +531,55 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
         );
     }
 
+    // --- Verdicts: what a finished document costs. --------------------
+    // `finish` reads the filter or bank in one pass into the two columns
+    // every document needs, `matched` (n B) and peak bits (8n B); a
+    // filtering session's peak-pending column is all zero, one slice
+    // allocated by its first document and shared by every later one's
+    // verdicts, while a selection session counts its own (8n B more).
+    let finishes: [(&str, Mode, IndexPolicy, Vec<_>); 5] = [
+        ("solo", Mode::Filter, IndexPolicy::None, one("//a[b > 5]")),
+        ("bank", Mode::Filter, IndexPolicy::None, standing()),
+        (
+            "indexed",
+            Mode::Filter,
+            IndexPolicy::SharedPrefix,
+            standing(),
+        ),
+        ("bank select", Mode::Select, IndexPolicy::None, standing()),
+        (
+            "indexed select",
+            Mode::Select,
+            IndexPolicy::SharedPrefix,
+            standing(),
+        ),
+    ];
+    for (label, mode, policy, queries) in finishes {
+        let n = queries.len() as i64;
+        let engine = Engine::builder()
+            .queries(queries)
+            .mode(mode)
+            .index(policy)
+            .build()
+            .unwrap();
+        let mut session = engine.session();
+        let expected = match mode {
+            Mode::Filter => (2, n + 8 * n),
+            Mode::Select => (3, n + 16 * n),
+        };
+        for _ in 0..3 {
+            session.run_reader(small.as_bytes()).unwrap();
+            let (calls, held) = (allocations(), live_bytes());
+            let verdicts = session.finish().unwrap();
+            let cost = ((allocations() - calls) as i64, live_bytes() - held);
+            assert_eq!(
+                cost, expected,
+                "{label}: (blocks, bytes) `finish` allocated for {n} queries"
+            );
+            assert_eq!(verdicts.peak_pending_positions().len(), n as usize);
+        }
+    }
+
     // --- Retained heap: the buffer is gone. ---------------------------
     // The paper's machine keeps `O(FS(Q)·log d)` *bits* between events;
     // what a warm session keeps besides is an 8 KiB io chunk, the

@@ -6,9 +6,11 @@
 //! pending positions and the whole `SpaceStats` struct — on random
 //! documents × random supported queries in banks of 1 to 300, on the
 //! XMark, HTML-soup and JSON corpora through their frontends, and on the
-//! document shape that breaks a wrong high-water mark. A deterministic
-//! work gate pins how much of the full fan-out is left, and malformed
-//! streams must neither panic nor leak into the next document.
+//! document shape that breaks a wrong high-water mark, and across
+//! documents that alternately reach and skip each filter. A
+//! deterministic work gate pins how much of the full fan-out is left,
+//! and malformed streams must neither panic nor leak into the next
+//! document.
 
 use frontier_xpath::filter::{CompiledQuery, Match, MultiFilter, StreamFilter};
 use frontier_xpath::html::HtmlParser;
@@ -19,7 +21,7 @@ use frontier_xpath::workloads::{
     auction_site, html_soup_corpus, json_queries, json_records, soup_queries, standing_queries,
     HtmlSoupConfig, JsonRecordsConfig, XmarkConfig,
 };
-use frontier_xpath::xml::{StreamingParser, SymEvent, Symbols};
+use frontier_xpath::xml::{AttrBuf, StreamingParser, SymCache, SymEvent, Symbols};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -123,6 +125,31 @@ impl Lanes {
         );
         self.got.clear();
         self.want.clear();
+    }
+
+    /// Mid-document: the bank reports what the solos decided so far —
+    /// `None` for a filter the document has not reached yet, never the
+    /// verdict it held for an earlier document.
+    fn check_open(&self, what: &str) {
+        assert_eq!(self.bank.results(), self.early, "open verdicts on {what}");
+        let matching: Vec<usize> = (self.early.iter().enumerate())
+            .filter_map(|(i, &v)| (v == Some(true)).then_some(i))
+            .collect();
+        assert_eq!(
+            self.bank.matching().collect::<Vec<_>>(),
+            matching,
+            "open matches on {what}"
+        );
+    }
+
+    /// Owned events, interned once against the bank's table and fed to
+    /// both sides.
+    fn owned(&mut self, events: &[Event]) {
+        let (mut attrs, mut names) = (AttrBuf::new(), SymCache::new());
+        let symbols = Arc::clone(self.bank.symbols());
+        for e in events {
+            self.feed(attrs.sym_event(&mut names, &symbols, e), Span::EMPTY);
+        }
     }
 
     /// A lookup-only XML tokenizer over the bank's table: names outside
@@ -357,6 +384,125 @@ fn deepest_subtree_under_unmentioned_names() {
     }
 }
 
+// ---------------------------------------------------------- stale lanes
+
+/// The two halves of a split vocabulary (documents add `z`, which no
+/// query uses).
+const LEFT: &[&str] = &["a0", "a1", "a2"];
+const RIGHT: &[&str] = &["b0", "b1", "b2"];
+
+/// A document over one half of the vocabulary, rooted at `root`, whose
+/// deepest element lies at exactly `depth` (1-based): a spine down to
+/// it with shallower random side branches and leaf text.
+fn split_document(rng: &mut SmallRng, half: &[&str], root: &str, depth: usize) -> String {
+    fn element(rng: &mut SmallRng, half: &[&str], name: &str, left: usize, spine: bool) -> String {
+        let mut out = format!("<{name}>");
+        let children = if spine { 1 } else { 0 } + rng.gen_range(0..3);
+        for k in 0..children {
+            let on_spine = spine && k == 0;
+            if left > 1 && (on_spine || rng.gen_bool(0.5)) {
+                let child = if rng.gen_bool(0.2) {
+                    "z"
+                } else {
+                    half.choose(rng).unwrap()
+                };
+                let sub_left = if on_spine {
+                    left - 1
+                } else {
+                    rng.gen_range(1..left)
+                };
+                out.push_str(&element(rng, half, child, sub_left, on_spine));
+            } else {
+                out.push_str(["1", "5", "x"].choose(rng).unwrap());
+            }
+        }
+        out.push_str(&format!("</{name}>"));
+        out
+    }
+    element(rng, half, root, depth, true)
+}
+
+/// One reused bank over documents that alternate between the halves
+/// of a split vocabulary, so each filter named on one half is reached
+/// by every other document and passed over entirely by the rest — its
+/// lane goes stale, and the next document that reaches it must reset
+/// it. Roots are named by the rooted queries or not, depths run 1 to 12
+/// (an untouched filter's peak bits depend on the depth), and some
+/// documents follow a malformed stream. Both sides are compared after
+/// every document, and mid-document the bank must never report a
+/// verdict the document has not produced yet.
+#[test]
+fn stale_lanes_reset_before_their_next_document() {
+    let queries: Vec<Query> = [
+        "/a0[a1]/a2",
+        "/a0//a1",
+        "//a1[a2 > 3]",
+        "//a2",
+        "/b0/b1",
+        "//b1[b2 = \"x\"]",
+        "//b0//b2",
+        "/r//a1",
+        "//a1[b1]",
+        "//*[a1]",
+        "/*/b1",
+        "//q0",
+        "/q0",
+    ]
+    .iter()
+    .map(|s| parse_query(s).unwrap())
+    .collect();
+    let malformed = [
+        vec![
+            Event::StartDocument,
+            Event::start("a0"),
+            Event::start("a1"),
+            Event::text("7"),
+            Event::end("nope"),
+            Event::end("a0"),
+            Event::EndDocument,
+        ],
+        // Cut off mid-document: no `EndDocument` ever comes.
+        vec![
+            Event::StartDocument,
+            Event::start("b0"),
+            Event::start("b1"),
+            Event::start("b2"),
+            Event::text("x"),
+        ],
+    ];
+    for reporting in [false, true] {
+        let mut rng = SmallRng::seed_from_u64(0x57A1E);
+        let mut lanes = Lanes::new(&queries, reporting);
+        let mut parser = lanes.xml_parser();
+        for doc in 0..96 {
+            let half = if doc % 2 == 0 { LEFT } else { RIGHT };
+            let root = match rng.gen_range(0..3) {
+                0 => half[0],
+                1 => half[1],
+                _ => "r",
+            };
+            // Each half sees every depth.
+            let depth = 1 + (doc / 2) % 12;
+            let xml = split_document(&mut rng, half, root, depth);
+            if doc % 7 == 3 {
+                lanes.owned(&malformed[doc % 2]);
+                lanes.got.clear();
+                lanes.want.clear();
+            }
+            parser.reset();
+            let mut emit = |ev: SymEvent<'_>, span: Span| {
+                lanes.feed(ev, span);
+                if !matches!(ev, SymEvent::EndDocument) {
+                    lanes.check_open(&xml);
+                }
+            };
+            parser.feed_interned(&xml, &mut emit).unwrap();
+            parser.finish_interned(&mut emit).unwrap();
+            lanes.check(&xml);
+        }
+    }
+}
+
 // -------------------------------------------------------- the work gate
 
 /// Feeds `xml` to a reporting bank of `queries`; returns the
@@ -378,8 +524,11 @@ fn deliveries(queries: &[Query], xml: &str) -> (u64, u64) {
 /// A count, not a clock (wall time on a shared box cannot gate this):
 /// the six standing queries in reporting mode — which never decides
 /// early — see about a quarter of the full fan-out on XMark, and a query
-/// over names the document never uses costs four deliveries (document
-/// framing and the root's two tags) however long the document is.
+/// over names the document never uses costs what its shape asks for,
+/// however long the document is: a rooted one two deliveries (the root's
+/// start tag, which its early reject keys on, and `EndDocument`), an
+/// unrooted one none (the document never reaches it; `EndDocument`
+/// settles it without running it).
 #[test]
 fn delivered_work_tracks_interest_not_bank_size() {
     let standing: Vec<Query> = standing_queries().into_iter().map(|(_, q)| q).collect();
@@ -391,19 +540,28 @@ fn delivered_work_tracks_interest_not_bank_size() {
         standing.len()
     );
 
-    let mut wide = standing.clone();
-    for i in 0..100 {
-        let src = [format!("//absent{i}[k{i} > 3]/v"), format!("/absent{i}/v")];
-        wide.push(parse_query(&src[i % 2]).unwrap());
-    }
-    let extra_per_query = |scale: usize| {
+    let extra_per_query = |absent: &dyn Fn(usize) -> String, scale: usize| {
+        let mut wide = standing.clone();
+        wide.extend((0..100).map(|i| parse_query(&absent(i)).unwrap()));
         let xml = xmark(scale);
         let (base, _) = deliveries(&standing, &xml);
         let (with_absent, _) = deliveries(&wide, &xml);
         (with_absent - base) as f64 / 100.0
     };
-    assert_eq!(extra_per_query(1), 4.0);
-    assert_eq!(extra_per_query(8), 4.0);
+    let rooted = |i: usize| format!("/absent{i}/v");
+    let unrooted = |i: usize| format!("//absent{i}[k{i} > 3]/v");
+    for scale in [1, 8] {
+        assert_eq!(
+            extra_per_query(&rooted, scale),
+            2.0,
+            "rooted, scale {scale}"
+        );
+        assert_eq!(
+            extra_per_query(&unrooted, scale),
+            0.0,
+            "unrooted, scale {scale}"
+        );
+    }
 }
 
 // ----------------------------------------------------- malformed streams
