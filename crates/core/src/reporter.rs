@@ -426,6 +426,8 @@ mod tests {
         agree("//a//b", "<r><a><a><b/></a></a></r>");
         agree("//a[c]//b", "<a><c/><a><b/></a></a>");
         agree("//a[c]//b", "<a><a><b/></a><c/></a>");
+        // The inner <a> matches the outer one's `.//a[b]`, not its own.
+        agree("//z/a[.//a[b]]", "<z><a><z><a><b/></a></z></a></z>");
     }
 
     #[test]

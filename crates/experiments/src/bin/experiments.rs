@@ -1,6 +1,6 @@
 //! The experiment harness: regenerates every table and figure of the
-//! paper's results (experiments E1–E12 of DESIGN.md), plus the
-//! multi-core `scale` series. Throughput of the product paths is
+//! paper's results (experiments E1–E12; the `fx-experiments` row of
+//! README's crate map), plus the multi-core `scale` series. Throughput of the product paths is
 //! `fxbench`'s job (`BENCHMARK.json`); nothing here is a benchmark.
 //!
 //! Usage:

@@ -31,6 +31,8 @@ const QUERIES: &[&str] = &[
     "//c[.//a]",
     "/a[contains(b, \"x\")]",
     "/a[starts-with(b, \"1\")]",
+    "//a/*[b and .//*[c]]",
+    "//c/a[.//a[b]]/d",
 ];
 
 #[test]

@@ -31,6 +31,8 @@ const SELECTION_QUERIES: &[&str] = &[
     "//a[b > 2]/c",
     "/a[x]/b",
     "//b",
+    "//x/a[.//a[b]]",
+    "//a/*[b and .//*[c]]",
 ];
 
 fn assert_selection_agrees(engine: &Engine, queries: &[Query], d: &Document) {
