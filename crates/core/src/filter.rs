@@ -453,7 +453,7 @@ pub struct StreamFilter {
     st: FilterState,
     /// Reused attribute buffer for the owned-event conversion layer.
     attr_scratch: AttrBuf,
-    /// Lock-free name-lookup memo for the owned-event conversion layer.
+    /// The owned-event conversion layer's hold on the table's name view.
     name_cache: SymCache,
 }
 
@@ -606,8 +606,8 @@ impl StreamFilter {
     /// end tag; [`Span::EMPTY`] when `span` is).
     ///
     /// This is the owned-event conversion layer: names are resolved to
-    /// [`Sym`]s through the compiled query's table (a memoized read-only
-    /// lookup; unknown names become [`Sym::UNKNOWN`] and fail every
+    /// [`Sym`]s through the compiled query's table (one lock-free read-only
+    /// probe; unknown names become [`Sym::UNKNOWN`] and fail every
     /// named node test) and dispatch proceeds on integers. Sources that
     /// already hold interned events
     /// (`fx_xml::StreamingParser::feed_interned`) should call

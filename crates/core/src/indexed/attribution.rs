@@ -13,7 +13,10 @@ impl IndexedBank {
     /// queries whose prefixes live in the trie (integer remainders go to
     /// the lowest-ranked sharers), so the vector sums **exactly** to
     /// [`IndexedBank::total_max_bits`]. Queries whose prefix never
-    /// activated are charged only their share of the trie. Under real
+    /// activated are charged only their share of the trie. The groups'
+    /// split visits only the groups the document touched, and the trie's
+    /// is one pass over a per-slot sharer column the index keeps (churn
+    /// writes it), so no slot's group is read. Under real
     /// sharing (families of queries per trie path) a query's attribution
     /// sits well below what a standalone [`crate::StreamFilter`] run of
     /// the same query would cost; with only a handful of sharers the
@@ -30,25 +33,22 @@ impl IndexedBank {
         }
         // The trie sharers are everything alive except the members of
         // the empty-prefix root groups, counted from the group side and
-        // charged in one pass over the slots — no sharer list is built.
-        let alive = (0..index.query_group.len()).filter(|&i| index.slot_alive[i]);
+        // charged in one pass over the sharer column.
         let rooted: usize = index
             .root_groups
             .iter()
             .map(|&g| index.groups[g as usize].members.len())
             .sum();
         let sharers = index.subs.len() - rooted;
-        if sharers == 0 {
-            // Every trie query unsubscribed mid-life: the segment's
-            // history has no natural owner left, so spread it over
-            // whatever is still alive to keep the attribution summing
-            // exactly to the bank total.
-            split_evenly(run.peak_trie_bits, index.subs.len(), alive, &mut out);
-        } else {
-            let sharing =
-                alive.filter(|&i| !index.groups[index.query_group[i] as usize].document_rooted);
-            split_evenly(run.peak_trie_bits, sharers, sharing, &mut out);
-        }
+        // Every trie query unsubscribed mid-life: the segment's history
+        // has no natural owner left, so spread it over whatever is still
+        // alive to keep the attribution summing exactly to the bank total.
+        let (k, column) = match sharers {
+            0 => (index.subs.len(), &index.slot_alive),
+            _ => (sharers, &index.trie_sharer),
+        };
+        let marked = column.iter().enumerate().filter(|p| *p.1).map(|p| p.0);
+        split_evenly(run.peak_trie_bits, k, marked, &mut out);
         out
     }
 

@@ -138,6 +138,10 @@ pub(super) struct Index {
     pub(super) slot_sub: Vec<u64>,
     /// Slot liveness: `false` marks a tombstone awaiting compaction.
     pub(super) slot_alive: Vec<bool>,
+    /// Slot → whether it is a live trie sharer: alive, and its group's
+    /// prefix lives in the trie (not `document_rooted`). The column
+    /// [`IndexedBank::peak_memory_bits`] splits the trie's bits over.
+    pub(super) trie_sharer: Vec<bool>,
     /// Slot → the subscribed query, retained so compaction can rebuild
     /// the index without consulting the caller (and without
     /// recompiling: compiled forms are carried over by canonical key).
@@ -187,6 +191,7 @@ impl Index {
             subs: HashMap::new(),
             slot_sub: Vec::new(),
             slot_alive: Vec::new(),
+            trie_sharer: Vec::new(),
             slot_query: Vec::new(),
             next_sub: 0,
             dead_slots: 0,
@@ -218,6 +223,8 @@ impl Index {
         self.query_group.push(g);
         self.slot_sub.push(id.0);
         self.slot_alive.push(true);
+        self.trie_sharer
+            .push(!self.groups[g as usize].document_rooted);
         self.slot_query.push(q.clone());
         self.subs.insert(id.0, slot);
         g
@@ -401,6 +408,7 @@ impl IndexedBank {
         let index = Arc::make_mut(&mut self.index);
         index.subs.remove(&id.0);
         index.slot_alive[slot] = false;
+        index.trie_sharer[slot] = false;
         index.dead_slots += 1;
         let g = index.query_group[slot] as usize;
         let group = &mut index.groups[g];

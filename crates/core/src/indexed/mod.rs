@@ -476,6 +476,23 @@ impl IndexedBank {
         })
     }
 
+    /// The slots of the live queries the current document has accepted
+    /// so far — its accepted groups' members, in no particular order —
+    /// found in O(groups the document touched), not O(slots): with
+    /// [`IndexedBank::is_finished`], a document's whole readout (every
+    /// other live slot is `false` once it is finished).
+    pub fn accepted_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let (index, doc) = (&*self.index, &self.run.doc);
+        (self.run.touched.iter())
+            .filter(|&&g| doc[g as usize].accepted)
+            .flat_map(|&g| index.groups[g as usize].members.iter().copied())
+    }
+
+    /// Whether the current document has reached `EndDocument`.
+    pub fn is_finished(&self) -> bool {
+        self.run.finished
+    }
+
     /// Iterates the slots of the live queries the last document
     /// matched, without allocating (tombstoned slots never report).
     pub fn matching(&self) -> impl Iterator<Item = usize> + '_ {

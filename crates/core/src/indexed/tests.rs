@@ -758,9 +758,9 @@ fn subscribing_a_new_symbol_grows_the_chain_tables() {
 
 /// A query subscribed on a live bank takes effect at the next
 /// document with no call in between, on the reader path (the
-/// lookup-only parser's memo held `gadget` as unknown) and on owned
-/// events interned through one memo kept across documents, the way a
-/// session keeps one (that memo did).
+/// lookup-only parser's view held no `gadget`) and on owned events
+/// interned through one `SymCache` kept across documents, the way a
+/// session keeps one.
 #[test]
 fn late_subscription_needs_no_announcement() {
     let xml = "<r><gadget/></r>";
@@ -836,6 +836,150 @@ proptest! {
                     k
                 );
             }
+        }
+    }
+}
+
+/// The attribution as the bank computed it before it kept a per-slot
+/// trie-sharer column: every slot walked, its group read for
+/// `document_rooted` (every live slot when no trie query is left).
+fn attribution_by_slot_walk(ib: &IndexedBank) -> Vec<u64> {
+    let (index, run) = (&*ib.index, &ib.run);
+    let mut out = vec![0u64; index.query_group.len()];
+    let mut split = |bits: u64, k: usize, sharers: &mut dyn Iterator<Item = usize>| {
+        if k == 0 || bits == 0 {
+            return;
+        }
+        let (base, rem) = (bits / k as u64, bits % k as u64);
+        for (rank, i) in sharers.enumerate() {
+            out[i] += base + u64::from((rank as u64) < rem);
+        }
+    };
+    for &g in &run.touched {
+        let members = &index.groups[g as usize].members;
+        let bits = run.doc[g as usize].peak_bits;
+        split(bits, members.len(), &mut members.iter().copied());
+    }
+    let mut alive = (0..index.query_group.len()).filter(|&i| index.slot_alive[i]);
+    let rooted: usize = (index.root_groups.iter())
+        .map(|&g| index.groups[g as usize].members.len())
+        .sum();
+    let sharers = index.subs.len() - rooted;
+    if sharers == 0 {
+        split(run.peak_trie_bits, index.subs.len(), &mut alive);
+    } else {
+        let rooted = |i: &usize| index.groups[index.query_group[*i] as usize].document_rooted;
+        split(
+            run.peak_trie_bits,
+            sharers,
+            &mut alive.filter(|i| !rooted(i)),
+        );
+    }
+    out
+}
+
+/// The bank's readout against the slot walk it replaced: the sharer
+/// column, the attribution and its sum, and — finished or mid-document
+/// — the verdicts of the live slots as `accepted_slots` gives them.
+fn assert_readout(ib: &IndexedBank) {
+    let index = &*ib.index;
+    for (slot, &g) in index.query_group.iter().enumerate() {
+        let sharer = index.slot_alive[slot] && !index.groups[g as usize].document_rooted;
+        assert_eq!(index.trie_sharer[slot], sharer, "slot {slot}");
+    }
+    let per = ib.peak_memory_bits();
+    assert_eq!(per, attribution_by_slot_walk(ib));
+    // With no query left, the trie's history has nobody to charge.
+    if ib.live_subscriptions() > 0 {
+        assert_eq!(per.iter().sum::<u64>(), ib.total_max_bits(), "{per:?}");
+    }
+    let mut accepted = vec![false; ib.len()];
+    for slot in ib.accepted_slots() {
+        assert!(!accepted[slot], "slot {slot} read twice");
+        accepted[slot] = true;
+    }
+    let results = ib.results();
+    for slot in (0..ib.len()).filter(|&s| index.slot_alive[s]) {
+        let read = accepted[slot].then_some(true);
+        let read = read.or(ib.is_finished().then_some(false));
+        assert_eq!(results[slot], read, "slot {slot}");
+    }
+}
+
+/// Trie queries beside document-rooted ones (a predicate on the first
+/// step leaves no sharable prefix).
+const READOUT_QUERIES: [&str; 9] = [
+    "/site/a/item[p > 1]",
+    "/site/a/item[1 < p]",
+    "/site/b/item[p > 1]",
+    "/site/a/leaf",
+    "//item/p",
+    "/site/*/item",
+    "//x[y]",
+    "/site[a]/b",
+    "/site[b]",
+];
+
+const READOUT_DOCS: [&str; 4] = [
+    "<site><a><item><p>2</p></item><leaf/></a><b><item><p>0</p></item></b></site>",
+    "<site><a><x><y/></x></a><b/></site>",
+    "<site><b><item><p>5</p></item></b></site>",
+    "<other/>",
+];
+
+#[test]
+fn the_trie_share_follows_the_live_slots_once_every_sharer_left() {
+    let queries: Vec<Query> = READOUT_QUERIES
+        .iter()
+        .map(|s| parse_query(s).unwrap())
+        .collect();
+    let mut ib = IndexedBank::new(&queries).unwrap();
+    feed(&mut ib, &fx_xml::parse(READOUT_DOCS[0]).unwrap());
+    assert!(ib.space_stats().shared_trie_bits > 0);
+    assert_readout(&ib);
+    // Every trie query leaves; the three rooted ones carry the trie's
+    // history, so the attribution still sums to the bank total.
+    for slot in 0..6 {
+        let id = ib.subscription_of(slot).unwrap();
+        assert!(ib.unsubscribe(id));
+        assert_readout(&ib);
+    }
+    let per = ib.peak_memory_bits();
+    assert!(per[6..].iter().all(|&bits| bits > 0), "{per:?}");
+    assert!(ib.compact());
+    assert_readout(&ib);
+}
+
+proptest! {
+    /// Random subscribe / unsubscribe / compact / whole-or-partial
+    /// document sequences: after every step the readout equals the
+    /// slot walk's.
+    #[test]
+    fn the_readout_matches_the_slot_walk_under_churn(seed in 0u64..1_000_000) {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let queries: Vec<Query> = READOUT_QUERIES.iter().map(|s| parse_query(s).unwrap()).collect();
+        let docs: Vec<Vec<Event>> =
+            READOUT_DOCS.iter().map(|x| fx_xml::parse(x).unwrap()).collect();
+        let mut ib = IndexedBank::new(&[]).unwrap();
+        let mut live: Vec<SubscriptionId> = Vec::new();
+        for _ in 0..48 {
+            match rng.gen_range(0..6) {
+                0 | 1 => live.push(ib.subscribe(&queries[rng.gen_range(0..queries.len())]).unwrap()),
+                2 | 3 if !live.is_empty() => {
+                    let id = live.swap_remove(rng.gen_range(0..live.len()));
+                    prop_assert!(ib.unsubscribe(id));
+                }
+                4 => {
+                    ib.compact();
+                }
+                _ => {
+                    let events = &docs[rng.gen_range(0..docs.len())];
+                    let cut = rng.gen_range(1..events.len() + 1);
+                    feed(&mut ib, &events[..cut]);
+                }
+            }
+            assert_readout(&ib);
         }
     }
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// chunk. After `EndDocument` (or `finish()`), the same session can be
 /// reused for the next document: the next `StartDocument` resets every
 /// filter's per-document state — space statistics included — while the
-/// session's tokenizer, name memo and scratch buffers stay warm.
+/// session's tokenizer, name view and scratch buffers stay warm.
 ///
 /// On a [`Mode::Select`] engine the session additionally *streams
 /// matches*: every confirmed output node is delivered to the
@@ -46,7 +46,7 @@ pub struct Session {
     /// lookups, zero per-event allocation on the tag-dispatch path).
     symbols: Arc<Symbols>,
     /// The session's reusable lookup-only parser for the reader entry
-    /// points: reset per document, its scratch buffers, name memo and
+    /// points: reset per document, its scratch buffers, name view and
     /// read buffer stay warm across a reused session's documents.
     parser: StreamingParser,
     /// Where an owned event (hand-pushed, or from a source on a foreign
@@ -188,8 +188,16 @@ impl Session {
                 (peak_bits, counted)
             }
             SessionInner::Indexed(bank) => {
-                for r in bank.verdicts() {
-                    matched.push(r.ok_or(EngineError::IncompleteDocument)?);
+                // What the document touched: every other slot is false.
+                matched.resize(queries, false);
+                let mut accepted = 0;
+                for slot in bank.accepted_slots() {
+                    matched[slot] = true;
+                    accepted += 1;
+                }
+                // Mid-document, a verdict is known once its query accepts.
+                if !bank.is_finished() && accepted < queries {
+                    return Err(EngineError::IncompleteDocument);
                 }
                 let counted = selecting.then(|| bank.peak_pending_positions());
                 (bank.peak_memory_bits(), counted)
@@ -744,5 +752,72 @@ mod tests {
             .run_reader("<doc><title/><item/><w99/></doc>".as_bytes())
             .unwrap();
         assert_eq!(v.matched(), &[true, true]);
+    }
+
+    /// Trie queries beside document-rooted ones, on an indexed engine.
+    fn indexed(srcs: &[&str]) -> (crate::Engine, fx_core::IndexedBank) {
+        let queries: Vec<_> = srcs
+            .iter()
+            .map(|s| fx_xpath::parse_query(s).unwrap())
+            .collect();
+        let engine = Engine::builder()
+            .queries(queries.clone())
+            .index(crate::IndexPolicy::SharedPrefix)
+            .build()
+            .unwrap();
+        (engine, fx_core::IndexedBank::new(&queries).unwrap())
+    }
+
+    #[test]
+    fn an_indexed_finish_reads_the_banks_verdicts() {
+        let srcs = [
+            "/site/a/item[p > 1]",
+            "/site/a/leaf",
+            "//x[y]",
+            "/site[b]",
+            "//none",
+        ];
+        let (engine, mut bank) = indexed(&srcs);
+        let mut session = engine.session();
+        for xml in [
+            "<site><a><item><p>2</p></item><leaf/></a><b/></site>",
+            "<site><a><x><y/></x></a></site>",
+            "<other/>",
+        ] {
+            let v = session.run_reader(xml.as_bytes()).unwrap();
+            let (mut attrs, mut names) = (fx_xml::AttrBuf::new(), fx_xml::SymCache::new());
+            let symbols = std::sync::Arc::clone(bank.symbols());
+            for e in &fx_xml::parse(xml).unwrap() {
+                let ev = attrs.sym_event(&mut names, &symbols, e);
+                bank.process_sym_to(ev, fx_xml::Span::EMPTY, &mut |_: crate::Match| {});
+            }
+            let want: Vec<bool> = bank.results().into_iter().map(Option::unwrap).collect();
+            assert_eq!(v.matched(), want, "{xml}");
+            assert_eq!(v.peak_memory_bits(), bank.peak_memory_bits(), "{xml}");
+        }
+    }
+
+    #[test]
+    fn an_indexed_finish_mid_document_is_incomplete_until_every_query_accepts() {
+        let (engine, _) = indexed(&["/a/b", "//c[d]"]);
+        let mut session = engine.session();
+        let events = fx_xml::parse("<a><b/><c><d/></c><e/></a>").unwrap();
+        // `<a><b>`: the first query accepted, the second is open.
+        for e in &events[..3] {
+            session.push(e);
+        }
+        assert!(matches!(
+            session.finish(),
+            Err(EngineError::IncompleteDocument)
+        ));
+        // Through `</c>`: both accepted, so the verdicts are known.
+        for e in &events[3..8] {
+            session.push(e);
+        }
+        assert_eq!(session.finish().unwrap().matched(), &[true, true]);
+        for e in &events[8..] {
+            session.push(e);
+        }
+        assert_eq!(session.finish().unwrap().matched(), &[true, true]);
     }
 }

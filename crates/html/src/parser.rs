@@ -892,6 +892,52 @@ mod tests {
     }
 
     #[test]
+    fn a_lookup_only_parser_stamps_both_tags_of_an_element_alike() {
+        // Every length 1–40, and names with equal first and last eight
+        // bytes; every other one is in the table.
+        let alphabet: Vec<char> = "abcdefghijklmnopqrstuvwxyz0123456789-".chars().collect();
+        let mut names: Vec<String> = (1..=40)
+            .map(|n| {
+                let tail = (1..n).map(|i| alphabet[(7 * i + n) % alphabet.len()]);
+                std::iter::once('x').chain(tail).collect()
+            })
+            .collect();
+        names.extend(
+            [
+                "prefix-axsuffix-z",
+                "prefix-aysuffix-z",
+                "prefix-azsuffix-z",
+            ]
+            .map(String::from),
+        );
+        let symbols = Arc::new(Symbols::new());
+        let want: Vec<Sym> = (names.iter().enumerate())
+            .map(|(i, n)| {
+                if i % 2 == 0 {
+                    symbols.intern(n)
+                } else {
+                    Sym::UNKNOWN
+                }
+            })
+            .collect();
+        let open: String = names.iter().map(|n| format!("<{n}>")).collect();
+        let close: String = names.iter().rev().map(|n| format!("</{n}>")).collect();
+        let mut parser = HtmlParser::with_symbols(Arc::clone(&symbols)).lookup_only();
+        let mut syms = Vec::new();
+        let mut emit = |ev: SymEvent<'_>, _| match ev {
+            SymEvent::StartElement { name, .. } | SymEvent::EndElement { name } => syms.push(name),
+            _ => {}
+        };
+        parser.feed_interned(&(open + &close), &mut emit).unwrap();
+        parser.finish_interned(&mut emit).unwrap();
+        let k = names.len();
+        assert_eq!(syms.len(), 2 * k);
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!((syms[i], syms[2 * k - 1 - i]), (want[i], want[i]), "{name}");
+        }
+    }
+
+    #[test]
     fn lookup_only_bounds_the_table() {
         let symbols = Arc::new(Symbols::new());
         symbols.intern("div");

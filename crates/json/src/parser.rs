@@ -564,6 +564,62 @@ mod tests {
     }
 
     #[test]
+    fn a_lookup_only_parser_stamps_both_tags_of_an_element_alike() {
+        // Keys of every length 1–40, keys with equal first and last
+        // eight bytes, multi-byte and empty keys; every other one is in
+        // the table.
+        let mut names: Vec<String> = (1..=40)
+            .map(|n| {
+                (0..n)
+                    .map(|i| (b'a' + ((7 * i + n) % 26) as u8) as char)
+                    .collect()
+            })
+            .collect();
+        let more = [
+            "prefix-axsuffix-z",
+            "prefix-aysuffix-z",
+            "名前",
+            "",
+            "ελληνικά-ονόματα",
+        ];
+        names.extend(more.map(String::from));
+        let symbols = Arc::new(Symbols::new());
+        let json = symbols.intern("json");
+        let want: Vec<Sym> = (names.iter().enumerate())
+            .map(|(i, n)| {
+                if i % 2 == 0 {
+                    symbols.intern(n)
+                } else {
+                    Sym::UNKNOWN
+                }
+            })
+            .collect();
+        let open: String = names.iter().map(|n| format!("{{\"{n}\": ")).collect();
+        let doc = open + "1" + &"}".repeat(names.len());
+        let mut parser = JsonParser::with_symbols(Arc::clone(&symbols)).lookup_only();
+        let mut syms = Vec::new();
+        let mut emit = |ev: SymEvent<'_>, _| match ev {
+            SymEvent::StartElement { name, .. } | SymEvent::EndElement { name } => syms.push(name),
+            _ => {}
+        };
+        parser.feed_interned(&doc, &mut emit).unwrap();
+        parser.finish_interned(&mut emit).unwrap();
+        // `<json>` around the first key's object, then one element per key.
+        let k = names.len();
+        assert_eq!(
+            (syms.len(), syms[0], syms[2 * k + 1]),
+            (2 * k + 2, json, json)
+        );
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(
+                (syms[1 + i], syms[2 * k - i]),
+                (want[i], want[i]),
+                "{name:?}"
+            );
+        }
+    }
+
+    #[test]
     fn lookup_only_bounds_the_table() {
         let symbols = Arc::new(Symbols::new());
         symbols.intern("json");

@@ -68,7 +68,7 @@ pub trait EventSource {
     fn symbols(&self) -> &Arc<Symbols>;
 
     /// Resets per-document state so the source can stream another
-    /// document, keeping amortizable scratch (buffers, name memos)
+    /// document, keeping amortizable scratch (buffers, the name view)
     /// warm — and where a lookup-only source catches up with names
     /// interned into its table since the last document.
     fn reset(&mut self);
@@ -153,10 +153,10 @@ impl Cursor {
     }
 }
 
-/// Name resolution in its two modes, with the per-frontend lock-free
-/// memo in front of the table: a miss goes to [`Symbols::intern`]
-/// (interning, the default) or reads the table's shared frozen view
-/// ([`Frontend::lookup_only`]; absent names become [`Sym::UNKNOWN`]).
+/// Name resolution in its two modes: [`Symbols::intern`] (interning,
+/// the default), or one lock-free probe into the table's shared frozen
+/// view, held by a [`SymCache`], where a name the view lacks becomes
+/// [`Sym::UNKNOWN`] ([`Frontend::lookup_only`]).
 #[derive(Debug, Clone)]
 pub struct Names {
     symbols: Arc<Symbols>,
@@ -169,7 +169,7 @@ impl Names {
     /// Resolves a name per the mode.
     pub fn resolve(&mut self, name: &str) -> Sym {
         if self.intern {
-            self.cache.intern(&self.symbols, name)
+            self.symbols.intern(name)
         } else {
             self.cache.lookup(&self.symbols, name)
         }
@@ -424,7 +424,7 @@ impl<G: Grammar> Frontend<G> {
 
     /// Resets per-document state so the frontend can stream another
     /// document, keeping everything amortizable warm: the symbol table
-    /// handle, the name memo, and every scratch buffer's capacity.
+    /// handle, its view, and every scratch buffer's capacity.
     /// Sessions reuse one frontend across documents this way.
     /// A lookup-only frontend whose table grew since its last document
     /// (a late subscription) moves to the table's new view here — the
@@ -740,8 +740,8 @@ mod tests {
         let (r, unknown) = (symbols.intern("r"), Sym::UNKNOWN);
         let mut parser = lookup_only(&symbols);
         assert_eq!(tag_syms(&mut parser, "<r><gadget>"), [r, unknown]);
-        // Interned mid-document: invisible until the next one, memoized
-        // (`gadget`) or not (`gizmo` was never looked up before).
+        // Interned mid-document: invisible until the next one, looked up
+        // before (`gadget`) or not (`gizmo`).
         symbols.intern("gadget");
         symbols.intern("gizmo");
         assert_eq!(

@@ -31,10 +31,10 @@
 //!   every named node test, without growing the table).
 //!
 //! The table is internally synchronized (`RwLock`); interning an
-//! already-known name takes a read lock only, and every *non-interning*
-//! resolver reads the table's shared frozen view
-//! ([`Symbols::snapshot`]) without any lock, so concurrent sessions
-//! sharing one table do not serialize on the hot path.
+//! already-known name takes a read lock only, and a lookup-only
+//! resolver probes the table's shared frozen view ([`Symbols::snapshot`],
+//! a flat open-addressed table) without any lock, so concurrent
+//! sessions sharing one table do not serialize on the hot path.
 //!
 //! Because ids are never recycled, the table's footprint grows with
 //! every *distinct* name ever interned. Long-lived consumers that
@@ -43,64 +43,8 @@
 //! so only compiled query vocabulary ever lands in the table — the
 //! engine's reader path does exactly this.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-
-/// The multiply-xor hash used by the interning map (the widely-used
-/// "Fx" construction): names are short and looked up once per event on
-/// the hot path, where SipHash's per-byte cost dominates the whole
-/// conversion. Not DoS-hardened — the table holds XML names from
-/// documents the caller already chose to parse.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Consume 8-byte words, then the tail, folding each with the
-        // rotate-xor-multiply step.
-        let mut chunks = bytes.chunks_exact(8);
-        for c in chunks.by_ref() {
-            let word = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-        }
-        // Fold the tail as one little-endian word. Short names (≤ 8
-        // bytes — nearly every XML name) take exactly one fold, and the
-        // 4..=7 case reads two overlapping u32s instead of looping per
-        // byte (the overlap ORs identical bits, so the value equals the
-        // byte-at-a-time fold).
-        let rem = chunks.remainder();
-        let tail = match rem.len() {
-            0 => 0u64,
-            4..=7 => {
-                let head = u32::from_le_bytes(rem[..4].try_into().expect("4 bytes")) as u64;
-                let end = u32::from_le_bytes(rem[rem.len() - 4..].try_into().expect("4 bytes"));
-                head | ((end as u64) << (8 * (rem.len() - 4)))
-            }
-            _ => {
-                let mut t = 0u64;
-                for (i, &b) in rem.iter().enumerate() {
-                    t |= (b as u64) << (8 * i);
-                }
-                t
-            }
-        };
-        self.hash = (self.hash.rotate_left(5) ^ tail).wrapping_mul(FX_SEED);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// An interned name: a dense integer id issued by a [`Symbols`] table.
 ///
@@ -122,12 +66,6 @@ impl Sym {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: FxMap<String, Sym>,
-    names: Vec<String>,
-}
-
 /// A grow-only, internally-synchronized name-interning table (see the
 /// module docs for the id-stability invariants).
 ///
@@ -137,8 +75,9 @@ struct Inner {
 /// hot path.
 #[derive(Debug, Default)]
 pub struct Symbols {
-    inner: RwLock<Inner>,
-    /// `inner.names.len()`, published lock-free. Stored (`Release`)
+    /// The live table, in the flat layout its views copy.
+    inner: RwLock<SymbolsSnapshot>,
+    /// `inner.len()`, published lock-free. Stored (`Release`)
     /// under the write lock, after the name is in place; an `Acquire`
     /// load that reads `n` therefore sees a table of at least `n` names.
     len: AtomicUsize,
@@ -158,19 +97,15 @@ impl Symbols {
     /// Known names take a read lock only. Ids are issued densely in
     /// interning order and never recycled.
     pub fn intern(&self, name: &str) -> Sym {
-        if let Some(&s) = self.inner.read().expect("symbols lock").map.get(name) {
+        if let Some(s) = self.inner.read().expect("symbols lock").lookup(name) {
             return s;
         }
         let mut inner = self.inner.write().expect("symbols lock");
-        if let Some(&s) = inner.map.get(name) {
+        if let Some(s) = inner.lookup(name) {
             return s; // raced with another writer
         }
-        let id = inner.names.len() as u32;
-        assert!(id < u32::MAX - 1, "symbol table overflow");
-        let s = Sym(id);
-        inner.names.push(name.to_string());
-        inner.map.insert(name.to_string(), s);
-        self.len.store(inner.names.len(), Ordering::Release);
+        let s = inner.push(name);
+        self.len.store(inner.len(), Ordering::Release);
         s
     }
 
@@ -203,11 +138,7 @@ impl Symbols {
     pub fn snapshot(&self) -> Arc<SymbolsSnapshot> {
         let mut view = self.view.lock().expect("symbols view lock");
         if view.len() != self.len() {
-            let inner = self.inner.read().expect("symbols lock");
-            *view = Arc::new(SymbolsSnapshot {
-                map: inner.map.clone(),
-                names: inner.names.clone(),
-            });
+            *view = Arc::new(self.inner.read().expect("symbols lock").clone());
         }
         Arc::clone(&view)
     }
@@ -216,6 +147,15 @@ impl Symbols {
 /// A frozen, read-only view of a [`Symbols`] table at one instant
 /// (handed out, shared, by [`Symbols::snapshot`]): any number of worker
 /// threads resolve names against it with **lock-free** lookups.
+///
+/// A lookup is one probe sequence in a flat open-addressed table —
+/// power-of-two sized, at most half full, linear probing — whose
+/// entries hold a name's first and last eight bytes, its length and its
+/// sym. A name of up to 16 bytes is entirely in those two words, so
+/// comparing it is two word compares and a length compare; a longer
+/// one also compares its text in the view's name list. Every length
+/// takes the same path, with no side map. The live table keeps the same
+/// layout under its lock, so taking a view is a copy, not a rehash.
 ///
 /// # Invariants
 ///
@@ -229,17 +169,140 @@ impl Symbols {
 ///   table's (ids are dense, so equal lengths mean equal contents).
 /// * Building one is O(table size) and happens at most once per table
 ///   growth that somebody looks at, never on the per-event hot path.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SymbolsSnapshot {
-    map: FxMap<String, Sym>,
+    /// The open-addressed table: `2^k ≥ 2 · names.len()` entries.
+    entries: Vec<Entry>,
+    /// `64 - k`: a hash's top `k` bits are its home entry.
+    shift: u32,
     names: Vec<String>,
 }
 
+/// One [`SymbolsSnapshot`] entry: a name's [`key_words`], its length
+/// (mod 2³²: past 16 bytes the text compare decides) and its sym, which
+/// is [`Sym::UNKNOWN`] in an empty entry.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    words: (u64, u64),
+    len: u32,
+    sym: Sym,
+}
+
+/// The little-endian word `b[at..at + 8]`.
+#[inline]
+fn word(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// A name's two key words: its first and its last eight bytes as
+/// little-endian words, overlapping below 16 bytes; a name under eight
+/// bytes is one zero-padded word, twice (read in two overlapping loads,
+/// which OR identical bits). With the length they spell any name of up
+/// to 16 bytes exactly.
+#[inline]
+fn key_words(b: &[u8]) -> (u64, u64) {
+    let n = b.len();
+    let half = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes"));
+    let quarter = |at: usize| u16::from_le_bytes(b[at..at + 2].try_into().expect("2 bytes"));
+    let w = match n {
+        8.. => return (word(b, 0), word(b, n - 8)),
+        4..=7 => u64::from(half(0)) | u64::from(half(n - 4)) << (8 * (n - 4)),
+        2..=3 => u64::from(quarter(0)) | u64::from(quarter(n - 2)) << (8 * (n - 2)),
+        1 => u64::from(b[0]),
+        _ => 0,
+    };
+    (w, w)
+}
+
+/// A name's hash: its key words, and past 16 bytes its middle words
+/// too, folded multiply-rotate ("Fx") style — long names that share
+/// their ends still spread over the table. Not DoS-hardened: names come
+/// from queries and from documents the caller chose to parse.
+#[inline]
+fn name_hash(b: &[u8], (head, tail): (u64, u64)) -> u64 {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let fold = |h: u64, w: u64| (h.rotate_left(26) ^ w).wrapping_mul(SEED);
+    let mut h = fold(head.wrapping_mul(SEED), tail);
+    let mut at = 8;
+    while at + 8 < b.len() {
+        h = fold(h, word(b, at));
+        at += 8;
+    }
+    h
+}
+
+impl Default for SymbolsSnapshot {
+    fn default() -> SymbolsSnapshot {
+        SymbolsSnapshot::with_names(Vec::new())
+    }
+}
+
 impl SymbolsSnapshot {
+    /// The table of `names`, issued densely from sym 0, at most half
+    /// full.
+    fn with_names(names: Vec<String>) -> SymbolsSnapshot {
+        let size = (2 * names.len()).next_power_of_two().max(2);
+        let (words, len, sym) = ((0, 0), 0, Sym::UNKNOWN);
+        let empty = Entry { words, len, sym };
+        let mut table = SymbolsSnapshot {
+            entries: vec![empty; size],
+            shift: 64 - size.trailing_zeros(),
+            names,
+        };
+        for id in 0..table.names.len() {
+            table.place(Sym(id as u32));
+        }
+        table
+    }
+
+    /// Writes `sym`'s entry into the first free one of its probe
+    /// sequence.
+    fn place(&mut self, sym: Sym) {
+        let b = self.names[sym.index()].as_bytes();
+        let (words, len) = (key_words(b), b.len() as u32);
+        let mask = self.entries.len() - 1;
+        let mut i = (name_hash(b, words) >> self.shift) as usize;
+        while self.entries[i].sym != Sym::UNKNOWN {
+            i = (i + 1) & mask;
+        }
+        self.entries[i] = Entry { words, len, sym };
+    }
+
+    /// Issues the next sym to `name`, which the table lacks, doubling
+    /// the table first when it would pass half full.
+    fn push(&mut self, name: &str) -> Sym {
+        let sym = Sym(self.names.len() as u32);
+        assert!(sym.0 < u32::MAX - 1, "symbol table overflow");
+        self.names.push(name.to_string());
+        if 2 * self.names.len() > self.entries.len() {
+            *self = SymbolsSnapshot::with_names(std::mem::take(&mut self.names));
+        } else {
+            self.place(sym);
+        }
+        sym
+    }
+
     /// The sym for `name`, if the source table had interned it when the
-    /// snapshot was built. Lock-free.
+    /// snapshot was built. Lock-free: one probe sequence.
+    #[inline]
     pub fn lookup(&self, name: &str) -> Option<Sym> {
-        self.map.get(name).copied()
+        let b = name.as_bytes();
+        let words = key_words(b);
+        let mask = self.entries.len() - 1;
+        let mut i = (name_hash(b, words) >> self.shift) as usize;
+        loop {
+            let e = &self.entries[i];
+            if e.sym == Sym::UNKNOWN {
+                return None;
+            }
+            if e.words == words
+                && e.len == b.len() as u32
+                && (b.len() <= 16 || self.names[e.sym.index()] == name)
+            {
+                return Some(e.sym);
+            }
+            i = (i + 1) & mask;
+        }
     }
 
     /// The sym for `name`, or [`Sym::UNKNOWN`] when the snapshot does
@@ -268,121 +331,27 @@ impl SymbolsSnapshot {
     }
 }
 
-/// A small 2-way set-associative, lock-free memo in front of a
-/// [`Symbols`] table, owned by a single name resolver (a frontend's
-/// [`crate::Names`], or whoever interns owned events with
-/// [`AttrBuf::sym_event`]: an engine session, a bare filter).
-/// XML documents draw names from a tiny vocabulary, so almost every
-/// per-event lookup hits the memo and costs a short hash plus one or two
-/// inline array compares. A miss is resolved by the owner's mode —
-/// [`SymCache::lookup`] reads the table's shared frozen view
-/// ([`Symbols::snapshot`]; no lock, and names too long for a memo slot
-/// read it every time), the interning frontends go to
-/// [`Symbols::intern`] — and overwrites the set's colder way.
-///
-/// Two ways per set matter: real vocabularies routinely put two hot
-/// names in one hash bucket (an element and the attribute it always
-/// carries, say), and a direct-mapped memo would then *miss on every
-/// single lookup* as the pair evicts each other. With two ways and
-/// move-to-front promotion the alternating pair simply occupies both
-/// ways of its set.
+/// One lookup-only name resolver's hold on its table's shared frozen
+/// view ([`Symbols::snapshot`], taken at the first lookup): a
+/// lookup-only frontend's [`crate::Names`], or whoever interns owned
+/// events with [`AttrBuf::sym_event`] (an engine session, a bare
+/// filter). A name costs one probe into the view; one the view lacks is
+/// [`Sym::UNKNOWN`]. (An interning frontend holds no view: it calls
+/// [`Symbols::intern`], a read lock and one probe into the same layout.)
 ///
 /// # Name freshness
 ///
-/// A lookup memoizes "unknown" too, and the view behind it does not see
-/// names interned later (a late subscription compiling behind a live
-/// parser). Nobody has to tell the memo: its owner compares the view's
-/// length with the table's **once per document** — `Frontend::reset`
-/// for the frontends, `StartDocument` in [`AttrBuf::sym_event`] for
-/// owned events; one atomic load — and, if the table grew, takes the
-/// new shared view and drops the memo. Never mid-document: the filters
-/// test an end tag's sym against the start tag's, so a name must
-/// resolve alike at both ends of an element. A name interned while a
-/// document streams is seen from the next document on, by every
-/// resolver on the table, without a call from whoever interned it.
+/// The view does not see names interned after it was built (a late
+/// subscription compiling behind a live parser). Nobody has to tell the
+/// holder: it compares the view's length with the table's **once per
+/// document** — `Frontend::reset` for the frontends, `StartDocument` in
+/// [`AttrBuf::sym_event`] for owned events; one atomic load — and, if
+/// the table grew, takes the new shared view. Never mid-document: the
+/// filters test an end tag's sym against the start tag's, so a name
+/// must resolve alike at both ends of an element.
 #[derive(Debug, Clone, Default)]
 pub struct SymCache {
-    slots: Vec<CacheSlot>,
-    /// The view lookup misses resolve against: taken at the first miss,
-    /// re-validated by [`SymCache::sync`]. Never set by an interning
-    /// owner: its table grows with every document and is not copied.
     view: Option<Arc<SymbolsSnapshot>>,
-}
-
-/// Number of 2-way sets; the memo holds twice this many entries.
-const SYM_CACHE_SETS: usize = 128;
-
-/// Longest name memoized inline. Longer names (rare in real vocabularies)
-/// bypass the memo and pay the miss path each time.
-const SYM_CACHE_NAME_MAX: usize = 22;
-
-/// One memo entry. The name bytes live inline so a probe is a length
-/// check plus a short `memcmp` — no pointer chase — and a fresh cache
-/// materializes without a single per-name allocation.
-#[derive(Debug, Clone, Copy)]
-struct CacheSlot {
-    sym: Sym,
-    /// Name length in bytes; `0` marks an empty slot (empty names
-    /// never enter the memo).
-    len: u8,
-    name: [u8; SYM_CACHE_NAME_MAX],
-}
-
-impl CacheSlot {
-    const EMPTY: CacheSlot = CacheSlot {
-        sym: Sym::UNKNOWN,
-        len: 0,
-        name: [0; SYM_CACHE_NAME_MAX],
-    };
-
-    /// Zero-pads a probe key once so every way comparison is a
-    /// fixed-size array equality (unrolled word compares, no
-    /// variable-length `memcmp` per way). Slot padding bytes are
-    /// always zero (a slot is filled with the padded key), so padded
-    /// equality coincides with prefix equality.
-    fn pad_key(nb: &[u8]) -> [u8; SYM_CACHE_NAME_MAX] {
-        let mut key = [0u8; SYM_CACHE_NAME_MAX];
-        key[..nb.len()].copy_from_slice(nb);
-        key
-    }
-
-    #[inline]
-    fn matches(&self, len: usize, key: &[u8; SYM_CACHE_NAME_MAX]) -> bool {
-        self.len as usize == len && self.name == *key
-    }
-}
-
-/// The one probe/fill body: `name`'s memoized sym, or `miss()` —
-/// memoized in the colder way of its set, then promoted to the front.
-#[inline]
-fn memoized(slots: &mut Vec<CacheSlot>, name: &str, miss: impl FnOnce() -> Sym) -> Sym {
-    let nb = name.as_bytes();
-    if nb.is_empty() || nb.len() > SYM_CACHE_NAME_MAX {
-        return miss();
-    }
-    // Slots materialize on first use (`Default` is an empty vec), so
-    // `mem::take`-style swaps of a consumer's cache cost nothing.
-    if slots.is_empty() {
-        slots.resize(SYM_CACHE_SETS * 2, CacheSlot::EMPTY);
-    }
-    // Index of the first (hotter) way of `name`'s set: the raw Fx fold
-    // of the bytes, without the `Hash`-trait framing.
-    let mut hash = FxHasher::default();
-    hash.write(nb);
-    let idx = ((hash.finish() as usize) & (SYM_CACHE_SETS - 1)) * 2;
-    let key = CacheSlot::pad_key(nb);
-    if slots[idx].matches(nb.len(), &key) {
-        return slots[idx].sym;
-    }
-    if slots[idx + 1].matches(nb.len(), &key) {
-        slots.swap(idx, idx + 1);
-        return slots[idx].sym;
-    }
-    let sym = miss();
-    let (len, name) = (nb.len() as u8, key);
-    slots[idx + 1] = CacheSlot { sym, len, name };
-    slots.swap(idx, idx + 1);
-    sym
 }
 
 impl SymCache {
@@ -392,31 +361,21 @@ impl SymCache {
     }
 
     /// The sym for `name`, or [`Sym::UNKNOWN`] when `symbols` does not
-    /// hold it: the memo, then `symbols`' shared frozen view (see the
+    /// hold it: one probe into `symbols`' shared frozen view (see the
     /// type docs for when the view is renewed). Never interns.
+    #[inline]
     pub fn lookup(&mut self, symbols: &Symbols, name: &str) -> Sym {
-        let SymCache { slots, view } = self;
-        memoized(slots, name, || {
-            view.get_or_insert_with(|| symbols.snapshot())
-                .lookup_or_unknown(name)
-        })
+        let view = self.view.get_or_insert_with(|| symbols.snapshot());
+        view.lookup_or_unknown(name)
     }
 
-    /// [`Symbols::intern`] through the memo: the interning frontends'
-    /// resolution (every verdict it memoizes is a real sym).
-    pub(crate) fn intern(&mut self, symbols: &Symbols, name: &str) -> Sym {
-        memoized(&mut self.slots, name, || symbols.intern(name))
-    }
-
-    /// The once-per-document freshness check of a lookup-only owner:
-    /// when `symbols` grew since the view was taken, takes the new
-    /// shared view and forgets every memoized verdict (slot storage is
-    /// kept). One atomic load, and no allocation, when it did not.
+    /// The once-per-document freshness check: when `symbols` grew since
+    /// the view was taken, takes the new shared view. One atomic load,
+    /// and no allocation, when the table did not grow.
     pub(crate) fn sync(&mut self, symbols: &Symbols) {
-        let stale = |view: &Arc<SymbolsSnapshot>| view.len() != symbols.len();
-        if self.view.as_ref().is_some_and(stale) {
+        let Some(view) = &self.view else { return };
+        if view.len() != symbols.len() {
             self.view = Some(symbols.snapshot());
-            self.slots.fill(CacheSlot::EMPTY);
         }
     }
 }
@@ -636,6 +595,7 @@ impl AttrBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn intern_is_idempotent_and_dense() {
@@ -749,5 +709,177 @@ mod tests {
             assert_eq!(r, &results[0]);
         }
         assert_eq!(t.len(), 100);
+    }
+
+    /// One name of every length 1–40 (each a valid XML name), and names
+    /// the two key words alone cannot tell apart: equal first and last
+    /// eight bytes with different middles, words that repeat across
+    /// lengths, multi-byte UTF-8.
+    fn tricky_names() -> Vec<String> {
+        let alphabet: Vec<char> = "abcdefghijklmnopqrstuvwxyz0123456789-._".chars().collect();
+        let mut names: Vec<String> = (1..=40)
+            .map(|n| {
+                let tail = (1..n).map(|i| alphabet[(7 * i + n) % alphabet.len()]);
+                std::iter::once('n').chain(tail).collect()
+            })
+            .collect();
+        for mid in ["", "x", "y", "xy", "yx", "a-longer-middle"] {
+            names.push(format!("prefix-a{mid}suffix-z"));
+        }
+        let more = [
+            "abcdefgh",
+            "abcdefghabcdefgh",
+            "abcdefghxabcdefgh",
+            "élément",
+            "名前",
+            "ελληνικά-ονόματα-εδώ",
+            "ελληνικά-ονόματα-εκεί",
+        ];
+        names.extend(more.map(String::from));
+        names
+    }
+
+    /// `tricky_names`, interned, with a test-side oracle of their syms.
+    fn interned(extra: &[&str]) -> (Symbols, HashMap<String, Sym>) {
+        let t = Symbols::new();
+        let mut names = tricky_names();
+        names.extend(extra.iter().map(|n| n.to_string()));
+        let oracle = names
+            .into_iter()
+            .map(|n| (t.intern(&n), n))
+            .map(|(s, n)| (n, s));
+        let oracle: HashMap<String, Sym> = oracle.collect();
+        (t, oracle)
+    }
+
+    #[test]
+    fn the_view_resolves_every_interned_name_to_its_sym() {
+        // Names a byte-valued key word pads alike: a NUL tail, the empty
+        // name (a JSON key), a four-byte scalar.
+        let (t, oracle) = interned(&["a", "a\0", "", "a🙂b"]);
+        let lengths: Vec<usize> = oracle.keys().map(String::len).collect();
+        for len in [3, 4, 7, 8, 9, 16, 17, 23] {
+            assert!(lengths.contains(&len), "no name of {len} bytes");
+        }
+        let view = t.snapshot();
+        let mut cache = SymCache::new();
+        for (name, &sym) in &oracle {
+            assert_eq!(view.lookup(name), Some(sym), "{name:?}");
+            assert_eq!(cache.lookup(&t, name), sym, "{name:?}");
+            assert_eq!(view.resolve(sym), Some(name.as_str()));
+        }
+        assert_eq!(view.len(), oracle.len());
+    }
+
+    #[test]
+    fn names_never_interned_stay_unknown() {
+        let (t, oracle) = interned(&[]);
+        let view = t.snapshot();
+        let mut cache = SymCache::new();
+        let mut probes = vec![
+            "prefix-azsuffix-z".to_string(), // the same two words as `x` and `y`
+            "prefix-aysuffix-y".to_string(),
+            "abcdefghyabcdefgh".to_string(),
+            "elément".to_string(),
+            "名".to_string(),
+            "\0".to_string(),
+            String::new(),
+        ];
+        for name in oracle.keys() {
+            probes.push(format!("{name}_"));
+            probes.push(format!("_{name}"));
+            let mut flipped = name.clone().into_bytes();
+            let mid = flipped.len() / 2;
+            flipped[mid] ^= 0x01;
+            probes.extend(String::from_utf8(flipped).ok());
+        }
+        for probe in probes.iter().filter(|p| !oracle.contains_key(*p)) {
+            assert_eq!(view.lookup(probe), None, "{probe:?}");
+            assert_eq!(cache.lookup(&t, probe), Sym::UNKNOWN, "{probe:?}");
+        }
+        assert_eq!(t.len(), oracle.len(), "lookups must not intern");
+    }
+
+    #[test]
+    fn a_large_table_of_near_twins_resolves_exactly() {
+        // Thousands of long names with equal first and last eight bytes
+        // (equal lengths by the hundred), beside short ones.
+        let t = Symbols::new();
+        let names: Vec<String> = (0..3000)
+            .flat_map(|i| [format!("common-head-{i}-common-tail"), format!("n{i}")])
+            .collect();
+        let syms: Vec<Sym> = names.iter().map(|n| t.intern(n)).collect();
+        let view = t.snapshot();
+        for (name, &sym) in names.iter().zip(&syms) {
+            assert_eq!(view.lookup(name), Some(sym), "{name}");
+        }
+        assert_eq!(view.lookup("common-head-3000-common-tail"), None);
+        assert_eq!(view.lookup("n3000"), None);
+    }
+
+    /// The element-name syms of every tag `xml` holds, in order.
+    fn tag_syms(parser: &mut crate::StreamingParser, xml: &str) -> Vec<Sym> {
+        let mut syms = Vec::new();
+        let mut emit = |ev: SymEvent<'_>, _| match ev {
+            SymEvent::StartElement { name, .. } | SymEvent::EndElement { name } => syms.push(name),
+            _ => {}
+        };
+        parser.feed_interned(xml, &mut emit).unwrap();
+        parser.finish_interned(&mut emit).unwrap();
+        syms
+    }
+
+    /// `<n1><n2>…</n2></n1>`: every name nested once, so tag `i` and
+    /// tag `2k - 1 - i` are one element's two ends.
+    fn nested(names: &[String]) -> String {
+        let open: String = names.iter().map(|n| format!("<{n}>")).collect();
+        let close: String = names.iter().rev().map(|n| format!("</{n}>")).collect();
+        open + &close
+    }
+
+    #[test]
+    fn a_lookup_only_parser_stamps_both_tags_of_an_element_alike() {
+        let (t, oracle) = interned(&[]);
+        let t = Arc::new(t);
+        let mut names = tricky_names();
+        // Never interned: both ends unknown, however long.
+        names.extend(["prefix-azsuffix-z", "n-unknown", "q"].map(String::from));
+        let mut parser = crate::StreamingParser::with_symbols(Arc::clone(&t)).lookup_only();
+        let syms = tag_syms(&mut parser, &nested(&names));
+        let k = names.len();
+        for (i, name) in names.iter().enumerate() {
+            let want = oracle.get(name).copied().unwrap_or(Sym::UNKNOWN);
+            assert_eq!((syms[i], syms[2 * k - 1 - i]), (want, want), "{name}");
+        }
+        assert_eq!(t.len(), oracle.len());
+    }
+
+    #[test]
+    fn an_interning_owner_sees_its_own_mid_document_names_alike() {
+        let t = Arc::new(Symbols::new());
+        let known = t.intern("r");
+        let mut parser = crate::StreamingParser::with_symbols(Arc::clone(&t));
+        // Interned mid-document: each fresh name keeps one sym at every
+        // tag.
+        let fresh = ["fresh", "a-name-longer-than-sixteen-bytes", "名前"];
+        let doc = |n: &str| format!("<r><{n}><{n}/></{n}><{n}/></r>");
+        for name in fresh {
+            let syms = tag_syms(&mut parser, &doc(name));
+            let sym = t.intern(name);
+            assert_eq!(syms, [known, sym, sym, sym, sym, sym, sym, known]);
+            parser.reset();
+        }
+        let syms: Vec<Sym> = fresh.iter().map(|n| t.intern(n)).collect();
+        assert_eq!(
+            syms.iter().map(|s| s.index()).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+        // The next document agrees.
+        let all = fresh.map(String::from);
+        let again = tag_syms(&mut parser, &nested(&all));
+        assert_eq!(
+            again,
+            [syms[0], syms[1], syms[2], syms[2], syms[1], syms[0]]
+        );
     }
 }
