@@ -34,7 +34,10 @@
 
 use crate::reporter::{Match, MatchSink, Reporter};
 use crate::space::SpaceStats;
-use fx_xml::{AttrBuf, Event, EventBatch, Span, Sym, SymAttr, SymCache, SymEvent, Symbols};
+use fx_xml::{
+    AttrBuf, Event, EventBatch, EventSink, Horizon, Span, Stretch, Sym, SymAttr, SymCache,
+    SymEvent, Symbols,
+};
 use fx_xpath::truth::{constraining_predicate, is_atomic};
 use fx_xpath::{Axis, Expr, NodeTest, Query, QueryNodeId};
 use std::fmt;
@@ -663,16 +666,18 @@ impl StreamFilter {
         st.observe_at(st.current_level);
     }
 
-    /// Brings a filter up to date with a stream position its bank kept
+    /// Brings a filter up to date with a stream position its feeder kept
     /// for it: `skipped` events went by undelivered since the last one
     /// this filter processed — tags no node test mentions, text while
-    /// nothing was buffering — leaving the stream at `level` / `ordinal`
-    /// after climbing as deep as `deepest`. Such a stretch moves nothing
-    /// but the position, so the frontier rows, offset-stack entries and
-    /// buffer are those of every snapshot a filter fed each event would
-    /// have taken along it; `instant_bits` is monotone in the level, so
-    /// observing the one snapshot at `deepest` leaves [`SpaceStats`]
-    /// exactly as that filter's.
+    /// nothing was buffering (a bank's dispatch), or whatever lay past
+    /// the filter's [`StreamFilter::horizon`] (a tokenizer passing it
+    /// over) — leaving the stream at `level` / `ordinal` (the next start
+    /// tag's) after climbing as deep as `deepest`. Such a stretch moves
+    /// nothing but the position, so the frontier rows, offset-stack
+    /// entries and buffer are those of every snapshot a filter fed each
+    /// event would have taken along it; `instant_bits` is monotone in
+    /// the level, so observing the one snapshot at `deepest` leaves
+    /// [`SpaceStats`] exactly as that filter's.
     pub(crate) fn sync(&mut self, level: usize, ordinal: u64, skipped: u64, deepest: usize) {
         let st = &mut self.st;
         debug_assert!(
@@ -715,6 +720,39 @@ impl StreamFilter {
         if let Some(rep) = &mut st.reporter {
             rep.reset();
         }
+    }
+
+    /// The filter's *horizon*: `Some` when no text event can change its
+    /// state and no element opening at a depth (open elements around
+    /// it) greater than its `level` can either, unless it
+    /// [`StreamFilter::sees`] the element's name. The level is the
+    /// deepest holding a frontier row or an open reporter frame: a
+    /// child-axis row fires only at its own level. `None` while a leaf
+    /// candidacy buffers text, or while a wildcard descendant row can
+    /// fire. In filtering mode a matched row fires no more, so a decided
+    /// document's horizon is typically its root level and it sees no
+    /// name: the rest of the document can be passed over. What is
+    /// passed over is handed back through [`StreamFilter::sync`] before
+    /// the next event ([`HorizonFeed`] keeps that protocol).
+    ///
+    /// Beside the horizon comes the set of the lengths of the names it
+    /// sees, bit `min(len, 63)` each: a name whose length is not in it
+    /// is not seen.
+    ///
+    /// Computed from the frontier on every call (a handful of rows): a
+    /// tokenizer asks once per event it delivers, and the banks never
+    /// ask, so the handlers keep no horizon state.
+    pub(crate) fn horizon(&self) -> Option<(Horizon, u64)> {
+        self.st.horizon(&self.query)
+    }
+
+    /// Whether a start tag named `name` can fire a row below the
+    /// [`StreamFilter::horizon`]: whether a descendant-axis row that can
+    /// still fire tests that name.
+    pub(crate) fn sees(&self, name: &str) -> bool {
+        let q = &*self.query;
+        (self.st.fireable_descendants(q))
+            .any(|rec| matches!(&q.nodes[rec.node as usize].ntest, NodeTest::Name(s) if s == name))
     }
 
     /// Whether some value-restricted leaf candidacy is open, i.e. the
@@ -839,6 +877,83 @@ impl StreamFilter {
     }
 }
 
+/// A [`StreamFilter`] as a tokenizer's [`EventSink`] with a horizon:
+/// each delivered event is processed, its matches going to `matches`.
+/// The horizon is the deepest level holding a frontier row or an open
+/// reporter frame; below it only a start tag naming a descendant-axis
+/// row that can still fire is delivered, and no text is while no leaf
+/// candidacy buffers (none at all while a wildcard descendant row can
+/// fire). Each stretch the tokenizer passed over moves the filter's
+/// position only, so verdict, matches and [`SpaceStats`] are those of
+/// the filter fed every event. The one way a filter is driven through
+/// its horizon: `Session`'s lone filter rides it.
+pub struct HorizonFeed<'a> {
+    filter: &'a mut StreamFilter,
+    matches: &'a mut dyn MatchSink,
+    /// The lengths of the names the horizon in force sees (see
+    /// [`StreamFilter::horizon`]): most start tags below it are refused
+    /// on their length alone, without walking the frontier — 97 % of
+    /// those asked on the `xmark-single` corpus, where it read 1–3 %
+    /// more `mb_s` than walking the frontier for every one (17 of 20
+    /// alternating pairs, x86-64, 2 vCPUs).
+    name_lengths: u64,
+    delivered: u64,
+    passed: u64,
+}
+
+impl<'a> HorizonFeed<'a> {
+    /// Feeds `filter`, stamping its matches with bank index 0.
+    pub fn new(filter: &'a mut StreamFilter, matches: &'a mut dyn MatchSink) -> Self {
+        HorizonFeed {
+            filter,
+            matches,
+            name_lengths: 0,
+            delivered: 0,
+            passed: 0,
+        }
+    }
+
+    /// Events delivered to the filter so far.
+    pub fn delivered(&self) -> u64 {
+        self.delivered
+    }
+
+    /// Events passed over so far, each counted as the event it would
+    /// have been.
+    pub fn passed(&self) -> u64 {
+        self.passed
+    }
+}
+
+impl EventSink for HorizonFeed<'_> {
+    const HAS_HORIZON: bool = true;
+
+    #[inline]
+    fn event(&mut self, event: SymEvent<'_>, span: Span) {
+        self.delivered += 1;
+        self.filter.process_sym_to(event, span, 0, self.matches);
+    }
+
+    #[inline]
+    fn horizon(&mut self) -> Option<Horizon> {
+        let (horizon, name_lengths) = self.filter.horizon()?;
+        self.name_lengths = name_lengths;
+        Some(horizon)
+    }
+
+    /// Asked only under a horizon this feed returned, which no event
+    /// since has moved, so `name_lengths` is that horizon's.
+    #[inline]
+    fn sees(&self, name: &str) -> bool {
+        self.name_lengths >> name.len().min(63) & 1 == 1 && self.filter.sees(name)
+    }
+
+    fn passed_over(&mut self, s: Stretch) {
+        self.passed += s.events;
+        self.filter.sync(s.level, s.ordinal, s.events, s.deepest);
+    }
+}
+
 /// The event handlers (Figs. 20–21), on the mutable half: each takes
 /// the compiled query as a plain borrow, so reading node data and
 /// mutating the frontier cost nothing beyond the work itself.
@@ -865,6 +980,42 @@ impl FilterState {
         n.children
             .iter()
             .all(|&c| self.satisfied_at(q, c, level + 1))
+    }
+
+    /// See [`StreamFilter::horizon`].
+    fn horizon(&self, q: &CompiledQuery) -> Option<(Horizon, u64)> {
+        if self.buffer_refs > 0 {
+            return None;
+        }
+        let mut name_lengths = 0u64;
+        for rec in self.fireable_descendants(q) {
+            // A wildcard descendant row fires on every tag.
+            let NodeTest::Name(name) = &q.nodes[rec.node as usize].ntest else {
+                return None;
+            };
+            name_lengths |= 1 << name.len().min(63);
+        }
+        let frames = self.reporter.as_ref().map_or(0, Reporter::deepest_open);
+        let level = self
+            .frontier
+            .iter()
+            .map(|r| r.level)
+            .fold(frames, usize::max);
+        Some((Horizon { level }, name_lengths))
+    }
+
+    /// The descendant-axis rows that can still fire: unmatched, or on
+    /// the output path in reporting mode.
+    fn fireable_descendants<'a>(
+        &'a self,
+        q: &'a CompiledQuery,
+    ) -> impl Iterator<Item = &'a FrontierRecord> + 'a {
+        let reporting = self.reporter.is_some();
+        self.frontier.iter().filter(move |rec| {
+            let node = rec.node as usize;
+            let fires = !rec.matched || (reporting && q.path_index[node].is_some());
+            fires && q.nodes[node].axis == Axis::Descendant
+        })
     }
 
     fn start_document(&mut self, q: &CompiledQuery) {

@@ -13,7 +13,9 @@ impl IndexedBank {
     /// queries whose prefixes live in the trie (integer remainders go to
     /// the lowest-ranked sharers), so the vector sums **exactly** to
     /// [`IndexedBank::total_max_bits`]. Queries whose prefix never
-    /// activated are charged only their share of the trie. The groups'
+    /// activated are charged only their share of the trie, and with no
+    /// query live at all nothing is charged and the total reads the
+    /// same (see [`IndexedBank::space_stats`]). The groups'
     /// split visits only the groups the document touched, and the trie's
     /// is one pass over a per-slot sharer column the index keeps (churn
     /// writes it), so no slot's group is read. Under real
@@ -78,17 +80,24 @@ impl IndexedBank {
     }
 
     /// The bank-level space/activation breakdown (see
-    /// [`IndexSpaceStats`]).
+    /// [`IndexSpaceStats`]). Once every subscription is withdrawn, the
+    /// trie's history has no query left to charge it to: the shared
+    /// trie bits, like [`IndexedBank::peak_memory_bits`], read zero.
     pub fn space_stats(&self) -> IndexSpaceStats {
         let run = &self.run;
         // Only a touched group can hold a peak.
         let residual_bits = (run.touched.iter())
             .map(|&g| run.doc[g as usize].peak_bits)
             .sum();
+        let trie_bits = if self.index.subs.is_empty() {
+            0
+        } else {
+            run.peak_trie_bits
+        };
         IndexSpaceStats {
-            shared_trie_bits: run.peak_trie_bits,
+            shared_trie_bits: trie_bits,
             residual_bits,
-            total_bits: run.peak_trie_bits + residual_bits,
+            total_bits: trie_bits + residual_bits,
             peak_records: run.peak_records,
             peak_instances: run.peak_instances,
             activations: run.activations,

@@ -240,7 +240,8 @@ pub struct IndexedBank {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexSpaceStats {
     /// Peak bits of the shared trie's frontier segment (rows shared by
-    /// every query whose prefix runs through them).
+    /// every query whose prefix runs through them); zero once no
+    /// subscription is live to be charged with them.
     pub shared_trie_bits: u64,
     /// Sum of per-group peak residual-instance bits, where a group's
     /// peak counts its simultaneously-live instances *together* (each

@@ -889,10 +889,9 @@ fn assert_readout(ib: &IndexedBank) {
     }
     let per = ib.peak_memory_bits();
     assert_eq!(per, attribution_by_slot_walk(ib));
-    // With no query left, the trie's history has nobody to charge.
-    if ib.live_subscriptions() > 0 {
-        assert_eq!(per.iter().sum::<u64>(), ib.total_max_bits(), "{per:?}");
-    }
+    // With no query left, the trie's history has nobody to charge, and
+    // the total says so too.
+    assert_eq!(per.iter().sum::<u64>(), ib.total_max_bits(), "{per:?}");
     let mut accepted = vec![false; ib.len()];
     for slot in ib.accepted_slots() {
         assert!(!accepted[slot], "slot {slot} read twice");

@@ -41,7 +41,7 @@ pub mod reporter;
 pub mod space;
 pub mod trace;
 
-pub use filter::{CompiledQuery, FrontierRecord, StreamFilter, UnsupportedQuery};
+pub use filter::{CompiledQuery, FrontierRecord, HorizonFeed, StreamFilter, UnsupportedQuery};
 pub use indexed::{CompiledResidual, IndexSpaceStats, IndexedBank, SubscriptionId};
 pub use multi::MultiFilter;
 pub use reporter::{Match, MatchSink};

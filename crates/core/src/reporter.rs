@@ -310,6 +310,12 @@ impl Reporter {
     pub(crate) fn is_open_at(&self, level: usize) -> bool {
         self.open > 0 && self.frames[self.open - 1].level == level
     }
+
+    /// The level of the innermost open candidate element (0 with none
+    /// open).
+    pub(crate) fn deepest_open(&self) -> usize {
+        self.frames[..self.open].last().map_or(0, |f| f.level)
+    }
 }
 
 /// The predicate-children verdict folded for `node`, if any (linear

@@ -267,19 +267,26 @@ impl Engine {
             // reporting per the mode): a fresh run over the one shared
             // index.
             SessionInner::Indexed(Box::new(proto.clone()))
+        } else if let [only] = self.compiled.as_slice() {
+            // A single-query session keeps the bare filter, so its space
+            // statistics stay bit-for-bit a bare `StreamFilter` run's (a
+            // bank of one freezes them at an early root reject), and its
+            // reader path passes over what lies past the filter's
+            // horizon.
+            let only = Arc::clone(only);
+            SessionInner::Single(Box::new(match self.mode {
+                Mode::Filter => StreamFilter::from_shared(only),
+                Mode::Select => StreamFilter::from_shared_reporting(only)
+                    .expect("reporting support validated at build()"),
+            }))
         } else if self.mode == Mode::Select {
-            // Selection always runs on a reporting bank (even with a
-            // single query): the bank stamps every confirmed match with
-            // its query index and routes it to the caller's sink.
+            // Selection runs on a reporting bank: the bank stamps every
+            // confirmed match with its query index and routes it to the
+            // caller's sink.
             SessionInner::Bank(Box::new(
                 MultiFilter::from_shared_reporting(self.compiled.iter().map(Arc::clone))
                     .expect("reporting support validated at build()"),
             ))
-        } else if let [only] = self.compiled.as_slice() {
-            // A single-query filtering session keeps the bare filter, so
-            // its space statistics stay bit-for-bit a bare `StreamFilter`
-            // run's (a bank of one freezes them at an early root reject).
-            SessionInner::Solo(Box::new(StreamFilter::from_shared(Arc::clone(only))))
         } else {
             SessionInner::Bank(Box::new(MultiFilter::from_shared(
                 self.compiled.iter().map(Arc::clone),

@@ -3,7 +3,7 @@
 
 use crate::builder::Mode;
 use crate::error::EngineError;
-use fx_core::{IndexedBank, Match, MatchSink, MultiFilter, StreamFilter};
+use fx_core::{HorizonFeed, IndexedBank, Match, MatchSink, MultiFilter, StreamFilter};
 use fx_xml::{AttrBuf, Event, EventSource, Span, StreamingParser, SymCache, SymEvent, Symbols};
 use std::io::Read;
 use std::sync::Arc;
@@ -33,10 +33,18 @@ use std::sync::Arc;
 /// verdict is already decided (accepted — or rejected at the root tag,
 /// the dominant dissemination case) stop seeing events. Verdicts are
 /// unaffected; a decided filter's peak-bit statistic simply freezes at
-/// its decision point. Single-query filtering sessions feed the filter
-/// every event, so their statistics are bit-for-bit identical to a
-/// bare [`fx_core::StreamFilter`] run. Selection sessions never
-/// short-circuit — full evaluation must examine every candidate.
+/// its decision point. Selection sessions never short-circuit — full
+/// evaluation must examine every candidate.
+///
+/// A single-query session, in either mode, runs the bare
+/// [`fx_core::StreamFilter`]. On the reader path its tokenizer drives
+/// it through a [`HorizonFeed`], passing over whatever lies past the
+/// filter's horizon — elements deeper than any row the filter holds
+/// that no descendant row names, text while nothing buffers, most of a
+/// decided document — and handing the filter the position each such
+/// stretch left it at, so verdicts, matches, [`Verdicts::events`] and
+/// the space statistics are bit-for-bit a bare filter's fed every
+/// event.
 pub struct Session {
     inner: SessionInner,
     events: u64,
@@ -59,9 +67,10 @@ pub struct Session {
 }
 
 pub(crate) enum SessionInner {
-    /// The lone filter of a single-query filtering session, fed every
-    /// event, so its statistics are a bare [`StreamFilter`]'s.
-    Solo(Box<StreamFilter>),
+    /// The lone filter of a single-query session, filtering or
+    /// reporting: the one evaluator with a horizon, so the session's
+    /// tokenizer passes over what it cannot see.
+    Single(Box<StreamFilter>),
     /// The (optionally reporting) frontier bank.
     Bank(Box<MultiFilter>),
     /// The shared-prefix indexed bank
@@ -78,7 +87,7 @@ impl SessionInner {
     #[inline]
     fn push_sym(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
         match self {
-            SessionInner::Solo(filter) => filter.process_sym_to(event, span, 0, sink),
+            SessionInner::Single(filter) => filter.process_sym_to(event, span, 0, sink),
             SessionInner::Bank(bank) => bank.process_sym_to(event, span, sink),
             SessionInner::Indexed(bank) => bank.process_sym_to(event, span, sink),
         }
@@ -102,7 +111,7 @@ impl Session {
     /// Number of registered queries.
     pub fn len(&self) -> usize {
         match &self.inner {
-            SessionInner::Solo(_) => 1,
+            SessionInner::Single(_) => 1,
             SessionInner::Bank(bank) => bank.len(),
             SessionInner::Indexed(bank) => bank.len(),
         }
@@ -170,10 +179,10 @@ impl Session {
         let selecting = self.mode == Mode::Select;
         let mut matched = Vec::with_capacity(queries);
         let (peak_bits, counted) = match &self.inner {
-            SessionInner::Solo(filter) => {
-                // A lone filter only filters: nothing to count.
+            SessionInner::Single(filter) => {
                 matched.push(filter.result().ok_or(EngineError::IncompleteDocument)?);
-                (vec![filter.stats().max_bits], None)
+                let counted = selecting.then(|| vec![filter.peak_pending_positions()]);
+                (vec![filter.stats().max_bits], counted)
             }
             SessionInner::Bank(bank) => {
                 let mut peak_bits = Vec::with_capacity(queries);
@@ -330,6 +339,9 @@ impl Session {
     /// allocates per element event. The session's own tokenizer is
     /// driven by its concrete type, so the evaluators inline into its
     /// token loop; a handed-in source costs one virtual call per event.
+    /// A lone filter rides that tokenizer through its horizon
+    /// ([`HorizonFeed`]), so what it cannot see is passed over; the
+    /// banks see every event.
     /// A parse or read error ends the drive only after the events
     /// completed before it were evaluated; a clean drive ends in
     /// [`Session::finish`].
@@ -359,19 +371,28 @@ impl Session {
             names,
             ..
         } = self;
-        let mut feed = |ev: SymEvent<'_>, span: Span| {
-            *events += 1;
-            inner.push_sym(ev, span, sink)
-        };
-        let result = match source {
-            None => {
+        let result = match (source, inner) {
+            (None, SessionInner::Single(filter)) => {
                 parser.reset();
-                parser.drive(reader, &mut feed)
+                let mut feed = HorizonFeed::new(filter, sink);
+                let result = parser.drive_to(reader, &mut feed);
+                *events += feed.delivered() + feed.passed();
+                result
             }
-            Some(source) => {
+            (None, inner) => {
+                parser.reset();
+                parser.drive(reader, &mut |ev, span| {
+                    *events += 1;
+                    inner.push_sym(ev, span, sink)
+                })
+            }
+            (Some(source), inner) => {
                 source.reset();
                 if Arc::ptr_eq(source.symbols(), symbols) {
-                    source.drive(reader, &mut feed)
+                    source.drive(reader, &mut |ev, span| {
+                        *events += 1;
+                        inner.push_sym(ev, span, sink)
+                    })
                 } else {
                     let table = Arc::clone(source.symbols());
                     source.drive(reader, &mut |ev, span| {
@@ -568,7 +589,10 @@ impl Verdicts {
     }
 
     /// Events processed by the session so far (cumulative across
-    /// documents when the session is reused).
+    /// documents when the session is reused), counting those its
+    /// tokenizer passed over below a lone filter's horizon as the
+    /// events they would have been: the figure does not depend on
+    /// what was passed over.
     pub fn events(&self) -> u64 {
         self.events
     }

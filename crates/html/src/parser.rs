@@ -9,7 +9,7 @@
 
 use fx_xml::scan;
 use fx_xml::{
-    AttrBuf, Cursor, Event, Frontend, Grammar, Names, ParseError, Span, Sym, SymEvent,
+    AttrBuf, Cursor, Event, EventSink, Frontend, Grammar, Names, ParseError, Span, Sym, SymEvent,
     WhitespaceText,
 };
 use std::sync::Arc;
@@ -122,14 +122,15 @@ impl WhitespaceText for HtmlGrammar {
 impl Grammar for HtmlGrammar {
     /// Structural oddities recover silently; the `Result` exists for
     /// [`Grammar`] parity and is always `Ok` here.
-    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+    fn drain<S: EventSink + ?Sized>(
         &mut self,
         names: &mut Names,
         input: &str,
         cur: &mut Cursor,
         at_eof: bool,
-        emit: &mut F,
+        sink: &mut S,
     ) -> Result<(), ParseError> {
+        let emit = &mut |ev: SymEvent<'_>, span: Span| sink.event(ev, span);
         loop {
             if self.raw.is_some() {
                 if !self.drain_raw(input, cur, at_eof, emit) {
@@ -193,12 +194,13 @@ impl Grammar for HtmlGrammar {
     /// Closes every open element (implied end tags at EOF) and frames
     /// the stream with `StartDocument`/`EndDocument` even when the
     /// input held no elements at all.
-    fn finish<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+    fn finish<S: EventSink + ?Sized>(
         &mut self,
         _input: &str,
         cur: &mut Cursor,
-        emit: &mut F,
+        sink: &mut S,
     ) -> Result<(), ParseError> {
+        let emit = &mut |ev: SymEvent<'_>, span: Span| sink.event(ev, span);
         if !self.started {
             self.started = true;
             emit(SymEvent::StartDocument, Span::point(0));

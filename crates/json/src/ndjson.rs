@@ -24,7 +24,7 @@
 
 use crate::parser::JsonGrammar;
 use fx_xml::scan;
-use fx_xml::{Cursor, Frontend, Grammar, Names, ParseError, Span, SymEvent};
+use fx_xml::{Cursor, EventSink, Frontend, Grammar, Names, ParseError};
 
 /// A streaming NDJSON frontend: [`NdjsonGrammar`] on the shared
 /// [`Frontend`] chassis — one [`JsonGrammar`] recycled across the
@@ -40,13 +40,13 @@ pub struct NdjsonGrammar {
 }
 
 impl Grammar for NdjsonGrammar {
-    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+    fn drain<S: EventSink + ?Sized>(
         &mut self,
         names: &mut Names,
         input: &str,
         cur: &mut Cursor,
         at_eof: bool,
-        emit: &mut F,
+        sink: &mut S,
     ) -> Result<(), ParseError> {
         loop {
             // Splitting at raw 0x0A is JSON-safe (never inside an
@@ -55,14 +55,14 @@ impl Grammar for NdjsonGrammar {
             let newline = scan::memchr(b'\n', &input.as_bytes()[cur.pos..]).map(|i| cur.pos + i);
             let Some(end) = newline.or(at_eof.then_some(input.len())) else {
                 // Mid-record: its complete tokens stream out already.
-                return self.record.drain(names, input, cur, false, emit);
+                return self.record.drain(names, input, cur, false, sink);
             };
             // A whole line is a whole document; a line of whitespace
             // (which the record drain skips) is none.
             let line = &input[..end];
-            self.record.drain(names, line, cur, true, emit)?;
+            self.record.drain(names, line, cur, true, sink)?;
             if self.record.started {
-                self.record.finish(line, cur, emit)?;
+                self.record.finish(line, cur, sink)?;
             }
             self.record.reset();
             if newline.is_none() {
@@ -74,11 +74,11 @@ impl Grammar for NdjsonGrammar {
     }
 
     /// Every record was finished at its line end.
-    fn finish<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+    fn finish<S: EventSink + ?Sized>(
         &mut self,
         _input: &str,
         _cur: &mut Cursor,
-        _emit: &mut F,
+        _sink: &mut S,
     ) -> Result<(), ParseError> {
         Ok(())
     }
@@ -91,7 +91,7 @@ impl Grammar for NdjsonGrammar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_xml::Event;
+    use fx_xml::{Event, Span, SymEvent};
     use std::sync::Arc;
 
     /// One whole stream through feed + finish.

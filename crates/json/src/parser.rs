@@ -8,7 +8,7 @@
 //! mapping.
 
 use fx_xml::scan;
-use fx_xml::{Cursor, Frontend, Grammar, Names, ParseError, Span, Sym, SymEvent};
+use fx_xml::{Cursor, EventSink, Frontend, Grammar, Names, ParseError, Span, Sym, SymEvent};
 use std::sync::Arc;
 
 /// A container the parser is inside of, on the explicit nesting stack.
@@ -144,14 +144,15 @@ impl JsonGrammar {
 }
 
 impl Grammar for JsonGrammar {
-    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+    fn drain<S: EventSink + ?Sized>(
         &mut self,
         names: &mut Names,
         input: &str,
         cur: &mut Cursor,
         at_eof: bool,
-        emit: &mut F,
+        sink: &mut S,
     ) -> Result<(), ParseError> {
+        let emit = &mut |ev: SymEvent<'_>, span: Span| sink.event(ev, span);
         loop {
             let b = &input[cur.pos..];
             let skip = b.len()
@@ -306,12 +307,13 @@ impl Grammar for JsonGrammar {
 
     /// Verifies the document held exactly one root value and emits
     /// `EndDocument`.
-    fn finish<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+    fn finish<S: EventSink + ?Sized>(
         &mut self,
         _input: &str,
         cur: &mut Cursor,
-        emit: &mut F,
+        sink: &mut S,
     ) -> Result<(), ParseError> {
+        let emit = &mut |ev: SymEvent<'_>, span: Span| sink.event(ev, span);
         if !self.started {
             return Err(cur.error("empty document"));
         }

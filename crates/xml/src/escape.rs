@@ -75,6 +75,40 @@ pub fn decode_entities_into(s: &str, out: &mut String) -> Result<(), EntityError
     decode_append(s, out)
 }
 
+/// Checks every entity reference in `s` exactly as
+/// [`decode_entities_into`] would, decoding into nothing: what a
+/// tokenizer passing text or an attribute value over still validates.
+pub(crate) fn check_entities(s: &str) -> Result<(), EntityError> {
+    decode_append(s, &mut Discard)
+}
+
+/// Where decoded text goes: a `String`, or nowhere ([`Discard`]).
+trait Decoded {
+    fn push_str(&mut self, s: &str);
+    fn push(&mut self, c: char);
+}
+
+impl Decoded for String {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+
+    #[inline]
+    fn push(&mut self, c: char) {
+        String::push(self, c);
+    }
+}
+
+/// Decodes into nothing: decoding into it only validates.
+struct Discard;
+
+impl Decoded for Discard {
+    fn push_str(&mut self, _: &str) {}
+
+    fn push(&mut self, _: char) {}
+}
+
 /// The XML 1.0 `Char` production: characters a numeric character
 /// reference may denote. Excludes NUL and the other C0 controls
 /// (except tab/LF/CR), surrogates (unreachable as `char` anyway), and
@@ -87,7 +121,7 @@ fn is_xml_char(c: char) -> bool {
         | '\u{10000}'..='\u{10FFFF}')
 }
 
-fn decode_append(s: &str, out: &mut String) -> Result<(), EntityError> {
+fn decode_append(s: &str, out: &mut impl Decoded) -> Result<(), EntityError> {
     let mut rest = s;
     while let Some(pos) = rest.find('&') {
         out.push_str(&rest[..pos]);

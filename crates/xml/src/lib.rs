@@ -37,7 +37,9 @@ pub use event::{notation, Attribute, Event};
 pub use iter::{EventIter, SpannedEvents};
 pub use parser::{parse, parse_spanned, parse_spanned_with, parse_with, ParseError, ParseOptions};
 pub use reader::{StreamingParser, XmlGrammar};
-pub use source::{Cursor, EventSource, Frontend, Grammar, Names, WhitespaceText};
+pub use source::{
+    Cursor, EventSink, EventSource, Frontend, Grammar, Horizon, Names, Stretch, WhitespaceText,
+};
 pub use span::Span;
 pub use split::{first_end, first_start, matching_end, splice, Segmentation};
 pub use symbols::{AttrBuf, Sym, SymAttr, SymCache, SymEvent, Symbols, SymbolsSnapshot};

@@ -17,12 +17,26 @@
 //!   [`Frontend::lookup_only`], and the once-per-document check that
 //!   shows a lookup-only frontend the names interned behind it;
 //! * the **two drivers** over one read loop and one recycled I/O
-//!   chunk: [`Frontend::drive`] hands each event to a callback as it
-//!   completes — the in-thread path, monomorphized into the consumer —
-//!   and [`Frontend::drive_batched`] fills a recycled [`EventBatch`],
-//!   cut on [`BATCH_EVENTS`] / [`BATCH_BYTES`], for a consumer on
-//!   another thread or one that replays the run;
+//!   chunk: [`Frontend::drive_to`] hands each event to an [`EventSink`]
+//!   as it completes — the in-thread path, monomorphized into the
+//!   consumer ([`Frontend::drive`] for a plain callback) — and
+//!   [`Frontend::drive_batched`] fills a recycled [`EventBatch`], cut on
+//!   [`BATCH_EVENTS`] / [`BATCH_BYTES`], for a consumer on another
+//!   thread or one that replays the run;
 //! * the one [`EventSource`] implementation the engine drives.
+//!
+//! # Passing over what the consumer cannot see
+//!
+//! A sink may export a [`Horizon`] ([`EventSink::horizon`]): an open
+//! element depth below which only start tags it [`EventSink::sees`]
+//! can change its state, and, whenever it has one, no text at all. A
+//! grammar may then pass such events over instead of delivering them,
+//! and it tells the sink how many it passed over, and where the stream
+//! went meanwhile ([`Stretch`]), before the next event it delivers.
+//! Passing over changes no rule a grammar checks: a malformed document
+//! fails with the same message at the same byte either way. Today
+//! [`crate::XmlGrammar`] passes over; the other grammars deliver every
+//! event, and a plain callback has no horizon.
 //!
 //! The frontends are aliases: [`crate::StreamingParser`] is
 //! `Frontend<XmlGrammar>`, `fx_html::HtmlParser` is
@@ -37,7 +51,8 @@
 //!    `Default`.
 //! 2. Implement [`Grammar::drain`]: walk `input[cur.pos..]`, and for
 //!    each *complete* token call [`Cursor::advance`] (it returns the
-//!    token's stream [`Span`]) and `emit` its events, resolving names
+//!    token's stream [`Span`]) and hand its events to the sink
+//!    ([`EventSink::event`]), resolving names
 //!    through [`Names::resolve`]. Stop — leaving the cursor before it —
 //!    at a token that more input could still complete, unless `at_eof`.
 //! 3. Implement [`Grammar::finish`]: check completeness (or close what
@@ -107,6 +122,83 @@ pub trait EventSource {
         reader: &mut dyn Read,
         consume: &mut dyn FnMut(&EventBatch),
     ) -> Result<(), ParseError>;
+}
+
+/// Where a grammar's token loop hands one document's events, and what
+/// it asks the consumer before it hands one over.
+///
+/// Every `FnMut(SymEvent<'_>, Span)` closure is a sink that sees
+/// everything: it has no horizon, so nothing is passed over. A consumer
+/// whose state most events cannot change sets [`EventSink::HAS_HORIZON`]
+/// and implements the other three methods, and a grammar that can pass
+/// events over consults them (see the module docs).
+pub trait EventSink {
+    /// Whether [`EventSink::horizon`] can ever be `Some`. A grammar asks
+    /// a sink that says no (every closure) nothing and counts nothing
+    /// for it, so a sink that sees every event pays nothing per event.
+    const HAS_HORIZON: bool = false;
+
+    /// Takes one event; its payloads borrow the input or the grammar's
+    /// scratch and are valid for this call only.
+    fn event(&mut self, event: SymEvent<'_>, span: Span);
+
+    /// The consumer's horizon, asked again after each delivered event
+    /// (an event passed over never moves it). `None`, the default:
+    /// every event may matter.
+    #[inline]
+    fn horizon(&mut self) -> Option<Horizon> {
+        None
+    }
+
+    /// Whether an element named `name` can change the consumer's state
+    /// at any depth. Asked only for a start tag below the horizon.
+    #[inline]
+    fn sees(&self, name: &str) -> bool {
+        let _ = name;
+        true
+    }
+
+    /// The events passed over since the last one delivered. Arrives
+    /// before the next delivered event, and before a drain returns, so
+    /// a consumer that counts its events never falls behind.
+    #[inline]
+    fn passed_over(&mut self, stretch: Stretch) {
+        let _ = stretch;
+    }
+}
+
+impl<F: FnMut(SymEvent<'_>, Span) + ?Sized> EventSink for F {
+    #[inline]
+    fn event(&mut self, event: SymEvent<'_>, span: Span) {
+        self(event, span)
+    }
+}
+
+/// What a sink can still see ([`EventSink::horizon`]): no text can
+/// change its state, and no element opening at an open-element depth
+/// greater than `level` can either, unless the sink
+/// [`EventSink::sees`] its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Horizon {
+    /// The deepest level at which any element may matter.
+    pub level: usize,
+}
+
+/// A run of events a grammar passed over, and where it left the
+/// stream (see [`EventSink::passed_over`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stretch {
+    /// Events passed over: start tags, end tags and text nodes, each
+    /// counted as the event it would have been.
+    pub events: u64,
+    /// The open-element depth after the stretch.
+    pub level: usize,
+    /// Start tags of the document so far, passed-over ones included:
+    /// the 0-based ordinal of the next start tag.
+    pub ordinal: u64,
+    /// The deepest open-element depth over the stretch, both of its
+    /// ends included.
+    pub deepest: usize,
 }
 
 /// A streaming error positioned at stream byte `offset` (0-based):
@@ -187,29 +279,29 @@ impl Names {
 /// end-of-input rule, and a per-document reset. See the module docs
 /// for the recipe.
 pub trait Grammar: Default {
-    /// Emits every event completed by `input[cur.pos..]`, advancing the
-    /// cursor past each consumed token and leaving it at the first
-    /// incomplete one (the chassis re-presents that tail, extended, on
-    /// the next call). With `at_eof` no more input will come: tokens
-    /// that only end-of-input can complete (trailing text, a bare
-    /// number) are emitted too.
-    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+    /// Hands `sink` every event completed by `input[cur.pos..]`,
+    /// advancing the cursor past each consumed token and leaving it at
+    /// the first incomplete one (the chassis re-presents that tail,
+    /// extended, on the next call). With `at_eof` no more input will
+    /// come: tokens that only end-of-input can complete (trailing text,
+    /// a bare number) are emitted too.
+    fn drain<S: EventSink + ?Sized>(
         &mut self,
         names: &mut Names,
         input: &str,
         cur: &mut Cursor,
         at_eof: bool,
-        emit: &mut F,
+        sink: &mut S,
     ) -> Result<(), ParseError>;
 
     /// The end-of-input rule, called once after the final
     /// `drain(.., at_eof = true)`: verifies the document is complete
     /// (or recovers) and emits the closing `EndDocument`.
-    fn finish<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+    fn finish<S: EventSink + ?Sized>(
         &mut self,
         input: &str,
         cur: &mut Cursor,
-        emit: &mut F,
+        sink: &mut S,
     ) -> Result<(), ParseError>;
 
     /// Clears per-document state, keeping scratch capacity.
@@ -467,6 +559,19 @@ impl<G: Grammar> Frontend<G> {
         chunk: &[u8],
         emit: &mut F,
     ) -> Result<(), ParseError> {
+        self.feed_to(chunk, emit)
+    }
+
+    // The whole drain chain is generic over the sink (`?Sized` keeps
+    // `&mut dyn FnMut` callers working): a concrete sink handed to the
+    // public generic surface monomorphizes all the way into the
+    // grammar's token loop — the filter inlines into the tokenizer,
+    // with no virtual call per event.
+    fn feed_to<S: EventSink + ?Sized>(
+        &mut self,
+        chunk: &[u8],
+        sink: &mut S,
+    ) -> Result<(), ParseError> {
         // Drop the consumed prefix (cheap when it was fully consumed,
         // one move of the unconsumed tail otherwise).
         if self.pos > 0 {
@@ -492,7 +597,7 @@ impl<G: Grammar> Frontend<G> {
                 };
                 let result = self
                     .grammar
-                    .drain(&mut self.names, text, &mut cur, false, emit);
+                    .drain(&mut self.names, text, &mut cur, false, sink);
                 self.buf.push_str(&text[cur.pos..]);
                 self.base += cur.pos;
                 return result;
@@ -502,18 +607,13 @@ impl<G: Grammar> Frontend<G> {
         let fed = self.carry.feed(chunk, at, &mut self.buf);
         // A tokenizer error lies earlier in the stream than a UTF-8
         // error of the same chunk.
-        self.drain(false, emit).and(fed)
+        self.drain(false, sink).and(fed)
     }
 
-    // The whole drain chain is generic over the emit closure (`?Sized`
-    // keeps `&mut dyn FnMut` callers working): a concrete closure
-    // handed to the public generic surface monomorphizes all the way
-    // into the grammar's token loop — the filter inlines into the
-    // tokenizer, with no virtual call per event.
-    fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+    fn drain<S: EventSink + ?Sized>(
         &mut self,
         at_eof: bool,
-        emit: &mut F,
+        sink: &mut S,
     ) -> Result<(), ParseError> {
         let mut cur = Cursor {
             pos: self.pos,
@@ -521,9 +621,9 @@ impl<G: Grammar> Frontend<G> {
         };
         let mut result = self
             .grammar
-            .drain(&mut self.names, &self.buf, &mut cur, at_eof, emit);
+            .drain(&mut self.names, &self.buf, &mut cur, at_eof, sink);
         if at_eof && result.is_ok() {
-            result = self.grammar.finish(&self.buf, &mut cur, emit);
+            result = self.grammar.finish(&self.buf, &mut cur, sink);
         }
         self.pos = cur.pos;
         result
@@ -535,6 +635,10 @@ impl<G: Grammar> Frontend<G> {
         &mut self,
         emit: &mut F,
     ) -> Result<(), ParseError> {
+        self.finish_to(emit)
+    }
+
+    fn finish_to<S: EventSink + ?Sized>(&mut self, sink: &mut S) -> Result<(), ParseError> {
         if self.finished {
             return Err(error_at(self.base + self.pos, "finish called twice"));
         }
@@ -544,20 +648,29 @@ impl<G: Grammar> Frontend<G> {
                 "invalid UTF-8: truncated scalar at end of input",
             ));
         }
-        self.drain(true, emit)?;
+        self.drain(true, sink)?;
         self.finished = true;
         Ok(())
     }
 
+    /// [`Frontend::drive_to`] with a plain callback, which sees every
+    /// event.
+    pub fn drive<R: Read, F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+        &mut self,
+        reader: R,
+        emit: &mut F,
+    ) -> Result<(), ParseError> {
+        self.drive_to(reader, emit)
+    }
+
     /// Streams a whole document from `reader`: reads fixed-size chunks
-    /// into a recycled buffer, feeds them
-    /// ([`Frontend::feed_interned_bytes`]), finishes
-    /// ([`Frontend::finish_interned`]), and hands `emit` every event the
-    /// moment it is complete. A concrete closure monomorphizes all the
-    /// way into the grammar's token loop, so an in-thread consumer (a
-    /// filter, a bank) inlines into the tokenizer with nothing
-    /// materialized in between; this is what `Session::run_reader*`
-    /// rides.
+    /// into a recycled buffer, feeds them, finishes, and hands `sink`
+    /// every event the moment it is complete — or, below the sink's
+    /// horizon, passes it over and tells the sink so (see the module
+    /// docs). A concrete sink monomorphizes all the way into the
+    /// grammar's token loop, so an in-thread consumer (a filter, a
+    /// bank) inlines into the tokenizer with nothing materialized in
+    /// between; this is what `Session::run_reader*` rides.
     ///
     /// Memory is bounded by the chunk plus the largest single token,
     /// never by document size — and in [`Frontend::lookup_only`] mode
@@ -565,12 +678,12 @@ impl<G: Grammar> Frontend<G> {
     /// bounded by the compiled query vocabulary too. Events completed
     /// before an error (malformed input, a failed read) are emitted
     /// before it is returned.
-    pub fn drive<R: Read, F: FnMut(SymEvent<'_>, Span) + ?Sized>(
+    pub fn drive_to<R: Read, S: EventSink + ?Sized>(
         &mut self,
         mut reader: R,
-        emit: &mut F,
+        sink: &mut S,
     ) -> Result<(), ParseError> {
-        self.read_loop(&mut reader, emit, |emit, ev, span| emit(ev, span), |_| {})
+        self.read_loop(&mut reader, sink, |_| {})
     }
 
     /// [`Frontend::drive`] as *batches*, for a consumer on another
@@ -589,14 +702,13 @@ impl<G: Grammar> Frontend<G> {
     }
 
     /// The one read loop, under both drivers: every event goes to
-    /// `emit`, and `chunk_end` runs after each fed chunk (`state` is
-    /// what the two share). Not generic over the reader, so the feed it
-    /// monomorphizes over `emit` exists once per consumer.
-    fn read_loop<S: ?Sized>(
+    /// `sink`, and `chunk_end` runs after each fed chunk. Not generic
+    /// over the reader, so the feed it monomorphizes over the sink
+    /// exists once per consumer.
+    fn read_loop<S: EventSink + ?Sized>(
         &mut self,
         reader: &mut dyn Read,
-        state: &mut S,
-        emit: impl Fn(&mut S, SymEvent<'_>, Span),
+        sink: &mut S,
         chunk_end: impl Fn(&mut S),
     ) -> Result<(), ParseError> {
         // Take the recycled chunk out for the loop (so reading into it
@@ -612,17 +724,28 @@ impl<G: Grammar> Frontend<G> {
                 Err(e) => break Err(e),
             };
             if n == 0 {
-                break self.finish_interned(&mut |ev, span| emit(state, ev, span));
+                break self.finish_to(sink);
             }
-            if let Err(e) =
-                self.feed_interned_bytes(&chunk[..n], &mut |ev, span| emit(state, ev, span))
-            {
+            if let Err(e) = self.feed_to(&chunk[..n], sink) {
                 break Err(e);
             }
-            chunk_end(state);
+            chunk_end(sink);
         };
         self.io_chunk = chunk;
         result
+    }
+}
+
+/// The sink behind [`Frontend::drive_batched`]: fills the recycled
+/// batch, which the read loop hands on once per chunk when full.
+struct Batching<'a> {
+    batch: EventBatch,
+    consume: &'a mut dyn FnMut(&EventBatch),
+}
+
+impl EventSink for Batching<'_> {
+    fn event(&mut self, event: SymEvent<'_>, span: Span) {
+        self.batch.push(&event, span);
     }
 }
 
@@ -650,21 +773,17 @@ impl<G: Grammar> EventSource for Frontend<G> {
     ) -> Result<(), ParseError> {
         let mut batch = std::mem::take(&mut self.ev_batch);
         batch.clear();
-        let mut state = (batch, consume);
-        let result = self.read_loop(
-            reader,
-            &mut state,
-            |(batch, _), ev, span| batch.push(&ev, span),
-            |(batch, consume)| {
-                if batch.len() >= BATCH_EVENTS || batch.payload_bytes() >= BATCH_BYTES {
-                    consume(batch);
-                    batch.clear();
-                }
-            },
-        );
+        let mut state = Batching { batch, consume };
+        let result = self.read_loop(reader, &mut state, |state| {
+            let batch = &mut state.batch;
+            if batch.len() >= BATCH_EVENTS || batch.payload_bytes() >= BATCH_BYTES {
+                (state.consume)(batch);
+                batch.clear();
+            }
+        });
         // On an error too: the events completed before it are the
         // consumer's wherever the cut happened to fall.
-        let (mut batch, consume) = state;
+        let Batching { mut batch, consume } = state;
         if !batch.is_empty() {
             consume(&batch);
         }

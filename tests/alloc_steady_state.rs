@@ -16,7 +16,7 @@
 //! single test so no sibling test thread can pollute the counters.
 
 use frontier_xpath::engine::{Engine, IndexPolicy, Mode};
-use frontier_xpath::filter::{CompiledQuery, IndexedBank, StreamFilter};
+use frontier_xpath::filter::{CompiledQuery, HorizonFeed, IndexedBank, StreamFilter};
 use frontier_xpath::html::HtmlParser;
 use frontier_xpath::json::JsonParser;
 use frontier_xpath::server::{Delivery, DisseminationServer, ServerConfig, Subscription};
@@ -530,6 +530,67 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
             "{label}: matches reached the sink"
         );
     }
+
+    // --- Passing over: a lone filter's horizon costs nothing. ---------
+    // Below a lone filter's horizon the session's tokenizer passes
+    // elements and text over — checking attribute syntax, duplicates
+    // and entity references in place, resolving and copying nothing —
+    // and hands the filter one position per stretch. On XMark most of a
+    // document lies there (an attribute with entities, a duplicate-free
+    // run of names and a character reference in text are appended
+    // below the horizon too), yet a warm session's document costs
+    // exactly its `Verdicts` (2 blocks filtering, 3 selecting), and the
+    // tokenizer driving a bare filter through its horizon allocates
+    // nothing at all.
+    let extra = r#"<zz a="1 &amp; 2" b='&#x41;' c="x"><y>t &lt; u</y></zz></site>"#;
+    let (small_x, large_x) = (
+        small.replace("</site>", extra),
+        large.replace("</site>", extra),
+    );
+    for mode in [Mode::Filter, Mode::Select] {
+        let engine = Engine::builder()
+            .query_str("//open_auction[bidder and current > 980]")
+            .mode(mode)
+            .build()
+            .unwrap();
+        let mut session = engine.session();
+        let mut per_doc = |xml: &str| {
+            let before = allocations();
+            for _ in 0..4 {
+                session
+                    .run_reader_to(xml.as_bytes(), &mut |_: frontier_xpath::filter::Match| {})
+                    .unwrap();
+            }
+            (allocations() - before) / 4
+        };
+        per_doc(&large_x);
+        let verdicts = if mode == Mode::Filter { 2 } else { 3 };
+        assert_eq!(
+            (per_doc(&small_x), per_doc(&large_x)),
+            (verdicts, verdicts),
+            "{mode:?}: a document passed over mostly costs its verdicts alone"
+        );
+    }
+    let q = parse_query("//open_auction[bidder and current > 980]").unwrap();
+    let compiled = CompiledQuery::compile(&q).unwrap();
+    let mut parser = StreamingParser::with_symbols(Arc::clone(compiled.symbols())).lookup_only();
+    let mut filter = StreamFilter::from_compiled(compiled);
+    let sink = &mut |_: frontier_xpath::filter::Match| {};
+    let mut per_doc = |xml: &str| {
+        let before = allocations();
+        for _ in 0..4 {
+            parser.reset();
+            let mut feed = HorizonFeed::new(&mut filter, sink);
+            parser.drive_to(xml.as_bytes(), &mut feed).unwrap();
+        }
+        (allocations() - before) / 4
+    };
+    per_doc(&large_x);
+    assert_eq!(
+        (per_doc(&small_x), per_doc(&large_x)),
+        (0, 0),
+        "the tokenizer passing over for a bare filter allocated"
+    );
 
     // --- Verdicts: what a finished document costs. --------------------
     // `finish` reads the filter or bank in one pass into the two columns

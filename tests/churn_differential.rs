@@ -17,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{feed_to, fx_cases};
+use common::{feed_to, fx_cases, normalize, normalize_routed};
 
 /// The subscription pool: reporting-supported shapes sharing prefixes
 /// and canonical residual forms, so churn exercises trie extension,
@@ -41,25 +41,6 @@ const POOL: &[&str] = &[
 
 fn pool_queries() -> Vec<Query> {
     POOL.iter().map(|s| parse_query(s).unwrap()).collect()
-}
-
-/// (live index, ordinal, span start, span end): match streams with bank
-/// slots translated to stable per-subscription positions, order-
-/// normalized so routing, duplication and drops all fail loudly.
-fn normalize(matches: &[Match], slot_to_pos: &[Option<usize>]) -> Vec<(usize, u64, u64, u64)> {
-    let mut v: Vec<(usize, u64, u64, u64)> = matches
-        .iter()
-        .map(|m| {
-            let pos = slot_to_pos
-                .get(m.query)
-                .copied()
-                .flatten()
-                .unwrap_or_else(|| panic!("match routed to dead or unknown slot {}", m.query));
-            (pos, m.ordinal, m.span.start, m.span.end)
-        })
-        .collect();
-    v.sort_unstable();
-    v
 }
 
 /// Feeds `xml` through the churned bank and a from-scratch bank over the
@@ -91,8 +72,8 @@ fn assert_doc_parity(churned: &mut IndexedBank, live: &[(SubscriptionId, Query)]
         );
     }
     assert_eq!(
-        normalize(&got, &slot_to_pos),
-        normalize(&want, &(0..fresh.len()).map(Some).collect::<Vec<_>>()),
+        normalize_routed(&got, &slot_to_pos),
+        normalize(&want),
         "match streams diverged on {xml}"
     );
 }

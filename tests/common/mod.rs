@@ -5,9 +5,12 @@
 use frontier_xpath::dom::{Document, NodeKind};
 use frontier_xpath::engine::{Engine, EngineError, IndexPolicy, Mode, Outcome, Session};
 use frontier_xpath::eval::full_eval;
-use frontier_xpath::filter::{IndexedBank, Match, MatchSink, MultiFilter};
+use frontier_xpath::filter::{CompiledQuery, IndexedBank, Match, MatchSink, MultiFilter};
 use frontier_xpath::xml::{AttrBuf, Event, EventSource, Span, SymCache, SymEvent, Symbols};
 use frontier_xpath::xpath::{parse_query, Query};
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::Rng;
 use std::io::Read;
 use std::sync::Arc;
 
@@ -136,4 +139,134 @@ pub fn run_source_outcome(
     let mut matches = Vec::new();
     let verdicts = session.run_source_to(source, reader, &mut matches)?;
     Ok(Outcome::new(verdicts, matches))
+}
+
+/// A routed match as `(query, ordinal, span start, span end)`: its
+/// whole observable content.
+pub type MatchKey = (usize, u64, u64, u64);
+
+/// Match streams in a canonical order, so routing, duplication, loss
+/// and span corruption all fail loudly.
+fn sorted(keys: impl Iterator<Item = MatchKey>) -> Vec<MatchKey> {
+    let mut v: Vec<MatchKey> = keys.collect();
+    v.sort_unstable();
+    v
+}
+
+/// A match stream, order-normalized.
+pub fn normalize(matches: &[Match]) -> Vec<MatchKey> {
+    sorted(
+        matches
+            .iter()
+            .map(|m| (m.query, m.ordinal, m.span.start, m.span.end)),
+    )
+}
+
+/// [`normalize`] with bank slots translated to stable per-subscription
+/// positions; a match routed to a dead or unknown slot panics.
+pub fn normalize_routed(matches: &[Match], slot_to_pos: &[Option<usize>]) -> Vec<MatchKey> {
+    sorted(matches.iter().map(|m| {
+        let pos = (slot_to_pos.get(m.query).copied().flatten())
+            .unwrap_or_else(|| panic!("match routed to dead or unknown slot {}", m.query));
+        (pos, m.ordinal, m.span.start, m.span.end)
+    }))
+}
+
+/// An [`Outcome`]'s per-query match streams as one normalized stream.
+pub fn normalize_outcome(outcome: &Outcome, queries: usize) -> Vec<MatchKey> {
+    sorted((0..queries).flat_map(|q| {
+        (outcome.matches(q).iter()).map(move |m| (q, m.ordinal, m.span.start, m.span.end))
+    }))
+}
+
+// ------------------------------------------------------ random inputs
+
+/// Names documents and queries share, names only documents use, names
+/// only queries use: the vocabulary of [`random_query`] and
+/// [`random_xml`].
+pub const SHARED: &[&str] = &["a", "b", "c", "d", "e", "x"];
+pub const DOC_ONLY: &[&str] = &["w", "zz"];
+pub const QUERY_ONLY: &[&str] = &["q0", "q1", "q2"];
+
+/// A random node test: mostly a shared name, sometimes `*` or a name
+/// no document uses.
+pub fn step_name(rng: &mut SmallRng) -> &'static str {
+    match rng.gen_range(0..20) {
+        0..=1 => "*",
+        2..=3 => QUERY_ONLY.choose(rng).unwrap(),
+        _ => SHARED.choose(rng).unwrap(),
+    }
+}
+
+/// A random predicate conjunct of the supported fragment.
+pub fn random_conjunct(rng: &mut SmallRng) -> String {
+    let axis = if rng.gen_bool(0.3) { ".//" } else { "" };
+    let name = step_name(rng);
+    match rng.gen_range(0..8) {
+        0 => format!("{axis}{name} > {}", rng.gen_range(0..8)),
+        1 => format!("{axis}{name} = \"x\""),
+        2 => "@k".to_string(),
+        3 => "@k = \"v\"".to_string(),
+        4 => format!("@{name}"),
+        5 => format!("{axis}{name}[{}]", step_name(rng)),
+        6 => format!("{axis}{name}/{}", step_name(rng)),
+        _ => format!("{axis}{name}"),
+    }
+}
+
+/// A random query of the supported fragment with an element output
+/// node, so it runs in both modes.
+pub fn random_query(rng: &mut SmallRng) -> Query {
+    loop {
+        let mut src = String::new();
+        for _ in 0..rng.gen_range(1..4) {
+            src.push_str(if rng.gen_bool(0.4) { "//" } else { "/" });
+            src.push_str(step_name(rng));
+            if rng.gen_bool(0.4) {
+                let conjuncts: Vec<String> = (0..rng.gen_range(1..3))
+                    .map(|_| random_conjunct(rng))
+                    .collect();
+                src.push_str(&format!("[{}]", conjuncts.join(" and ")));
+            }
+        }
+        let q = parse_query(&src).unwrap_or_else(|e| panic!("generated {src}: {e}"));
+        if CompiledQuery::compile(&q).is_ok_and(|c| c.reporting_supported().is_ok()) {
+            return q;
+        }
+    }
+}
+
+/// Appends one random element (and its subtree) at `depth` to `out`.
+pub fn random_element(rng: &mut SmallRng, depth: usize, out: &mut String) {
+    let name = if rng.gen_bool(0.15) {
+        DOC_ONLY.choose(rng).unwrap()
+    } else {
+        SHARED.choose(rng).unwrap()
+    };
+    out.push('<');
+    out.push_str(name);
+    match rng.gen_range(0..6) {
+        0 => out.push_str(" k=\"v\""),
+        1 => out.push_str(" k=\"u\" a=\"1\""),
+        _ => {}
+    }
+    out.push('>');
+    for _ in 0..rng.gen_range(0..4) {
+        if depth < 6 && rng.gen_bool(0.7) {
+            random_element(rng, depth + 1, out);
+        } else {
+            out.push_str(["1", "6", "x", " "].choose(rng).unwrap());
+        }
+    }
+    out.push_str("</");
+    out.push_str(name);
+    out.push('>');
+}
+
+/// A random document over [`SHARED`] and [`DOC_ONLY`] names, at most
+/// seven levels deep, with attributes `k` and `a`.
+pub fn random_xml(rng: &mut SmallRng) -> String {
+    let mut out = String::new();
+    random_element(rng, 0, &mut out);
+    out
 }

@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 mod common;
-use common::{feed_to, fx_cases};
+use common::{feed_to, fx_cases, random_query, random_xml};
 
 /// The bank under test beside its reference: one solo filter per query,
 /// fed **every** event until — exactly like a bank member — it decides
@@ -166,91 +166,6 @@ impl Lanes {
         parser.finish_interned(&mut emit).unwrap();
         self.check(xml);
     }
-}
-
-// ------------------------------------------------------ random inputs
-
-/// Names documents and queries share, names only documents use, names
-/// only queries use.
-const SHARED: &[&str] = &["a", "b", "c", "d", "e", "x"];
-const DOC_ONLY: &[&str] = &["w", "zz"];
-const QUERY_ONLY: &[&str] = &["q0", "q1", "q2"];
-
-fn step_name(rng: &mut SmallRng) -> &'static str {
-    match rng.gen_range(0..20) {
-        0..=1 => "*",
-        2..=3 => QUERY_ONLY.choose(rng).unwrap(),
-        _ => SHARED.choose(rng).unwrap(),
-    }
-}
-
-fn random_conjunct(rng: &mut SmallRng) -> String {
-    let axis = if rng.gen_bool(0.3) { ".//" } else { "" };
-    let name = step_name(rng);
-    match rng.gen_range(0..8) {
-        0 => format!("{axis}{name} > {}", rng.gen_range(0..8)),
-        1 => format!("{axis}{name} = \"x\""),
-        2 => "@k".to_string(),
-        3 => "@k = \"v\"".to_string(),
-        4 => format!("@{name}"),
-        5 => format!("{axis}{name}[{}]", step_name(rng)),
-        6 => format!("{axis}{name}/{}", step_name(rng)),
-        _ => format!("{axis}{name}"),
-    }
-}
-
-/// A random query of the supported fragment with an element output
-/// node, so it runs in both modes.
-fn random_query(rng: &mut SmallRng) -> Query {
-    loop {
-        let mut src = String::new();
-        for _ in 0..rng.gen_range(1..4) {
-            src.push_str(if rng.gen_bool(0.4) { "//" } else { "/" });
-            src.push_str(step_name(rng));
-            if rng.gen_bool(0.4) {
-                let conjuncts: Vec<String> = (0..rng.gen_range(1..3))
-                    .map(|_| random_conjunct(rng))
-                    .collect();
-                src.push_str(&format!("[{}]", conjuncts.join(" and ")));
-            }
-        }
-        let q = parse_query(&src).unwrap_or_else(|e| panic!("generated {src}: {e}"));
-        if CompiledQuery::compile(&q).is_ok_and(|c| c.reporting_supported().is_ok()) {
-            return q;
-        }
-    }
-}
-
-fn random_element(rng: &mut SmallRng, depth: usize, out: &mut String) {
-    let name = if rng.gen_bool(0.15) {
-        DOC_ONLY.choose(rng).unwrap()
-    } else {
-        SHARED.choose(rng).unwrap()
-    };
-    out.push('<');
-    out.push_str(name);
-    match rng.gen_range(0..6) {
-        0 => out.push_str(" k=\"v\""),
-        1 => out.push_str(" k=\"u\" a=\"1\""),
-        _ => {}
-    }
-    out.push('>');
-    for _ in 0..rng.gen_range(0..4) {
-        if depth < 6 && rng.gen_bool(0.7) {
-            random_element(rng, depth + 1, out);
-        } else {
-            out.push_str(["1", "6", "x", " "].choose(rng).unwrap());
-        }
-    }
-    out.push_str("</");
-    out.push_str(name);
-    out.push('>');
-}
-
-fn random_xml(rng: &mut SmallRng) -> String {
-    let mut out = String::new();
-    random_element(rng, 0, &mut out);
-    out
 }
 
 proptest! {

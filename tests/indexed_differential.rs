@@ -20,18 +20,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{feed, feed_to, fx_cases, run_reader_outcome};
-
-/// (query, ordinal, span start, span end) — the full observable content
-/// of a routed match, order-normalized.
-fn normalize(matches: &[Match]) -> Vec<(usize, u64, u64, u64)> {
-    let mut v: Vec<(usize, u64, u64, u64)> = matches
-        .iter()
-        .map(|m| (m.query, m.ordinal, m.span.start, m.span.end))
-        .collect();
-    v.sort_unstable();
-    v
-}
+use common::{feed, feed_to, fx_cases, normalize, run_reader_outcome};
 
 /// Feeds `xml` through both banks in filtering *and* reporting mode and
 /// asserts verdict and match-stream parity.

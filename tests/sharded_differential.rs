@@ -12,7 +12,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 mod common;
-use common::fx_cases;
+use common::{fx_cases, normalize_outcome};
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
 
@@ -32,22 +32,6 @@ fn xmark_corpus(docs: usize, scale: usize, seed: u64) -> Vec<String> {
             .to_xml()
         })
         .collect()
-}
-
-/// Per-document match streams normalized to `(query, ordinal, span)`
-/// triples in a canonical order — routing, duplication, loss, and span
-/// corruption all fail loudly.
-fn normalize(outcome: &Outcome, queries: usize) -> Vec<(usize, u64, u64, u64)> {
-    let mut v: Vec<(usize, u64, u64, u64)> = (0..queries)
-        .flat_map(|q| {
-            outcome
-                .matches(q)
-                .iter()
-                .map(move |m| (q, m.ordinal, m.span.start, m.span.end))
-        })
-        .collect();
-    v.sort_unstable();
-    v
 }
 
 /// Document sharding on a filtering engine: per-document verdict
@@ -131,13 +115,13 @@ fn doc_sharded_selection_matches_sequential_xmark() {
     let queries = 3;
     let reference: Vec<Vec<(usize, u64, u64, u64)>> = corpus
         .iter()
-        .map(|d| normalize(&engine.select_str(d).unwrap(), queries))
+        .map(|d| normalize_outcome(&engine.select_str(d).unwrap(), queries))
         .collect();
     for &threads in THREAD_COUNTS {
         let sharded = engine.select_sharded(&corpus, threads).unwrap();
         for (i, outcome) in sharded.iter().enumerate() {
             assert_eq!(
-                normalize(outcome, queries),
+                normalize_outcome(outcome, queries),
                 reference[i],
                 "doc {i} match stream diverged at {threads} threads"
             );
@@ -194,13 +178,13 @@ proptest! {
         let queries = POOL.len();
         let reference: Vec<Vec<(usize, u64, u64, u64)>> = corpus
             .iter()
-            .map(|d| normalize(&engine.select_str(d).unwrap(), queries))
+            .map(|d| normalize_outcome(&engine.select_str(d).unwrap(), queries))
             .collect();
         for &threads in THREAD_COUNTS {
             let sharded = engine.select_sharded(&corpus, threads).unwrap();
             for (i, outcome) in sharded.iter().enumerate() {
                 prop_assert_eq!(
-                    normalize(outcome, queries),
+                    normalize_outcome(outcome, queries),
                     reference[i].clone(),
                     "doc {} at {} threads (seed {:#x})", i, threads, seed
                 );
