@@ -32,11 +32,12 @@
 //! reaching the inner `<a>`'s own `.//a` record too would accept the
 //! document, though no `<a>` lies below the inner one.
 
+use crate::evaluator::sealed::Horizoned;
+use crate::evaluator::Evaluator;
 use crate::reporter::{Match, MatchSink, Reporter};
 use crate::space::SpaceStats;
 use fx_xml::{
-    AttrBuf, Event, EventBatch, EventSink, Horizon, Span, Stretch, Sym, SymAttr, SymCache,
-    SymEvent, Symbols,
+    AttrBuf, Event, EventBatch, Horizon, Span, Sym, SymAttr, SymCache, SymEvent, Symbols,
 };
 use fx_xpath::truth::{constraining_predicate, is_atomic};
 use fx_xpath::{Axis, Expr, NodeTest, Query, QueryNodeId};
@@ -437,12 +438,14 @@ fn retain_in_order(
 /// The streaming filter: feed it SAX events through
 /// [`StreamFilter::process`] and read the verdict at `endDocument`.
 ///
-/// In reporting mode every confirmed match leaves through the sink the
-/// `_to` entry points ([`StreamFilter::process_to`],
-/// [`StreamFilter::process_sym_to`]) hand in with the closing event —
-/// the filter holds no match once that call returns. The sink-less
-/// forms (`process`, `process_sym`, `process_batch`) are the filtering
-/// forms: in reporting mode they discard what they confirm.
+/// Interned events enter through [`Evaluator::event`], as they do every
+/// bank; a tokenizer drives it through a [`crate::HorizonFeed`], which
+/// passes over what lies past the filter's horizon. In reporting mode
+/// every confirmed match leaves through the sink handed in with the
+/// closing event ([`Evaluator::event`], [`StreamFilter::process_to`]),
+/// stamped with bank index 0 — the filter holds no match once that call
+/// returns. The sink-less forms (`process`, `process_batch`) are the
+/// filtering forms: in reporting mode they discard what they confirm.
 #[derive(Debug, Clone)]
 pub struct StreamFilter {
     /// The compiled query, behind an [`Arc`] so many filters (e.g. the
@@ -614,7 +617,7 @@ impl StreamFilter {
     /// named node test) and dispatch proceeds on integers. Sources that
     /// already hold interned events
     /// (`fx_xml::StreamingParser::feed_interned`) should call
-    /// [`StreamFilter::process_sym_to`] directly and skip the lookup.
+    /// [`Evaluator::event`] directly and skip the lookup.
     pub fn process_to(
         &mut self,
         event: &Event,
@@ -628,21 +631,14 @@ impl StreamFilter {
         self.attr_scratch = scratch;
     }
 
-    /// Feeds one *interned* event: the filtering form of
-    /// [`StreamFilter::process_sym_to`], discarding any match it
-    /// confirms in reporting mode.
-    pub fn process_sym(&mut self, event: SymEvent<'_>, span: Span) {
-        self.process_sym_to(event, span, 0, &mut |_: Match| {});
-    }
-
-    /// Feeds one *interned* event: the allocation-free hot path. The
-    /// event's syms must come from this filter's compiled table
-    /// ([`CompiledQuery::symbols`]) — feed the same table to the parser
-    /// (`StreamingParser::with_symbols`) and the names meet as equal
-    /// integers. In reporting mode, each match the event confirms (an
-    /// end tag is the only event that confirms any) goes to `sink`,
-    /// stamped with bank index `query`, before this call returns.
-    pub fn process_sym_to(
+    /// Feeds one *interned* event: the allocation-free hot path under
+    /// [`Evaluator::event`], and the entry a bank drives each of its
+    /// filters through. The event's syms must come from this filter's
+    /// compiled table ([`CompiledQuery::symbols`]). In reporting mode,
+    /// each match the event confirms (an end tag is the only event that
+    /// confirms any) goes to `sink`, stamped with bank index `query`,
+    /// before this call returns.
+    pub(crate) fn process_sym_to(
         &mut self,
         event: SymEvent<'_>,
         span: Span,
@@ -666,43 +662,9 @@ impl StreamFilter {
         st.observe_at(st.current_level);
     }
 
-    /// Brings a filter up to date with a stream position its feeder kept
-    /// for it: `skipped` events went by undelivered since the last one
-    /// this filter processed — tags no node test mentions, text while
-    /// nothing was buffering (a bank's dispatch), or whatever lay past
-    /// the filter's [`StreamFilter::horizon`] (a tokenizer passing it
-    /// over) — leaving the stream at `level` / `ordinal` (the next start
-    /// tag's) after climbing as deep as `deepest`. Such a stretch moves
-    /// nothing but the position, so the frontier rows, offset-stack
-    /// entries and buffer are those of every snapshot a filter fed each
-    /// event would have taken along it; `instant_bits` is monotone in
-    /// the level, so observing the one snapshot at `deepest` leaves
-    /// [`SpaceStats`] exactly as that filter's.
-    pub(crate) fn sync(&mut self, level: usize, ordinal: u64, skipped: u64, deepest: usize) {
-        let st = &mut self.st;
-        debug_assert!(
-            deepest >= level && deepest >= st.current_level,
-            "the high-water mark covers both ends of the skipped stretch"
-        );
-        debug_assert!(
-            ordinal - st.element_ordinal <= skipped,
-            "every skipped start tag is a skipped event"
-        );
-        debug_assert!(
-            st.frontier.len() <= st.observe_snap.0
-                && st.buffer_refs <= st.observe_snap.1
-                && st.buffer.len() <= st.observe_snap.2,
-            "a skipped filter's rows, stack entries and buffer were observed when it last ran"
-        );
-        st.stats.events += skipped;
-        st.observe_at(deepest);
-        st.current_level = level;
-        st.element_ordinal = ordinal;
-    }
-
     /// Ends a document none of whose events but its framing reached the
     /// filter — `events` events in all, taking the stream as deep as
-    /// `deepest` — leaving what `StartDocument`, [`StreamFilter::sync`]
+    /// `deepest` — leaving what `StartDocument`, [`Horizoned::sync`]
     /// over the rest and `EndDocument` would: the verdict of the
     /// untouched frontier (no root child matched) and the space
     /// statistics of its initial rows at `deepest`, without running
@@ -722,39 +684,6 @@ impl StreamFilter {
         }
     }
 
-    /// The filter's *horizon*: `Some` when no text event can change its
-    /// state and no element opening at a depth (open elements around
-    /// it) greater than its `level` can either, unless it
-    /// [`StreamFilter::sees`] the element's name. The level is the
-    /// deepest holding a frontier row or an open reporter frame: a
-    /// child-axis row fires only at its own level. `None` while a leaf
-    /// candidacy buffers text, or while a wildcard descendant row can
-    /// fire. In filtering mode a matched row fires no more, so a decided
-    /// document's horizon is typically its root level and it sees no
-    /// name: the rest of the document can be passed over. What is
-    /// passed over is handed back through [`StreamFilter::sync`] before
-    /// the next event ([`HorizonFeed`] keeps that protocol).
-    ///
-    /// Beside the horizon comes the set of the lengths of the names it
-    /// sees, bit `min(len, 63)` each: a name whose length is not in it
-    /// is not seen.
-    ///
-    /// Computed from the frontier on every call (a handful of rows): a
-    /// tokenizer asks once per event it delivers, and the banks never
-    /// ask, so the handlers keep no horizon state.
-    pub(crate) fn horizon(&self) -> Option<(Horizon, u64)> {
-        self.st.horizon(&self.query)
-    }
-
-    /// Whether a start tag named `name` can fire a row below the
-    /// [`StreamFilter::horizon`]: whether a descendant-axis row that can
-    /// still fire tests that name.
-    pub(crate) fn sees(&self, name: &str) -> bool {
-        let q = &*self.query;
-        (self.st.fireable_descendants(q))
-            .any(|rec| matches!(&q.nodes[rec.node as usize].ntest, NodeTest::Name(s) if s == name))
-    }
-
     /// Whether some value-restricted leaf candidacy is open, i.e. the
     /// filter is buffering text — the only time a text event means
     /// anything to it.
@@ -763,14 +692,16 @@ impl StreamFilter {
     }
 
     /// Feeds a whole interned [`EventBatch`] in one call: the batch is
-    /// replayed into [`StreamFilter::process_sym`] with the attribute
+    /// replayed into [`Evaluator::event`] with the attribute
     /// `scratch` hoisted out of the per-event loop, so the filter sees
     /// exactly the per-event stream but pays the call boundary once per
     /// run. The batch's syms must come from the same table as the
     /// compiled query. A filtering form: in reporting mode, matches are
     /// discarded.
     pub fn process_batch(&mut self, batch: &EventBatch, scratch: &mut AttrBuf) {
-        batch.replay(scratch, |ev, span| self.process_sym(ev, span));
+        batch.replay(scratch, |ev, span| {
+            self.process_sym_to(ev, span, 0, &mut |_: Match| {})
+        });
     }
 
     /// The verdict, available after `endDocument`.
@@ -877,80 +808,83 @@ impl StreamFilter {
     }
 }
 
-/// A [`StreamFilter`] as a tokenizer's [`EventSink`] with a horizon:
-/// each delivered event is processed, its matches going to `matches`.
-/// The horizon is the deepest level holding a frontier row or an open
-/// reporter frame; below it only a start tag naming a descendant-axis
-/// row that can still fire is delivered, and no text is while no leaf
-/// candidacy buffers (none at all while a wildcard descendant row can
-/// fire). Each stretch the tokenizer passed over moves the filter's
-/// position only, so verdict, matches and [`SpaceStats`] are those of
-/// the filter fed every event. The one way a filter is driven through
-/// its horizon: `Session`'s lone filter rides it.
-pub struct HorizonFeed<'a> {
-    filter: &'a mut StreamFilter,
-    matches: &'a mut dyn MatchSink,
-    /// The lengths of the names the horizon in force sees (see
-    /// [`StreamFilter::horizon`]): most start tags below it are refused
-    /// on their length alone, without walking the frontier — 97 % of
-    /// those asked on the `xmark-single` corpus, where it read 1–3 %
-    /// more `mb_s` than walking the frontier for every one (17 of 20
-    /// alternating pairs, x86-64, 2 vCPUs).
-    name_lengths: u64,
-    delivered: u64,
-    passed: u64,
-}
-
-impl<'a> HorizonFeed<'a> {
-    /// Feeds `filter`, stamping its matches with bank index 0.
-    pub fn new(filter: &'a mut StreamFilter, matches: &'a mut dyn MatchSink) -> Self {
-        HorizonFeed {
-            filter,
-            matches,
-            name_lengths: 0,
-            delivered: 0,
-            passed: 0,
-        }
+/// A lone filter stamps its matches with bank index 0.
+impl Evaluator for StreamFilter {
+    fn symbols(&self) -> &Arc<Symbols> {
+        self.query.symbols()
     }
 
-    /// Events delivered to the filter so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Events passed over so far, each counted as the event it would
-    /// have been.
-    pub fn passed(&self) -> u64 {
-        self.passed
+    #[inline]
+    fn event(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
+        self.process_sym_to(event, span, 0, sink);
     }
 }
 
-impl EventSink for HorizonFeed<'_> {
+/// The lone filter is the one evaluator with a horizon.
+impl Horizoned for StreamFilter {
     const HAS_HORIZON: bool = true;
 
-    #[inline]
-    fn event(&mut self, event: SymEvent<'_>, span: Span) {
-        self.delivered += 1;
-        self.filter.process_sym_to(event, span, 0, self.matches);
+    /// The filter's *horizon*: `Some` when no text event can change its
+    /// state and no element opening at a depth (open elements around
+    /// it) greater than its `level` can either, unless it
+    /// [`Horizoned::sees`] the element's name. The level is the
+    /// deepest holding a frontier row or an open reporter frame: a
+    /// child-axis row fires only at its own level. `None` while a leaf
+    /// candidacy buffers text, or while a wildcard descendant row can
+    /// fire. In filtering mode a matched row fires no more, so a decided
+    /// document's horizon is typically its root level and it sees no
+    /// name: the rest of the document can be passed over. What is
+    /// passed over is handed back through [`Horizoned::sync`] before
+    /// the next event ([`crate::HorizonFeed`] keeps that protocol).
+    ///
+    /// Computed from the frontier on every call (a handful of rows): a
+    /// tokenizer asks once per event it delivers, and the banks never
+    /// ask, so the handlers keep no horizon state.
+    fn horizon(&self) -> Option<(Horizon, u64)> {
+        self.st.horizon(&self.query)
     }
 
-    #[inline]
-    fn horizon(&mut self) -> Option<Horizon> {
-        let (horizon, name_lengths) = self.filter.horizon()?;
-        self.name_lengths = name_lengths;
-        Some(horizon)
-    }
-
-    /// Asked only under a horizon this feed returned, which no event
-    /// since has moved, so `name_lengths` is that horizon's.
-    #[inline]
+    /// Whether a start tag named `name` can fire a row below the
+    /// [`Horizoned::horizon`]: whether a descendant-axis row that can
+    /// still fire tests that name.
     fn sees(&self, name: &str) -> bool {
-        self.name_lengths >> name.len().min(63) & 1 == 1 && self.filter.sees(name)
+        let q = &*self.query;
+        (self.st.fireable_descendants(q))
+            .any(|rec| matches!(&q.nodes[rec.node as usize].ntest, NodeTest::Name(s) if s == name))
     }
 
-    fn passed_over(&mut self, s: Stretch) {
-        self.passed += s.events;
-        self.filter.sync(s.level, s.ordinal, s.events, s.deepest);
+    /// Brings a filter up to date with a stream position its feeder kept
+    /// for it: `skipped` events went by undelivered since the last one
+    /// this filter processed — tags no node test mentions, text while
+    /// nothing was buffering (a bank's dispatch), or whatever lay past
+    /// the filter's [`Horizoned::horizon`] (a tokenizer passing it
+    /// over) — leaving the stream at `level` / `ordinal` (the next start
+    /// tag's) after climbing as deep as `deepest`. Such a stretch moves
+    /// nothing but the position, so the frontier rows, offset-stack
+    /// entries and buffer are those of every snapshot a filter fed each
+    /// event would have taken along it; `instant_bits` is monotone in
+    /// the level, so observing the one snapshot at `deepest` leaves
+    /// [`SpaceStats`] exactly as that filter's.
+    fn sync(&mut self, level: usize, ordinal: u64, skipped: u64, deepest: usize) {
+        let st = &mut self.st;
+        debug_assert!(
+            deepest >= level && deepest >= st.current_level,
+            "the high-water mark covers both ends of the skipped stretch"
+        );
+        debug_assert!(
+            ordinal - st.element_ordinal <= skipped,
+            "every skipped start tag is a skipped event"
+        );
+        debug_assert!(
+            st.frontier.len() <= st.observe_snap.0
+                && st.buffer_refs <= st.observe_snap.1
+                && st.buffer.len() <= st.observe_snap.2,
+            "a skipped filter's rows, stack entries and buffer were observed when it last ran"
+        );
+        st.stats.events += skipped;
+        st.observe_at(deepest);
+        st.current_level = level;
+        st.element_ordinal = ordinal;
     }
 }
 
@@ -982,7 +916,7 @@ impl FilterState {
             .all(|&c| self.satisfied_at(q, c, level + 1))
     }
 
-    /// See [`StreamFilter::horizon`].
+    /// See [`Horizoned::horizon`].
     fn horizon(&self, q: &CompiledQuery) -> Option<(Horizon, u64)> {
         if self.buffer_refs > 0 {
             return None;

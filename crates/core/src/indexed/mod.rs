@@ -115,8 +115,8 @@
 //! One module per concern along that border: `index` (the index and the
 //! churn calls, its only writers), `run` (the run and its handlers,
 //! dormancy included), `chains` and `attribution`. A bank takes interned
-//! events only ([`IndexedBank::process_sym_to`]): a holder of owned ones
-//! interns each against [`IndexedBank::symbols`], as a session does.
+//! events only ([`Evaluator::event`]): a holder of owned ones interns
+//! each against [`Evaluator::symbols`], as a session does.
 //!
 //! Correctness rests on the decomposition `BOOLEVAL(Q, D) = ∨ₓ
 //! BOOLEVAL(Q', subtree(x))` (and the analogous union for `FULLEVAL`)
@@ -135,6 +135,8 @@ mod run;
 #[cfg(test)]
 pub(crate) mod tests;
 
+use crate::evaluator::sealed::Horizoned;
+use crate::evaluator::Evaluator;
 use crate::filter::{CompiledQuery, UnsupportedQuery};
 use crate::reporter::MatchSink;
 use fx_xml::{EventBatch, Span, SymEvent, Symbols};
@@ -214,7 +216,7 @@ impl std::fmt::Display for SubscriptionId {
 /// the evaluation of common query prefixes.
 ///
 /// The surface mirrors [`crate::MultiFilter`]: feed interned events
-/// through [`IndexedBank::process_sym_to`], read per-query verdicts from
+/// through [`Evaluator::event`], read per-query verdicts from
 /// [`IndexedBank::results`] or [`IndexedBank::matching`], and (in
 /// reporting mode) receive each confirmed [`Match`](crate::Match)
 /// stamped with the bank index of the query that selected it. Verdicts
@@ -297,7 +299,7 @@ impl IndexedBank {
     }
 
     /// Compiles and indexes a *selection* bank: every query runs in
-    /// reporting mode and [`IndexedBank::process_sym_to`] routes each
+    /// reporting mode and [`Evaluator::event`] routes each
     /// confirmed match to the sink with its query's bank index. Fails
     /// with the index of the first query whose output node cannot be
     /// reported.
@@ -425,17 +427,7 @@ impl IndexedBank {
         self.index.trie.len() - 1
     }
 
-    /// Feeds one interned event (syms from the bank's table,
-    /// [`IndexedBank::symbols`]) with its source span, routing any
-    /// matches it confirmed to `sink` — each stamped with the bank index
-    /// of the query that selected it. Filtering-mode banks never call
-    /// the sink. A `StreamingParser` sharing the table feeds this
-    /// directly, with no per-event name lookup.
-    pub fn process_sym_to(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
-        self.run.process(&self.index, event, span, sink);
-    }
-
-    /// [`IndexedBank::process_sym_to`] over a whole [`EventBatch`]: the
+    /// [`Evaluator::event`] over a whole [`EventBatch`]: the
     /// batch-granular hot path. One bank call walks the entire run with
     /// the index borrow and the replay attribute scratch hoisted out of
     /// the per-event loop; event order, match routing, verdicts, and
@@ -445,14 +437,6 @@ impl IndexedBank {
         let mut scratch = std::mem::take(&mut run.attr_scratch);
         batch.replay(&mut scratch, |ev, span| run.process(index, ev, span, sink));
         run.attr_scratch = scratch;
-    }
-
-    /// The bank's shared symbol table: hand it to
-    /// `fx_xml::StreamingParser::with_symbols` so parsed events arrive
-    /// already interned and [`IndexedBank::process_sym_to`] dispatches
-    /// without any per-event name lookup.
-    pub fn symbols(&self) -> &Arc<Symbols> {
-        &self.index.symbols
     }
 
     /// Per-query verdicts (available after `endDocument`, or earlier for
@@ -508,3 +492,20 @@ impl IndexedBank {
         self.matching().collect()
     }
 }
+
+/// An interned event (syms from the bank's table,
+/// [`Evaluator::symbols`]) goes with its source span through the shared
+/// trie and the live residual instances, routing any matches it
+/// confirmed to `sink` — each stamped with the bank index of the query
+/// that selected it. Filtering-mode banks never call the sink.
+impl Evaluator for IndexedBank {
+    fn symbols(&self) -> &Arc<Symbols> {
+        &self.index.symbols
+    }
+
+    fn event(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
+        self.run.process(&self.index, event, span, sink);
+    }
+}
+
+impl Horizoned for IndexedBank {}

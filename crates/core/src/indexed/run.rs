@@ -678,7 +678,7 @@ impl Run {
                 StreamFilter::from_shared(compiled)
             }
         });
-        filter.process_sym(SymEvent::StartDocument, Span::EMPTY);
+        filter.process_sym_to(SymEvent::StartDocument, Span::EMPTY, 0, &mut |_: Match| {});
         if fast_forward > 0 {
             filter.fast_forward(fast_forward);
         }
@@ -776,7 +776,8 @@ impl Run {
     /// harvests its verdict, and removes it.
     fn retire_instance(&mut self, index: &Index, i: usize) {
         let inst = &mut self.instances[i];
-        inst.filter.process_sym(SymEvent::EndDocument, Span::EMPTY);
+        inst.filter
+            .process_sym_to(SymEvent::EndDocument, Span::EMPTY, 0, &mut |_: Match| {});
         let (g, accept) = (inst.group as usize, inst.filter.result() == Some(true));
         if accept {
             self.accept(index, g);

@@ -12,50 +12,24 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// What a session feeds either bank: interned events, their syms
-/// issued by the bank's own table.
-pub(crate) trait Bank {
-    fn table(&self) -> Arc<Symbols>;
-    fn feed_sym(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink);
-}
-
-impl Bank for IndexedBank {
-    fn table(&self) -> Arc<Symbols> {
-        Arc::clone(self.symbols())
-    }
-
-    fn feed_sym(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
-        self.process_sym_to(event, span, sink)
-    }
-}
-
-impl Bank for MultiFilter {
-    fn table(&self) -> Arc<Symbols> {
-        Arc::clone(self.symbols())
-    }
-
-    fn feed_sym(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
-        self.process_sym_to(event, span, sink)
-    }
-}
-
-/// Feeds owned fixture events with their spans to `bank`, interning
-/// each once against the bank's table — as a session interns a pushed
-/// event — and routes the matches they confirm to `sink`.
+/// Feeds owned fixture events with their spans to `bank` (either bank,
+/// or a lone filter), interning each once against its table — as a
+/// session interns a pushed event — and routes the matches they confirm
+/// to `sink`.
 pub(crate) fn feed_to<'e>(
-    bank: &mut impl Bank,
+    bank: &mut impl Evaluator,
     events: impl IntoIterator<Item = (&'e Event, Span)>,
     sink: &mut dyn MatchSink,
 ) {
-    let symbols = bank.table();
+    let symbols = Arc::clone(bank.symbols());
     let (mut attrs, mut names) = (AttrBuf::new(), SymCache::new());
     for (event, span) in events {
-        bank.feed_sym(attrs.sym_event(&mut names, &symbols, event), span, sink);
+        bank.event(attrs.sym_event(&mut names, &symbols, event), span, sink);
     }
 }
 
 /// [`feed_to`] without spans, dropping the matches.
-pub(crate) fn feed(bank: &mut impl Bank, events: &[Event]) {
+pub(crate) fn feed(bank: &mut impl Evaluator, events: &[Event]) {
     feed_to(
         bank,
         events.iter().map(|e| (e, Span::EMPTY)),
@@ -787,7 +761,7 @@ fn late_subscription_needs_no_announcement() {
     let mut push_all = |ib: &mut IndexedBank| {
         for e in &events {
             let ev = attrs.sym_event(&mut names, &symbols, e);
-            ib.process_sym_to(ev, Span::EMPTY, &mut routed);
+            ib.event(ev, Span::EMPTY, &mut routed);
         }
     };
     push_all(&mut ib);

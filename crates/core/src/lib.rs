@@ -8,17 +8,18 @@
 //! `O(|Q|·r·(log|Q| + log d + log w) + w)`-bit space bound of Theorem 8.8
 //! that (almost) matches the paper's lower bounds.
 //!
-//! This crate is the *algorithm* layer: [`StreamFilter`] is fed one SAX
-//! event at a time through [`StreamFilter::process`] and never needs the
-//! document materialized. Beyond the boolean verdict, a filter built in
-//! *reporting* mode performs the paper's §1 full-evaluation extension:
-//! confirmed output nodes are emitted incrementally as [`Match`]es (with
-//! document-order ordinals and source byte spans) through a
+//! This crate is the *algorithm* layer. Three [`Evaluator`]s run it —
+//! the lone [`StreamFilter`], the naive bank [`MultiFilter`] and the
+//! shared-prefix bank [`IndexedBank`] — each fed one interned SAX event
+//! at a time through [`Evaluator::event`], never needing the document
+//! materialized; a tokenizer drives any of them through a
+//! [`HorizonFeed`], which passes over what lies past the lone filter's
+//! horizon. Built in *reporting* mode, an evaluator performs the paper's
+//! §1 full-evaluation extension: confirmed output nodes leave as
+//! [`Match`]es (document-order ordinals, source byte spans) through a
 //! [`MatchSink`], buffering only the unresolved candidates whose cost
 //! the follow-up work \[5\] proves unavoidable. Applications should
-//! normally go through the `fx-engine` crate, whose `Engine`/`Session`
-//! API wires these filters to pull-based event sources and multi-query
-//! banks.
+//! normally go through the `fx-engine` crate's `Engine`/`Session`.
 //!
 //! ```
 //! use fx_xpath::parse_query;
@@ -34,6 +35,7 @@
 
 #![warn(missing_docs)]
 
+mod evaluator;
 pub mod filter;
 pub mod indexed;
 pub mod multi;
@@ -41,7 +43,8 @@ pub mod reporter;
 pub mod space;
 pub mod trace;
 
-pub use filter::{CompiledQuery, FrontierRecord, HorizonFeed, StreamFilter, UnsupportedQuery};
+pub use evaluator::{Evaluator, HorizonFeed};
+pub use filter::{CompiledQuery, FrontierRecord, StreamFilter, UnsupportedQuery};
 pub use indexed::{CompiledResidual, IndexSpaceStats, IndexedBank, SubscriptionId};
 pub use multi::MultiFilter;
 pub use reporter::{Match, MatchSink};

@@ -79,6 +79,8 @@
 //! routed matches are identical either way — proven by
 //! `tests/indexed_differential.rs` on seeded 1k-query banks.
 
+use crate::evaluator::sealed::Horizoned;
+use crate::evaluator::Evaluator;
 use crate::filter::{CompiledQuery, StreamFilter, UnsupportedQuery};
 use crate::reporter::MatchSink;
 use crate::space::SpaceStats;
@@ -112,7 +114,7 @@ pub struct MultiFilter {
     /// holds its own copy only as of the last event delivered to it.
     at: Position,
     /// Per filter: the deepest level the stream has reached since its
-    /// last delivery — what [`StreamFilter::sync`] observes for the
+    /// last delivery — what `Horizoned::sync` observes for the
     /// stretch it was passed over. Apart from the lanes: every start tag
     /// sweeps it.
     deepest: Vec<usize>,
@@ -271,7 +273,7 @@ impl MultiFilter {
     }
 
     /// Builds a *selection* bank from already-compiled queries: every
-    /// filter runs in reporting mode, and [`MultiFilter::process_sym_to`]
+    /// filter runs in reporting mode, and [`Evaluator::event`]
     /// routes each confirmed match to the sink with its query index.
     /// Fails with the index of the first query whose output node cannot
     /// be reported (attribute output).
@@ -303,83 +305,6 @@ impl MultiFilter {
     /// True when no queries are registered.
     pub fn is_empty(&self) -> bool {
         self.filters.is_empty()
-    }
-
-    /// Feeds one interned event (syms from the bank's table,
-    /// [`MultiFilter::symbols`]) with its source span to the filters it
-    /// can concern (see the module docs) among those whose verdict is
-    /// still open, routing any matches it confirmed to `sink` — each
-    /// stamped with the index of the query that selected it, so a
-    /// dissemination layer can fan confirmed matches straight out to
-    /// per-query subscribers. A `StreamingParser` sharing the table
-    /// feeds this directly.
-    ///
-    /// Filters that decide mid-document (see [`StreamFilter::decided`])
-    /// stop receiving events — on dissemination workloads most of the
-    /// bank typically decides within the document's first elements. A
-    /// decided filter's space/event statistics simply stop advancing at
-    /// its decision point. Final verdicts are unaffected: `EndDocument`
-    /// settles every filter the document left open. Filtering-mode
-    /// banks never produce matches (the sink is simply not called);
-    /// reporting banks never short-circuit, because full evaluation must
-    /// examine every candidate.
-    pub fn process_sym_to(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
-        if matches!(event, SymEvent::StartDocument) {
-            // Every lane goes stale at once; a filter is reset just
-            // before the first event this document delivers to it.
-            self.epoch += 1;
-            self.at = Position::default();
-            self.buffering.clear();
-            self.open = self.filters.len();
-        } else if self.open == 0 {
-            // Fully-decided bank: every filter was reached and decided,
-            // so no filter will look at this event (decided filters skip
-            // even `EndDocument`) — the engine's interned reader path
-            // lands here directly. The position stops advancing too;
-            // the `StartDocument` that reopens the bank resets it.
-            return;
-        }
-        // Where the stream stood before this event: what a filter that
-        // was passed over is brought up to before it sees it.
-        let before = self.at;
-        self.at.events += 1;
-        match event {
-            SymEvent::StartDocument => {}
-            SymEvent::EndDocument => {
-                for i in 0..self.filters.len() {
-                    self.deliver(i, before, event, span, sink);
-                }
-            }
-            SymEvent::StartElement { name, .. } => {
-                self.at.level += 1;
-                self.at.ordinal += 1;
-                self.at.deepest = self.at.deepest.max(self.at.level);
-                self.deliver_named(name, before, event, span, sink);
-                if before.level == 0 {
-                    self.deliver_rooted(before, event, span, sink);
-                }
-                // One pass over a dense array, a compare per filter, is
-                // all a passed-over filter costs a start tag. (After the
-                // deliveries: a filter syncs to the stretch *before* the
-                // event it is about to see.)
-                let level = self.at.level;
-                for d in &mut self.deepest {
-                    *d = (*d).max(level);
-                }
-            }
-            SymEvent::EndElement { name } => {
-                self.at.level = self.at.level.saturating_sub(1);
-                self.deliver_named(name, before, event, span, sink);
-            }
-            SymEvent::Text { .. } => {
-                // Text moves no buffering flag, so the list is stable
-                // under the loop.
-                for k in 0..self.buffering.len() {
-                    let i = self.buffering[k] as usize;
-                    self.deliver(i, before, event, span, sink);
-                }
-            }
-        }
     }
 
     /// Delivers a tag to the filters its name reaches — those whose
@@ -506,7 +431,7 @@ impl MultiFilter {
         }
     }
 
-    /// [`MultiFilter::process_sym_to`] over a whole [`EventBatch`] —
+    /// [`Evaluator::event`] over a whole [`EventBatch`] —
     /// the batch-granular hot path: one bank call walks the entire run
     /// with the replay attribute scratch hoisted out of the event loop,
     /// and a bank that goes fully decided mid-batch skips the
@@ -528,19 +453,11 @@ impl MultiFilter {
                 }
             }
             i = batch.replay_control(i, &mut scratch, |ev, span| {
-                self.process_sym_to(ev, span, sink);
+                self.event(ev, span, sink);
                 self.open > 0
             });
         }
         self.attr_scratch = scratch;
-    }
-
-    /// The bank's shared symbol table: hand it to
-    /// `fx_xml::StreamingParser::with_symbols` so parsed events arrive
-    /// already interned and [`MultiFilter::process_sym_to`] skips the
-    /// per-event name lookup entirely.
-    pub fn symbols(&self) -> &Arc<Symbols> {
-        &self.symbols
     }
 
     /// Per-query verdicts (available after `endDocument`, or earlier for
@@ -621,6 +538,91 @@ impl MultiFilter {
         self.filters.iter().map(StreamFilter::stats).collect()
     }
 }
+
+/// An interned event (syms from the bank's table,
+/// [`Evaluator::symbols`]) goes with its source span to the filters it
+/// can concern (see the module docs) among those whose verdict is
+/// still open, routing any matches it confirmed to `sink` — each
+/// stamped with the index of the query that selected it, so a
+/// dissemination layer can fan confirmed matches straight out to
+/// per-query subscribers. A `StreamingParser` sharing the table
+/// feeds this directly.
+///
+/// Filters that decide mid-document (see [`StreamFilter::decided`])
+/// stop receiving events — on dissemination workloads most of the
+/// bank typically decides within the document's first elements. A
+/// decided filter's space/event statistics simply stop advancing at
+/// its decision point. Final verdicts are unaffected: `EndDocument`
+/// settles every filter the document left open. Filtering-mode
+/// banks never produce matches (the sink is simply not called);
+/// reporting banks never short-circuit, because full evaluation must
+/// examine every candidate.
+impl Evaluator for MultiFilter {
+    fn symbols(&self) -> &Arc<Symbols> {
+        &self.symbols
+    }
+
+    fn event(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
+        if matches!(event, SymEvent::StartDocument) {
+            // Every lane goes stale at once; a filter is reset just
+            // before the first event this document delivers to it.
+            self.epoch += 1;
+            self.at = Position::default();
+            self.buffering.clear();
+            self.open = self.filters.len();
+        } else if self.open == 0 {
+            // Fully-decided bank: every filter was reached and decided,
+            // so no filter will look at this event (decided filters skip
+            // even `EndDocument`) — the engine's interned reader path
+            // lands here directly. The position stops advancing too;
+            // the `StartDocument` that reopens the bank resets it.
+            return;
+        }
+        // Where the stream stood before this event: what a filter that
+        // was passed over is brought up to before it sees it.
+        let before = self.at;
+        self.at.events += 1;
+        match event {
+            SymEvent::StartDocument => {}
+            SymEvent::EndDocument => {
+                for i in 0..self.filters.len() {
+                    self.deliver(i, before, event, span, sink);
+                }
+            }
+            SymEvent::StartElement { name, .. } => {
+                self.at.level += 1;
+                self.at.ordinal += 1;
+                self.at.deepest = self.at.deepest.max(self.at.level);
+                self.deliver_named(name, before, event, span, sink);
+                if before.level == 0 {
+                    self.deliver_rooted(before, event, span, sink);
+                }
+                // One pass over a dense array, a compare per filter, is
+                // all a passed-over filter costs a start tag. (After the
+                // deliveries: a filter syncs to the stretch *before* the
+                // event it is about to see.)
+                let level = self.at.level;
+                for d in &mut self.deepest {
+                    *d = (*d).max(level);
+                }
+            }
+            SymEvent::EndElement { name } => {
+                self.at.level = self.at.level.saturating_sub(1);
+                self.deliver_named(name, before, event, span, sink);
+            }
+            SymEvent::Text { .. } => {
+                // Text moves no buffering flag, so the list is stable
+                // under the loop.
+                for k in 0..self.buffering.len() {
+                    let i = self.buffering[k] as usize;
+                    self.deliver(i, before, event, span, sink);
+                }
+            }
+        }
+    }
+}
+
+impl Horizoned for MultiFilter {}
 
 /// Ensures every compiled handle shares one symbol table (the first
 /// query's, or a fresh one for an empty bank): handles already on that

@@ -3,8 +3,10 @@
 
 use crate::builder::Mode;
 use crate::error::EngineError;
-use fx_core::{HorizonFeed, IndexedBank, Match, MatchSink, MultiFilter, StreamFilter};
-use fx_xml::{AttrBuf, Event, EventSource, Span, StreamingParser, SymCache, SymEvent, Symbols};
+use fx_core::{Evaluator, HorizonFeed, IndexedBank, Match, MatchSink, MultiFilter, StreamFilter};
+use fx_xml::{
+    AttrBuf, Event, EventSink, EventSource, ParseError, Span, StreamingParser, SymCache, Symbols,
+};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -37,33 +39,40 @@ use std::sync::Arc;
 /// evaluation must examine every candidate.
 ///
 /// A single-query session, in either mode, runs the bare
-/// [`fx_core::StreamFilter`]. On the reader path its tokenizer drives
-/// it through a [`HorizonFeed`], passing over whatever lies past the
-/// filter's horizon — elements deeper than any row the filter holds
-/// that no descendant row names, text while nothing buffers, most of a
-/// decided document — and handing the filter the position each such
-/// stretch left it at, so verdicts, matches, [`Verdicts::events`] and
-/// the space statistics are bit-for-bit a bare filter's fed every
-/// event.
+/// [`fx_core::StreamFilter`]. Whatever the evaluator, every entry point
+/// feeds it through the one [`fx_core::Evaluator`] protocol and one
+/// [`HorizonFeed`], whose count is [`Verdicts::events`]. On the reader
+/// path the lone filter lends its tokenizer its horizon: elements
+/// deeper than any row it holds that no descendant row names, text
+/// while nothing buffers and most of a decided document are passed
+/// over, and the filter is handed the position each such stretch left
+/// it at, so verdicts, matches, events and space statistics are
+/// bit-for-bit those of the filter fed every event. A bank has no
+/// horizon and sees every event.
 pub struct Session {
     inner: SessionInner,
+    /// Events fed since the session was spawned, delivered or passed
+    /// over: what each [`HorizonFeed`] counted.
     events: u64,
     mode: Mode,
-    /// The engine's symbol table: the reader entry points parse with it
-    /// so events reach the evaluators pre-interned (zero per-event name
-    /// lookups, zero per-event allocation on the tag-dispatch path).
-    symbols: Arc<Symbols>,
-    /// The session's reusable lookup-only parser for the reader entry
-    /// points: reset per document, its scratch buffers, name view and
-    /// read buffer stay warm across a reused session's documents.
+    front: Front,
+    /// The all-zero peak-pending column every [`Verdicts`] of a
+    /// filtering session shares, allocated by its first document.
+    zeros: Option<Arc<[usize]>>,
+}
+
+/// What feeds a session's evaluator: its own tokenizer, and where an
+/// event on another table is interned.
+struct Front {
+    /// The session's reusable lookup-only parser over the engine's
+    /// symbol table, so events reach the evaluator pre-interned: reset
+    /// per document, its scratch buffers, name view and read buffer
+    /// stay warm across a reused session's documents.
     parser: StreamingParser,
     /// Where an owned event (hand-pushed, or from a source on a foreign
     /// table) is interned, once, before any evaluator sees it.
     attrs: AttrBuf,
     names: SymCache,
-    /// The all-zero peak-pending column every [`Verdicts`] of a
-    /// filtering session shares, allocated by its first document.
-    zeros: Option<Arc<[usize]>>,
 }
 
 pub(crate) enum SessionInner {
@@ -80,17 +89,61 @@ pub(crate) enum SessionInner {
     Indexed(Box<IndexedBank>),
 }
 
-impl SessionInner {
-    /// One interned event — what the drive loop hands every variant,
-    /// its syms issued by the engine's table: one predictable match,
-    /// then the concretely-typed filter or bank.
-    #[inline]
-    fn push_sym(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
-        match self {
-            SessionInner::Single(filter) => filter.process_sym_to(event, span, 0, sink),
-            SessionInner::Bank(bank) => bank.process_sym_to(event, span, sink),
-            SessionInner::Indexed(bank) => bank.process_sym_to(event, span, sink),
-        }
+impl Front {
+    /// Interns one owned event against the engine's table and feeds it
+    /// to `eval`; returns the events fed (one).
+    fn push<E: Evaluator>(
+        &mut self,
+        eval: &mut E,
+        event: &Event,
+        span: Span,
+        sink: &mut dyn MatchSink,
+    ) -> u64 {
+        let symbols = self.parser.symbols();
+        let event = self.attrs.sym_event(&mut self.names, symbols, event);
+        let mut feed = HorizonFeed::new(eval, sink);
+        feed.event(event, span);
+        feed.delivered()
+    }
+
+    /// Streams one document from `reader` through `source` (`None`: the
+    /// session's own tokenizer, driven by its concrete type, so `eval`
+    /// inlines into its token loop and a lone filter's horizon reaches
+    /// it) into `eval`, through one [`HorizonFeed`]. Returns the drive's
+    /// result and the events the document held, delivered or passed
+    /// over.
+    fn drive<E: Evaluator>(
+        &mut self,
+        eval: &mut E,
+        source: Option<&mut dyn EventSource>,
+        reader: &mut dyn Read,
+        sink: &mut dyn MatchSink,
+    ) -> (Result<(), ParseError>, u64) {
+        let mut feed = HorizonFeed::new(eval, sink);
+        let result = match source {
+            None => {
+                self.parser.reset();
+                self.parser.drive_to(reader, &mut feed)
+            }
+            Some(source) => {
+                source.reset();
+                if Arc::ptr_eq(source.symbols(), self.parser.symbols()) {
+                    source.drive(reader, &mut |ev, span| feed.event(ev, span))
+                } else {
+                    // A foreign table's syms mean nothing to the compiled
+                    // node tests: each event is made owned through it and
+                    // interned again against the engine's.
+                    let table = Arc::clone(source.symbols());
+                    let (symbols, attrs, names) =
+                        (self.parser.symbols(), &mut self.attrs, &mut self.names);
+                    source.drive(reader, &mut |ev, span| {
+                        let owned = ev.to_owned(&table);
+                        feed.event(attrs.sym_event(names, symbols, &owned), span)
+                    })
+                }
+            }
+        };
+        (result, feed.delivered() + feed.passed())
     }
 }
 
@@ -100,10 +153,11 @@ impl Session {
             inner,
             events: 0,
             mode,
-            parser: StreamingParser::with_symbols(Arc::clone(&symbols)).lookup_only(),
-            symbols,
-            attrs: AttrBuf::new(),
-            names: SymCache::new(),
+            front: Front {
+                parser: StreamingParser::with_symbols(symbols).lookup_only(),
+                attrs: AttrBuf::new(),
+                names: SymCache::new(),
+            },
             zeros: None,
         }
     }
@@ -164,9 +218,12 @@ impl Session {
     /// The owned event is interned once against the engine's table
     /// before any evaluator sees it.
     pub fn push_spanned_to(&mut self, event: &Event, span: Span, sink: &mut dyn MatchSink) {
-        self.events += 1;
-        let ev = self.attrs.sym_event(&mut self.names, &self.symbols, event);
-        self.inner.push_sym(ev, span, sink);
+        let front = &mut self.front;
+        self.events += match &mut self.inner {
+            SessionInner::Single(filter) => front.push(&mut **filter, event, span, sink),
+            SessionInner::Bank(bank) => front.push(&mut **bank, event, span, sink),
+            SessionInner::Indexed(bank) => front.push(&mut **bank, event, span, sink),
+        };
     }
 
     /// Collects the per-query verdicts of the document just streamed.
@@ -248,11 +305,12 @@ impl Session {
     ///
     /// The `run_reader*` entry points are the `run_source*` ones over
     /// the session's own warm XML tokenizer — driven by its concrete
-    /// type, so the evaluators inline into its token loop — which
-    /// resolves names lookup-only: document names outside the compiled
-    /// query vocabulary collapse to `Sym::UNKNOWN` instead of growing
-    /// the engine-wide table, so a long-lived engine's memory stays
-    /// bounded by its queries, never by document content.
+    /// type, so the evaluator inlines into its token loop and a lone
+    /// filter's horizon reaches it — which resolves names lookup-only:
+    /// document names outside the compiled query vocabulary collapse to
+    /// `Sym::UNKNOWN` instead of growing the engine-wide table, so a
+    /// long-lived engine's memory stays bounded by its queries, never
+    /// by document content.
     pub fn run_reader<R: Read>(&mut self, mut reader: R) -> Result<Verdicts, EngineError> {
         self.drive(None, &mut reader, &mut |_: Match| {})
     }
@@ -330,81 +388,35 @@ impl Session {
         Ok(Outcome::new(verdicts, matches))
     }
 
-    /// The one drive loop: streams one document from `reader` through
-    /// `source` (`None`: the session's own warm XML tokenizer) and hands
-    /// each event to the evaluators as the tokenizer completes it,
-    /// matches going to `sink`.
-    /// Nothing is materialized between the two — no owned `Event`, no
-    /// run of events — and in steady state nothing on the path
-    /// allocates per element event. The session's own tokenizer is
-    /// driven by its concrete type, so the evaluators inline into its
-    /// token loop; a handed-in source costs one virtual call per event.
-    /// A lone filter rides that tokenizer through its horizon
-    /// ([`HorizonFeed`]), so what it cannot see is passed over; the
-    /// banks see every event.
-    /// A parse or read error ends the drive only after the events
-    /// completed before it were evaluated; a clean drive ends in
-    /// [`Session::finish`].
+    /// The one drive: streams one document from `reader` through
+    /// `source` (`None`: the session's own warm XML tokenizer) into the
+    /// evaluator, one [`Front::drive`] per [`SessionInner`] arm, each
+    /// generic over its evaluator, matches going to `sink`. Nothing is
+    /// materialized between the tokenizer and the evaluator — no owned
+    /// `Event`, no run of events — and in steady state nothing on the
+    /// path allocates per element event. A parse or read error ends the
+    /// drive only after the events completed before it were evaluated;
+    /// a clean drive ends in [`Session::finish`].
     ///
     /// A stream that held no document at all (an NDJSON stream without
     /// a record) delivers no event, so the evaluators still hold
     /// whatever came before: it reads as every query unmatched, with
     /// zero peak bits.
-    ///
-    /// The one exception is a source whose symbol table is not the
-    /// engine's: its syms mean nothing to the compiled node tests, so
-    /// each event is made owned through the *source's* table and
-    /// interned again against the engine's, like a hand-pushed one.
     fn drive(
         &mut self,
         source: Option<&mut dyn EventSource>,
         reader: &mut dyn Read,
         sink: &mut dyn MatchSink,
     ) -> Result<Verdicts, EngineError> {
-        let delivered = self.events;
-        let Session {
-            inner,
-            events,
-            symbols,
-            parser,
-            attrs,
-            names,
-            ..
-        } = self;
-        let result = match (source, inner) {
-            (None, SessionInner::Single(filter)) => {
-                parser.reset();
-                let mut feed = HorizonFeed::new(filter, sink);
-                let result = parser.drive_to(reader, &mut feed);
-                *events += feed.delivered() + feed.passed();
-                result
-            }
-            (None, inner) => {
-                parser.reset();
-                parser.drive(reader, &mut |ev, span| {
-                    *events += 1;
-                    inner.push_sym(ev, span, sink)
-                })
-            }
-            (Some(source), inner) => {
-                source.reset();
-                if Arc::ptr_eq(source.symbols(), symbols) {
-                    source.drive(reader, &mut |ev, span| {
-                        *events += 1;
-                        inner.push_sym(ev, span, sink)
-                    })
-                } else {
-                    let table = Arc::clone(source.symbols());
-                    source.drive(reader, &mut |ev, span| {
-                        *events += 1;
-                        let owned = ev.to_owned(&table);
-                        inner.push_sym(attrs.sym_event(names, symbols, &owned), span, sink)
-                    })
-                }
-            }
+        let front = &mut self.front;
+        let (result, events) = match &mut self.inner {
+            SessionInner::Single(filter) => front.drive(&mut **filter, source, reader, sink),
+            SessionInner::Bank(bank) => front.drive(&mut **bank, source, reader, sink),
+            SessionInner::Indexed(bank) => front.drive(&mut **bank, source, reader, sink),
         };
+        self.events += events;
         result?;
-        if self.events == delivered {
+        if events == 0 {
             let queries = self.len();
             let counted = (self.mode == Mode::Select).then(|| vec![0; queries]);
             return Ok(self.verdicts(vec![false; queries], vec![0; queries], counted));
@@ -601,6 +613,7 @@ impl Verdicts {
 #[cfg(test)]
 mod tests {
     use crate::{Engine, EngineError};
+    use fx_core::Evaluator;
 
     #[test]
     fn push_finish_lifecycle() {
@@ -813,7 +826,7 @@ mod tests {
             let symbols = std::sync::Arc::clone(bank.symbols());
             for e in &fx_xml::parse(xml).unwrap() {
                 let ev = attrs.sym_event(&mut names, &symbols, e);
-                bank.process_sym_to(ev, fx_xml::Span::EMPTY, &mut |_: crate::Match| {});
+                bank.event(ev, fx_xml::Span::EMPTY, &mut |_: crate::Match| {});
             }
             let want: Vec<bool> = bank.results().into_iter().map(Option::unwrap).collect();
             assert_eq!(v.matched(), want, "{xml}");

@@ -9,7 +9,7 @@
 
 use fx_analysis::{frontier_size, redundancy_free};
 use fx_automata::{BufferingFilter, LazyDfaFilter, NfaFilter};
-use fx_core::{Match, MultiFilter, StreamFilter};
+use fx_core::{Evaluator, Match, MultiFilter, StreamFilter};
 use fx_engine::Engine;
 use fx_lowerbounds::{
     depth_bound, disj_segments, frontier_bound, probe, probe_fooling_set, sets_intersect,
@@ -575,7 +575,7 @@ fn e11_multi_query() {
         while start.elapsed() < Duration::from_millis(200) {
             for e in &events {
                 let ev = attrs.sym_event(&mut names, &symbols, e);
-                bank.process_sym_to(ev, Span::EMPTY, &mut |_: Match| {});
+                bank.event(ev, Span::EMPTY, &mut |_: Match| {});
             }
             processed += events.len() as u64;
         }

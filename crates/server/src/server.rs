@@ -11,7 +11,7 @@ use crate::broker::{route, Churn, Command, Mailbox, Offer, Outbox, Port, Resolve
 use crate::inbox::Inbox;
 use crate::sub::{Delivery, Document, SubShared, Subscription};
 use crate::{ServerConfig, ServerError, ServerStats};
-use fx_core::{CompiledQuery, IndexedBank, Match, SubscriptionId};
+use fx_core::{CompiledQuery, HorizonFeed, IndexedBank, Match, SubscriptionId};
 use fx_xml::{StreamingParser, Symbols};
 use fx_xpath::Query;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,7 +106,8 @@ impl Port for Shared {
 
 /// One worker: a bank and a warm lookup-only parser over the shared
 /// symbol table (a late subscription's names reach it at its next
-/// document). Each event goes from parser to bank as it completes,
+/// document). Each event goes from parser to bank through a
+/// [`HorizonFeed`] as it completes,
 /// borrowed from the document's bytes; no run of events is kept.
 struct Worker {
     index: usize,
@@ -168,9 +169,7 @@ impl Worker {
         } = self;
         raw.clear();
         parser.reset();
-        let result = parser.drive(&document[..], &mut |ev, span| {
-            bank.process_sym_to(ev, span, raw)
-        });
+        let result = parser.drive_to(&document[..], &mut HorizonFeed::new(bank, raw));
         if result.is_ok() {
             self.counts.documents += 1;
         } else {

@@ -421,6 +421,7 @@ pub fn balanced_twig(depth: usize) -> Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fx_core::Evaluator;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -603,7 +604,7 @@ mod tests {
         let (mut attrs, mut names) = (fx_xml::AttrBuf::new(), fx_xml::SymCache::new());
         for e in &events {
             let ev = attrs.sym_event(&mut names, &symbols, e);
-            mf.process_sym_to(ev, fx_xml::Span::EMPTY, &mut |_: fx_core::Match| {});
+            mf.event(ev, fx_xml::Span::EMPTY, &mut |_: fx_core::Match| {});
         }
         let results = mf.results();
         let mut matched = 0usize;

@@ -16,7 +16,9 @@
 //! single test so no sibling test thread can pollute the counters.
 
 use frontier_xpath::engine::{Engine, IndexPolicy, Mode};
-use frontier_xpath::filter::{CompiledQuery, HorizonFeed, IndexedBank, StreamFilter};
+use frontier_xpath::filter::{
+    CompiledQuery, Evaluator, HorizonFeed, IndexedBank, Match, StreamFilter,
+};
 use frontier_xpath::html::HtmlParser;
 use frontier_xpath::json::JsonParser;
 use frontier_xpath::server::{Delivery, DisseminationServer, ServerConfig, Subscription};
@@ -125,7 +127,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     let mut count = 0u64;
     {
         let mut emit = emitter(|ev, span| {
-            filter.process_sym(ev, span);
+            filter.event(ev, span, &mut |_: Match| {});
             count += 1;
         });
         parser.feed_interned("<r>", &mut emit).unwrap();
@@ -140,7 +142,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     let steady = 1000u64;
     {
         let mut emit = emitter(|ev, span| {
-            filter.process_sym(ev, span);
+            filter.event(ev, span, &mut |_: Match| {});
             count += 1;
         });
         for _ in 0..steady {
@@ -159,7 +161,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
 
     // The stream stays live and correct: close it out and check the
     // verdict (every <i> carries @a).
-    let mut emit = emitter(|ev, span| filter.process_sym(ev, span));
+    let mut emit = emitter(|ev, span| filter.event(ev, span, &mut |_: Match| {}));
     parser.feed_interned("</r>", &mut emit).unwrap();
     parser.finish_interned(&mut emit).unwrap();
     assert_eq!(filter.result(), Some(true));
@@ -179,7 +181,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     let mut parser = StreamingParser::with_symbols(Arc::clone(bank.symbols()));
     let sink = &mut |_: frontier_xpath::filter::Match| {};
     {
-        let mut emit = emitter(|ev, span| bank.process_sym_to(ev, span, sink));
+        let mut emit = emitter(|ev, span| bank.event(ev, span, sink));
         parser.feed_interned("<r>", &mut emit).unwrap();
         for _ in 0..64 {
             parser.feed_interned(chunk, &mut emit).unwrap();
@@ -187,7 +189,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     }
     let before = allocations();
     {
-        let mut emit = emitter(|ev, span| bank.process_sym_to(ev, span, sink));
+        let mut emit = emitter(|ev, span| bank.event(ev, span, sink));
         for _ in 0..steady {
             parser.feed_interned(chunk, &mut emit).unwrap();
         }
@@ -211,7 +213,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     let mut html = HtmlParser::with_symbols(Arc::clone(&symbols));
     let chunk = r#"<li a="1">x</li><wbr>"#;
     {
-        let mut emit = emitter(|ev, span| filter.process_sym(ev, span));
+        let mut emit = emitter(|ev, span| filter.event(ev, span, &mut |_: Match| {}));
         html.feed_interned("<ul>", &mut emit).unwrap();
         for _ in 0..64 {
             html.feed_interned(chunk, &mut emit).unwrap();
@@ -219,7 +221,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     }
     let before = allocations();
     {
-        let mut emit = emitter(|ev, span| filter.process_sym(ev, span));
+        let mut emit = emitter(|ev, span| filter.event(ev, span, &mut |_: Match| {}));
         for _ in 0..steady {
             html.feed_interned(chunk, &mut emit).unwrap();
         }
@@ -232,7 +234,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
          ({} allocations over {steady} chunks)",
         after - before
     );
-    let mut emit = emitter(|ev, span| filter.process_sym(ev, span));
+    let mut emit = emitter(|ev, span| filter.event(ev, span, &mut |_: Match| {}));
     html.feed_interned("</ul>", &mut emit).unwrap();
     html.finish_interned(&mut emit).unwrap();
     assert_eq!(filter.result(), Some(true));
@@ -247,7 +249,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     let mut json = JsonParser::with_symbols(Arc::clone(&symbols));
     let chunk = r#""i":{"a":"x","n":17},"#;
     {
-        let mut emit = emitter(|ev, span| filter.process_sym(ev, span));
+        let mut emit = emitter(|ev, span| filter.event(ev, span, &mut |_: Match| {}));
         json.feed_interned("{", &mut emit).unwrap();
         for _ in 0..64 {
             json.feed_interned(chunk, &mut emit).unwrap();
@@ -255,7 +257,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     }
     let before = allocations();
     {
-        let mut emit = emitter(|ev, span| filter.process_sym(ev, span));
+        let mut emit = emitter(|ev, span| filter.event(ev, span, &mut |_: Match| {}));
         for _ in 0..steady {
             json.feed_interned(chunk, &mut emit).unwrap();
         }
@@ -268,7 +270,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
          ({} allocations over {steady} chunks)",
         after - before
     );
-    let mut emit = emitter(|ev, span| filter.process_sym(ev, span));
+    let mut emit = emitter(|ev, span| filter.event(ev, span, &mut |_: Match| {}));
     json.feed_interned("}", &mut emit).unwrap();
     json.finish_interned(&mut emit).unwrap();
     assert_eq!(filter.result(), Some(true));
@@ -288,7 +290,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     let chunk = "<i a=\"1\">caf\u{e9}\u{2022}</i><j/>".as_bytes();
     let cut = 13; // one byte into the 2-byte `é`
     {
-        let mut emit = emitter(|ev, span| filter.process_sym(ev, span));
+        let mut emit = emitter(|ev, span| filter.event(ev, span, &mut |_: Match| {}));
         parser.feed_interned_bytes(b"<r>", &mut emit).unwrap();
         for _ in 0..64 {
             parser
@@ -301,7 +303,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     }
     let before = allocations();
     {
-        let mut emit = emitter(|ev, span| filter.process_sym(ev, span));
+        let mut emit = emitter(|ev, span| filter.event(ev, span, &mut |_: Match| {}));
         for _ in 0..steady {
             parser
                 .feed_interned_bytes(&chunk[..cut], &mut emit)
@@ -319,7 +321,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
          steady state ({} allocations over {steady} chunks)",
         after - before
     );
-    let mut emit = emitter(|ev, span| filter.process_sym(ev, span));
+    let mut emit = emitter(|ev, span| filter.event(ev, span, &mut |_: Match| {}));
     parser.feed_interned_bytes(b"</r>", &mut emit).unwrap();
     parser.finish_interned(&mut emit).unwrap();
     assert_eq!(filter.result(), Some(true));
@@ -352,7 +354,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
             parser.feed_interned(chunk, &mut emit).unwrap();
         }
     }
-    batch.replay(&mut scratch, |ev, span| bank.process_sym_to(ev, span, sink));
+    batch.replay(&mut scratch, |ev, span| bank.event(ev, span, sink));
     batch.clear();
     let before = allocations();
     for _ in 0..steady {
@@ -360,7 +362,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
             let mut emit = emitter(|ev, span| batch.push(&ev, span));
             parser.feed_interned(chunk, &mut emit).unwrap();
         }
-        batch.replay(&mut scratch, |ev, span| bank.process_sym_to(ev, span, sink));
+        batch.replay(&mut scratch, |ev, span| bank.event(ev, span, sink));
         batch.clear();
     }
     let after = allocations();
@@ -425,7 +427,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     );
     assert_eq!(bank.results(), vec![Some(true), Some(true)]);
 
-    // --- Per-event drive: `drive` → `process_sym_to`. ------------------
+    // --- Per-event drive: `drive` → `Evaluator::event`. ----------------
     // What the session and the server worker ride: the same read loop
     // with no batch in it — each event goes to the banks as the
     // tokenizer completes it, borrowed from the io chunk. Nothing is
@@ -436,8 +438,8 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
         parser
             .drive(doc.as_bytes(), &mut |ev: SymEvent<'_>, span| {
                 *events += 1;
-                bank.process_sym_to(ev, span, sink);
-                indexed.process_sym_to(ev, span, sink);
+                bank.event(ev, span, sink);
+                indexed.event(ev, span, sink);
             })
             .unwrap();
     };
@@ -737,14 +739,15 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
                 name,
                 attributes: &[],
             };
-            filter.process_sym(SymEvent::StartDocument, Span::EMPTY);
-            filter.process_sym(start(a), Span::EMPTY);
+            let discard = &mut |_: Match| {};
+            filter.event(SymEvent::StartDocument, Span::EMPTY, discard);
+            filter.event(start(a), Span::EMPTY, discard);
             for _ in 0..n {
-                filter.process_sym(start(b), Span::EMPTY);
-                filter.process_sym(SymEvent::EndElement { name: b }, Span::EMPTY);
+                filter.event(start(b), Span::EMPTY, discard);
+                filter.event(SymEvent::EndElement { name: b }, Span::EMPTY, discard);
             }
-            filter.process_sym(SymEvent::EndElement { name: a }, Span::EMPTY);
-            filter.process_sym(SymEvent::EndDocument, Span::EMPTY);
+            filter.event(SymEvent::EndElement { name: a }, Span::EMPTY, discard);
+            filter.event(SymEvent::EndDocument, Span::EMPTY, discard);
             assert_eq!(filter.result(), Some(true));
             filter
         });
@@ -754,7 +757,7 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
     for (what, i) in [
         "Session::run_reader",
         "Session::push",
-        "StreamFilter::process_sym",
+        "StreamFilter's Evaluator::event",
     ]
     .into_iter()
     .zip(0..)

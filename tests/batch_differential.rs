@@ -13,7 +13,7 @@
 //! Case counts honor `FX_PROPTEST_CASES` (CI pins a small count; local
 //! runs omit it to crank coverage).
 
-use frontier_xpath::filter::{IndexedBank, MultiFilter, StreamFilter};
+use frontier_xpath::filter::{Evaluator, IndexedBank, MultiFilter, StreamFilter};
 use frontier_xpath::html::HtmlParser;
 use frontier_xpath::json::{JsonParser, NdjsonParser};
 use frontier_xpath::prelude::*;
@@ -272,7 +272,7 @@ fn assert_bank_parity(xml: &str, reporting: bool, chunk_seed: u64) {
         &mut parser,
         ChunkyReader::new(xml.as_bytes(), chunk_seed, 11),
         &mut |ev, span| {
-            per_event.process_sym_to(ev, span, &mut |m: Match| ref_matches.push(m));
+            per_event.event(ev, span, &mut |m: Match| ref_matches.push(m));
         },
     )
     .unwrap();
@@ -320,7 +320,7 @@ fn assert_indexed_parity(xml: &str, chunk_seed: u64) {
         &mut parser,
         ChunkyReader::new(xml.as_bytes(), chunk_seed, 9),
         &mut |ev, span| {
-            per_event.process_sym_to(ev, span, &mut |m: Match| ref_matches.push(m));
+            per_event.event(ev, span, &mut |m: Match| ref_matches.push(m));
         },
     )
     .unwrap();
@@ -365,7 +365,7 @@ fn decided_bank_short_circuits_mid_batch_with_identical_results() {
 
     let mut parser = StreamingParser::with_symbols(Arc::clone(per_event.symbols())).lookup_only();
     feed_and_finish(&mut parser, xml.as_bytes(), &mut |ev, span| {
-        per_event.process_sym_to(ev, span, &mut |_: Match| {});
+        per_event.event(ev, span, &mut |_: Match| {});
     })
     .unwrap();
     parser.reset();
@@ -407,7 +407,7 @@ fn matches_before_a_parse_error_do_not_depend_on_the_batch_cut() {
             StreamingParser::with_symbols(Arc::clone(per_event.symbols())).lookup_only();
         let mut ref_matches: Vec<Match> = Vec::new();
         feed_and_finish(&mut parser, xml.as_bytes(), &mut |ev, span| {
-            per_event.process_sym_to(ev, span, &mut |m: Match| ref_matches.push(m));
+            per_event.event(ev, span, &mut |m: Match| ref_matches.push(m));
         })
         .unwrap_err();
         assert_eq!(ref_matches.len(), n);
@@ -422,7 +422,7 @@ fn matches_before_a_parse_error_do_not_depend_on_the_batch_cut() {
 }
 
 /// A one-filter bank's batch walker, `MultiFilter::process_batch_to`,
-/// equals the bare filter fed per event through `process_sym_to` —
+/// equals the bare filter fed per event through `Evaluator::event` —
 /// match order included.
 #[test]
 fn single_filter_batch_drain_matches_per_event() {
@@ -436,7 +436,7 @@ fn single_filter_batch_drain_matches_per_event() {
     let mut parser = StreamingParser::with_symbols(symbols).lookup_only();
     let mut ref_matches: Vec<Match> = Vec::new();
     feed_and_finish(&mut parser, xml.as_bytes(), &mut |ev, span| {
-        per_event.process_sym_to(ev, span, 0, &mut |m: Match| ref_matches.push(m));
+        per_event.event(ev, span, &mut |m: Match| ref_matches.push(m));
     })
     .unwrap();
 
@@ -634,7 +634,7 @@ proptest! {
         let mut parser = StreamingParser::with_symbols(Arc::clone(bank.symbols())).lookup_only();
         let mut ref_matches: Vec<Match> = Vec::new();
         feed_and_finish(&mut parser, xml.as_bytes(), &mut |ev, span| {
-            bank.process_sym_to(ev, span, &mut |m: Match| ref_matches.push(m));
+            bank.event(ev, span, &mut |m: Match| ref_matches.push(m));
         })
         .unwrap();
 

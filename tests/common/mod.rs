@@ -5,8 +5,8 @@
 use frontier_xpath::dom::{Document, NodeKind};
 use frontier_xpath::engine::{Engine, EngineError, IndexPolicy, Mode, Outcome, Session};
 use frontier_xpath::eval::full_eval;
-use frontier_xpath::filter::{CompiledQuery, IndexedBank, Match, MatchSink, MultiFilter};
-use frontier_xpath::xml::{AttrBuf, Event, EventSource, Span, SymCache, SymEvent, Symbols};
+use frontier_xpath::filter::{CompiledQuery, Evaluator, Match, MatchSink};
+use frontier_xpath::xml::{AttrBuf, Event, EventSource, Span, SymCache};
 use frontier_xpath::xpath::{parse_query, Query};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -69,50 +69,24 @@ pub fn session_shapes() -> Vec<(&'static str, Engine)> {
     shapes.into_iter().map(build).collect()
 }
 
-/// What a session feeds either bank: interned events, their syms
-/// issued by the bank's own table.
-pub trait Bank {
-    fn table(&self) -> Arc<Symbols>;
-    fn feed_sym(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink);
-}
-
-impl Bank for IndexedBank {
-    fn table(&self) -> Arc<Symbols> {
-        Arc::clone(self.symbols())
-    }
-
-    fn feed_sym(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
-        self.process_sym_to(event, span, sink)
-    }
-}
-
-impl Bank for MultiFilter {
-    fn table(&self) -> Arc<Symbols> {
-        Arc::clone(self.symbols())
-    }
-
-    fn feed_sym(&mut self, event: SymEvent<'_>, span: Span, sink: &mut dyn MatchSink) {
-        self.process_sym_to(event, span, sink)
-    }
-}
-
-/// Feeds owned fixture events with their spans to `bank`, interning
-/// each once against the bank's table — as a session interns a pushed
-/// event — and routes the matches they confirm to `sink`.
+/// Feeds owned fixture events with their spans to `bank` (either bank,
+/// or a lone filter), interning each once against its table — as a
+/// session interns a pushed event — and routes the matches they confirm
+/// to `sink`.
 pub fn feed_to<'e>(
-    bank: &mut impl Bank,
+    bank: &mut impl Evaluator,
     events: impl IntoIterator<Item = (&'e Event, Span)>,
     sink: &mut dyn MatchSink,
 ) {
-    let symbols = bank.table();
+    let symbols = Arc::clone(bank.symbols());
     let (mut attrs, mut names) = (AttrBuf::new(), SymCache::new());
     for (event, span) in events {
-        bank.feed_sym(attrs.sym_event(&mut names, &symbols, event), span, sink);
+        bank.event(attrs.sym_event(&mut names, &symbols, event), span, sink);
     }
 }
 
 /// [`feed_to`] without spans, dropping the matches.
-pub fn feed(bank: &mut impl Bank, events: &[Event]) {
+pub fn feed(bank: &mut impl Evaluator, events: &[Event]) {
     feed_to(
         bank,
         events.iter().map(|e| (e, Span::EMPTY)),

@@ -12,7 +12,7 @@
 //! and malformed streams must neither panic nor leak into the next
 //! document.
 
-use frontier_xpath::filter::{CompiledQuery, Match, MultiFilter, StreamFilter};
+use frontier_xpath::filter::{CompiledQuery, Evaluator, Match, MultiFilter, StreamFilter};
 use frontier_xpath::html::HtmlParser;
 use frontier_xpath::json::JsonParser;
 use frontier_xpath::lowerbounds::{depth_bound, frontier_bound};
@@ -76,7 +76,7 @@ impl Lanes {
     }
 
     fn feed(&mut self, ev: SymEvent<'_>, span: Span) {
-        self.bank.process_sym_to(ev, span, &mut self.got);
+        self.bank.event(ev, span, &mut self.got);
         if matches!(ev, SymEvent::StartDocument) {
             self.early.fill(None);
         }
@@ -86,7 +86,9 @@ impl Lanes {
             if self.early[i].is_some() {
                 continue;
             }
-            solo.process_sym_to(ev, span, i, &mut self.want);
+            // A solo filter stamps its matches 0; the bank would stamp `i`.
+            let want = &mut self.want;
+            solo.event(ev, span, &mut |m: Match| want.push(Match { query: i, ..m }));
             if !matches!(ev, SymEvent::EndDocument) {
                 self.early[i] = solo.decided();
             }
@@ -429,7 +431,7 @@ fn deliveries(queries: &[Query], xml: &str) -> (u64, u64) {
     let mut events = 0u64;
     let mut emit = |ev: SymEvent<'_>, span: Span| {
         events += 1;
-        bank.process_sym_to(ev, span, &mut |_: Match| {});
+        bank.event(ev, span, &mut |_: Match| {});
     };
     parser.feed_interned(xml, &mut emit).unwrap();
     parser.finish_interned(&mut emit).unwrap();

@@ -1,11 +1,11 @@
 //! Interned-path parity: the symbol-interned, zero-copy event hot path
-//! (`StreamingParser::feed_interned` → `SymEvent` → `process_sym`) must
+//! (`StreamingParser::feed_interned` → `SymEvent` → `Evaluator::event`) must
 //! be observably identical to the owned `Event` path — verdicts, match
 //! streams (ordinals *and* spans), and space statistics — on the xmark
 //! corpus, the shared-prefix bank workload, and proptest-chosen pairs.
 
 use frontier_xpath::engine::{Engine, IndexPolicy, Match, Mode};
-use frontier_xpath::filter::{CompiledQuery, IndexedBank, MultiFilter, StreamFilter};
+use frontier_xpath::filter::{CompiledQuery, Evaluator, IndexedBank, MultiFilter, StreamFilter};
 use frontier_xpath::workloads as wl;
 use frontier_xpath::xml::{parse_spanned, Event, Span, StreamingParser, SymEvent, Symbols};
 use frontier_xpath::xpath::{parse_query, Query};
@@ -48,11 +48,13 @@ fn assert_both_paths_agree(q: &Query, xml: &str) {
     let mut parser = StreamingParser::with_symbols(symbols);
     for piece in xml.as_bytes().chunks(13) {
         parser
-            .feed_interned_bytes(piece, &mut |ev, span| interned.process_sym(ev, span))
+            .feed_interned_bytes(piece, &mut |ev, span| {
+                interned.event(ev, span, &mut |_: Match| {})
+            })
             .unwrap();
     }
     parser
-        .finish_interned(&mut |ev, span| interned.process_sym(ev, span))
+        .finish_interned(&mut |ev, span| interned.event(ev, span, &mut |_: Match| {}))
         .unwrap();
 
     assert_eq!(owned.result(), interned.result(), "{xml}");
@@ -187,22 +189,22 @@ fn banks_interned_feed_equals_owned_feed() {
         let mut parser = StreamingParser::with_symbols(Arc::clone(mf_sym.symbols()));
         parser
             .feed_interned(&xml, &mut |ev, span| {
-                mf_sym.process_sym_to(ev, span, &mut |_: Match| {})
+                mf_sym.event(ev, span, &mut |_: Match| {})
             })
             .unwrap();
         parser
-            .finish_interned(&mut |ev, span| mf_sym.process_sym_to(ev, span, &mut |_: Match| {}))
+            .finish_interned(&mut |ev, span| mf_sym.event(ev, span, &mut |_: Match| {}))
             .unwrap();
 
         let mut ib_sym = IndexedBank::new(&bank.queries).unwrap();
         let mut parser = StreamingParser::with_symbols(Arc::clone(ib_sym.symbols()));
         parser
             .feed_interned(&xml, &mut |ev, span| {
-                ib_sym.process_sym_to(ev, span, &mut |_: Match| {})
+                ib_sym.event(ev, span, &mut |_: Match| {})
             })
             .unwrap();
         parser
-            .finish_interned(&mut |ev, span| ib_sym.process_sym_to(ev, span, &mut |_: Match| {}))
+            .finish_interned(&mut |ev, span| ib_sym.event(ev, span, &mut |_: Match| {}))
             .unwrap();
 
         assert_eq!(mf_owned.results(), mf_sym.results(), "{xml}");

@@ -9,12 +9,15 @@
 //! match sequence (query, ordinal, span), in both modes — on the 64
 //! XMark documents with each standing query alone, random documents
 //! 4–12 levels deep, recursive `<a>` documents, and reads of 1 to 7
-//! bytes. A malformed document fails with the same message at the same
+//! bytes. The same queries also run together as a bank, under both
+//! index policies: a bank has no horizon, so its reader path delivers
+//! every event through the same feed, and its `events()` is that feed's
+//! count. A malformed document fails with the same message at the same
 //! byte whether or not its fault lies in a region passed over, and a
 //! work gate shows the passing over is real.
 
-use frontier_xpath::engine::Mode;
-use frontier_xpath::filter::{CompiledQuery, HorizonFeed, Match};
+use frontier_xpath::engine::{IndexPolicy, Mode};
+use frontier_xpath::filter::{CompiledQuery, Evaluator, HorizonFeed, Match};
 use frontier_xpath::prelude::*;
 use frontier_xpath::workloads::{
     auction_site, random_document, standing_queries, RandomDocConfig, XmarkConfig,
@@ -58,35 +61,45 @@ fn reads(tiny: bool) -> Vec<usize> {
     reads
 }
 
-/// One query in one mode: the push path, which delivers every event,
-/// and one reader-path session per read size. Each session is reused
-/// across documents, so `events()` accumulates on both sides.
+/// One query, or a bank of them, in one mode: the push path, which
+/// delivers every event, and one reader-path session per read size.
+/// Each session is reused across documents, so `events()` accumulates
+/// on both sides.
 struct Lane {
     label: String,
     pushing: Session,
     skipping: Vec<(usize, Session)>,
 }
 
+const MODES: [Mode; 2] = [Mode::Filter, Mode::Select];
+
 impl Lane {
-    fn new(query: &str, mode: Mode, reads: &[usize]) -> Lane {
+    fn new(queries: &[String], mode: Mode, index: IndexPolicy, reads: &[usize]) -> Lane {
+        let parsed = queries.iter().map(|q| parse_query(q).unwrap());
         let engine = Engine::builder()
-            .query_str(query)
+            .queries(parsed)
             .mode(mode)
+            .index(index)
             .build()
-            .unwrap_or_else(|e| panic!("{query}: {e}"));
+            .unwrap_or_else(|e| panic!("{queries:?}: {e}"));
         Lane {
-            label: format!("{query} ({mode:?})"),
+            label: format!("{queries:?} ({mode:?}, {index:?})"),
             pushing: engine.session(),
             skipping: reads.iter().map(|&n| (n, engine.session())).collect(),
         }
     }
 
-    /// Every lane of `queries` in both modes.
+    /// Every query of `queries` alone, in both modes; then all of them
+    /// as one bank under each index policy, in both modes.
     fn all(queries: &[String], reads: &[usize]) -> Vec<Lane> {
-        let modes = [Mode::Filter, Mode::Select];
-        (queries.iter())
-            .flat_map(|q| modes.map(|mode| Lane::new(q, mode, reads)))
-            .collect()
+        let alone = queries.iter().flat_map(|q| {
+            let query = std::slice::from_ref(q);
+            MODES.map(|mode| Lane::new(query, mode, IndexPolicy::None, reads))
+        });
+        let banks = [IndexPolicy::None, IndexPolicy::SharedPrefix]
+            .into_iter()
+            .flat_map(|index| MODES.map(|mode| Lane::new(queries, mode, index, reads)));
+        alone.chain(banks).collect()
     }
 
     /// `xml` (whose spanned events are `events`) down both paths.
@@ -277,7 +290,7 @@ fn most_of_xmark_is_passed_over_and_the_space_statistics_do_not_move() {
         (delivered, passed) = (delivered + feed.delivered(), passed + feed.passed());
         parser.reset();
         parser
-            .drive(xml.as_bytes(), &mut |ev, span| bare.process_sym(ev, span))
+            .drive(xml.as_bytes(), &mut |ev, span| bare.event(ev, span, sink))
             .unwrap();
         assert_eq!(horizoned.result(), bare.result());
         assert_eq!(horizoned.stats(), bare.stats());
