@@ -18,6 +18,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod automorphism;
 pub mod canonical;

@@ -16,6 +16,7 @@
 //! `baseline_shootout` example and the differential suites do.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod buffering;
 pub mod dfa;

@@ -132,8 +132,6 @@ mod attribution;
 mod chains;
 mod index;
 mod run;
-#[cfg(test)]
-pub(crate) mod tests;
 
 use crate::evaluator::sealed::Horizoned;
 use crate::evaluator::Evaluator;
@@ -509,3 +507,6 @@ impl Evaluator for IndexedBank {
 }
 
 impl Horizoned for IndexedBank {}
+
+#[cfg(test)]
+pub(crate) mod tests;

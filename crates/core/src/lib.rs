@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod evaluator;
 pub mod filter;

@@ -13,6 +13,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod builder;
 pub mod measure;

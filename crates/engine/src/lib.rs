@@ -126,6 +126,7 @@
 //! `fx-automata`, which this crate does not link.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod builder;
 mod error;

@@ -19,6 +19,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod homomorphism;
 pub mod matching;

@@ -7,6 +7,8 @@
 //!   cargo run --release -p fx-experiments --bin experiments           # all
 //!   cargo run --release -p fx-experiments --bin experiments -- e2 e9  # subset
 
+#![deny(unsafe_code)]
+
 use fx_analysis::{frontier_size, redundancy_free};
 use fx_automata::{BufferingFilter, LazyDfaFilter, NfaFilter};
 use fx_core::{Evaluator, Match, MultiFilter, StreamFilter};

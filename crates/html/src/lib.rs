@@ -61,6 +61,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod entities;
 pub mod parser;

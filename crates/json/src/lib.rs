@@ -51,6 +51,7 @@
 //! validation.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod ndjson;
 pub mod parser;

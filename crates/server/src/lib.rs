@@ -74,6 +74,7 @@
 //! across compaction; only internal slot numbers move.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod broker;
 mod inbox;

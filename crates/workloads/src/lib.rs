@@ -7,6 +7,7 @@
 //! generator for realistic end-to-end scenarios.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod docs;
 pub mod frontends;

@@ -16,6 +16,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod batch;
 pub mod escape;

@@ -11,10 +11,10 @@
 //! holds only what is XML: tag and text tokenizing, entity decoding,
 //! the open-element stack, and the well-formedness rules.
 //!
-//! The inner byte scan is built on [`crate::scan`] — SWAR word-at-a-time
-//! structural search for `<`, `>`, `&`, and quote delimiters — and text
-//! spans containing no `&` are emitted as borrowed slices of the input
-//! with no entity decoding and no copy.
+//! The inner byte scan is built on [`crate::scan`] — one structural
+//! index pass (SSE2 on x86_64, SWAR elsewhere) over `<`, `>`, `&`, and
+//! quote delimiters — and text spans containing no `&` are emitted as
+//! borrowed slices of the input with no entity decoding and no copy.
 //!
 //! # Passing over what the sink cannot see
 //!
@@ -38,6 +38,7 @@ use crate::parser::ParseError;
 use crate::scan;
 use crate::source::{
     error_at, Cursor, EventSink, Frontend, Grammar, Horizon, Names, Stretch, WhitespaceText,
+    READ_CHUNK,
 };
 use crate::span::Span;
 use crate::symbols::{AttrBuf, Sym, SymEvent};
@@ -77,7 +78,9 @@ pub struct XmlGrammar {
     /// Reused attribute slots; `StartElement` events borrow them.
     attrs: AttrBuf,
     /// Reused structural index: positions of `<` `>` `"` `'` `&` in the
-    /// unconsumed input, rebuilt by one SWAR pass per drain.
+    /// unconsumed input, rebuilt by one [`scan::positions_xml`] pass
+    /// per drain (SSE2 on x86_64, SWAR elsewhere). Its capacity is one
+    /// read chunk's worth; a denser or longer run grows it by `push`.
     struct_idx: Vec<u32>,
     /// Start tags of this document so far: the next one's ordinal.
     ordinal: u64,
@@ -101,7 +104,7 @@ impl WhitespaceText for XmlGrammar {
 }
 
 impl Grammar for XmlGrammar {
-    /// One SWAR pass builds the structural index; the token loop then
+    /// One scan pass builds the structural index; the token loop then
     /// walks delimiter *positions* instead of re-scanning bytes.
     fn drain<S: EventSink + ?Sized>(
         &mut self,
@@ -122,10 +125,11 @@ impl Grammar for XmlGrammar {
             buf.len() <= u32::MAX as usize,
             "single buffered token exceeds 4 GiB"
         );
-        // Pre-size to the worst typical density (~1 delimiter per 4
-        // bytes) so a cold index reaches capacity in one reallocation
-        // instead of a doubling cascade.
-        idx.reserve((buf.len() - cur.pos) / 4);
+        // Pre-size for one read chunk at the worst typical density (~1
+        // delimiter per 4 bytes), so a cold index reaches capacity in
+        // one reallocation. Not for all pending bytes: a long token
+        // (a megabyte of text) may hold no delimiter at all.
+        idx.reserve(READ_CHUNK / 4);
         scan::positions_xml(buf.as_bytes(), cur.pos, &mut idx);
         let result = self.drain_indexed(names, buf, &idx, cur, at_eof, sink);
         self.struct_idx = idx;
@@ -166,8 +170,9 @@ impl Grammar for XmlGrammar {
 
 impl XmlGrammar {
     /// Pushes an open element, appending its name to the arena, so the
-    /// end-tag hot path is one name memcmp against the tag's interior
+    /// end-tag hot path is one name compare against the tag's interior
     /// — no trimming, no extraction.
+    #[inline(always)]
     fn stack_push(&mut self, sym: Sym, name: &str) {
         let start = self.name_arena.len() as u32;
         self.name_arena.push_str(name);
@@ -181,6 +186,7 @@ impl XmlGrammar {
 
     /// The name of the innermost open element — always the arena's
     /// suffix.
+    #[inline(always)]
     fn top_name(&self) -> (Sym, usize, &str) {
         let (sym, start) = self.stack[self.depth - 1];
         (sym, start as usize, &self.name_arena[start as usize..])
@@ -188,6 +194,7 @@ impl XmlGrammar {
 
     /// Counts `events` passed over at the current depth, taking the
     /// stream to depth `reached`.
+    #[inline(always)]
     fn pass_over(&mut self, events: u64, reached: usize) {
         if self.passed == 0 {
             self.deepest = self.depth;
@@ -226,6 +233,7 @@ impl XmlGrammar {
 
     /// Pops the innermost open element for its end tag, delivering the
     /// `EndElement` unless its start tag was passed over.
+    #[inline(always)]
     fn close<S: EventSink + ?Sized>(&mut self, sym: Sym, start: usize, span: Span, sink: &mut S) {
         let passed_over = S::HAS_HORIZON && sym == PASSED_OVER;
         if passed_over {
@@ -375,13 +383,13 @@ impl XmlGrammar {
             b'!' | b'?' => self.handle_markup_tag(names, tag, span, sink),
             b'/' => {
                 // Hot path: a well-formed end tag is byte-identical to
-                // the expected closer stored at push time — one memcmp,
-                // no trimming, no name extraction, no lookup. Matching
-                // by bytes stays exact even when several unknown names
-                // share a sym in lookup-only mode.
+                // the expected closer stored at push time — one byte
+                // compare, no trimming, no name extraction, no lookup.
+                // Matching by bytes stays exact even when several
+                // unknown names share a sym in lookup-only mode.
                 if self.depth > 0 {
                     let (open_sym, start, open_name) = self.top_name();
-                    if *open_name.as_bytes() == tag.as_bytes()[2..tag.len() - 1] {
+                    if same_name(open_name.as_bytes(), &tag.as_bytes()[2..tag.len() - 1]) {
                         self.close(open_sym, start, span, sink);
                         return Ok(());
                     }
@@ -610,6 +618,20 @@ fn tag_region(
         }
     }
     Ok(None)
+}
+
+/// `a == b` for an end tag's name against the open element's: a short
+/// name (most are) is compared by an inline byte loop, a longer one by
+/// the slice compare, which calls out to the C library.
+#[inline(always)]
+fn same_name(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    if a.len() > 16 {
+        return a == b;
+    }
+    a.iter().zip(b).all(|(x, y)| x == y)
 }
 
 /// `s.trim()` with a byte-wise fast path: trims the ASCII whitespace

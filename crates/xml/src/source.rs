@@ -71,6 +71,9 @@ use crate::symbols::{Sym, SymCache, SymEvent, Symbols};
 use std::io::Read;
 use std::sync::Arc;
 
+/// Bytes the reader drivers ask for per `read` call.
+pub(crate) const READ_CHUNK: usize = 8 * 1024;
+
 /// A streaming producer of one document's interned SAX events — what
 /// an engine session drives (`Session::run_source`). Every [`Frontend`]
 /// is one; a source is reusable across documents
@@ -716,7 +719,7 @@ impl<G: Grammar> Frontend<G> {
         // the one exit path.
         let mut chunk = std::mem::take(&mut self.io_chunk);
         if chunk.is_empty() {
-            chunk.resize(8 * 1024, 0);
+            chunk.resize(READ_CHUNK, 0);
         }
         let result = loop {
             let n = match read_some(reader, &mut chunk, self.fed()) {

@@ -14,6 +14,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod ast;
 pub mod canonical;

@@ -102,6 +102,7 @@
 //! confirms it (`StreamFilter::process_to`, `Session::run_reader_to`).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub use fx_analysis as analysis;
 pub use fx_automata as automata;

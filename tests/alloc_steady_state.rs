@@ -687,6 +687,23 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
         );
     }
 
+    // A long token is buffered whole, but the structural index is sized
+    // by what it holds, not by the token: a megabyte of text with no
+    // delimiter in it leaves the input buffer and an index of one read
+    // chunk. With the index reserved at one `u32` per 4 pending bytes,
+    // the session kept 4.0× the token.
+    const TOKEN: usize = 1 << 20;
+    let xml = format!("<a>{}</a>", "x".repeat(TOKEN));
+    let engine = Engine::builder().query_str("//a[b and c]").build().unwrap();
+    let before = live_bytes();
+    let mut session = engine.session();
+    assert!(!session.run_reader(xml.as_bytes()).unwrap().any());
+    let kept = live_bytes() - before;
+    assert!(
+        kept <= (TOKEN as i64) * 5 / 2,
+        "after a {TOKEN} B text token a session holds {kept} B (limit 2.5×)"
+    );
+
     // --- Confirmed matches: handed over, never held. --------------------
     // Selection's only unavoidable extra memory is the *unresolved*
     // candidates (the paper's follow-up \[5\]); every `<b>` of
