@@ -620,18 +620,12 @@ fn tag_region(
     Ok(None)
 }
 
-/// `a == b` for an end tag's name against the open element's: a short
-/// name (most are) is compared by an inline byte loop, a longer one by
-/// the slice compare, which calls out to the C library.
+/// `a == b` for an end tag's name against the open element's, as an
+/// inline byte loop: the slice `==` calls out to the C library's
+/// `bcmp`, once per end tag.
 #[inline(always)]
 fn same_name(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    if a.len() > 16 {
-        return a == b;
-    }
-    a.iter().zip(b).all(|(x, y)| x == y)
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
 }
 
 /// `s.trim()` with a byte-wise fast path: trims the ASCII whitespace

@@ -114,9 +114,8 @@ pub fn positions_xml(hay: &[u8], from: usize, out: &mut Vec<u32>) {
 /// at once, and one `movemask` turns them into a 16-bit mask of
 /// positions. Four vectors make one 64-bit mask a step, so the
 /// position loop's exit branch, which mispredicts, is taken once per
-/// 64 bytes rather than once per 16. The last, partial vector is
-/// copied into a zero-padded one; a zero byte matches none of the
-/// compares.
+/// 64 bytes rather than once per 16. The last, partial step is copied
+/// into a zero-padded one; a zero byte matches none of the compares.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 fn positions_xml_sse2(hay: &[u8], from: usize, out: &mut Vec<u32>) {
@@ -144,24 +143,23 @@ fn positions_xml_sse2(hay: &[u8], from: usize, out: &mut Vec<u32>) {
             m &= m - 1;
         }
     }
-    let mut i = from;
-    while i + 64 <= hay.len() {
-        let step = &hay[i..i + 64];
-        let m = mask(&step[..16])
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn step_mask(step: &[u8]) -> u64 {
+        mask(&step[..16])
             | mask(&step[16..32]) << 16
             | mask(&step[32..48]) << 32
-            | mask(&step[48..]) << 48;
-        push_all(out, i, m);
+            | mask(&step[48..64]) << 48
+    }
+    let mut i = from;
+    while i + 64 <= hay.len() {
+        push_all(out, i, step_mask(&hay[i..i + 64]));
         i += 64;
     }
-    while i + 16 <= hay.len() {
-        push_all(out, i, mask(&hay[i..i + 16]));
-        i += 16;
-    }
     if i < hay.len() {
-        let mut padded = [0u8; 16];
+        let mut padded = [0u8; 64];
         padded[..hay.len() - i].copy_from_slice(&hay[i..]);
-        push_all(out, i, mask(&padded));
+        push_all(out, i, step_mask(&padded));
     }
 }
 
