@@ -319,7 +319,7 @@ impl CompiledQuery {
     /// false only when every element step is a named test and none of
     /// them is `name`.
     #[inline]
-    fn mentions(&self, name: Sym) -> bool {
+    pub(crate) fn mentions(&self, name: Sym) -> bool {
         self.names.as_ref().is_none_or(|set| set.contains(name))
     }
 

@@ -12,7 +12,11 @@ impl IndexedBank {
     /// members, and the shared trie's peak bits evenly across the
     /// queries whose prefixes live in the trie (integer remainders go to
     /// the lowest-ranked sharers), so the vector sums **exactly** to
-    /// [`IndexedBank::total_max_bits`]. Queries whose prefix never
+    /// [`IndexedBank::total_max_bits`]. Exact between documents;
+    /// mid-document, a group's share is as of each of its live
+    /// instances' last delivery (an instance is handed only the events
+    /// that can move it), as [`crate::MultiFilter::stats`] says of its
+    /// filters. Queries whose prefix never
     /// activated are charged only their share of the trie, and with no
     /// query live at all nothing is charged and the total reads the
     /// same (see [`IndexedBank::space_stats`]). The groups'
@@ -80,7 +84,10 @@ impl IndexedBank {
     }
 
     /// The bank-level space/activation breakdown (see
-    /// [`IndexSpaceStats`]). Once every subscription is withdrawn, the
+    /// [`IndexSpaceStats`]). Exact between documents; mid-document, the
+    /// residual bits are as of each live instance's last delivery, like
+    /// [`IndexedBank::peak_memory_bits`]'s. Once every subscription is
+    /// withdrawn, the
     /// trie's history has no query left to charge it to: the shared
     /// trie bits, like [`IndexedBank::peak_memory_bits`], read zero.
     pub fn space_stats(&self) -> IndexSpaceStats {

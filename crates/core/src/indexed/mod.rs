@@ -20,7 +20,8 @@
 //! Open records and dormant activations are chained by the name that
 //! can fire them, so per-event cost is `O(open records whose node test
 //! is this tag's name or a wildcard + dormant activations this name can
-//! wake + live residual instances)` — not `O(bank size)`, and not even
+//! wake + live residual instances whose residual names it)` — not
+//! `O(bank size)`, and not even
 //! `O(shared frontier)`: queries whose prefix the
 //! document never exhibits cost **zero** per event, and equivalent
 //! queries (equal `fx_xpath::canonical::canonical_key`, e.g. commutative
@@ -418,6 +419,15 @@ impl IndexedBank {
     /// [`IndexedBank::trie_records_visited`].
     pub fn dormant_entries_checked(&self) -> u64 {
         self.run.dormant_checked
+    }
+
+    /// Total events delivered to residual instances so far, wake events
+    /// included (cumulative, like [`IndexedBank::trie_records_visited`]):
+    /// an instance is handed only a tag its residual names and text
+    /// while it buffers, so this deterministic work count follows the
+    /// events that can move an instance, not live instances × events.
+    pub fn instance_feeds(&self) -> u64 {
+        self.run.instance_feeds
     }
 
     /// Number of shared trie nodes (excluding the virtual root).

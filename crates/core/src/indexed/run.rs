@@ -3,6 +3,7 @@
 
 use super::chains::{Chains, NIL, WILDCARD_CODE};
 use super::index::Index;
+use crate::evaluator::sealed::Horizoned;
 use crate::filter::StreamFilter;
 use crate::reporter::{Match, MatchSink};
 use crate::space::bits_for;
@@ -12,10 +13,27 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A live residual evaluation: one query group below one activation.
+///
+/// An instance is handed only the events that can move it: a tag its
+/// residual names, text while it buffers. The rest leave its filter
+/// behind the stream, with `seen` and `deepest` saying how far; it
+/// catches up through [`Horizoned::sync`] just before it next matters —
+/// its next delivery, its retirement, or the removal of any instance of
+/// its group (a group's live bit sum only falls when an instance leaves,
+/// so catching up every one of them first keeps the group's peaks
+/// exact).
 #[derive(Debug, Clone)]
 pub(super) struct Instance {
     group: u32,
+    /// The group's residual-pool id: its compiled form says which names
+    /// move the instance, and its free-list takes the filter back.
+    residual: u32,
     filter: StreamFilter,
+    /// The bank's event count as of the last event the filter took or
+    /// was caught up through.
+    seen: u64,
+    /// The deepest document level the stream has reached since then.
+    deepest: u32,
     /// Instance-local element ordinals plus this offset are global
     /// document ordinals (the subtree's ordinals are contiguous).
     ordinal_offset: u64,
@@ -190,6 +208,9 @@ pub(super) struct Run {
     pub(super) records_visited: u64,
     /// Total dormant wake-up registrations checked by start tags.
     pub(super) dormant_checked: u64,
+    /// Total events delivered to residual instances, wake events
+    /// included.
+    pub(super) instance_feeds: u64,
 }
 
 impl Run {
@@ -233,8 +254,10 @@ impl Run {
             self.pop_dormant(index);
         }
         debug_assert!(self.wake_links.is_empty() && self.dormant_live == 0);
+        // No catch-up: what is left here belongs to a cut document, whose
+        // groups' peaks the caller's reset discards.
         while !self.instances.is_empty() {
-            self.remove_instance(index, self.instances.len() - 1);
+            self.remove_instance(self.instances.len() - 1);
         }
     }
 
@@ -274,10 +297,12 @@ impl Run {
     /// dormant activations and pending terminal spans (a mid-document
     /// unsubscribe simply stops evaluating) — and its history.
     pub(super) fn drop_group(&mut self, index: &Index, g: usize) {
+        // The group's instances leave without catching up: the peaks
+        // they would fold are wiped below.
         let mut i = 0;
         while i < self.instances.len() {
             if self.instances[i].group as usize == g {
-                self.remove_instance(index, i);
+                self.remove_instance(i);
             } else {
                 i += 1;
             }
@@ -325,9 +350,9 @@ impl Run {
                 self.start_element(index, event, name, span, sink)
             }
             SymEvent::EndElement { .. } => self.end_element(index, event, span, sink),
-            SymEvent::Text { .. } if self.instances.is_empty() => {}
             SymEvent::Text { .. } => {
-                self.feed_instances(index, event, span, self.current_level as i64, sink)
+                let level = self.current_level;
+                self.feed_instances(index, event, span, level as i64, level, sink)
             }
             SymEvent::EndDocument => self.end_document(index),
         }
@@ -364,7 +389,7 @@ impl Run {
         // Feed instances rooted strictly above this element first; the
         // instances this element spawns below must not see its start tag
         // (they are rooted *at* it).
-        self.feed_instances(index, event, span, lvl as i64, sink);
+        self.feed_instances(index, event, span, lvl as i64, lvl + 1, sink);
         // Wake any dormant activation this start tag triggers (the
         // woken instance receives this very event as its first);
         // activations registered *by* this element below are appended
@@ -453,10 +478,10 @@ impl Run {
         let new_level = self.current_level.saturating_sub(1);
         // Instances strictly inside see the end tag; the ones rooted at
         // the closing element get `EndDocument` instead, below.
-        self.feed_instances(index, event, span, new_level as i64, sink);
-        self.current_level = new_level;
+        self.feed_instances(index, event, span, new_level as i64, new_level, sink);
 
-        // Retire instances rooted at the closing element.
+        // Retire instances rooted at the closing element — at the
+        // position before this tag, which is what a catch-up runs to.
         let mut i = 0;
         while i < self.instances.len() {
             if self.instances[i].root_level == new_level as i64 {
@@ -465,6 +490,7 @@ impl Run {
                 i += 1;
             }
         }
+        self.current_level = new_level;
 
         // Pop the shared records spawned inside the closing element —
         // the tail of the level-sorted stack, each the head of its chain
@@ -646,7 +672,7 @@ impl Run {
             let rel = lvl as i64 - d.root_level - 1;
             debug_assert!(rel >= 0, "dormant entries live above the event");
             let idx = self.spawn_instance(index, d.group, d.root_level, rel as usize);
-            self.feed_one(index, idx, event, span, sink);
+            self.feed_one(index, idx, event, span, lvl + 1, sink);
         }
     }
 
@@ -666,11 +692,11 @@ impl Run {
     ) -> usize {
         let rid = index.groups[g as usize]
             .residual
-            .expect("only residual groups spawn instances") as usize;
+            .expect("only residual groups spawn instances");
         // A pooled filter needs no scrubbing: the `StartDocument` below
         // restarts its statistics along with its frontier.
-        let mut filter = self.free_filters[rid].pop().unwrap_or_else(|| {
-            let compiled = Arc::clone(&index.residuals[rid].compiled);
+        let mut filter = self.free_filters[rid as usize].pop().unwrap_or_else(|| {
+            let compiled = Arc::clone(&index.residuals[rid as usize].compiled);
             if index.reporting {
                 StreamFilter::from_shared_reporting(compiled)
                     .expect("a reporting bank checks reporting support at subscribe")
@@ -683,47 +709,128 @@ impl Run {
             filter.fast_forward(fast_forward);
         }
         let i = self.instances.len();
+        // Up to date through the event before the one that wakes it: the
+        // caller delivers that one next, and folds what it grew by.
         self.instances.push(Instance {
             group: g,
+            residual: rid,
             filter,
+            seen: self.events - 1,
+            deepest: self.current_level,
             ordinal_offset: self.element_ordinal,
             root_level,
             progress: 0,
             noted_bits: 0,
             noted_pending: 0,
         });
-        self.fold_growth(i);
         self.activations += 1;
         self.peak_instances = self.peak_instances.max(self.instances.len());
         i
     }
 
-    /// Feeds `event` to every instance rooted strictly above `threshold`
-    /// (the level the event occurs at), routing matches and applying
-    /// the decided-filter short-circuit in filtering mode.
+    /// Feeds `event` — an event at level `threshold` that leaves the
+    /// document at level `after` — to the live instances rooted strictly
+    /// above `threshold` that it can move: a tag their residual names
+    /// (and, for a document-rooted instance, the root's start tag: its
+    /// early-reject decision), text while they buffer. The rest only
+    /// note how deep the document went. Matches are routed, and in
+    /// filtering mode an instance whose group already accepted leaves.
+    /// Out of line behind the emptiness test, so a bank with no live
+    /// instance pays one compare per event.
+    #[inline]
     fn feed_instances(
         &mut self,
         index: &Index,
         event: SymEvent<'_>,
         span: Span,
         threshold: i64,
+        after: u32,
+        sink: &mut dyn MatchSink,
+    ) {
+        if !self.instances.is_empty() {
+            self.feed_live(index, event, span, threshold, after, sink);
+        }
+    }
+
+    /// [`Run::feed_instances`] over a non-empty instance list.
+    #[inline(never)]
+    fn feed_live(
+        &mut self,
+        index: &Index,
+        event: SymEvent<'_>,
+        span: Span,
+        threshold: i64,
+        after: u32,
         sink: &mut dyn MatchSink,
     ) {
         let mut i = 0;
         while i < self.instances.len() {
-            let inst = &self.instances[i];
+            let inst = &mut self.instances[i];
             if !index.reporting && self.doc[inst.group as usize].accepted {
                 // The group already accepted: its verdict cannot change,
                 // so the instance is pure overhead. Same rationale as
                 // MultiFilter's decided-filter skip.
-                self.remove_instance(index, i);
-            } else if threshold <= inst.root_level || !self.feed_one(index, i, event, span, sink) {
+                let g = inst.group;
+                self.catch_up_group(g);
+                self.remove_instance(i);
+                continue;
+            }
+            inst.deepest = inst.deepest.max(after);
+            let names = |name| {
+                index.residuals[inst.residual as usize]
+                    .compiled
+                    .mentions(name)
+            };
+            let moves = threshold > inst.root_level
+                && match event {
+                    SymEvent::StartElement { name, .. } => {
+                        (threshold == 0 && inst.root_level < 0) || names(name)
+                    }
+                    SymEvent::EndElement { name } => names(name),
+                    // Text: only an open value-tested leaf takes it.
+                    _ => inst.filter.is_buffering(),
+                };
+            if !moves || !self.feed_one(index, i, event, span, after, sink) {
                 i += 1;
             }
         }
     }
 
-    /// Feeds `event` to instance `i` with full bookkeeping (match
+    /// Brings instance `i` up to the event before the current one,
+    /// through [`Horizoned::sync`], if it fell behind: the stream's
+    /// level and ordinal made relative to the instance's root, and the
+    /// deepest level it passed. Leaves the fold to the caller.
+    fn catch_up(&mut self, i: usize) {
+        let upto = self.events - 1;
+        let inst = &mut self.instances[i];
+        if inst.seen < upto {
+            // Floored for a document cut off inside the instance's root.
+            let rel = |level: u32| (level as i64 - inst.root_level - 1).max(0) as usize;
+            inst.filter.sync(
+                rel(self.current_level),
+                self.element_ordinal - inst.ordinal_offset,
+                upto - inst.seen,
+                rel(inst.deepest),
+            );
+            inst.seen = upto;
+            inst.deepest = self.current_level;
+        }
+    }
+
+    /// Catches up every live instance of group `g` and folds what each
+    /// grew by: called just before one of them leaves, so the group's
+    /// peaks see all of them at their fullest.
+    fn catch_up_group(&mut self, g: u32) {
+        for i in 0..self.instances.len() {
+            if self.instances[i].group == g {
+                self.catch_up(i);
+                self.fold_growth(i);
+            }
+        }
+    }
+
+    /// Feeds `event`, which leaves the document at level `after`, to
+    /// instance `i` — caught up first — with full bookkeeping (match
     /// routing, decided short-circuit, space-delta folding). Returns
     /// `true` when the instance was removed (its slot now holds the
     /// previous last instance, swap-remove style).
@@ -733,12 +840,17 @@ impl Run {
         i: usize,
         event: SymEvent<'_>,
         span: Span,
+        after: u32,
         sink: &mut dyn MatchSink,
     ) -> bool {
+        self.catch_up(i);
+        debug_assert_eq!(self.instances[i].seen + 1, self.events, "one event behind");
+        self.instance_feeds += 1;
         let Run {
             instances,
             doc,
             emitted,
+            events,
             ..
         } = self;
         let inst = &mut instances[i];
@@ -747,6 +859,7 @@ impl Run {
         inst.filter.process_sym_to(event, span, 0, &mut |m: Match| {
             emit(index, doc, emitted, g, m.ordinal + offset, m.span, sink)
         });
+        (inst.seen, inst.deepest) = (*events, after);
         let mut decided = None;
         if !index.reporting {
             let p = inst.filter.match_progress();
@@ -765,16 +878,19 @@ impl Run {
         let Some(accept) = decided else {
             return false;
         };
+        let g = self.instances[i].group;
         if accept {
-            self.accept(index, self.instances[i].group as usize);
+            self.accept(index, g as usize);
         }
-        self.remove_instance(index, i);
+        self.catch_up_group(g);
+        self.remove_instance(i);
         true
     }
 
     /// Sends `EndDocument` (which confirms no match) to instance `i`,
-    /// harvests its verdict, and removes it.
+    /// its group caught up first, harvests its verdict, and removes it.
     fn retire_instance(&mut self, index: &Index, i: usize) {
+        self.catch_up_group(self.instances[i].group);
         let inst = &mut self.instances[i];
         inst.filter
             .process_sym_to(SymEvent::EndDocument, Span::EMPTY, 0, &mut |_: Match| {});
@@ -782,7 +898,7 @@ impl Run {
         if accept {
             self.accept(index, g);
         }
-        self.remove_instance(index, i);
+        self.remove_instance(i);
     }
 
     /// Folds what instance `i`'s monotone peaks grew by since they were
@@ -811,16 +927,16 @@ impl Run {
     /// previous last instance, swap-remove style): its final growth is
     /// folded into its group's peaks, its share of the group's live
     /// totals released, and its filter returned to the per-residual
-    /// pool for the next activation to reuse.
-    fn remove_instance(&mut self, index: &Index, i: usize) {
+    /// pool for the next activation to reuse. Whoever removes an
+    /// instance its group's peaks still count catches the group up
+    /// first ([`Run::catch_up_group`]).
+    fn remove_instance(&mut self, i: usize) {
         self.fold_growth(i);
         let inst = self.instances.swap_remove(i);
         let doc = &mut self.doc[inst.group as usize];
         doc.live_bits -= inst.noted_bits;
         doc.live_pending -= inst.noted_pending;
-        if let Some(rid) = index.groups[inst.group as usize].residual {
-            self.free_filters[rid as usize].push(inst.filter);
-        }
+        self.free_filters[inst.residual as usize].push(inst.filter);
     }
 }
 

@@ -956,3 +956,121 @@ proptest! {
         }
     }
 }
+
+/// One reading of every space figure the bank reports.
+type Reading = (IndexSpaceStats, Vec<u64>, Vec<usize>, u64);
+
+fn reading(ib: &IndexedBank) -> Reading {
+    (
+        ib.space_stats(),
+        ib.peak_memory_bits(),
+        ib.peak_pending_positions(),
+        ib.total_max_bits(),
+    )
+}
+
+/// `//a//b[c]` keeps one residual instance per open `<a>`: the document
+/// nests two. Each `<x>` chain is a stretch neither is handed (their
+/// residual names `b` and `c` only). Selecting, the last one takes both
+/// so deep that their one row each outweighs the two each held inside
+/// `<b>`, and it ends at the inner `</a>`, where the inner instance
+/// leaves: the group's peak holds only if the outer one catches up
+/// first. Filtering, both accept at the `<c/>` and leave there. `//a//b[c]/x` buffers its `x` candidates until `c`
+/// shows (selecting), and `//y[z > 5]` is document-rooted and takes the
+/// text of its `<z>`.
+const EXACT_QUERIES: [&str; 6] = [
+    "//a//b",
+    "//a/b",
+    "//a//b[c]",
+    "//a//b[c]/x",
+    "//b",
+    "//y[z > 5]",
+];
+
+fn exact_doc() -> String {
+    format!(
+        "<r><a><b><x><x><x><x/></x></x></x></b><a><b><x>t<x/></x><c/></b>{}{}</a>\
+         <b><c/></b></a><y>u<z>7</z></y></r>",
+        "<x>".repeat(600),
+        "</x>".repeat(600)
+    )
+}
+
+/// The readings the tree of commit 1cbe11e gave — the bank that fed
+/// every live instance every event — after [`exact_doc`], after a
+/// cut-off copy and the unsubscriptions that follow it, and after one
+/// more whole copy.
+fn exact_readings(reporting: bool) -> [Reading; 3] {
+    let stats =
+        |shared_trie_bits, residual_bits, peak_instances, activations, events| IndexSpaceStats {
+            shared_trie_bits,
+            residual_bits,
+            total_bits: shared_trie_bits + residual_bits,
+            peak_records: 6,
+            peak_instances,
+            activations,
+            events,
+            groups: 6,
+            residual_pool: 3,
+        };
+    // Selecting, `//a//b[c]`'s instances outlive its `c`, so the long
+    // stretch reaches them (4 bits more), and `//a//b[c]/x` holds two
+    // `x` candidates at once.
+    let (r, pending) = if reporting { (4, 2) } else { (0, 0) };
+    [
+        (
+            stats(98, 80 + r, 4, 5, 1237),
+            vec![20, 20, 42 + r, 58, 19, 19],
+            vec![0, 0, 0, pending, 0, 0],
+            178 + r,
+        ),
+        (
+            stats(56, 0, 4, 9, 1267),
+            vec![19, 19, 0, 0, 18, 0],
+            vec![0; 6],
+            56,
+        ),
+        (
+            stats(98, 19, 1, 10, 2504),
+            vec![33, 33, 0, 0, 32, 19],
+            vec![0; 6],
+            117,
+        ),
+    ]
+}
+
+#[test]
+fn skipped_stretches_leave_every_space_figure_exact() {
+    let queries: Vec<Query> = EXACT_QUERIES
+        .iter()
+        .map(|s| parse_query(s).unwrap())
+        .collect();
+    let events = fx_xml::parse(&exact_doc()).unwrap();
+    for reporting in [false, true] {
+        let mut ib = IndexedBank::build(&queries, reporting, true, Default::default())
+            .map_err(|(i, _)| i)
+            .unwrap();
+        let want = exact_readings(reporting);
+        feed(&mut ib, &events);
+        assert_eq!(reading(&ib), want[0], "reporting {reporting}: the document");
+        // Cut off inside the inner `<a>`'s long stretch (selecting, both
+        // of each group's instances are live there); the two groups then
+        // lose their one member each, and the next document runs on what
+        // is left.
+        feed(&mut ib, &events[..30]);
+        for slot in [2, 3] {
+            assert!(ib.unsubscribe(ib.subscription_of(slot).unwrap()));
+        }
+        assert_eq!(
+            reading(&ib),
+            want[1],
+            "reporting {reporting}: cut, then unsubscribed"
+        );
+        feed(&mut ib, &events);
+        assert_eq!(
+            reading(&ib),
+            want[2],
+            "reporting {reporting}: the next document"
+        );
+    }
+}

@@ -65,7 +65,8 @@
 //! event, with per-query state only below activated divergence points —
 //! and the compiled remainders below those points pooled per canonical
 //! residual form, so activation never compiles. Per-event cost is
-//! `O(shared trie records + live residual instances)` instead of one
+//! `O(shared trie records + live residual instances the event can move)`
+//! instead of one
 //! filter's work per *interested* query — sublinear in bank size
 //! whenever queries overlap and documents touch only part of the bank. Its per-query space figures are *attributed*
 //! (shared bits split evenly across sharers, summing exactly to the

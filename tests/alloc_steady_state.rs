@@ -643,6 +643,58 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
         }
     }
 
+    // --- Residual instances: woken, passed over, caught up. -----------
+    // A selecting indexed session over documents of the `pubsub-churn`
+    // shape: each wakes residual instances, most of whose events go by
+    // undelivered, and each instance catches up through `sync` before
+    // its next delivery or its retirement. None of that allocates: a
+    // warm document costs exactly its verdicts (the table above: 3
+    // blocks, n + 16n bytes), as it did when every live instance was fed
+    // every event.
+    let families = 16;
+    let bank = random_shared_prefix_bank(
+        &mut SmallRng::seed_from_u64(0xBEC + 16 * families as u64),
+        &SharedPrefixBankConfig {
+            families,
+            queries_per_family: 16,
+            prefix_depth: 3,
+            cross_family_tails: false,
+        },
+    );
+    let docs: Vec<String> = (0..families)
+        .map(|i| bank.document_repeated(&[i, (7 * i + 1) % families], 4, 8, 4 + i % 4))
+        .collect();
+    let n = bank.queries.len() as i64;
+    let engine = Engine::builder()
+        .queries(bank.queries.clone())
+        .mode(Mode::Select)
+        .index(IndexPolicy::SharedPrefix)
+        .build()
+        .unwrap();
+    let mut session = engine.session();
+    let mut delivered = 0u64;
+    let mut per_doc = |xml: &str| {
+        let (calls, held) = (allocations(), live_bytes());
+        let sink = &mut |_: frontier_xpath::filter::Match| delivered += 1;
+        let verdicts = session.run_reader_to(xml.as_bytes(), sink).unwrap();
+        let cost = ((allocations() - calls) as i64, live_bytes() - held);
+        drop(verdicts);
+        cost
+    };
+    for xml in &docs {
+        per_doc(xml); // warm-up grows every buffer and fills the pool
+    }
+    for (i, xml) in docs.iter().enumerate() {
+        assert_eq!(
+            per_doc(xml),
+            (3, n + 16 * n),
+            "document {i}: (blocks, bytes) a warm indexed selection allocated"
+        );
+    }
+    assert!(delivered > 0, "the documents select");
+    let stats = session.index_stats().unwrap();
+    assert!(stats.activations > 0, "residual instances woke: {stats:?}");
+
     // --- Retained heap: the buffer is gone. ---------------------------
     // The paper's machine keeps `O(FS(Q)·log d)` *bits* between events;
     // what a warm session keeps besides is an 8 KiB io chunk, the
